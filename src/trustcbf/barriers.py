@@ -105,17 +105,15 @@ def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None) -
 
 
 def cbf_row(ev: BarrierEval, vel_map: np.ndarray, worst_j_dot: np.ndarray, alpha: float,
-            tag=None, drift_i: Optional[np.ndarray] = None) -> ConstraintRow:
+            tag=None) -> ConstraintRow:
     """Linear constraint on i's control enforcing h_dot >= -alpha h against the
-    worst predicted neighbor motion.
+    worst predicted neighbor motion.  Both models are drift-free, so
 
-        grad_i . (drift_i + M u) + grad_j . worst_j_dot >= -alpha h
-        =>  (grad_i M) . u >= -alpha h - grad_i . drift_i - grad_j . worst_j_dot
+        grad_i . (M u) + grad_j . worst_j_dot >= -alpha h
+        =>  (grad_i M) . u >= -alpha h - grad_j . worst_j_dot
     """
     gi = ev.gi()
     gj = ev.gj()
     a = gi @ np.asarray(vel_map, dtype=float)
     b = -alpha * ev.h - float(gj @ np.asarray(worst_j_dot, dtype=float))
-    if drift_i is not None:
-        b -= float(gi @ np.asarray(drift_i, dtype=float))
     return ConstraintRow(a=tuple(a), b=b, tag=tag)

@@ -12,14 +12,15 @@ stop for that step rather than raising.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, cbf_row, clf_value,
-                       eval_barrier, velocity_map)
+from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval, cbf_row,
+                       clf_value, eval_barrier, velocity_map)
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
@@ -27,8 +28,8 @@ from .trust import (BoundaryReached, DegenerateNormal, TrustParams, TrustState,
                     alpha_rate_floor, build_halfspace, combine_trust,
                     compliance_margin, direction_trust, distance_trust,
                     max_own_contribution, update_alpha, worst_case_motion)
-from .world import (MissingHistory, Model, WorldSnapshot, bootstrap_estimate,
-                    estimate_motion, position_part)
+from .world import (MissingHistory, Model, MotionEstimate, WorldSnapshot,
+                    bootstrap_estimate, estimate_motion, position_part)
 
 log = logging.getLogger(__name__)
 
@@ -87,9 +88,22 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX) -> np.ndar
 
 @dataclass
 class _PairObs:
-    ev: object
+    ev: BarrierEval
     a_j: np.ndarray
     alpha_start: float
+    row: ConstraintRow   # the pair's constraint row at alpha_start
+
+
+def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimate,
+                cfg: AgentConfig) -> float:
+    """Floor on the pair's alpha rate for the given compliance margin; -inf when
+    the rate floor is off.  Raises BoundaryReached at the barrier boundary."""
+    if not cfg.rate_floor:
+        return -math.inf
+    B = float(np.linalg.norm(est.center)) + est.radius
+    dist = float(np.linalg.norm(np.asarray(ev.grad_i) / 2.0))
+    L_h = 2.0 * (dist + B * cfg.dt)
+    return alpha_rate_floor(margin, alpha, ev.h, B, L_h, cfg.trust.L_hdot, cfg.trust.L_F)
 
 
 def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustState],
@@ -104,6 +118,7 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
     snap = history[-1]
     me = snap.agents[i]
     neighbors = [a.id for a in snap.agents if a.id != i]
+    M = velocity_map(me, cfg.lookahead)
 
     estimates = {}
     bootstrapped: set[int] = set()
@@ -114,34 +129,41 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             est = bootstrap_estimate(dim=snap.agents[j].state_dim(), v_max=cfg.trust.v_max)
             bootstrapped.add(j)
         estimates[j] = position_part(est)
-    alphas_start = {j: trust[j].alpha for j in neighbors}
+
+    # One geometry pass: every neighbor's barrier, worst-case motion and row
+    # at its start-of-step rate.  Each contribution LP reuses the other rows.
+    obs: dict[int, _PairObs] = {}
+    for j in neighbors:
+        ev = eval_barrier(me, snap.agents[j], cfg.d_min, cfg.lookahead)
+        a_j, _ = worst_case_motion(estimates[j], ev.gj())
+        alpha = trust[j].alpha
+        obs[j] = _PairObs(ev=ev, a_j=a_j, alpha_start=alpha,
+                          row=cbf_row(ev, M, a_j, alpha, tag=(i, j)))
+    start_rows = [obs[j].row for j in neighbors]
 
     emergency = False
-    obs: dict[int, _PairObs] = {}
     fresh: set[int] = set()
-    for j in neighbors:
-        ts = trust[j]
-        other = snap.agents[j]
-        ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
-        a_j, _ = worst_case_motion(estimates[j], ev.gj())
-        obs[j] = _PairObs(ev=ev, a_j=a_j, alpha_start=ts.alpha)
+    for idx, j in enumerate(neighbors):
         if j in bootstrapped:
             # An ignorance prior is not observed behavior; the rows stay
             # conservative but the trust state waits for a real estimate.
             continue
+        ts = trust[j]
+        o = obs[j]
+        other = snap.agents[j]
         # Behavior is judged at the estimate center; the ball's worst-case
         # point is reserved for the control rows.
         a_hat = estimates[j].center
 
         try:
-            contrib = max_own_contribution(i, j, snap, alphas_start, estimates,
-                                           cfg.box, cfg.d_min, cfg.lookahead)
+            contrib = max_own_contribution(o.ev, M, start_rows[:idx] + start_rows[idx + 1:],
+                                           cfg.box)
         except Infeasible:
             # Even the other pairs' rows conflict; the main QP will surface it.
             log.warning("t=%.3f agent %d: contribution LP infeasible toward %d", snap.time, i, j)
             continue
         try:
-            hs = build_halfspace(ev, ts.alpha, contrib)
+            hs = build_halfspace(o.ev, ts.alpha, contrib)
         except DegenerateNormal:
             log.warning("t=%.3f agent %d coincides with %d; trust update skipped", snap.time, i, j)
             continue
@@ -159,31 +181,21 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
 
         if cfg.fixed_alpha:
             continue
-        if cfg.rate_floor:
-            B = float(np.linalg.norm(estimates[j].center)) + estimates[j].radius
-            dist = float(np.linalg.norm(np.asarray(ev.grad_i) / 2.0))
-            L_h = 2.0 * (dist + B * cfg.dt)
-            # The floor guards the robustified row the QP actually enforces,
-            # so it consumes the worst-case-point margin, not the center one.
-            try:
-                floor = alpha_rate_floor(compliance_margin(hs, a_j), ts.alpha,
-                                         ev.h, B, L_h,
-                                         cfg.trust.L_hdot, cfg.trust.L_F)
-            except BoundaryReached:
-                emergency = True
-                continue
-        else:
-            floor = -np.inf
+        # The floor guards the robustified row the QP actually enforces, so it
+        # consumes the worst-case-point margin, not the center one.
+        try:
+            floor = _rate_floor(compliance_margin(hs, o.a_j), ts.alpha, o.ev, estimates[j], cfg)
+        except BoundaryReached:
+            emergency = True
+            continue
         if cfg.alpha_update_order == "before":
             update_alpha(ts, rho, cfg.dt, floor, cfg.trust)
 
-    rows = []
-    for j in neighbors:
-        o = obs[j]
-        alpha = trust[j].alpha if cfg.alpha_update_order == "before" else o.alpha_start
-        if cfg.fixed_alpha:
-            alpha = o.alpha_start
-        rows.append(cbf_row(o.ev, velocity_map(me, cfg.lookahead), o.a_j, alpha, tag=(i, j)))
+    # Rates only move before the QP in "before" order; an unchanged rate
+    # keeps the row built in the geometry pass.
+    rows = [o.row if trust[j].alpha == o.alpha_start
+            else cbf_row(o.ev, M, o.a_j, trust[j].alpha, tag=(i, j))
+            for j, o in obs.items()]
 
     if me.model is Model.UNICYCLE:
         if me.target is None:
@@ -217,18 +229,10 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             if j not in fresh:
                 continue
             ts = trust[j]
-            o = obs[j]
-            if cfg.rate_floor:
-                B = float(np.linalg.norm(estimates[j].center)) + estimates[j].radius
-                dist = float(np.linalg.norm(np.asarray(o.ev.grad_i) / 2.0))
-                L_h = 2.0 * (dist + B * cfg.dt)
-                try:
-                    floor = alpha_rate_floor(ts.margin, ts.alpha, o.ev.h, B, L_h,
-                                             cfg.trust.L_hdot, cfg.trust.L_F)
-                except BoundaryReached:
-                    continue
-            else:
-                floor = -np.inf
+            try:
+                floor = _rate_floor(ts.margin, ts.alpha, obs[j].ev, estimates[j], cfg)
+            except BoundaryReached:
+                continue
             update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
 
     return ControlDecision(u_ref=np.asarray(u_ref, dtype=float), u_safe=np.asarray(u_safe, dtype=float),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,43 +57,6 @@ class Box:
 
 
 DEFAULT_BOX = Box((-3.0, -3.0), (3.0, 3.0))
-
-
-@dataclass(frozen=True)
-class AffineModel:
-    """Drift/actuation pair for x_dot = f(x) + g(x) u."""
-
-    name: str
-    drift: Callable[[AgentState], np.ndarray]
-    actuation: Callable[[AgentState], np.ndarray]
-    control_dim: int
-    control_box: Box
-
-
-def _unicycle_g(state: AgentState) -> np.ndarray:
-    c, s = math.cos(state.psi), math.sin(state.psi)
-    return np.array([[c, 0.0], [s, 0.0], [0.0, 1.0]])
-
-
-UNICYCLE = AffineModel(
-    name="unicycle",
-    drift=lambda state: np.zeros(3),
-    actuation=_unicycle_g,
-    control_dim=2,
-    control_box=DEFAULT_BOX,
-)
-
-SINGLE_INTEGRATOR = AffineModel(
-    name="single_integrator",
-    drift=lambda state: np.zeros(2),
-    actuation=lambda state: np.eye(2),
-    control_dim=2,
-    control_box=DEFAULT_BOX,
-)
-
-
-def affine_model(model: Model) -> AffineModel:
-    return UNICYCLE if model is Model.UNICYCLE else SINGLE_INTEGRATOR
 
 
 def unicycle_derivative(state: AgentState, u: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -64,6 +64,13 @@ class Scenario:
     lookahead: float = LOOKAHEAD_DEFAULT
 
     def validate(self) -> None:
+        numbers = {"dt": self.dt, "duration": self.duration,
+                   "gamma_nominal": self.gamma_nominal, "lookahead": self.lookahead}
+        numbers.update((f"trust.{f.name}", getattr(self.trust, f.name))
+                       for f in fields(self.trust))
+        for name, v in numbers.items():
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v}")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.duration < 0.0:
@@ -76,6 +83,10 @@ class Scenario:
             raise ValidationError("alpha0 must be positive")
         if self.trust.alpha_min <= 0.0:
             raise ValidationError("alpha_min must be positive")
+        if not self.trust.alpha_min <= self.trust.alpha0 <= self.trust.alpha_max:
+            raise ValidationError("trust rates must satisfy alpha_min <= alpha0 <= alpha_max")
+        if self.lookahead <= 0.0:
+            raise ValidationError(f"lookahead must be positive, got {self.lookahead}")
         if self.gamma_nominal <= 0.0:
             raise ValidationError("gamma_nominal must be positive")
         n = len(self.agents)
@@ -87,8 +98,13 @@ class Scenario:
                 raise ValidationError(f"{where}.start has a heading but the model is not a unicycle")
             if not all(math.isfinite(v) for v in a.start):
                 raise ValidationError(f"{where}.start must be finite")
+            if not all(math.isfinite(v) for v in (a.d_min, a.speed, a.gain, *a.box.lo, *a.box.hi,
+                                                   *(a.target or ()))):
+                raise ValidationError(f"{where}: every number must be finite")
             if a.d_min <= 0.0:
                 raise ValidationError(f"{where}.d_min must be positive")
+            if a.box.dim != 2:
+                raise ValidationError(f"{where}.box must bound the 2 control components")
             if a.kind is AgentKind.INTACT and a.model is Model.UNICYCLE and a.target is None:
                 raise ValidationError(f"{where}: intact agents need a known target")
             if a.kind is AgentKind.INTACT and a.model is Model.SINGLE_INTEGRATOR and a.target is None:
@@ -111,7 +127,7 @@ class Scenario:
                     raise ValidationError(f"{where}: uncooperative agents use the SingleIntegrator model")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentRecord:
     px: float
     py: float
@@ -121,7 +137,7 @@ class AgentRecord:
     fallback: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PairRecord:
     h: float
     alpha: float
@@ -221,6 +237,8 @@ def run(s: Scenario) -> Trace:
     trace = Trace()
     history: list[WorldSnapshot] = []
     prev_pair_h: dict[tuple[int, int], tuple[float, float]] = {}
+    # One key per ordered pair, shared by every record of the trace.
+    pair_keys = [(i, j) for i in intact for j in range(n) if j != i]
 
     for k in range(steps + 1):
         snap = world.take_snapshot()
@@ -252,23 +270,21 @@ def run(s: Scenario) -> Trace:
             ) for a in snap.agents
         ])
         pair_step: dict[tuple[int, int], PairRecord] = {}
-        for i in intact:
-            for j in range(n):
-                if j == i:
-                    continue
-                ts = trust[i][j]
-                ev = eval_barrier(snap.agents[i], snap.agents[j],
-                                  s.agents[i].d_min, s.lookahead)
-                pair_step[(i, j)] = PairRecord(h=ev.h, alpha=ts.alpha, rho=ts.rho,
-                                               rho_d=ts.rho_d, rho_theta=ts.rho_theta,
-                                               margin=ts.margin)
-                # Discrete rate inequality bookkeeping (integration artifacts).
-                if (i, j) in prev_pair_h:
-                    h_prev, alpha_prev = prev_pair_h[(i, j)]
-                    slack = (ev.h - h_prev) / s.dt + alpha_prev * h_prev
-                    if slack < -EULER_SLACK_FACTOR * s.dt:
-                        trace.euler_slack_events += 1
-                prev_pair_h[(i, j)] = (ev.h, ts.alpha)
+        for key in pair_keys:
+            i, j = key
+            ts = trust[i][j]
+            ev = eval_barrier(snap.agents[i], snap.agents[j],
+                              s.agents[i].d_min, s.lookahead)
+            pair_step[key] = PairRecord(h=ev.h, alpha=ts.alpha, rho=ts.rho,
+                                        rho_d=ts.rho_d, rho_theta=ts.rho_theta,
+                                        margin=ts.margin)
+            # Discrete rate inequality bookkeeping (integration artifacts).
+            if key in prev_pair_h:
+                h_prev, alpha_prev = prev_pair_h[key]
+                slack = (ev.h - h_prev) / s.dt + alpha_prev * h_prev
+                if slack < -EULER_SLACK_FACTOR * s.dt:
+                    trace.euler_slack_events += 1
+            prev_pair_h[key] = (ev.h, ts.alpha)
         trace.pairs.append(pair_step)
 
         if k == steps:

@@ -1,16 +1,20 @@
-"""Small dense QP and LP solvers for safety filtering, written for 2-3 control dimensions.
+"""Exact solvers for the 2-D safety problems, built on one convex-polygon kernel.
 
-The QP is the projection of a reference command onto the intersection of
-half-planes and a control box:
+Every control in this package is 2-D (unicycle (v, omega), integrator
+(vx, vy)) and every constraint is a half-plane a . u >= b inside an
+axis-aligned control box, so each feasible set is a convex polygon.  The
+kernel builds it by clipping the box with one row after another
+(Sutherland-Hodgman) in plain float arithmetic.  On that polygon:
 
-    min ||u - u_ref||^2   s.t.   a_r . u >= b_r  for every row,  lo <= u <= hi
+    QP   min ||u - u_ref||^2  s.t. rows, box:   u_ref itself when it satisfies
+         the box and every row to FEAS_TOL, else the nearest point on the
+         polygon's edges
+    LP   max c . u  s.t. rows, box:             the best polygon vertex
 
-With at most three variables and roughly a dozen constraints the optimal
-active set can be found exactly by enumerating candidate sets in a fixed
-deterministic order and checking the KKT conditions, which sidesteps pivot
-cycling entirely.  The LP (used for worst-case own-contribution bounds) is a
-classic two-phase tableau simplex with Bland's rule over the box-extended
-polytope.
+The box is clipped with the exact rows first.  Only when that leaves nothing
+are the rows relaxed by FEAS_TOL (and, for the QP, then by QP_RETRY_TOL)
+before Infeasible is raised, so a nearly empty set keeps its verdict while a
+nonempty one is never perturbed.
 
 Both solvers have independent oracles used by the test suite and the CLI
 self-test: a zoomed dense grid search for the QP and exhaustive vertex
@@ -20,7 +24,7 @@ enumeration for the LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Optional, Sequence
 
@@ -29,11 +33,13 @@ import numpy as np
 from .dynamics import Box
 
 # A row normal below this norm carries no direction: the row is vacuous when
-# its offset asks for nothing (b <= 0) and unsatisfiable otherwise.
+# its offset asks for nothing (b <= FEAS_TOL) and unsatisfiable otherwise.
 DEGENERATE_NORM_TOL = 1e-12
 
-# Internal feasibility / dual tolerance and the reported activity tolerance.
+# Feasibility tolerance, the QP's last relaxation before it reports an empty
+# set, and the residual at or below which a constraint is reported active.
 FEAS_TOL = 1e-9
+QP_RETRY_TOL = 1e-7
 ACTIVE_TOL = 1e-8
 
 
@@ -93,50 +99,102 @@ def _assemble(rows: Sequence[ConstraintRow], box: Box):
     return np.array(A_list), np.array(b_list), tags
 
 
-def _kkt_candidate_search(r: np.ndarray, A: np.ndarray, b: np.ndarray, n: int,
-                          tol: float) -> Optional[np.ndarray]:
-    """Enumerate active sets of size 0..n in deterministic order; return the first KKT point."""
-    m = len(b)
-    if np.all(A @ r - b >= -tol):
-        return r.copy()
-    for k in range(1, n + 1):
-        for S in combinations(range(m), k):
-            As = A[list(S)]
-            G = As @ As.T
-            rhs = b[list(S)] - As @ r
-            try:
-                lam = np.linalg.solve(G, rhs)
-            except np.linalg.LinAlgError:
+def _half_planes(rows: Sequence[ConstraintRow], box: Box) -> tuple[list, list]:
+    """((a0, a1, b) per row, tags) for the rows with a usable normal.
+
+    Zero-normal rows follow ``_assemble``: vacuous when b <= FEAS_TOL,
+    Infeasible otherwise.
+    """
+    if box.dim != 2:
+        raise ValueError(f"the solvers handle 2-D controls, got a {box.dim}-D box")
+    planes, tags = [], []
+    for row in rows:
+        a0, a1 = row.a
+        if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL:
+            if row.b <= FEAS_TOL:
                 continue
-            if not np.all(np.isfinite(lam)):
-                continue
-            if float(np.linalg.norm(G @ lam - rhs)) > 1e-9 * (1.0 + float(np.linalg.norm(rhs))):
-                continue  # normals dependent; a smaller or different set covers this case
-            if np.any(lam < -tol):
-                continue
-            u = r + As.T @ lam
-            if np.all(A @ u - b >= -tol):
-                return u
-    return None
+            raise Infeasible(f"row {row.tag!r} has a zero normal but demands b={row.b} > 0")
+        planes.append((a0, a1, row.b))
+        tags.append(row.tag)
+    return planes, tags
+
+
+def _clip(planes: list, box: Box, relax: float) -> list:
+    """Vertices of box ∩ {a . u >= b - relax}, counter-clockwise; [] when empty."""
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    poly = [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
+    for a0, a1, b in planes:
+        b -= relax
+        out = []
+        px, py = poly[-1]
+        dp = a0 * px + a1 * py - b
+        for q in poly:
+            qx, qy = q
+            dq = a0 * qx + a1 * qy - b
+            if (dp >= 0.0) != (dq >= 0.0):
+                t = dp / (dp - dq)
+                out.append((px + t * (qx - px), py + t * (qy - py)))
+            if dq >= 0.0:
+                out.append(q)
+            px, py, dp = qx, qy, dq
+        if not out:
+            return out
+        poly = out
+    return poly
+
+
+def _holds(planes: list, box: Box, x: float, y: float, tol: float) -> bool:
+    """Whether (x, y) satisfies the box and every half-plane to ``tol``."""
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    if not (lo0 - tol <= x <= hi0 + tol and lo1 - tol <= y <= hi1 + tol):
+        return False
+    return all(a0 * x + a1 * y - b >= -tol for a0, a1, b in planes)
+
+
+def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
+    """Point of the polygon's boundary closest to (x, y); the first edge wins ties."""
+    best = math.inf
+    bx = by = 0.0
+    px, py = poly[-1]
+    for qx, qy in poly:
+        ex, ey = qx - px, qy - py
+        e2 = ex * ex + ey * ey
+        t = 0.0
+        if e2 > 0.0:
+            t = min(1.0, max(0.0, ((x - px) * ex + (y - py) * ey) / e2))
+        cx, cy = px + t * ex, py + t * ey
+        d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy)
+        if d2 < best:
+            best, bx, by = d2, cx, cy
+        px, py = qx, qy
+    return bx, by
 
 
 def solve_qp(problem: QPProblem) -> tuple[np.ndarray, tuple]:
     """Project u_ref onto the feasible set; returns (u, tags of active constraints).
 
-    Raises Infeasible when no point in the box satisfies every row.  The
-    returned point satisfies every constraint to 1e-9 and the KKT residuals
-    are below 1e-8 by construction.
+    Active tags are those of the rows, then of the box faces (``box{k}lo`` and
+    ``box{k}hi``), whose residual at u is at most ACTIVE_TOL.  Raises
+    Infeasible when no point in the box satisfies every row, even relaxed by
+    QP_RETRY_TOL.
     """
-    r = np.asarray(problem.u_ref, dtype=float)
-    A, b, tags = _assemble(problem.rows, problem.box)
-    n = problem.box.dim
-    for tol in (FEAS_TOL, 1e-7):
-        u = _kkt_candidate_search(r, A, b, n, tol)
-        if u is not None:
-            resid = A @ u - b
-            active = tuple(tags[i] for i in range(len(b)) if resid[i] <= ACTIVE_TOL)
-            return u, active
-    raise Infeasible("constraint rows admit no command inside the control box")
+    planes, tags = _half_planes(problem.rows, problem.box)
+    x, y = (float(v) for v in problem.u_ref)
+    for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
+        if _holds(planes, problem.box, x, y, max(relax, FEAS_TOL)):
+            break
+        poly = _clip(planes, problem.box, relax)
+        if poly:
+            x, y = _nearest_on_edges(poly, x, y)
+            break
+    else:
+        raise Infeasible("constraint rows admit no command inside the control box")
+    (lo0, lo1), (hi0, hi1) = problem.box.lo, problem.box.hi
+    resid = [a0 * x + a1 * y - b for a0, a1, b in planes]
+    resid += [x - lo0, hi0 - x, y - lo1, hi1 - y]
+    tags += ["box0lo", "box0hi", "box1lo", "box1hi"]
+    active = tuple(tag for tag, r in zip(tags, resid) if r <= ACTIVE_TOL)
+    return np.array([x, y]), active
 
 
 def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
@@ -236,121 +294,25 @@ def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
     return best_val, best_u
 
 
-def _pivot(A: np.ndarray, b: np.ndarray, basis: list, row: int, col: int) -> None:
-    piv = A[row, col]
-    A[row] /= piv
-    b[row] /= piv
-    for i in range(len(b)):
-        if i != row and A[i, col] != 0.0:
-            f = A[i, col]
-            A[i] -= f * A[row]
-            b[i] -= f * b[row]
-    basis[row] = col
-
-
-def _simplex_iterate(obj: np.ndarray, A: np.ndarray, b: np.ndarray, basis: list,
-                     tol: float, max_iter: int = 500):
-    """Run simplex pivots to optimality with Bland's anti-cycling rule."""
-    m, total = A.shape
-    for _ in range(max_iter):
-        cb = obj[basis]
-        red = obj - cb @ A
-        enter = -1
-        for j in range(total):
-            if j not in basis and red[j] > tol:
-                enter = j
-                break
-        if enter < 0:
-            return float(cb @ b)
-        leave = -1
-        best_ratio = math.inf
-        for i in range(m):
-            if A[i, enter] > tol:
-                ratio = b[i] / A[i, enter]
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
-            raise ArithmeticError("LP column unbounded; the box rows should prevent this")
-        _pivot(A, b, basis, leave, enter)
-    raise ArithmeticError("simplex failed to terminate")
-
-
 def solve_lp(c: np.ndarray, rows: Sequence[ConstraintRow], box: Box) -> tuple[float, np.ndarray]:
     """Maximize c . u subject to constraint rows inside the box.
 
-    Two-phase tableau simplex after shifting u to nonnegative variables.
-    Returns (optimal value, maximizer); raises Infeasible when the rows admit
-    no point in the box.
+    Returns (optimal value, maximizing vertex; the first of equal vertices in
+    counter-clockwise order from the box's lower-left corner).  Raises
+    Infeasible when the rows admit no point in the box, even relaxed by
+    FEAS_TOL.
     """
-    c = np.asarray(c, dtype=float)
-    n = box.dim
-    lo = np.array(box.lo)
-    hi = np.array(box.hi)
-    A_rows, b_rows, _ = _assemble(rows, box)
-    # _assemble appended the box faces; strip them (the shift handles bounds).
-    n_user = len(b_rows) - 2 * n
-    A_user = A_rows[:n_user]
-    b_user = b_rows[:n_user]
-    if n_user == 0:
-        # Pure box problem: optimum sits at the obvious corner.
-        u = np.where(c > 0.0, hi, lo)
-        return float(c @ u), u
-    # Standard form in x = u - lo >= 0:
-    #   user row a.u >= b       ->  -a.x <= a.lo - b
-    #   upper bound u <= hi     ->   x <= hi - lo
-    m = n_user + n
-    G = np.zeros((m, n))
-    h = np.zeros(m)
-    G[:n_user] = -A_user
-    h[:n_user] = A_user @ lo - b_user
-    G[n_user:] = np.eye(n)
-    h[n_user:] = hi - lo
-    tol = FEAS_TOL
-    T = np.hstack([G, np.eye(m)])
-    rhs = h.copy()
-    basis = list(range(n, n + m))
-    art_rows = [i for i in range(m) if rhs[i] < 0.0]
-    n_cols = n + m
-    if art_rows:
-        for i in art_rows:
-            T[i] *= -1.0
-            rhs[i] *= -1.0
-        extra = np.zeros((m, len(art_rows)))
-        for k, i in enumerate(art_rows):
-            extra[i, k] = 1.0
-            basis[i] = n_cols + k
-        T = np.hstack([T, extra])
-        obj1 = np.zeros(n_cols + len(art_rows))
-        obj1[n_cols:] = -1.0
-        value = _simplex_iterate(obj1, T, rhs, basis, tol)
-        if value < -1e-8:
-            raise Infeasible("constraint rows admit no command inside the control box")
-        keep = []
-        for i in range(m):
-            if basis[i] >= n_cols:
-                piv = -1
-                for j in range(n_cols):
-                    if abs(T[i, j]) > tol:
-                        piv = j
-                        break
-                if piv < 0:
-                    continue  # redundant 0 = 0 row
-                _pivot(T, rhs, basis, i, piv)
-            keep.append(i)
-        T = T[keep, :n_cols]
-        rhs = rhs[keep]
-        basis = [basis[i] for i in keep]
-    obj2 = np.zeros(n_cols)
-    obj2[:n] = c
-    _simplex_iterate(obj2, T, rhs, basis, tol)
-    x = np.zeros(n_cols)
-    for i, bi in enumerate(basis):
-        x[bi] = rhs[i]
-    u = lo + x[:n]
-    return float(c @ u), u
+    c0, c1 = (float(v) for v in c)
+    planes, _ = _half_planes(rows, box)
+    poly = _clip(planes, box, 0.0) or _clip(planes, box, FEAS_TOL)
+    if not poly:
+        raise Infeasible("constraint rows admit no command inside the control box")
+    best, u = -math.inf, poly[0]
+    for v in poly:
+        val = c0 * v[0] + c1 * v[1]
+        if val > best:
+            best, u = val, v
+    return best, np.array(u)
 
 
 def random_qp_instance(rng: np.random.Generator, n: int = 2, max_rows: int = 4,

@@ -19,16 +19,15 @@ numerically.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .barriers import BarrierEval, cbf_row, eval_barrier, velocity_map
+from .barriers import BarrierEval
 from .dynamics import Box
 from .solvers import ConstraintRow, solve_lp
-from .world import AgentState, MotionEstimate, WorldSnapshot
+from .world import MotionEstimate
 
 H_BOUNDARY_EPS = 1e-6
 
@@ -80,7 +79,6 @@ class TrustState:
     rho_d: float = 0.0
     rho_theta: float = 0.5
     margin: float = 0.0
-    history: deque = field(default_factory=lambda: deque(maxlen=512))
 
     def observe(self, rho: float, rho_d: float, rho_theta: float, margin: float) -> None:
         self.rho = float(rho)
@@ -104,10 +102,8 @@ def worst_case_motion(est: MotionEstimate, grad_j: np.ndarray) -> tuple[np.ndarr
     return v, float(g @ center) - est.radius * gn
 
 
-def max_own_contribution(i: int, j: int, snapshot: WorldSnapshot,
-                         alphas: Mapping[int, float],
-                         estimates: Mapping[int, MotionEstimate],
-                         box: Box, d_min: float, lookahead: float) -> float:
+def max_own_contribution(ev: BarrierEval, vel_map: np.ndarray,
+                         other_rows: Sequence[ConstraintRow], box: Box) -> float:
     """Best barrier-derivative contribution observer i can make toward pair (i, j)
     while respecting its constraints toward every other neighbor k.
 
@@ -115,23 +111,11 @@ def max_own_contribution(i: int, j: int, snapshot: WorldSnapshot,
         s.t. for all k != i, j:  cbf row of (i, k) at its current rate and
                                  worst-case motion
 
-    ``alphas`` and ``estimates`` hold the current per-neighbor rates and
-    position-motion estimates.  Raises Infeasible when even the k-rows alone
-    admit no command.
+    ``ev`` is the pair's barrier evaluation, ``vel_map`` the observer's M_i and
+    ``other_rows`` the rows toward every other neighbor, built once per step
+    by the caller.  Raises Infeasible when those rows alone admit no command.
     """
-    me = snapshot.agents[i]
-    M = velocity_map(me, lookahead)
-    ev_ij = eval_barrier(me, snapshot.agents[j], d_min, lookahead)
-    c = ev_ij.gi() @ M
-    rows = []
-    for k_agent in snapshot.agents:
-        k = k_agent.id
-        if k == i or k == j:
-            continue
-        ev_ik = eval_barrier(me, k_agent, d_min, lookahead)
-        a_k, _ = worst_case_motion(estimates[k], ev_ik.gj())
-        rows.append(cbf_row(ev_ik, M, a_k, alphas[k], tag=(i, k)))
-    value, _ = solve_lp(c, rows, box)
+    value, _ = solve_lp(ev.gi() @ vel_map, other_rows, box)
     return value
 
 
@@ -249,5 +233,4 @@ def update_alpha(ts: TrustState, rho: float, dt: float, floor: float,
     """
     rate = max(alpha_rate(rho, params.gamma_alpha), floor)
     ts.alpha = min(max(ts.alpha + dt * rate, params.alpha_min), params.alpha_max)
-    ts.history.append(ts.alpha)
     return ts

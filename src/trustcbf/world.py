@@ -140,9 +140,6 @@ class World:
     def take_snapshot(self) -> WorldSnapshot:
         return WorldSnapshot(time=self.time, agents=tuple(self.agents))
 
-    def set_agent(self, state: AgentState) -> None:
-        self.agents[state.id] = state
-
     def advance(self, new_agents: Sequence[AgentState], dt: float) -> None:
         """Replace all agent states at once (synchronous update) and bump the clock."""
         if len(new_agents) != len(self.agents):

@@ -117,14 +117,6 @@ def test_cbf_row_coefficients_by_hand():
     assert row.tag == (0, 1)
 
 
-def test_cbf_row_drift_term():
-    ev = eval_barrier(integ(), integ(i=1, x=1.5, y=0.0))
-    drift = np.array([0.1, 0.2])
-    r0 = cbf_row(ev, np.eye(2), np.zeros(2), 1.0)
-    r1 = cbf_row(ev, np.eye(2), np.zeros(2), 1.0, drift_i=drift)
-    assert r1.b == pytest.approx(r0.b - float(ev.gi() @ drift))
-
-
 def test_cbf_row_satisfaction_controls_barrier_rate():
     # a command exactly on the row boundary drives h_dot to -alpha h when the
     # neighbor moves exactly at its predicted worst case

@@ -1,6 +1,7 @@
 """Argument parsing, scenario files, CSV/SVG outputs, and CLI exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -237,6 +238,42 @@ def test_exit_3_on_invalid_scenario(tmp_path, capsys):
     assert main(["validate", "--scenario", str(scn)]) == 3
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 3
     assert "scenario error" in capsys.readouterr().err
+
+
+def _assert_exit_3(tmp_path, d):
+    scn = write_json(tmp_path, d)
+    assert main(["validate", "--scenario", str(scn)]) == 3
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--no-svg"]) == 3
+
+
+def test_exit_3_on_nan_dt(tmp_path):
+    d = minimal_dict()
+    d["dt"] = math.nan   # json writes the NaN literal, which json.loads accepts
+    _assert_exit_3(tmp_path, d)
+
+
+def test_exit_3_on_infinite_duration(tmp_path):
+    d = minimal_dict()
+    d["duration"] = math.inf
+    _assert_exit_3(tmp_path, d)
+
+
+def test_exit_3_on_negative_lookahead(tmp_path):
+    d = minimal_dict()
+    d["lookahead"] = -1.0
+    _assert_exit_3(tmp_path, d)
+
+
+def test_exit_3_on_alpha_max_below_alpha_min(tmp_path):
+    d = minimal_dict()
+    d["trust"] = {"alpha_min": 0.5, "alpha_max": 0.1, "alpha0": 0.3}
+    _assert_exit_3(tmp_path, d)
+
+
+def test_exit_3_on_three_dimensional_box(tmp_path):
+    d = minimal_dict()
+    d["agents"][0]["box"] = [[-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]]
+    _assert_exit_3(tmp_path, d)
 
 
 def test_exit_4_on_unwritable_output(tmp_path, capsys):

@@ -7,9 +7,10 @@ from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (AgentConfig, Fallback, agent_step,
                                  clf_qp_reference)
 from trustcbf.dynamics import Box
-from trustcbf.solvers import Infeasible
-from trustcbf.trust import TrustParams, TrustState
-from trustcbf.world import AgentKind, AgentState, Model, WorldSnapshot
+from trustcbf.solvers import Infeasible, lp_vertex_oracle
+from trustcbf.trust import TrustParams, TrustState, worst_case_motion
+from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
+                            estimate_motion, position_part)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -166,3 +167,37 @@ def test_agent_step_unicycle_reference_is_waypoint_tracking():
                      AgentConfig(box=BOX3))
     assert np.allclose(dec.u_ref, [0.8, 0.0])  # k_s * dist, zero bearing error
     assert np.allclose(dec.u_safe, dec.u_ref)
+
+
+def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
+    # each pair's compliance margin carries its contribution LP,
+    #   margin = grad_j . a_hat + alpha h + contribution,
+    # which must equal the vertex oracle over the start-of-step rows toward
+    # the other three neighbors
+    unc = AgentKind.UNCOOPERATIVE
+    me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
+    start = [integ(1, 2.86, 0.44, (-4.0, 0.0), unc), integ(2, -2.2, 1.98, (3.0, -2.0), unc),
+             integ(3, 0.66, -2.64, (0.0, 4.0), unc), integ(4, 3.52, -3.3, (-2.0, 3.0), unc)]
+    moved = [integ(1, 2.81, 0.44, (-4.0, 0.0), unc), integ(2, -2.16, 1.96, (3.0, -2.0), unc),
+             integ(3, 0.66, -2.59, (0.0, 4.0), unc), integ(4, 3.49, -3.27, (-2.0, 3.0), unc)]
+    hist = snapshots([me, *start], [me, *moved])
+    trust = fresh_trust(5, 0)
+    cfg = AgentConfig(box=BOX3)
+    agent_step(0, hist, trust, cfg)
+
+    M = velocity_map(me, cfg.lookahead)
+    evs, motion, rows = {}, {}, {}
+    for other in moved:
+        j = other.id
+        evs[j] = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        motion[j] = position_part(estimate_motion(hist, j))
+        a_j, _ = worst_case_motion(motion[j], evs[j].gj())
+        rows[j] = cbf_row(evs[j], M, a_j, 0.8, tag=(0, j))
+    binding = 0
+    for j in rows:
+        c = evs[j].gi() @ M
+        expected, _ = lp_vertex_oracle(c, [rows[k] for k in rows if k != j], BOX3)
+        got = trust[j].margin - float(evs[j].gj() @ motion[j].center) - 0.8 * evs[j].h
+        assert got == pytest.approx(expected, abs=1e-9)
+        binding += expected < lp_vertex_oracle(c, [], BOX3)[0] - 1e-6
+    assert binding == 4   # the other pairs' rows really cut the box

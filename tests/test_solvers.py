@@ -1,12 +1,15 @@
-"""Active-set QP and simplex LP against their independent oracles."""
+"""The polygon-kernel QP and LP against their independent oracles."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from trustcbf.dynamics import Box
-from trustcbf.solvers import (ConstraintRow, Infeasible, QPProblem,
-                              lp_vertex_oracle, qp_oracle, random_lp_instance,
-                              random_qp_instance, solve_lp, solve_qp)
+from trustcbf.solvers import (FEAS_TOL, QP_RETRY_TOL, ConstraintRow, Infeasible,
+                              QPProblem, _assemble, lp_vertex_oracle, qp_oracle,
+                              random_lp_instance, random_qp_instance, solve_lp,
+                              solve_qp)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -123,6 +126,32 @@ def test_lp_matches_vertex_enumeration_fuzz():
             assert float(np.dot(row.a, u)) >= row.b - 1e-9
 
 
+def test_exact_rows_are_clipped_before_any_relaxation():
+    # a nonempty set is solved exactly; relaxing first would move these by 1e-9
+    rows = [ConstraintRow(a=(-1.0, 0.0), b=-1.0), ConstraintRow(a=(0.0, 1.0), b=0.5)]
+    val, u = solve_lp(np.array([1.0, -1.0]), rows, BOX3)
+    assert val == 0.5 and np.array_equal(u, [1.0, 0.5])
+    u, active = solve_qp(qp([2.0, 0.0], rows))
+    assert np.array_equal(u, [1.0, 0.5])
+    assert active == (None, None)
+
+
+def test_nearly_empty_sets_get_the_documented_verdicts():
+    # u_x >= 1 and u_x <= 1 - gap: the LP reports gaps beyond 2 FEAS_TOL as
+    # empty, the QP retries at QP_RETRY_TOL on each row
+    def rows(gap):
+        return [ConstraintRow(a=(1.0, 0.0), b=1.0, tag="lo"),
+                ConstraintRow(a=(-1.0, 0.0), b=-(1.0 - gap), tag="hi")]
+    _, u = solve_lp(np.array([1.0, 0.0]), rows(1e-9), BOX3)
+    assert abs(u[0] - 1.0) <= 1e-9
+    with pytest.raises(Infeasible):
+        solve_lp(np.array([1.0, 0.0]), rows(5e-8), BOX3)
+    u, active = solve_qp(qp([0.0, 0.0], rows(5e-8)))
+    assert abs(u[0] - (1.0 - QP_RETRY_TOL)) <= 1e-12 and "lo" in active
+    with pytest.raises(Infeasible):
+        solve_qp(qp([0.0, 0.0], rows(5e-7)))
+
+
 def test_random_instances_have_promised_interior():
     # the generator guarantees a feasible ball, so neither solver may ever
     # report infeasibility on its output
@@ -130,3 +159,217 @@ def test_random_instances_have_promised_interior():
     for _ in range(100):
         p = random_qp_instance(rng)
         solve_qp(p)
+
+
+# --- near-degenerate 2-D instances -------------------------------------------
+#
+# Each generator returns (c, rows, box, u_ref).  Empty instances keep their gap
+# outside the relaxation band (FEAS_TOL for the LP, 1e-7 for the QP on each of
+# two rows), where the verdict is set by the tolerance rather than the geometry.
+
+ROW_TOL = 1e-9 + 1e-12   # FEAS_TOL plus rounding of the relaxed polygon's edges
+
+
+def _unit(theta):
+    return np.array([np.cos(theta), np.sin(theta)])
+
+
+def _row(a, b, tag):
+    return ConstraintRow(a=tuple(float(v) for v in a), b=float(b), tag=tag)
+
+
+def _extra_rows(rng, z, count):
+    """Ordinary rows that keep the point z strictly feasible."""
+    rows = []
+    for k in range(count):
+        a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
+        rows.append(_row(a, a @ z - rng.uniform(0.1, 1.0), f"x{k}"))
+    return rows
+
+
+def near_parallel_same_side(rng):
+    # two rows through z whose normals differ by 1e-12 .. 1e-6 rad
+    z = rng.uniform(-2.0, 2.0, 2)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    delta = 10.0 ** rng.uniform(-12.0, -6.0)
+    a1, a2 = _unit(theta), _unit(theta + delta) * rng.uniform(0.5, 2.0)
+    rows = [_row(a1, a1 @ z, "p1"), _row(a2, a2 @ z, "p2")] + _extra_rows(rng, z, 2)
+    return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
+
+
+def near_parallel_strip(rng):
+    # opposite-facing rows that cross 10 .. 100 outside the box: a strip that
+    # narrows across the box but never closes inside it
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    t = _unit(theta + 0.5 * np.pi)
+    cross = rng.uniform(10.0, 100.0) * t * rng.choice([-1.0, 1.0])
+    delta = 10.0 ** rng.uniform(-10.0, -6.0)
+    a1, a2 = _unit(theta), _unit(theta + delta)
+    if (a1 - a2) @ (-cross) < 0.0:   # orient the strip toward the box centre
+        a1, a2 = a2, a1
+    rows = [_row(a1, a1 @ cross, "s1"), _row(-a2, -a2 @ cross, "s2")]
+    return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
+
+
+def sliver(rng, empty=False, qp=False):
+    # b <= a . u <= b + w: an exactly parallel slab of width 1e-10 .. 1e-6, or
+    # with a negative w an empty one
+    z = rng.uniform(-2.5, 2.5, 2)
+    a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
+    if empty:
+        w = -(10.0 ** rng.uniform(-6.0, -5.0) if qp else 10.0 ** rng.uniform(-8.0, -6.0))
+    else:
+        w = 10.0 ** rng.uniform(-10.0, -6.0)
+    b = float(a @ z)
+    rows = [_row(a, b, "lo"), _row(-a, -(b + w), "hi")] + _extra_rows(rng, z, 1)
+    return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
+
+
+def through_corner(rng):
+    # a row whose line passes through a box corner; pointing outward it
+    # leaves just the corner, pointing inward most of the box
+    corner = np.array([rng.choice([-3.0, 3.0]), rng.choice([-3.0, 3.0])])
+    a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
+    rows = [_row(a, a @ corner, "corner")]
+    if rng.uniform() < 0.5:
+        z = 0.5 * corner
+        rows += _extra_rows(rng, z, 1)
+    return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
+
+
+def zero_normals(rng):
+    # zero and sub-DEGENERATE_NORM_TOL normals, vacuous (b <= FEAS_TOL) or fatal
+    c, rows, box = random_lp_instance(rng, max_rows=3)
+    a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
+    b = rng.choice([-1.0, 0.0, FEAS_TOL, 2e-9, 0.5])
+    rows = list(rows)
+    rows.insert(int(rng.integers(0, len(rows) + 1)), _row(a, b, "zero"))
+    return c, rows, box, rng.uniform(-4.0, 4.0, 2)
+
+
+def reference_on_edge(rng):
+    # u_ref placed on one row's line, inside or outside the other constraints
+    p = random_qp_instance(rng, max_rows=4)
+    rows = list(p.rows) or [_row((1.0, 0.0), 0.0, "r0")]
+    row = rows[int(rng.integers(0, len(rows)))]
+    a = np.array(row.a)
+    foot = a * (row.b / float(a @ a))
+    u_ref = foot + rng.uniform(-4.0, 4.0) * np.array([-a[1], a[0]])
+    return rng.normal(size=2), rows, p.box, u_ref
+
+
+DEGENERATE = {
+    "near_parallel_same_side": near_parallel_same_side,
+    "near_parallel_strip": near_parallel_strip,
+    "sliver": sliver,
+    "sliver_empty_lp": lambda rng: sliver(rng, empty=True),
+    "sliver_empty_qp": lambda rng: sliver(rng, empty=True, qp=True),
+    "through_corner": through_corner,
+    "zero_normals": zero_normals,
+    "reference_on_edge": reference_on_edge,
+}
+
+
+def enumerated_qp(p, tol=FEAS_TOL):
+    """Exact 2-D projection by enumeration: u_ref, its foot on every constraint
+    line and every crossing of two lines; the nearest feasible candidate wins.
+    Returns None when no candidate is feasible."""
+    try:
+        A, b, _ = _assemble(p.rows, p.box)
+    except Infeasible:
+        return None
+    r = np.asarray(p.u_ref, dtype=float)
+    cands = [r] + [r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b)]
+    for i, k in combinations(range(len(b)), 2):
+        if abs(np.linalg.det(A[[i, k]])) > 1e-13:
+            cands.append(np.linalg.solve(A[[i, k]], b[[i, k]]))
+    feasible = [u for u in cands if np.all(A @ u - b >= -tol)]
+    if not feasible:
+        return None
+    return min(float((u - r) @ (u - r)) for u in feasible)
+
+
+def _shifted(rows, d):
+    """The rows relaxed by d (tightened for d < 0)."""
+    return [ConstraintRow(a=r.a, b=r.b - d, tag=r.tag) for r in rows]
+
+
+def _lp_value(c, rows, box, tol=FEAS_TOL):
+    try:
+        return lp_vertex_oracle(c, rows, box, tol=tol)[0]
+    except Infeasible:
+        return None
+
+
+def _assert_holds(u, rows, box):
+    assert box.contains(u, tol=ROW_TOL)
+    for row in rows:
+        assert float(np.dot(row.a, u)) >= row.b - ROW_TOL
+
+
+# Near-parallel rows and one-point polygons make a value depend on FEAS_TOL:
+# the oracles accept points within it, while the kernel clips exactly.  So each
+# value must lie between the oracle's values on the rows tightened by FEAS_TOL
+# (feasibility checked exactly: a subset of the kernel's polygon) and relaxed
+# by the tolerance the kernel used (checked to FEAS_TOL: a superset).  For
+# well-posed instances that bracket is a few 1e-9 wide.
+
+@pytest.mark.parametrize("kind", sorted(DEGENERATE))
+def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
+    rng = np.random.default_rng(sorted(DEGENERATE).index(kind))
+    for _ in range(300):
+        c, rows, box, _ = DEGENERATE[kind](rng)
+        expected = _lp_value(c, rows, box)
+        try:
+            val, u = solve_lp(c, rows, box)
+        except Infeasible:
+            assert expected is None, kind
+            continue
+        assert expected is not None, kind
+        eps = 1e-9 * (1.0 + abs(expected))
+        assert val <= _lp_value(c, _shifted(rows, FEAS_TOL), box) + eps, kind
+        lower = _lp_value(c, _shifted(rows, -FEAS_TOL), box, tol=0.0)
+        assert lower is None or val >= lower - eps, kind
+        assert abs(val - float(np.dot(c, u))) <= eps
+        _assert_holds(u, rows, box)
+        val2, u2 = solve_lp(c, rows, box)
+        assert val2 == val and np.array_equal(u2, u)
+
+
+@pytest.mark.parametrize("kind", sorted(set(DEGENERATE) - {"sliver_empty_lp"}))
+def test_qp_degenerate_fuzz_matches_oracles(kind):
+    # sliver_empty_lp's gaps lie inside the QP's 1e-7 retry band
+    rng = np.random.default_rng(100 + sorted(DEGENERATE).index(kind))
+    for n in range(300):
+        _, rows, box, u_ref = DEGENERATE[kind](rng)
+        p = qp(u_ref, rows, box)
+        try:
+            u, active = solve_qp(p)
+        except Infeasible:
+            assert enumerated_qp(p, tol=QP_RETRY_TOL) is None, kind
+            continue
+        val = float(np.sum((u - np.asarray(u_ref)) ** 2))
+        relax = FEAS_TOL if enumerated_qp(qp(u_ref, _shifted(rows, FEAS_TOL), box)) else QP_RETRY_TOL
+        lower = enumerated_qp(qp(u_ref, _shifted(rows, relax), box))
+        upper = enumerated_qp(qp(u_ref, _shifted(rows, -FEAS_TOL), box), tol=0.0)
+        eps = 1e-9 * (1.0 + val)
+        assert val >= lower - eps, kind
+        assert upper is None or val <= upper + eps, kind
+        _assert_holds(u, rows, box)
+        u2, active2 = solve_qp(p)
+        assert np.array_equal(u2, u) and active2 == active
+        if n % 10 == 0 and kind != "sliver":
+            # (the grid oracle cannot see slivers thinner than its grid)
+            grid = qp_oracle(p)
+            assert grid is not None and grid[0] - 1e-3 <= val <= grid[0] + 1e-9, kind
+
+
+def test_qp_returns_feasible_reference_unchanged():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        _, rows, box, u_ref = reference_on_edge(rng)
+        holds = box.contains(u_ref) and all(
+            float(np.dot(r.a, u_ref)) >= r.b - FEAS_TOL for r in rows)
+        if holds:
+            u, _ = solve_qp(qp(u_ref, rows, box))
+            assert np.array_equal(u, u_ref)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trustcbf.barriers import eval_barrier
+from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.dynamics import Box
 from trustcbf.trust import (BoundaryReached, DegenerateNormal, TrustParams,
                             TrustState, alpha_rate, alpha_rate_floor,
@@ -13,8 +13,7 @@ from trustcbf.trust import (BoundaryReached, DegenerateNormal, TrustParams,
                             direction_trust, distance_trust,
                             max_own_contribution, update_alpha,
                             worst_case_motion)
-from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
-                            WorldSnapshot)
+from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -56,22 +55,21 @@ def test_worst_case_motion_beats_sampling():
 
 def test_max_own_contribution_unconstrained_is_box_corner():
     # two agents only: no third-party rows, so the LP maxes gi . u over the box
-    snap = WorldSnapshot(0.0, (integ(0, 0.0, 0.0, kind=AgentKind.INTACT),
-                               integ(1, 2.0, 0.0)))
-    val = max_own_contribution(0, 1, snap, alphas={}, estimates={},
-                               box=BOX3, d_min=0.5, lookahead=0.1)
+    me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
+    ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
+    val = max_own_contribution(ev, velocity_map(me), [], BOX3)
     # gi = (-4, 0): best contribution is u_x = -3
     assert val == pytest.approx(12.0)
 
 
 def test_max_own_contribution_respects_other_pairs():
     # a third agent east of the observer caps how hard it may push east
-    snap = WorldSnapshot(0.0, (integ(0, 0.0, 0.0, kind=AgentKind.INTACT),
-                               integ(1, -2.0, 0.0),
-                               integ(2, 1.2, 0.0)))
-    still = {2: MotionEstimate(center=np.zeros(2), radius=0.0)}
-    val = max_own_contribution(0, 1, snap, alphas={2: 0.8}, estimates=still,
-                               box=BOX3, d_min=0.5, lookahead=0.1)
+    me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
+    M = velocity_map(me)
+    ev_02 = eval_barrier(me, integ(2, 1.2, 0.0), d_min=0.5)
+    row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8, tag=(0, 2))
+    val = max_own_contribution(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5),
+                               M, [row_02], BOX3)
     # toward 1 the payoff is gi = (4, 0); the (0,2) row demands
     # -2.4 u_x >= -0.8 * 1.19, i.e. u_x <= 0.39666...
     assert val == pytest.approx(4.0 * (0.8 * 1.19 / 2.4), abs=1e-9)
@@ -186,7 +184,6 @@ def test_update_alpha_floor_overrides_trust_rate():
     update_alpha(ts, rho=-1.0, dt=0.05, floor=-0.2, params=p)
     # commanded -100, floor -0.2: the floor wins
     assert ts.alpha == pytest.approx(0.8 - 0.05 * 0.2)
-    assert list(ts.history)[-1] == ts.alpha
 
 
 def test_trust_state_observe_records_scores():
