@@ -27,7 +27,7 @@ D_MIN_DEFAULT = 0.5
 LOOKAHEAD_DEFAULT = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BarrierEval:
     """Barrier value and its gradients with respect to each agent's position.
 
@@ -46,7 +46,14 @@ class BarrierEval:
         return np.array(self.grad_j)
 
 
-def lookahead_point(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+Map2 = tuple[tuple[float, float], tuple[float, float]]   # a 2x2 matrix, row by row
+
+# velocity_map of an integrator: its control is its velocity.
+_IDENTITY_MAP: Map2 = ((1.0, 0.0), (0.0, 1.0))
+
+
+def lookahead_point(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT
+                    ) -> tuple[tuple[float, float], Map2]:
     """Look-ahead point and its velocity map for a unicycle.
 
     p~ = p + l (cos psi, sin psi) and d(p~)/dt = M(psi) (v, omega) with
@@ -58,23 +65,23 @@ def lookahead_point(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> 
     if lookahead <= 0.0:
         raise ValueError("lookahead distance must be positive")
     c, s = math.cos(state.psi), math.sin(state.psi)
-    p = np.array([state.px + lookahead * c, state.py + lookahead * s])
-    M = np.array([[c, -lookahead * s], [s, lookahead * c]])
+    p = (state.px + lookahead * c, state.py + lookahead * s)
+    M = ((c, -lookahead * s), (s, lookahead * c))
     return p, M
 
 
-def velocity_map(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> np.ndarray:
+def velocity_map(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> Map2:
     """2x2 map from the agent's control to its (look-ahead) position derivative."""
     if state.model is Model.UNICYCLE:
         return lookahead_point(state, lookahead)[1]
-    return np.eye(2)
+    return _IDENTITY_MAP
 
 
-def barrier_point(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> np.ndarray:
+def barrier_point(state: AgentState, lookahead: float = LOOKAHEAD_DEFAULT) -> tuple[float, float]:
     """The point the barrier is evaluated at: look-ahead for unicycles, position otherwise."""
     if state.model is Model.UNICYCLE:
         return lookahead_point(state, lookahead)[0]
-    return state.position()
+    return state.px, state.py
 
 
 def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
@@ -86,12 +93,12 @@ def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
     """
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
-    pi = barrier_point(x_i, lookahead)
-    pj = x_j.position()
-    delta = pi - pj
-    h = float(delta @ delta) - d_min * d_min
-    gi = 2.0 * delta
-    return BarrierEval(h=h, grad_i=(gi[0], gi[1]), grad_j=(-gi[0], -gi[1]), d_min=float(d_min))
+    pi_x, pi_y = barrier_point(x_i, lookahead)
+    dx = pi_x - x_j.px
+    dy = pi_y - x_j.py
+    gx, gy = 2.0 * dx, 2.0 * dy
+    return BarrierEval(h=dx * dx + dy * dy - d_min * d_min, grad_i=(gx, gy),
+                       grad_j=(-gx, -gy), d_min=float(d_min))
 
 
 def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None) -> tuple[float, np.ndarray]:
@@ -104,16 +111,19 @@ def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None) -
     return float(e @ e), 2.0 * e
 
 
-def cbf_row(ev: BarrierEval, vel_map: np.ndarray, worst_j_dot: np.ndarray, alpha: float,
-            tag=None) -> ConstraintRow:
+def cbf_row(ev: BarrierEval, vel_map: Map2, worst_j_dot, alpha: float, tag=None) -> ConstraintRow:
     """Linear constraint on i's control enforcing h_dot >= -alpha h against the
     worst predicted neighbor motion.  Both models are drift-free, so
 
         grad_i . (M u) + grad_j . worst_j_dot >= -alpha h
         =>  (grad_i M) . u >= -alpha h - grad_j . worst_j_dot
+
+    ``vel_map`` is M row by row and ``worst_j_dot`` a 2-vector, as tuples or
+    arrays.
     """
-    gi = ev.gi()
-    gj = ev.gj()
-    a = gi @ np.asarray(vel_map, dtype=float)
-    b = -alpha * ev.h - float(gj @ np.asarray(worst_j_dot, dtype=float))
-    return ConstraintRow(a=tuple(a), b=b, tag=tag)
+    gx, gy = ev.grad_i
+    (m00, m01), (m10, m11) = vel_map
+    wx, wy = worst_j_dot
+    jx, jy = ev.grad_j
+    return ConstraintRow(a=(gx * m00 + gy * m10, gx * m01 + gy * m11),
+                         b=-alpha * ev.h - (jx * wx + jy * wy), tag=tag)

@@ -73,7 +73,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     p_run.add_argument("--out", required=True, type=Path)
     p_run.add_argument("--dt", type=_positive_float, default=None)
     p_run.add_argument("--duration", type=_positive_float, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="echoed into summary.json only; the simulator draws no "
+                            "random numbers, so it has no effect on the run")
     p_run.add_argument("--rho-bar-d", dest="rho_bar_d", type=float, default=None)
     p_run.add_argument("--fixed-alpha", action="store_true",
                        help="freeze every pair rate at alpha0 (baseline mode)")

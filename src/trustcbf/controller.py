@@ -86,10 +86,11 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX) -> np.ndar
     return u
 
 
-@dataclass
+@dataclass(slots=True)
 class _PairObs:
     ev: BarrierEval
-    a_j: np.ndarray
+    est: MotionEstimate  # position part of the neighbor's motion estimate
+    a_j: tuple[float, float]
     alpha_start: float
     row: ConstraintRow   # the pair's constraint row at alpha_start
 
@@ -100,9 +101,10 @@ def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimat
     the rate floor is off.  Raises BoundaryReached at the barrier boundary."""
     if not cfg.rate_floor:
         return -math.inf
-    B = float(np.linalg.norm(est.center)) + est.radius
-    dist = float(np.linalg.norm(np.asarray(ev.grad_i) / 2.0))
-    L_h = 2.0 * (dist + B * cfg.dt)
+    cx, cy = est.center
+    B = math.sqrt(cx * cx + cy * cy) + est.radius
+    hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
+    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
     return alpha_rate_floor(margin, alpha, ev.h, B, L_h, cfg.trust.L_hdot, cfg.trust.L_F)
 
 
@@ -117,55 +119,51 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
     """
     snap = history[-1]
     me = snap.agents[i]
-    neighbors = [a.id for a in snap.agents if a.id != i]
     M = velocity_map(me, cfg.lookahead)
 
-    estimates = {}
+    # One geometry pass: every neighbor's motion estimate, barrier,
+    # worst-case motion and row at its start-of-step rate.
+    obs: dict[int, _PairObs] = {}
     bootstrapped: set[int] = set()
-    for j in neighbors:
+    for other in snap.agents:
+        j = other.id
+        if j == i:
+            continue
         try:
             est = estimate_motion(history, j)
         except MissingHistory:
-            est = bootstrap_estimate(dim=snap.agents[j].state_dim(), v_max=cfg.trust.v_max)
+            est = bootstrap_estimate(dim=other.state_dim(), v_max=cfg.trust.v_max)
             bootstrapped.add(j)
-        estimates[j] = position_part(est)
-
-    # One geometry pass: every neighbor's barrier, worst-case motion and row
-    # at its start-of-step rate.  Each contribution LP reuses the other rows.
-    obs: dict[int, _PairObs] = {}
-    for j in neighbors:
-        ev = eval_barrier(me, snap.agents[j], cfg.d_min, cfg.lookahead)
-        a_j, _ = worst_case_motion(estimates[j], ev.gj())
+        est = position_part(est)
+        ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        a_j, _ = worst_case_motion(est, ev.grad_j)
         alpha = trust[j].alpha
-        obs[j] = _PairObs(ev=ev, a_j=a_j, alpha_start=alpha,
+        obs[j] = _PairObs(ev=ev, est=est, a_j=a_j, alpha_start=alpha,
                           row=cbf_row(ev, M, a_j, alpha, tag=(i, j)))
-    start_rows = [obs[j].row for j in neighbors]
+    # Each pair's contribution LP runs over the other pairs' start rows.
+    contribs = max_own_contribution([o.row for o in obs.values()], cfg.box)
 
     emergency = False
-    fresh: set[int] = set()
-    for idx, j in enumerate(neighbors):
+    deferred: list[tuple[TrustState, float]] = []   # "after" order: (pair, floor)
+    for (j, o), contrib in zip(obs.items(), contribs):
         if j in bootstrapped:
             # An ignorance prior is not observed behavior; the rows stay
             # conservative but the trust state waits for a real estimate.
             continue
         ts = trust[j]
-        o = obs[j]
         other = snap.agents[j]
         # Behavior is judged at the estimate center; the ball's worst-case
         # point is reserved for the control rows.
-        a_hat = estimates[j].center
+        a_hat = o.est.center
 
-        try:
-            contrib = max_own_contribution(o.ev, M, start_rows[:idx] + start_rows[idx + 1:],
-                                           cfg.box)
-        except Infeasible:
+        if contrib is None:
             # Even the other pairs' rows conflict; the main QP will surface it.
-            log.warning("t=%.3f agent %d: contribution LP infeasible toward %d", snap.time, i, j)
+            log.debug("t=%.3f agent %d: contribution LP infeasible toward %d", snap.time, i, j)
             continue
         try:
             hs = build_halfspace(o.ev, ts.alpha, contrib)
         except DegenerateNormal:
-            log.warning("t=%.3f agent %d coincides with %d; trust update skipped", snap.time, i, j)
+            log.debug("t=%.3f agent %d coincides with %d; trust update skipped", snap.time, i, j)
             continue
         d = compliance_margin(hs, a_hat)
         rho_d = distance_trust(d, cfg.trust.beta)
@@ -177,19 +175,21 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             rho_theta = direction_trust(n_hat, a_hat, hs.s_hat)
         rho = combine_trust(rho_d, rho_theta, cfg.trust.rho_bar_d, cfg.trust.k_blend)
         ts.observe(rho, rho_d, rho_theta, d)
-        fresh.add(j)
 
         if cfg.fixed_alpha:
             continue
         # The floor guards the robustified row the QP actually enforces, so it
-        # consumes the worst-case-point margin, not the center one.
+        # consumes the worst-case-point margin, not the center one, in either
+        # update order.
         try:
-            floor = _rate_floor(compliance_margin(hs, o.a_j), ts.alpha, o.ev, estimates[j], cfg)
+            floor = _rate_floor(compliance_margin(hs, o.a_j), ts.alpha, o.ev, o.est, cfg)
         except BoundaryReached:
             emergency = True
             continue
         if cfg.alpha_update_order == "before":
             update_alpha(ts, rho, cfg.dt, floor, cfg.trust)
+        else:
+            deferred.append((ts, floor))
 
     # Rates only move before the QP in "before" order; an unchanged rate
     # keeps the row built in the geometry pass.
@@ -206,7 +206,7 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
         try:
             u_ref = clf_qp_reference(me, cfg.clf_k, cfg.box)
         except Infeasible:
-            log.warning("t=%.3f agent %d: goal descent infeasible in box; stopping", snap.time, i)
+            log.debug("t=%.3f agent %d: goal descent infeasible in box; stopping", snap.time, i)
             u_ref = np.zeros(2)
 
     feasible = True
@@ -219,21 +219,13 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
         try:
             u_safe, _ = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=cfg.box))
         except Infeasible:
-            log.warning("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
+            log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = np.zeros(2)
             feasible = False
             fallback = Fallback.EMERGENCY
 
-    if cfg.alpha_update_order == "after" and not cfg.fixed_alpha:
-        for j in neighbors:
-            if j not in fresh:
-                continue
-            ts = trust[j]
-            try:
-                floor = _rate_floor(ts.margin, ts.alpha, obs[j].ev, estimates[j], cfg)
-            except BoundaryReached:
-                continue
-            update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
+    for ts, floor in deferred:
+        update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
 
     return ControlDecision(u_ref=np.asarray(u_ref, dtype=float), u_safe=np.asarray(u_safe, dtype=float),
                            rows=tuple(rows), feasible=feasible, fallback=fallback)

@@ -104,7 +104,7 @@ def euler_step(state: AgentState, u: np.ndarray, dt: float, box: Box = DEFAULT_B
 
 
 def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] = None,
-                      tol: float = 1e-9) -> tuple[np.ndarray, bool]:
+                      tol: float = 1e-9) -> tuple[tuple[float, float], bool]:
     """Unit vector from the agent's position toward ``target`` (default: its own).
 
     Returns (direction, at_target).  At the target the direction is the zero
@@ -114,11 +114,12 @@ def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] =
         target = state.target
     if target is None:
         raise ValueError(f"agent {state.id} has no known target")
-    e = np.array([target[0] - state.px, target[1] - state.py])
-    dist = float(np.linalg.norm(e))
+    ex = target[0] - state.px
+    ey = target[1] - state.py
+    dist = math.sqrt(ex * ex + ey * ey)
     if dist < tol:
-        return np.zeros(2), True
-    return e / dist, False
+        return (0.0, 0.0), True
+    return (ex / dist, ey / dist), False
 
 
 def nominal_trajectory(state0: AgentState, gain: float, horizon: float, dt: float) -> np.ndarray:

@@ -297,16 +297,19 @@ def run(s: Scenario) -> Trace:
         # Check the ten-percent motion-estimate assumption against what really
         # happened; violations are logged, never enforced.
         if k >= 1:
-            for j in range(n):
-                v_prev = (np.array([history[-1].agents[j].px, history[-1].agents[j].py])
-                          - np.array([history[-2].agents[j].px, history[-2].agents[j].py])) / s.dt
-                v_now = (np.array([new_agents[j].px, new_agents[j].py])
-                         - np.array([history[-1].agents[j].px, history[-1].agents[j].py])) / s.dt
-                dev = float(np.linalg.norm(v_now - v_prev))
-                bound = ESTIMATE_RADIUS_FACTOR * float(np.linalg.norm(v_prev))
-                if dev > bound + 1e-9:
+            for a0, a1, a2 in zip(history[-2].agents, history[-1].agents, new_agents):
+                vx = (a1.px - a0.px) / s.dt
+                vy = (a1.py - a0.py) / s.dt
+                dx = (a2.px - a1.px) / s.dt - vx
+                dy = (a2.py - a1.py) / s.dt - vy
+                bound = ESTIMATE_RADIUS_FACTOR * math.sqrt(vx * vx + vy * vy)
+                if math.sqrt(dx * dx + dy * dy) > bound + 1e-9:
                     trace.estimate_violations += 1
 
+    stops = sum(rec.fallback for step in trace.agents for rec in step)
+    if stops:
+        log.warning("%d emergency stops in %d intact agent-steps", stops,
+                    len(intact) * len(trace.agents))
     if trace.estimate_violations:
         log.info("motion-estimate bound exceeded on %d agent-steps", trace.estimate_violations)
     return trace

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .barriers import BarrierEval
 from .dynamics import Box
-from .solvers import ConstraintRow, solve_lp
+from .solvers import ConstraintRow, solve_lp_leave_one_out
 from .world import MotionEstimate
 
 H_BOUNDARY_EPS = 1e-6
@@ -61,13 +59,13 @@ class TrustParams:
     v_max: float = 3.0        # bootstrap speed bound before any motion is observed
 
 
-@dataclass
+@dataclass(slots=True)
 class HalfSpace:
     """Allowed neighbor motions: A . v >= b, with unit normal s_hat = A/||A||."""
 
-    A: np.ndarray
+    A: tuple[float, float]
     b: float
-    s_hat: np.ndarray
+    s_hat: tuple[float, float]
 
 
 @dataclass
@@ -87,36 +85,38 @@ class TrustState:
         self.margin = float(margin)
 
 
-def worst_case_motion(est: MotionEstimate, grad_j: np.ndarray) -> tuple[np.ndarray, float]:
+def worst_case_motion(est: MotionEstimate, grad_j) -> tuple[tuple[float, float], float]:
     """Minimizer of grad_j . v over the estimate ball and the attained value.
 
     Closed form: v* = center - radius * grad_j / ||grad_j||.  A zero gradient
     leaves every ball point equivalent; the center is returned with value 0.
+    ``est`` is a 2-D (position) estimate.
     """
-    g = np.asarray(grad_j, dtype=float)
-    gn = float(np.linalg.norm(g))
-    center = np.asarray(est.center, dtype=float)
+    gx, gy = grad_j
+    cx, cy = est.center
+    gn = math.sqrt(gx * gx + gy * gy)
     if gn < 1e-12:
-        return center.copy(), 0.0
-    v = center - (est.radius / gn) * g
-    return v, float(g @ center) - est.radius * gn
+        return (cx, cy), 0.0
+    k = est.radius / gn
+    return (cx - k * gx, cy - k * gy), gx * cx + gy * cy - est.radius * gn
 
 
-def max_own_contribution(ev: BarrierEval, vel_map: np.ndarray,
-                         other_rows: Sequence[ConstraintRow], box: Box) -> float:
-    """Best barrier-derivative contribution observer i can make toward pair (i, j)
-    while respecting its constraints toward every other neighbor k.
+def max_own_contribution(rows: Sequence[ConstraintRow], box: Box) -> list[Optional[float]]:
+    """Best barrier-derivative contribution observer i can make toward each pair
+    (i, k) while respecting its constraints toward every other neighbor.
 
-        max over u of grad_i(ij) . (M_i u)
-        s.t. for all k != i, j:  cbf row of (i, k) at its current rate and
-                                 worst-case motion
+        max over u of grad_i(ik) . (M_i u)
+        s.t. box, and for all m != k: row m (the cbf row of (i, m) at its
+             current rate and worst-case motion)
 
-    ``ev`` is the pair's barrier evaluation, ``vel_map`` the observer's M_i and
-    ``other_rows`` the rows toward every other neighbor, built once per step
-    by the caller.  Raises Infeasible when those rows alone admit no command.
+    ``rows`` are the observer's start-of-step rows, one per neighbor.  The
+    objective of LP k is row k's own normal: ``cbf_row`` builds that normal as
+    the same product grad_i(ik) . M_i.  So all LPs of one observer are
+    leave-one-out LPs over one row list, and they share the prefix polygons
+    box ∩ rows[:k] (``solvers.solve_lp_leave_one_out``).  Entry k is None
+    where the other rows alone admit no command.
     """
-    value, _ = solve_lp(ev.gi() @ vel_map, other_rows, box)
-    return value
+    return solve_lp_leave_one_out(rows, box)
 
 
 def build_halfspace(ev: BarrierEval, alpha: float, max_contrib: float) -> HalfSpace:
@@ -126,21 +126,22 @@ def build_halfspace(ev: BarrierEval, alpha: float, max_contrib: float) -> HalfSp
     anything less would force the barrier below its allowed decay even with the
     observer helping as much as it can.
     """
-    A = ev.gj()
-    norm = float(np.linalg.norm(A))
+    ax, ay = ev.grad_j
+    norm = math.sqrt(ax * ax + ay * ay)
     if norm < 1e-12:
         raise DegenerateNormal("barrier gradient vanished; agents coincide")
-    b = -alpha * ev.h - max_contrib
-    return HalfSpace(A=A, b=b, s_hat=A / norm)
+    return HalfSpace(A=(ax, ay), b=-alpha * ev.h - max_contrib, s_hat=(ax / norm, ay / norm))
 
 
-def compliance_margin(hs: HalfSpace, a_j: np.ndarray) -> float:
+def compliance_margin(hs: HalfSpace, a_j) -> float:
     """Signed slack of the neighbor's predicted motion against the allowed half-space.
 
     Positive means the motion keeps the pair comfortably inside the allowed
     set; negative means it violates the current rate's requirement.
     """
-    return float(hs.A @ np.asarray(a_j, dtype=float)) - hs.b
+    ax, ay = hs.A
+    x, y = a_j
+    return ax * x + ay * y - hs.b
 
 
 def distance_trust(margin: float, beta: float = 1.0) -> float:
@@ -148,14 +149,12 @@ def distance_trust(margin: float, beta: float = 1.0) -> float:
     return math.tanh(beta * max(margin, 0.0))
 
 
-def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    d = float(u @ v) / (nu * nv)
+def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
+    d = (ux * vx + uy * vy) / (math.sqrt(ux * ux + uy * uy) * math.sqrt(vx * vx + vy * vy))
     return math.acos(min(1.0, max(-1.0, d)))
 
 
-def direction_trust(n_hat: np.ndarray, a_j: np.ndarray, s_hat: np.ndarray) -> float:
+def direction_trust(n_hat, a_j, s_hat) -> float:
     """Score in [0, 1) comparing actual vs goal-implied deflection from the safe direction.
 
     theta_n is the angle between the neighbor's goal direction and the safe
@@ -163,17 +162,18 @@ def direction_trust(n_hat: np.ndarray, a_j: np.ndarray, s_hat: np.ndarray) -> fl
     the safe direction than its goal requires (theta_a > theta_n) scores low.
     The ratio is capped and the denominator floored to stay finite.  A
     stationary prediction is scored as if orthogonal to the safe normal.
+    All three arguments are 2-vectors.
     """
-    n_hat = np.asarray(n_hat, dtype=float)
-    a_j = np.asarray(a_j, dtype=float)
-    s_hat = np.asarray(s_hat, dtype=float)
-    if float(np.linalg.norm(n_hat)) < 1e-12:
+    nx, ny = n_hat
+    ax, ay = a_j
+    sx, sy = s_hat
+    if math.sqrt(nx * nx + ny * ny) < 1e-12:
         return 0.5
-    theta_n = _angle(n_hat, s_hat)
-    if float(np.linalg.norm(a_j)) < 1e-12:
+    theta_n = _angle(nx, ny, sx, sy)
+    if math.sqrt(ax * ax + ay * ay) < 1e-12:
         theta_a = math.pi / 2.0
     else:
-        theta_a = _angle(a_j, s_hat)
+        theta_a = _angle(ax, ay, sx, sy)
     theta_a = max(theta_a, THETA_FLOOR)
     ratio = min(theta_n / theta_a, THETA_RATIO_CAP)
     return math.tanh(2.0 * ratio)

@@ -151,11 +151,12 @@ class World:
         self.time += float(dt)
 
 
-@dataclass
+@dataclass(slots=True)
 class MotionEstimate:
-    """Ball bound on a neighbor's state derivative: center F_hat, radius b_F."""
+    """Ball bound on a neighbor's state derivative: center F_hat (a tuple of
+    floats, one per state component), radius b_F."""
 
-    center: np.ndarray
+    center: tuple[float, ...]
     radius: float
 
 
@@ -177,16 +178,21 @@ def estimate_motion(history: Sequence[WorldSnapshot], j: int) -> MotionEstimate:
     a0, a1 = older.agents[j], newer.agents[j]
     if a0.model is not a1.model:
         raise ValueError(f"agent {j} changed model between snapshots")
-    diff = a1.state_vector() - a0.state_vector()
+    vx = (a1.px - a0.px) / dt
+    vy = (a1.py - a0.py) / dt
+    sq = vx * vx + vy * vy
     if a1.model is Model.UNICYCLE:
-        diff[2] = wrap_angle(a1.psi - a0.psi)
-    center = diff / dt
-    return MotionEstimate(center=center, radius=ESTIMATE_RADIUS_FACTOR * float(np.linalg.norm(center)))
+        w = wrap_angle(a1.psi - a0.psi) / dt
+        center = (vx, vy, w)
+        sq += w * w
+    else:
+        center = (vx, vy)
+    return MotionEstimate(center=center, radius=ESTIMATE_RADIUS_FACTOR * math.sqrt(sq))
 
 
 def bootstrap_estimate(dim: int = 2, v_max: float = V_MAX_GLOBAL) -> MotionEstimate:
     """Pre-observation fallback: zero center, radius equal to the global speed bound."""
-    return MotionEstimate(center=np.zeros(dim), radius=float(v_max))
+    return MotionEstimate(center=(0.0,) * dim, radius=float(v_max))
 
 
 def position_part(est: MotionEstimate) -> MotionEstimate:
@@ -195,4 +201,4 @@ def position_part(est: MotionEstimate) -> MotionEstimate:
     The full-state radius remains a valid bound for the 2-D projection, so it
     is kept as-is (conservative for unicycles).
     """
-    return MotionEstimate(center=np.asarray(est.center[:2], dtype=float).copy(), radius=est.radius)
+    return MotionEstimate(center=(float(est.center[0]), float(est.center[1])), radius=est.radius)

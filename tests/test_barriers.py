@@ -8,7 +8,9 @@ import pytest
 from trustcbf.barriers import (cbf_row, clf_value, eval_barrier,
                                lookahead_point, velocity_map)
 from trustcbf.dynamics import ModelMismatch
-from trustcbf.world import AgentKind, AgentState, Model
+from trustcbf.trust import worst_case_motion
+from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
+                            estimate_motion, position_part)
 
 
 def uni(i=0, x=0.0, y=0.0, psi=0.0, target=None):
@@ -128,3 +130,56 @@ def test_cbf_row_satisfaction_controls_barrier_rate():
     u = a * (row.b / float(a @ a))  # tight point
     h_dot = float(ev.gi() @ u) + float(ev.gj() @ worst)
     assert h_dot == pytest.approx(-alpha * ev.h)
+
+
+def test_float_geometry_matches_numpy_formulas():
+    # the per-neighbor pass works on float tuples; recompute each quantity
+    # with numpy 2-vectors and require agreement to 1e-12 relative
+    rng = np.random.default_rng(12)
+    close = dict(rel=1e-12, abs=1e-12)
+    for _ in range(500):
+        models = rng.choice([Model.UNICYCLE, Model.SINGLE_INTEGRATOR], size=2)
+        lookahead = float(rng.uniform(0.05, 0.5))
+        d_min = float(rng.uniform(0.1, 1.0))
+        dt = float(rng.uniform(0.01, 0.2))
+        pose0 = rng.uniform(-5.0, 5.0, (2, 3))
+        pose1 = pose0 + rng.normal(scale=0.2, size=(2, 3))
+        old, new = (tuple(AgentState(id=k, kind=AgentKind.INTACT, model=models[k],
+                                     px=pose[k, 0], py=pose[k, 1], psi=pose[k, 2])
+                          for k in range(2)) for pose in (pose0, pose1))
+        me, other = new
+
+        ev = eval_barrier(me, other, d_min, lookahead)
+        if me.model is Model.UNICYCLE:
+            heading = np.array([math.cos(me.psi), math.sin(me.psi)])
+            p_i = np.array([me.px, me.py]) + lookahead * heading
+            M = np.array([[heading[0], -lookahead * heading[1]],
+                          [heading[1], lookahead * heading[0]]])
+        else:
+            p_i = np.array([me.px, me.py])
+            M = np.eye(2)
+        delta = p_i - np.array([other.px, other.py])
+        assert ev.h == pytest.approx(float(delta @ delta) - d_min ** 2, **close)
+        assert ev.grad_i == pytest.approx(tuple(2.0 * delta), **close)
+        assert ev.grad_j == pytest.approx(tuple(-2.0 * delta), **close)
+
+        est = estimate_motion([WorldSnapshot(0.0, old), WorldSnapshot(dt, new)], 1)
+        state = [np.array([a.px, a.py, a.psi]) for a in (old[1], new[1])]
+        diff = state[1] - state[0]
+        diff[2] = (diff[2] + math.pi) % (2.0 * math.pi) - math.pi
+        center = diff / dt if other.model is Model.UNICYCLE else diff[:2] / dt
+        assert est.center == pytest.approx(tuple(center), **close)
+        assert est.radius == pytest.approx(0.1 * float(np.linalg.norm(center)), **close)
+
+        est = position_part(est)
+        g = np.array(ev.grad_j)
+        c = np.array(est.center)
+        worst, val = worst_case_motion(est, ev.grad_j)
+        gn = float(np.linalg.norm(g))
+        assert worst == pytest.approx(tuple(c - est.radius * g / gn), **close)
+        assert val == pytest.approx(float(g @ c) - est.radius * gn, **close)
+
+        alpha = float(rng.uniform(0.01, 2.0))
+        row = cbf_row(ev, velocity_map(me, lookahead), worst, alpha)
+        assert row.a == pytest.approx(tuple(np.array(ev.grad_i) @ M), **close)
+        assert row.b == pytest.approx(-alpha * ev.h - float(g @ np.array(worst)), **close)

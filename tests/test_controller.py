@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trustcbf import controller
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (AgentConfig, Fallback, agent_step,
                                  clf_qp_reference)
@@ -157,6 +158,39 @@ def test_agent_step_update_order_after_uses_start_rates():
                             AgentConfig(box=BOX3, alpha_update_order="before"))
     assert dec_before.rows[0].b != pytest.approx(expected.b)
     assert trust_before[1].alpha == pytest.approx(trust_after[1].alpha)
+
+
+def test_rate_floor_margin_is_the_same_in_both_update_orders(monkeypatch):
+    # a moving neighbor has a ball of radius > 0, so its worst-case-point
+    # margin lies below the center margin; both orders must hand the floor
+    # the worst-case one, since that is the row the QP enforces
+    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
+    other0 = integ(1, 2.0, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    other1 = integ(1, 1.95, 0.02, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    hist = snapshots([me0, other0], [me0, other1])
+    margins = {}
+    original = controller.alpha_rate_floor
+
+    def recording(margin, *args):
+        margins[order].append(margin)
+        return original(margin, *args)
+
+    monkeypatch.setattr(controller, "alpha_rate_floor", recording)
+    trust = {}
+    for order in ("before", "after"):
+        margins[order] = []
+        trust[order] = fresh_trust(2, 0)
+        agent_step(0, hist, trust[order], AgentConfig(box=BOX3, alpha_update_order=order))
+    est = position_part(estimate_motion(hist, 1))
+    ev = eval_barrier(me0, other1)
+    center_margin = trust["before"][1].margin
+    assert trust["after"][1].margin == center_margin
+    assert est.radius > 0.0
+    assert margins["before"] == margins["after"]
+    worst_margin = center_margin - est.radius * float(np.linalg.norm(ev.gj()))
+    assert margins["after"] == [pytest.approx(worst_margin, rel=1e-12)]
+    assert margins["after"][0] < center_margin
+    assert trust["before"][1].alpha == trust["after"][1].alpha
 
 
 def test_agent_step_unicycle_reference_is_waypoint_tracking():

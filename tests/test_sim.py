@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustcbf.dynamics import Box
 from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
@@ -172,3 +174,57 @@ def test_headon_stress_scenario_shape():
     kinds = [a.kind for a in s.agents]
     assert kinds.count(AgentKind.ADVERSARIAL) == 2
     assert s.trust.gamma_alpha >= 100.0  # aggressive by construction
+
+
+COORD = st.floats(-4.0, 4.0)
+
+
+@st.composite
+def small_scenarios(draw):
+    """2-6 agents of mixed kinds and models (at least one intact) on a 1-2 s horizon."""
+    n = draw(st.integers(2, 6))
+    kinds = draw(st.lists(st.sampled_from(list(AgentKind)), min_size=n, max_size=n))
+    kinds[0] = AgentKind.INTACT
+    agents = []
+    for idx, kind in enumerate(kinds):
+        half = draw(st.floats(0.5, 3.0))
+        box = Box((-half, -half), (half, half))
+        start = (draw(COORD), draw(COORD))
+        target = (draw(COORD), draw(COORD))
+        if kind is AgentKind.INTACT:
+            model = draw(st.sampled_from(list(Model)))
+            if model is Model.UNICYCLE:
+                start += (draw(st.floats(-math.pi, math.pi)),)
+            agents.append(AgentSpec(kind, model, start, target, d_min=draw(st.floats(0.2, 0.8)),
+                                    box=box))
+        elif kind is AgentKind.ADVERSARIAL:
+            prey = draw(st.sampled_from([k for k in range(n) if k != idx]))
+            agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
+                                    prey=prey, gain=draw(st.floats(0.1, 2.0))))
+        else:
+            agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
+                                    speed=draw(st.floats(0.1, half))))
+    return Scenario(agents=agents, duration=draw(st.sampled_from([1.0, 1.5, 2.0])),
+                    fixed_alpha=draw(st.booleans()), rate_floor=draw(st.booleans()),
+                    alpha_update_order=draw(st.sampled_from(["before", "after"])))
+
+
+def _trace_array(tr):
+    return np.array([[(r.px, r.py, r.psi, *r.u_ref, *r.u) for r in step]
+                     for step in tr.agents])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_scenarios())
+def test_run_properties_on_random_scenarios(s):
+    tr = run(s)
+    arr = _trace_array(tr)
+    assert np.all(np.isfinite(arr))
+    for step in tr.pairs:
+        for p in step.values():
+            assert all(math.isfinite(v) for v in
+                       (p.h, p.alpha, p.rho, p.rho_d, p.rho_theta, p.margin))
+    for step in tr.agents:
+        for spec, rec in zip(s.agents, step):
+            assert spec.box.contains(rec.u)
+    assert _trace_array(run(s)).tobytes() == arr.tobytes()

@@ -7,6 +7,8 @@ import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.dynamics import Box
+from trustcbf.solvers import (FEAS_TOL, ConstraintRow, Infeasible, _box_polygon,
+                              _clip, _half_planes, solve_lp)
 from trustcbf.trust import (BoundaryReached, DegenerateNormal, TrustParams,
                             TrustState, alpha_rate, alpha_rate_floor,
                             build_halfspace, combine_trust, compliance_margin,
@@ -57,7 +59,8 @@ def test_max_own_contribution_unconstrained_is_box_corner():
     # two agents only: no third-party rows, so the LP maxes gi . u over the box
     me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
     ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
-    val = max_own_contribution(ev, velocity_map(me), [], BOX3)
+    row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8, tag=(0, 1))
+    val = max_own_contribution([row_01], BOX3)[0]
     # gi = (-4, 0): best contribution is u_x = -3
     assert val == pytest.approx(12.0)
 
@@ -68,11 +71,78 @@ def test_max_own_contribution_respects_other_pairs():
     M = velocity_map(me)
     ev_02 = eval_barrier(me, integ(2, 1.2, 0.0), d_min=0.5)
     row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8, tag=(0, 2))
-    val = max_own_contribution(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5),
-                               M, [row_02], BOX3)
+    row_01 = cbf_row(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5), M, np.zeros(2), 0.8,
+                     tag=(0, 1))
+    val = max_own_contribution([row_01, row_02], BOX3)[0]
     # toward 1 the payoff is gi = (4, 0); the (0,2) row demands
     # -2.4 u_x >= -0.8 * 1.19, i.e. u_x <= 0.39666...
     assert val == pytest.approx(4.0 * (0.8 * 1.19 / 2.4), abs=1e-9)
+
+
+def _leave_one_out_rows(rng):
+    """0-12 rows: ordinary ones, near-parallel copies, rows that empty the
+    polygon built so far (with gaps inside and outside the FEAS_TOL band), and
+    vacuous or demanding zero-normal rows."""
+    rows = []
+    for k in range(int(rng.integers(0, 13))):
+        kind = rng.choice(["plain", "parallel", "cut", "zero"], p=[0.5, 0.2, 0.2, 0.1])
+        usable = [r for r in rows if math.hypot(*r.a) > 1e-6]
+        if kind in ("parallel", "cut") and not usable:
+            kind = "plain"
+        if kind == "plain":
+            a = rng.normal(size=2) * rng.uniform(0.1, 3.0)
+            b = rng.uniform(-8.0, 1.0)
+        elif kind == "parallel":
+            base = usable[int(rng.integers(0, len(usable)))]
+            a = np.array(base.a) + rng.normal(size=2) * 10.0 ** rng.uniform(-12.0, -6.0)
+            b = base.b + rng.normal() * 10.0 ** rng.uniform(-12.0, -6.0)
+        elif kind == "cut":
+            # faces an earlier row with a gap: empty for gap > 0 (the
+            # relaxed retry rescues gaps below 2 FEAS_TOL), a sliver below 0
+            base = usable[int(rng.integers(0, len(usable)))]
+            gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
+            a = -np.array(base.a)
+            b = -base.b + gap
+        else:
+            a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
+            b = rng.choice([-1.0, 0.0, FEAS_TOL, 0.5] if rng.uniform() < 0.4 else [-1.0, 0.0])
+        rows.append(ConstraintRow(a=tuple(a), b=b, tag=k))
+    return rows
+
+
+def test_max_own_contribution_is_leave_one_out_solve_lp_bitwise():
+    # entry k must be exactly solve_lp(a_k, rows[:k] + rows[k+1:], box), the
+    # LP it replaces; None exactly where that raises Infeasible
+    rng = np.random.default_rng(31)
+    seen = {"exact": 0, "relaxed": 0, "infeasible": 0, "emptied_prefix": 0,
+            "vacuous_zero": 0, "demanding_zero": 0}
+    for _ in range(1500):
+        rows = _leave_one_out_rows(rng)
+        got = max_own_contribution(rows, BOX3)
+        assert len(got) == len(rows)
+        for k, row in enumerate(rows):
+            others = rows[:k] + rows[k + 1:]
+            try:
+                expected, _ = solve_lp(np.array(row.a), others, BOX3)
+            except Infeasible:
+                assert got[k] is None, (k, rows)
+                seen["infeasible"] += 1
+                continue
+            assert got[k] is not None and got[k].hex() == expected.hex(), (k, rows)
+            planes, _ = _half_planes(others, BOX3)
+            seen["exact" if _clip(planes, _box_polygon(BOX3), 0.0) else "relaxed"] += 1
+        for m in range(1, len(rows)):
+            try:
+                planes, _ = _half_planes(rows[:m], BOX3)
+            except Infeasible:
+                break
+            if not _clip(planes, _box_polygon(BOX3), 0.0):
+                seen["emptied_prefix"] += m < len(rows) - 1
+                break
+        for row in rows:
+            if math.hypot(*row.a) < 1e-12:
+                seen["demanding_zero" if row.b > FEAS_TOL else "vacuous_zero"] += 1
+    assert all(n >= 20 for n in seen.values()), seen
 
 
 def test_build_halfspace_fields_and_degenerate_case():
@@ -89,10 +159,11 @@ def test_build_halfspace_fields_and_degenerate_case():
 def test_compliance_margin_signed_slack():
     ev = eval_barrier(integ(0, 0.0, 0.0), integ(1, 2.0, 0.0))
     hs = build_halfspace(ev, 0.8, 0.0)
-    on_boundary = hs.A * (hs.b / float(hs.A @ hs.A))
+    A = np.array(hs.A)
+    on_boundary = A * (hs.b / float(A @ A))
     assert compliance_margin(hs, on_boundary) == pytest.approx(0.0, abs=1e-12)
-    assert compliance_margin(hs, on_boundary + hs.s_hat) == pytest.approx(
-        float(np.linalg.norm(hs.A)))
+    assert compliance_margin(hs, on_boundary + np.array(hs.s_hat)) == pytest.approx(
+        float(np.linalg.norm(A)))
 
 
 def test_distance_trust_clamps_negative_margins():

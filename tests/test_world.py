@@ -109,7 +109,7 @@ def test_estimate_motion_requires_two_ordered_snapshots():
 def test_bootstrap_estimate_is_conservative_ball():
     est = bootstrap_estimate(dim=3, v_max=2.5)
     assert np.allclose(est.center, 0.0)
-    assert est.center.shape == (3,)
+    assert len(est.center) == 3
     assert est.radius == 2.5
 
 
@@ -118,7 +118,7 @@ def test_position_part_keeps_radius():
     a1 = make_agent(x=0.1, y=0.0, psi=1.0)
     est = estimate_motion([WorldSnapshot(0.0, (a0,)), WorldSnapshot(0.1, (a1,))], 0)
     pp = position_part(est)
-    assert pp.center.shape == (2,)
+    assert len(pp.center) == 2
     assert np.allclose(pp.center, est.center[:2])
     # the full-state radius stays a valid (conservative) 2-D bound
     assert pp.radius == est.radius
