@@ -101,14 +101,15 @@ def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
                        grad_j=(-gx, -gy), d_min=float(d_min))
 
 
-def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None) -> tuple[float, np.ndarray]:
+def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None
+              ) -> tuple[float, tuple[float, float]]:
     """Quadratic goal function V = ||p - p_ref||^2 and its position gradient."""
     if target is None:
         target = state.target
     if target is None:
         raise ValueError(f"agent {state.id} has no known target")
-    e = np.array([state.px - target[0], state.py - target[1]])
-    return float(e @ e), 2.0 * e
+    ex, ey = state.px - target[0], state.py - target[1]
+    return ex * ex + ey * ey, (2.0 * ex, 2.0 * ey)
 
 
 def cbf_row(ev: BarrierEval, vel_map: Map2, worst_j_dot, alpha: float, tag=None) -> ConstraintRow:

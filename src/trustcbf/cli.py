@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,9 +23,8 @@ import numpy as np
 
 from .dynamics import Box
 from .sim import (AgentSpec, Scenario, Trace, ValidationError, metrics, run)
-from .solvers import (QPProblem, lp_vertex_oracle, qp_oracle,
-                      random_lp_instance, random_qp_instance, solve_lp,
-                      solve_qp)
+from .solvers import (lp_vertex_oracle, qp_oracle, random_lp_instance,
+                      random_qp_instance, solve_lp, solve_qp)
 from .trust import TrustParams
 from .world import AgentKind, Model
 
@@ -267,26 +265,28 @@ def _f(x: float) -> str:
     return FLOAT_FMT.format(float(x))
 
 
+# One line per record in a single %-format; "%.17g" gives the same bytes as FLOAT_FMT.
+_TRACE_LINE = "%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+_PAIRS_LINE = "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
 def write_trace_csv(trace: Trace, path: Path) -> None:
     lines = [TRACE_HEADER]
-    for k, t in enumerate(trace.times):
-        for i, rec in enumerate(trace.agents[k]):
-            lines.append(",".join([
-                _f(t), str(i), _f(rec.px), _f(rec.py), _f(rec.psi),
-                _f(rec.u_ref[0]), _f(rec.u_ref[1]), _f(rec.u[0]), _f(rec.u[1]),
-                str(rec.fallback),
-            ]))
+    for t, step in zip(trace.times, trace.agents):
+        ts = "%.17g" % t
+        lines.extend(_TRACE_LINE % (ts, i, rec.px, rec.py, rec.psi, rec.u_ref[0], rec.u_ref[1],
+                                    rec.u[0], rec.u[1], rec.fallback)
+                     for i, rec in enumerate(step))
     path.write_text("\n".join(lines) + "\n")
 
 
 def write_pairs_csv(trace: Trace, path: Path) -> None:
     lines = [PAIRS_HEADER]
-    for k, t in enumerate(trace.times):
-        for (i, j), rec in trace.pairs[k].items():
-            lines.append(",".join([
-                _f(t), str(i), str(j), _f(rec.h), _f(rec.alpha), _f(rec.rho),
-                _f(rec.rho_d), _f(rec.rho_theta), _f(rec.margin),
-            ]))
+    for t, step in zip(trace.times, trace.pairs):
+        ts = "%.17g" % t
+        lines.extend(_PAIRS_LINE % (ts, i, j, rec.h, rec.alpha, rec.rho, rec.rho_d,
+                                    rec.rho_theta, rec.margin)
+                     for (i, j), rec in step.items())
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -313,20 +313,14 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
     data range (no padding), recorded on the root element as data-x-min/max
     and data-y-min/max so downstream checks can read the plotted extents.
     """
-    xs_all = np.concatenate([np.asarray(xs, dtype=float) for _, xs, _ in series])
-    ys_all = np.concatenate([np.asarray(ys, dtype=float) for _, _, ys in series])
-    x_min, x_max = float(np.min(xs_all)), float(np.max(xs_all))
-    y_min, y_max = float(np.min(ys_all)), float(np.max(ys_all))
+    x_min = min(min(xs) for _, xs, _ in series)
+    x_max = max(max(xs) for _, xs, _ in series)
+    y_min = min(min(ys) for _, _, ys in series)
+    y_max = max(max(ys) for _, _, ys in series)
     x_span = x_max - x_min or 1.0
     y_span = y_max - y_min or 1.0
     ml, mr, mt, mb = 70, 150, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
-
-    def sx(x):
-        return ml + (x - x_min) / x_span * pw
-
-    def sy(y):
-        return mt + ph - (y - y_min) / y_span * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
@@ -346,7 +340,10 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
     ]
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+        # Screen coordinates: x maps onto [ml, ml + pw], y onto [mt + ph, mt].
+        pts = " ".join("%.2f,%.2f" % (ml + (x - x_min) / x_span * pw,
+                                      mt + ph - (y - y_min) / y_span * ph)
+                       for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 14 + 16 * idx
         parts.append(f'<line x1="{ml + pw + 8}" y1="{ly - 4}" x2="{ml + pw + 28}" y2="{ly - 4}" '
@@ -359,25 +356,29 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
 def write_charts(trace: Trace, s: Scenario, out: Path) -> list[Path]:
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     n = len(s.agents)
-    times = np.array(trace.times)
     written = []
 
     traj = [(f"agent {i} ({s.agents[i].kind.value})",
-             trace.positions(i)[:, 0], trace.positions(i)[:, 1]) for i in range(n)]
+             [step[i].px for step in trace.agents], [step[i].py for step in trace.agents])
+            for i in range(n)]
     p = out / "trajectories.svg"
     _svg_line_chart(p, "Agent trajectories", traj, "x [m]", "y [m]")
     written.append(p)
 
-    pair_series = []
-    for i in intact:
-        for j in range(n):
-            if j != i:
-                pair_series.append((i, j))
-    for name, fname, title in (("alpha", "alphas.svg", "Pair rate parameters"),
-                               ("rho", "trust.svg", "Pair trust scores"),
-                               ("h", "barriers.svg", "Pair barrier values")):
-        series = [(f"({i},{j})", times, trace.pair_series(i, j, name))
-                  for i, j in pair_series]
+    keys = [(i, j) for i in intact for j in range(n) if j != i]
+    alphas = {key: [] for key in keys}
+    rhos = {key: [] for key in keys}
+    hs = {key: [] for key in keys}
+    for step in trace.pairs:
+        for key in keys:
+            rec = step[key]
+            alphas[key].append(rec.alpha)
+            rhos[key].append(rec.rho)
+            hs[key].append(rec.h)
+    for name, columns, fname, title in (("alpha", alphas, "alphas.svg", "Pair rate parameters"),
+                                        ("rho", rhos, "trust.svg", "Pair trust scores"),
+                                        ("h", hs, "barriers.svg", "Pair barrier values")):
+        series = [(f"({i},{j})", trace.times, columns[i, j]) for i, j in keys]
         p = out / fname
         _svg_line_chart(p, title, series, "t [s]", name)
         written.append(p)

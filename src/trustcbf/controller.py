@@ -15,9 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval, cbf_row,
                        clf_value, eval_barrier, velocity_map)
@@ -62,27 +60,31 @@ class AgentConfig:
 
 @dataclass
 class ControlDecision:
-    u_ref: np.ndarray
-    u_safe: np.ndarray
+    u_ref: tuple[float, float]
+    u_safe: tuple[float, float]
     rows: tuple[ConstraintRow, ...]
     feasible: bool
     fallback: Fallback = Fallback.NONE
+    # Barrier value toward each neighbor, in neighbor-id order (intact agents only).
+    pair_h: tuple[float, ...] = ()
 
 
-def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX) -> np.ndarray:
+def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
+                     target: Optional[tuple[float, float]] = None) -> tuple[float, float]:
     """Minimum-norm command decreasing the goal function exponentially.
 
         min ||u||^2   s.t.   gradV . u <= -k V
 
-    For integrators only.  At the goal the constraint is vacuous and the
-    command is zero.  Raises Infeasible when the box is too small to achieve
-    the required descent rate (callers decide how to degrade).
+    The goal is ``target``, by default the agent's own.  For integrators
+    only.  At the goal the constraint is vacuous and the command is zero.
+    Raises Infeasible when the box is too small to achieve the required
+    descent rate (callers decide how to degrade).
     """
     if state.model is not Model.SINGLE_INTEGRATOR:
         raise ValueError("clf_qp_reference applies to single integrators")
-    V, gradV = clf_value(state)
-    row = ConstraintRow(a=tuple(-gradV), b=k * V, tag="clf")
-    u, _ = solve_qp(QPProblem(u_ref=np.zeros(2), rows=[row], box=box))
+    V, (gx, gy) = clf_value(state, target)
+    row = ConstraintRow(a=(-gx, -gy), b=k * V, tag="clf")
+    u, _ = solve_qp(QPProblem(u_ref=(0.0, 0.0), rows=[row], box=box))
     return u
 
 
@@ -115,7 +117,8 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
     ``history`` holds the latest snapshots (at least one; two enable motion
     estimation).  ``trust`` maps neighbor id to that pair's TrustState and is
     mutated in place.  All per-pair computations read rates as of the start of
-    the step, so their order cannot matter.
+    the step, so their order cannot matter.  The decision's ``pair_h`` holds
+    the barrier value toward every neighbor on this snapshot.
     """
     snap = history[-1]
     me = snap.agents[i]
@@ -124,6 +127,7 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
     # One geometry pass: every neighbor's motion estimate, barrier,
     # worst-case motion and row at its start-of-step rate.
     obs: dict[int, _PairObs] = {}
+    pair_h: list[float] = []
     bootstrapped: set[int] = set()
     for other in snap.agents:
         j = other.id
@@ -136,6 +140,7 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             bootstrapped.add(j)
         est = position_part(est)
         ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        pair_h.append(ev.h)
         a_j, _ = worst_case_motion(est, ev.grad_j)
         alpha = trust[j].alpha
         obs[j] = _PairObs(ev=ev, est=est, a_j=a_j, alpha_start=alpha,
@@ -199,7 +204,7 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
 
     if me.model is Model.UNICYCLE:
         if me.target is None:
-            u_ref = np.zeros(2)
+            u_ref = (0.0, 0.0)
         else:
             u_ref = track_reference(me, me.target, cfg.k_s, cfg.k_omega, cfg.box)
     else:
@@ -207,12 +212,12 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             u_ref = clf_qp_reference(me, cfg.clf_k, cfg.box)
         except Infeasible:
             log.debug("t=%.3f agent %d: goal descent infeasible in box; stopping", snap.time, i)
-            u_ref = np.zeros(2)
+            u_ref = (0.0, 0.0)
 
     feasible = True
     fallback = Fallback.NONE
     if emergency:
-        u_safe = np.zeros(2)
+        u_safe = (0.0, 0.0)
         feasible = False
         fallback = Fallback.EMERGENCY
     else:
@@ -220,12 +225,12 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
             u_safe, _ = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=cfg.box))
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
-            u_safe = np.zeros(2)
+            u_safe = (0.0, 0.0)
             feasible = False
             fallback = Fallback.EMERGENCY
 
     for ts, floor in deferred:
         update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
 
-    return ControlDecision(u_ref=np.asarray(u_ref, dtype=float), u_safe=np.asarray(u_safe, dtype=float),
-                           rows=tuple(rows), feasible=feasible, fallback=fallback)
+    return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), feasible=feasible,
+                           fallback=fallback, pair_h=tuple(pair_h))

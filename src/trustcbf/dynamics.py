@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,58 +48,54 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    def clip(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(u, dtype=float), self.lo, self.hi)
+    def clip(self, u: Sequence[float]) -> tuple[float, float]:
+        """The 2-D command ``u`` clamped to the box, componentwise."""
+        (lo0, lo1), (hi0, hi1) = self.lo, self.hi
+        return min(max(float(u[0]), lo0), hi0), min(max(float(u[1]), lo1), hi1)
 
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        u = np.asarray(u, dtype=float)
-        return bool(np.all(u >= np.array(self.lo) - tol) and np.all(u <= np.array(self.hi) + tol))
+    def contains(self, u: Sequence[float], tol: float = 1e-9) -> bool:
+        (lo0, lo1), (hi0, hi1) = self.lo, self.hi
+        return lo0 - tol <= u[0] <= hi0 + tol and lo1 - tol <= u[1] <= hi1 + tol
 
 
 DEFAULT_BOX = Box((-3.0, -3.0), (3.0, 3.0))
 
 
-def unicycle_derivative(state: AgentState, u: np.ndarray) -> np.ndarray:
+def unicycle_derivative(state: AgentState, u: Sequence[float]) -> tuple[float, float, float]:
     """(px_dot, py_dot, psi_dot) = (v cos psi, v sin psi, omega)."""
     if state.model is not Model.UNICYCLE:
         raise ModelMismatch(f"agent {state.id} is not a unicycle")
     v, omega = float(u[0]), float(u[1])
-    return np.array([v * math.cos(state.psi), v * math.sin(state.psi), omega])
+    return v * math.cos(state.psi), v * math.sin(state.psi), omega
 
 
-def integrator_derivative(state: AgentState, u: np.ndarray) -> np.ndarray:
+def integrator_derivative(state: AgentState, u: Sequence[float]) -> tuple[float, float]:
     if state.model is not Model.SINGLE_INTEGRATOR:
         raise ModelMismatch(f"agent {state.id} is not a single integrator")
-    return np.array([float(u[0]), float(u[1])])
+    return float(u[0]), float(u[1])
 
 
-def derivative(state: AgentState, u: np.ndarray) -> np.ndarray:
-    if state.model is Model.UNICYCLE:
-        return unicycle_derivative(state, u)
-    return integrator_derivative(state, u)
-
-
-def euler_step(state: AgentState, u: np.ndarray, dt: float, box: Box = DEFAULT_BOX) -> AgentState:
+def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFAULT_BOX) -> AgentState:
     """One explicit Euler step.  Out-of-box commands are clamped with a warning."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u = np.asarray(u, dtype=float)
+    u = float(u[0]), float(u[1])
     if not box.contains(u):
-        warnings.warn(f"agent {state.id}: command {u.tolist()} clamped to control box", stacklevel=2)
+        warnings.warn(f"agent {state.id}: command {list(u)} clamped to control box", stacklevel=2)
         u = box.clip(u)
     if state.model is Model.UNICYCLE:
-        d = unicycle_derivative(state, u)
+        dx, dy, dpsi = unicycle_derivative(state, u)
         return AgentState(
             id=state.id, kind=state.kind, model=state.model,
-            px=state.px + dt * d[0], py=state.py + dt * d[1],
-            psi=wrap_angle(state.psi + dt * d[2]),
-            target=state.target, last_command=tuple(u),
+            px=state.px + dt * dx, py=state.py + dt * dy,
+            psi=wrap_angle(state.psi + dt * dpsi),
+            target=state.target, last_command=u,
         )
-    d = integrator_derivative(state, u)
+    dx, dy = integrator_derivative(state, u)
     return AgentState(
         id=state.id, kind=state.kind, model=state.model,
-        px=state.px + dt * d[0], py=state.py + dt * d[1], psi=0.0,
-        target=state.target, last_command=tuple(u),
+        px=state.px + dt * dx, py=state.py + dt * dy, psi=0.0,
+        target=state.target, last_command=u,
     )
 
 
@@ -155,7 +151,7 @@ def nominal_trajectory(state0: AgentState, gain: float, horizon: float, dt: floa
 
 def track_reference(state: AgentState, waypoint: tuple[float, float],
                     k_s: float = K_S, k_omega: float = K_OMEGA,
-                    box: Box = DEFAULT_BOX) -> np.ndarray:
+                    box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Proportional waypoint tracking for unicycles: v on distance, omega on bearing error.
 
     With zero position error both commands are zero (the bearing is undefined
@@ -167,7 +163,7 @@ def track_reference(state: AgentState, waypoint: tuple[float, float],
     ey = waypoint[1] - state.py
     dist = math.hypot(ex, ey)
     if dist < 1e-12:
-        return np.zeros(2)
+        return 0.0, 0.0
     v = k_s * dist
     omega = k_omega * wrap_angle(math.atan2(ey, ex) - state.psi)
-    return box.clip(np.array([v, omega]))
+    return box.clip((v, omega))

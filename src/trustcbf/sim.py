@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value, eval_barrier
+from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
 from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
                          agent_step, clf_qp_reference)
 from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
@@ -163,7 +163,7 @@ class Trace:
 
 
 def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
-                     k: float = CLF_K, box: Box = DEFAULT_BOX) -> np.ndarray:
+                     k: float = CLF_K, box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Chase the prey's current position with an exponentially stabilizing descent.
 
     When the box cannot deliver the required descent rate (prey far away or
@@ -171,19 +171,19 @@ def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
     instead of stopping.
     """
     prey_pos = (snapshot.agents[prey].px, snapshot.agents[prey].py)
-    chase = replace(state, target=prey_pos)
     try:
-        return clf_qp_reference(chase, k, box)
+        return clf_qp_reference(state, k, box, target=prey_pos)
     except Infeasible:
-        V, gradV = clf_value(chase)
-        gn = float(gradV @ gradV)
+        V, (gx, gy) = clf_value(state, prey_pos)
+        gn = gx * gx + gy * gy
         if gn < 1e-18:
-            return np.zeros(2)
-        return box.clip(-(k * V / gn) * gradV)
+            return 0.0, 0.0
+        scale = -(k * V / gn)
+        return box.clip((scale * gx, scale * gy))
 
 
 def uncooperative_policy(state: AgentState, speed: float = 1.0,
-                         dt: Optional[float] = None) -> np.ndarray:
+                         dt: Optional[float] = None) -> tuple[float, float]:
     """Constant-velocity motion toward the agent's own target; zero at the target.
 
     Depends on nothing but the agent's own state, so other agents cannot
@@ -191,15 +191,16 @@ def uncooperative_policy(state: AgentState, speed: float = 1.0,
     to land exactly instead of overshooting.
     """
     if state.target is None:
-        return np.zeros(2)
-    e = np.array([state.target[0] - state.px, state.target[1] - state.py])
-    dist = float(np.linalg.norm(e))
+        return 0.0, 0.0
+    ex, ey = state.target[0] - state.px, state.target[1] - state.py
+    dist = math.sqrt(ex * ex + ey * ey)
     if dist < 1e-12:
-        return np.zeros(2)
+        return 0.0, 0.0
     v = speed
     if dt is not None and dist < speed * dt:
         v = dist / dt
-    return (v / dist) * e
+    scale = v / dist
+    return scale * ex, scale * ey
 
 
 def _build_world(s: Scenario) -> World:
@@ -237,8 +238,9 @@ def run(s: Scenario) -> Trace:
     trace = Trace()
     history: list[WorldSnapshot] = []
     prev_pair_h: dict[tuple[int, int], tuple[float, float]] = {}
-    # One key per ordered pair, shared by every record of the trace.
-    pair_keys = [(i, j) for i in intact for j in range(n) if j != i]
+    # One key per ordered pair, shared by every record of the trace; each
+    # intact agent's keys are in neighbor-id order, like its decision's pair_h.
+    pair_keys = {i: [(i, j) for j in range(n) if j != i] for i in intact}
 
     for k in range(steps + 1):
         snap = world.take_snapshot()
@@ -246,52 +248,46 @@ def run(s: Scenario) -> Trace:
         if len(history) > 2:
             history.pop(0)
 
-        decisions: dict[int, ControlDecision] = {}
+        decisions: list[ControlDecision] = []   # index == agent id
         for a in snap.agents:
             spec = s.agents[a.id]
             if a.kind is AgentKind.INTACT:
-                decisions[a.id] = agent_step(a.id, history, trust[a.id], cfgs[a.id])
-            elif a.kind is AgentKind.ADVERSARIAL:
+                decisions.append(agent_step(a.id, history, trust[a.id], cfgs[a.id]))
+                continue
+            if a.kind is AgentKind.ADVERSARIAL:
                 u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
-                decisions[a.id] = ControlDecision(u_ref=u, u_safe=u, rows=(),
-                                                  feasible=True, fallback=Fallback.NONE)
             else:
                 u = uncooperative_policy(a, spec.speed, s.dt)
-                decisions[a.id] = ControlDecision(u_ref=u, u_safe=u, rows=(),
-                                                  feasible=True, fallback=Fallback.NONE)
+            decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), feasible=True,
+                                             fallback=Fallback.NONE))
 
         trace.times.append(snap.time)
         trace.agents.append([
-            AgentRecord(
-                px=a.px, py=a.py, psi=a.psi,
-                u_ref=(float(decisions[a.id].u_ref[0]), float(decisions[a.id].u_ref[1])),
-                u=(float(decisions[a.id].u_safe[0]), float(decisions[a.id].u_safe[1])),
-                fallback=decisions[a.id].fallback.value,
-            ) for a in snap.agents
+            AgentRecord(px=a.px, py=a.py, psi=a.psi, u_ref=d.u_ref, u=d.u_safe,
+                        fallback=d.fallback.value)
+            for a, d in zip(snap.agents, decisions)
         ])
         pair_step: dict[tuple[int, int], PairRecord] = {}
-        for key in pair_keys:
-            i, j = key
-            ts = trust[i][j]
-            ev = eval_barrier(snap.agents[i], snap.agents[j],
-                              s.agents[i].d_min, s.lookahead)
-            pair_step[key] = PairRecord(h=ev.h, alpha=ts.alpha, rho=ts.rho,
-                                        rho_d=ts.rho_d, rho_theta=ts.rho_theta,
-                                        margin=ts.margin)
-            # Discrete rate inequality bookkeeping (integration artifacts).
-            if key in prev_pair_h:
-                h_prev, alpha_prev = prev_pair_h[key]
-                slack = (ev.h - h_prev) / s.dt + alpha_prev * h_prev
-                if slack < -EULER_SLACK_FACTOR * s.dt:
-                    trace.euler_slack_events += 1
-            prev_pair_h[key] = (ev.h, ts.alpha)
+        for i in intact:
+            # agent_step evaluated every pair barrier on this snapshot.
+            for key, h in zip(pair_keys[i], decisions[i].pair_h):
+                ts = trust[i][key[1]]
+                pair_step[key] = PairRecord(h=h, alpha=ts.alpha, rho=ts.rho,
+                                            rho_d=ts.rho_d, rho_theta=ts.rho_theta,
+                                            margin=ts.margin)
+                # Discrete rate inequality bookkeeping (integration artifacts).
+                if key in prev_pair_h:
+                    h_prev, alpha_prev = prev_pair_h[key]
+                    slack = (h - h_prev) / s.dt + alpha_prev * h_prev
+                    if slack < -EULER_SLACK_FACTOR * s.dt:
+                        trace.euler_slack_events += 1
+                prev_pair_h[key] = (h, ts.alpha)
         trace.pairs.append(pair_step)
 
         if k == steps:
             break
-        new_agents = []
-        for a in snap.agents:
-            new_agents.append(euler_step(a, decisions[a.id].u_safe, s.dt, s.agents[a.id].box))
+        new_agents = [euler_step(a, d.u_safe, s.dt, spec.box)
+                      for a, d, spec in zip(snap.agents, decisions, s.agents)]
         world.advance(new_agents, s.dt)
 
         # Check the ten-percent motion-estimate assumption against what really
@@ -325,14 +321,15 @@ def metrics(trace: Trace, s: Scenario) -> dict:
                  "euler_slack_events": trace.euler_slack_events}
     for step in trace.agents:
         out["emergency_events"] += sum(rec.fallback for rec in step)
+    min_hs = dict.fromkeys(intact, math.inf)
+    for step in trace.pairs:
+        for (i, _), rec in step.items():
+            if rec.h < min_hs[i]:
+                min_hs[i] = rec.h
     for i in intact:
         spec = s.agents[i]
         pos = trace.positions(i)
-        min_h = math.inf
-        for j in range(len(s.agents)):
-            if j == i:
-                continue
-            min_h = min(min_h, float(np.min(trace.pair_series(i, j, "h"))))
+        min_h = min_hs[i]
         out["min_h"] = min(out["min_h"], min_h)
 
         target = np.array(spec.target) if spec.target is not None else None

@@ -62,8 +62,12 @@ class ConstraintRow:
     tag: Hashable = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", float(self.b))
+        a = self.a
+        # cbf_row and clf_qp_reference already build float pairs.
+        if not (type(a) is tuple and len(a) == 2 and type(a[0]) is float and type(a[1]) is float):
+            object.__setattr__(self, "a", tuple(float(v) for v in a))
+        if type(self.b) is not float:
+            object.__setattr__(self, "b", float(self.b))
 
     def normal(self) -> np.ndarray:
         return np.array(self.a)
@@ -71,7 +75,7 @@ class ConstraintRow:
 
 @dataclass
 class QPProblem:
-    u_ref: np.ndarray
+    u_ref: Sequence[float]
     rows: Sequence[ConstraintRow]
     box: Box
 
@@ -190,7 +194,7 @@ def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
     return bx, by
 
 
-def solve_qp(problem: QPProblem) -> tuple[np.ndarray, tuple]:
+def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
     """Project u_ref onto the feasible set; returns (u, tags of active constraints).
 
     Active tags are those of the rows, then of the box faces (``box{k}lo`` and
@@ -199,7 +203,8 @@ def solve_qp(problem: QPProblem) -> tuple[np.ndarray, tuple]:
     QP_RETRY_TOL.
     """
     planes, tags = _half_planes(problem.rows, problem.box)
-    x, y = (float(v) for v in problem.u_ref)
+    x, y = problem.u_ref
+    x, y = float(x), float(y)
     for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
         if _holds(planes, problem.box, x, y, max(relax, FEAS_TOL)):
             break
@@ -214,7 +219,7 @@ def solve_qp(problem: QPProblem) -> tuple[np.ndarray, tuple]:
     resid += [x - lo0, hi0 - x, y - lo1, hi1 - y]
     tags += ["box0lo", "box0hi", "box1lo", "box1hi"]
     active = tuple(tag for tag, r in zip(tags, resid) if r <= ACTIVE_TOL)
-    return np.array([x, y]), active
+    return (x, y), active
 
 
 def qp_oracle(problem: QPProblem, resolution: float = 1e-3,

@@ -10,7 +10,8 @@ import pytest
 
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
                           main, parse_args, read_pairs_csv, read_trace_csv,
-                          scenario_to_dict, write_pairs_csv, write_trace_csv)
+                          scenario_to_dict, write_outputs, write_pairs_csv,
+                          write_trace_csv)
 from trustcbf.sim import (Scenario, ValidationError, crossing_scenario,
                           headon_stress_scenario, run)
 
@@ -177,6 +178,55 @@ def test_csv_round_trip_is_exact(tmp_path):
             assert pcols["i"][row] == i and pcols["j"][row] == j
             assert pcols["h"][row] == trace.pairs[k][(i, j)].h
             assert pcols["alpha"][row] == trace.pairs[k][(i, j)].alpha
+
+
+def _svg_points(svg: str) -> list[str]:
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+def test_writers_match_per_field_formatting(tmp_path):
+    s = Scenario(agents=load_scenario(REPO / "scenarios" / "crossing.json").agents,
+                 duration=1.0)
+    trace = run(s)
+    write_outputs(trace, {}, s, tmp_path)
+
+    def f(x):
+        return FLOAT_FMT.format(x)
+
+    lines = [TRACE_HEADER]
+    for t, step in zip(trace.times, trace.agents):
+        for i, r in enumerate(step):
+            lines.append(",".join([f(t), str(i), f(r.px), f(r.py), f(r.psi), f(r.u_ref[0]),
+                                   f(r.u_ref[1]), f(r.u[0]), f(r.u[1]), str(r.fallback)]))
+    assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    lines = [PAIRS_HEADER]
+    for t, step in zip(trace.times, trace.pairs):
+        for (i, j), p in step.items():
+            lines.append(",".join([f(t), str(i), str(j), f(p.h), f(p.alpha), f(p.rho),
+                                   f(p.rho_d), f(p.rho_theta), f(p.margin)]))
+    assert (tmp_path / "pairs.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    # Chart points: the data range maps onto the 580 x 510 plot area at (70, 40).
+    def expected_points(xs, ys, x_all, y_all):
+        x_min, y_min = min(x_all), min(y_all)
+        x_span, y_span = max(x_all) - x_min or 1.0, max(y_all) - y_min or 1.0
+
+        def sx(x):
+            return 70 + (x - x_min) / x_span * 580
+
+        def sy(y):
+            return 40 + 510 - (y - y_min) / y_span * 510
+
+        return " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+
+    n = len(s.agents)
+    px = [[step[i].px for step in trace.agents] for i in range(n)]
+    py = [[step[i].py for step in trace.agents] for i in range(n)]
+    points = _svg_points((tmp_path / "trajectories.svg").read_text())
+    assert points == [expected_points(px[i], py[i], sum(px, []), sum(py, [])) for i in range(n)]
+    h = [[step[key].h for step in trace.pairs] for key in trace.pairs[0]]
+    points = _svg_points((tmp_path / "barriers.svg").read_text())
+    assert points == [expected_points(trace.times, hs, trace.times, sum(h, [])) for hs in h]
 
 
 def test_run_command_end_to_end(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Agent models, Euler stepping, and reference motion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from trustcbf.dynamics import (DEFAULT_BOX, Box, ModelMismatch, euler_step,
                                integrator_derivative, nominal_direction,
                                nominal_trajectory, track_reference,
                                unicycle_derivative)
-from trustcbf.world import AgentKind, AgentState, Model
+from trustcbf.world import AgentKind, AgentState, Model, wrap_angle
 
 
 def uni(x=0.0, y=0.0, psi=0.0, target=None):
@@ -140,3 +141,56 @@ def test_euler_step_fuzz_keeps_state_sane():
         s = euler_step(s, u, 0.05)
         assert math.isfinite(s.px) and math.isfinite(s.py)
         assert -math.pi < s.psi <= math.pi
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_float_paths_match_numpy_formulas():
+    """euler_step, track_reference and Box.clip/contains against the numpy
+    formulas they replaced: bitwise equal, returned as float tuples."""
+    rng = np.random.default_rng(7)
+    for k in range(500):
+        box = Box(tuple(rng.uniform(-3.0, -0.1, 2)), tuple(rng.uniform(0.1, 3.0, 2)))
+        lo, hi = np.array(box.lo), np.array(box.hi)
+        u = rng.uniform(-4.0, 4.0, 2)
+        if k % 5 == 0:
+            u[k % 2] = box.hi[k % 2]   # exactly on a face
+        ref = np.clip(u, lo, hi)
+        got = box.clip(u)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert _bits(got) == _bits(ref)
+        for tol in (1e-9, 0.0):
+            inside = bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
+            assert box.contains(tuple(u), tol) == inside
+
+        dt = float(rng.uniform(0.01, 0.2))
+        x, y = rng.uniform(-10.0, 10.0, 2)
+        for state in (uni(x, y, float(rng.uniform(-math.pi, math.pi))), integ(x, y)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                nxt = euler_step(state, u, dt, box)
+            uc = u if bool(np.all(u >= lo - 1e-9) and np.all(u <= hi + 1e-9)) else ref
+            if state.model is Model.UNICYCLE:
+                d = np.array([uc[0] * math.cos(state.psi), uc[0] * math.sin(state.psi), uc[1]])
+                psi = wrap_angle(state.psi + dt * d[2])
+            else:
+                d = np.array([uc[0], uc[1]])
+                psi = 0.0
+            assert _bits([nxt.px, nxt.py, nxt.psi]) == _bits(
+                [state.px + dt * d[0], state.py + dt * d[1], psi])
+            assert nxt.last_command == tuple(uc.tolist())
+
+        s = uni(x, y, float(rng.uniform(-math.pi, math.pi)))
+        wp = (x, y) if k % 50 == 0 else tuple(rng.uniform(-10.0, 10.0, 2))
+        got = track_reference(s, wp, box=box)
+        ex, ey = wp[0] - s.px, wp[1] - s.py
+        dist = math.hypot(ex, ey)
+        if dist < 1e-12:
+            ref = np.zeros(2)
+        else:
+            ref = np.clip(np.array([2.0 * dist, 2.0 * wrap_angle(math.atan2(ey, ex) - s.psi)]),
+                          lo, hi)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert _bits(got) == _bits(ref)

@@ -1,18 +1,21 @@
 """Scenario validation, non-intact policies, the run loop, and metrics."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustcbf.barriers import eval_barrier
 from trustcbf.dynamics import Box
 from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
                           adversary_policy, crossing_scenario,
                           headon_stress_scenario, metrics, run,
                           uncooperative_policy)
-from trustcbf.world import AgentKind, AgentState, Model, World, WorldSnapshot
+from trustcbf.solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
+from trustcbf.world import AgentKind, AgentState, Model, WorldSnapshot
 
 
 def spec_intact(x=0.0, y=0.0, psi=0.0, target=(5.0, 0.0)):
@@ -228,3 +231,93 @@ def test_run_properties_on_random_scenarios(s):
         for spec, rec in zip(s.agents, step):
             assert spec.box.contains(rec.u)
     assert _trace_array(run(s)).tobytes() == arr.tobytes()
+
+
+def _numpy_uncooperative(state, speed, dt):
+    """The numpy formula uncooperative_policy replaced."""
+    e = np.array([state.target[0] - state.px, state.target[1] - state.py])
+    dist = float(np.linalg.norm(e))
+    if dist < 1e-12:
+        return np.zeros(2)
+    v = speed if dt is None or dist >= speed * dt else dist / dt
+    return (v / dist) * e
+
+
+def _numpy_adversary(state, snapshot, prey, k, box):
+    """The numpy formula adversary_policy replaced (goal descent toward the prey)."""
+    e = np.array([state.px - snapshot.agents[prey].px, state.py - snapshot.agents[prey].py])
+    V, gradV = float(e @ e), 2.0 * e
+    try:
+        u, _ = solve_qp(QPProblem(u_ref=np.zeros(2), rows=[ConstraintRow(tuple(-gradV), k * V)],
+                                  box=box))
+        return np.array(u)
+    except Infeasible:
+        gn = float(gradV @ gradV)
+        if gn < 1e-18:
+            return np.zeros(2)
+        return np.clip(-(k * V / gn) * gradV, box.lo, box.hi)
+
+
+def test_policies_match_numpy_formulas():
+    rng = np.random.default_rng(3)
+    plain = 0
+    for k in range(500):
+        x, y = rng.uniform(-5.0, 5.0, 2)
+        tx, ty = rng.uniform(-5.0, 5.0, 2)
+        if k % 4 == 0:
+            tx = x                     # axis-parallel motion, as in the shipped scenarios
+        if k % 25 == 0:
+            tx, ty = x, y              # at the target
+        if k % 10 == 1:
+            tx, ty = x + 0.01, y - 0.02   # inside the last step
+        a = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE, model=Model.SINGLE_INTEGRATOR,
+                       px=x, py=y, target=(tx, ty))
+        speed, dt = float(rng.uniform(0.1, 2.0)), (None, 0.05)[k % 2]
+        got = uncooperative_policy(a, speed, dt)
+        ref = _numpy_uncooperative(a, speed, dt)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        e = np.array([tx - x, ty - y])
+        # np.linalg.norm squares through BLAS dot, which may fuse a multiply-add;
+        # where it agrees with the plain sum of squares the results are bitwise equal.
+        if float(e @ e) == e[0] * e[0] + e[1] * e[1]:
+            plain += 1
+            assert np.array(got).tobytes() == ref.tobytes()
+        else:
+            assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
+
+        prey = AgentState(id=1, kind=AgentKind.INTACT, model=Model.UNICYCLE,
+                          px=tx, py=ty, psi=0.0, target=(0.0, 0.0))
+        adv = AgentState(id=0, kind=AgentKind.ADVERSARIAL, model=Model.SINGLE_INTEGRATOR,
+                         px=x, py=y)
+        snap = WorldSnapshot(0.0, (adv, prey))
+        half = float(rng.uniform(0.1, 3.0))
+        box = Box((-half, -half), (half, half))
+        gain = float(rng.uniform(0.1, 3.0))
+        got = adversary_policy(adv, snap, 1, gain, box)
+        ref = _numpy_adversary(adv, snap, 1, gain, box)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * half)
+    assert plain >= 300
+
+
+def _pair_h_matches_eval_barrier(s):
+    tr = run(s)
+    n_intact = sum(spec.kind is AgentKind.INTACT for spec in s.agents)
+    for step, pairs in zip(tr.agents, tr.pairs):
+        states = [AgentState(id=i, kind=spec.kind, model=spec.model, px=r.px, py=r.py,
+                             psi=r.psi) for i, (spec, r) in enumerate(zip(s.agents, step))]
+        assert len(pairs) == n_intact * (len(s.agents) - 1)
+        for (i, j), p in pairs.items():
+            h = eval_barrier(states[i], states[j], s.agents[i].d_min, s.lookahead).h
+            assert struct.pack("<d", p.h) == struct.pack("<d", h), (i, j)
+
+
+def test_recorded_pair_h_is_eval_barrier_on_each_snapshot():
+    _pair_h_matches_eval_barrier(crossing_scenario(duration=2.0))
+    ring = []
+    for k in range(6):
+        th = 2.0 * math.pi * k / 6 + 0.01 * k
+        x, y = 3.0 * math.cos(th), 3.0 * math.sin(th)
+        ring.append(AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (x, y, th + math.pi), (-x, -y),
+                              d_min=0.4 + 0.02 * k))
+    _pair_h_matches_eval_barrier(Scenario(agents=ring, duration=1.0, lookahead=0.15))
