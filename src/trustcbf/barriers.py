@@ -14,8 +14,7 @@ barrier constraint controllable in both axes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,8 +26,7 @@ D_MIN_DEFAULT = 0.5
 LOOKAHEAD_DEFAULT = 0.1
 
 
-@dataclass(frozen=True, slots=True)
-class BarrierEval:
+class BarrierEval(NamedTuple):
     """Barrier value and its gradients with respect to each agent's position.
 
     grad_i is taken at the look-ahead point, so grad_i + grad_j == 0 exactly.
@@ -37,7 +35,6 @@ class BarrierEval:
     h: float
     grad_i: tuple[float, float]
     grad_j: tuple[float, float]
-    d_min: float
 
     def gi(self) -> np.ndarray:
         return np.array(self.grad_i)
@@ -91,14 +88,22 @@ def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
     The neighbor contributes only its position; its own look-ahead (if any) is
     irrelevant to i's safety and unknown anyway.
     """
+    return pair_barrier(barrier_point(x_i, lookahead), x_j, d_min)
+
+
+def pair_barrier(p_i: tuple[float, float], x_j: AgentState,
+                 d_min: float = D_MIN_DEFAULT) -> BarrierEval:
+    """``eval_barrier`` for an observer whose barrier point ``p_i`` is already known.
+
+    An observer's barrier point is the same toward every neighbor, so a
+    controller computes it once per step and calls this for each neighbor.
+    """
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
-    pi_x, pi_y = barrier_point(x_i, lookahead)
-    dx = pi_x - x_j.px
-    dy = pi_y - x_j.py
+    dx = p_i[0] - x_j.px
+    dy = p_i[1] - x_j.py
     gx, gy = 2.0 * dx, 2.0 * dy
-    return BarrierEval(h=dx * dx + dy * dy - d_min * d_min, grad_i=(gx, gy),
-                       grad_j=(-gx, -gy), d_min=float(d_min))
+    return BarrierEval(dx * dx + dy * dy - d_min * d_min, (gx, gy), (-gx, -gy))
 
 
 def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None

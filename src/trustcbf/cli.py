@@ -311,12 +311,13 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
 
     ``series`` is a list of (label, xs, ys).  The axis range is exactly the
     data range (no padding), recorded on the root element as data-x-min/max
-    and data-y-min/max so downstream checks can read the plotted extents.
+    and data-y-min/max so downstream checks can read the plotted extents.  A
+    chart without points (a scenario with no observed pairs) spans [0, 0].
     """
-    x_min = min(min(xs) for _, xs, _ in series)
-    x_max = max(max(xs) for _, xs, _ in series)
-    y_min = min(min(ys) for _, _, ys in series)
-    y_max = max(max(ys) for _, _, ys in series)
+    x_min = min((min(xs) for _, xs, _ in series if len(xs)), default=0.0)
+    x_max = max((max(xs) for _, xs, _ in series if len(xs)), default=0.0)
+    y_min = min((min(ys) for _, _, ys in series if len(ys)), default=0.0)
+    y_max = max((max(ys) for _, _, ys in series if len(ys)), default=0.0)
     x_span = x_max - x_min or 1.0
     y_span = y_max - y_min or 1.0
     ml, mr, mt, mb = 70, 150, 40, 50
@@ -338,12 +339,17 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
         f'<text x="{ml}" y="{mt + ph + 16}" text-anchor="middle" font-size="10">{x_min:.4g}</text>',
         f'<text x="{ml + pw}" y="{mt + ph + 16}" text-anchor="middle" font-size="10">{x_max:.4g}</text>',
     ]
+    last_xs = sx = None
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # Screen coordinates: x maps onto [ml, ml + pw], y onto [mt + ph, mt].
-        pts = " ".join("%.2f,%.2f" % (ml + (x - x_min) / x_span * pw,
-                                      mt + ph - (y - y_min) / y_span * ph)
-                       for x, y in zip(xs, ys))
+        # Series that share their x list (every pair series plots against
+        # trace.times) share its formatted screen x strings.
+        if xs is not last_xs:
+            sx = ["%.2f" % (ml + (x - x_min) / x_span * pw) for x in xs]
+            last_xs = xs
+        pts = " ".join("%s,%.2f" % (x, mt + ph - (y - y_min) / y_span * ph)
+                       for x, y in zip(sx, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 14 + 16 * idx
         parts.append(f'<line x1="{ml + pw + 8}" y1="{ly - 4}" x2="{ml + pw + 28}" y2="{ly - 4}" '

@@ -1,12 +1,12 @@
 """Per-agent control step: reference command, trust updates, and the safety QP.
 
-For each neighbor the observer estimates a motion ball, takes the worst-case
-motion inside it, scores trust, adapts the pair's rate parameter, and builds
-one barrier constraint row.  The reference command (waypoint tracking for
-unicycles, a minimum-norm goal-descent QP for integrators) is then projected
-onto the intersection of all rows inside the control box.  Any unrecoverable
-condition (empty constraint set, barrier at zero) degrades to an emergency
-stop for that step rather than raising.
+For each neighbor the observer takes the worst-case motion inside the
+neighbor's motion-estimate ball, scores trust, adapts the pair's rate
+parameter, and builds one barrier constraint row.  The reference command
+(waypoint tracking for unicycles, a minimum-norm goal-descent QP for
+integrators) is then projected onto the intersection of all rows inside the
+control box.  Any unrecoverable condition (empty constraint set, barrier at
+zero) degrades to an emergency stop for that step rather than raising.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
-from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval, cbf_row,
-                       clf_value, eval_barrier, velocity_map)
+from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval,
+                       barrier_point, cbf_row, clf_value, pair_barrier,
+                       velocity_map)
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
@@ -26,8 +27,7 @@ from .trust import (BoundaryReached, DegenerateNormal, TrustParams, TrustState,
                     alpha_rate_floor, build_halfspace, combine_trust,
                     compliance_margin, direction_trust, distance_trust,
                     max_own_contribution, update_alpha, worst_case_motion)
-from .world import (MissingHistory, Model, MotionEstimate, WorldSnapshot,
-                    bootstrap_estimate, estimate_motion, position_part)
+from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
 
 log = logging.getLogger(__name__)
 
@@ -88,8 +88,7 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
     return u
 
 
-@dataclass(slots=True)
-class _PairObs:
+class _PairObs(NamedTuple):
     ev: BarrierEval
     est: MotionEstimate  # position part of the neighbor's motion estimate
     a_j: tuple[float, float]
@@ -110,22 +109,26 @@ def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimat
     return alpha_rate_floor(margin, alpha, ev.h, B, L_h, cfg.trust.L_hdot, cfg.trust.L_F)
 
 
-def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustState],
-               cfg: AgentConfig) -> ControlDecision:
-    """One full control step for intact agent i.
+def agent_step(i: int, snap: WorldSnapshot,
+               estimates: Mapping[int, Optional[MotionEstimate]],
+               trust: dict[int, TrustState], cfg: AgentConfig) -> ControlDecision:
+    """One full control step for intact agent i on the snapshot ``snap``.
 
-    ``history`` holds the latest snapshots (at least one; two enable motion
-    estimation).  ``trust`` maps neighbor id to that pair's TrustState and is
-    mutated in place.  All per-pair computations read rates as of the start of
-    the step, so their order cannot matter.  The decision's ``pair_h`` holds
-    the barrier value toward every neighbor on this snapshot.
+    ``estimates`` maps every neighbor id to the position part of its motion
+    estimate, or to None before its motion can be estimated (the bootstrap
+    ball then stands in for it); ``world.estimate_positions`` builds it once
+    per step for all observers.  ``trust`` maps neighbor id to that pair's
+    TrustState and is mutated in place.  All per-pair computations read rates
+    as of the start of the step, so their order cannot matter.  The
+    decision's ``pair_h`` holds the barrier value toward every neighbor on
+    this snapshot.
     """
-    snap = history[-1]
     me = snap.agents[i]
     M = velocity_map(me, cfg.lookahead)
+    p_i = barrier_point(me, cfg.lookahead)
 
-    # One geometry pass: every neighbor's motion estimate, barrier,
-    # worst-case motion and row at its start-of-step rate.
+    # One geometry pass: every neighbor's barrier, worst-case motion and row
+    # at its start-of-step rate.
     obs: dict[int, _PairObs] = {}
     pair_h: list[float] = []
     bootstrapped: set[int] = set()
@@ -133,18 +136,15 @@ def agent_step(i: int, history: Sequence[WorldSnapshot], trust: dict[int, TrustS
         j = other.id
         if j == i:
             continue
-        try:
-            est = estimate_motion(history, j)
-        except MissingHistory:
-            est = bootstrap_estimate(dim=other.state_dim(), v_max=cfg.trust.v_max)
+        est = estimates[j]
+        if est is None:
+            est = bootstrap_estimate(v_max=cfg.trust.v_max)
             bootstrapped.add(j)
-        est = position_part(est)
-        ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        ev = pair_barrier(p_i, other, cfg.d_min)
         pair_h.append(ev.h)
         a_j, _ = worst_case_motion(est, ev.grad_j)
         alpha = trust[j].alpha
-        obs[j] = _PairObs(ev=ev, est=est, a_j=a_j, alpha_start=alpha,
-                          row=cbf_row(ev, M, a_j, alpha, tag=(i, j)))
+        obs[j] = _PairObs(ev, est, a_j, alpha, cbf_row(ev, M, a_j, alpha, tag=(i, j)))
     # Each pair's contribution LP runs over the other pairs' start rows.
     contribs = max_own_contribution([o.row for o in obs.values()], cfg.box)
 

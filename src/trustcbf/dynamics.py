@@ -134,7 +134,7 @@ def nominal_trajectory(state0: AgentState, gain: float, horizon: float, dt: floa
         raise ValueError(f"agent {state0.id} has no known target")
     steps = int(math.floor(horizon / dt + 1e-9))
     target = np.array(state0.target, dtype=float)
-    pos = state0.position().astype(float)
+    pos = np.array([state0.px, state0.py])
     out = np.empty((steps + 1, 2))
     out[0] = pos
     step_len = gain * dt

@@ -22,7 +22,7 @@ from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
 from .solvers import Infeasible
 from .trust import TrustParams, TrustState
 from .world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
-                    World, WorldSnapshot)
+                    World, WorldSnapshot, estimate_positions)
 
 log = logging.getLogger(__name__)
 
@@ -241,6 +241,9 @@ def run(s: Scenario) -> Trace:
     # One key per ordered pair, shared by every record of the trace; each
     # intact agent's keys are in neighbor-id order, like its decision's pair_h.
     pair_keys = {i: [(i, j) for j in range(n) if j != i] for i in intact}
+    # Agents some intact observer watches; each one's motion estimate is
+    # built once per step and shared by every observer.
+    watched = [j for j in range(n) if any(i != j for i in intact)]
 
     for k in range(steps + 1):
         snap = world.take_snapshot()
@@ -248,11 +251,12 @@ def run(s: Scenario) -> Trace:
         if len(history) > 2:
             history.pop(0)
 
+        estimates = estimate_positions(history, watched)
         decisions: list[ControlDecision] = []   # index == agent id
         for a in snap.agents:
             spec = s.agents[a.id]
             if a.kind is AgentKind.INTACT:
-                decisions.append(agent_step(a.id, history, trust[a.id], cfgs[a.id]))
+                decisions.append(agent_step(a.id, snap, estimates, trust[a.id], cfgs[a.id]))
                 continue
             if a.kind is AgentKind.ADVERSARIAL:
                 u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)

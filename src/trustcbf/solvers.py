@@ -17,10 +17,13 @@ before Infeasible is raised, so a nearly empty set keeps its verdict while a
 nonempty one is never perturbed.
 
 ``solve_lp_leave_one_out`` solves, for every row of one list, the LP whose
-objective is that row's normal over all the other rows.  It clips each
-prefix box ∩ rows[:k] once and shares it, so n rows cost about n²/2
-single-row clips instead of n(n-1), with every value bitwise equal to the
-separate ``solve_lp`` call.
+objective is that row's normal over all the other rows, with every value
+bitwise equal to the separate ``solve_lp`` call.  It clips each prefix
+box ∩ rows[:k] once and shares it (n - 1 single-row clips).  Only an LP whose
+row cuts its prefix clips its own suffix rows[k+1:]; every LP whose row cuts
+nothing reads one shared full polygon box ∩ rows.  The suffix clips thus
+number n(n-1)/2 when every row cuts and one when none does; n separate LPs
+would clip n(n-1) times.
 
 Both solvers have independent oracles used by the test suite and the CLI
 self-test: a zoomed dense grid search for the QP and exhaustive vertex
@@ -37,6 +40,7 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from .dynamics import Box
+from .world import is_float_pair
 
 # A row normal below this norm carries no direction: the row is vacuous when
 # its offset asks for nothing (b <= FEAS_TOL) and unsatisfiable otherwise.
@@ -62,10 +66,9 @@ class ConstraintRow:
     tag: Hashable = None
 
     def __post_init__(self):
-        a = self.a
         # cbf_row and clf_qp_reference already build float pairs.
-        if not (type(a) is tuple and len(a) == 2 and type(a[0]) is float and type(a[1]) is float):
-            object.__setattr__(self, "a", tuple(float(v) for v in a))
+        if not is_float_pair(self.a):
+            object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         if type(self.b) is not float:
             object.__setattr__(self, "b", float(self.b))
 
@@ -136,12 +139,17 @@ def _box_polygon(box: Box) -> list:
 
 
 def _clip(planes: Sequence, poly: list, relax: float) -> list:
-    """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty."""
+    """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty.
+
+    A plane that keeps every vertex leaves the polygon as it is, so when no
+    plane cuts, the result is ``poly`` itself (the same list object).
+    """
     for a0, a1, b in planes:
         if not poly:
             break
         b -= relax
         out = []
+        cut = False
         px, py = poly[-1]
         dp = a0 * px + a1 * py - b
         for q in poly:
@@ -152,8 +160,11 @@ def _clip(planes: Sequence, poly: list, relax: float) -> list:
                 out.append((px + t * (qx - px), py + t * (qy - py)))
             if dq >= 0.0:
                 out.append(q)
+            else:
+                cut = True
             px, py, dp = qx, qy, dq
-        poly = out
+        if cut:
+            poly = out
     return poly
 
 
@@ -342,11 +353,15 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
 
     LP k clips the prefix polygon P_k = box ∩ rows[:k] with rows[k+1:], which
     is the exact clip sequence ``solve_lp`` runs, so every value is bitwise
-    equal to it; the prefixes are built once and shared by all LPs.  An empty
-    exact polygon is retried from the prefixes relaxed by FEAS_TOL, built only
-    when needed.  Zero-normal rows follow ``_half_planes`` in each LP
-    separately: a vacuous one is skipped, a demanding one leaves every other
-    LP infeasible.
+    equal to it; the prefixes are built once and shared by all LPs.  A row
+    that keeps every vertex of its prefix (or has a zero normal) does not
+    change it, so LP k's clip sequence is then the full chain box ∩ rows:
+    such LPs read that one full polygon, built only when one needs it, and
+    only rows that cut their prefix clip their own suffix.  An empty exact
+    polygon is retried from the prefixes relaxed by FEAS_TOL, built only when
+    needed.  Zero-normal rows follow ``_half_planes`` in each LP separately:
+    a vacuous one is skipped, a demanding one leaves every other LP
+    infeasible.
     """
     if box.dim != 2:
         raise ValueError(f"the solvers handle 2-D controls, got a {box.dim}-D box")
@@ -364,15 +379,24 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
     values: list[Optional[float]] = [None] * len(rows)
     if not rows or len(demanding) > 1:
         return values
+    last = spans[-1][0]
     exact = [_box_polygon(box)]     # exact[m] = box ∩ planes[:m]
-    for plane in planes[:spans[-1][0]]:
+    for plane in planes[:last]:
         exact.append(_clip((plane,), exact[-1], 0.0))
+    full = None                     # box ∩ planes, once some LP reads it
     relaxed = [_box_polygon(box)]   # the same, relaxed by FEAS_TOL
     for k, row in enumerate(rows):
         if demanding and demanding[0] != k:
             continue
         start, end = spans[k]
-        poly = _clip(planes[end:], exact[start], 0.0)
+        # Row k adds no plane or cuts nothing from P_k: LP k's clip sequence
+        # is the full chain.
+        if end < len(planes) and (end == start or exact[end] is exact[start]):
+            if full is None:
+                full = _clip(planes[last:], exact[last], 0.0)
+            poly = full
+        else:
+            poly = _clip(planes[end:], exact[start], 0.0)
         if not poly:
             while len(relaxed) <= start:
                 relaxed.append(_clip((planes[len(relaxed) - 1],), relaxed[-1], FEAS_TOL))

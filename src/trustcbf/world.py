@@ -15,7 +15,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,11 @@ def wrap_angle(a: float) -> float:
     return a
 
 
+def is_float_pair(v) -> bool:
+    """Whether v is already a tuple of two Python floats (nothing to convert)."""
+    return type(v) is tuple and len(v) == 2 and type(v[0]) is float and type(v[1]) is float
+
+
 @dataclass(frozen=True)
 class AgentState:
     """Immutable per-agent record.
@@ -73,21 +78,25 @@ class AgentState:
     last_command: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("px", "py", "psi"):
-            if not math.isfinite(getattr(self, name)):
+        px, py, psi = self.px, self.py, self.psi
+        for name, v in (("px", px), ("py", py), ("psi", psi)):
+            if not math.isfinite(v):
                 raise ValueError(f"agent {self.id}: non-finite {name}")
-        if self.target is not None:
-            tx, ty = self.target
+        target = self.target
+        if target is not None:
+            tx, ty = target
             if not (math.isfinite(tx) and math.isfinite(ty)):
                 raise ValueError(f"agent {self.id}: non-finite target")
-            object.__setattr__(self, "target", (float(tx), float(ty)))
-        object.__setattr__(self, "psi", wrap_angle(float(self.psi)))
-        object.__setattr__(self, "px", float(self.px))
-        object.__setattr__(self, "py", float(self.py))
-        object.__setattr__(self, "last_command", tuple(float(v) for v in self.last_command))
-
-    def position(self) -> np.ndarray:
-        return np.array([self.px, self.py])
+            if not is_float_pair(target):
+                object.__setattr__(self, "target", (float(tx), float(ty)))
+        object.__setattr__(self, "psi", wrap_angle(psi))
+        # Euler steps hand over floats and float pairs; convert anything else.
+        if type(px) is not float:
+            object.__setattr__(self, "px", float(px))
+        if type(py) is not float:
+            object.__setattr__(self, "py", float(py))
+        if not is_float_pair(self.last_command):
+            object.__setattr__(self, "last_command", tuple(float(v) for v in self.last_command))
 
     def state_vector(self) -> np.ndarray:
         """Full state: (px, py, psi) for unicycles, (px, py) for integrators."""
@@ -202,3 +211,23 @@ def position_part(est: MotionEstimate) -> MotionEstimate:
     is kept as-is (conservative for unicycles).
     """
     return MotionEstimate(center=(float(est.center[0]), float(est.center[1])), radius=est.radius)
+
+
+def estimate_positions(history: Sequence[WorldSnapshot], ids: Iterable[int]
+                       ) -> dict[int, Optional[MotionEstimate]]:
+    """Position part of each listed agent's motion estimate, keyed by agent id.
+
+    An estimate depends only on the agent it describes, so one call per step
+    serves every observer.  An agent maps to None when its motion cannot be
+    estimated yet (fewer than two snapshots); observers then fall back to
+    ``bootstrap_estimate``.
+    """
+    if len(history) < 2:
+        return dict.fromkeys(ids)
+    out: dict[int, Optional[MotionEstimate]] = {}
+    for j in ids:
+        try:
+            out[j] = position_part(estimate_motion(history, j))
+        except MissingHistory:
+            out[j] = None
+    return out

@@ -248,6 +248,43 @@ def test_run_command_end_to_end(tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
+OUTPUT_NAMES = ("trace.csv", "pairs.csv", "summary.json", "trajectories.svg",
+                "alphas.svg", "trust.svg", "barriers.svg")
+
+
+def _run_without_pairs(tmp_path, agents):
+    """Run a scenario in which no intact agent observes anyone; return the output dir."""
+    d = minimal_dict()
+    d["agents"] = agents
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_json(tmp_path, d)), "--out", str(out)]) == 0
+    for name in OUTPUT_NAMES:
+        assert (out / name).exists(), name
+    assert (out / "pairs.csv").read_text() == PAIRS_HEADER + "\n"
+    zero = FLOAT_FMT.format(0.0)
+    for name in ("alphas.svg", "trust.svg", "barriers.svg"):
+        svg = (out / name).read_text()
+        assert "<polyline" not in svg
+        for key in ("x-min", "x-max", "y-min", "y-max"):
+            assert f'data-{key}="{zero}"' in svg, (name, key)
+    return out
+
+
+def test_run_command_single_agent_writes_every_file(tmp_path):
+    out = _run_without_pairs(tmp_path, minimal_dict()["agents"][:1])
+    assert len(_svg_points((out / "trajectories.svg").read_text())) == 1
+    assert len(read_trace_csv(out / "trace.csv")["t"]) == 21
+
+
+def test_run_command_without_intact_agents_writes_every_file(tmp_path):
+    crossing = {"kind": "Uncooperative", "model": "SingleIntegrator",
+                "start": [0.0, 3.0], "target": [0.0, -3.0]}
+    out = _run_without_pairs(tmp_path, minimal_dict()["agents"][1:] + [crossing])
+    assert len(_svg_points((out / "trajectories.svg").read_text())) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["agents"] == {}
+
+
 def test_run_command_overrides_and_no_svg(tmp_path):
     scn = write_json(tmp_path, minimal_dict())
     out = tmp_path / "out"

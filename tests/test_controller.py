@@ -11,7 +11,7 @@ from trustcbf.dynamics import Box
 from trustcbf.solvers import Infeasible, lp_vertex_oracle
 from trustcbf.trust import TrustParams, TrustState, worst_case_motion
 from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
-                            estimate_motion, position_part)
+                            estimate_motion, estimate_positions, position_part)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -32,6 +32,12 @@ def snapshots(states0, states1=None, dt=0.05):
     if states1 is not None:
         h.append(WorldSnapshot(dt, tuple(states1)))
     return h
+
+
+def observe(hist):
+    """agent_step's view of a history: its latest snapshot and every agent's
+    motion estimate, as the run loop builds them."""
+    return hist[-1], estimate_positions(hist, range(len(hist[-1].agents)))
 
 
 def fresh_trust(n, me, alpha0=0.8):
@@ -61,7 +67,7 @@ def test_agent_step_far_neighbor_keeps_reference():
     other0 = integ(1, 50.0, 0.0, target=(50.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     hist = snapshots([me0, other0], [me0, other0])
     trust = fresh_trust(2, 0)
-    dec = agent_step(0, hist, trust, AgentConfig(box=BOX3))
+    dec = agent_step(0, *observe(hist), trust, AgentConfig(box=BOX3))
     assert dec.feasible
     assert dec.fallback is Fallback.NONE
     assert len(dec.rows) == 1
@@ -73,13 +79,13 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
     other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
     # single snapshot: no motion estimate exists yet
-    dec = agent_step(0, snapshots([me0, other0]), trust, AgentConfig(box=BOX3))
+    dec = agent_step(0, *observe(snapshots([me0, other0])), trust, AgentConfig(box=BOX3))
     assert len(dec.rows) == 1
     assert trust[1].alpha == 0.8
     assert trust[1].margin == 0.0 and trust[1].rho == 0.0
     # the bootstrap row is built against the conservative speed-bound ball
     row_b = dec.rows[0].b
-    dec2 = agent_step(0, snapshots([me0, other0], [me0, other0]), trust,
+    dec2 = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
                       AgentConfig(box=BOX3))
     assert dec2.rows[0].b < row_b  # a real (stationary) estimate relaxes it
     assert trust[1].margin > 0.0   # and the pair now has an observation
@@ -90,7 +96,7 @@ def test_agent_step_trusts_stationary_neighbor_and_raises_alpha():
     other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
     cfg = AgentConfig(box=BOX3, trust=TrustParams(gamma_alpha=1.0))
-    agent_step(0, snapshots([me0, other0], [me0, other0]), trust, cfg)
+    agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust, cfg)
     ts = trust[1]
     assert ts.rho_d > 0.9           # huge slack against a stationary neighbor
     assert ts.rho_theta == 0.5      # it sits at its own declared target
@@ -105,7 +111,7 @@ def test_agent_step_fixed_alpha_never_adapts():
     cfg = AgentConfig(box=BOX3, fixed_alpha=True)
     hist = snapshots([me0, other0], [me0, other0])
     for _ in range(5):
-        dec = agent_step(0, hist, trust, cfg)
+        dec = agent_step(0, *observe(hist), trust, cfg)
     assert trust[1].alpha == 0.8
     assert trust[1].rho != 0.0  # scores are still observed, just not applied
     expected = cbf_row(eval_barrier(me0, other0), velocity_map(me0),
@@ -118,7 +124,7 @@ def test_agent_step_boundary_forces_emergency_stop():
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
     other0 = integ(1, 0.5, 0.0, target=(0.5, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
-    dec = agent_step(0, snapshots([me0, other0], [me0, other0]), trust,
+    dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
                      AgentConfig(box=BOX3, rate_floor=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert not dec.feasible
@@ -133,7 +139,7 @@ def test_agent_step_infeasible_rows_give_emergency_stop():
     east1 = integ(1, 0.70, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     west1 = integ(2, -0.70, 0.0, target=(5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = {1: TrustState(alpha=1e-4), 2: TrustState(alpha=1e-4)}
-    dec = agent_step(0, snapshots([me0, east0, west0], [me0, east1, west1]),
+    dec = agent_step(0, *observe(snapshots([me0, east0, west0], [me0, east1, west1])),
                      trust, AgentConfig(box=BOX3, fixed_alpha=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert np.allclose(dec.u_safe, 0.0)
@@ -146,7 +152,7 @@ def test_agent_step_update_order_after_uses_start_rates():
     hist = snapshots([me0, other0], [me0, other0])
     cfg_after = AgentConfig(box=BOX3, alpha_update_order="after")
     trust_after = fresh_trust(2, 0)
-    dec_after = agent_step(0, hist, trust_after, cfg_after)
+    dec_after = agent_step(0, *observe(hist), trust_after, cfg_after)
     # rows priced at alpha0 even though the pair's rate moved afterwards
     expected = cbf_row(eval_barrier(me0, other0), velocity_map(me0),
                        np.zeros(2), 0.8, tag=(0, 1))
@@ -154,7 +160,7 @@ def test_agent_step_update_order_after_uses_start_rates():
     assert trust_after[1].alpha != 0.8
     # "before" prices the same row at the already-updated rate
     trust_before = fresh_trust(2, 0)
-    dec_before = agent_step(0, hist, trust_before,
+    dec_before = agent_step(0, *observe(hist), trust_before,
                             AgentConfig(box=BOX3, alpha_update_order="before"))
     assert dec_before.rows[0].b != pytest.approx(expected.b)
     assert trust_before[1].alpha == pytest.approx(trust_after[1].alpha)
@@ -180,7 +186,8 @@ def test_rate_floor_margin_is_the_same_in_both_update_orders(monkeypatch):
     for order in ("before", "after"):
         margins[order] = []
         trust[order] = fresh_trust(2, 0)
-        agent_step(0, hist, trust[order], AgentConfig(box=BOX3, alpha_update_order=order))
+        agent_step(0, *observe(hist), trust[order],
+                   AgentConfig(box=BOX3, alpha_update_order=order))
     est = position_part(estimate_motion(hist, 1))
     ev = eval_barrier(me0, other1)
     center_margin = trust["before"][1].margin
@@ -197,7 +204,7 @@ def test_agent_step_unicycle_reference_is_waypoint_tracking():
     me0 = uni(0, 0.0, 0.0, psi=0.0, target=(0.4, 0.0))
     other0 = integ(1, 30.0, 0.0, target=(30.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
-    dec = agent_step(0, snapshots([me0, other0], [me0, other0]), trust,
+    dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
                      AgentConfig(box=BOX3))
     assert np.allclose(dec.u_ref, [0.8, 0.0])  # k_s * dist, zero bearing error
     assert np.allclose(dec.u_safe, dec.u_ref)
@@ -217,7 +224,7 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
     hist = snapshots([me, *start], [me, *moved])
     trust = fresh_trust(5, 0)
     cfg = AgentConfig(box=BOX3)
-    agent_step(0, hist, trust, cfg)
+    agent_step(0, *observe(hist), trust, cfg)
 
     M = velocity_map(me, cfg.lookahead)
     evs, motion, rows = {}, {}, {}

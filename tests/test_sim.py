@@ -2,19 +2,23 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustcbf import sim
 from trustcbf.barriers import eval_barrier
+from trustcbf.controller import Fallback
 from trustcbf.dynamics import Box
 from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
                           adversary_policy, crossing_scenario,
                           headon_stress_scenario, metrics, run,
                           uncooperative_policy)
-from trustcbf.solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
+from trustcbf.solvers import (QP_RETRY_TOL, ConstraintRow, Infeasible, QPProblem,
+                              solve_qp)
 from trustcbf.world import AgentKind, AgentState, Model, WorldSnapshot
 
 
@@ -217,10 +221,34 @@ def _trace_array(tr):
                      for step in tr.agents])
 
 
+def _rows_hold(decision):
+    """Every row of a decision without a fallback holds at its safe command to
+    QP_RETRY_TOL (the solver's last relaxation) plus rounding."""
+    if decision.fallback is not Fallback.NONE:
+        return
+    x, y = decision.u_safe
+    for row in decision.rows:
+        a0, a1 = row.a
+        scale = 1.0 + abs(a0 * x) + abs(a1 * y) + abs(row.b)
+        slack = a0 * x + a1 * y - row.b
+        assert slack >= -(QP_RETRY_TOL + 8.0 * sys.float_info.epsilon * scale), (row, slack)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_scenarios())
 def test_run_properties_on_random_scenarios(s):
-    tr = run(s)
+    original = sim.agent_step
+
+    def checked(*args):
+        decision = original(*args)
+        _rows_hold(decision)
+        return decision
+
+    sim.agent_step = checked
+    try:
+        tr = run(s)
+    finally:
+        sim.agent_step = original
     arr = _trace_array(tr)
     assert np.all(np.isfinite(arr))
     for step in tr.pairs:

@@ -81,11 +81,13 @@ def test_max_own_contribution_respects_other_pairs():
 
 def _leave_one_out_rows(rng):
     """0-12 rows: ordinary ones, near-parallel copies, rows that empty the
-    polygon built so far (with gaps inside and outside the FEAS_TOL band), and
-    vacuous or demanding zero-normal rows."""
+    polygon built so far (with gaps inside and outside the FEAS_TOL band),
+    rows through a box corner that hold on the whole box, and vacuous or
+    demanding zero-normal rows."""
     rows = []
     for k in range(int(rng.integers(0, 13))):
-        kind = rng.choice(["plain", "parallel", "cut", "zero"], p=[0.5, 0.2, 0.2, 0.1])
+        kind = rng.choice(["plain", "parallel", "cut", "corner", "zero"],
+                          p=[0.45, 0.2, 0.2, 0.05, 0.1])
         usable = [r for r in rows if math.hypot(*r.a) > 1e-6]
         if kind in ("parallel", "cut") and not usable:
             kind = "plain"
@@ -103,6 +105,12 @@ def _leave_one_out_rows(rng):
             gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
             a = -np.array(base.a)
             b = -base.b + gap
+        elif kind == "corner":
+            # a . u >= a . c for the corner c: exactly tight at c, slack
+            # everywhere else in the box
+            sx, sy = rng.choice([-1.0, 1.0], size=2)
+            a = -np.array([sx, sy]) * rng.uniform(0.1, 3.0, size=2)
+            b = float(a[0]) * (3.0 * sx) + float(a[1]) * (3.0 * sy)
         else:
             a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
             b = rng.choice([-1.0, 0.0, FEAS_TOL, 0.5] if rng.uniform() < 0.4 else [-1.0, 0.0])
@@ -110,12 +118,32 @@ def _leave_one_out_rows(rng):
     return rows
 
 
+def _prefix_cuts(rows):
+    """For every row with a usable normal that has a later one: whether it
+    cuts its prefix polygon box ∩ rows[:k] (some vertex strictly outside),
+    judged here vertex by vertex.  The prefix must be nonempty."""
+    planes = [(r.a[0], r.a[1], r.b) for r in rows if math.hypot(*r.a) >= 1e-12]
+    box_poly = _box_polygon(BOX3)
+    cuts = []
+    for m, (a0, a1, b) in enumerate(planes[:-1]):
+        prefix = _clip(planes[:m], box_poly, 0.0)
+        if not prefix:
+            break
+        cut = any(a0 * x + a1 * y - b < 0.0 for x, y in prefix)
+        # the single-row clip reports "unchanged" by returning its input list
+        assert (_clip([(a0, a1, b)], prefix, 0.0) is not prefix) == cut, (m, rows)
+        cuts.append(cut)
+    return cuts
+
+
 def test_max_own_contribution_is_leave_one_out_solve_lp_bitwise():
     # entry k must be exactly solve_lp(a_k, rows[:k] + rows[k+1:], box), the
-    # LP it replaces; None exactly where that raises Infeasible
+    # LP it replaces; None exactly where that raises Infeasible.  LPs whose
+    # row leaves its prefix unchanged read the one full polygon box ∩ rows.
     rng = np.random.default_rng(31)
     seen = {"exact": 0, "relaxed": 0, "infeasible": 0, "emptied_prefix": 0,
-            "vacuous_zero": 0, "demanding_zero": 0}
+            "vacuous_zero": 0, "demanding_zero": 0, "unchanged_prefix": 0,
+            "cut_after_unchanged": 0}
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
         got = max_own_contribution(rows, BOX3)
@@ -142,6 +170,9 @@ def test_max_own_contribution_is_leave_one_out_solve_lp_bitwise():
         for row in rows:
             if math.hypot(*row.a) < 1e-12:
                 seen["demanding_zero" if row.b > FEAS_TOL else "vacuous_zero"] += 1
+        cuts = _prefix_cuts(rows)
+        seen["unchanged_prefix"] += cuts.count(False)
+        seen["cut_after_unchanged"] += sum(cut and False in cuts[:m] for m, cut in enumerate(cuts))
     assert all(n >= 20 for n in seen.values()), seen
 
 

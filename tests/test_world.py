@@ -7,8 +7,8 @@ import pytest
 
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState,
                             MissingHistory, Model, World, WorldSnapshot,
-                            bootstrap_estimate, estimate_motion, position_part,
-                            wrap_angle)
+                            bootstrap_estimate, estimate_motion,
+                            estimate_positions, position_part, wrap_angle)
 
 
 def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE,
@@ -46,6 +46,23 @@ def test_agent_state_rejects_non_finite():
         make_agent(x=math.nan)
     with pytest.raises(ValueError):
         make_agent(target=(math.inf, 0.0))
+
+
+def test_agent_state_stores_plain_floats():
+    # ints, numpy scalars, lists and arrays are converted; float values and
+    # float pairs are kept as they are
+    a = make_agent(x=1, y=np.float64(2.0), psi=np.float32(0.5), target=[3, 4.0],
+                   cmd=np.array([0.5, -1.0]))
+    for v in (a.px, a.py, a.psi, *a.target, *a.last_command):
+        assert type(v) is float
+    assert (a.px, a.py, a.psi) == (1.0, 2.0, float(np.float32(0.5)))
+    assert a.target == (3.0, 4.0) and type(a.target) is tuple
+    assert a.last_command == (0.5, -1.0) and type(a.last_command) is tuple
+    target, cmd = (3.0, 4.0), (0.5, -1.0)
+    b = make_agent(x=1.0, y=2.0, psi=7.0, target=target, cmd=cmd)
+    assert b.target is target and b.last_command is cmd
+    assert b.psi == wrap_angle(7.0)
+    assert make_agent(cmd=[1, 2, 3]).last_command == (1.0, 2.0, 3.0)
 
 
 def test_state_vector_shape_per_model():
@@ -122,6 +139,22 @@ def test_position_part_keeps_radius():
     assert np.allclose(pp.center, est.center[:2])
     # the full-state radius stays a valid (conservative) 2-D bound
     assert pp.radius == est.radius
+
+
+def test_estimate_positions_once_for_the_listed_agents():
+    a = [make_agent(0, 0.0, 0.0, psi=0.2), make_agent(1, 1.0, 0.0, model=Model.SINGLE_INTEGRATOR),
+         make_agent(2, 2.0, 1.0, model=Model.SINGLE_INTEGRATOR)]
+    b = [make_agent(0, 0.1, 0.0, psi=0.3), make_agent(1, 1.0, 0.05, model=Model.SINGLE_INTEGRATOR),
+         make_agent(2, 2.0, 1.0, model=Model.SINGLE_INTEGRATOR)]
+    hist = [WorldSnapshot(0.0, tuple(a)), WorldSnapshot(0.05, tuple(b))]
+    assert estimate_positions(hist[:1], [0, 2]) == {0: None, 2: None}
+    est = estimate_positions(hist, [0, 2])
+    assert sorted(est) == [0, 2]
+    for j in (0, 2):
+        ref = position_part(estimate_motion(hist, j))
+        assert (est[j].center, est[j].radius) == (ref.center, ref.radius)
+    # snapshots out of order give no estimate, like a missing one
+    assert estimate_positions(hist[::-1], [1]) == {1: None}
 
 
 def test_estimate_motion_fuzz_matches_difference_quotient():
