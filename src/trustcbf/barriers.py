@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .dynamics import ModelMismatch
 from .solvers import ConstraintRow
 from .world import AgentState, Model
@@ -35,12 +33,6 @@ class BarrierEval(NamedTuple):
     h: float
     grad_i: tuple[float, float]
     grad_j: tuple[float, float]
-
-    def gi(self) -> np.ndarray:
-        return np.array(self.grad_i)
-
-    def gj(self) -> np.ndarray:
-        return np.array(self.grad_j)
 
 
 Map2 = tuple[tuple[float, float], tuple[float, float]]   # a 2x2 matrix, row by row

@@ -46,9 +46,6 @@ class AgentConfig:
     box: Box = DEFAULT_BOX
     d_min: float = D_MIN_DEFAULT
     lookahead: float = LOOKAHEAD_DEFAULT
-    k_s: float = K_S
-    k_omega: float = K_OMEGA
-    clf_k: float = CLF_K
     dt: float = 0.05
     trust: TrustParams = field(default_factory=TrustParams)
     fixed_alpha: bool = False
@@ -63,7 +60,6 @@ class ControlDecision:
     u_ref: tuple[float, float]
     u_safe: tuple[float, float]
     rows: tuple[ConstraintRow, ...]
-    feasible: bool
     fallback: Fallback = Fallback.NONE
     # Barrier value toward each neighbor, in neighbor-id order (intact agents only).
     pair_h: tuple[float, ...] = ()
@@ -206,19 +202,17 @@ def agent_step(i: int, snap: WorldSnapshot,
         if me.target is None:
             u_ref = (0.0, 0.0)
         else:
-            u_ref = track_reference(me, me.target, cfg.k_s, cfg.k_omega, cfg.box)
+            u_ref = track_reference(me, me.target, K_S, K_OMEGA, cfg.box)
     else:
         try:
-            u_ref = clf_qp_reference(me, cfg.clf_k, cfg.box)
+            u_ref = clf_qp_reference(me, CLF_K, cfg.box)
         except Infeasible:
             log.debug("t=%.3f agent %d: goal descent infeasible in box; stopping", snap.time, i)
             u_ref = (0.0, 0.0)
 
-    feasible = True
     fallback = Fallback.NONE
     if emergency:
         u_safe = (0.0, 0.0)
-        feasible = False
         fallback = Fallback.EMERGENCY
     else:
         try:
@@ -226,11 +220,10 @@ def agent_step(i: int, snap: WorldSnapshot,
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)
-            feasible = False
             fallback = Fallback.EMERGENCY
 
     for ts, floor in deferred:
         update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
 
-    return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), feasible=feasible,
-                           fallback=fallback, pair_h=tuple(pair_h))
+    return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), fallback=fallback,
+                           pair_h=tuple(pair_h))

@@ -158,9 +158,6 @@ class Trace:
     def positions(self, i: int) -> np.ndarray:
         return np.array([[step[i].px, step[i].py] for step in self.agents])
 
-    def pair_series(self, i: int, j: int, name: str) -> np.ndarray:
-        return np.array([getattr(step[(i, j)], name) for step in self.pairs])
-
 
 def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
                      k: float = CLF_K, box: Box = DEFAULT_BOX) -> tuple[float, float]:
@@ -262,8 +259,7 @@ def run(s: Scenario) -> Trace:
                 u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
             else:
                 u = uncooperative_policy(a, spec.speed, s.dt)
-            decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), feasible=True,
-                                             fallback=Fallback.NONE))
+            decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), fallback=Fallback.NONE))
 
         trace.times.append(snap.time)
         trace.agents.append([

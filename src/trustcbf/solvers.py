@@ -17,13 +17,16 @@ before Infeasible is raised, so a nearly empty set keeps its verdict while a
 nonempty one is never perturbed.
 
 ``solve_lp_leave_one_out`` solves, for every row of one list, the LP whose
-objective is that row's normal over all the other rows, with every value
-bitwise equal to the separate ``solve_lp`` call.  It clips each prefix
-box ∩ rows[:k] once and shares it (n - 1 single-row clips).  Only an LP whose
-row cuts its prefix clips its own suffix rows[k+1:]; every LP whose row cuts
-nothing reads one shared full polygon box ∩ rows.  The suffix clips thus
-number n(n-1)/2 when every row cuts and one when none does; n separate LPs
-would clip n(n-1) times.
+objective is that row's normal over all the other rows.  It clips the prefix
+chain box ∩ rows[:m] one row at a time (n single-row clips when nothing
+empties).  If the whole set P = box ∩ rows is nonempty, every LP's maximizer
+lies in P, so all n values are best vertices of that one polygon: equal to
+separate ``solve_lp`` calls in exact arithmetic, which would clip n(n-1)
+times, and close to them in floats.  Only when the chain empties at row m do
+the m earlier rows clip their own suffixes from their prefixes, at most
+n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise equal to it.
+LPs left empty rerun both rules with the rows relaxed by FEAS_TOL, as
+``solve_lp`` retries.
 
 Both solvers have independent oracles used by the test suite and the CLI
 self-test: a zoomed dense grid search for the QP and exhaustive vertex
@@ -72,9 +75,6 @@ class ConstraintRow:
         if type(self.b) is not float:
             object.__setattr__(self, "b", float(self.b))
 
-    def normal(self) -> np.ndarray:
-        return np.array(self.a)
-
 
 @dataclass
 class QPProblem:
@@ -91,7 +91,7 @@ def _assemble(rows: Sequence[ConstraintRow], box: Box):
     """
     A_list, b_list, tags = [], [], []
     for row in rows:
-        a = row.normal()
+        a = np.array(row.a)
         if float(np.linalg.norm(a)) < DEGENERATE_NORM_TOL:
             if row.b <= FEAS_TOL:
                 continue
@@ -141,15 +141,14 @@ def _box_polygon(box: Box) -> list:
 def _clip(planes: Sequence, poly: list, relax: float) -> list:
     """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty.
 
-    A plane that keeps every vertex leaves the polygon as it is, so when no
-    plane cuts, the result is ``poly`` itself (the same list object).
+    One Sutherland-Hodgman pass per plane: a plane that keeps every vertex
+    returns the same vertices in the same order.
     """
     for a0, a1, b in planes:
         if not poly:
             break
         b -= relax
         out = []
-        cut = False
         px, py = poly[-1]
         dp = a0 * px + a1 * py - b
         for q in poly:
@@ -160,11 +159,8 @@ def _clip(planes: Sequence, poly: list, relax: float) -> list:
                 out.append((px + t * (qx - px), py + t * (qy - py)))
             if dq >= 0.0:
                 out.append(q)
-            else:
-                cut = True
             px, py, dp = qx, qy, dq
-        if cut:
-            poly = out
+        poly = out
     return poly
 
 
@@ -351,15 +347,14 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
     """For every k, the value of ``solve_lp(rows[k].a, rows[:k] + rows[k+1:], box)``,
     or None where that raises Infeasible.
 
-    LP k clips the prefix polygon P_k = box ∩ rows[:k] with rows[k+1:], which
-    is the exact clip sequence ``solve_lp`` runs, so every value is bitwise
-    equal to it; the prefixes are built once and shared by all LPs.  A row
-    that keeps every vertex of its prefix (or has a zero normal) does not
-    change it, so LP k's clip sequence is then the full chain box ∩ rows:
-    such LPs read that one full polygon, built only when one needs it, and
-    only rows that cut their prefix clip their own suffix.  An empty exact
-    polygon is retried from the prefixes relaxed by FEAS_TOL, built only when
-    needed.  Zero-normal rows follow ``_half_planes`` in each LP separately:
+    LP k maximizes row k's own normal over P_-k = box ∩ (every row but k).
+    When P = box ∩ rows is nonempty, a maximizer over P_-k reaches at least
+    b_k, so it lies in P: every LP reads the best vertex of that one polygon.
+    When the prefix chain box ∩ rows[:m] empties at some m, every LP that keeps
+    rows[:m] is empty too, and each earlier row clips its own suffix rows[k+1:]
+    from its prefix, which is ``solve_lp``'s clip sequence.  Like ``solve_lp``,
+    an LP left empty by the exact rows is retried with the rows relaxed by
+    FEAS_TOL.  Zero-normal rows follow ``_half_planes`` in each LP separately:
     a vacuous one is skipped, a demanding one leaves every other LP
     infeasible.
     """
@@ -377,32 +372,31 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
             planes.append((a0, a1, row.b))
         spans.append((start, len(planes)))
     values: list[Optional[float]] = [None] * len(rows)
-    if not rows or len(demanding) > 1:
+    if len(demanding) > 1:
         return values
-    last = spans[-1][0]
-    exact = [_box_polygon(box)]     # exact[m] = box ∩ planes[:m]
-    for plane in planes[:last]:
-        exact.append(_clip((plane,), exact[-1], 0.0))
-    full = None                     # box ∩ planes, once some LP reads it
-    relaxed = [_box_polygon(box)]   # the same, relaxed by FEAS_TOL
-    for k, row in enumerate(rows):
-        if demanding and demanding[0] != k:
-            continue
-        start, end = spans[k]
-        # Row k adds no plane or cuts nothing from P_k: LP k's clip sequence
-        # is the full chain.
-        if end < len(planes) and (end == start or exact[end] is exact[start]):
-            if full is None:
-                full = _clip(planes[last:], exact[last], 0.0)
-            poly = full
-        else:
-            poly = _clip(planes[end:], exact[start], 0.0)
-        if not poly:
-            while len(relaxed) <= start:
-                relaxed.append(_clip((planes[len(relaxed) - 1],), relaxed[-1], FEAS_TOL))
-            poly = _clip(planes[end:], relaxed[start], FEAS_TOL)
-        if poly:
-            values[k] = _best_value(row.a[0], row.a[1], poly)[0]
+    open_lps = demanding or list(range(len(rows)))
+    for relax in (0.0, FEAS_TOL):
+        chain = [_box_polygon(box)]     # chain[m] = box ∩ planes[:m]
+        for plane in planes:
+            poly = _clip((plane,), chain[-1], relax)
+            if not poly:
+                break
+            chain.append(poly)
+        if len(chain) > len(planes):
+            for k in open_lps:
+                values[k] = _best_value(*rows[k].a, chain[-1])[0]
+            break
+        # box ∩ planes[:len(chain)] is empty: only the LP of a row among
+        # those planes can be nonempty.
+        for k in open_lps:
+            start, end = spans[k]
+            if start < end and start < len(chain):
+                poly = _clip(planes[end:], chain[start], relax)
+                if poly:
+                    values[k] = _best_value(*rows[k].a, poly)[0]
+        open_lps = [k for k in open_lps if values[k] is None]
+        if not open_lps:
+            break
     return values
 
 

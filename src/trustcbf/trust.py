@@ -112,9 +112,10 @@ def max_own_contribution(rows: Sequence[ConstraintRow], box: Box) -> list[Option
     ``rows`` are the observer's start-of-step rows, one per neighbor.  The
     objective of LP k is row k's own normal: ``cbf_row`` builds that normal as
     the same product grad_i(ik) . M_i.  So all LPs of one observer are
-    leave-one-out LPs over one row list, and they share the prefix polygons
-    box ∩ rows[:k] (``solvers.solve_lp_leave_one_out``).  Entry k is None
-    where the other rows alone admit no command.
+    leave-one-out LPs over one row list: when box ∩ rows is nonempty, a
+    maximizer of row k's normal over the other rows already satisfies row k,
+    and every LP reads that one polygon (``solvers.solve_lp_leave_one_out``).
+    Entry k is None where the other rows alone admit no command.
     """
     return solve_lp_leave_one_out(rows, box)
 

@@ -4,8 +4,8 @@ Agents only ever see each other through immutable snapshots of the world.  A
 neighbor's future motion is unknown, so observers bound it with a ball: the
 center is the finite-difference state derivative over the last step and the
 radius is ten percent of that derivative's norm.  Before two observations
-exist, a conservative bootstrap ball (zero center, global speed bound radius)
-is used instead.
+exist, a conservative bootstrap ball (zero center, the speed bound v_max as
+radius) is used instead.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
-
-# Conservative speed bound used for the bootstrap estimate (m/s).
-V_MAX_GLOBAL = 3.0
 
 # Estimate ball radius as a fraction of the finite-difference derivative norm.
 ESTIMATE_RADIUS_FACTOR = 0.1
@@ -97,15 +92,6 @@ class AgentState:
             object.__setattr__(self, "py", float(py))
         if not is_float_pair(self.last_command):
             object.__setattr__(self, "last_command", tuple(float(v) for v in self.last_command))
-
-    def state_vector(self) -> np.ndarray:
-        """Full state: (px, py, psi) for unicycles, (px, py) for integrators."""
-        if self.model is Model.UNICYCLE:
-            return np.array([self.px, self.py, self.psi])
-        return np.array([self.px, self.py])
-
-    def state_dim(self) -> int:
-        return 3 if self.model is Model.UNICYCLE else 2
 
 
 @dataclass(frozen=True)
@@ -199,9 +185,9 @@ def estimate_motion(history: Sequence[WorldSnapshot], j: int) -> MotionEstimate:
     return MotionEstimate(center=center, radius=ESTIMATE_RADIUS_FACTOR * math.sqrt(sq))
 
 
-def bootstrap_estimate(dim: int = 2, v_max: float = V_MAX_GLOBAL) -> MotionEstimate:
-    """Pre-observation fallback: zero center, radius equal to the global speed bound."""
-    return MotionEstimate(center=(0.0,) * dim, radius=float(v_max))
+def bootstrap_estimate(v_max: float) -> MotionEstimate:
+    """Pre-observation fallback for a position: zero center, radius the speed bound v_max."""
+    return MotionEstimate(center=(0.0, 0.0), radius=float(v_max))
 
 
 def position_part(est: MotionEstimate) -> MotionEstimate:

@@ -245,16 +245,16 @@ def test_c09_gradients_match_finite_differences():
         psi_j = rng.uniform(-math.pi, math.pi)
 
         ev = eval_barrier(agent(mi, pi, psi_i), agent(mj, pj, psi_j), 0.5, 0.1)
-        scale = max(float(np.linalg.norm(ev.gi())), 1.0)
+        scale = max(float(np.linalg.norm(np.array(ev.grad_i))), 1.0)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = eps
             f_p = eval_barrier(agent(mi, pi + step, psi_i), agent(mj, pj, psi_j), 0.5, 0.1).h
             f_m = eval_barrier(agent(mi, pi - step, psi_i), agent(mj, pj, psi_j), 0.5, 0.1).h
-            worst = max(worst, abs((f_p - f_m) / (2 * eps) - ev.gi()[axis]) / scale)
+            worst = max(worst, abs((f_p - f_m) / (2 * eps) - np.array(ev.grad_i)[axis]) / scale)
             f_p = eval_barrier(agent(mi, pi, psi_i), agent(mj, pj + step, psi_j), 0.5, 0.1).h
             f_m = eval_barrier(agent(mi, pi, psi_i), agent(mj, pj - step, psi_j), 0.5, 0.1).h
-            worst = max(worst, abs((f_p - f_m) / (2 * eps) - ev.gj()[axis]) / scale)
+            worst = max(worst, abs((f_p - f_m) / (2 * eps) - np.array(ev.grad_j)[axis]) / scale)
 
         target = tuple(pi + rng.uniform(0.3, 4.0) * np.array(
             [math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))]))

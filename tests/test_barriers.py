@@ -54,13 +54,13 @@ def test_eval_barrier_exact_values():
     # integrator observer: barrier point equals the position
     ev = eval_barrier(integ(x=0.0, y=0.0), integ(i=1, x=2.0, y=0.0), d_min=0.5)
     assert ev.h == pytest.approx(4.0 - 0.25)
-    assert np.allclose(ev.gi(), [-4.0, 0.0])
-    assert np.allclose(ev.gj(), [4.0, 0.0])
+    assert np.allclose(np.array(ev.grad_i), [-4.0, 0.0])
+    assert np.allclose(np.array(ev.grad_j), [4.0, 0.0])
     # unicycle observer: barrier point shifts by the look-ahead
     ev = eval_barrier(uni(psi=0.0), integ(i=1, x=2.0, y=0.0),
                       d_min=0.5, lookahead=0.1)
     assert ev.h == pytest.approx(1.9 ** 2 - 0.25)
-    assert np.allclose(ev.gi(), [-3.8, 0.0])
+    assert np.allclose(np.array(ev.grad_i), [-3.8, 0.0])
 
 
 def test_gradients_are_equal_and_opposite():
@@ -69,7 +69,7 @@ def test_gradients_are_equal_and_opposite():
         xi, yi, xj, yj = rng.uniform(-5, 5, 4)
         ev = eval_barrier(uni(x=xi, y=yi, psi=float(rng.uniform(-3, 3))),
                           integ(i=1, x=xj, y=yj))
-        assert np.allclose(ev.gi() + ev.gj(), 0.0, atol=0.0)
+        assert np.allclose(np.array(ev.grad_i) + np.array(ev.grad_j), 0.0, atol=0.0)
 
 
 def test_eval_barrier_validates_d_min():
@@ -96,7 +96,7 @@ def test_barrier_gradient_matches_central_differences():
         a = integ(x=xi, y=yi)
         b = integ(i=1, x=xj, y=yj)
         ev = eval_barrier(a, b)
-        for k, grad in ((0, ev.gi()), (1, ev.gj())):
+        for k, grad in ((0, np.array(ev.grad_i)), (1, np.array(ev.grad_j))):
             for axis in range(2):
                 def h_of(d, k=k, axis=axis):
                     dx = [0.0, 0.0]
@@ -114,8 +114,8 @@ def test_cbf_row_coefficients_by_hand():
     worst = np.array([0.3, -0.2])
     alpha = 0.8
     row = cbf_row(ev, M, worst, alpha, tag=(0, 1))
-    assert np.allclose(row.a, ev.gi() @ M)
-    assert row.b == pytest.approx(-alpha * ev.h - float(ev.gj() @ worst))
+    assert np.allclose(row.a, np.array(ev.grad_i) @ M)
+    assert row.b == pytest.approx(-alpha * ev.h - float(np.array(ev.grad_j) @ worst))
     assert row.tag == (0, 1)
 
 
@@ -128,7 +128,7 @@ def test_cbf_row_satisfaction_controls_barrier_rate():
     row = cbf_row(ev, np.eye(2), worst, alpha)
     a = np.array(row.a)
     u = a * (row.b / float(a @ a))  # tight point
-    h_dot = float(ev.gi() @ u) + float(ev.gj() @ worst)
+    h_dot = float(np.array(ev.grad_i) @ u) + float(np.array(ev.grad_j) @ worst)
     assert h_dot == pytest.approx(-alpha * ev.h)
 
 

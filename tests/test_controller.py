@@ -68,7 +68,6 @@ def test_agent_step_far_neighbor_keeps_reference():
     hist = snapshots([me0, other0], [me0, other0])
     trust = fresh_trust(2, 0)
     dec = agent_step(0, *observe(hist), trust, AgentConfig(box=BOX3))
-    assert dec.feasible
     assert dec.fallback is Fallback.NONE
     assert len(dec.rows) == 1
     assert np.allclose(dec.u_safe, dec.u_ref)
@@ -127,7 +126,6 @@ def test_agent_step_boundary_forces_emergency_stop():
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
                      AgentConfig(box=BOX3, rate_floor=True))
     assert dec.fallback is Fallback.EMERGENCY
-    assert not dec.feasible
     assert np.allclose(dec.u_safe, 0.0)
 
 
@@ -194,7 +192,7 @@ def test_rate_floor_margin_is_the_same_in_both_update_orders(monkeypatch):
     assert trust["after"][1].margin == center_margin
     assert est.radius > 0.0
     assert margins["before"] == margins["after"]
-    worst_margin = center_margin - est.radius * float(np.linalg.norm(ev.gj()))
+    worst_margin = center_margin - est.radius * float(np.linalg.norm(np.array(ev.grad_j)))
     assert margins["after"] == [pytest.approx(worst_margin, rel=1e-12)]
     assert margins["after"][0] < center_margin
     assert trust["before"][1].alpha == trust["after"][1].alpha
@@ -232,13 +230,13 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
         j = other.id
         evs[j] = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
         motion[j] = position_part(estimate_motion(hist, j))
-        a_j, _ = worst_case_motion(motion[j], evs[j].gj())
+        a_j, _ = worst_case_motion(motion[j], np.array(evs[j].grad_j))
         rows[j] = cbf_row(evs[j], M, a_j, 0.8, tag=(0, j))
     binding = 0
     for j in rows:
-        c = evs[j].gi() @ M
+        c = np.array(evs[j].grad_i) @ M
         expected, _ = lp_vertex_oracle(c, [rows[k] for k in rows if k != j], BOX3)
-        got = trust[j].margin - float(evs[j].gj() @ motion[j].center) - 0.8 * evs[j].h
+        got = trust[j].margin - float(np.array(evs[j].grad_j) @ motion[j].center) - 0.8 * evs[j].h
         assert got == pytest.approx(expected, abs=1e-9)
         binding += expected < lp_vertex_oracle(c, [], BOX3)[0] - 1e-6
     assert binding == 4   # the other pairs' rows really cut the box

@@ -102,6 +102,10 @@ def test_adversary_policy_chases_prey():
     assert u[0] == -3.0 and abs(u[1]) < 1e-12
 
 
+def pair_series(trace, i, j, name):
+    return np.array([getattr(step[(i, j)], name) for step in trace.pairs])
+
+
 def test_run_record_grid_and_initial_row():
     s = two_agent_scenario(duration=0.5, dt=0.05)
     tr = run(s)
@@ -112,7 +116,7 @@ def test_run_record_grid_and_initial_row():
     assert np.allclose(tr.positions(1), [[3.0, 0.0]] * 11)  # static stays put
     # pair records exist for the intact agent toward its neighbor only
     assert set(tr.pairs[0].keys()) == {(0, 1)}
-    assert tr.pair_series(0, 1, "alpha")[0] == 0.8
+    assert pair_series(tr, 0, 1, "alpha")[0] == 0.8
 
 
 def test_run_zero_duration_single_record():
@@ -124,9 +128,9 @@ def test_run_is_deterministic():
     a = run(two_agent_scenario(duration=1.0))
     b = run(two_agent_scenario(duration=1.0))
     assert np.array_equal(a.positions(0), b.positions(0))
-    assert np.array_equal(a.pair_series(0, 1, "alpha"),
-                          b.pair_series(0, 1, "alpha"))
-    assert np.array_equal(a.pair_series(0, 1, "rho"), b.pair_series(0, 1, "rho"))
+    assert np.array_equal(pair_series(a, 0, 1, "alpha"),
+                          pair_series(b, 0, 1, "alpha"))
+    assert np.array_equal(pair_series(a, 0, 1, "rho"), pair_series(b, 0, 1, "rho"))
 
 
 def test_run_intact_agent_progresses_and_stays_safe():

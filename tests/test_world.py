@@ -65,15 +65,6 @@ def test_agent_state_stores_plain_floats():
     assert make_agent(cmd=[1, 2, 3]).last_command == (1.0, 2.0, 3.0)
 
 
-def test_state_vector_shape_per_model():
-    u = make_agent(x=1.0, y=2.0, psi=0.5)
-    assert np.allclose(u.state_vector(), [1.0, 2.0, 0.5])
-    assert u.state_dim() == 3
-    s = make_agent(x=1.0, y=2.0, model=Model.SINGLE_INTEGRATOR)
-    assert np.allclose(s.state_vector(), [1.0, 2.0])
-    assert s.state_dim() == 2
-
-
 def test_world_requires_contiguous_ids():
     with pytest.raises(ValueError):
         World([make_agent(i=1)])
@@ -124,9 +115,9 @@ def test_estimate_motion_requires_two_ordered_snapshots():
 
 
 def test_bootstrap_estimate_is_conservative_ball():
-    est = bootstrap_estimate(dim=3, v_max=2.5)
+    est = bootstrap_estimate(v_max=2.5)
     assert np.allclose(est.center, 0.0)
-    assert len(est.center) == 3
+    assert len(est.center) == 2
     assert est.radius == 2.5
 
 
