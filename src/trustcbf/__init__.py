@@ -9,6 +9,5 @@ from .trust import TrustParams, TrustState, combine_trust, update_alpha
 from .controller import AgentConfig, ControlDecision, Fallback, agent_step, clf_qp_reference
 from .sim import (AgentSpec, Scenario, Trace, ValidationError, crossing_scenario,
                   headon_stress_scenario, metrics, run)
-from .cli import load_scenario, main
 
 __version__ = "0.1.0"

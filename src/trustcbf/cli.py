@@ -5,9 +5,11 @@ Subcommands
                summary.json, and four SVG charts into --out
     validate   parse and check a scenario file, writing nothing
     oracle     run the QP and LP solvers against their independent oracles
+               (``trustcbf.oracles``, which needs numpy from the ``test`` extra)
 
-Exit codes: 0 success, 2 usage error, 3 scenario validation error, 4 I/O
-error, 5 when --strict is set and the run hit any infeasibility fallback.
+Exit codes: 0 success, 1 when the oracle self-test finds a failure, 2 usage
+error or ``oracle`` without numpy, 3 scenario validation error, 4 I/O error,
+5 when --strict is set and the run hit any infeasibility fallback.
 """
 
 from __future__ import annotations
@@ -19,12 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .dynamics import Box
 from .sim import (AgentSpec, Scenario, Trace, ValidationError, metrics, run)
-from .solvers import (lp_vertex_oracle, qp_oracle, random_lp_instance,
-                      random_qp_instance, solve_lp, solve_qp)
+from .solvers import solve_lp, solve_qp
 from .trust import TrustParams
 from .world import AgentKind, Model
 
@@ -290,21 +289,6 @@ def write_pairs_csv(trace: Trace, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_trace_csv(path: Path) -> dict[str, np.ndarray]:
-    """Load a trace.csv back into column arrays (exact round trip of %.17g floats)."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    cols = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, cell in zip(header, line.split(",")):
-            cols[name].append(float(cell))
-    return {name: np.array(vals) for name, vals in cols.items()}
-
-
-def read_pairs_csv(path: Path) -> dict[str, np.ndarray]:
-    return read_trace_csv(path)
-
-
 def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: str,
                     width: int = 800, height: int = 600) -> None:
     """Hand-emitted SVG polyline chart.
@@ -457,6 +441,14 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
+    try:
+        import numpy as np
+    except ImportError:
+        print("oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'",
+              file=sys.stderr)
+        return 2
+    from .oracles import lp_vertex_oracle, qp_oracle, random_lp_instance, random_qp_instance
+
     rng = np.random.default_rng(cfg.oracle_seed)
     failures = 0
     worst_gap = 0.0

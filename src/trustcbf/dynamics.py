@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .world import AgentState, Model, wrap_angle
 
 K_S = 2.0       # proportional gain on distance to the waypoint
@@ -28,14 +26,14 @@ class ModelMismatch(Exception):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned control bounds.  Must be nonempty and contain the origin."""
+    """Axis-aligned bounds of a 2-D control.  Must be nonempty and contain the origin."""
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
+    lo: tuple[float, float]
+    hi: tuple[float, float]
 
     def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValueError("box lo/hi dimension mismatch")
+        if len(self.lo) != 2 or len(self.hi) != 2:
+            raise ValueError(f"control box must be 2-D, got lo={self.lo}, hi={self.hi}")
         for l, h in zip(self.lo, self.hi):
             if not (l <= 0.0 <= h):
                 raise ValueError(f"control box must contain 0, got [{l}, {h}]")
@@ -43,10 +41,6 @@ class Box:
                 raise ValueError(f"degenerate box interval [{l}, {h}]")
         object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
         object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
 
     def clip(self, u: Sequence[float]) -> tuple[float, float]:
         """The 2-D command ``u`` clamped to the box, componentwise."""
@@ -118,13 +112,14 @@ def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] =
     return (ex / dist, ey / dist), False
 
 
-def nominal_trajectory(state0: AgentState, gain: float, horizon: float, dt: float) -> np.ndarray:
+def nominal_trajectory(state0: AgentState, gain: float, horizon: float,
+                       dt: float) -> list[tuple[float, float]]:
     """Constant-speed straight-line motion toward the target, held after arrival.
 
-    Returns an array of shape (floor(horizon/dt)+1, 2): the position at every
-    record time, starting at the initial position.  Speed is ``gain`` until the
-    remaining distance fits inside one step, at which point the trajectory
-    snaps to the target and stays there.
+    Returns floor(horizon/dt)+1 positions (x, y): one at every record time,
+    starting at the initial position.  Speed is ``gain`` until the remaining
+    distance fits inside one step, at which point the trajectory snaps to the
+    target and stays there.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -133,19 +128,19 @@ def nominal_trajectory(state0: AgentState, gain: float, horizon: float, dt: floa
     if state0.target is None:
         raise ValueError(f"agent {state0.id} has no known target")
     steps = int(math.floor(horizon / dt + 1e-9))
-    target = np.array(state0.target, dtype=float)
-    pos = np.array([state0.px, state0.py])
-    out = np.empty((steps + 1, 2))
-    out[0] = pos
+    tx, ty = float(state0.target[0]), float(state0.target[1])
+    x, y = state0.px, state0.py
+    out = [(x, y)]
     step_len = gain * dt
-    for k in range(steps):
-        remaining = target - pos
-        dist = float(np.linalg.norm(remaining))
+    for _ in range(steps):
+        ex, ey = tx - x, ty - y
+        dist = math.sqrt(ex * ex + ey * ey)
         if dist <= step_len + 1e-15:
-            pos = target.copy()
+            x, y = tx, ty
         else:
-            pos = pos + (step_len / dist) * remaining
-        out[k + 1] = pos
+            scale = step_len / dist
+            x, y = x + scale * ex, y + scale * ey
+        out.append((x, y))
     return out
 
 

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-import numpy as np
-
 from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
 from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
                          agent_step, clf_qp_reference)
@@ -103,8 +101,6 @@ class Scenario:
                 raise ValidationError(f"{where}: every number must be finite")
             if a.d_min <= 0.0:
                 raise ValidationError(f"{where}.d_min must be positive")
-            if a.box.dim != 2:
-                raise ValidationError(f"{where}.box must bound the 2 control components")
             if a.kind is AgentKind.INTACT and a.model is Model.UNICYCLE and a.target is None:
                 raise ValidationError(f"{where}: intact agents need a known target")
             if a.kind is AgentKind.INTACT and a.model is Model.SINGLE_INTEGRATOR and a.target is None:
@@ -154,9 +150,6 @@ class Trace:
     pairs: list[dict[tuple[int, int], PairRecord]] = field(default_factory=list)
     estimate_violations: int = 0
     euler_slack_events: int = 0
-
-    def positions(self, i: int) -> np.ndarray:
-        return np.array([[step[i].px, step[i].py] for step in self.agents])
 
 
 def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
@@ -311,10 +304,14 @@ def run(s: Scenario) -> Trace:
     return trace
 
 
+def _distance(p: tuple[float, float], q: tuple[float, float]) -> float:
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def metrics(trace: Trace, s: Scenario) -> dict:
     """Per-intact-agent summary: worst barrier, goal distance, path deviation, reach time."""
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
-    times = np.array(trace.times)
     out: dict = {"agents": {}, "min_h": math.inf,
                  "emergency_events": 0,
                  "estimate_violations": trace.estimate_violations,
@@ -328,22 +325,21 @@ def metrics(trace: Trace, s: Scenario) -> dict:
                 min_hs[i] = rec.h
     for i in intact:
         spec = s.agents[i]
-        pos = trace.positions(i)
         min_h = min_hs[i]
         out["min_h"] = min(out["min_h"], min_h)
 
-        target = np.array(spec.target) if spec.target is not None else None
-        if target is not None:
-            goal_dist = np.linalg.norm(pos - target, axis=1)
-            final_goal_distance = float(goal_dist[-1])
-            reached = np.nonzero(goal_dist < GOAL_TOL)[0]
-            reach_time = float(times[reached[0]]) if len(reached) else math.inf
+        if spec.target is not None:
+            pos = [(step[i].px, step[i].py) for step in trace.agents]
+            goal_dist = [_distance(p, spec.target) for p in pos]
+            final_goal_distance = goal_dist[-1]
+            reach_time = next((t for t, d in zip(trace.times, goal_dist) if d < GOAL_TOL),
+                              math.inf)
             start = AgentState(id=i, kind=spec.kind, model=spec.model,
                                px=spec.start[0], py=spec.start[1],
                                psi=spec.start[2] if len(spec.start) == 3 else 0.0,
                                target=spec.target)
             ref = nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt)
-            deviation = float(np.max(np.linalg.norm(pos - ref[: len(pos)], axis=1)))
+            deviation = max(_distance(p, r) for p, r in zip(pos, ref))
         else:
             final_goal_distance = math.inf
             reach_time = math.inf

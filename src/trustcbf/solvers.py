@@ -28,19 +28,17 @@ n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise equal to it.
 LPs left empty rerun both rules with the rows relaxed by FEAS_TOL, as
 ``solve_lp`` retries.
 
-Both solvers have independent oracles used by the test suite and the CLI
-self-test: a zoomed dense grid search for the QP and exhaustive vertex
-enumeration for the LP.
+This module is plain float code.  The independent oracles that the test
+suite and ``trustcbf oracle`` check it against (a zoomed dense grid search
+for the QP, exhaustive vertex enumeration for the LP) live in
+``trustcbf.oracles``, the one module that needs numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Optional, Sequence
-
-import numpy as np
 
 from .dynamics import Box
 from .world import is_float_pair
@@ -83,43 +81,12 @@ class QPProblem:
     box: Box
 
 
-def _assemble(rows: Sequence[ConstraintRow], box: Box):
-    """Stack user rows and box faces into one a.u >= b system.
-
-    Degenerate user rows are dropped when vacuous; a degenerate row with b > 0
-    is an immediate infeasibility.
-    """
-    A_list, b_list, tags = [], [], []
-    for row in rows:
-        a = np.array(row.a)
-        if float(np.linalg.norm(a)) < DEGENERATE_NORM_TOL:
-            if row.b <= FEAS_TOL:
-                continue
-            raise Infeasible(f"row {row.tag!r} has a zero normal but demands b={row.b} > 0")
-        A_list.append(a)
-        b_list.append(row.b)
-        tags.append(row.tag)
-    n = box.dim
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        A_list.append(e.copy())
-        b_list.append(box.lo[k])
-        tags.append(f"box{k}lo")
-        A_list.append(-e)
-        b_list.append(-box.hi[k])
-        tags.append(f"box{k}hi")
-    return np.array(A_list), np.array(b_list), tags
-
-
-def _half_planes(rows: Sequence[ConstraintRow], box: Box) -> tuple[list, list]:
+def _half_planes(rows: Sequence[ConstraintRow]) -> tuple[list, list]:
     """((a0, a1, b) per row, tags) for the rows with a usable normal.
 
-    Zero-normal rows follow ``_assemble``: vacuous when b <= FEAS_TOL,
-    Infeasible otherwise.
+    A row whose normal is shorter than DEGENERATE_NORM_TOL is vacuous when
+    b <= FEAS_TOL and makes the set empty (Infeasible) otherwise.
     """
-    if box.dim != 2:
-        raise ValueError(f"the solvers handle 2-D controls, got a {box.dim}-D box")
     planes, tags = [], []
     for row in rows:
         a0, a1 = row.a
@@ -209,7 +176,7 @@ def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
     Infeasible when no point in the box satisfies every row, even relaxed by
     QP_RETRY_TOL.
     """
-    planes, tags = _half_planes(problem.rows, problem.box)
+    planes, tags = _half_planes(problem.rows)
     x, y = problem.u_ref
     x, y = float(x), float(y)
     for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
@@ -229,118 +196,22 @@ def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
     return (x, y), active
 
 
-def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
-              refine_factor: float = 100.0) -> Optional[tuple[float, np.ndarray]]:
-    """Dense-grid reference optimum, zoomed locally until the certification step.
-
-    ``resolution`` is the coarsest step at which a feasible point must be
-    found; the search then keeps zooming until the grid step drops below
-    resolution / refine_factor, so the returned objective is accurate to a few
-    parts in 1e-4 for unit-scale boxes.  Returns None when no feasible grid
-    point exists at any refinement (used by tests to cross-check Infeasible).
-    """
-    box = problem.box
-    n = box.dim
-    r = np.asarray(problem.u_ref, dtype=float)
-    try:
-        A, b, _ = _assemble(problem.rows, box)
-    except Infeasible:
-        return None
-    lo = np.array(box.lo)
-    hi = np.array(box.hi)
-
-    def grid_best(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        P = np.stack([g.ravel() for g in grids], axis=1)
-        mask = np.all(P @ A.T - b >= -1e-12, axis=1)
-        if not mask.any():
-            return None
-        Pf = P[mask]
-        d2 = np.einsum("ij,ij->i", Pf - r, Pf - r)
-        i = int(np.argmin(d2))
-        return float(d2[i]), Pf[i].copy()
-
-    # Global coarse pass over the whole box, densifying until a feasible
-    # point shows up (or the set is declared empty at the densest grid).
-    pts = 41
-    found = grid_best([np.linspace(lo[k], hi[k], pts) for k in range(n)])
-    while found is None:
-        if pts >= 800:
-            return None
-        pts = pts * 2 + 1
-        found = grid_best([np.linspace(lo[k], hi[k], pts) for k in range(n)])
-    best_val, best_u = found
-    step = float(np.max((hi - lo) / (pts - 1)))
-
-    # Local refinement, pattern-search style.  The grid argmin can sit far
-    # from the true optimum along a constraint boundary (the objective is
-    # nearly flat along it), so recentre at fixed spacing while the best
-    # point keeps moving and only halve the spacing once the centre wins.
-    target_step = resolution / refine_factor
-    offsets = np.arange(-20.0, 21.0)
-    while step > target_step:
-        for _ in range(200):
-            axes = [np.clip(best_u[k] + offsets * step, lo[k], hi[k])
-                    for k in range(n)]
-            found = grid_best(axes)
-            if found is not None and found[0] < best_val - 1e-12 * max(1.0, best_val):
-                best_val, best_u = found
-            else:
-                break
-        step *= 0.5
-
-    # 1-D sweeps along every constraint boundary.  A boundary tilted by less
-    # than one cell per window height hides its optimum from an axis-aligned
-    # grid at any spacing, while along the line itself the objective is
-    # strictly convex, so a zoomed 1-D scan pins the minimiser reliably.
-    if n == 2:
-        centre = 0.5 * (lo + hi)
-        half_span = 0.5 * float(np.linalg.norm(hi - lo))
-        for i in range(A.shape[0]):
-            a = A[i]
-            nrm2 = float(a @ a)
-            if nrm2 < DEGENERATE_NORM_TOL:
-                continue
-            p0 = a * (b[i] / nrm2)
-            tang = np.array([-a[1], a[0]]) / float(np.sqrt(nrm2))
-            span = half_span + float(np.linalg.norm(centre - p0))
-            s_lo, s_hi = -span, span
-            best_here = None
-            while True:
-                s = np.linspace(s_lo, s_hi, 2001)
-                P = p0[None, :] + s[:, None] * tang[None, :]
-                mask = np.all(P @ A.T - b >= -1e-12, axis=1)
-                if not mask.any():
-                    break
-                Pf = P[mask]
-                sf = s[mask]
-                d2 = np.einsum("ij,ij->i", Pf - r, Pf - r)
-                j = int(np.argmin(d2))
-                best_here = (float(d2[j]), Pf[j].copy())
-                cell = (s_hi - s_lo) / 2000.0
-                if cell <= 1e-6:
-                    break
-                s_lo, s_hi = sf[j] - 2.0 * cell, sf[j] + 2.0 * cell
-            if best_here is not None and best_here[0] < best_val:
-                best_val, best_u = best_here
-    return best_val, best_u
-
-
-def solve_lp(c: np.ndarray, rows: Sequence[ConstraintRow], box: Box) -> tuple[float, np.ndarray]:
+def solve_lp(c: Sequence[float], rows: Sequence[ConstraintRow],
+             box: Box) -> tuple[float, tuple[float, float]]:
     """Maximize c . u subject to constraint rows inside the box.
 
-    Returns (optimal value, maximizing vertex; the first of equal vertices in
-    counter-clockwise order from the box's lower-left corner).  Raises
-    Infeasible when the rows admit no point in the box, even relaxed by
+    Returns (optimal value, maximizing vertex (x, y); the first of equal
+    vertices in counter-clockwise order from the box's lower-left corner).
+    Raises Infeasible when the rows admit no point in the box, even relaxed by
     FEAS_TOL.
     """
     c0, c1 = (float(v) for v in c)
-    planes, _ = _half_planes(rows, box)
+    planes, _ = _half_planes(rows)
     poly = _clip(planes, _box_polygon(box), 0.0) or _clip(planes, _box_polygon(box), FEAS_TOL)
     if not poly:
         raise Infeasible("constraint rows admit no command inside the control box")
     best, u = _best_value(c0, c1, poly)
-    return best, np.array(u)
+    return best, u
 
 
 def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Optional[float]]:
@@ -358,8 +229,6 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
     a vacuous one is skipped, a demanding one leaves every other LP
     infeasible.
     """
-    if box.dim != 2:
-        raise ValueError(f"the solvers handle 2-D controls, got a {box.dim}-D box")
     # spans[k] = (start, end): rows[:k] are planes[:start], rows[k+1:] are planes[end:]
     planes, spans, demanding = [], [], []
     for k, row in enumerate(rows):
@@ -398,70 +267,3 @@ def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Opti
         if not open_lps:
             break
     return values
-
-
-def random_qp_instance(rng: np.random.Generator, n: int = 2, max_rows: int = 4,
-                       box_half: float = 3.0) -> QPProblem:
-    """Random projection problem whose feasible set contains a ball of radius >= 0.25.
-
-    The margin ball keeps the grid oracle honest (a coarse grid always finds
-    feasible points) while still letting rows and box faces go active.
-    """
-    box = Box((-box_half,) * n, (box_half,) * n)
-    z = rng.uniform(-0.8 * box_half, 0.8 * box_half, n)
-    rows = []
-    for r in range(int(rng.integers(0, max_rows + 1))):
-        a = rng.normal(size=n)
-        na = float(np.linalg.norm(a))
-        if na < 1e-6:
-            a = np.eye(n)[0]
-            na = 1.0
-        a *= float(rng.uniform(0.5, 2.0)) / na
-        slack = float(rng.uniform(0.25, 1.5))
-        b = float(a @ z) - slack * float(np.linalg.norm(a))
-        rows.append(ConstraintRow(a=tuple(a), b=b, tag=f"r{r}"))
-    u_ref = rng.uniform(-1.2 * box_half, 1.2 * box_half, n)
-    return QPProblem(u_ref=u_ref, rows=rows, box=box)
-
-
-def random_lp_instance(rng: np.random.Generator, n: int = 2, max_rows: int = 4,
-                       box_half: float = 3.0):
-    """Random bounded LP with a nonempty interior, for simplex-vs-vertex checks."""
-    p = random_qp_instance(rng, n=n, max_rows=max_rows, box_half=box_half)
-    c = rng.normal(size=n)
-    return c, p.rows, p.box
-
-
-def lp_vertex_oracle(c: np.ndarray, rows: Sequence[ConstraintRow], box: Box,
-                     tol: float = FEAS_TOL) -> tuple[float, np.ndarray]:
-    """Exhaustive vertex enumeration over the box-extended polytope (test oracle).
-
-    Solves every n-subset of tight constraints, filters feasible intersection
-    points, and returns the best.  Exact for bounded feasible sets, which the
-    box guarantees.
-    """
-    c = np.asarray(c, dtype=float)
-    A, b, _ = _assemble(rows, box)
-    n = box.dim
-    m = len(b)
-    best_val = -math.inf
-    best_u: Optional[np.ndarray] = None
-    for S in combinations(range(m), n):
-        As = A[list(S)]
-        bs = b[list(S)]
-        try:
-            u = np.linalg.solve(As, bs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(u)):
-            continue
-        if float(np.linalg.norm(As @ u - bs)) > 1e-9 * (1.0 + float(np.linalg.norm(bs))):
-            continue
-        if np.all(A @ u - b >= -tol):
-            val = float(c @ u)
-            if val > best_val:
-                best_val = val
-                best_u = u
-    if best_u is None:
-        raise Infeasible("vertex enumeration found no feasible vertex")
-    return best_val, best_u

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from trustcbf.barriers import clf_value, eval_barrier
-from trustcbf.cli import (load_scenario, main, read_pairs_csv, read_trace_csv,
-                          write_trace_csv)
+from trustcbf.cli import load_scenario, main, write_trace_csv
 from trustcbf.dynamics import Box
+from trustcbf.oracles import (lp_vertex_oracle, qp_oracle, random_lp_instance,
+                              random_qp_instance, read_trace_csv)
 from trustcbf.sim import AgentSpec, Scenario, metrics, run
-from trustcbf.solvers import (ConstraintRow, Infeasible, QPProblem,
-                              lp_vertex_oracle, qp_oracle, random_lp_instance,
-                              random_qp_instance, solve_lp, solve_qp)
+from trustcbf.solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
 from trustcbf.trust import combine_trust, direction_trust, distance_trust, worst_case_motion
 from trustcbf.world import AgentKind, AgentState, MotionEstimate, Model
 
@@ -306,7 +305,7 @@ def test_c10_runs_reproduce_bitwise(tmp_path):
     rc = main(["run", "--scenario", str(CROSSING_JSON), "--out", str(out),
                "--duration", "2.0", "--fixed-alpha", "--no-svg"])
     assert rc == 0
-    pcols = read_pairs_csv(out / "pairs.csv")
+    pcols = read_trace_csv(out / "pairs.csv")
     pairs = {(int(i), int(j)) for i, j in zip(pcols["i"], pcols["j"])}
     for (i, j) in pairs:
         mask = (pcols["i"] == i) & (pcols["j"] == j)

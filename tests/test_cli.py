@@ -2,16 +2,19 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
-                          main, parse_args, read_pairs_csv, read_trace_csv,
-                          scenario_to_dict, write_outputs, write_pairs_csv,
-                          write_trace_csv)
+                          main, parse_args, scenario_to_dict, write_outputs,
+                          write_pairs_csv, write_trace_csv)
+from trustcbf.oracles import read_trace_csv
 from trustcbf.sim import (Scenario, ValidationError, crossing_scenario,
                           headon_stress_scenario, run)
 
@@ -169,7 +172,7 @@ def test_csv_round_trip_is_exact(tmp_path):
             assert cols["u1"][row] == rec.u[0]
             assert cols["fallback"][row] == rec.fallback
 
-    pcols = read_pairs_csv(pp)
+    pcols = read_trace_csv(pp)
     pair_keys = sorted(trace.pairs[0].keys())
     per_step = len(pair_keys)
     for k in range(len(trace.times)):
@@ -306,7 +309,7 @@ def test_run_command_fixed_alpha_freezes_rate_columns(tmp_path):
     rc = main(["run", "--scenario", str(scn), "--out", str(out),
                "--duration", "0.5", "--fixed-alpha", "--no-svg"])
     assert rc == 0
-    cols = read_pairs_csv(out / "pairs.csv")
+    cols = read_trace_csv(out / "pairs.csv")
     assert set(np.unique(cols["alpha"])) == {0.8}
 
 
@@ -394,3 +397,57 @@ def test_exit_5_on_strict_emergency(tmp_path, capsys):
 
 def test_oracle_command_self_test():
     assert main(["oracle", "--qp", "25", "--lp", "25", "--seed", "1"]) == 0
+
+
+# --- the run path without numpy ----------------------------------------------
+
+# Runs main() in a fresh interpreter in which every numpy import fails.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from trustcbf.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _python(*args):
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, *args], env=env, cwd=REPO, capture_output=True,
+                          text=True, timeout=120)
+
+
+def ring12_dict():
+    """12 intact unicycles on an antipodal ring of radius 6 m."""
+    agents = []
+    for k in range(12):
+        th = 2.0 * math.pi * k / 12 + 0.01 * k
+        x, y = 6.0 * math.cos(th), 6.0 * math.sin(th)
+        agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
+                       "target": [-x, -y]})
+    return {"agents": agents, "duration": 4.0, "gamma_nominal": 3.0}
+
+
+def test_run_validate_and_oracle_without_numpy(tmp_path):
+    scenarios = [REPO / "scenarios" / "crossing.json", REPO / "scenarios" / "headon_stress.json",
+                 write_json(tmp_path, ring12_dict(), "ring12.json")]
+    for k, scn in enumerate(scenarios):
+        out = tmp_path / f"out{k}"
+        r = _python("-c", WITHOUT_NUMPY, "run", "--scenario", str(scn), "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alphas.svg", "barriers.svg", "pairs.csv", "summary.json", "trace.csv",
+            "trajectories.svg", "trust.svg"]
+    r = _python("-c", WITHOUT_NUMPY, "validate", "--scenario", str(scenarios[0]))
+    assert r.returncode == 0, r.stderr
+    r = _python("-c", WITHOUT_NUMPY, "oracle", "--qp", "1", "--lp", "1")
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        "oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'"]
+
+
+def test_module_entry_point_runs_without_warnings():
+    r = _python("-W", "error", "-m", "trustcbf.cli", "validate", "--scenario",
+                "scenarios/crossing.json")
+    assert r.returncode == 0
+    assert r.stderr == ""

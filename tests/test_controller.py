@@ -8,7 +8,8 @@ from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (AgentConfig, Fallback, agent_step,
                                  clf_qp_reference)
 from trustcbf.dynamics import Box
-from trustcbf.solvers import Infeasible, lp_vertex_oracle
+from trustcbf.oracles import lp_vertex_oracle
+from trustcbf.solvers import Infeasible
 from trustcbf.trust import TrustParams, TrustState, worst_case_motion
 from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
                             estimate_motion, estimate_positions, position_part)

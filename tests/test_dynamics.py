@@ -37,7 +37,8 @@ def test_box_clip_and_contains():
     assert np.allclose(b.clip([5.0, -5.0]), [1.0, -2.0])
     assert b.contains(np.array([1.0, 2.0]))
     assert not b.contains(np.array([1.1, 0.0]))
-    assert b.dim == 2
+    with pytest.raises(ValueError):
+        Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
 
 def test_unicycle_derivative_axis_headings():
@@ -94,12 +95,55 @@ def test_nominal_direction_unit_vector_and_target_flag():
 
 def test_nominal_trajectory_constant_speed_then_snap():
     start = integ(x=0.0, y=0.0, target=(1.0, 0.0))
-    ref = nominal_trajectory(start, gain=2.0, horizon=1.0, dt=0.1)
+    ref = np.array(nominal_trajectory(start, gain=2.0, horizon=1.0, dt=0.1))
     assert ref.shape == (11, 2)
     # 0.2 per step for 5 steps, then parked on the target
     assert np.allclose(ref[:, 1], 0.0)
     assert np.allclose(ref[:6, 0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     assert np.allclose(ref[6:, 0], 1.0)
+
+
+def _numpy_nominal_trajectory(state0, gain, horizon, dt):
+    """The numpy formula nominal_trajectory replaced."""
+    steps = int(math.floor(horizon / dt + 1e-9))
+    target = np.array(state0.target, dtype=float)
+    pos = np.array([state0.px, state0.py])
+    out = np.empty((steps + 1, 2))
+    out[0] = pos
+    step_len = gain * dt
+    for k in range(steps):
+        remaining = target - pos
+        dist = float(np.linalg.norm(remaining))
+        if dist <= step_len + 1e-15:
+            pos = target.copy()
+        else:
+            pos = pos + (step_len / dist) * remaining
+        out[k + 1] = pos
+    return out
+
+
+def test_nominal_trajectory_matches_numpy_formula():
+    # np.linalg.norm squares through BLAS dot, which may fuse a multiply-add.
+    # Where every step's dot agrees with the plain sum of squares the points are
+    # bitwise equal; elsewhere a step may round its distance one ulp apart, so
+    # point k may be off by about k ulps of the coordinate scale.
+    rng = np.random.default_rng(9)
+    plain = 0
+    for _ in range(300):
+        sx, sy, tx, ty = rng.uniform(-5.0, 5.0, 4)
+        start = integ(x=float(sx), y=float(sy), target=(float(tx), float(ty)))
+        gain = float(rng.uniform(0.5, 3.0))
+        got = np.array(nominal_trajectory(start, gain, horizon=2.0, dt=0.05))
+        ref = _numpy_nominal_trajectory(start, gain, horizon=2.0, dt=0.05)
+        e = np.array([tx, ty]) - ref[:-1]
+        if all(float(v @ v) == v[0] * v[0] + v[1] * v[1] for v in e):
+            plain += 1
+            assert got.tobytes() == ref.tobytes()
+        else:
+            scale = math.ulp(max(abs(sx), abs(sy), abs(tx), abs(ty)))
+            k = np.arange(len(ref))[:, None]
+            assert np.all(np.abs(got - ref) <= (k + 1) * scale)
+    assert 30 <= plain <= 270      # both branches run
 
 
 def test_nominal_trajectory_argument_checks():

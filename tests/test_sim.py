@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
 from trustcbf.controller import Fallback
-from trustcbf.dynamics import Box
+from trustcbf.dynamics import Box, nominal_trajectory
 from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
                           adversary_policy, crossing_scenario,
                           headon_stress_scenario, metrics, run,
@@ -106,14 +106,18 @@ def pair_series(trace, i, j, name):
     return np.array([getattr(step[(i, j)], name) for step in trace.pairs])
 
 
+def positions(trace, i):
+    return np.array([[step[i].px, step[i].py] for step in trace.agents])
+
+
 def test_run_record_grid_and_initial_row():
     s = two_agent_scenario(duration=0.5, dt=0.05)
     tr = run(s)
     assert len(tr.times) == 11
     assert tr.times[0] == 0.0
     assert tr.times[-1] == pytest.approx(0.5)
-    assert np.allclose(tr.positions(0)[0], [0.0, 0.0])
-    assert np.allclose(tr.positions(1), [[3.0, 0.0]] * 11)  # static stays put
+    assert np.allclose(positions(tr, 0)[0], [0.0, 0.0])
+    assert np.allclose(positions(tr, 1), [[3.0, 0.0]] * 11)  # static stays put
     # pair records exist for the intact agent toward its neighbor only
     assert set(tr.pairs[0].keys()) == {(0, 1)}
     assert pair_series(tr, 0, 1, "alpha")[0] == 0.8
@@ -127,7 +131,7 @@ def test_run_zero_duration_single_record():
 def test_run_is_deterministic():
     a = run(two_agent_scenario(duration=1.0))
     b = run(two_agent_scenario(duration=1.0))
-    assert np.array_equal(a.positions(0), b.positions(0))
+    assert np.array_equal(positions(a, 0), positions(b, 0))
     assert np.array_equal(pair_series(a, 0, 1, "alpha"),
                           pair_series(b, 0, 1, "alpha"))
     assert np.array_equal(pair_series(a, 0, 1, "rho"), pair_series(b, 0, 1, "rho"))
@@ -191,9 +195,9 @@ COORD = st.floats(-4.0, 4.0)
 
 
 @st.composite
-def small_scenarios(draw):
-    """2-6 agents of mixed kinds and models (at least one intact) on a 1-2 s horizon."""
-    n = draw(st.integers(2, 6))
+def small_scenarios(draw, agents=st.integers(2, 8)):
+    """``agents`` agents of mixed kinds and models (at least one intact) on a 1-2 s horizon."""
+    n = draw(agents)
     kinds = draw(st.lists(st.sampled_from(list(AgentKind)), min_size=n, max_size=n))
     kinds[0] = AgentKind.INTACT
     agents = []
@@ -238,9 +242,35 @@ def _rows_hold(decision):
         assert slack >= -(QP_RETRY_TOL + 8.0 * sys.float_info.epsilon * scale), (row, slack)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(small_scenarios())
-def test_run_properties_on_random_scenarios(s):
+def _numpy_metrics(tr, s):
+    """The numpy formulas sim.metrics replaced, per intact agent.
+
+    Both sides read the same nominal trajectory; tests/test_dynamics.py checks
+    it against the numpy one it replaced.
+    """
+    times = np.array(tr.times)
+    out = {}
+    for i, spec in enumerate(s.agents):
+        if spec.kind is not AgentKind.INTACT:
+            continue
+        pos = positions(tr, i)
+        goal_dist = np.linalg.norm(pos - np.array(spec.target), axis=1)
+        reached = np.nonzero(goal_dist < sim.GOAL_TOL)[0]
+        start = AgentState(id=i, kind=spec.kind, model=spec.model, px=spec.start[0],
+                           py=spec.start[1], psi=spec.start[2] if len(spec.start) == 3 else 0.0,
+                           target=spec.target)
+        ref = np.array(nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt))
+        out[i] = {
+            "min_h": min((step[key].h for step in tr.pairs for key in step if key[0] == i),
+                         default=math.inf),
+            "final_goal_distance": float(goal_dist[-1]),
+            "nominal_deviation": float(np.max(np.linalg.norm(pos - ref[: len(pos)], axis=1))),
+            "goal_reach_time": float(times[reached[0]]) if len(reached) else math.inf,
+        }
+    return out
+
+
+def _check_run_properties(s):
     original = sim.agent_step
 
     def checked(*args):
@@ -263,6 +293,26 @@ def test_run_properties_on_random_scenarios(s):
         for spec, rec in zip(s.agents, step):
             assert spec.box.contains(rec.u)
     assert _trace_array(run(s)).tobytes() == arr.tobytes()
+
+    got = metrics(tr, s)["agents"]
+    for i, ref in _numpy_metrics(tr, s).items():
+        for name, value in ref.items():
+            assert got[i][name].hex() == value.hex(), (i, name)
+
+
+def test_run_properties_on_random_scenarios():
+    # 60 examples of 2-8 agents, then 20 of 7-8: hypothesis favours small
+    # draws, so the larger scenarios get a pass of their own
+    sizes = []
+    for agents, examples in ((st.integers(2, 8), 60), (st.integers(7, 8), 20)):
+        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+        @given(small_scenarios(agents))
+        def check(s):
+            sizes.append(len(s.agents))
+            _check_run_properties(s)
+
+        check()
+    assert sum(n >= 7 for n in sizes) >= 10, sizes
 
 
 def _numpy_uncooperative(state, speed, dt):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from trustcbf.dynamics import Box
+from trustcbf.oracles import (_assemble, lp_vertex_oracle, qp_oracle,
+                              random_lp_instance, random_qp_instance)
 from trustcbf.solvers import (FEAS_TOL, QP_RETRY_TOL, ConstraintRow, Infeasible,
-                              QPProblem, _assemble, lp_vertex_oracle, qp_oracle,
-                              random_lp_instance, random_qp_instance, solve_lp,
-                              solve_qp)
+                              QPProblem, solve_lp, solve_qp)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 

@@ -153,7 +153,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 seen["infeasible"] += 1
                 continue
             assert got[k] is not None, (k, rows)
-            planes, _ = _half_planes(others, BOX3)
+            planes, _ = _half_planes(others)
             relax = 0.0 if _clip(planes, box_poly, 0.0) else FEAS_TOL
             if not P[relax]:
                 seen["suffix_clip"] += 1
@@ -170,7 +170,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 assert abs(got[k] - expected) <= 4.0 * FEAS_TOL * (1.0 + abs(expected)), (k, rows)
         for m in range(1, len(rows)):
             try:
-                planes, _ = _half_planes(rows[:m], BOX3)
+                planes, _ = _half_planes(rows[:m])
             except Infeasible:
                 break
             if not _clip(planes, box_poly, 0.0):
