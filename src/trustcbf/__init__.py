@@ -7,7 +7,6 @@ from .solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
 from .barriers import BarrierEval, cbf_row, clf_value, eval_barrier, lookahead_point
 from .trust import TrustParams, TrustState, combine_trust, update_alpha
 from .controller import AgentConfig, ControlDecision, Fallback, agent_step, clf_qp_reference
-from .sim import (AgentSpec, Scenario, Trace, ValidationError, crossing_scenario,
-                  headon_stress_scenario, metrics, run)
+from .sim import AgentSpec, Scenario, Trace, ValidationError, metrics, run
 
 __version__ = "0.1.0"

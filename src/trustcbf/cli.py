@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -106,8 +106,7 @@ _TOP_KEYS = {"agents", "duration", "dt", "trust", "flags", "seed",
              "gamma_nominal", "lookahead"}
 _AGENT_KEYS = {"kind", "model", "start", "target", "d_min", "box", "prey", "speed",
                "gain"}
-_TRUST_KEYS = {"rho_bar_d", "beta", "k_blend", "gamma_alpha", "alpha0",
-               "alpha_min", "alpha_max", "L_F", "L_hdot", "v_max"}
+_TRUST_KEYS = {f.name for f in fields(TrustParams)}
 _FLAG_KEYS = {"fixed_alpha", "alpha_update_order", "rate_floor"}
 
 
@@ -117,11 +116,9 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str, default=None):
+def _number(obj: dict, key: str, where: str):
     if key not in obj:
-        if default is None:
-            raise ValidationError(f"{where}.{key}: required")
-        return default
+        raise ValidationError(f"{where}.{key}: required")
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"{where}.{key}: expected a number, got {v!r}")
@@ -155,21 +152,19 @@ def _parse_agent(obj: dict, idx: int) -> AgentSpec:
         target_t = (float(target[0]), float(target[1]))
     else:
         raise ValidationError(f"{where}.target: expected [x, y] or \"unknown\"")
-    box = obj.get("box", [[-3.0, -3.0], [3.0, 3.0]])
-    try:
-        lo, hi = box
-        box_t = Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}.box: expected [[lo...], [hi...]] containing 0 ({exc})")
+    # Keys the file leaves out take AgentSpec's defaults.
+    options = {key: _number(obj, key, where) for key in ("d_min", "speed", "gain") if key in obj}
+    if "box" in obj:
+        try:
+            lo, hi = obj["box"]
+            options["box"] = Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where}.box: expected [[lo...], [hi...]] containing 0 ({exc})")
     prey = obj.get("prey")
     if prey is not None and (not isinstance(prey, int) or isinstance(prey, bool)):
         raise ValidationError(f"{where}.prey: expected an agent id")
-    return AgentSpec(kind=kind, model=model,
-                     start=tuple(float(v) for v in start), target=target_t,
-                     d_min=_number(obj, "d_min", where, 0.5),
-                     box=box_t, prey=prey,
-                     speed=_number(obj, "speed", where, 1.0),
-                     gain=_number(obj, "gain", where, 2.0))
+    return AgentSpec(kind=kind, model=model, start=tuple(float(v) for v in start),
+                     target=target_t, prey=prey, **options)
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -194,68 +189,28 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(trust_obj, dict):
         raise ValidationError("trust: expected an object")
     _reject_unknown(trust_obj, _TRUST_KEYS, "trust")
-    trust = TrustParams()
-    for key in _TRUST_KEYS:
-        if key in trust_obj:
-            setattr(trust, key, _number(trust_obj, key, "trust"))
+    trust = TrustParams(**{key: _number(trust_obj, key, "trust") for key in trust_obj})
 
     flags = obj.get("flags", {})
     if not isinstance(flags, dict):
         raise ValidationError("flags: expected an object")
     _reject_unknown(flags, _FLAG_KEYS, "flags")
-    fixed_alpha = flags.get("fixed_alpha", False)
-    if not isinstance(fixed_alpha, bool):
-        raise ValidationError("flags.fixed_alpha: expected true or false")
-    rate_floor = flags.get("rate_floor", True)
-    if not isinstance(rate_floor, bool):
-        raise ValidationError("flags.rate_floor: expected true or false")
-    order = flags.get("alpha_update_order", "before")
+    for key in ("fixed_alpha", "rate_floor"):
+        if key in flags and not isinstance(flags[key], bool):
+            raise ValidationError(f"flags.{key}: expected true or false")
 
-    seed = obj.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed: expected an integer")
+    # Keys the file leaves out take Scenario's defaults.
+    options = {key: _number(obj, key, str(path))
+               for key in ("dt", "gamma_nominal", "lookahead") if key in obj}
+    if "seed" in obj:
+        if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
+            raise ValidationError("seed: expected an integer")
+        options["seed"] = obj["seed"]
 
-    s = Scenario(agents=agents,
-                 duration=_number(obj, "duration", str(path)),
-                 dt=_number(obj, "dt", str(path), 0.05),
-                 trust=trust, fixed_alpha=fixed_alpha,
-                 alpha_update_order=order, rate_floor=rate_floor, seed=seed,
-                 gamma_nominal=_number(obj, "gamma_nominal", str(path), 1.0),
-                 lookahead=_number(obj, "lookahead", str(path), 0.1))
+    s = Scenario(agents=agents, duration=_number(obj, "duration", str(path)),
+                 trust=trust, **flags, **options)
     s.validate()
     return s
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of load_scenario, used to generate the shipped scenario files."""
-    agents = []
-    for a in s.agents:
-        d = {"kind": a.kind.value, "model": a.model.value, "start": list(a.start),
-             "target": list(a.target) if a.target is not None else "unknown",
-             "d_min": a.d_min, "box": [list(a.box.lo), list(a.box.hi)]}
-        if a.prey is not None:
-            d["prey"] = a.prey
-        if a.kind is AgentKind.UNCOOPERATIVE:
-            d["speed"] = a.speed
-        if a.kind is AgentKind.ADVERSARIAL:
-            d["gain"] = a.gain
-        agents.append(d)
-    t = s.trust
-    return {
-        "agents": agents,
-        "duration": s.duration,
-        "dt": s.dt,
-        "trust": {"rho_bar_d": t.rho_bar_d, "beta": t.beta, "k_blend": t.k_blend,
-                  "gamma_alpha": t.gamma_alpha, "alpha0": t.alpha0,
-                  "alpha_min": t.alpha_min, "alpha_max": t.alpha_max,
-                  "L_F": t.L_F, "L_hdot": t.L_hdot, "v_max": t.v_max},
-        "flags": {"fixed_alpha": s.fixed_alpha,
-                  "alpha_update_order": s.alpha_update_order,
-                  "rate_floor": s.rate_floor},
-        "seed": s.seed,
-        "gamma_nominal": s.gamma_nominal,
-        "lookahead": s.lookahead,
-    }
 
 
 # --- outputs ---------------------------------------------------------------

@@ -162,7 +162,7 @@ def random_qp_instance(rng: np.random.Generator, max_rows: int = 4,
         a *= float(rng.uniform(0.5, 2.0)) / na
         slack = float(rng.uniform(0.25, 1.5))
         b = float(a @ z) - slack * float(np.linalg.norm(a))
-        rows.append(ConstraintRow(a=tuple(a), b=b, tag=f"r{r}"))
+        rows.append(ConstraintRow(a=(float(a[0]), float(a[1])), b=b, tag=f"r{r}"))
     u_ref = rng.uniform(-1.2 * box_half, 1.2 * box_half, 2)
     return QPProblem(u_ref=u_ref, rows=rows, box=box)
 

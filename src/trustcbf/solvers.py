@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .dynamics import Box
-from .world import is_float_pair
 
 # A row normal below this norm carries no direction: the row is vacuous when
 # its offset asks for nothing (b <= FEAS_TOL) and unsatisfiable otherwise.
@@ -58,20 +57,12 @@ class Infeasible(Exception):
     """The constraint set is empty inside the control box."""
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One linear constraint a . u >= b with a tag naming its source."""
+class ConstraintRow(NamedTuple):
+    """One linear constraint a . u >= b with a tag naming its source; a is a float pair."""
 
-    a: tuple[float, ...]
+    a: tuple[float, float]
     b: float
     tag: Hashable = None
-
-    def __post_init__(self):
-        # cbf_row and clf_qp_reference already build float pairs.
-        if not is_float_pair(self.a):
-            object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        if type(self.b) is not float:
-            object.__setattr__(self, "b", float(self.b))
 
 
 @dataclass

@@ -1,18 +1,32 @@
-"""Shared fixtures: the two benchmark scenarios are expensive enough that the
-acceptance tests run each of them exactly once per session."""
+"""Shared helpers and fixtures.
 
+The shipped scenario files are the only definition of the shipped scenarios;
+``shipped`` loads one, with any field replaced.  The two benchmark scenarios
+are expensive enough that the acceptance tests run each of them exactly once
+per session.
+"""
+
+import dataclasses
 import time
+from pathlib import Path
 
 import pytest
 
-from trustcbf.sim import (crossing_scenario, headon_stress_scenario, metrics,
-                          run)
+from trustcbf.cli import load_scenario
+from trustcbf.sim import Scenario, metrics, run
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped(name: str, **changes) -> Scenario:
+    """``scenarios/<name>.json`` with the given Scenario fields replaced."""
+    return dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), **changes)
 
 
 @pytest.fixture(scope="session")
 def crossing_adaptive():
     """Adaptive-mode crossing run: (scenario, trace, metrics, wall seconds)."""
-    s = crossing_scenario()
+    s = shipped("crossing")
     t0 = time.perf_counter()
     trace = run(s)
     wall = time.perf_counter() - t0
@@ -21,7 +35,7 @@ def crossing_adaptive():
 
 @pytest.fixture(scope="session")
 def crossing_fixed():
-    s = crossing_scenario(fixed_alpha=True)
+    s = shipped("crossing", fixed_alpha=True)
     trace = run(s)
     return s, trace, metrics(trace, s)
 
@@ -31,6 +45,6 @@ def stress_runs():
     """Head-on squeeze with the rate floor on and off: {flag: (scenario, trace)}."""
     out = {}
     for flag in (True, False):
-        s = headon_stress_scenario(rate_floor=flag)
+        s = shipped("headon_stress", rate_floor=flag)
         out[flag] = (s, run(s))
     return out

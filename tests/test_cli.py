@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
-                          main, parse_args, scenario_to_dict, write_outputs,
-                          write_pairs_csv, write_trace_csv)
+                          main, parse_args, write_outputs, write_pairs_csv,
+                          write_trace_csv)
 from trustcbf.oracles import read_trace_csv
-from trustcbf.sim import (Scenario, ValidationError, crossing_scenario,
-                          headon_stress_scenario, run)
+from trustcbf.sim import AgentSpec, Scenario, ValidationError, run
+from trustcbf.world import AgentKind, Model
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -76,6 +76,11 @@ def test_load_scenario_minimal_defaults(tmp_path):
     assert s.trust.alpha0 == 0.8 and not s.fixed_alpha and s.rate_floor
     assert s.agents[0].target == (5.0, 0.0)
     assert s.agents[0].box.lo == (-3.0, -3.0)
+    # Every key the file leaves out takes the dataclass default.
+    assert s == Scenario(agents=[
+        AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (0.0, 0.0, 0.0), (5.0, 0.0)),
+        AgentSpec(AgentKind.UNCOOPERATIVE, Model.SINGLE_INTEGRATOR, (3.0, 0.0), (3.0, 0.0)),
+    ], duration=1.0)
 
 
 def test_load_scenario_rejects_unknown_keys(tmp_path):
@@ -131,18 +136,13 @@ def test_load_scenario_unknown_target_and_trust_overrides(tmp_path):
     assert not s.rate_floor and s.alpha_update_order == "after"
 
 
-def test_scenario_dict_round_trip(tmp_path):
-    for s in (crossing_scenario(), headon_stress_scenario(rate_floor=False)):
-        d = scenario_to_dict(s)
-        s2 = load_scenario(write_json(tmp_path, d))
-        assert scenario_to_dict(s2) == d
-
-
-def test_shipped_scenarios_match_builders():
-    loaded = load_scenario(REPO / "scenarios" / "crossing.json")
-    assert scenario_to_dict(loaded) == scenario_to_dict(crossing_scenario())
-    loaded = load_scenario(REPO / "scenarios" / "headon_stress.json")
-    assert scenario_to_dict(loaded) == scenario_to_dict(headon_stress_scenario())
+def test_readme_scenario_example_loads(tmp_path):
+    readme = (REPO / "README.md").read_text()
+    section = readme[readme.index("## Scenario files"):]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    s = load_scenario(write_json(tmp_path, json.loads(example)))
+    assert [a.kind for a in s.agents] == [AgentKind.INTACT, AgentKind.ADVERSARIAL,
+                                          AgentKind.UNCOOPERATIVE]
 
 
 def small_trace():
@@ -364,6 +364,32 @@ def test_exit_3_on_three_dimensional_box(tmp_path):
     d = minimal_dict()
     d["agents"][0]["box"] = [[-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]]
     _assert_exit_3(tmp_path, d)
+
+
+HEADON = REPO / "scenarios" / "headon_stress.json"
+
+
+def test_exit_3_on_step_count_overflow(tmp_path):
+    # duration / dt overflows to infinity, which no step count can hold.
+    d = json.loads(HEADON.read_text())
+    d["dt"] = 1e-310
+    _assert_exit_3(tmp_path, d)
+    assert main(["run", "--scenario", str(HEADON), "--out", str(tmp_path / "o"),
+                 "--dt", "1e-310", "--no-svg"]) == 3
+
+
+def test_exit_0_on_overflowing_adversary_gain(tmp_path):
+    # k * V overflows, so the adversary's saturated pursuit must not turn
+    # inf * 0.0 into a NaN command.
+    d = json.loads(HEADON.read_text())
+    d["agents"][1]["gain"] = 1e308
+    d["duration"] = 1.0
+    scn = write_json(tmp_path, d)
+    assert main(["validate", "--scenario", str(scn)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(scn), "--out", str(out), "--no-svg"]) == 0
+    cols = read_trace_csv(out / "trace.csv")
+    assert all(np.all(np.isfinite(v)) for v in cols.values())
 
 
 def test_exit_4_on_unwritable_output(tmp_path, capsys):

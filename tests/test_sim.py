@@ -14,12 +14,13 @@ from trustcbf.barriers import eval_barrier
 from trustcbf.controller import Fallback
 from trustcbf.dynamics import Box, nominal_trajectory
 from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
-                          adversary_policy, crossing_scenario,
-                          headon_stress_scenario, metrics, run,
-                          uncooperative_policy)
+                          adversary_policy, metrics, run, uncooperative_policy)
 from trustcbf.solvers import (QP_RETRY_TOL, ConstraintRow, Infeasible, QPProblem,
                               solve_qp)
-from trustcbf.world import AgentKind, AgentState, Model, WorldSnapshot
+from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
+                            WorldSnapshot, wrap_angle)
+
+from conftest import shipped
 
 
 def spec_intact(x=0.0, y=0.0, psi=0.0, target=(5.0, 0.0)):
@@ -63,9 +64,9 @@ def test_scenario_validation_rejects_bad_fields():
 
 
 def test_shipped_scenarios_validate():
-    crossing_scenario().validate()
-    crossing_scenario(fixed_alpha=True).validate()
-    headon_stress_scenario(rate_floor=False).validate()
+    shipped("crossing").validate()
+    shipped("crossing", fixed_alpha=True).validate()
+    shipped("headon_stress", rate_floor=False).validate()
 
 
 def test_uncooperative_policy_cruises_and_lands():
@@ -173,19 +174,18 @@ def test_metrics_cover_intact_agents_only():
 
 
 def test_crossing_scenario_shape():
-    s = crossing_scenario()
+    s = shipped("crossing")
     kinds = [a.kind for a in s.agents]
     assert kinds.count(AgentKind.INTACT) == 3
     assert kinds.count(AgentKind.ADVERSARIAL) == 1
     assert kinds.count(AgentKind.UNCOOPERATIVE) == 2
     assert s.dt == 0.05 and s.duration == 20.0 and s.trust.alpha0 == 0.8
-    assert crossing_scenario(fixed_alpha=True).fixed_alpha
+    assert not s.fixed_alpha
 
 
 def test_headon_stress_scenario_shape():
-    s = headon_stress_scenario()
+    s = shipped("headon_stress")
     assert s.rate_floor
-    assert not headon_stress_scenario(rate_floor=False).rate_floor
     kinds = [a.kind for a in s.agents]
     assert kinds.count(AgentKind.ADVERSARIAL) == 2
     assert s.trust.gamma_alpha >= 100.0  # aggressive by construction
@@ -395,7 +395,7 @@ def _pair_h_matches_eval_barrier(s):
 
 
 def test_recorded_pair_h_is_eval_barrier_on_each_snapshot():
-    _pair_h_matches_eval_barrier(crossing_scenario(duration=2.0))
+    _pair_h_matches_eval_barrier(shipped("crossing", duration=2.0))
     ring = []
     for k in range(6):
         th = 2.0 * math.pi * k / 6 + 0.01 * k
@@ -403,3 +403,34 @@ def test_recorded_pair_h_is_eval_barrier_on_each_snapshot():
         ring.append(AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (x, y, th + math.pi), (-x, -y),
                               d_min=0.4 + 0.02 * k))
     _pair_h_matches_eval_barrier(Scenario(agents=ring, duration=1.0, lookahead=0.15))
+
+
+def _estimate_misses(s, tr):
+    """Recount from the trace: each watched agent's finite-difference ball
+    (full-state radius, as estimate_motion builds it) against its next motion."""
+    intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
+    watched = [j for j in range(len(s.agents)) if any(i != j for i in intact)]
+    misses = 0
+    for k in range(1, len(tr.times) - 1):
+        h = tr.times[k] - tr.times[k - 1]
+        for j in watched:
+            r0, r1, r2 = tr.agents[k - 1][j], tr.agents[k][j], tr.agents[k + 1][j]
+            center = [(r1.px - r0.px) / h, (r1.py - r0.py) / h]
+            if s.agents[j].model is Model.UNICYCLE:
+                center.append(wrap_angle(r1.psi - r0.psi) / h)
+            radius = ESTIMATE_RADIUS_FACTOR * math.sqrt(sum(c * c for c in center))
+            dx = (r2.px - r1.px) / s.dt - center[0]
+            dy = (r2.py - r1.py) / s.dt - center[1]
+            misses += math.sqrt(dx * dx + dy * dy) > radius + 1e-9
+    return misses
+
+
+def test_estimate_violations_count_misses_of_the_observers_balls():
+    # crossing: unicycle balls include the heading rate; headon: the lone
+    # intact agent is watched by nobody, so its motion is never checked.
+    crossing = shipped("crossing", duration=5.0)
+    tr = run(crossing)
+    assert tr.estimate_violations == _estimate_misses(crossing, tr) > 0
+    headon = shipped("headon_stress", duration=2.0)
+    tr = run(headon)
+    assert tr.estimate_violations == _estimate_misses(headon, tr)
