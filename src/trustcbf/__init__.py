@@ -1,7 +1,7 @@
 """Trust-adaptive control barrier function safety filters and a multi-agent simulator."""
 
-from .world import (AgentKind, AgentState, Model, MotionEstimate, World,
-                    WorldSnapshot, estimate_motion, bootstrap_estimate)
+from .world import (AgentKind, AgentState, Model, MotionEstimate, WorldSnapshot,
+                    estimate_motion, bootstrap_estimate)
 from .dynamics import Box, DEFAULT_BOX, euler_step, nominal_trajectory, track_reference
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
 from .barriers import BarrierEval, cbf_row, clf_value, eval_barrier, lookahead_point

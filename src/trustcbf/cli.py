@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,23 +36,6 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#17becf", "#bcbd22"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    scenario: Optional[Path] = None
-    out: Optional[Path] = None
-    dt: Optional[float] = None
-    duration: Optional[float] = None
-    seed: Optional[int] = None
-    rho_bar_d: Optional[float] = None
-    fixed_alpha: bool = False
-    strict: bool = False
-    emit_svg: bool = True
-    oracle_qp: int = 100
-    oracle_lp: int = 100
-    oracle_seed: int = 0
-
-
 def _positive_float(text: str) -> float:
     v = float(text)
     if v <= 0.0:
@@ -60,7 +43,7 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="trustcbf",
                                      description="Trust-adaptive safety-filter simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -88,16 +71,7 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
     p_or.add_argument("--lp", type=int, default=100, help="number of random LP instances")
     p_or.add_argument("--seed", type=int, default=0)
 
-    ns = parser.parse_args(argv)
-    if ns.command == "run":
-        return RunConfig(command="run", scenario=ns.scenario, out=ns.out, dt=ns.dt,
-                         duration=ns.duration, seed=ns.seed, rho_bar_d=ns.rho_bar_d,
-                         fixed_alpha=ns.fixed_alpha, strict=ns.strict,
-                         emit_svg=not ns.no_svg)
-    if ns.command == "validate":
-        return RunConfig(command="validate", scenario=ns.scenario)
-    return RunConfig(command="oracle", oracle_qp=ns.qp, oracle_lp=ns.lp,
-                     oracle_seed=ns.seed)
+    return parser.parse_args(argv)
 
 
 # --- scenario JSON ---------------------------------------------------------
@@ -107,7 +81,7 @@ _TOP_KEYS = {"agents", "duration", "dt", "trust", "flags", "seed",
 _AGENT_KEYS = {"kind", "model", "start", "target", "d_min", "box", "prey", "speed",
                "gain"}
 _TRUST_KEYS = {f.name for f in fields(TrustParams)}
-_FLAG_KEYS = {"fixed_alpha", "alpha_update_order", "rate_floor"}
+_FLAG_KEYS = {"fixed_alpha", "rate_floor"}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -116,13 +90,20 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, where: str):
+def _float(v, where: str) -> float:
+    """The JSON number ``v`` as a float; every other value raises ValidationError."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValidationError(f"{where}: expected a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValidationError(f"{where}: integer too large for a float")
+
+
+def _number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise ValidationError(f"{where}.{key}: required")
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"{where}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _float(obj[key], f"{where}.{key}")
 
 
 def _parse_agent(obj: dict, idx: int) -> AgentSpec:
@@ -141,15 +122,14 @@ def _parse_agent(obj: dict, idx: int) -> AgentSpec:
         raise ValidationError(f"{where}.model: expected one of "
                               f"{[m.value for m in Model]}, got {obj.get('model')!r}")
     start = obj.get("start")
-    if (not isinstance(start, list) or len(start) not in (2, 3)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in start)):
+    if not isinstance(start, list) or len(start) not in (2, 3):
         raise ValidationError(f"{where}.start: expected [x, y] or [x, y, psi]")
+    start = tuple(_float(v, f"{where}.start") for v in start)
     target = obj.get("target")
     if target in (None, "unknown"):
-        target_t = None
-    elif (isinstance(target, list) and len(target) == 2
-          and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in target)):
-        target_t = (float(target[0]), float(target[1]))
+        target = None
+    elif isinstance(target, list) and len(target) == 2:
+        target = tuple(_float(v, f"{where}.target") for v in target)
     else:
         raise ValidationError(f"{where}.target: expected [x, y] or \"unknown\"")
     # Keys the file leaves out take AgentSpec's defaults.
@@ -157,14 +137,14 @@ def _parse_agent(obj: dict, idx: int) -> AgentSpec:
     if "box" in obj:
         try:
             lo, hi = obj["box"]
-            options["box"] = Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
+            options["box"] = Box(tuple(_float(v, f"{where}.box") for v in lo),
+                                 tuple(_float(v, f"{where}.box") for v in hi))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{where}.box: expected [[lo...], [hi...]] containing 0 ({exc})")
     prey = obj.get("prey")
     if prey is not None and (not isinstance(prey, int) or isinstance(prey, bool)):
         raise ValidationError(f"{where}.prey: expected an agent id")
-    return AgentSpec(kind=kind, model=model, start=tuple(float(v) for v in start),
-                     target=target_t, prey=prey, **options)
+    return AgentSpec(kind=kind, model=model, start=start, target=target, prey=prey, **options)
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -175,7 +155,7 @@ def load_scenario(path: Path) -> Scenario:
         raise ValidationError(f"cannot read scenario file: {exc}")
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
         raise ValidationError(f"{path}: not valid JSON ({exc})")
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: top level must be an object")
@@ -350,52 +330,44 @@ def write_outputs(trace: Trace, summary: dict, s: Scenario, out: Path,
 
 # --- subcommands -----------------------------------------------------------
 
-def _apply_overrides(s: Scenario, cfg: RunConfig) -> Scenario:
-    if cfg.dt is not None:
-        s.dt = cfg.dt
-    if cfg.duration is not None:
-        s.duration = cfg.duration
-    if cfg.seed is not None:
-        s.seed = cfg.seed
-    if cfg.rho_bar_d is not None:
-        s.trust.rho_bar_d = cfg.rho_bar_d
-    if cfg.fixed_alpha:
-        s.fixed_alpha = True
-    return s
-
-
-def _cmd_run(cfg: RunConfig) -> int:
-    s = _apply_overrides(load_scenario(cfg.scenario), cfg)
+def _cmd_run(args: argparse.Namespace) -> int:
+    s = load_scenario(args.scenario)
+    for key in ("dt", "duration", "seed"):
+        if getattr(args, key) is not None:
+            setattr(s, key, getattr(args, key))
+    if args.rho_bar_d is not None:
+        s.trust.rho_bar_d = args.rho_bar_d
+    s.fixed_alpha = s.fixed_alpha or args.fixed_alpha
     trace = run(s)
     summary = {
         "config": {
-            "scenario": str(cfg.scenario),
+            "scenario": str(args.scenario),
             "dt": s.dt, "duration": s.duration, "seed": s.seed,
             "fixed_alpha": s.fixed_alpha, "rho_bar_d": s.trust.rho_bar_d,
             "alpha0": s.trust.alpha0,
         },
         "metrics": metrics(trace, s),
     }
-    written = write_outputs(trace, summary, s, cfg.out, emit_svg=cfg.emit_svg)
+    written = write_outputs(trace, summary, s, args.out, emit_svg=not args.no_svg)
     m = summary["metrics"]
     print(f"run complete: {len(trace.times)} records, min_h={m['min_h']:.6g}, "
           f"emergency_events={m['emergency_events']}")
     for p in written:
         print(f"  wrote {p}")
-    if cfg.strict and m["emergency_events"] > 0:
+    if args.strict and m["emergency_events"] > 0:
         print(f"strict mode: {m['emergency_events']} emergency fallback(s)", file=sys.stderr)
         return 5
     return 0
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    s = load_scenario(cfg.scenario)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    s = load_scenario(args.scenario)
     kinds = ", ".join(f"{i}:{a.kind.value}" for i, a in enumerate(s.agents))
     print(f"OK: {len(s.agents)} agents ({kinds}), duration={s.duration}s, dt={s.dt}s")
     return 0
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         import numpy as np
     except ImportError:
@@ -404,11 +376,11 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         return 2
     from .oracles import lp_vertex_oracle, qp_oracle, random_lp_instance, random_qp_instance
 
-    rng = np.random.default_rng(cfg.oracle_seed)
+    rng = np.random.default_rng(args.seed)
     failures = 0
     worst_gap = 0.0
     infeasible = 0
-    for _ in range(cfg.oracle_qp):
+    for _ in range(args.qp):
         p = random_qp_instance(rng)
         oracle = qp_oracle(p, resolution=1e-3)
         try:
@@ -424,11 +396,11 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         worst_gap = max(worst_gap, gap)
         if gap > 1e-3:
             failures += 1
-    print(f"qp: {cfg.oracle_qp} instances, worst objective gap {worst_gap:.3e}, "
+    print(f"qp: {args.qp} instances, worst objective gap {worst_gap:.3e}, "
           f"{failures} failures")
     lp_fail = 0
     lp_worst = 0.0
-    for _ in range(cfg.oracle_lp):
+    for _ in range(args.lp):
         c, rows, box = random_lp_instance(rng)
         v_solver, _ = solve_lp(c, rows, box)
         v_oracle, _ = lp_vertex_oracle(c, rows, box)
@@ -436,18 +408,18 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         lp_worst = max(lp_worst, gap)
         if gap > 1e-9:
             lp_fail += 1
-    print(f"lp: {cfg.oracle_lp} instances, worst value gap {lp_worst:.3e}, {lp_fail} failures")
+    print(f"lp: {args.lp} instances, worst value gap {lp_worst:.3e}, {lp_fail} failures")
     return 0 if failures == 0 and lp_fail == 0 else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    cfg = parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if cfg.command == "run":
-            return _cmd_run(cfg)
-        if cfg.command == "validate":
-            return _cmd_validate(cfg)
-        return _cmd_oracle(cfg)
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        return _cmd_oracle(args)
     except ValidationError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3

@@ -50,9 +50,6 @@ class AgentConfig:
     trust: TrustParams = field(default_factory=TrustParams)
     fixed_alpha: bool = False
     rate_floor: bool = True
-    # "before": adapt rates, then solve the QP with the new rates (default).
-    # "after": solve the QP with the old rates, then adapt (literal loop order).
-    alpha_update_order: str = "before"
 
 
 @dataclass
@@ -145,7 +142,6 @@ def agent_step(i: int, snap: WorldSnapshot,
     contribs = max_own_contribution([o.row for o in obs.values()], cfg.box)
 
     emergency = False
-    deferred: list[tuple[TrustState, float]] = []   # "after" order: (pair, floor)
     for (j, o), contrib in zip(obs.items(), contribs):
         if j in bootstrapped:
             # An ignorance prior is not observed behavior; the rows stay
@@ -180,20 +176,15 @@ def agent_step(i: int, snap: WorldSnapshot,
         if cfg.fixed_alpha:
             continue
         # The floor guards the robustified row the QP actually enforces, so it
-        # consumes the worst-case-point margin, not the center one, in either
-        # update order.
+        # consumes the worst-case-point margin, not the center one.
         try:
             floor = _rate_floor(compliance_margin(hs, o.a_j), ts.alpha, o.ev, o.est, cfg)
         except BoundaryReached:
             emergency = True
             continue
-        if cfg.alpha_update_order == "before":
-            update_alpha(ts, rho, cfg.dt, floor, cfg.trust)
-        else:
-            deferred.append((ts, floor))
+        update_alpha(ts, rho, cfg.dt, floor, cfg.trust)
 
-    # Rates only move before the QP in "before" order; an unchanged rate
-    # keeps the row built in the geometry pass.
+    # A pair whose rate did not move keeps the row built in the geometry pass.
     rows = [o.row if trust[j].alpha == o.alpha_start
             else cbf_row(o.ev, M, o.a_j, trust[j].alpha, tag=(i, j))
             for j, o in obs.items()]
@@ -221,9 +212,6 @@ def agent_step(i: int, snap: WorldSnapshot,
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)
             fallback = Fallback.EMERGENCY
-
-    for ts, floor in deferred:
-        update_alpha(ts, ts.rho, cfg.dt, floor, cfg.trust)
 
     return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), fallback=fallback,
                            pair_h=tuple(pair_h))

@@ -83,13 +83,13 @@ def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFA
             id=state.id, kind=state.kind, model=state.model,
             px=state.px + dt * dx, py=state.py + dt * dy,
             psi=wrap_angle(state.psi + dt * dpsi),
-            target=state.target, last_command=u,
+            target=state.target,
         )
     dx, dy = integrator_derivative(state, u)
     return AgentState(
         id=state.id, kind=state.kind, model=state.model,
         px=state.px + dt * dx, py=state.py + dt * dy, psi=0.0,
-        target=state.target, last_command=u,
+        target=state.target,
     )
 
 

@@ -20,12 +20,17 @@ from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
 from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
 from .solvers import Infeasible
 from .trust import TrustParams, TrustState
-from .world import (AgentKind, AgentState, Model, World, WorldSnapshot,
+from .world import (AgentKind, AgentState, Model, WorldSnapshot,
                     estimate_positions)
 
 log = logging.getLogger(__name__)
 
 GOAL_TOL = 0.2
+
+# Most agent and pair records a run may hold.  The whole trace stays in memory:
+# a finished run holds 238-320 B per record (tracemalloc on ring12-0, crossing
+# and headon).  The largest benchmark input holds 11,664 records.
+MAX_RECORDS = 10**7
 
 # Slack allowed on the discrete barrier-rate inequality before a step is
 # flagged as an integration artifact: 5 * dt * (curvature bound 2).
@@ -56,7 +61,6 @@ class Scenario:
     dt: float = 0.05
     trust: TrustParams = field(default_factory=TrustParams)
     fixed_alpha: bool = False
-    alpha_update_order: str = "before"
     rate_floor: bool = True
     seed: int = 0
     gamma_nominal: float = 1.0   # speed of the straight-line reference used by metrics
@@ -74,13 +78,16 @@ class Scenario:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if self.duration < 0.0:
             raise ValidationError(f"duration must be nonnegative, got {self.duration}")
-        if not math.isfinite(self.duration / self.dt):
-            raise ValidationError(f"duration / dt must be a finite step count, got "
-                                  f"{self.duration} / {self.dt}")
         if not self.agents:
             raise ValidationError("scenario needs at least one agent")
-        if self.alpha_update_order not in ("before", "after"):
-            raise ValidationError(f"alpha_update_order must be 'before' or 'after', got {self.alpha_update_order!r}")
+        n = len(self.agents)
+        n_intact = sum(a.kind is AgentKind.INTACT for a in self.agents)
+        # Float arithmetic, so a step count that overflows gives inf and fails.
+        records = (self.duration / self.dt + 1.0) * (n + n_intact * (n - 1))
+        if not records <= MAX_RECORDS:
+            raise ValidationError(f"the trace would hold {records:.3g} agent and pair records "
+                                  f"(duration {self.duration} / dt {self.dt}), more than "
+                                  f"{MAX_RECORDS}")
         if self.trust.alpha0 <= 0.0:
             raise ValidationError("alpha0 must be positive")
         if self.trust.alpha_min <= 0.0:
@@ -91,7 +98,6 @@ class Scenario:
             raise ValidationError(f"lookahead must be positive, got {self.lookahead}")
         if self.gamma_nominal <= 0.0:
             raise ValidationError("gamma_nominal must be positive")
-        n = len(self.agents)
         for idx, a in enumerate(self.agents):
             where = f"agents[{idx}]"
             if len(a.start) not in (2, 3):
@@ -197,18 +203,6 @@ def uncooperative_policy(state: AgentState, speed: float = 1.0,
     return scale * ex, scale * ey
 
 
-def _build_world(s: Scenario) -> World:
-    agents = []
-    for idx, spec in enumerate(s.agents):
-        psi = spec.start[2] if len(spec.start) == 3 else 0.0
-        agents.append(AgentState(
-            id=idx, kind=spec.kind, model=spec.model,
-            px=spec.start[0], py=spec.start[1], psi=psi,
-            target=spec.target,
-        ))
-    return World(agents)
-
-
 def run(s: Scenario) -> Trace:
     """Simulate the scenario and return the full trace.
 
@@ -217,7 +211,12 @@ def run(s: Scenario) -> Trace:
     but not applied.
     """
     s.validate()
-    world = _build_world(s)
+    t = 0.0
+    agents = tuple(AgentState(id=idx, kind=spec.kind, model=spec.model,
+                              px=spec.start[0], py=spec.start[1],
+                              psi=spec.start[2] if len(spec.start) == 3 else 0.0,
+                              target=spec.target)
+                   for idx, spec in enumerate(s.agents))
     n = len(s.agents)
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     trust = {i: {j: TrustState(alpha=s.trust.alpha0) for j in range(n) if j != i}
@@ -225,7 +224,7 @@ def run(s: Scenario) -> Trace:
     cfgs = {i: AgentConfig(
         box=s.agents[i].box, d_min=s.agents[i].d_min, lookahead=s.lookahead,
         dt=s.dt, trust=s.trust, fixed_alpha=s.fixed_alpha,
-        rate_floor=s.rate_floor, alpha_update_order=s.alpha_update_order,
+        rate_floor=s.rate_floor,
     ) for i in intact}
 
     steps = int(math.floor(s.duration / s.dt + 1e-9))
@@ -240,7 +239,7 @@ def run(s: Scenario) -> Trace:
     watched = [j for j in range(n) if any(i != j for i in intact)]
 
     for k in range(steps + 1):
-        snap = world.take_snapshot()
+        snap = WorldSnapshot(time=t, agents=agents)
         history.append(snap)
         if len(history) > 2:
             history.pop(0)
@@ -283,16 +282,16 @@ def run(s: Scenario) -> Trace:
 
         if k == steps:
             break
-        new_agents = [euler_step(a, d.u_safe, s.dt, spec.box)
-                      for a, d, spec in zip(snap.agents, decisions, s.agents)]
-        world.advance(new_agents, s.dt)
+        agents = tuple(euler_step(a, d.u_safe, s.dt, spec.box)
+                       for a, d, spec in zip(agents, decisions, s.agents))
+        t += s.dt
 
         # Check the estimate balls the observers used against each watched
         # agent's real next motion; misses are counted, never enforced.
         for j, est in estimates.items():
             if est is None:
                 continue
-            a1, a2 = snap.agents[j], new_agents[j]
+            a1, a2 = snap.agents[j], agents[j]
             dx = (a2.px - a1.px) / s.dt - est.center[0]
             dy = (a2.py - a1.py) / s.dt - est.center[1]
             if math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9:

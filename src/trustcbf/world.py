@@ -10,9 +10,7 @@ radius) is used instead.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -59,8 +57,7 @@ class AgentState:
 
     ``psi`` is meaningful for unicycles only and is normalized to (-pi, pi] on
     construction.  ``target`` is the agent's declared goal position; ``None``
-    marks it unknown to observers.  ``last_command`` is the control actually
-    applied on the step that produced this state.
+    marks it unknown to observers.
     """
 
     id: int
@@ -70,7 +67,6 @@ class AgentState:
     py: float
     psi: float = 0.0
     target: Optional[tuple[float, float]] = None
-    last_command: tuple[float, ...] = ()
 
     def __post_init__(self):
         px, py, psi = self.px, self.py, self.psi
@@ -90,8 +86,6 @@ class AgentState:
             object.__setattr__(self, "px", float(px))
         if type(py) is not float:
             object.__setattr__(self, "py", float(py))
-        if not is_float_pair(self.last_command):
-            object.__setattr__(self, "last_command", tuple(float(v) for v in self.last_command))
 
 
 @dataclass(frozen=True)
@@ -100,50 +94,6 @@ class WorldSnapshot:
 
     time: float
     agents: tuple[AgentState, ...]
-
-    def digest(self) -> str:
-        """Stable content hash (used to check snapshots never alias live state)."""
-        parts = [struct.pack("<d", self.time)]
-        for a in self.agents:
-            parts.append(struct.pack("<i", a.id))
-            parts.append(a.kind.value.encode())
-            parts.append(a.model.value.encode())
-            parts.append(struct.pack("<3d", a.px, a.py, a.psi))
-            if a.target is None:
-                parts.append(b"T?")
-            else:
-                parts.append(struct.pack("<2d", *a.target))
-            parts.append(struct.pack(f"<{len(a.last_command)}d", *a.last_command))
-        return hashlib.sha256(b"".join(parts)).hexdigest()
-
-
-class World:
-    """Single-writer mutable store of agent states plus the simulation clock.
-
-    Snapshots are tuples of frozen states, so they stay valid after any
-    subsequent mutation of the store.
-    """
-
-    def __init__(self, agents: Sequence[AgentState], time: float = 0.0):
-        agents = list(agents)
-        for idx, a in enumerate(agents):
-            if a.id != idx:
-                raise ValueError(f"agent ids must be contiguous 0..N-1, got {a.id} at index {idx}")
-        self.agents = agents
-        self.time = float(time)
-
-    def take_snapshot(self) -> WorldSnapshot:
-        return WorldSnapshot(time=self.time, agents=tuple(self.agents))
-
-    def advance(self, new_agents: Sequence[AgentState], dt: float) -> None:
-        """Replace all agent states at once (synchronous update) and bump the clock."""
-        if len(new_agents) != len(self.agents):
-            raise ValueError("advance requires one new state per agent")
-        for idx, a in enumerate(new_agents):
-            if a.id != idx:
-                raise ValueError("agent ids must stay contiguous")
-        self.agents = list(new_agents)
-        self.time += float(dt)
 
 
 @dataclass(slots=True)

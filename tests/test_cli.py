@@ -40,14 +40,14 @@ def write_json(tmp_path, obj, name="scn.json"):
 
 
 def test_parse_args_run_flags():
-    cfg = parse_args(["run", "--scenario", "a.json", "--out", "o", "--dt", "0.1",
-                      "--duration", "5", "--seed", "7", "--rho-bar-d", "0.4",
-                      "--fixed-alpha", "--no-svg", "--strict"])
-    assert cfg.command == "run"
-    assert cfg.scenario == Path("a.json") and cfg.out == Path("o")
-    assert cfg.dt == 0.1 and cfg.duration == 5.0 and cfg.seed == 7
-    assert cfg.rho_bar_d == 0.4
-    assert cfg.fixed_alpha and cfg.strict and not cfg.emit_svg
+    args = parse_args(["run", "--scenario", "a.json", "--out", "o", "--dt", "0.1",
+                       "--duration", "5", "--seed", "7", "--rho-bar-d", "0.4",
+                       "--fixed-alpha", "--no-svg", "--strict"])
+    assert args.command == "run"
+    assert args.scenario == Path("a.json") and args.out == Path("o")
+    assert args.dt == 0.1 and args.duration == 5.0 and args.seed == 7
+    assert args.rho_bar_d == 0.4
+    assert args.fixed_alpha and args.strict and args.no_svg
 
 
 def test_parse_args_usage_errors_exit_2():
@@ -64,10 +64,10 @@ def test_parse_args_usage_errors_exit_2():
 
 
 def test_parse_args_other_subcommands():
-    cfg = parse_args(["validate", "--scenario", "x.json"])
-    assert cfg.command == "validate" and cfg.scenario == Path("x.json")
-    cfg = parse_args(["oracle", "--qp", "7", "--lp", "9", "--seed", "3"])
-    assert (cfg.command, cfg.oracle_qp, cfg.oracle_lp, cfg.oracle_seed) == ("oracle", 7, 9, 3)
+    args = parse_args(["validate", "--scenario", "x.json"])
+    assert args.command == "validate" and args.scenario == Path("x.json")
+    args = parse_args(["oracle", "--qp", "7", "--lp", "9", "--seed", "3"])
+    assert (args.command, args.qp, args.lp, args.seed) == ("oracle", 7, 9, 3)
 
 
 def test_load_scenario_minimal_defaults(tmp_path):
@@ -129,11 +129,11 @@ def test_load_scenario_unknown_target_and_trust_overrides(tmp_path):
                         "start": [8.0, 0.0], "target": "unknown", "prey": 0,
                         "gain": 0.5})
     d["trust"] = {"alpha0": 0.3, "gamma_alpha": 5.0}
-    d["flags"] = {"rate_floor": False, "alpha_update_order": "after"}
+    d["flags"] = {"rate_floor": False, "fixed_alpha": True}
     s = load_scenario(write_json(tmp_path, d))
     assert s.agents[2].target is None and s.agents[2].gain == 0.5
     assert s.trust.alpha0 == 0.3 and s.trust.gamma_alpha == 5.0
-    assert not s.rate_floor and s.alpha_update_order == "after"
+    assert not s.rate_floor and s.fixed_alpha
 
 
 def test_readme_scenario_example_loads(tmp_path):
@@ -369,13 +369,48 @@ def test_exit_3_on_three_dimensional_box(tmp_path):
 HEADON = REPO / "scenarios" / "headon_stress.json"
 
 
-def test_exit_3_on_step_count_overflow(tmp_path):
+def test_exit_3_on_step_count_overflow(tmp_path, capsys):
     # duration / dt overflows to infinity, which no step count can hold.
     d = json.loads(HEADON.read_text())
     d["dt"] = 1e-310
     _assert_exit_3(tmp_path, d)
     assert main(["run", "--scenario", str(HEADON), "--out", str(tmp_path / "o"),
                  "--dt", "1e-310", "--no-svg"]) == 3
+    # A finite step count whose trace could never be held in memory.
+    d["dt"] = 1e-300
+    scn = write_json(tmp_path, d)
+    assert main(["validate", "--scenario", str(scn)]) == 3
+    assert main(["run", "--scenario", str(HEADON), "--out", str(tmp_path / "o"),
+                 "--duration", "1e9", "--no-svg"]) == 3
+    assert not (tmp_path / "o").exists()
+    assert "records" in capsys.readouterr().err
+
+
+def test_exit_3_on_integer_too_large_for_a_float(tmp_path, capsys):
+    huge = 10 ** 400
+    for field, mutate in (
+        ("duration", lambda d: d.update(duration=huge)),
+        ("agents[0].start", lambda d: d["agents"][0]["start"].__setitem__(0, huge)),
+        ("agents[0].target", lambda d: d["agents"][0]["target"].__setitem__(0, huge)),
+        ("agents[1].box", lambda d: d["agents"][1]["box"][1].__setitem__(0, huge)),
+    ):
+        d = json.loads(HEADON.read_text())
+        mutate(d)
+        assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 3, field
+        assert f"{field}: integer too large for a float" in capsys.readouterr().err
+    # More digits than Python converts to an int: the JSON parser itself refuses.
+    scn = tmp_path / "digits.json"
+    scn.write_text(HEADON.read_text().replace('"duration": 22.0', '"duration": 1' + "0" * 5000))
+    assert main(["validate", "--scenario", str(scn)]) == 3
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_exit_3_on_alpha_update_order_flag(tmp_path, capsys):
+    # The rate of each pair moves before the safety QP; no flag selects another order.
+    d = json.loads(HEADON.read_text())
+    d["flags"]["alpha_update_order"] = "before"
+    assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 3
+    assert "alpha_update_order" in capsys.readouterr().err
 
 
 def test_exit_0_on_overflowing_adversary_gain(tmp_path):

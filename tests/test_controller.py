@@ -145,58 +145,31 @@ def test_agent_step_infeasible_rows_give_emergency_stop():
     assert len(dec.rows) == 2
 
 
-def test_agent_step_update_order_after_uses_start_rates():
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 2.0, 0.0, target=(2.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    hist = snapshots([me0, other0], [me0, other0])
-    cfg_after = AgentConfig(box=BOX3, alpha_update_order="after")
-    trust_after = fresh_trust(2, 0)
-    dec_after = agent_step(0, *observe(hist), trust_after, cfg_after)
-    # rows priced at alpha0 even though the pair's rate moved afterwards
-    expected = cbf_row(eval_barrier(me0, other0), velocity_map(me0),
-                       np.zeros(2), 0.8, tag=(0, 1))
-    assert dec_after.rows[0].b == pytest.approx(expected.b)
-    assert trust_after[1].alpha != 0.8
-    # "before" prices the same row at the already-updated rate
-    trust_before = fresh_trust(2, 0)
-    dec_before = agent_step(0, *observe(hist), trust_before,
-                            AgentConfig(box=BOX3, alpha_update_order="before"))
-    assert dec_before.rows[0].b != pytest.approx(expected.b)
-    assert trust_before[1].alpha == pytest.approx(trust_after[1].alpha)
-
-
-def test_rate_floor_margin_is_the_same_in_both_update_orders(monkeypatch):
+def test_rate_floor_receives_the_worst_case_margin(monkeypatch):
     # a moving neighbor has a ball of radius > 0, so its worst-case-point
-    # margin lies below the center margin; both orders must hand the floor
-    # the worst-case one, since that is the row the QP enforces
+    # margin lies below the center margin; the floor must receive the
+    # worst-case one, since that is the row the QP enforces
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
     other0 = integ(1, 2.0, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     other1 = integ(1, 1.95, 0.02, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     hist = snapshots([me0, other0], [me0, other1])
-    margins = {}
+    margins = []
     original = controller.alpha_rate_floor
 
     def recording(margin, *args):
-        margins[order].append(margin)
+        margins.append(margin)
         return original(margin, *args)
 
     monkeypatch.setattr(controller, "alpha_rate_floor", recording)
-    trust = {}
-    for order in ("before", "after"):
-        margins[order] = []
-        trust[order] = fresh_trust(2, 0)
-        agent_step(0, *observe(hist), trust[order],
-                   AgentConfig(box=BOX3, alpha_update_order=order))
+    trust = fresh_trust(2, 0)
+    agent_step(0, *observe(hist), trust, AgentConfig(box=BOX3))
     est = position_part(estimate_motion(hist, 1))
     ev = eval_barrier(me0, other1)
-    center_margin = trust["before"][1].margin
-    assert trust["after"][1].margin == center_margin
+    center_margin = trust[1].margin
     assert est.radius > 0.0
-    assert margins["before"] == margins["after"]
     worst_margin = center_margin - est.radius * float(np.linalg.norm(np.array(ev.grad_j)))
-    assert margins["after"] == [pytest.approx(worst_margin, rel=1e-12)]
-    assert margins["after"][0] < center_margin
-    assert trust["before"][1].alpha == trust["after"][1].alpha
+    assert margins == [pytest.approx(worst_margin, rel=1e-12)]
+    assert margins[0] < center_margin
 
 
 def test_agent_step_unicycle_reference_is_waypoint_tracking():

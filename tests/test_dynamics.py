@@ -59,7 +59,6 @@ def test_euler_step_exact_arithmetic():
     s = euler_step(integ(x=1.0, y=2.0), np.array([0.5, -1.0]), 0.05)
     assert s.px == pytest.approx(1.025)
     assert s.py == pytest.approx(1.95)
-    assert s.last_command == (0.5, -1.0)
     u = euler_step(uni(psi=0.0), np.array([1.0, 2.0]), 0.1)
     assert u.px == pytest.approx(0.1)
     assert u.py == pytest.approx(0.0)
@@ -224,7 +223,6 @@ def test_float_paths_match_numpy_formulas():
                 psi = 0.0
             assert _bits([nxt.px, nxt.py, nxt.psi]) == _bits(
                 [state.px + dt * d[0], state.py + dt * d[1], psi])
-            assert nxt.last_command == tuple(uc.tolist())
 
         s = uni(x, y, float(rng.uniform(-math.pi, math.pi)))
         wp = (x, y) if k % 50 == 0 else tuple(rng.uniform(-10.0, 10.0, 2))

@@ -220,8 +220,7 @@ def small_scenarios(draw, agents=st.integers(2, 8)):
             agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
                                     speed=draw(st.floats(0.1, half))))
     return Scenario(agents=agents, duration=draw(st.sampled_from([1.0, 1.5, 2.0])),
-                    fixed_alpha=draw(st.booleans()), rate_floor=draw(st.booleans()),
-                    alpha_update_order=draw(st.sampled_from(["before", "after"])))
+                    fixed_alpha=draw(st.booleans()), rate_floor=draw(st.booleans()))
 
 
 def _trace_array(tr):

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState,
-                            MissingHistory, Model, World, WorldSnapshot,
+                            MissingHistory, Model, WorldSnapshot,
                             bootstrap_estimate, estimate_motion,
                             estimate_positions, position_part, wrap_angle)
 
 
 def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE,
-               kind=AgentKind.INTACT, target=None, cmd=()):
-    return AgentState(id=i, kind=kind, model=model, px=x, py=y, psi=psi,
-                      target=target, last_command=cmd)
+               kind=AgentKind.INTACT, target=None):
+    return AgentState(id=i, kind=kind, model=model, px=x, py=y, psi=psi, target=target)
 
 
 def test_wrap_angle_reference_points():
@@ -49,40 +48,17 @@ def test_agent_state_rejects_non_finite():
 
 
 def test_agent_state_stores_plain_floats():
-    # ints, numpy scalars, lists and arrays are converted; float values and
-    # float pairs are kept as they are
-    a = make_agent(x=1, y=np.float64(2.0), psi=np.float32(0.5), target=[3, 4.0],
-                   cmd=np.array([0.5, -1.0]))
-    for v in (a.px, a.py, a.psi, *a.target, *a.last_command):
+    # ints, numpy scalars and lists are converted; float values and float
+    # pairs are kept as they are
+    a = make_agent(x=1, y=np.float64(2.0), psi=np.float32(0.5), target=[3, 4.0])
+    for v in (a.px, a.py, a.psi, *a.target):
         assert type(v) is float
     assert (a.px, a.py, a.psi) == (1.0, 2.0, float(np.float32(0.5)))
     assert a.target == (3.0, 4.0) and type(a.target) is tuple
-    assert a.last_command == (0.5, -1.0) and type(a.last_command) is tuple
-    target, cmd = (3.0, 4.0), (0.5, -1.0)
-    b = make_agent(x=1.0, y=2.0, psi=7.0, target=target, cmd=cmd)
-    assert b.target is target and b.last_command is cmd
+    target = (3.0, 4.0)
+    b = make_agent(x=1.0, y=2.0, psi=7.0, target=target)
+    assert b.target is target
     assert b.psi == wrap_angle(7.0)
-    assert make_agent(cmd=[1, 2, 3]).last_command == (1.0, 2.0, 3.0)
-
-
-def test_world_requires_contiguous_ids():
-    with pytest.raises(ValueError):
-        World([make_agent(i=1)])
-    w = World([make_agent(i=0), make_agent(i=1, x=1.0)])
-    with pytest.raises(ValueError):
-        w.advance([make_agent(i=0)], 0.05)
-
-
-def test_snapshot_survives_world_mutation():
-    w = World([make_agent(i=0, x=0.0), make_agent(i=1, x=2.0)])
-    snap = w.take_snapshot()
-    digest = snap.digest()
-    w.advance([make_agent(i=0, x=5.0), make_agent(i=1, x=7.0)], 0.05)
-    assert snap.agents[0].px == 0.0
-    assert snap.agents[1].px == 2.0
-    assert snap.digest() == digest
-    assert w.take_snapshot().digest() != digest
-    assert w.time == pytest.approx(0.05)
 
 
 def test_estimate_motion_exact_finite_difference():
