@@ -5,7 +5,7 @@ from .world import (AgentKind, AgentState, Model, MotionEstimate, WorldSnapshot,
 from .dynamics import Box, DEFAULT_BOX, euler_step, nominal_trajectory, track_reference
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
 from .barriers import BarrierEval, cbf_row, clf_value, eval_barrier, lookahead_point
-from .trust import TrustParams, TrustState, combine_trust, update_alpha
+from .trust import PairRecord, TrustParams, combine_trust, update_alpha
 from .controller import AgentConfig, ControlDecision, Fallback, agent_step, clf_qp_reference
 from .sim import AgentSpec, Scenario, Trace, ValidationError, metrics, run
 

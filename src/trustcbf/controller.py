@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval,
                        barrier_point, cbf_row, clf_value, pair_barrier,
@@ -23,11 +23,13 @@ from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval,
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
-from .trust import (BoundaryReached, DegenerateNormal, TrustParams, TrustState,
-                    alpha_rate_floor, build_halfspace, combine_trust,
-                    compliance_margin, direction_trust, distance_trust,
-                    max_own_contribution, update_alpha, worst_case_motion)
-from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
+from .trust import (BoundaryReached, DegenerateNormal, HalfSpace, PairRecord,
+                    TrustParams, alpha_rate_floor, build_halfspace,
+                    combine_trust, compliance_margin, direction_trust,
+                    distance_trust, max_own_contribution, update_alpha,
+                    worst_case_motion)
+from .world import (AgentState, Model, MotionEstimate, WorldSnapshot,
+                    bootstrap_estimate)
 
 log = logging.getLogger(__name__)
 
@@ -58,8 +60,8 @@ class ControlDecision:
     u_safe: tuple[float, float]
     rows: tuple[ConstraintRow, ...]
     fallback: Fallback = Fallback.NONE
-    # Barrier value toward each neighbor, in neighbor-id order (intact agents only).
-    pair_h: tuple[float, ...] = ()
+    # Each pair's record after this step, in neighbor-id order (intact agents only).
+    pairs: tuple[PairRecord, ...] = ()
 
 
 def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
@@ -82,11 +84,13 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
 
 
 class _PairObs(NamedTuple):
+    other: AgentState
+    prev: PairRecord     # the pair's record after the previous step
     ev: BarrierEval
-    est: MotionEstimate  # position part of the neighbor's motion estimate
+    est: MotionEstimate
+    bootstrapped: bool   # est is the bootstrap ball, not an observation
     a_j: tuple[float, float]
-    alpha_start: float
-    row: ConstraintRow   # the pair's constraint row at alpha_start
+    row: ConstraintRow   # the pair's constraint row at its start-of-step rate
 
 
 def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimate,
@@ -102,19 +106,37 @@ def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimat
     return alpha_rate_floor(margin, alpha, ev.h, B, L_h, cfg.trust.L_hdot, cfg.trust.L_F)
 
 
+def _halfspace(i: int, o: _PairObs, contrib: Optional[float], t: float) -> Optional[HalfSpace]:
+    """The pair's half-space of allowed neighbor motions, or None when the pair
+    is not scored this step."""
+    if o.bootstrapped:
+        # An ignorance prior is not observed behavior; the rows stay
+        # conservative but the scores wait for a real estimate.
+        return None
+    if contrib is None:
+        # Even the other pairs' rows conflict; the main QP will surface it.
+        log.debug("t=%.3f agent %d: contribution LP infeasible toward %d", t, i, o.other.id)
+        return None
+    try:
+        return build_halfspace(o.ev, o.prev.alpha, contrib)
+    except DegenerateNormal:
+        log.debug("t=%.3f agent %d coincides with %d; trust update skipped", t, i, o.other.id)
+        return None
+
+
 def agent_step(i: int, snap: WorldSnapshot,
                estimates: Mapping[int, Optional[MotionEstimate]],
-               trust: dict[int, TrustState], cfg: AgentConfig) -> ControlDecision:
+               pairs: Sequence[PairRecord], cfg: AgentConfig) -> ControlDecision:
     """One full control step for intact agent i on the snapshot ``snap``.
 
-    ``estimates`` maps every neighbor id to the position part of its motion
-    estimate, or to None before its motion can be estimated (the bootstrap
-    ball then stands in for it); ``world.estimate_positions`` builds it once
-    per step for all observers.  ``trust`` maps neighbor id to that pair's
-    TrustState and is mutated in place.  All per-pair computations read rates
-    as of the start of the step, so their order cannot matter.  The
-    decision's ``pair_h`` holds the barrier value toward every neighbor on
-    this snapshot.
+    ``estimates`` maps every neighbor id to its motion estimate, or to None
+    before its motion can be estimated (the bootstrap ball then stands in for
+    it); ``world.estimate_positions`` builds it once per step for all
+    observers.  ``pairs`` holds the previous step's record of each pair in
+    neighbor-id order, and the decision's ``pairs`` holds the new ones, each
+    with its barrier value on this snapshot.  Nothing is mutated.  All
+    per-pair computations read rates as of the start of the step, so their
+    order cannot matter.
     """
     me = snap.agents[i]
     M = velocity_map(me, cfg.lookahead)
@@ -122,48 +144,35 @@ def agent_step(i: int, snap: WorldSnapshot,
 
     # One geometry pass: every neighbor's barrier, worst-case motion and row
     # at its start-of-step rate.
-    obs: dict[int, _PairObs] = {}
-    pair_h: list[float] = []
-    bootstrapped: set[int] = set()
-    for other in snap.agents:
-        j = other.id
-        if j == i:
-            continue
-        est = estimates[j]
-        if est is None:
+    obs: list[_PairObs] = []
+    for other, prev in zip([a for a in snap.agents if a.id != i], pairs, strict=True):
+        est = estimates[other.id]
+        bootstrapped = est is None
+        if bootstrapped:
             est = bootstrap_estimate(v_max=cfg.trust.v_max)
-            bootstrapped.add(j)
         ev = pair_barrier(p_i, other, cfg.d_min)
-        pair_h.append(ev.h)
         a_j, _ = worst_case_motion(est, ev.grad_j)
-        alpha = trust[j].alpha
-        obs[j] = _PairObs(ev, est, a_j, alpha, cbf_row(ev, M, a_j, alpha, tag=(i, j)))
+        obs.append(_PairObs(other, prev, ev, est, bootstrapped, a_j,
+                            cbf_row(ev, M, a_j, prev.alpha, tag=(i, other.id))))
     # Each pair's contribution LP runs over the other pairs' start rows.
-    contribs = max_own_contribution([o.row for o in obs.values()], cfg.box)
+    contribs = max_own_contribution([o.row for o in obs], cfg.box)
 
     emergency = False
-    for (j, o), contrib in zip(obs.items(), contribs):
-        if j in bootstrapped:
-            # An ignorance prior is not observed behavior; the rows stay
-            # conservative but the trust state waits for a real estimate.
+    records: list[PairRecord] = []
+    for o, contrib in zip(obs, contribs):
+        prev, ev = o.prev, o.ev
+        hs = _halfspace(i, o, contrib, snap.time)
+        if hs is None:
+            # A pair that is not scored keeps its rate and its last scores.
+            records.append(PairRecord(ev.h, prev.alpha, prev.rho, prev.rho_d,
+                                      prev.rho_theta, prev.margin))
             continue
-        ts = trust[j]
-        other = snap.agents[j]
         # Behavior is judged at the estimate center; the ball's worst-case
         # point is reserved for the control rows.
         a_hat = o.est.center
-
-        if contrib is None:
-            # Even the other pairs' rows conflict; the main QP will surface it.
-            log.debug("t=%.3f agent %d: contribution LP infeasible toward %d", snap.time, i, j)
-            continue
-        try:
-            hs = build_halfspace(o.ev, ts.alpha, contrib)
-        except DegenerateNormal:
-            log.debug("t=%.3f agent %d coincides with %d; trust update skipped", snap.time, i, j)
-            continue
         d = compliance_margin(hs, a_hat)
         rho_d = distance_trust(d, cfg.trust.beta)
+        other = o.other
         target_j = other.target if other.target is not None else (me.px, me.py)
         n_hat, at_target = nominal_direction(other, target_j)
         if at_target:
@@ -171,23 +180,23 @@ def agent_step(i: int, snap: WorldSnapshot,
         else:
             rho_theta = direction_trust(n_hat, a_hat, hs.s_hat)
         rho = combine_trust(rho_d, rho_theta, cfg.trust.rho_bar_d, cfg.trust.k_blend)
-        ts.observe(rho, rho_d, rho_theta, d)
 
-        if cfg.fixed_alpha:
-            continue
-        # The floor guards the robustified row the QP actually enforces, so it
-        # consumes the worst-case-point margin, not the center one.
-        try:
-            floor = _rate_floor(compliance_margin(hs, o.a_j), ts.alpha, o.ev, o.est, cfg)
-        except BoundaryReached:
-            emergency = True
-            continue
-        update_alpha(ts, rho, cfg.dt, floor, cfg.trust)
+        alpha = prev.alpha
+        if not cfg.fixed_alpha:
+            # The floor guards the robustified row the QP actually enforces, so
+            # it consumes the worst-case-point margin, not the center one.
+            try:
+                floor = _rate_floor(compliance_margin(hs, o.a_j), alpha, ev, o.est, cfg)
+            except BoundaryReached:
+                emergency = True
+            else:
+                alpha = update_alpha(alpha, rho, cfg.dt, floor, cfg.trust)
+        records.append(PairRecord(ev.h, alpha, rho, rho_d, rho_theta, d))
 
     # A pair whose rate did not move keeps the row built in the geometry pass.
-    rows = [o.row if trust[j].alpha == o.alpha_start
-            else cbf_row(o.ev, M, o.a_j, trust[j].alpha, tag=(i, j))
-            for j, o in obs.items()]
+    rows = [o.row if rec.alpha == o.prev.alpha
+            else cbf_row(o.ev, M, o.a_j, rec.alpha, tag=(i, o.other.id))
+            for o, rec in zip(obs, records)]
 
     if me.model is Model.UNICYCLE:
         if me.target is None:
@@ -214,4 +223,4 @@ def agent_step(i: int, snap: WorldSnapshot,
             fallback = Fallback.EMERGENCY
 
     return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), fallback=fallback,
-                           pair_h=tuple(pair_h))
+                           pairs=tuple(records))

@@ -19,7 +19,7 @@ from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
                          agent_step, clf_qp_reference)
 from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
 from .solvers import Infeasible
-from .trust import TrustParams, TrustState
+from .trust import PairRecord, TrustParams
 from .world import (AgentKind, AgentState, Model, WorldSnapshot,
                     estimate_positions)
 
@@ -28,9 +28,16 @@ log = logging.getLogger(__name__)
 GOAL_TOL = 0.2
 
 # Most agent and pair records a run may hold.  The whole trace stays in memory:
-# a finished run holds 238-320 B per record (tracemalloc on ring12-0, crossing
+# a finished run holds 252-326 B per record (tracemalloc on ring12-0, crossing
 # and headon).  The largest benchmark input holds 11,664 records.
 MAX_RECORDS = 10**7
+
+# Largest magnitude a scenario may give a start or target coordinate, a box
+# bound, d_min, the look-ahead or the duration.  Commands stay in their boxes,
+# so positions stay within about 1e12 of the origin, and squared distances and
+# gradient norms stay far below the float maximum: none overflows to inf,
+# which would turn a barrier's unit normal into (0, 0).
+MAGNITUDE_BOUND = 1e6
 
 # Slack allowed on the discrete barrier-rate inequality before a step is
 # flagged as an integration artifact: 5 * dt * (curvature bound 2).
@@ -88,6 +95,9 @@ class Scenario:
             raise ValidationError(f"the trace would hold {records:.3g} agent and pair records "
                                   f"(duration {self.duration} / dt {self.dt}), more than "
                                   f"{MAX_RECORDS}")
+        for name, v in (("duration", self.duration), ("lookahead", self.lookahead)):
+            if abs(v) > MAGNITUDE_BOUND:
+                raise ValidationError(f"{name} must be at most {MAGNITUDE_BOUND:g}, got {v}")
         if self.trust.alpha0 <= 0.0:
             raise ValidationError("alpha0 must be positive")
         if self.trust.alpha_min <= 0.0:
@@ -109,6 +119,10 @@ class Scenario:
             if not all(math.isfinite(v) for v in (a.d_min, a.speed, a.gain, *a.box.lo, *a.box.hi,
                                                    *(a.target or ()))):
                 raise ValidationError(f"{where}: every number must be finite")
+            if not all(abs(v) <= MAGNITUDE_BOUND for v in (a.d_min, *a.start[:2], *a.box.lo,
+                                                          *a.box.hi, *(a.target or ()))):
+                raise ValidationError(f"{where}: start, target, box and d_min must lie "
+                                      f"within ±{MAGNITUDE_BOUND:g}")
             if a.d_min <= 0.0:
                 raise ValidationError(f"{where}.d_min must be positive")
             if a.kind is AgentKind.INTACT and a.target is None:
@@ -139,16 +153,6 @@ class AgentRecord:
     u_ref: tuple[float, float]
     u: tuple[float, float]
     fallback: int
-
-
-@dataclass(slots=True)
-class PairRecord:
-    h: float
-    alpha: float
-    rho: float
-    rho_d: float
-    rho_theta: float
-    margin: float
 
 
 @dataclass
@@ -183,12 +187,15 @@ def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
 
 
 def uncooperative_policy(state: AgentState, speed: float = 1.0,
-                         dt: Optional[float] = None) -> tuple[float, float]:
+                         dt: Optional[float] = None,
+                         box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Constant-velocity motion toward the agent's own target; zero at the target.
 
     Depends on nothing but the agent's own state, so other agents cannot
     perturb it.  With ``dt`` given, the last step onto the target is shortened
-    to land exactly instead of overshooting.
+    to land exactly instead of overshooting.  The command is clipped to
+    ``box``, so a speed the box cannot deliver saturates there, and the
+    recorded command is the one applied.
     """
     if state.target is None:
         return 0.0, 0.0
@@ -200,7 +207,7 @@ def uncooperative_policy(state: AgentState, speed: float = 1.0,
     if dt is not None and dist < speed * dt:
         v = dist / dt
     scale = v / dist
-    return scale * ex, scale * ey
+    return box.clip((scale * ex, scale * ey))
 
 
 def run(s: Scenario) -> Trace:
@@ -219,8 +226,10 @@ def run(s: Scenario) -> Trace:
                    for idx, spec in enumerate(s.agents))
     n = len(s.agents)
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
-    trust = {i: {j: TrustState(alpha=s.trust.alpha0) for j in range(n) if j != i}
-             for i in intact}
+    # Each intact agent's pair records in neighbor-id order; the first step
+    # never reads the start records' h.
+    start = PairRecord(h=math.nan, alpha=s.trust.alpha0)
+    pairs = {i: (start,) * (n - 1) for i in intact}
     cfgs = {i: AgentConfig(
         box=s.agents[i].box, d_min=s.agents[i].d_min, lookahead=s.lookahead,
         dt=s.dt, trust=s.trust, fixed_alpha=s.fixed_alpha,
@@ -229,10 +238,9 @@ def run(s: Scenario) -> Trace:
 
     steps = int(math.floor(s.duration / s.dt + 1e-9))
     trace = Trace()
-    history: list[WorldSnapshot] = []
-    prev_pair_h: dict[tuple[int, int], tuple[float, float]] = {}
+    prev: Optional[WorldSnapshot] = None
     # One key per ordered pair, shared by every record of the trace; each
-    # intact agent's keys are in neighbor-id order, like its decision's pair_h.
+    # intact agent's keys are in neighbor-id order, like its decision's pairs.
     pair_keys = {i: [(i, j) for j in range(n) if j != i] for i in intact}
     # Agents some intact observer watches; each one's motion estimate is
     # built once per step and shared by every observer.
@@ -240,21 +248,17 @@ def run(s: Scenario) -> Trace:
 
     for k in range(steps + 1):
         snap = WorldSnapshot(time=t, agents=agents)
-        history.append(snap)
-        if len(history) > 2:
-            history.pop(0)
-
-        estimates = estimate_positions(history, watched)
+        estimates = estimate_positions(prev, snap, watched)
         decisions: list[ControlDecision] = []   # index == agent id
         for a in snap.agents:
             spec = s.agents[a.id]
             if a.kind is AgentKind.INTACT:
-                decisions.append(agent_step(a.id, snap, estimates, trust[a.id], cfgs[a.id]))
+                decisions.append(agent_step(a.id, snap, estimates, pairs[a.id], cfgs[a.id]))
                 continue
             if a.kind is AgentKind.ADVERSARIAL:
                 u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
             else:
-                u = uncooperative_policy(a, spec.speed, s.dt)
+                u = uncooperative_policy(a, spec.speed, s.dt, spec.box)
             decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), fallback=Fallback.NONE))
 
         trace.times.append(snap.time)
@@ -265,23 +269,20 @@ def run(s: Scenario) -> Trace:
         ])
         pair_step: dict[tuple[int, int], PairRecord] = {}
         for i in intact:
-            # agent_step evaluated every pair barrier on this snapshot.
-            for key, h in zip(pair_keys[i], decisions[i].pair_h):
-                ts = trust[i][key[1]]
-                pair_step[key] = PairRecord(h=h, alpha=ts.alpha, rho=ts.rho,
-                                            rho_d=ts.rho_d, rho_theta=ts.rho_theta,
-                                            margin=ts.margin)
+            new = decisions[i].pairs
+            pair_step.update(zip(pair_keys[i], new))
+            if k > 0:
                 # Discrete rate inequality bookkeeping (integration artifacts).
-                if key in prev_pair_h:
-                    h_prev, alpha_prev = prev_pair_h[key]
-                    slack = (h - h_prev) / s.dt + alpha_prev * h_prev
+                for old, rec in zip(pairs[i], new):
+                    slack = (rec.h - old.h) / s.dt + old.alpha * old.h
                     if slack < -EULER_SLACK_FACTOR * s.dt:
                         trace.euler_slack_events += 1
-                prev_pair_h[key] = (h, ts.alpha)
+            pairs[i] = new
         trace.pairs.append(pair_step)
 
         if k == steps:
             break
+        prev = snap
         agents = tuple(euler_step(a, d.u_safe, s.dt, spec.box)
                        for a, d, spec in zip(agents, decisions, s.agents))
         t += s.dt

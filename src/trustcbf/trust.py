@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .barriers import BarrierEval
 from .dynamics import Box
@@ -68,21 +68,16 @@ class HalfSpace:
     s_hat: tuple[float, float]
 
 
-@dataclass
-class TrustState:
-    """Mutable per-ordered-pair record of the rate parameter and last scores."""
+class PairRecord(NamedTuple):
+    """One ordered pair's state after a step: the barrier value on that step's
+    snapshot, the rate parameter, and the last scores the pair received."""
 
+    h: float
     alpha: float
     rho: float = 0.0
     rho_d: float = 0.0
     rho_theta: float = 0.5
     margin: float = 0.0
-
-    def observe(self, rho: float, rho_d: float, rho_theta: float, margin: float) -> None:
-        self.rho = float(rho)
-        self.rho_d = float(rho_d)
-        self.rho_theta = float(rho_theta)
-        self.margin = float(margin)
 
 
 def worst_case_motion(est: MotionEstimate, grad_j) -> tuple[tuple[float, float], float]:
@@ -223,15 +218,14 @@ def alpha_rate_floor(margin: float, alpha: float, h: float, B: float,
     return -(margin + L_hdot * L_F * B * B + alpha * L_h * B) / h
 
 
-def update_alpha(ts: TrustState, rho: float, dt: float, floor: float,
-                 params: TrustParams) -> TrustState:
-    """Advance the pair's rate parameter one step.
+def update_alpha(alpha: float, rho: float, dt: float, floor: float,
+                 params: TrustParams) -> float:
+    """The pair's rate parameter one step later.
 
-    alpha <- clamp(alpha + dt * max(gamma_alpha * rho, floor), alpha_min, alpha_max)
+    alpha + dt * max(gamma_alpha * rho, floor), clamped to [alpha_min, alpha_max]
 
     The floor wins whenever the trust-driven rate would sink alpha fast enough
     to break QP feasibility.
     """
     rate = max(alpha_rate(rho, params.gamma_alpha), floor)
-    ts.alpha = min(max(ts.alpha + dt * rate, params.alpha_min), params.alpha_max)
-    return ts
+    return min(max(alpha + dt * rate, params.alpha_min), params.alpha_max)

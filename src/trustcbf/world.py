@@ -1,11 +1,11 @@
 """Agent state records, observation snapshots, and the bounded-difference motion estimator.
 
 Agents only ever see each other through immutable snapshots of the world.  A
-neighbor's future motion is unknown, so observers bound it with a ball: the
-center is the finite-difference state derivative over the last step and the
-radius is ten percent of that derivative's norm.  Before two observations
-exist, a conservative bootstrap ball (zero center, the speed bound v_max as
-radius) is used instead.
+neighbor's future motion is unknown, so observers bound its position rate
+with a ball: the center is the finite-difference position rate between the
+previous snapshot and the current one, and the radius is ten percent of the
+full state derivative's norm.  Before two observations exist, a conservative
+bootstrap ball (zero center, the speed bound v_max as radius) is used instead.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,10 +30,6 @@ class AgentKind(Enum):
 class Model(Enum):
     UNICYCLE = "Unicycle"
     SINGLE_INTEGRATOR = "SingleIntegrator"
-
-
-class MissingHistory(Exception):
-    """Motion estimation was attempted with fewer than two world snapshots."""
 
 
 def wrap_angle(a: float) -> float:
@@ -98,41 +94,34 @@ class WorldSnapshot:
 
 @dataclass(slots=True)
 class MotionEstimate:
-    """Ball bound on a neighbor's state derivative: center F_hat (a tuple of
-    floats, one per state component), radius b_F."""
+    """Ball bound on a neighbor's position rate: center F_hat (a float pair),
+    radius b_F."""
 
-    center: tuple[float, ...]
+    center: tuple[float, float]
     radius: float
 
 
-def estimate_motion(history: Sequence[WorldSnapshot], j: int) -> MotionEstimate:
-    """Finite-difference estimate of agent j's state derivative from the last two snapshots.
+def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> MotionEstimate:
+    """Finite-difference estimate of agent j's position rate between two snapshots.
 
-    The center is (state(t) - state(t-dt)) / dt with the heading component
-    differenced modulo 2*pi; the radius is ESTIMATE_RADIUS_FACTOR times the
-    center norm (exact arithmetic relation, relied on by callers).
+    The center is (position(t) - position(t-dt)) / dt.  The radius is
+    ESTIMATE_RADIUS_FACTOR times the norm of the full state's difference
+    quotient: for a unicycle that includes the heading rate, differenced
+    modulo 2*pi, so the ball stays a conservative bound on the position rate.
 
-    Raises MissingHistory when fewer than two snapshots are available.
+    Raises ValueError unless ``newer`` is later than ``older``.
     """
-    if len(history) < 2:
-        raise MissingHistory(f"need two snapshots to estimate agent {j}'s motion")
-    older, newer = history[-2], history[-1]
     dt = newer.time - older.time
     if dt <= 0.0:
-        raise MissingHistory(f"snapshots out of order (dt={dt})")
+        raise ValueError(f"snapshots out of order (dt={dt})")
     a0, a1 = older.agents[j], newer.agents[j]
-    if a0.model is not a1.model:
-        raise ValueError(f"agent {j} changed model between snapshots")
     vx = (a1.px - a0.px) / dt
     vy = (a1.py - a0.py) / dt
     sq = vx * vx + vy * vy
     if a1.model is Model.UNICYCLE:
         w = wrap_angle(a1.psi - a0.psi) / dt
-        center = (vx, vy, w)
         sq += w * w
-    else:
-        center = (vx, vy)
-    return MotionEstimate(center=center, radius=ESTIMATE_RADIUS_FACTOR * math.sqrt(sq))
+    return MotionEstimate(center=(vx, vy), radius=ESTIMATE_RADIUS_FACTOR * math.sqrt(sq))
 
 
 def bootstrap_estimate(v_max: float) -> MotionEstimate:
@@ -140,30 +129,15 @@ def bootstrap_estimate(v_max: float) -> MotionEstimate:
     return MotionEstimate(center=(0.0, 0.0), radius=float(v_max))
 
 
-def position_part(est: MotionEstimate) -> MotionEstimate:
-    """Restrict an estimate to the position sub-state.
-
-    The full-state radius remains a valid bound for the 2-D projection, so it
-    is kept as-is (conservative for unicycles).
-    """
-    return MotionEstimate(center=(float(est.center[0]), float(est.center[1])), radius=est.radius)
-
-
-def estimate_positions(history: Sequence[WorldSnapshot], ids: Iterable[int]
-                       ) -> dict[int, Optional[MotionEstimate]]:
-    """Position part of each listed agent's motion estimate, keyed by agent id.
+def estimate_positions(prev: Optional[WorldSnapshot], snap: WorldSnapshot,
+                       ids: Iterable[int]) -> dict[int, Optional[MotionEstimate]]:
+    """Each listed agent's motion estimate from the previous snapshot to ``snap``,
+    keyed by agent id.
 
     An estimate depends only on the agent it describes, so one call per step
-    serves every observer.  An agent maps to None when its motion cannot be
-    estimated yet (fewer than two snapshots); observers then fall back to
-    ``bootstrap_estimate``.
+    serves every observer.  Without a previous snapshot (the first step) every
+    agent maps to None; observers then fall back to ``bootstrap_estimate``.
     """
-    if len(history) < 2:
+    if prev is None:
         return dict.fromkeys(ids)
-    out: dict[int, Optional[MotionEstimate]] = {}
-    for j in ids:
-        try:
-            out[j] = position_part(estimate_motion(history, j))
-        except MissingHistory:
-            out[j] = None
-    return out
+    return {j: estimate_motion(prev, snap, j) for j in ids}

@@ -413,6 +413,40 @@ def test_exit_3_on_alpha_update_order_flag(tmp_path, capsys):
     assert "alpha_update_order" in capsys.readouterr().err
 
 
+def test_exit_3_on_magnitudes_that_overflow_the_geometry(tmp_path, capsys):
+    # Each scenario is finite, yet its squared distances overflow: the barrier
+    # gradient's norm becomes inf, so the safe normal is (-0, 0) and the
+    # direction score divides by zero, or a far Euler step leaves the floats.
+    far = {"agents": [
+        {"kind": "Intact", "model": "SingleIntegrator", "start": [-1e200, 0.0],
+         "target": [0.0, 0.0]},
+        {"kind": "Uncooperative", "model": "SingleIntegrator", "start": [1e200, 0.0],
+         "target": [1e200, 5.0]},
+    ], "duration": 1.0}
+    crossing = json.loads((REPO / "scenarios" / "crossing.json").read_text())
+    for d, field in ((far, "agents[0]"),
+                     (dict(crossing, dt=1e200, duration=2e201), "duration"),
+                     (dict(crossing, lookahead=1e200), "lookahead")):
+        _assert_exit_3(tmp_path, d)
+        assert field in capsys.readouterr().err
+    # At the bound itself a run finishes, and every value it writes is finite.
+    big = dict(crossing, dt=1e3, duration=1e6, lookahead=1e6)
+    big["agents"] = [dict(a, start=[1e6, -1e6, *a["start"][2:]], d_min=1e6,
+                          box=[[-1e6, -1e6], [1e6, 1e6]])
+                     for a in crossing["agents"]]
+    for a, y in zip(big["agents"], (-1e6, 0.0, 1e6, 0.0, -1e6, 1e6)):
+        a["start"][1] = y
+        if a["target"] != "unknown":
+            a["target"] = [-1e6, -y]
+    scn = write_json(tmp_path, big)
+    assert main(["validate", "--scenario", str(scn)]) == 0
+    out = tmp_path / "big"
+    assert main(["run", "--scenario", str(scn), "--out", str(out), "--no-svg"]) == 0
+    for name in ("trace.csv", "pairs.csv"):
+        cols = read_trace_csv(out / name)
+        assert all(np.all(np.isfinite(v)) for v in cols.values()), name
+
+
 def test_exit_0_on_overflowing_adversary_gain(tmp_path):
     # k * V overflows, so the adversary's saturated pursuit must not turn
     # inf * 0.0 into a NaN command.

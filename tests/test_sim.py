@@ -1,8 +1,10 @@
 """Scenario validation, non-intact policies, the run loop, and metrics."""
 
+import dataclasses
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -393,15 +395,60 @@ def _pair_h_matches_eval_barrier(s):
             assert struct.pack("<d", p.h) == struct.pack("<d", h), (i, j)
 
 
-def test_recorded_pair_h_is_eval_barrier_on_each_snapshot():
-    _pair_h_matches_eval_barrier(shipped("crossing", duration=2.0))
+def _ring6():
+    """Six intact unicycles on a 3 m ring, each bound for the opposite point."""
     ring = []
     for k in range(6):
         th = 2.0 * math.pi * k / 6 + 0.01 * k
         x, y = 3.0 * math.cos(th), 3.0 * math.sin(th)
         ring.append(AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (x, y, th + math.pi), (-x, -y),
                               d_min=0.4 + 0.02 * k))
-    _pair_h_matches_eval_barrier(Scenario(agents=ring, duration=1.0, lookahead=0.15))
+    return Scenario(agents=ring, duration=1.0, lookahead=0.15)
+
+
+def test_recorded_pair_h_is_eval_barrier_on_each_snapshot():
+    _pair_h_matches_eval_barrier(shipped("crossing", duration=2.0))
+    _pair_h_matches_eval_barrier(_ring6())
+
+
+def _euler_slack_misses(s, tr):
+    """Recount from the trace: steps on which a pair's barrier fell faster than
+    its previous record's rate allows, by more than the Euler slack."""
+    misses = 0
+    for old, new in zip(tr.pairs, tr.pairs[1:]):
+        for key, rec in new.items():
+            h0, alpha0 = old[key].h, old[key].alpha
+            misses += (rec.h - h0) / s.dt + alpha0 * h0 < -sim.EULER_SLACK_FACTOR * s.dt
+    return misses
+
+
+def test_euler_slack_events_count_the_pairs_records():
+    ring = _ring6()
+    tr = run(ring)
+    assert tr.euler_slack_events == _euler_slack_misses(ring, tr) > 0
+    crossing = shipped("crossing", duration=5.0)
+    tr = run(crossing)
+    assert tr.euler_slack_events == _euler_slack_misses(crossing, tr)
+
+
+def test_uncooperative_command_is_the_applied_one():
+    # a cruise speed beyond the box saturates in the policy, so the recorded
+    # command is what moved the agent and the Euler step never clamps it
+    s = shipped("crossing", duration=2.0)
+    fast = [4, 5]
+    for j in fast:
+        s.agents[j] = dataclasses.replace(s.agents[j], speed=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = run(s)
+    for j in fast:
+        box = s.agents[j].box
+        for r0, r1 in zip(tr.agents, tr.agents[1:]):
+            u = r0[j].u
+            assert box.contains(u, tol=0.0), u
+            assert u == pytest.approx(((r1[j].px - r0[j].px) / s.dt,
+                                       (r1[j].py - r0[j].py) / s.dt), abs=1e-9)
+        assert tr.agents[0][j].u == (0.0, (-3.0, 3.0)[j - 4])
 
 
 def _estimate_misses(s, tr):

@@ -10,10 +10,9 @@ from trustcbf.dynamics import Box
 from trustcbf.solvers import (FEAS_TOL, ConstraintRow, Infeasible, _box_polygon,
                               _clip, _half_planes, solve_lp)
 from trustcbf.trust import (BoundaryReached, DegenerateNormal, TrustParams,
-                            TrustState, alpha_rate, alpha_rate_floor,
-                            build_halfspace, combine_trust, compliance_margin,
-                            direction_trust, distance_trust,
-                            max_own_contribution, update_alpha,
+                            alpha_rate, alpha_rate_floor, build_halfspace,
+                            combine_trust, compliance_margin, direction_trust,
+                            distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
 from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
 
@@ -274,27 +273,14 @@ def test_alpha_rate_and_floor_formulas():
 
 def test_update_alpha_step_and_clamps():
     p = TrustParams(gamma_alpha=1.0, alpha_min=0.01, alpha_max=2.0)
-    ts = TrustState(alpha=0.8)
-    update_alpha(ts, rho=0.5, dt=0.05, floor=-math.inf, params=p)
-    assert ts.alpha == pytest.approx(0.825)
-    ts = TrustState(alpha=0.02)
-    update_alpha(ts, rho=-1.0, dt=0.05, floor=-math.inf, params=p)
-    assert ts.alpha == p.alpha_min
-    ts = TrustState(alpha=1.99)
-    update_alpha(ts, rho=1.0, dt=0.05, floor=-math.inf,
-                 params=TrustParams(gamma_alpha=10.0, alpha_max=2.0))
-    assert ts.alpha == 2.0
+    assert update_alpha(0.8, rho=0.5, dt=0.05, floor=-math.inf, params=p) == pytest.approx(0.825)
+    assert update_alpha(0.02, rho=-1.0, dt=0.05, floor=-math.inf, params=p) == p.alpha_min
+    assert update_alpha(1.99, rho=1.0, dt=0.05, floor=-math.inf,
+                        params=TrustParams(gamma_alpha=10.0, alpha_max=2.0)) == 2.0
 
 
 def test_update_alpha_floor_overrides_trust_rate():
     p = TrustParams(gamma_alpha=100.0)
-    ts = TrustState(alpha=0.8)
-    update_alpha(ts, rho=-1.0, dt=0.05, floor=-0.2, params=p)
+    alpha = update_alpha(0.8, rho=-1.0, dt=0.05, floor=-0.2, params=p)
     # commanded -100, floor -0.2: the floor wins
-    assert ts.alpha == pytest.approx(0.8 - 0.05 * 0.2)
-
-
-def test_trust_state_observe_records_scores():
-    ts = TrustState(alpha=0.8)
-    ts.observe(rho=0.2, rho_d=0.9, rho_theta=0.6, margin=1.5)
-    assert (ts.rho, ts.rho_d, ts.rho_theta, ts.margin) == (0.2, 0.9, 0.6, 1.5)
+    assert alpha == pytest.approx(0.8 - 0.05 * 0.2)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState,
-                            MissingHistory, Model, WorldSnapshot,
-                            bootstrap_estimate, estimate_motion,
-                            estimate_positions, position_part, wrap_angle)
+                            Model, WorldSnapshot, bootstrap_estimate,
+                            estimate_motion, estimate_positions, wrap_angle)
 
 
 def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE,
@@ -66,10 +65,14 @@ def test_estimate_motion_exact_finite_difference():
     a1 = make_agent(i=0, x=0.2, y=-0.1, psi=0.3)
     s0 = WorldSnapshot(time=0.0, agents=(a0,))
     s1 = WorldSnapshot(time=0.05, agents=(a1,))
-    est = estimate_motion([s0, s1], 0)
-    assert np.allclose(est.center, [0.2 / 0.05, -0.1 / 0.05, 0.2 / 0.05])
-    assert est.radius == pytest.approx(
-        ESTIMATE_RADIUS_FACTOR * float(np.linalg.norm(est.center)))
+    est = estimate_motion(s0, s1, 0)
+    assert len(est.center) == 2
+    assert np.allclose(est.center, [0.2 / 0.05, -0.1 / 0.05])
+    # the radius is 10% of the full-state rate, heading included: a valid
+    # (conservative) bound on the position rate
+    full = [0.2 / 0.05, -0.1 / 0.05, 0.2 / 0.05]
+    assert est.radius == pytest.approx(ESTIMATE_RADIUS_FACTOR * float(np.linalg.norm(full)))
+    assert est.radius > ESTIMATE_RADIUS_FACTOR * float(np.linalg.norm(est.center))
 
 
 def test_estimate_motion_wraps_heading_difference():
@@ -78,16 +81,18 @@ def test_estimate_motion_wraps_heading_difference():
     a1 = make_agent(psi=-3.0)
     s0 = WorldSnapshot(0.0, (a0,))
     s1 = WorldSnapshot(0.1, (a1,))
-    est = estimate_motion([s0, s1], 0)
-    assert est.center[2] == pytest.approx((2.0 * math.pi - 6.0) / 0.1)
+    est = estimate_motion(s0, s1, 0)
+    assert est.radius == pytest.approx(ESTIMATE_RADIUS_FACTOR * (2.0 * math.pi - 6.0) / 0.1)
 
 
 def test_estimate_motion_requires_two_ordered_snapshots():
-    s = WorldSnapshot(0.0, (make_agent(),))
-    with pytest.raises(MissingHistory):
-        estimate_motion([s], 0)
-    with pytest.raises(MissingHistory):
-        estimate_motion([s, WorldSnapshot(0.0, (make_agent(),))], 0)
+    s0 = WorldSnapshot(0.0, (make_agent(),))
+    s1 = WorldSnapshot(0.05, (make_agent(),))
+    for older, newer in ((s0, WorldSnapshot(0.0, (make_agent(),))), (s1, s0)):
+        with pytest.raises(ValueError):
+            estimate_motion(older, newer, 0)
+        with pytest.raises(ValueError):
+            estimate_positions(older, newer, [0])
 
 
 def test_bootstrap_estimate_is_conservative_ball():
@@ -97,31 +102,19 @@ def test_bootstrap_estimate_is_conservative_ball():
     assert est.radius == 2.5
 
 
-def test_position_part_keeps_radius():
-    a0 = make_agent(x=0.0, y=0.0, psi=0.0)
-    a1 = make_agent(x=0.1, y=0.0, psi=1.0)
-    est = estimate_motion([WorldSnapshot(0.0, (a0,)), WorldSnapshot(0.1, (a1,))], 0)
-    pp = position_part(est)
-    assert len(pp.center) == 2
-    assert np.allclose(pp.center, est.center[:2])
-    # the full-state radius stays a valid (conservative) 2-D bound
-    assert pp.radius == est.radius
-
-
 def test_estimate_positions_once_for_the_listed_agents():
     a = [make_agent(0, 0.0, 0.0, psi=0.2), make_agent(1, 1.0, 0.0, model=Model.SINGLE_INTEGRATOR),
          make_agent(2, 2.0, 1.0, model=Model.SINGLE_INTEGRATOR)]
     b = [make_agent(0, 0.1, 0.0, psi=0.3), make_agent(1, 1.0, 0.05, model=Model.SINGLE_INTEGRATOR),
          make_agent(2, 2.0, 1.0, model=Model.SINGLE_INTEGRATOR)]
-    hist = [WorldSnapshot(0.0, tuple(a)), WorldSnapshot(0.05, tuple(b))]
-    assert estimate_positions(hist[:1], [0, 2]) == {0: None, 2: None}
-    est = estimate_positions(hist, [0, 2])
+    s0, s1 = WorldSnapshot(0.0, tuple(a)), WorldSnapshot(0.05, tuple(b))
+    # no previous snapshot: no estimate yet
+    assert estimate_positions(None, s0, [0, 2]) == {0: None, 2: None}
+    est = estimate_positions(s0, s1, [0, 2])
     assert sorted(est) == [0, 2]
     for j in (0, 2):
-        ref = position_part(estimate_motion(hist, j))
+        ref = estimate_motion(s0, s1, j)
         assert (est[j].center, est[j].radius) == (ref.center, ref.radius)
-    # snapshots out of order give no estimate, like a missing one
-    assert estimate_positions(hist[::-1], [1]) == {1: None}
 
 
 def test_estimate_motion_fuzz_matches_difference_quotient():
@@ -132,8 +125,7 @@ def test_estimate_motion_fuzz_matches_difference_quotient():
         dt = float(rng.uniform(0.01, 0.5))
         a0 = make_agent(x=x0, y=y0, model=Model.SINGLE_INTEGRATOR)
         a1 = make_agent(x=x1, y=y1, model=Model.SINGLE_INTEGRATOR)
-        est = estimate_motion([WorldSnapshot(0.0, (a0,)),
-                               WorldSnapshot(dt, (a1,))], 0)
+        est = estimate_motion(WorldSnapshot(0.0, (a0,)), WorldSnapshot(dt, (a1,)), 0)
         v = np.array([(x1 - x0) / dt, (y1 - y0) / dt])
         assert np.allclose(est.center, v, rtol=0, atol=1e-12)
         assert est.radius == pytest.approx(0.1 * float(np.linalg.norm(v)))
