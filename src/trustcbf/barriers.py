@@ -80,20 +80,11 @@ def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
     The neighbor contributes only its position; its own look-ahead (if any) is
     irrelevant to i's safety and unknown anyway.
     """
-    return pair_barrier(barrier_point(x_i, lookahead), x_j, d_min)
-
-
-def pair_barrier(p_i: tuple[float, float], x_j: AgentState,
-                 d_min: float = D_MIN_DEFAULT) -> BarrierEval:
-    """``eval_barrier`` for an observer whose barrier point ``p_i`` is already known.
-
-    An observer's barrier point is the same toward every neighbor, so a
-    controller computes it once per step and calls this for each neighbor.
-    """
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
-    dx = p_i[0] - x_j.px
-    dy = p_i[1] - x_j.py
+    px, py = barrier_point(x_i, lookahead)
+    dx = px - x_j.px
+    dy = py - x_j.py
     gx, gy = 2.0 * dx, 2.0 * dy
     return BarrierEval(dx * dx + dy * dy - d_min * d_min, (gx, gy), (-gx, -gy))
 

@@ -2,7 +2,10 @@
 
 For each neighbor the observer takes the worst-case motion inside the
 neighbor's motion-estimate ball, scores trust, adapts the pair's rate
-parameter, and builds one barrier constraint row.  The reference command
+parameter, and builds one barrier constraint row.  A step makes two plain-float
+passes over the neighbors, one call each: ``pair_geometry`` (barriers,
+worst-case motions, start-of-step rows) and, after the contribution LPs,
+``score_pairs`` (trust scores, rate updates, final rows).  The reference command
 (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
 integrators) is then projected onto the intersection of all rows inside the
 control box.  Any unrecoverable condition (empty constraint set, barrier at
@@ -15,21 +18,17 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, BarrierEval,
-                       barrier_point, cbf_row, clf_value, pair_barrier,
+from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_value,
                        velocity_map)
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
 from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
-from .trust import (BoundaryReached, DegenerateNormal, HalfSpace, PairRecord,
-                    TrustParams, alpha_rate_floor, build_halfspace,
-                    combine_trust, compliance_margin, direction_trust,
-                    distance_trust, max_own_contribution, update_alpha,
-                    worst_case_motion)
-from .world import (AgentState, Model, MotionEstimate, WorldSnapshot,
-                    bootstrap_estimate)
+from .trust import (BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
+                    combine_trust, direction_trust, distance_trust,
+                    max_own_contribution, update_alpha)
+from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
 
 log = logging.getLogger(__name__)
 
@@ -83,45 +82,125 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
     return u
 
 
-class _PairObs(NamedTuple):
-    other: AgentState
-    prev: PairRecord     # the pair's record after the previous step
-    ev: BarrierEval
-    est: MotionEstimate
-    bootstrapped: bool   # est is the bootstrap ball, not an observation
-    a_j: tuple[float, float]
-    row: ConstraintRow   # the pair's constraint row at its start-of-step rate
+def pair_geometry(i: int, snap: WorldSnapshot,
+                  estimates: Mapping[int, Optional[MotionEstimate]],
+                  pairs: Sequence[PairRecord], cfg: AgentConfig
+                  ) -> tuple[list[tuple], list[ConstraintRow]]:
+    """Geometry pass of observer i: one entry and one start-of-step row per
+    neighbor, in neighbor-id order.
+
+    An entry is the plain tuple
+    ``(other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row)``:
+    the neighbor's state and the pair's previous record, the barrier h, its
+    gradient (gx, gy) = grad_i = -grad_j and gn = ||grad_j||, the estimate
+    ball's center (cx, cy) and radius r (``bootstrapped`` marks the bootstrap
+    ball), wdot = grad_j . w at the ball's worst-case point w, and the row.
+    Per neighbor this is ``eval_barrier``, then ``worst_case_motion`` against
+    grad_j, then ``cbf_row`` at the pair's previous alpha, as plain floats in
+    the same order of operations, so every value equals theirs bitwise.  The
+    barrier point and velocity map are the observer's own and are computed
+    once.
+    """
+    me = snap.agents[i]
+    pix, piy = barrier_point(me, cfg.lookahead)
+    (m00, m01), (m10, m11) = velocity_map(me, cfg.lookahead)
+    d_min = cfg.d_min
+    if d_min <= 0.0:
+        raise ValueError("d_min must be positive")
+    dd = d_min * d_min
+    boot = bootstrap_estimate(v_max=cfg.trust.v_max)
+    entries: list[tuple] = []
+    rows: list[ConstraintRow] = []
+    for other, prev in zip([a for a in snap.agents if a.id != i], pairs, strict=True):
+        est = estimates[other.id]
+        bootstrapped = est is None
+        if bootstrapped:
+            est = boot
+        (cx, cy), r = est.center, est.radius
+        dx = pix - other.px
+        dy = piy - other.py
+        gx, gy = 2.0 * dx, 2.0 * dy
+        h = dx * dx + dy * dy - dd
+        jx, jy = -gx, -gy
+        gn = math.sqrt(jx * jx + jy * jy)
+        if gn < 1e-12:
+            wx, wy = cx, cy
+        else:
+            k = r / gn
+            wx, wy = cx - k * jx, cy - k * jy
+        wdot = jx * wx + jy * wy
+        row = ConstraintRow((gx * m00 + gy * m10, gx * m01 + gy * m11),
+                            -prev.alpha * h - wdot, (i, other.id))
+        entries.append((other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row))
+        rows.append(row)
+    return entries, rows
 
 
-def _rate_floor(margin: float, alpha: float, ev: BarrierEval, est: MotionEstimate,
-                cfg: AgentConfig) -> float:
-    """Floor on the pair's alpha rate for the given compliance margin; -inf when
-    the rate floor is off.  Raises BoundaryReached at the barrier boundary."""
-    if not cfg.rate_floor:
-        return -math.inf
-    cx, cy = est.center
-    B = math.sqrt(cx * cx + cy * cy) + est.radius
-    hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
-    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
-    return alpha_rate_floor(margin, alpha, ev.h, B, L_h, cfg.trust.L_hdot, cfg.trust.L_F)
+def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
+                contribs: Sequence[Optional[float]], cfg: AgentConfig
+                ) -> tuple[list[PairRecord], list[ConstraintRow], bool]:
+    """Scoring pass of observer i: each pair's new record and row, and whether
+    some pair reached the barrier boundary (an emergency stop).
 
-
-def _halfspace(i: int, o: _PairObs, contrib: Optional[float], t: float) -> Optional[HalfSpace]:
-    """The pair's half-space of allowed neighbor motions, or None when the pair
-    is not scored this step."""
-    if o.bootstrapped:
-        # An ignorance prior is not observed behavior; the rows stay
-        # conservative but the scores wait for a real estimate.
-        return None
-    if contrib is None:
-        # Even the other pairs' rows conflict; the main QP will surface it.
-        log.debug("t=%.3f agent %d: contribution LP infeasible toward %d", t, i, o.other.id)
-        return None
-    try:
-        return build_halfspace(o.ev, o.prev.alpha, contrib)
-    except DegenerateNormal:
-        log.debug("t=%.3f agent %d coincides with %d; trust update skipped", t, i, o.other.id)
-        return None
+    ``contribs`` are the pairs' contribution LP values.  The allowed neighbor
+    motions are grad_j . v >= b with b = -alpha h - contribution.  Behavior is
+    judged at the estimate center: its slack is the recorded margin, which
+    scores the distance trust, while the floor on alpha's rate guards the row
+    the QP enforces and so takes the slack of the ball's worst-case point.
+    A pair is not scored on the bootstrap ball, when its contribution LP is
+    infeasible, or when the agents coincide (no half-space normal); it keeps
+    its rate and last scores.  A pair whose rate did not move keeps its
+    geometry-pass row.
+    """
+    me = snap.agents[i]
+    tp = cfg.trust
+    records: list[PairRecord] = []
+    rows: list[ConstraintRow] = []
+    emergency = False
+    for (other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row), contrib in zip(
+            entries, contribs, strict=True):
+        alpha = prev.alpha
+        if bootstrapped or contrib is None or gn < 1e-12:
+            # An ignorance prior is not observed behavior; the rows stay
+            # conservative but the scores wait for a real estimate.  An
+            # infeasible contribution LP means the other pairs' rows already
+            # conflict, and the main QP will surface it.
+            if not bootstrapped:
+                log.debug("t=%.3f agent %d: trust update toward %d skipped (%s)",
+                          snap.time, i, other.id, "contribution LP infeasible"
+                          if contrib is None else "agents coincide")
+            records.append(PairRecord(h, alpha, prev.rho, prev.rho_d, prev.rho_theta,
+                                      prev.margin))
+            rows.append(row)
+            continue
+        ax, ay = -gx, -gy
+        b = -alpha * h - contrib
+        d = ax * cx + ay * cy - b
+        rho_d = distance_trust(d, tp.beta)
+        target_j = other.target if other.target is not None else (me.px, me.py)
+        n_hat, at_target = nominal_direction(other, target_j)
+        if at_target:
+            rho_theta = 0.5
+        else:
+            rho_theta = direction_trust(n_hat, (cx, cy), (ax / gn, ay / gn))
+        rho = combine_trust(rho_d, rho_theta, tp.rho_bar_d, tp.k_blend)
+        if not cfg.fixed_alpha:
+            if cfg.rate_floor:
+                B = math.sqrt(cx * cx + cy * cy) + r
+                hx, hy = gx / 2.0, gy / 2.0
+                L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
+                try:
+                    floor = alpha_rate_floor(wdot - b, alpha, h, B, L_h, tp.L_hdot, tp.L_F)
+                except BoundaryReached:
+                    emergency = True
+                else:
+                    alpha = update_alpha(alpha, rho, cfg.dt, floor, tp)
+            else:
+                alpha = update_alpha(alpha, rho, cfg.dt, -math.inf, tp)
+        records.append(PairRecord(h, alpha, rho, rho_d, rho_theta, d))
+        rows.append(row if alpha == prev.alpha
+                    else ConstraintRow(row.a, -alpha * h - wdot, row.tag))
+    return records, rows, emergency
 
 
 def agent_step(i: int, snap: WorldSnapshot,
@@ -139,64 +218,10 @@ def agent_step(i: int, snap: WorldSnapshot,
     order cannot matter.
     """
     me = snap.agents[i]
-    M = velocity_map(me, cfg.lookahead)
-    p_i = barrier_point(me, cfg.lookahead)
-
-    # One geometry pass: every neighbor's barrier, worst-case motion and row
-    # at its start-of-step rate.
-    obs: list[_PairObs] = []
-    for other, prev in zip([a for a in snap.agents if a.id != i], pairs, strict=True):
-        est = estimates[other.id]
-        bootstrapped = est is None
-        if bootstrapped:
-            est = bootstrap_estimate(v_max=cfg.trust.v_max)
-        ev = pair_barrier(p_i, other, cfg.d_min)
-        a_j, _ = worst_case_motion(est, ev.grad_j)
-        obs.append(_PairObs(other, prev, ev, est, bootstrapped, a_j,
-                            cbf_row(ev, M, a_j, prev.alpha, tag=(i, other.id))))
+    entries, start_rows = pair_geometry(i, snap, estimates, pairs, cfg)
     # Each pair's contribution LP runs over the other pairs' start rows.
-    contribs = max_own_contribution([o.row for o in obs], cfg.box)
-
-    emergency = False
-    records: list[PairRecord] = []
-    for o, contrib in zip(obs, contribs):
-        prev, ev = o.prev, o.ev
-        hs = _halfspace(i, o, contrib, snap.time)
-        if hs is None:
-            # A pair that is not scored keeps its rate and its last scores.
-            records.append(PairRecord(ev.h, prev.alpha, prev.rho, prev.rho_d,
-                                      prev.rho_theta, prev.margin))
-            continue
-        # Behavior is judged at the estimate center; the ball's worst-case
-        # point is reserved for the control rows.
-        a_hat = o.est.center
-        d = compliance_margin(hs, a_hat)
-        rho_d = distance_trust(d, cfg.trust.beta)
-        other = o.other
-        target_j = other.target if other.target is not None else (me.px, me.py)
-        n_hat, at_target = nominal_direction(other, target_j)
-        if at_target:
-            rho_theta = 0.5
-        else:
-            rho_theta = direction_trust(n_hat, a_hat, hs.s_hat)
-        rho = combine_trust(rho_d, rho_theta, cfg.trust.rho_bar_d, cfg.trust.k_blend)
-
-        alpha = prev.alpha
-        if not cfg.fixed_alpha:
-            # The floor guards the robustified row the QP actually enforces, so
-            # it consumes the worst-case-point margin, not the center one.
-            try:
-                floor = _rate_floor(compliance_margin(hs, o.a_j), alpha, ev, o.est, cfg)
-            except BoundaryReached:
-                emergency = True
-            else:
-                alpha = update_alpha(alpha, rho, cfg.dt, floor, cfg.trust)
-        records.append(PairRecord(ev.h, alpha, rho, rho_d, rho_theta, d))
-
-    # A pair whose rate did not move keeps the row built in the geometry pass.
-    rows = [o.row if rec.alpha == o.prev.alpha
-            else cbf_row(o.ev, M, o.a_j, rec.alpha, tag=(i, o.other.id))
-            for o, rec in zip(obs, records)]
+    contribs = max_own_contribution(start_rows, cfg.box)
+    records, rows, emergency = score_pairs(i, snap, entries, contribs, cfg)
 
     if me.model is Model.UNICYCLE:
         if me.target is None:

@@ -1,14 +1,17 @@
 """Trust scoring of neighbors and adaptation of per-pair barrier rates.
 
-Each observer keeps one rate parameter alpha per neighbor.  Every step it
-builds the half-space of neighbor motions that would keep the pair barrier
-decreasing no faster than its rate allows, assuming the observer itself
-contributes as helpfully as it can (a small LP over its own control box).  The
-signed distance of the neighbor's predicted worst-case motion to that
-half-space is the compliance margin; together with how the neighbor's motion
-direction relates to its declared goal, it produces a trust score in [-1, 1]
-that drives alpha up (trusted neighbors, relaxed constraint) or down
-(distrusted neighbors, tightened constraint).
+Each observer keeps one rate parameter alpha per neighbor.  Every step the
+control step's scoring pass (``controller.score_pairs``) takes the half-space
+of neighbor motions v with grad_j . v >= -alpha h - c, where c is the most the
+observer itself can contribute (a small LP over its own control box,
+``max_own_contribution``): any motion outside it would force the barrier
+below its allowed decay even with the observer helping as much as it can.
+The signed slack of the neighbor's estimated motion against that half-space
+is the compliance margin; together with how the neighbor's motion direction
+relates to its declared goal, it produces a trust score in [-1, 1] that
+drives alpha up (trusted neighbors, relaxed constraint) or down (distrusted
+neighbors, tightened constraint).  This module holds the formulas the pass
+calls once per pair.
 
 A lower bound on the alpha rate keeps the safety filter's QP feasible: pushing
 alpha down faster than the system can respond would empty the feasible set.
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .barriers import BarrierEval
 from .dynamics import Box
 from .solvers import ConstraintRow, solve_lp_leave_one_out
 from .world import MotionEstimate
@@ -33,10 +35,6 @@ H_BOUNDARY_EPS = 1e-6
 # the actual angle, keeping the direction score finite near zero deflection.
 THETA_RATIO_CAP = 10.0
 THETA_FLOOR = 1e-3
-
-
-class DegenerateNormal(Exception):
-    """Barrier gradient too small to define a half-space normal (agents coincide)."""
 
 
 class BoundaryReached(Exception):
@@ -57,15 +55,6 @@ class TrustParams:
     L_F: float = 1.0          # Lipschitz bound assumed for neighbor motion fields
     L_hdot: float = 2.0       # Lipschitz bound of the barrier derivative in the neighbor state
     v_max: float = 3.0        # bootstrap speed bound before any motion is observed
-
-
-@dataclass(slots=True)
-class HalfSpace:
-    """Allowed neighbor motions: A . v >= b, with unit normal s_hat = A/||A||."""
-
-    A: tuple[float, float]
-    b: float
-    s_hat: tuple[float, float]
 
 
 class PairRecord(NamedTuple):
@@ -113,31 +102,6 @@ def max_own_contribution(rows: Sequence[ConstraintRow], box: Box) -> list[Option
     Entry k is None where the other rows alone admit no command.
     """
     return solve_lp_leave_one_out(rows, box)
-
-
-def build_halfspace(ev: BarrierEval, alpha: float, max_contrib: float) -> HalfSpace:
-    """Half-space of neighbor motions compatible with the pair's current rate.
-
-    The neighbor's motion v must satisfy grad_j . v >= -alpha h - max_contrib:
-    anything less would force the barrier below its allowed decay even with the
-    observer helping as much as it can.
-    """
-    ax, ay = ev.grad_j
-    norm = math.sqrt(ax * ax + ay * ay)
-    if norm < 1e-12:
-        raise DegenerateNormal("barrier gradient vanished; agents coincide")
-    return HalfSpace(A=(ax, ay), b=-alpha * ev.h - max_contrib, s_hat=(ax / norm, ay / norm))
-
-
-def compliance_margin(hs: HalfSpace, a_j) -> float:
-    """Signed slack of the neighbor's predicted motion against the allowed half-space.
-
-    Positive means the motion keeps the pair comfortably inside the allowed
-    set; negative means it violates the current rate's requirement.
-    """
-    ax, ay = hs.A
-    x, y = a_j
-    return ax * x + ay * y - hs.b
 
 
 def distance_trust(margin: float, beta: float = 1.0) -> float:

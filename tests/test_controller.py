@@ -1,18 +1,26 @@
 """Per-agent control step: references, trust bookkeeping, and the safety QP."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trustcbf import controller
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (AgentConfig, Fallback, agent_step,
-                                 clf_qp_reference)
-from trustcbf.dynamics import Box
+                                 clf_qp_reference, pair_geometry, score_pairs)
+from trustcbf.dynamics import Box, nominal_direction
 from trustcbf.oracles import lp_vertex_oracle
 from trustcbf.solvers import Infeasible
-from trustcbf.trust import PairRecord, TrustParams, worst_case_motion
-from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
-                            estimate_motion, estimate_positions)
+from trustcbf.trust import (BoundaryReached, PairRecord, TrustParams,
+                            alpha_rate_floor, combine_trust, direction_trust,
+                            distance_trust, max_own_contribution, update_alpha,
+                            worst_case_motion)
+from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
+                            WorldSnapshot, bootstrap_estimate, estimate_motion,
+                            estimate_positions)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -240,3 +248,223 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
         assert got == pytest.approx(expected, abs=1e-9)
         binding += expected < lp_vertex_oracle(c, [], BOX3)[0] - 1e-6
     assert binding == 4   # the other pairs' rows really cut the box
+
+
+def test_agent_step_coincident_agents_skip_the_trust_update():
+    # a neighbor on the observer's barrier point leaves no half-space normal:
+    # the pair keeps its rate and last scores and gets the new h
+    me0 = integ(0, 1.0, 1.0, target=(5.0, 0.0))
+    other0 = integ(1, 1.0, 1.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    prev = (PairRecord(h=0.3, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3, margin=0.4),)
+    dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), prev,
+                     AgentConfig(box=BOX3))
+    assert dec.pairs == (PairRecord(h=-0.25, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3,
+                                    margin=0.4),)
+
+
+def test_agent_step_without_rate_floor_alpha_falls_at_the_trust_rate():
+    # a neighbor closing at 5 m/s earns negative trust; with the floor off,
+    # alpha moves at gamma_alpha * rho and stops at alpha_min
+    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
+    unc = AgentKind.UNCOOPERATIVE
+    view = observe(snapshots([me0, integ(1, 1.25, 0.0, (-5.0, 0.0), unc)],
+                             [me0, integ(1, 1.0, 0.0, (-5.0, 0.0), unc)]))
+    # L_F = 0 lets the floor bind at a small alpha (checked below)
+    params = TrustParams(gamma_alpha=2.0, alpha_min=0.01, L_F=0.0)
+    cfg = AgentConfig(box=BOX3, trust=params, rate_floor=False)
+    (rec,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.8), cfg).pairs
+    assert rec.rho < 0.0
+    assert rec.alpha == 0.8 + cfg.dt * (params.gamma_alpha * rec.rho)
+    (low,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011), cfg).pairs
+    assert low.rho < 0.0
+    assert 0.011 + cfg.dt * (params.gamma_alpha * low.rho) < params.alpha_min
+    assert low.alpha == params.alpha_min
+    # the same step with the floor on: the floor binds and raises alpha
+    (floored,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011),
+                            AgentConfig(box=BOX3, trust=params)).pairs
+    assert floored.rho == low.rho
+    assert floored.alpha > 0.011
+
+
+def _one_pair(me, other, center, alpha=0.8):
+    """The snapshot, geometry-pass entries and config of the single pair
+    (me, other), with the given estimate-ball center and radius 0."""
+    snap = WorldSnapshot(0.0, (me, other))
+    cfg = AgentConfig(box=BOX3)
+    entries, _ = pair_geometry(0, snap, {1: MotionEstimate(center, 0.0)},
+                               (PairRecord(h=math.nan, alpha=alpha),), cfg)
+    return snap, entries, cfg
+
+
+def test_score_pairs_halfspace_fields_and_degenerate_case():
+    # the allowed neighbor motions are A . v >= b with A = grad_j and
+    # b = -alpha h - contribution: the margin is the center's slack against
+    # it, and the direction score reads the unit normal A / ||A||
+    me = integ(0, 0.0, 0.0)
+    other = integ(1, 2.0, 0.0, target=(2.0, 3.0), kind=AgentKind.UNCOOPERATIVE)
+    ev = eval_barrier(me, other)
+    center = (0.3, -0.7)
+    snap, entries, cfg = _one_pair(me, other, center)
+    (rec,), _, _ = score_pairs(0, snap, entries, [1.5], cfg)
+    A = np.array(ev.grad_j)
+    assert np.allclose(A, [4.0, 0.0])
+    b = -0.8 * ev.h - 1.5
+    assert rec.margin == pytest.approx(float(A @ np.array(center)) - b)
+    assert rec.rho_theta == pytest.approx(direction_trust((0.0, 1.0), center, (1.0, 0.0)))
+    # coincident agents have no normal: the pair is not scored
+    snap, entries, cfg = _one_pair(me, integ(1, 0.0, 0.0, target=(2.0, 3.0)), center)
+    (rec0,), _, _ = score_pairs(0, snap, entries, [0.0], cfg)
+    assert rec0 == PairRecord(h=-0.25, alpha=0.8)
+
+
+def test_score_pairs_margin_is_signed_slack():
+    me = integ(0, 0.0, 0.0)
+    other = integ(1, 2.0, 0.0, target=(2.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    ev = eval_barrier(me, other)
+    A = np.array(ev.grad_j)
+    norm = float(np.linalg.norm(A))
+    on_boundary = A * ((-0.8 * ev.h) / float(A @ A))
+    for center, expected in ((on_boundary, pytest.approx(0.0, abs=1e-12)),
+                             (on_boundary + A / norm, pytest.approx(norm))):
+        snap, entries, cfg = _one_pair(me, other, (float(center[0]), float(center[1])))
+        (rec,), _, _ = score_pairs(0, snap, entries, [0.0], cfg)
+        assert rec.margin == expected
+
+
+# --- agent_step against the per-pair reference formulas ----------------------
+
+def _reference_step(i, snap, estimates, pairs, cfg):
+    """Rows, records and contribution LP values of agent_step, built per pair
+    from eval_barrier, worst_case_motion, cbf_row and the trust formulas: the
+    half-space grad_j . v >= -alpha h - contribution, the compliance margin as
+    the slack against it, and the rate floor on the worst-case point's slack."""
+    me = snap.agents[i]
+    tp = cfg.trust
+    M = velocity_map(me, cfg.lookahead)
+    obs = []
+    for other, prev in zip([a for a in snap.agents if a.id != i], pairs):
+        est = estimates[other.id]
+        bootstrapped = est is None
+        if bootstrapped:
+            est = bootstrap_estimate(tp.v_max)
+        ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        a_j, _ = worst_case_motion(est, ev.grad_j)
+        obs.append((other, prev, ev, est, bootstrapped, a_j,
+                    cbf_row(ev, M, a_j, prev.alpha, tag=(i, other.id))))
+    contribs = max_own_contribution([o[-1] for o in obs], cfg.box)
+    rows, records = [], []
+    for (other, prev, ev, est, bootstrapped, a_j, row), contrib in zip(obs, contribs):
+        ax, ay = ev.grad_j
+        norm = math.sqrt(ax * ax + ay * ay)
+        if bootstrapped or contrib is None or norm < 1e-12:
+            records.append(PairRecord(ev.h, prev.alpha, prev.rho, prev.rho_d,
+                                      prev.rho_theta, prev.margin))
+            rows.append(row)
+            continue
+        b = -prev.alpha * ev.h - contrib
+        s_hat = (ax / norm, ay / norm)
+        d = ax * est.center[0] + ay * est.center[1] - b
+        rho_d = distance_trust(d, tp.beta)
+        target_j = other.target if other.target is not None else (me.px, me.py)
+        n_hat, at_target = nominal_direction(other, target_j)
+        rho_theta = 0.5 if at_target else direction_trust(n_hat, est.center, s_hat)
+        rho = combine_trust(rho_d, rho_theta, tp.rho_bar_d, tp.k_blend)
+        alpha = prev.alpha
+        if not cfg.fixed_alpha:
+            floor = -math.inf
+            if cfg.rate_floor:
+                cx, cy = est.center
+                B = math.sqrt(cx * cx + cy * cy) + est.radius
+                hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
+                L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
+                worst_margin = ax * a_j[0] + ay * a_j[1] - b
+                try:
+                    floor = alpha_rate_floor(worst_margin, alpha, ev.h, B, L_h,
+                                             tp.L_hdot, tp.L_F)
+                except BoundaryReached:
+                    floor = None
+            if floor is not None:
+                alpha = update_alpha(alpha, rho, cfg.dt, floor, tp)
+        records.append(PairRecord(ev.h, alpha, rho, rho_d, rho_theta, d))
+        rows.append(row if alpha == prev.alpha
+                    else cbf_row(ev, M, a_j, alpha, tag=(i, other.id)))
+    return rows, records, contribs
+
+
+def _bits(v):
+    """v with every float replaced by its hex form, so == compares bitwise."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, tuple):
+        return tuple(_bits(x) for x in v)
+    return v
+
+
+def _scene(start, now, alphas, fixed_alpha=False, rate_floor=True):
+    """(observer id 0, snapshot history, previous records, config).  ``now``
+    None makes ``start`` the only snapshot: the bootstrap step."""
+    pairs = tuple(PairRecord(h=math.nan, alpha=a, rho=0.1, rho_d=0.6, rho_theta=0.4,
+                             margin=0.2) for a in alphas)
+    cfg = AgentConfig(box=BOX3, fixed_alpha=fixed_alpha, rate_floor=rate_floor,
+                      trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0))
+    return 0, snapshots(start, now), pairs, cfg
+
+
+def _squeeze_scene():
+    # two neighbors close in from both sides at a tiny rate: their rows
+    # conflict, so the contribution LP of the third, far pair is infeasible
+    unc = AgentKind.UNCOOPERATIVE
+    me = integ(0, 0.0, 0.0, target=(5.0, 0.0))
+    far = integ(3, 0.0, 2.5, (0.0, 5.0), unc)
+    return _scene([me, integ(1, 0.75, 0.0, (-5.0, 0.0), unc),
+                   integ(2, -0.75, 0.0, (5.0, 0.0), unc), far],
+                  [me, integ(1, 0.70, 0.0, (-5.0, 0.0), unc),
+                   integ(2, -0.70, 0.0, (5.0, 0.0), unc), far], (1e-4, 1e-4, 1e-4))
+
+
+def _coincident_scene():
+    # a neighbor on the observer's position: no half-space normal
+    me = integ(0, 1.0, 1.0, target=(5.0, 0.0))
+    other = integ(1, 1.0, 1.0, (-5.0, 0.0))
+    return _scene([me, other, uni(2, 2.0, 1.5, psi=2.0, target=(0.0, 0.0))],
+                  [me, other, uni(2, 1.96, 1.52, psi=2.05, target=(0.0, 0.0))], (0.7, 0.5))
+
+
+@st.composite
+def _scenes(draw):
+    """Observer 0 and 1-4 neighbors of either model within a few metres, one
+    or two snapshots, drawn previous rates, and each flag on or off."""
+    coord = st.floats(-2.0, 2.0)
+    step = st.floats(-0.2, 0.2)
+    start, now = [], []
+    for k in range(draw(st.integers(2, 5))):
+        model = draw(st.sampled_from([Model.UNICYCLE, Model.SINGLE_INTEGRATOR]))
+        kind = AgentKind.INTACT if k == 0 else draw(st.sampled_from(list(AgentKind)))
+        target = draw(st.tuples(coord, coord) if k == 0 else st.none() | st.tuples(coord, coord))
+        x, y, psi = draw(coord), draw(coord), draw(st.floats(-3.0, 3.0))
+        dx, dy, dpsi = draw(step), draw(step), draw(step)
+        start.append(AgentState(k, kind, model, x - dx, y - dy, psi - dpsi, target))
+        now.append(AgentState(k, kind, model, x, y, psi, target))
+    alphas = draw(st.lists(st.floats(0.01, 2.0), min_size=len(now) - 1, max_size=len(now) - 1))
+    if draw(st.booleans()):
+        start, now = now, None
+    return _scene(start, now, alphas, draw(st.booleans()), draw(st.booleans()))
+
+
+def test_squeeze_scene_has_an_infeasible_contribution_lp():
+    i, hist, pairs, cfg = _squeeze_scene()
+    *_, contribs = _reference_step(i, *observe(hist), pairs, cfg)
+    assert contribs[2] is None and None not in contribs[:2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenes())
+@example(_squeeze_scene())
+@example(_coincident_scene())
+def test_agent_step_matches_the_per_pair_reference_bitwise(scene):
+    i, hist, pairs, cfg = scene
+    view = observe(hist)
+    dec = agent_step(i, *view, pairs, cfg)
+    rows, records, _ = _reference_step(i, *view, pairs, cfg)
+    assert _bits(dec.rows) == _bits(tuple(rows))
+    assert _bits(dec.pairs) == _bits(tuple(records))

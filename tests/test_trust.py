@@ -1,4 +1,4 @@
-"""Trust pipeline: worst-case motion, compliance margins, scores, rate updates."""
+"""Trust pipeline: worst-case motion, contribution LPs, scores, rate updates."""
 
 import math
 
@@ -9,9 +9,8 @@ from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.dynamics import Box
 from trustcbf.solvers import (FEAS_TOL, ConstraintRow, Infeasible, _box_polygon,
                               _clip, _half_planes, solve_lp)
-from trustcbf.trust import (BoundaryReached, DegenerateNormal, TrustParams,
-                            alpha_rate, alpha_rate_floor, build_halfspace,
-                            combine_trust, compliance_margin, direction_trust,
+from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate,
+                            alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
 from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
@@ -179,27 +178,6 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
             if math.hypot(*row.a) < 1e-12:
                 seen["demanding_zero" if row.b > FEAS_TOL else "vacuous_zero"] += 1
     assert all(n >= 20 for n in seen.values()), seen
-
-
-def test_build_halfspace_fields_and_degenerate_case():
-    ev = eval_barrier(integ(0, 0.0, 0.0), integ(1, 2.0, 0.0))
-    hs = build_halfspace(ev, alpha=0.8, max_contrib=1.5)
-    assert np.allclose(hs.A, [4.0, 0.0])
-    assert hs.b == pytest.approx(-0.8 * ev.h - 1.5)
-    assert np.allclose(hs.s_hat, [1.0, 0.0])
-    ev0 = eval_barrier(integ(0, 1.0, 1.0), integ(1, 1.0, 1.0))
-    with pytest.raises(DegenerateNormal):
-        build_halfspace(ev0, 0.8, 0.0)
-
-
-def test_compliance_margin_signed_slack():
-    ev = eval_barrier(integ(0, 0.0, 0.0), integ(1, 2.0, 0.0))
-    hs = build_halfspace(ev, 0.8, 0.0)
-    A = np.array(hs.A)
-    on_boundary = A * (hs.b / float(A @ A))
-    assert compliance_margin(hs, on_boundary) == pytest.approx(0.0, abs=1e-12)
-    assert compliance_margin(hs, on_boundary + np.array(hs.s_hat)) == pytest.approx(
-        float(np.linalg.norm(A)))
 
 
 def test_distance_trust_clamps_negative_margins():
