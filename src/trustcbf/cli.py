@@ -18,13 +18,15 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .dynamics import Box
-from .sim import (AgentSpec, Scenario, Trace, ValidationError, metrics, run)
+from .sim import (AGENT_FIELDS, PAIR_FIELDS, AgentSpec, Scenario, Trace, ValidationError,
+                  metrics, run)
 from .solvers import solve_lp, solve_qp
-from .trust import TrustParams
+from .trust import PairRecord, TrustParams
 from .world import AgentKind, Model
 
 FLOAT_FMT = "{:.17g}"
@@ -199,29 +201,35 @@ def _f(x: float) -> str:
     return FLOAT_FMT.format(float(x))
 
 
-# One line per record in a single %-format; "%.17g" gives the same bytes as FLOAT_FMT.
-_TRACE_LINE = "%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d"
-_PAIRS_LINE = "%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+def _write_steps(path: Path, header: str, times: list[float], data, per_record: int,
+                 lines: list[str]) -> None:
+    """Write ``header`` and then, step by step, the records of that step.
+
+    ``data`` holds ``per_record`` doubles per record, and a step's records
+    follow one another.  ``lines`` holds one %-format per record of a step,
+    each after its time field.  The step's time is joined in front of every
+    line, so one ``%`` over the step's slice of ``data`` formats all its
+    records.  The file is written as bytes, with "\n" line ends.
+    """
+    parts = [b""] + [(line + "\n").encode() for line in lines]
+    width = per_record * len(lines)
+    with path.open("wb") as f:
+        f.write((header + "\n").encode())
+        for k, t in enumerate(times):
+            f.write((b"%.17g" % t).join(parts) % tuple(data[width * k:width * (k + 1)]))
 
 
+# "%.17g" gives the same bytes as FLOAT_FMT; "%d" prints the fallback code.
 def write_trace_csv(trace: Trace, path: Path) -> None:
-    lines = [TRACE_HEADER]
-    for t, step in zip(trace.times, trace.agents):
-        ts = "%.17g" % t
-        lines.extend(_TRACE_LINE % (ts, i, rec.px, rec.py, rec.psi, rec.u_ref[0], rec.u_ref[1],
-                                    rec.u[0], rec.u[1], rec.fallback)
-                     for i, rec in enumerate(step))
-    path.write_text("\n".join(lines) + "\n")
+    line = ",%.17g" * (AGENT_FIELDS - 1) + ",%d"
+    _write_steps(path, TRACE_HEADER, trace.times, trace.agent_data, AGENT_FIELDS,
+                 [f",{i}{line}" for i in range(trace.n_agents)])
 
 
 def write_pairs_csv(trace: Trace, path: Path) -> None:
-    lines = [PAIRS_HEADER]
-    for t, step in zip(trace.times, trace.pairs):
-        ts = "%.17g" % t
-        lines.extend(_PAIRS_LINE % (ts, i, j, rec.h, rec.alpha, rec.rho, rec.rho_d,
-                                    rec.rho_theta, rec.margin)
-                     for (i, j), rec in step.items())
-    path.write_text("\n".join(lines) + "\n")
+    line = ",%.17g" * PAIR_FIELDS
+    _write_steps(path, PAIRS_HEADER, trace.times, trace.pair_data, PAIR_FIELDS,
+                 [f",{i},{j}{line}" for i, j in trace.pair_keys])
 
 
 def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: str,
@@ -267,8 +275,8 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
         if xs is not last_xs:
             sx = ["%.2f" % (ml + (x - x_min) / x_span * pw) for x in xs]
             last_xs = xs
-        pts = " ".join("%s,%.2f" % (x, mt + ph - (y - y_min) / y_span * ph)
-                       for x, y in zip(sx, ys))
+        sy = [mt + ph - (y - y_min) / y_span * ph for y in ys]
+        pts = " ".join(("%s,%.2f",) * len(sy)) % tuple(chain.from_iterable(zip(sx, sy)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 14 + 16 * idx
         parts.append(f'<line x1="{ml + pw + 8}" y1="{ly - 4}" x2="{ml + pw + 28}" y2="{ly - 4}" '
@@ -279,31 +287,25 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
 
 
 def write_charts(trace: Trace, s: Scenario, out: Path) -> list[Path]:
-    intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
-    n = len(s.agents)
+    # Each series is a strided slice of the trace's flat arrays.
+    n = trace.n_agents
+    data, stride = trace.agent_data, AGENT_FIELDS * n
     written = []
 
     traj = [(f"agent {i} ({s.agents[i].kind.value})",
-             [step[i].px for step in trace.agents], [step[i].py for step in trace.agents])
+             data[AGENT_FIELDS * i::stride], data[AGENT_FIELDS * i + 1::stride])
             for i in range(n)]
     p = out / "trajectories.svg"
     _svg_line_chart(p, "Agent trajectories", traj, "x [m]", "y [m]")
     written.append(p)
 
-    keys = [(i, j) for i in intact for j in range(n) if j != i]
-    alphas = {key: [] for key in keys}
-    rhos = {key: [] for key in keys}
-    hs = {key: [] for key in keys}
-    for step in trace.pairs:
-        for key in keys:
-            rec = step[key]
-            alphas[key].append(rec.alpha)
-            rhos[key].append(rec.rho)
-            hs[key].append(rec.h)
-    for name, columns, fname, title in (("alpha", alphas, "alphas.svg", "Pair rate parameters"),
-                                        ("rho", rhos, "trust.svg", "Pair trust scores"),
-                                        ("h", hs, "barriers.svg", "Pair barrier values")):
-        series = [(f"({i},{j})", trace.times, columns[i, j]) for i, j in keys]
+    width = PAIR_FIELDS * len(trace.pair_keys)
+    for name, fname, title in (("alpha", "alphas.svg", "Pair rate parameters"),
+                               ("rho", "trust.svg", "Pair trust scores"),
+                               ("h", "barriers.svg", "Pair barrier values")):
+        field = PairRecord._fields.index(name)
+        series = [(f"({i},{j})", trace.times, trace.pair_data[PAIR_FIELDS * slot + field::width])
+                  for slot, (i, j) in enumerate(trace.pair_keys)]
         p = out / fname
         _svg_line_chart(p, title, series, "t [s]", name)
         written.append(p)

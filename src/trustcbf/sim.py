@@ -11,8 +11,11 @@ from __future__ import annotations
 import logging
 import math
 import sys
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
 from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
@@ -27,9 +30,10 @@ log = logging.getLogger(__name__)
 
 GOAL_TOL = 0.2
 
-# Most agent and pair records a run may hold.  The whole trace stays in memory:
-# a finished run holds 252-326 B per record (tracemalloc on ring12-0, crossing
-# and headon).  The largest benchmark input holds 11,664 records.
+# Most agent and pair records a run may hold.  The whole trace stays in memory
+# as flat float arrays: a finished run holds 53-66 B per record (tracemalloc on
+# ring12-0, crossing and headon), about 0.7 GB at this bound.  The largest
+# benchmark input holds 11,664 records.
 MAX_RECORDS = 10**7
 
 # Largest magnitude a scenario may give a start or target coordinate, a box
@@ -161,13 +165,110 @@ class AgentRecord:
     fallback: int
 
 
-@dataclass
+# Doubles per agent record in Trace.agent_data: px, py, psi, u_ref, u and the
+# fallback code.
+AGENT_FIELDS = 8
+# Doubles per pair record in Trace.pair_data, in PairRecord field order.
+PAIR_FIELDS = len(PairRecord._fields)
+
+
+def _index(i: int, n: int, what: str) -> int:
+    """``i`` as an index into ``n`` items, negative from the end; IndexError outside."""
+    if i < 0:
+        i += n
+    if not 0 <= i < n:
+        raise IndexError(f"{what} index out of range")
+    return i
+
+
+class AgentStep(Sequence):
+    """One step's agent records, in agent-id order: a read-only view of the
+    trace's agent array that builds an AgentRecord when indexed."""
+
+    __slots__ = ("_data", "_start", "_n")
+
+    def __init__(self, data: array, n: int, start: int):
+        self._data, self._n, self._start = data, n, start
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._n))]
+        o = self._start + AGENT_FIELDS * _index(i, self._n, "agent")
+        px, py, psi, ur1, ur2, u1, u2, fallback = self._data[o:o + AGENT_FIELDS]
+        return AgentRecord(px, py, psi, (ur1, ur2), (u1, u2), int(fallback))
+
+
+class PairStep(Mapping):
+    """One step's pair records keyed by (i, j), in the run's key order: a
+    read-only view of the trace's pair array that builds a PairRecord when
+    indexed."""
+
+    __slots__ = ("_data", "_slots", "_start")
+
+    def __init__(self, data: array, slots: dict, start: int):
+        self._data, self._slots, self._start = data, slots, start
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __contains__(self, key) -> bool:
+        return key in self._slots
+
+    def __getitem__(self, key) -> PairRecord:
+        o = self._start + PAIR_FIELDS * self._slots[key]
+        return PairRecord._make(self._data[o:o + PAIR_FIELDS])
+
+
+class Steps(Sequence):
+    """The trace's records step by step: one view per recorded time."""
+
+    __slots__ = ("_times", "_width", "_view")
+
+    def __init__(self, times: list, width: int, view: Callable[[int], object]):
+        # view(start) is the step whose records begin at offset ``start``.
+        self._times, self._width, self._view = times, width, view
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[x] for x in range(*k.indices(len(self)))]
+        return self._view(self._width * _index(k, len(self), "step"))
+
+    def __iter__(self):
+        return (self._view(self._width * k) for k in range(len(self)))
+
+
 class Trace:
-    times: list[float] = field(default_factory=list)
-    agents: list[list[AgentRecord]] = field(default_factory=list)   # [step][agent]
-    pairs: list[dict[tuple[int, int], PairRecord]] = field(default_factory=list)
-    estimate_violations: int = 0
-    euler_slack_events: int = 0
+    """Every record of a run, held as two flat float arrays.
+
+    Step k's agent records start at offset ``k * AGENT_FIELDS * n_agents`` of
+    ``agent_data``, in agent-id order; its pair records start at offset
+    ``k * PAIR_FIELDS * len(pair_keys)`` of ``pair_data``, in ``pair_keys``
+    order.  ``agents[k][i]`` and ``pairs[k][(i, j)]`` read them back as
+    AgentRecord and PairRecord values.
+    """
+
+    def __init__(self, n_agents: int, pair_keys: Sequence[tuple[int, int]]):
+        self.times: list[float] = []
+        self.agent_data = array("d")
+        self.pair_data = array("d")
+        self.n_agents = n_agents
+        self.pair_keys = tuple(pair_keys)
+        slots = {key: slot for slot, key in enumerate(self.pair_keys)}
+        self.agents = Steps(self.times, AGENT_FIELDS * n_agents,
+                            partial(AgentStep, self.agent_data, n_agents))
+        self.pairs = Steps(self.times, PAIR_FIELDS * len(slots),
+                           partial(PairStep, self.pair_data, slots))
+        self.estimate_violations = 0
+        self.euler_slack_events = 0
 
 
 def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
@@ -243,11 +344,9 @@ def run(s: Scenario) -> Trace:
     ) for i in intact}
 
     steps = int(math.floor(s.duration / s.dt + 1e-9))
-    trace = Trace()
+    # Each intact agent's keys in neighbor-id order, like its decision's pairs.
+    trace = Trace(n, [(i, j) for i in intact for j in range(n) if j != i])
     prev: Optional[WorldSnapshot] = None
-    # One key per ordered pair, shared by every record of the trace; each
-    # intact agent's keys are in neighbor-id order, like its decision's pairs.
-    pair_keys = {i: [(i, j) for j in range(n) if j != i] for i in intact}
     # Agents some intact observer watches; each one's motion estimate is
     # built once per step and shared by every observer.
     watched = [j for j in range(n) if any(i != j for i in intact)]
@@ -268,15 +367,12 @@ def run(s: Scenario) -> Trace:
             decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), fallback=Fallback.NONE))
 
         trace.times.append(snap.time)
-        trace.agents.append([
-            AgentRecord(px=a.px, py=a.py, psi=a.psi, u_ref=d.u_ref, u=d.u_safe,
-                        fallback=d.fallback.value)
-            for a, d in zip(snap.agents, decisions)
-        ])
-        pair_step: dict[tuple[int, int], PairRecord] = {}
+        trace.agent_data.fromlist([v for a, d in zip(snap.agents, decisions)
+                                   for v in (a.px, a.py, a.psi, *d.u_ref, *d.u_safe,
+                                             d.fallback.value)])
+        trace.pair_data.fromlist([v for i in intact for rec in decisions[i].pairs for v in rec])
         for i in intact:
             new = decisions[i].pairs
-            pair_step.update(zip(pair_keys[i], new))
             if k > 0:
                 # Pair-steps that broke the barrier-rate inequality by more
                 # than the Euler slack.
@@ -285,7 +381,6 @@ def run(s: Scenario) -> Trace:
                     if slack < -EULER_SLACK_FACTOR * s.dt:
                         trace.euler_slack_events += 1
             pairs[i] = new
-        trace.pairs.append(pair_step)
 
         if k == steps:
             break
@@ -305,7 +400,7 @@ def run(s: Scenario) -> Trace:
             if math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9:
                 trace.estimate_violations += 1
 
-    stops = sum(rec.fallback for step in trace.agents for rec in step)
+    stops = _fallbacks(trace)
     if stops:
         log.warning("%d emergency stops in %d intact agent-steps", stops,
                     len(intact) * len(trace.agents))
@@ -319,45 +414,42 @@ def _distance(p: tuple[float, float], q: tuple[float, float]) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def _fallbacks(trace: Trace) -> int:
+    """Emergency fallbacks over every agent-step of the trace."""
+    return int(sum(trace.agent_data[AGENT_FIELDS - 1::AGENT_FIELDS]))
+
+
 def metrics(trace: Trace, s: Scenario) -> dict:
     """Per-intact-agent summary: worst barrier, goal distance, path deviation, reach time."""
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     out: dict = {"agents": {}, "min_h": math.inf,
-                 "emergency_events": 0,
+                 "emergency_events": _fallbacks(trace),
                  "estimate_violations": trace.estimate_violations,
                  "euler_slack_events": trace.euler_slack_events}
-    for step in trace.agents:
-        out["emergency_events"] += sum(rec.fallback for rec in step)
+    # Columns are strided slices of the flat arrays: one value per step.
+    width = PAIR_FIELDS * len(trace.pair_keys)
     min_hs = dict.fromkeys(intact, math.inf)
-    for step in trace.pairs:
-        for (i, _), rec in step.items():
-            if rec.h < min_hs[i]:
-                min_hs[i] = rec.h
+    for slot, (i, _) in enumerate(trace.pair_keys):
+        min_hs[i] = min(min_hs[i], min(trace.pair_data[PAIR_FIELDS * slot::width]))
+    stride = AGENT_FIELDS * trace.n_agents
     for i in intact:
         spec = s.agents[i]
         min_h = min_hs[i]
         out["min_h"] = min(out["min_h"], min_h)
 
-        if spec.target is not None:
-            pos = [(step[i].px, step[i].py) for step in trace.agents]
-            goal_dist = [_distance(p, spec.target) for p in pos]
-            final_goal_distance = goal_dist[-1]
-            reach_time = next((t for t, d in zip(trace.times, goal_dist) if d < GOAL_TOL),
-                              math.inf)
-            start = AgentState(id=i, kind=spec.kind, model=spec.model,
-                               px=spec.start[0], py=spec.start[1],
-                               psi=spec.start[2] if len(spec.start) == 3 else 0.0,
-                               target=spec.target)
-            ref = nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt)
-            deviation = max(_distance(p, r) for p, r in zip(pos, ref))
-        else:
-            final_goal_distance = math.inf
-            reach_time = math.inf
-            deviation = math.inf
+        o = AGENT_FIELDS * i
+        pos = list(zip(trace.agent_data[o::stride], trace.agent_data[o + 1::stride]))
+        goal_dist = [_distance(p, spec.target) for p in pos]
+        reach_time = next((t for t, d in zip(trace.times, goal_dist) if d < GOAL_TOL), math.inf)
+        start = AgentState(id=i, kind=spec.kind, model=spec.model,
+                           px=spec.start[0], py=spec.start[1],
+                           psi=spec.start[2] if len(spec.start) == 3 else 0.0,
+                           target=spec.target)
+        ref = nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt)
         out["agents"][i] = {
             "min_h": min_h,
-            "final_goal_distance": final_goal_distance,
-            "nominal_deviation": deviation,
+            "final_goal_distance": goal_dist[-1],
+            "nominal_deviation": max(_distance(p, r) for p, r in zip(pos, ref)),
             "goal_reach_time": reach_time,
         }
     return out

@@ -1,11 +1,13 @@
 """Argument parsing, scenario files, CSV/SVG outputs, and CLI exit codes."""
 
+import gc
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
 from trustcbf.oracles import read_trace_csv
 from trustcbf.sim import AgentSpec, Scenario, ValidationError, run
 from trustcbf.world import AgentKind, Model
+
+from conftest import shipped
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -230,6 +234,32 @@ def test_writers_match_per_field_formatting(tmp_path):
     h = [[step[key].h for step in trace.pairs] for key in trace.pairs[0]]
     points = _svg_points((tmp_path / "barriers.svg").read_text())
     assert points == [expected_points(trace.times, hs, trace.times, sum(h, [])) for hs in h]
+
+
+def test_trace_and_csv_writers_stay_small(tmp_path):
+    # The trace keeps each record as flat floats, and the CSV writers write
+    # step by step instead of building the file in memory.
+    s = shipped("crossing", duration=5.0)
+    warm = run(shipped("crossing", duration=0.2))   # first-call allocations stay out
+    write_trace_csv(warm, tmp_path / "warm.csv")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(s)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_pairs_csv(trace, tmp_path / "pairs.csv")
+        transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    records = len(trace.times) * (len(s.agents) + len(trace.pairs[0]))
+    written = sum((tmp_path / name).stat().st_size for name in ("trace.csv", "pairs.csv"))
+    assert kept <= 120 * records, f"{kept / records:.0f} B per record"
+    assert transient < 0.1 * written, f"{transient} B transient for {written} B written"
 
 
 def test_run_command_end_to_end(tmp_path, capsys):

@@ -480,3 +480,103 @@ def test_estimate_violations_count_misses_of_the_observers_balls():
     headon = shipped("headon_stress", duration=2.0)
     tr = run(headon)
     assert tr.estimate_violations == _estimate_misses(headon, tr)
+
+
+def _run_capturing_decisions(s):
+    """The trace of ``s`` and every agent_step call as (observer, snapshot, decision)."""
+    original = sim.agent_step
+    calls = []
+
+    def capture(i, snap, *rest):
+        decision = original(i, snap, *rest)
+        calls.append((i, snap, decision))
+        return decision
+
+    sim.agent_step = capture
+    try:
+        tr = run(s)
+    finally:
+        sim.agent_step = original
+    return tr, calls
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _trace_holds_the_decisions(s):
+    tr, calls = _run_capturing_decisions(s)
+    n = len(s.agents)
+    intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
+    assert len(calls) == len(tr.times) * len(intact)
+    for c, (i, snap, d) in enumerate(calls):
+        k = c // len(intact)
+        assert tr.times[k] == snap.time
+        assert list(tr.pairs[k]) == [(o, j) for o in intact for j in range(n) if j != o]
+        for j, a in enumerate(snap.agents):
+            rec = tr.agents[k][j]
+            assert _hex((rec.px, rec.py, rec.psi)) == _hex((a.px, a.py, a.psi)), (k, j)
+        rec = tr.agents[k][i]
+        assert _hex((*rec.u_ref, *rec.u)) == _hex((*d.u_ref, *d.u_safe)), (k, i)
+        assert rec.fallback == d.fallback.value
+        neighbors = [j for j in range(n) if j != i]
+        assert len(d.pairs) == len(neighbors)
+        for j, want in zip(neighbors, d.pairs):
+            got = tr.pairs[k][(i, j)]
+            assert got._fields == want._fields
+            assert _hex(got) == _hex(want), (k, i, j)
+
+
+def test_trace_holds_the_controllers_records_bitwise():
+    _trace_holds_the_decisions(shipped("crossing", duration=2.0))
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(small_scenarios())
+    def check(s):
+        _trace_holds_the_decisions(s)
+
+    check()
+
+
+def test_trace_steps_index_slice_and_compare_like_lists_and_dicts():
+    tr = run(two_agent_scenario(duration=0.5))
+    assert len(tr.agents) == len(tr.pairs) == len(tr.times) == 11
+    assert len(tr.agents[0]) == 2 and len(tr.pairs[0]) == 1
+    # negative indices count from the end
+    assert tr.agents[-1][-1] == tr.agents[10][1]
+    assert tr.agents[-11][-2] == tr.agents[0][0]
+    assert tr.pairs[-1][(0, 1)] == tr.pairs[10][(0, 1)]
+    # slices are lists of steps, and a step's slice a list of records
+    later = tr.pairs[1:]
+    assert len(later) == 10 and [dict(p) for p in later] == [dict(tr.pairs[k]) for k in range(1, 11)]
+    assert [r.px for r in tr.agents[3][:1]] == [tr.agents[3][0].px]
+    assert [step[0].px for step in tr.agents[::5]] == [tr.agents[k][0].px for k in (0, 5, 10)]
+    assert tr.agents[11:] == [] and tr.agents[3][2:] == []
+    # iteration agrees with indexing
+    assert [r.py for r in tr.agents[2]] == [tr.agents[2][i].py for i in range(2)]
+    assert [dict(p) for p in tr.pairs] == [dict(tr.pairs[k]) for k in range(11)]
+    # membership, key order and equality with a dict
+    step = tr.pairs[4]
+    assert (0, 1) in step and (1, 0) not in step and (0, 0) not in step
+    assert list(step) == list(step.keys()) == [(0, 1)]
+    assert dict(step) == {(0, 1): step[(0, 1)]} == step
+    assert [key for key, _ in step.items()] == [(0, 1)] and list(step.values()) == [step[(0, 1)]]
+    assert step.get((1, 0)) is None
+    for bad in (11, -12):
+        with pytest.raises(IndexError):
+            tr.agents[bad]
+        with pytest.raises(IndexError):
+            tr.pairs[bad]
+    for bad in (2, -3):
+        with pytest.raises(IndexError):
+            tr.agents[0][bad]
+    with pytest.raises(KeyError):
+        tr.pairs[0][(1, 0)]
+
+    # without intact agents every step has no pair records
+    movers = [AgentSpec(AgentKind.UNCOOPERATIVE, Model.SINGLE_INTEGRATOR, (0.0, 0.0), (2.0, 0.0)),
+              AgentSpec(AgentKind.UNCOOPERATIVE, Model.SINGLE_INTEGRATOR, (0.0, 1.0), (2.0, 1.0))]
+    tr = run(Scenario(agents=movers, duration=0.2))
+    assert len(tr.pairs) == len(tr.times) == 5
+    assert [dict(p) for p in tr.pairs] == [{}] * 5
+    assert tr.agents[-1][1].py == 1.0
