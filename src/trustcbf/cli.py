@@ -23,16 +23,16 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dynamics import Box
-from .sim import (AGENT_FIELDS, PAIR_FIELDS, AgentSpec, Scenario, Trace, ValidationError,
-                  metrics, run)
+from .sim import (AGENT_FIELDS, PAIR_FIELDS, AgentRecord, AgentSpec, Scenario, Trace,
+                  ValidationError, metrics, run)
 from .solvers import solve_lp, solve_qp
 from .trust import PairRecord, TrustParams
 from .world import AgentKind, Model
 
 FLOAT_FMT = "{:.17g}"
 
-TRACE_HEADER = "t,agent_id,px,py,psi,u1_ref,u2_ref,u1,u2,fallback"
-PAIRS_HEADER = "t,i,j,h,alpha,rho,rho_d,rho_theta,margin"
+TRACE_HEADER = ",".join(("t", "agent_id", *AgentRecord._fields))
+PAIRS_HEADER = ",".join(("t", "i", "j", *PairRecord._fields))
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#17becf", "#bcbd22"]
@@ -55,10 +55,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_run.add_argument("--out", required=True, type=Path)
     p_run.add_argument("--dt", type=_positive_float, default=None)
     p_run.add_argument("--duration", type=_positive_float, default=None)
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="echoed into summary.json only; the simulator draws no "
-                            "random numbers, so it has no effect on the run")
-    p_run.add_argument("--rho-bar-d", dest="rho_bar_d", type=float, default=None)
     p_run.add_argument("--fixed-alpha", action="store_true",
                        help="freeze every pair rate at alpha0 (baseline mode)")
     p_run.add_argument("--no-svg", action="store_true", help="skip chart generation")
@@ -78,12 +74,12 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 # --- scenario JSON ---------------------------------------------------------
 
-_TOP_KEYS = {"agents", "duration", "dt", "trust", "flags", "seed",
-             "gamma_nominal", "lookahead"}
-_AGENT_KEYS = {"kind", "model", "start", "target", "d_min", "box", "prey", "speed",
-               "gain"}
-_TRUST_KEYS = {f.name for f in fields(TrustParams)}
+# A scenario file's keys are the Scenario, AgentSpec and TrustParams fields;
+# Scenario's boolean fields sit in the "flags" object.
 _FLAG_KEYS = {"fixed_alpha", "rate_floor"}
+_TOP_KEYS = {f.name for f in fields(Scenario)} - _FLAG_KEYS | {"flags"}
+_AGENT_KEYS = {f.name for f in fields(AgentSpec)}
+_TRUST_KEYS = {f.name for f in fields(TrustParams)}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -177,8 +173,8 @@ def load_scenario(path: Path) -> Scenario:
     if not isinstance(flags, dict):
         raise ValidationError("flags: expected an object")
     _reject_unknown(flags, _FLAG_KEYS, "flags")
-    for key in ("fixed_alpha", "rate_floor"):
-        if key in flags and not isinstance(flags[key], bool):
+    for key, v in flags.items():
+        if not isinstance(v, bool):
             raise ValidationError(f"flags.{key}: expected true or false")
 
     # Keys the file leaves out take Scenario's defaults.
@@ -221,7 +217,7 @@ def _write_steps(path: Path, header: str, times: list[float], data, per_record: 
 
 # "%.17g" gives the same bytes as FLOAT_FMT; "%d" prints the fallback code.
 def write_trace_csv(trace: Trace, path: Path) -> None:
-    line = ",%.17g" * (AGENT_FIELDS - 1) + ",%d"
+    line = "".join(",%d" if name == "fallback" else ",%.17g" for name in AgentRecord._fields)
     _write_steps(path, TRACE_HEADER, trace.times, trace.agent_data, AGENT_FIELDS,
                  [f",{i}{line}" for i in range(trace.n_agents)])
 
@@ -287,24 +283,18 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
 
 
 def write_charts(trace: Trace, s: Scenario, out: Path) -> list[Path]:
-    # Each series is a strided slice of the trace's flat arrays.
-    n = trace.n_agents
-    data, stride = trace.agent_data, AGENT_FIELDS * n
     written = []
-
     traj = [(f"agent {i} ({s.agents[i].kind.value})",
-             data[AGENT_FIELDS * i::stride], data[AGENT_FIELDS * i + 1::stride])
-            for i in range(n)]
+             trace.agent_column("px", i), trace.agent_column("py", i))
+            for i in range(trace.n_agents)]
     p = out / "trajectories.svg"
     _svg_line_chart(p, "Agent trajectories", traj, "x [m]", "y [m]")
     written.append(p)
 
-    width = PAIR_FIELDS * len(trace.pair_keys)
     for name, fname, title in (("alpha", "alphas.svg", "Pair rate parameters"),
                                ("rho", "trust.svg", "Pair trust scores"),
                                ("h", "barriers.svg", "Pair barrier values")):
-        field = PairRecord._fields.index(name)
-        series = [(f"({i},{j})", trace.times, trace.pair_data[PAIR_FIELDS * slot + field::width])
+        series = [(f"({i},{j})", trace.times, trace.pair_column(name, slot))
                   for slot, (i, j) in enumerate(trace.pair_keys)]
         p = out / fname
         _svg_line_chart(p, title, series, "t [s]", name)
@@ -334,11 +324,9 @@ def write_outputs(trace: Trace, summary: dict, s: Scenario, out: Path,
 
 def _cmd_run(args: argparse.Namespace) -> int:
     s = load_scenario(args.scenario)
-    for key in ("dt", "duration", "seed"):
+    for key in ("dt", "duration"):
         if getattr(args, key) is not None:
             setattr(s, key, getattr(args, key))
-    if args.rho_bar_d is not None:
-        s.trust.rho_bar_d = args.rho_bar_d
     s.fixed_alpha = s.fixed_alpha or args.fixed_alpha
     trace = run(s)
     summary = {

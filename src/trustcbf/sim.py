@@ -12,10 +12,9 @@ import logging
 import math
 import sys
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
 from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
@@ -37,10 +36,11 @@ GOAL_TOL = 0.2
 MAX_RECORDS = 10**7
 
 # Largest magnitude a scenario may give a start or target coordinate, a box
-# bound, d_min, the look-ahead or the duration.  Commands stay in their boxes,
-# so positions stay within about 1e12 of the origin, and squared distances and
-# gradient norms stay far below the float maximum: none overflows to inf,
-# which would turn a barrier's unit normal into (0, 0).
+# bound, d_min, the look-ahead, the duration or a trust parameter.  Commands
+# stay in their boxes, so positions stay within about 1e12 of the origin, and
+# squared distances, gradient norms and rate terms such as -alpha * h stay far
+# below the float maximum: none overflows to inf, which would turn a barrier's
+# unit normal into (0, 0) or write inf into the trace.
 MAGNITUDE_BOUND = 1e6
 
 # Slack allowed on the discrete barrier-rate inequality
@@ -84,10 +84,9 @@ class Scenario:
     lookahead: float = LOOKAHEAD_DEFAULT
 
     def validate(self) -> None:
+        trust = {f"trust.{f.name}": getattr(self.trust, f.name) for f in fields(self.trust)}
         numbers = {"dt": self.dt, "duration": self.duration,
-                   "gamma_nominal": self.gamma_nominal, "lookahead": self.lookahead}
-        numbers.update((f"trust.{f.name}", getattr(self.trust, f.name))
-                       for f in fields(self.trust))
+                   "gamma_nominal": self.gamma_nominal, "lookahead": self.lookahead, **trust}
         for name, v in numbers.items():
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v}")
@@ -105,7 +104,8 @@ class Scenario:
             raise ValidationError(f"the trace would hold {records:.3g} agent and pair records "
                                   f"(duration {self.duration} / dt {self.dt}), more than "
                                   f"{MAX_RECORDS}")
-        for name, v in (("duration", self.duration), ("lookahead", self.lookahead)):
+        for name, v in (("duration", self.duration), ("lookahead", self.lookahead),
+                        *trust.items()):
             if abs(v) > MAGNITUDE_BOUND:
                 raise ValidationError(f"{name} must be at most {MAGNITUDE_BOUND:g}, got {v}")
         if self.trust.alpha0 <= 0.0:
@@ -114,6 +114,9 @@ class Scenario:
             raise ValidationError("alpha_min must be positive")
         if not self.trust.alpha_min <= self.trust.alpha0 <= self.trust.alpha_max:
             raise ValidationError("trust rates must satisfy alpha_min <= alpha0 <= alpha_max")
+        for name in ("v_max", "L_F", "L_hdot"):
+            if getattr(self.trust, name) < 0.0:
+                raise ValidationError(f"trust.{name} must be nonnegative")
         if self.lookahead <= 0.0:
             raise ValidationError(f"lookahead must be positive, got {self.lookahead}")
         if self.gamma_nominal <= 0.0:
@@ -155,105 +158,58 @@ class Scenario:
                     raise ValidationError(f"{where}: uncooperative agents use the SingleIntegrator model")
 
 
-@dataclass(slots=True)
-class AgentRecord:
+class AgentRecord(NamedTuple):
+    """One agent at one step: its state, reference and applied commands, and
+    the fallback code.  The fields are the trace.csv columns after t and
+    agent_id."""
+
     px: float
     py: float
     psi: float
-    u_ref: tuple[float, float]
-    u: tuple[float, float]
+    u1_ref: float
+    u2_ref: float
+    u1: float
+    u2: float
     fallback: int
 
+    @property
+    def u_ref(self) -> tuple[float, float]:
+        return self.u1_ref, self.u2_ref
 
-# Doubles per agent record in Trace.agent_data: px, py, psi, u_ref, u and the
-# fallback code.
-AGENT_FIELDS = 8
-# Doubles per pair record in Trace.pair_data, in PairRecord field order.
+    @property
+    def u(self) -> tuple[float, float]:
+        return self.u1, self.u2
+
+
+# Doubles per record in Trace.agent_data and Trace.pair_data.
+AGENT_FIELDS = len(AgentRecord._fields)
 PAIR_FIELDS = len(PairRecord._fields)
 
 
-def _index(i: int, n: int, what: str) -> int:
-    """``i`` as an index into ``n`` items, negative from the end; IndexError outside."""
-    if i < 0:
-        i += n
-    if not 0 <= i < n:
-        raise IndexError(f"{what} index out of range")
-    return i
-
-
-class AgentStep(Sequence):
-    """One step's agent records, in agent-id order: a read-only view of the
-    trace's agent array that builds an AgentRecord when indexed."""
-
-    __slots__ = ("_data", "_start", "_n")
-
-    def __init__(self, data: array, n: int, start: int):
-        self._data, self._n, self._start = data, n, start
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(self._n))]
-        o = self._start + AGENT_FIELDS * _index(i, self._n, "agent")
-        px, py, psi, ur1, ur2, u1, u2, fallback = self._data[o:o + AGENT_FIELDS]
-        return AgentRecord(px, py, psi, (ur1, ur2), (u1, u2), int(fallback))
-
-
-class PairStep(Mapping):
-    """One step's pair records keyed by (i, j), in the run's key order: a
-    read-only view of the trace's pair array that builds a PairRecord when
-    indexed."""
-
-    __slots__ = ("_data", "_slots", "_start")
-
-    def __init__(self, data: array, slots: dict, start: int):
-        self._data, self._slots, self._start = data, slots, start
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def __iter__(self):
-        return iter(self._slots)
-
-    def __contains__(self, key) -> bool:
-        return key in self._slots
-
-    def __getitem__(self, key) -> PairRecord:
-        o = self._start + PAIR_FIELDS * self._slots[key]
-        return PairRecord._make(self._data[o:o + PAIR_FIELDS])
-
-
 class Steps(Sequence):
-    """The trace's records step by step: one view per recorded time."""
+    """A trace's records step by step; ``step(k)`` builds step k when read."""
 
-    __slots__ = ("_times", "_width", "_view")
+    __slots__ = ("_times", "_step")
 
-    def __init__(self, times: list, width: int, view: Callable[[int], object]):
-        # view(start) is the step whose records begin at offset ``start``.
-        self._times, self._width, self._view = times, width, view
+    def __init__(self, times: list, step: Callable[[int], object]):
+        self._times, self._step = times, step
 
     def __len__(self) -> int:
         return len(self._times)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[x] for x in range(*k.indices(len(self)))]
-        return self._view(self._width * _index(k, len(self), "step"))
-
-    def __iter__(self):
-        return (self._view(self._width * k) for k in range(len(self)))
+        steps = range(len(self._times))[k]   # negative from the end; IndexError outside
+        return [self._step(x) for x in steps] if isinstance(k, slice) else self._step(steps)
 
 
 class Trace:
     """Every record of a run, held as two flat float arrays.
 
-    Step k's agent records start at offset ``k * AGENT_FIELDS * n_agents`` of
-    ``agent_data``, in agent-id order; its pair records start at offset
-    ``k * PAIR_FIELDS * len(pair_keys)`` of ``pair_data``, in ``pair_keys``
-    order.  ``agents[k][i]`` and ``pairs[k][(i, j)]`` read them back as
-    AgentRecord and PairRecord values.
+    Each agent record is its AgentRecord fields in order, and step k holds
+    one record per agent in agent-id order.  Each pair record is its
+    PairRecord fields in order, and step k holds one record per key of
+    ``pair_keys``, in that order.  ``agents[k]`` reads step k back as a list
+    of AgentRecord, ``pairs[k]`` as a dict of PairRecord keyed by (i, j).
     """
 
     def __init__(self, n_agents: int, pair_keys: Sequence[tuple[int, int]]):
@@ -262,13 +218,43 @@ class Trace:
         self.pair_data = array("d")
         self.n_agents = n_agents
         self.pair_keys = tuple(pair_keys)
-        slots = {key: slot for slot, key in enumerate(self.pair_keys)}
-        self.agents = Steps(self.times, AGENT_FIELDS * n_agents,
-                            partial(AgentStep, self.agent_data, n_agents))
-        self.pairs = Steps(self.times, PAIR_FIELDS * len(slots),
-                           partial(PairStep, self.pair_data, slots))
         self.estimate_violations = 0
         self.euler_slack_events = 0
+
+    @property
+    def agents(self) -> Steps:
+        return Steps(self.times, self._agent_step)
+
+    @property
+    def pairs(self) -> Steps:
+        return Steps(self.times, self._pair_step)
+
+    def _agent_step(self, k: int) -> list[AgentRecord]:
+        width = AGENT_FIELDS * self.n_agents
+        data = self.agent_data[width * k:width * (k + 1)]
+        return [AgentRecord(*data[o:o + AGENT_FIELDS - 1], int(data[o + AGENT_FIELDS - 1]))
+                for o in range(0, width, AGENT_FIELDS)]
+
+    def _pair_step(self, k: int) -> dict[tuple[int, int], PairRecord]:
+        width = PAIR_FIELDS * len(self.pair_keys)
+        data = self.pair_data[width * k:width * (k + 1)]
+        return {key: PairRecord._make(data[o:o + PAIR_FIELDS])
+                for key, o in zip(self.pair_keys, range(0, width, PAIR_FIELDS))}
+
+    def agent_column(self, name: str, i: Optional[int] = None) -> array:
+        """Field ``name`` of agent i at every step; with no i, of every agent
+        at every step, step by step in agent-id order."""
+        offset = AgentRecord._fields.index(name)
+        if i is None:
+            return self.agent_data[offset::AGENT_FIELDS]
+        i = range(self.n_agents)[i]
+        return self.agent_data[AGENT_FIELDS * i + offset::AGENT_FIELDS * self.n_agents]
+
+    def pair_column(self, name: str, slot: int) -> array:
+        """Field ``name`` of the pair ``pair_keys[slot]`` at every step."""
+        offset = PairRecord._fields.index(name)
+        slot = range(len(self.pair_keys))[slot]
+        return self.pair_data[PAIR_FIELDS * slot + offset::PAIR_FIELDS * len(self.pair_keys)]
 
 
 def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
@@ -317,6 +303,14 @@ def uncooperative_policy(state: AgentState, speed: float = 1.0,
     return box.clip((scale * ex, scale * ey))
 
 
+def _start_state(idx: int, spec: AgentSpec) -> AgentState:
+    """Agent ``idx`` at t = 0; a start without a heading faces along +x."""
+    return AgentState(id=idx, kind=spec.kind, model=spec.model,
+                      px=spec.start[0], py=spec.start[1],
+                      psi=spec.start[2] if len(spec.start) == 3 else 0.0,
+                      target=spec.target)
+
+
 def run(s: Scenario) -> Trace:
     """Simulate the scenario and return the full trace.
 
@@ -326,11 +320,7 @@ def run(s: Scenario) -> Trace:
     """
     s.validate()
     t = 0.0
-    agents = tuple(AgentState(id=idx, kind=spec.kind, model=spec.model,
-                              px=spec.start[0], py=spec.start[1],
-                              psi=spec.start[2] if len(spec.start) == 3 else 0.0,
-                              target=spec.target)
-                   for idx, spec in enumerate(s.agents))
+    agents = tuple(_start_state(idx, spec) for idx, spec in enumerate(s.agents))
     n = len(s.agents)
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     # Each intact agent's pair records in neighbor-id order; the first step
@@ -367,6 +357,7 @@ def run(s: Scenario) -> Trace:
             decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), fallback=Fallback.NONE))
 
         trace.times.append(snap.time)
+        # Each record's values in AgentRecord and PairRecord field order.
         trace.agent_data.fromlist([v for a, d in zip(snap.agents, decisions)
                                    for v in (a.px, a.py, a.psi, *d.u_ref, *d.u_safe,
                                              d.fallback.value)])
@@ -416,7 +407,7 @@ def _distance(p: tuple[float, float], q: tuple[float, float]) -> float:
 
 def _fallbacks(trace: Trace) -> int:
     """Emergency fallbacks over every agent-step of the trace."""
-    return int(sum(trace.agent_data[AGENT_FIELDS - 1::AGENT_FIELDS]))
+    return int(sum(trace.agent_column("fallback")))
 
 
 def metrics(trace: Trace, s: Scenario) -> dict:
@@ -426,26 +417,18 @@ def metrics(trace: Trace, s: Scenario) -> dict:
                  "emergency_events": _fallbacks(trace),
                  "estimate_violations": trace.estimate_violations,
                  "euler_slack_events": trace.euler_slack_events}
-    # Columns are strided slices of the flat arrays: one value per step.
-    width = PAIR_FIELDS * len(trace.pair_keys)
     min_hs = dict.fromkeys(intact, math.inf)
     for slot, (i, _) in enumerate(trace.pair_keys):
-        min_hs[i] = min(min_hs[i], min(trace.pair_data[PAIR_FIELDS * slot::width]))
-    stride = AGENT_FIELDS * trace.n_agents
+        min_hs[i] = min(min_hs[i], min(trace.pair_column("h", slot)))
     for i in intact:
         spec = s.agents[i]
         min_h = min_hs[i]
         out["min_h"] = min(out["min_h"], min_h)
 
-        o = AGENT_FIELDS * i
-        pos = list(zip(trace.agent_data[o::stride], trace.agent_data[o + 1::stride]))
+        pos = list(zip(trace.agent_column("px", i), trace.agent_column("py", i)))
         goal_dist = [_distance(p, spec.target) for p in pos]
         reach_time = next((t for t, d in zip(trace.times, goal_dist) if d < GOAL_TOL), math.inf)
-        start = AgentState(id=i, kind=spec.kind, model=spec.model,
-                           px=spec.start[0], py=spec.start[1],
-                           psi=spec.start[2] if len(spec.start) == 3 else 0.0,
-                           target=spec.target)
-        ref = nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt)
+        ref = nominal_trajectory(_start_state(i, spec), s.gamma_nominal, s.duration, s.dt)
         out["agents"][i] = {
             "min_h": min_h,
             "final_goal_distance": goal_dist[-1],

@@ -45,12 +45,10 @@ def write_json(tmp_path, obj, name="scn.json"):
 
 def test_parse_args_run_flags():
     args = parse_args(["run", "--scenario", "a.json", "--out", "o", "--dt", "0.1",
-                       "--duration", "5", "--seed", "7", "--rho-bar-d", "0.4",
-                       "--fixed-alpha", "--no-svg", "--strict"])
+                       "--duration", "5", "--fixed-alpha", "--no-svg", "--strict"])
     assert args.command == "run"
     assert args.scenario == Path("a.json") and args.out == Path("o")
-    assert args.dt == 0.1 and args.duration == 5.0 and args.seed == 7
-    assert args.rho_bar_d == 0.4
+    assert args.dt == 0.1 and args.duration == 5.0
     assert args.fixed_alpha and args.strict and args.no_svg
 
 
@@ -185,6 +183,13 @@ def test_csv_round_trip_is_exact(tmp_path):
             assert pcols["i"][row] == i and pcols["j"][row] == j
             assert pcols["h"][row] == trace.pairs[k][(i, j)].h
             assert pcols["alpha"][row] == trace.pairs[k][(i, j)].alpha
+
+
+def test_csv_headers_are_the_file_format():
+    # The headers are built from the record types' field names; a renamed
+    # field must not change the file format unnoticed.
+    assert TRACE_HEADER == "t,agent_id,px,py,psi,u1_ref,u2_ref,u1,u2,fallback"
+    assert PAIRS_HEADER == "t,i,j,h,alpha,rho,rho_d,rho_theta,margin"
 
 
 def _svg_points(svg: str) -> list[str]:
@@ -390,6 +395,33 @@ def test_exit_3_on_alpha_max_below_alpha_min(tmp_path):
     _assert_exit_3(tmp_path, d)
 
 
+def test_exit_3_on_negative_motion_bound(tmp_path, capsys):
+    # A negative v_max gives the first step's estimate ball a negative
+    # radius, which turns its worst-case point into the best case.
+    for name in ("v_max", "L_F", "L_hdot"):
+        d = json.loads(CROSSING.read_text())
+        d["trust"][name] = -1.0
+        _assert_exit_3(tmp_path, d)
+        assert f"trust.{name} must be nonnegative" in capsys.readouterr().err
+    d = json.loads(CROSSING.read_text())
+    d["trust"].update(v_max=0.0, L_F=0.0, L_hdot=0.0)
+    assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 0
+
+
+def test_exit_3_on_trust_field_beyond_the_magnitude_bound(tmp_path, capsys):
+    # At alpha 1e308, -alpha * h overflows and the run wrote inf into its CSVs.
+    d = json.loads(CROSSING.read_text())
+    d["trust"].update(alpha0=1e308, alpha_max=1e308)
+    _assert_exit_3(tmp_path, d)
+    assert "trust.alpha0 must be at most" in capsys.readouterr().err
+    for name in ("rho_bar_d", "beta", "k_blend", "gamma_alpha", "alpha0", "alpha_min",
+                 "alpha_max", "L_F", "L_hdot", "v_max"):
+        d = json.loads(CROSSING.read_text())
+        d["trust"][name] = 2e6
+        assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 3, name
+        assert f"trust.{name} must be at most" in capsys.readouterr().err
+
+
 def test_exit_3_on_three_dimensional_box(tmp_path):
     d = minimal_dict()
     d["agents"][0]["box"] = [[-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]]
@@ -397,6 +429,7 @@ def test_exit_3_on_three_dimensional_box(tmp_path):
 
 
 HEADON = REPO / "scenarios" / "headon_stress.json"
+CROSSING = REPO / "scenarios" / "crossing.json"
 
 
 def test_exit_3_on_step_count_overflow(tmp_path, capsys):

@@ -15,10 +15,11 @@ from trustcbf import sim
 from trustcbf.barriers import eval_barrier
 from trustcbf.controller import Fallback
 from trustcbf.dynamics import Box, nominal_trajectory
-from trustcbf.sim import (AgentSpec, Scenario, ValidationError,
+from trustcbf.sim import (AgentRecord, AgentSpec, Scenario, ValidationError,
                           adversary_policy, metrics, run, uncooperative_policy)
 from trustcbf.solvers import (QP_RETRY_TOL, ConstraintRow, Infeasible, QPProblem,
                               solve_qp)
+from trustcbf.trust import PairRecord
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
                             WorldSnapshot, wrap_angle)
 
@@ -580,3 +581,18 @@ def test_trace_steps_index_slice_and_compare_like_lists_and_dicts():
     assert len(tr.pairs) == len(tr.times) == 5
     assert [dict(p) for p in tr.pairs] == [{}] * 5
     assert tr.agents[-1][1].py == 1.0
+
+
+def test_trace_columns_read_the_same_values_as_the_records():
+    tr = run(shipped("crossing", duration=0.5))
+    assert list(tr.pairs[0]) == list(tr.pair_keys)
+    for name in AgentRecord._fields:
+        assert list(tr.agent_column(name)) == [getattr(r, name) for step in tr.agents
+                                               for r in step], name
+        for i in range(tr.n_agents):
+            assert list(tr.agent_column(name, i)) == [getattr(step[i], name)
+                                                      for step in tr.agents], (name, i)
+    for name in PairRecord._fields:
+        for slot, key in enumerate(tr.pair_keys):
+            assert list(tr.pair_column(name, slot)) == [getattr(step[key], name)
+                                                        for step in tr.pairs], (name, key)
