@@ -2,14 +2,19 @@
 
 For each neighbor the observer takes the worst-case motion inside the
 neighbor's motion-estimate ball, scores trust, adapts the pair's rate
-parameter, and builds one barrier constraint row.  A step makes two plain-float
-passes over the neighbors, one call each: ``pair_geometry`` (barriers,
-worst-case motions, start-of-step rows) and, after the contribution LPs,
-``score_pairs`` (trust scores, rate updates, final rows).  The reference command
-(waypoint tracking for unicycles, a minimum-norm goal-descent QP for
-integrators) is then projected onto the intersection of all rows inside the
-control box.  Any unrecoverable condition (empty constraint set, barrier at
-zero) degrades to an emergency stop for that step rather than raising.
+parameter, and builds one barrier constraint.  The step carries each
+constraint as a plain (a0, a1, b) float triple, a half-plane a . u >= b, and
+makes two plain-float passes over the neighbors, one call each:
+``pair_geometry`` (barriers, worst-case motions, start-of-step planes) and,
+after the contribution LPs over those planes, ``score_pairs`` (trust scores,
+rate updates, and a new offset b where a pair's rate moved).  The reference
+command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
+integrators) is then projected onto the intersection of all planes inside
+the control box by ``solvers.solve_qp_planes``, which computes no active
+tags.  The decision keeps the final planes; its tagged ``rows`` are built
+from them only when read.  Any unrecoverable condition (empty constraint
+set, barrier at zero) degrades to an emergency stop for that step rather
+than raising.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_valu
                        velocity_map)
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
-from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp
+from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp, solve_qp_planes
 from .trust import (BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
                     combine_trust, direction_trust, distance_trust,
                     max_own_contribution, update_alpha)
@@ -57,10 +62,19 @@ class AgentConfig:
 class ControlDecision:
     u_ref: tuple[float, float]
     u_safe: tuple[float, float]
-    rows: tuple[ConstraintRow, ...]
     fallback: Fallback = Fallback.NONE
     # Each pair's record after this step, in neighbor-id order (intact agents only).
     pairs: tuple[PairRecord, ...] = ()
+    # Each pair's final half-plane (a0, a1, b) and its tag (observer, neighbor),
+    # in neighbor-id order (intact agents only).
+    planes: Sequence[tuple] = ()
+    tags: Sequence[tuple[int, int]] = ()
+
+    @property
+    def rows(self) -> tuple[ConstraintRow, ...]:
+        """The final constraint rows, built from ``planes`` and ``tags`` when read."""
+        return tuple(ConstraintRow((a0, a1), b, tag)
+                     for (a0, a1, b), tag in zip(self.planes, self.tags, strict=True))
 
 
 def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
@@ -85,21 +99,21 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
 def pair_geometry(i: int, snap: WorldSnapshot,
                   estimates: Mapping[int, Optional[MotionEstimate]],
                   pairs: Sequence[PairRecord], cfg: AgentConfig
-                  ) -> tuple[list[tuple], list[ConstraintRow]]:
-    """Geometry pass of observer i: one entry and one start-of-step row per
-    neighbor, in neighbor-id order.
+                  ) -> tuple[list[tuple], list[tuple]]:
+    """Geometry pass of observer i: one entry and one start-of-step half-plane
+    per neighbor, in neighbor-id order.
 
     An entry is the plain tuple
-    ``(other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row)``:
+    ``(other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, plane)``:
     the neighbor's state and the pair's previous record, the barrier h, its
     gradient (gx, gy) = grad_i = -grad_j and gn = ||grad_j||, the estimate
     ball's center (cx, cy) and radius r (``bootstrapped`` marks the bootstrap
-    ball), wdot = grad_j . w at the ball's worst-case point w, and the row.
-    Per neighbor this is ``eval_barrier``, then ``worst_case_motion`` against
-    grad_j, then ``cbf_row`` at the pair's previous alpha, as plain floats in
-    the same order of operations, so every value equals theirs bitwise.  The
-    barrier point and velocity map are the observer's own and are computed
-    once.
+    ball), wdot = grad_j . w at the ball's worst-case point w, and the row's
+    half-plane (a0, a1, b).  Per neighbor this is ``eval_barrier``, then
+    ``worst_case_motion`` against grad_j, then ``cbf_row`` at the pair's
+    previous alpha, as plain floats in the same order of operations, so every
+    value equals theirs bitwise.  The barrier point and velocity map are the
+    observer's own and are computed once.
     """
     me = snap.agents[i]
     pix, piy = barrier_point(me, cfg.lookahead)
@@ -110,7 +124,7 @@ def pair_geometry(i: int, snap: WorldSnapshot,
     dd = d_min * d_min
     boot = bootstrap_estimate(v_max=cfg.trust.v_max)
     entries: list[tuple] = []
-    rows: list[ConstraintRow] = []
+    planes: list[tuple] = []
     for other, prev in zip([a for a in snap.agents if a.id != i], pairs, strict=True):
         est = estimates[other.id]
         bootstrapped = est is None
@@ -129,17 +143,16 @@ def pair_geometry(i: int, snap: WorldSnapshot,
             k = r / gn
             wx, wy = cx - k * jx, cy - k * jy
         wdot = jx * wx + jy * wy
-        row = ConstraintRow((gx * m00 + gy * m10, gx * m01 + gy * m11),
-                            -prev.alpha * h - wdot, (i, other.id))
-        entries.append((other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row))
-        rows.append(row)
-    return entries, rows
+        plane = (gx * m00 + gy * m10, gx * m01 + gy * m11, -prev.alpha * h - wdot)
+        entries.append((other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, plane))
+        planes.append(plane)
+    return entries, planes
 
 
 def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
                 contribs: Sequence[Optional[float]], cfg: AgentConfig
-                ) -> tuple[list[PairRecord], list[ConstraintRow], bool]:
-    """Scoring pass of observer i: each pair's new record and row, and whether
+                ) -> tuple[list[PairRecord], list[tuple], bool]:
+    """Scoring pass of observer i: each pair's new record and half-plane, and whether
     some pair reached the barrier boundary (an emergency stop).
 
     ``contribs`` are the pairs' contribution LP values.  The allowed neighbor
@@ -150,14 +163,14 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     A pair is not scored on the bootstrap ball, when its contribution LP is
     infeasible, or when the agents coincide (no half-space normal); it keeps
     its rate and last scores.  A pair whose rate did not move keeps its
-    geometry-pass row.
+    geometry-pass half-plane; one whose rate moved gets a new offset b.
     """
     me = snap.agents[i]
     tp = cfg.trust
     records: list[PairRecord] = []
-    rows: list[ConstraintRow] = []
+    planes: list[tuple] = []
     emergency = False
-    for (other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, row), contrib in zip(
+    for (other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, plane), contrib in zip(
             entries, contribs, strict=True):
         alpha = prev.alpha
         if bootstrapped or contrib is None or gn < 1e-12:
@@ -171,7 +184,7 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
                           if contrib is None else "agents coincide")
             records.append(PairRecord(h, alpha, prev.rho, prev.rho_d, prev.rho_theta,
                                       prev.margin))
-            rows.append(row)
+            planes.append(plane)
             continue
         ax, ay = -gx, -gy
         b = -alpha * h - contrib
@@ -198,9 +211,9 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
             else:
                 alpha = update_alpha(alpha, rho, cfg.dt, -math.inf, tp)
         records.append(PairRecord(h, alpha, rho, rho_d, rho_theta, d))
-        rows.append(row if alpha == prev.alpha
-                    else ConstraintRow(row.a, -alpha * h - wdot, row.tag))
-    return records, rows, emergency
+        planes.append(plane if alpha == prev.alpha
+                      else (plane[0], plane[1], -alpha * h - wdot))
+    return records, planes, emergency
 
 
 def agent_step(i: int, snap: WorldSnapshot,
@@ -218,10 +231,10 @@ def agent_step(i: int, snap: WorldSnapshot,
     order cannot matter.
     """
     me = snap.agents[i]
-    entries, start_rows = pair_geometry(i, snap, estimates, pairs, cfg)
-    # Each pair's contribution LP runs over the other pairs' start rows.
-    contribs = max_own_contribution(start_rows, cfg.box)
-    records, rows, emergency = score_pairs(i, snap, entries, contribs, cfg)
+    entries, start_planes = pair_geometry(i, snap, estimates, pairs, cfg)
+    # Each pair's contribution LP runs over the other pairs' start planes.
+    contribs = max_own_contribution(start_planes, cfg.box)
+    records, planes, emergency = score_pairs(i, snap, entries, contribs, cfg)
 
     if me.model is Model.UNICYCLE:
         if me.target is None:
@@ -241,11 +254,12 @@ def agent_step(i: int, snap: WorldSnapshot,
         fallback = Fallback.EMERGENCY
     else:
         try:
-            u_safe, _ = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=cfg.box))
+            u_safe = solve_qp_planes(u_ref, planes, cfg.box)
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)
             fallback = Fallback.EMERGENCY
 
-    return ControlDecision(u_ref=u_ref, u_safe=u_safe, rows=tuple(rows), fallback=fallback,
-                           pairs=tuple(records))
+    return ControlDecision(u_ref=u_ref, u_safe=u_safe, fallback=fallback,
+                           pairs=tuple(records), planes=planes,
+                           tags=[(i, e[0].id) for e in entries])

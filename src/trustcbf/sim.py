@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
-from .controller import (CLF_K, AgentConfig, ControlDecision, Fallback,
-                         agent_step, clf_qp_reference)
+from .controller import CLF_K, AgentConfig, ControlDecision, agent_step, clf_qp_reference
 from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
 from .solvers import Infeasible
 from .trust import PairRecord, TrustParams
@@ -354,7 +353,7 @@ def run(s: Scenario) -> Trace:
                 u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
             else:
                 u = uncooperative_policy(a, spec.speed, s.dt, spec.box)
-            decisions.append(ControlDecision(u_ref=u, u_safe=u, rows=(), fallback=Fallback.NONE))
+            decisions.append(ControlDecision(u_ref=u, u_safe=u))
 
         trace.times.append(snap.time)
         # Each record's values in AgentRecord and PairRecord field order.

@@ -3,7 +3,7 @@
 Every control in this package is 2-D (unicycle (v, omega), integrator
 (vx, vy)) and every constraint is a half-plane a . u >= b inside an
 axis-aligned control box, so each feasible set is a convex polygon.  The
-kernel builds it by clipping the box with one row after another
+kernel builds it by clipping the box with one half-plane after another
 (Sutherland-Hodgman) in plain float arithmetic.  On that polygon:
 
     QP   min ||u - u_ref||^2  s.t. rows, box:   u_ref itself when it satisfies
@@ -14,19 +14,26 @@ kernel builds it by clipping the box with one row after another
 The box is clipped with the exact rows first.  Only when that leaves nothing
 are the rows relaxed by FEAS_TOL (and, for the QP, then by QP_RETRY_TOL)
 before Infeasible is raised, so a nearly empty set keeps its verdict while a
-nonempty one is never perturbed.
+nonempty one is never perturbed.  A row whose normal is (nearly) zero is
+vacuous or unsatisfiable by one rule, ``_zero_normals``.
 
-``solve_lp_leave_one_out`` solves, for every row of one list, the LP whose
-objective is that row's normal over all the other rows.  It clips the prefix
-chain box ∩ rows[:m] one row at a time (n single-row clips when nothing
-empties).  If the whole set P = box ∩ rows is nonempty, every LP's maximizer
-lies in P, so all n values are best vertices of that one polygon: equal to
-separate ``solve_lp`` calls in exact arithmetic, which would clip n(n-1)
-times, and close to them in floats.  Only when the chain empties at row m do
-the m earlier rows clip their own suffixes from their prefixes, at most
-n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise equal to it.
-LPs left empty rerun both rules with the rows relaxed by FEAS_TOL, as
-``solve_lp`` retries.
+The public API takes tagged ``ConstraintRow``s.  The control step carries
+each constraint as a plain (a0, a1, b) float triple instead and calls the
+plane-level entries: ``solve_qp_planes`` returns the QP's command only, and
+``solve_qp`` is that same core (``_project``) between ``_half_planes`` and the
+pass that computes active tags, which only ``solve_qp`` does.
+
+``solve_lp_leave_one_out`` solves, for every plane of one list, the LP whose
+objective is that plane's normal over all the other planes.  It clips the
+prefix chain box ∩ planes[:m] one plane at a time (n single-plane clips when
+nothing empties).  If the whole set P = box ∩ planes is nonempty, every LP's
+maximizer lies in P, so all n values are best vertices of that one polygon:
+equal to separate ``solve_lp`` calls in exact arithmetic, which would clip
+n(n-1) times, and close to them in floats.  Only when the chain empties at
+plane m do the m earlier planes clip their own suffixes from their prefixes,
+at most n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise
+equal to it.  LPs left empty rerun both rules with the planes relaxed by
+FEAS_TOL, as ``solve_lp`` retries.
 
 This module is plain float code.  The independent oracles that the test
 suite and ``trustcbf oracle`` check it against (a zoomed dense grid search
@@ -72,21 +79,26 @@ class QPProblem:
     box: Box
 
 
-def _half_planes(rows: Sequence[ConstraintRow]) -> tuple[list, list]:
-    """((a0, a1, b) per row, tags) for the rows with a usable normal.
+def _zero_normals(planes: Sequence[tuple]) -> dict[int, bool]:
+    """Index -> whether it demands anything, for each half-plane a . u >= b
+    whose normal is shorter than DEGENERATE_NORM_TOL.  Such a plane carries no
+    direction: it is vacuous when b <= FEAS_TOL and unsatisfiable otherwise."""
+    return {k: b > FEAS_TOL for k, (a0, a1, b) in enumerate(planes)
+            if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL}
 
-    A row whose normal is shorter than DEGENERATE_NORM_TOL is vacuous when
-    b <= FEAS_TOL and makes the set empty (Infeasible) otherwise.
-    """
-    planes, tags = [], []
-    for row in rows:
-        a0, a1 = row.a
-        if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL:
-            if row.b <= FEAS_TOL:
-                continue
-            raise Infeasible(f"row {row.tag!r} has a zero normal but demands b={row.b} > 0")
-        planes.append((a0, a1, row.b))
-        tags.append(row.tag)
+
+def _half_planes(rows: Sequence[ConstraintRow]) -> tuple[list, list]:
+    """((a0, a1, b) per row, tags) for the rows with a usable normal; raises
+    Infeasible on a zero-normal row that demands anything (``_zero_normals``)."""
+    planes = [(*row.a, row.b) for row in rows]
+    tags = [row.tag for row in rows]
+    zero = _zero_normals(planes)
+    for k, demands in zero.items():
+        if demands:
+            raise Infeasible(f"row {tags[k]!r} has a zero normal but demands b={planes[k][2]} > 0")
+    if zero:
+        planes = [p for k, p in enumerate(planes) if k not in zero]
+        tags = [t for k, t in enumerate(tags) if k not in zero]
     return planes, tags
 
 
@@ -137,7 +149,10 @@ def _holds(planes: list, box: Box, x: float, y: float, tol: float) -> bool:
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
     if not (lo0 - tol <= x <= hi0 + tol and lo1 - tol <= y <= hi1 + tol):
         return False
-    return all(a0 * x + a1 * y - b >= -tol for a0, a1, b in planes)
+    for a0, a1, b in planes:
+        if not a0 * x + a1 * y - b >= -tol:
+            return False
+    return True
 
 
 def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
@@ -159,6 +174,40 @@ def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
     return bx, by
 
 
+def _project(planes: list, box: Box, x: float, y: float) -> tuple[float, float]:
+    """The QP core: the point of box ∩ planes nearest to (x, y).
+
+    ``planes`` have usable normals.  (x, y) itself when it satisfies them to
+    FEAS_TOL, else the nearest point on the edges of the box clipped by the
+    exact planes, then by the planes relaxed by FEAS_TOL and by QP_RETRY_TOL;
+    Infeasible when all three clips leave nothing.
+    """
+    for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
+        if _holds(planes, box, x, y, max(relax, FEAS_TOL)):
+            return x, y
+        poly = _clip(planes, _box_polygon(box), relax)
+        if poly:
+            return _nearest_on_edges(poly, x, y)
+    raise Infeasible("constraint rows admit no command inside the control box")
+
+
+def solve_qp_planes(u_ref: Sequence[float], planes: Sequence[tuple],
+                    box: Box) -> tuple[float, float]:
+    """The command ``solve_qp`` returns, for half-planes a . u >= b given as
+    (a0, a1, b) triples; no active tags are computed.
+
+    Zero-normal planes follow ``_zero_normals``: a vacuous one is dropped, a
+    demanding one raises Infeasible.
+    """
+    zero = _zero_normals(planes)
+    if zero:
+        if any(zero.values()):
+            raise Infeasible("a zero-normal plane demands b > FEAS_TOL")
+        planes = [p for k, p in enumerate(planes) if k not in zero]
+    x, y = u_ref
+    return _project(planes, box, float(x), float(y))
+
+
 def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
     """Project u_ref onto the feasible set; returns (u, tags of active constraints).
 
@@ -169,16 +218,7 @@ def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
     """
     planes, tags = _half_planes(problem.rows)
     x, y = problem.u_ref
-    x, y = float(x), float(y)
-    for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
-        if _holds(planes, problem.box, x, y, max(relax, FEAS_TOL)):
-            break
-        poly = _clip(planes, _box_polygon(problem.box), relax)
-        if poly:
-            x, y = _nearest_on_edges(poly, x, y)
-            break
-    else:
-        raise Infeasible("constraint rows admit no command inside the control box")
+    x, y = _project(planes, problem.box, float(x), float(y))
     (lo0, lo1), (hi0, hi1) = problem.box.lo, problem.box.hi
     resid = [a0 * x + a1 * y - b for a0, a1, b in planes]
     resid += [x - lo0, hi0 - x, y - lo1, hi1 - y]
@@ -205,55 +245,64 @@ def solve_lp(c: Sequence[float], rows: Sequence[ConstraintRow],
     return best, u
 
 
-def solve_lp_leave_one_out(rows: Sequence[ConstraintRow], box: Box) -> list[Optional[float]]:
-    """For every k, the value of ``solve_lp(rows[k].a, rows[:k] + rows[k+1:], box)``,
-    or None where that raises Infeasible.
+def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> list[Optional[float]]:
+    """For every k, the value of ``solve_lp((a0, a1), others, box)`` for plane
+    k = (a0, a1, b) over the other planes, or None where that raises Infeasible.
 
-    LP k maximizes row k's own normal over P_-k = box ∩ (every row but k).
-    When P = box ∩ rows is nonempty, a maximizer over P_-k reaches at least
+    LP k maximizes plane k's own normal over P_-k = box ∩ (every plane but k).
+    When P = box ∩ planes is nonempty, a maximizer over P_-k reaches at least
     b_k, so it lies in P: every LP reads the best vertex of that one polygon.
-    When the prefix chain box ∩ rows[:m] empties at some m, every LP that keeps
-    rows[:m] is empty too, and each earlier row clips its own suffix rows[k+1:]
-    from its prefix, which is ``solve_lp``'s clip sequence.  Like ``solve_lp``,
-    an LP left empty by the exact rows is retried with the rows relaxed by
-    FEAS_TOL.  Zero-normal rows follow ``_half_planes`` in each LP separately:
-    a vacuous one is skipped, a demanding one leaves every other LP
-    infeasible.
+    When the prefix chain box ∩ planes[:m] empties at some m, every LP that
+    keeps planes[:m] is empty too, and each earlier plane clips its own suffix
+    planes[k+1:] from its prefix, which is ``solve_lp``'s clip sequence.  Like
+    ``solve_lp``, an LP left empty by the exact planes is retried with the
+    planes relaxed by FEAS_TOL.  Zero-normal planes follow ``_zero_normals`` in
+    each LP separately: a vacuous one is skipped, a demanding one leaves every
+    other LP infeasible.
     """
-    # spans[k] = (start, end): rows[:k] are planes[:start], rows[k+1:] are planes[end:]
-    planes, spans, demanding = [], [], []
-    for k, row in enumerate(rows):
-        start = len(planes)
-        a0, a1 = row.a
-        if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL:
-            if row.b > FEAS_TOL:
-                demanding.append(k)
-        else:
-            planes.append((a0, a1, row.b))
-        spans.append((start, len(planes)))
-    values: list[Optional[float]] = [None] * len(rows)
+    zero = _zero_normals(planes)
+    demanding = [k for k, demands in zero.items() if demands]
+    values: list[Optional[float]] = [None] * len(planes)
     if len(demanding) > 1:
         return values
-    open_lps = demanding or list(range(len(rows)))
+    kept = [p for k, p in enumerate(planes) if k not in zero] if zero else planes
+    open_lps = demanding or list(range(len(planes)))
     for relax in (0.0, FEAS_TOL):
-        chain = [_box_polygon(box)]     # chain[m] = box ∩ planes[:m]
-        for plane in planes:
-            poly = _clip((plane,), chain[-1], relax)
-            if not poly:
+        chain = [_box_polygon(box)]     # chain[m] = box ∩ kept[:m]
+        poly = chain[0]
+        for a0, a1, b in kept:
+            # _clip of one plane, inline
+            b -= relax
+            out = []
+            px, py = poly[-1]
+            dp = a0 * px + a1 * py - b
+            for q in poly:
+                qx, qy = q
+                dq = a0 * qx + a1 * qy - b
+                if (dp >= 0.0) != (dq >= 0.0):
+                    t = dp / (dp - dq)
+                    out.append((px + t * (qx - px), py + t * (qy - py)))
+                if dq >= 0.0:
+                    out.append(q)
+                px, py, dp = qx, qy, dq
+            if not out:
                 break
+            poly = out
             chain.append(poly)
-        if len(chain) > len(planes):
+        if len(chain) > len(kept):
             for k in open_lps:
-                values[k] = _best_value(*rows[k].a, chain[-1])[0]
+                values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
             break
-        # box ∩ planes[:len(chain)] is empty: only the LP of a row among
-        # those planes can be nonempty.
+        # box ∩ kept[:len(chain)] is empty: only the LP of a plane among
+        # those can be nonempty.
         for k in open_lps:
-            start, end = spans[k]
+            # planes[:k] are kept[:start] and planes[k+1:] are kept[end:]
+            start = k - sum(j < k for j in zero)
+            end = start + (k not in zero)
             if start < end and start < len(chain):
-                poly = _clip(planes[end:], chain[start], relax)
+                poly = _clip(kept[end:], chain[start], relax)
                 if poly:
-                    values[k] = _best_value(*rows[k].a, poly)[0]
+                    values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
         open_lps = [k for k in open_lps if values[k] is None]
         if not open_lps:
             break

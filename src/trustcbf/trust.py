@@ -4,8 +4,10 @@ Each observer keeps one rate parameter alpha per neighbor.  Every step the
 control step's scoring pass (``controller.score_pairs``) takes the half-space
 of neighbor motions v with grad_j . v >= -alpha h - c, where c is the most the
 observer itself can contribute (a small LP over its own control box,
-``max_own_contribution``): any motion outside it would force the barrier
-below its allowed decay even with the observer helping as much as it can.
+``max_own_contribution``, one call per control step over the observer's
+start-of-step planes, the (a0, a1, b) float triples the control step carries):
+any motion outside it would force the barrier below its allowed decay even
+with the observer helping as much as it can.
 The signed slack of the neighbor's estimated motion against that half-space
 is the compliance margin; together with how the neighbor's motion direction
 relates to its declared goal, it produces a trust score in [-1, 1] that
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .dynamics import Box
-from .solvers import ConstraintRow, solve_lp_leave_one_out
+from .solvers import solve_lp_leave_one_out
 from .world import MotionEstimate
 
 H_BOUNDARY_EPS = 1e-6
@@ -85,7 +87,7 @@ def worst_case_motion(est: MotionEstimate, grad_j) -> tuple[tuple[float, float],
     return (cx - k * gx, cy - k * gy), gx * cx + gy * cy - est.radius * gn
 
 
-def max_own_contribution(rows: Sequence[ConstraintRow], box: Box) -> list[Optional[float]]:
+def max_own_contribution(planes: Sequence[tuple], box: Box) -> list[Optional[float]]:
     """Best barrier-derivative contribution observer i can make toward each pair
     (i, k) while respecting its constraints toward every other neighbor.
 
@@ -93,19 +95,20 @@ def max_own_contribution(rows: Sequence[ConstraintRow], box: Box) -> list[Option
         s.t. box, and for all m != k: row m (the cbf row of (i, m) at its
              current rate and worst-case motion)
 
-    ``rows`` are the observer's start-of-step rows, one per neighbor.  The
-    objective of LP k is row k's own normal: ``cbf_row`` builds that normal as
-    the same product grad_i(ik) . M_i.  So all LPs of one observer are
-    leave-one-out LPs over one row list: when box ∩ rows is nonempty, a
-    maximizer of row k's normal over the other rows already satisfies row k,
-    and every LP reads that one polygon (``solvers.solve_lp_leave_one_out``).
-    Entry k is None where the other rows alone admit no command.
+    ``planes`` are the observer's start-of-step rows as (a0, a1, b) float
+    triples, one per neighbor.  The objective of LP k is row k's own normal:
+    ``cbf_row`` builds that normal as the same product grad_i(ik) . M_i.  So
+    all LPs of one observer are leave-one-out LPs over one plane list: when
+    box ∩ planes is nonempty, a maximizer of plane k's normal over the other
+    planes already satisfies plane k, and every LP reads that one polygon
+    (``solvers.solve_lp_leave_one_out``).  Entry k is None where the other
+    planes alone admit no command.
     """
-    return solve_lp_leave_one_out(rows, box)
+    return solve_lp_leave_one_out(planes, box)
 
 
 def distance_trust(margin: float, beta: float = 1.0) -> float:
-    """Map the compliance margin to [0, 1); negative margins earn exactly 0."""
+    """Map the compliance margin to [0, 1]; negative margins earn exactly 0."""
     return math.tanh(beta * max(margin, 0.0))
 
 
@@ -115,7 +118,7 @@ def _angle(ux: float, uy: float, vx: float, vy: float) -> float:
 
 
 def direction_trust(n_hat, a_j, s_hat) -> float:
-    """Score in [0, 1) comparing actual vs goal-implied deflection from the safe direction.
+    """Score in [0, 1] comparing actual vs goal-implied deflection from the safe direction.
 
     theta_n is the angle between the neighbor's goal direction and the safe
     normal; theta_a the same for its predicted motion.  Moving further from

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trustcbf import controller
+from trustcbf import controller, sim
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
-from trustcbf.controller import (AgentConfig, Fallback, agent_step,
+from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, agent_step,
                                  clf_qp_reference, pair_geometry, score_pairs)
-from trustcbf.dynamics import Box, nominal_direction
+from trustcbf.dynamics import K_OMEGA, K_S, Box, nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
-from trustcbf.solvers import Infeasible
+from trustcbf.solvers import Infeasible, QPProblem, solve_qp
 from trustcbf.trust import (BoundaryReached, PairRecord, TrustParams,
                             alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
@@ -21,6 +21,9 @@ from trustcbf.trust import (BoundaryReached, PairRecord, TrustParams,
 from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
                             WorldSnapshot, bootstrap_estimate, estimate_motion,
                             estimate_positions)
+
+from conftest import shipped
+from test_sim import _ring6
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -334,10 +337,12 @@ def test_score_pairs_margin_is_signed_slack():
 # --- agent_step against the per-pair reference formulas ----------------------
 
 def _reference_step(i, snap, estimates, pairs, cfg):
-    """Rows, records and contribution LP values of agent_step, built per pair
-    from eval_barrier, worst_case_motion, cbf_row and the trust formulas: the
-    half-space grad_j . v >= -alpha h - contribution, the compliance margin as
-    the slack against it, and the rate floor on the worst-case point's slack."""
+    """Rows, records, contribution LP values, reference and safe commands and
+    fallback of agent_step, built per pair from eval_barrier, worst_case_motion,
+    cbf_row and the trust formulas: the half-space grad_j . v >= -alpha h -
+    contribution, the compliance margin as the slack against it, and the rate
+    floor on the worst-case point's slack.  The safe command is the public
+    ``solve_qp`` over the rows, and a stop on BoundaryReached or Infeasible."""
     me = snap.agents[i]
     tp = cfg.trust
     M = velocity_map(me, cfg.lookahead)
@@ -351,8 +356,9 @@ def _reference_step(i, snap, estimates, pairs, cfg):
         a_j, _ = worst_case_motion(est, ev.grad_j)
         obs.append((other, prev, ev, est, bootstrapped, a_j,
                     cbf_row(ev, M, a_j, prev.alpha, tag=(i, other.id))))
-    contribs = max_own_contribution([o[-1] for o in obs], cfg.box)
+    contribs = max_own_contribution([(*o[-1].a, o[-1].b) for o in obs], cfg.box)
     rows, records = [], []
+    stop = False
     for (other, prev, ev, est, bootstrapped, a_j, row), contrib in zip(obs, contribs):
         ax, ay = ev.grad_j
         norm = math.sqrt(ax * ax + ay * ay)
@@ -383,12 +389,28 @@ def _reference_step(i, snap, estimates, pairs, cfg):
                                              tp.L_hdot, tp.L_F)
                 except BoundaryReached:
                     floor = None
+                    stop = True
             if floor is not None:
                 alpha = update_alpha(alpha, rho, cfg.dt, floor, tp)
         records.append(PairRecord(ev.h, alpha, rho, rho_d, rho_theta, d))
         rows.append(row if alpha == prev.alpha
                     else cbf_row(ev, M, a_j, alpha, tag=(i, other.id)))
-    return rows, records, contribs
+    if me.model is Model.UNICYCLE:
+        u_ref = (0.0, 0.0) if me.target is None else track_reference(
+            me, me.target, K_S, K_OMEGA, cfg.box)
+    else:
+        try:
+            u_ref = clf_qp_reference(me, CLF_K, cfg.box)
+        except Infeasible:
+            u_ref = (0.0, 0.0)
+    u_safe, fallback = (0.0, 0.0), Fallback.EMERGENCY
+    if not stop:
+        try:
+            u_safe, _ = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=cfg.box))
+            fallback = Fallback.NONE
+        except Infeasible:
+            pass
+    return rows, records, contribs, u_ref, u_safe, fallback
 
 
 def _bits(v):
@@ -453,7 +475,7 @@ def _scenes(draw):
 
 def test_squeeze_scene_has_an_infeasible_contribution_lp():
     i, hist, pairs, cfg = _squeeze_scene()
-    *_, contribs = _reference_step(i, *observe(hist), pairs, cfg)
+    contribs = _reference_step(i, *observe(hist), pairs, cfg)[2]
     assert contribs[2] is None and None not in contribs[:2]
 
 
@@ -465,6 +487,28 @@ def test_agent_step_matches_the_per_pair_reference_bitwise(scene):
     i, hist, pairs, cfg = scene
     view = observe(hist)
     dec = agent_step(i, *view, pairs, cfg)
-    rows, records, _ = _reference_step(i, *view, pairs, cfg)
+    rows, records, _, u_ref, u_safe, fallback = _reference_step(i, *view, pairs, cfg)
     assert _bits(dec.rows) == _bits(tuple(rows))
     assert _bits(dec.pairs) == _bits(tuple(records))
+    assert _bits(dec.u_ref) == _bits(u_ref)
+    assert _bits(dec.u_safe) == _bits(u_safe)
+    assert dec.fallback is fallback
+
+
+def _reference_decision(i, snap, estimates, pairs, cfg):
+    """agent_step's decision from the per-pair reference, as the run loop reads it."""
+    _, records, _, u_ref, u_safe, fallback = _reference_step(i, snap, estimates, pairs, cfg)
+    return ControlDecision(u_ref=u_ref, u_safe=u_safe, fallback=fallback, pairs=tuple(records))
+
+
+@pytest.mark.parametrize("scenario", [shipped("crossing", duration=3.0),
+                                      shipped("headon_stress", duration=3.0), _ring6()],
+                         ids=["crossing", "headon", "ring6"])
+def test_whole_run_matches_the_per_pair_reference_bitwise(scenario, monkeypatch):
+    # whole runs reach jams, emergency stops and alphas at their clamps, which
+    # single drawn steps rarely do: the reference step must record the same bytes
+    trace = sim.run(scenario)
+    monkeypatch.setattr(sim, "agent_step", _reference_decision)
+    ref = sim.run(scenario)
+    assert trace.agent_data.tobytes() == ref.agent_data.tobytes()
+    assert trace.pair_data.tobytes() == ref.pair_data.tobytes()

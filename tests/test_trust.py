@@ -55,12 +55,17 @@ def test_worst_case_motion_beats_sampling():
         assert val <= sampled + 1e-9
 
 
+def _plane(row):
+    """The (a0, a1, b) half-plane of a constraint row."""
+    return (row.a[0], row.a[1], row.b)
+
+
 def test_max_own_contribution_unconstrained_is_box_corner():
     # two agents only: no third-party rows, so the LP maxes gi . u over the box
     me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
     ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
     row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8, tag=(0, 1))
-    val = max_own_contribution([row_01], BOX3)[0]
+    val = max_own_contribution([_plane(row_01)], BOX3)[0]
     # gi = (-4, 0): best contribution is u_x = -3
     assert val == pytest.approx(12.0)
 
@@ -73,7 +78,7 @@ def test_max_own_contribution_respects_other_pairs():
     row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8, tag=(0, 2))
     row_01 = cbf_row(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5), M, np.zeros(2), 0.8,
                      tag=(0, 1))
-    val = max_own_contribution([row_01, row_02], BOX3)[0]
+    val = max_own_contribution([_plane(row_01), _plane(row_02)], BOX3)[0]
     # toward 1 the payoff is gi = (4, 0); the (0,2) row demands
     # -2.4 u_x >= -0.8 * 1.19, i.e. u_x <= 0.39666...
     assert val == pytest.approx(4.0 * (0.8 * 1.19 / 2.4), abs=1e-9)
@@ -138,7 +143,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     box_poly = _box_polygon(BOX3)
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
-        got = max_own_contribution(rows, BOX3)
+        got = max_own_contribution([_plane(row) for row in rows], BOX3)
         assert len(got) == len(rows)
         usable = [(r.a[0], r.a[1], r.b) for r in rows if math.hypot(*r.a) >= 1e-12]
         P = {relax: _clip(usable, box_poly, relax) for relax in (0.0, FEAS_TOL)}
