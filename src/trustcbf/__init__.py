@@ -3,7 +3,7 @@
 from .world import (AgentKind, AgentState, Model, MotionEstimate, WorldSnapshot,
                     estimate_motion, bootstrap_estimate)
 from .dynamics import Box, DEFAULT_BOX, euler_step, nominal_trajectory, track_reference
-from .solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
+from .solvers import Infeasible, QPProblem, solve_lp, solve_qp
 from .barriers import BarrierEval, cbf_row, clf_value, eval_barrier, lookahead_point
 from .trust import PairRecord, TrustParams, combine_trust, update_alpha
 from .controller import AgentConfig, ControlDecision, Fallback, agent_step, clf_qp_reference

@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple, Optional
 
 from .dynamics import ModelMismatch
-from .solvers import ConstraintRow
 from .world import AgentState, Model
 
 D_MIN_DEFAULT = 0.5
@@ -100,9 +99,10 @@ def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None
     return ex * ex + ey * ey, (2.0 * ex, 2.0 * ey)
 
 
-def cbf_row(ev: BarrierEval, vel_map: Map2, worst_j_dot, alpha: float, tag=None) -> ConstraintRow:
-    """Linear constraint on i's control enforcing h_dot >= -alpha h against the
-    worst predicted neighbor motion.  Both models are drift-free, so
+def cbf_row(ev: BarrierEval, vel_map: Map2, worst_j_dot, alpha: float) -> tuple:
+    """Linear constraint (a0, a1, b), meaning a . u >= b, on i's control
+    enforcing h_dot >= -alpha h against the worst predicted neighbor motion.
+    Both models are drift-free, so
 
         grad_i . (M u) + grad_j . worst_j_dot >= -alpha h
         =>  (grad_i M) . u >= -alpha h - grad_j . worst_j_dot
@@ -114,5 +114,4 @@ def cbf_row(ev: BarrierEval, vel_map: Map2, worst_j_dot, alpha: float, tag=None)
     (m00, m01), (m10, m11) = vel_map
     wx, wy = worst_j_dot
     jx, jy = ev.grad_j
-    return ConstraintRow(a=(gx * m00 + gy * m10, gx * m01 + gy * m11),
-                         b=-alpha * ev.h - (jx * wx + jy * wy), tag=tag)
+    return (gx * m00 + gy * m10, gx * m01 + gy * m11, -alpha * ev.h - (jx * wx + jy * wy))

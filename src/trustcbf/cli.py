@@ -45,6 +45,13 @@ def _positive_float(text: str) -> float:
     return v
 
 
+def _nonnegative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be zero or more, got {text}")
+    return v
+
+
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="trustcbf",
                                      description="Trust-adaptive safety-filter simulator")
@@ -65,8 +72,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_val.add_argument("--scenario", required=True, type=Path)
 
     p_or = sub.add_parser("oracle", help="self-test the solvers against their oracles")
-    p_or.add_argument("--qp", type=int, default=100, help="number of random QP instances")
-    p_or.add_argument("--lp", type=int, default=100, help="number of random LP instances")
+    p_or.add_argument("--qp", type=_nonnegative_int, default=100, help="number of random QP instances")
+    p_or.add_argument("--lp", type=_nonnegative_int, default=100, help="number of random LP instances")
     p_or.add_argument("--seed", type=int, default=0)
 
     return parser.parse_args(argv)
@@ -374,7 +381,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         p = random_qp_instance(rng)
         oracle = qp_oracle(p, resolution=1e-3)
         try:
-            u, _ = solve_qp(p)
+            u = solve_qp(p)
         except Exception:
             failures += 1
             continue

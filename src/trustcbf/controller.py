@@ -10,11 +10,9 @@ after the contribution LPs over those planes, ``score_pairs`` (trust scores,
 rate updates, and a new offset b where a pair's rate moved).  The reference
 command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
 integrators) is then projected onto the intersection of all planes inside
-the control box by ``solvers.solve_qp_planes``, which computes no active
-tags.  The decision keeps the final planes; its tagged ``rows`` are built
-from them only when read.  Any unrecoverable condition (empty constraint
-set, barrier at zero) degrades to an emergency stop for that step rather
-than raising.
+the control box by ``solvers.solve_qp``.  The decision keeps the final
+planes.  Any unrecoverable condition (empty constraint set, barrier at zero)
+degrades to an emergency stop for that step rather than raising.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_valu
                        velocity_map)
 from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
                        track_reference)
-from .solvers import ConstraintRow, Infeasible, QPProblem, solve_qp, solve_qp_planes
+from .solvers import Infeasible, QPProblem, solve_qp
 from .trust import (BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
                     combine_trust, direction_trust, distance_trust,
                     max_own_contribution, update_alpha)
@@ -65,16 +63,9 @@ class ControlDecision:
     fallback: Fallback = Fallback.NONE
     # Each pair's record after this step, in neighbor-id order (intact agents only).
     pairs: tuple[PairRecord, ...] = ()
-    # Each pair's final half-plane (a0, a1, b) and its tag (observer, neighbor),
-    # in neighbor-id order (intact agents only).
+    # Each pair's final half-plane (a0, a1, b), in neighbor-id order (intact
+    # agents only).
     planes: Sequence[tuple] = ()
-    tags: Sequence[tuple[int, int]] = ()
-
-    @property
-    def rows(self) -> tuple[ConstraintRow, ...]:
-        """The final constraint rows, built from ``planes`` and ``tags`` when read."""
-        return tuple(ConstraintRow((a0, a1), b, tag)
-                     for (a0, a1, b), tag in zip(self.planes, self.tags, strict=True))
 
 
 def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
@@ -91,9 +82,7 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
     if state.model is not Model.SINGLE_INTEGRATOR:
         raise ValueError("clf_qp_reference applies to single integrators")
     V, (gx, gy) = clf_value(state, target)
-    row = ConstraintRow(a=(-gx, -gy), b=k * V, tag="clf")
-    u, _ = solve_qp(QPProblem(u_ref=(0.0, 0.0), rows=[row], box=box))
-    return u
+    return solve_qp(QPProblem(u_ref=(0.0, 0.0), rows=[(-gx, -gy, k * V)], box=box))
 
 
 def pair_geometry(i: int, snap: WorldSnapshot,
@@ -254,12 +243,11 @@ def agent_step(i: int, snap: WorldSnapshot,
         fallback = Fallback.EMERGENCY
     else:
         try:
-            u_safe = solve_qp_planes(u_ref, planes, cfg.box)
+            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box))
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)
             fallback = Fallback.EMERGENCY
 
     return ControlDecision(u_ref=u_ref, u_safe=u_safe, fallback=fallback,
-                           pairs=tuple(records), planes=planes,
-                           tags=[(i, e[0].id) for e in entries])
+                           pairs=tuple(records), planes=planes)

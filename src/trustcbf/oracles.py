@@ -17,35 +17,32 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Box
-from .solvers import DEGENERATE_NORM_TOL, FEAS_TOL, ConstraintRow, Infeasible, QPProblem
+from .solvers import DEGENERATE_NORM_TOL, FEAS_TOL, Infeasible, QPProblem
 
 
-def _assemble(rows: Sequence[ConstraintRow], box: Box):
-    """Stack user rows and box faces into one a.u >= b system.
+def _assemble(rows: Sequence[tuple], box: Box):
+    """Stack user rows (a0, a1, b) and box faces into one a.u >= b system (A, b).
 
     Degenerate user rows are dropped when vacuous; a degenerate row with b > 0
     is an immediate infeasibility.
     """
-    A_list, b_list, tags = [], [], []
-    for row in rows:
-        a = np.array(row.a)
+    A_list, b_list = [], []
+    for k, (a0, a1, b) in enumerate(rows):
+        a = np.array((a0, a1))
         if float(np.linalg.norm(a)) < DEGENERATE_NORM_TOL:
-            if row.b <= FEAS_TOL:
+            if b <= FEAS_TOL:
                 continue
-            raise Infeasible(f"row {row.tag!r} has a zero normal but demands b={row.b} > 0")
+            raise Infeasible(f"row {k} has a zero normal but demands b={b} > 0")
         A_list.append(a)
-        b_list.append(row.b)
-        tags.append(row.tag)
+        b_list.append(b)
     for k in range(2):
         e = np.zeros(2)
         e[k] = 1.0
         A_list.append(e.copy())
         b_list.append(box.lo[k])
-        tags.append(f"box{k}lo")
         A_list.append(-e)
         b_list.append(-box.hi[k])
-        tags.append(f"box{k}hi")
-    return np.array(A_list), np.array(b_list), tags
+    return np.array(A_list), np.array(b_list)
 
 
 def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
@@ -61,7 +58,7 @@ def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
     box = problem.box
     r = np.asarray(problem.u_ref, dtype=float)
     try:
-        A, b, _ = _assemble(problem.rows, box)
+        A, b = _assemble(problem.rows, box)
     except Infeasible:
         return None
     lo = np.array(box.lo)
@@ -153,7 +150,7 @@ def random_qp_instance(rng: np.random.Generator, max_rows: int = 4,
     box = Box((-box_half,) * 2, (box_half,) * 2)
     z = rng.uniform(-0.8 * box_half, 0.8 * box_half, 2)
     rows = []
-    for r in range(int(rng.integers(0, max_rows + 1))):
+    for _ in range(int(rng.integers(0, max_rows + 1))):
         a = rng.normal(size=2)
         na = float(np.linalg.norm(a))
         if na < 1e-6:
@@ -162,7 +159,7 @@ def random_qp_instance(rng: np.random.Generator, max_rows: int = 4,
         a *= float(rng.uniform(0.5, 2.0)) / na
         slack = float(rng.uniform(0.25, 1.5))
         b = float(a @ z) - slack * float(np.linalg.norm(a))
-        rows.append(ConstraintRow(a=(float(a[0]), float(a[1])), b=b, tag=f"r{r}"))
+        rows.append((float(a[0]), float(a[1]), b))
     u_ref = rng.uniform(-1.2 * box_half, 1.2 * box_half, 2)
     return QPProblem(u_ref=u_ref, rows=rows, box=box)
 
@@ -175,7 +172,7 @@ def random_lp_instance(rng: np.random.Generator, max_rows: int = 4,
     return c, p.rows, p.box
 
 
-def lp_vertex_oracle(c: np.ndarray, rows: Sequence[ConstraintRow], box: Box,
+def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
                      tol: float = FEAS_TOL) -> tuple[float, np.ndarray]:
     """Exhaustive vertex enumeration over the box-extended polygon (test oracle).
 
@@ -184,7 +181,7 @@ def lp_vertex_oracle(c: np.ndarray, rows: Sequence[ConstraintRow], box: Box,
     box guarantees.
     """
     c = np.asarray(c, dtype=float)
-    A, b, _ = _assemble(rows, box)
+    A, b = _assemble(rows, box)
     best_val = -math.inf
     best_u: Optional[np.ndarray] = None
     for S in combinations(range(len(b)), 2):

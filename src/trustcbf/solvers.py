@@ -17,11 +17,10 @@ before Infeasible is raised, so a nearly empty set keeps its verdict while a
 nonempty one is never perturbed.  A row whose normal is (nearly) zero is
 vacuous or unsatisfiable by one rule, ``_zero_normals``.
 
-The public API takes tagged ``ConstraintRow``s.  The control step carries
-each constraint as a plain (a0, a1, b) float triple instead and calls the
-plane-level entries: ``solve_qp_planes`` returns the QP's command only, and
-``solve_qp`` is that same core (``_project``) between ``_half_planes`` and the
-pass that computes active tags, which only ``solve_qp`` does.
+A constraint row is the float triple (a0, a1, b), meaning a . u >= b, in
+every entry.  ``solve_qp`` returns the QP's command only; ``active_set``
+names the rows and box faces that hold with equality at a command, off the
+run path.
 
 ``solve_lp_leave_one_out`` solves, for every plane of one list, the LP whose
 objective is that plane's normal over all the other planes.  It clips the
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dynamics import Box
 
@@ -64,18 +63,10 @@ class Infeasible(Exception):
     """The constraint set is empty inside the control box."""
 
 
-class ConstraintRow(NamedTuple):
-    """One linear constraint a . u >= b with a tag naming its source; a is a float pair."""
-
-    a: tuple[float, float]
-    b: float
-    tag: Hashable = None
-
-
 @dataclass
 class QPProblem:
     u_ref: Sequence[float]
-    rows: Sequence[ConstraintRow]
+    rows: Sequence[tuple]     # (a0, a1, b): a . u >= b
     box: Box
 
 
@@ -87,19 +78,16 @@ def _zero_normals(planes: Sequence[tuple]) -> dict[int, bool]:
             if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL}
 
 
-def _half_planes(rows: Sequence[ConstraintRow]) -> tuple[list, list]:
-    """((a0, a1, b) per row, tags) for the rows with a usable normal; raises
-    Infeasible on a zero-normal row that demands anything (``_zero_normals``)."""
-    planes = [(*row.a, row.b) for row in rows]
-    tags = [row.tag for row in rows]
-    zero = _zero_normals(planes)
+def _usable(rows: Sequence[tuple]) -> Sequence[tuple]:
+    """The rows with a usable normal; raises Infeasible on a zero-normal row
+    that demands anything (``_zero_normals``)."""
+    zero = _zero_normals(rows)
+    if not zero:
+        return rows
     for k, demands in zero.items():
         if demands:
-            raise Infeasible(f"row {tags[k]!r} has a zero normal but demands b={planes[k][2]} > 0")
-    if zero:
-        planes = [p for k, p in enumerate(planes) if k not in zero]
-        tags = [t for k, t in enumerate(tags) if k not in zero]
-    return planes, tags
+            raise Infeasible(f"row {k} has a zero normal but demands b={rows[k][2]} > 0")
+    return [p for k, p in enumerate(rows) if k not in zero]
 
 
 def _box_polygon(box: Box) -> list:
@@ -191,43 +179,30 @@ def _project(planes: list, box: Box, x: float, y: float) -> tuple[float, float]:
     raise Infeasible("constraint rows admit no command inside the control box")
 
 
-def solve_qp_planes(u_ref: Sequence[float], planes: Sequence[tuple],
-                    box: Box) -> tuple[float, float]:
-    """The command ``solve_qp`` returns, for half-planes a . u >= b given as
-    (a0, a1, b) triples; no active tags are computed.
+def solve_qp(problem: QPProblem) -> tuple[float, float]:
+    """Project u_ref onto the feasible set; returns the command (x, y).
 
-    Zero-normal planes follow ``_zero_normals``: a vacuous one is dropped, a
-    demanding one raises Infeasible.
+    Raises Infeasible when no point in the box satisfies every row, even
+    relaxed by QP_RETRY_TOL.
     """
-    zero = _zero_normals(planes)
-    if zero:
-        if any(zero.values()):
-            raise Infeasible("a zero-normal plane demands b > FEAS_TOL")
-        planes = [p for k, p in enumerate(planes) if k not in zero]
-    x, y = u_ref
-    return _project(planes, box, float(x), float(y))
-
-
-def solve_qp(problem: QPProblem) -> tuple[tuple[float, float], tuple]:
-    """Project u_ref onto the feasible set; returns (u, tags of active constraints).
-
-    Active tags are those of the rows, then of the box faces (``box{k}lo`` and
-    ``box{k}hi``), whose residual at u is at most ACTIVE_TOL.  Raises
-    Infeasible when no point in the box satisfies every row, even relaxed by
-    QP_RETRY_TOL.
-    """
-    planes, tags = _half_planes(problem.rows)
     x, y = problem.u_ref
-    x, y = _project(planes, problem.box, float(x), float(y))
-    (lo0, lo1), (hi0, hi1) = problem.box.lo, problem.box.hi
-    resid = [a0 * x + a1 * y - b for a0, a1, b in planes]
-    resid += [x - lo0, hi0 - x, y - lo1, hi1 - y]
-    tags += ["box0lo", "box0hi", "box1lo", "box1hi"]
-    active = tuple(tag for tag, r in zip(tags, resid) if r <= ACTIVE_TOL)
-    return (x, y), active
+    return _project(_usable(problem.rows), problem.box, float(x), float(y))
 
 
-def solve_lp(c: Sequence[float], rows: Sequence[ConstraintRow],
+def active_set(u: Sequence[float], rows: Sequence[tuple], box: Box) -> tuple:
+    """The indices of the rows, then the names of the box faces (``box{k}lo``
+    and ``box{k}hi``), whose residual at u is at most ACTIVE_TOL.  Zero-normal
+    rows are never active."""
+    x, y = u
+    zero = _zero_normals(rows)
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    faces = (("box0lo", x - lo0), ("box0hi", hi0 - x), ("box1lo", y - lo1), ("box1hi", hi1 - y))
+    return (*(k for k, (a0, a1, b) in enumerate(rows)
+              if k not in zero and a0 * x + a1 * y - b <= ACTIVE_TOL),
+            *(name for name, r in faces if r <= ACTIVE_TOL))
+
+
+def solve_lp(c: Sequence[float], rows: Sequence[tuple],
              box: Box) -> tuple[float, tuple[float, float]]:
     """Maximize c . u subject to constraint rows inside the box.
 
@@ -237,12 +212,11 @@ def solve_lp(c: Sequence[float], rows: Sequence[ConstraintRow],
     FEAS_TOL.
     """
     c0, c1 = (float(v) for v in c)
-    planes, _ = _half_planes(rows)
+    planes = _usable(rows)
     poly = _clip(planes, _box_polygon(box), 0.0) or _clip(planes, _box_polygon(box), FEAS_TOL)
     if not poly:
         raise Infeasible("constraint rows admit no command inside the control box")
-    best, u = _best_value(c0, c1, poly)
-    return best, u
+    return _best_value(c0, c1, poly)
 
 
 def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> list[Optional[float]]:

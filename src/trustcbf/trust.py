@@ -165,11 +165,6 @@ def combine_trust(rho_d: float, rho_theta: float, rho_bar_d: float = 0.5,
     return s * x * rho_theta + (1.0 - s) * x * (1.0 - rho_theta)
 
 
-def alpha_rate(rho: float, gamma_alpha: float = 1.0) -> float:
-    """Commanded rate of change of alpha before the feasibility floor is applied."""
-    return gamma_alpha * rho
-
-
 def alpha_rate_floor(margin: float, alpha: float, h: float, B: float,
                      L_h: float, L_hdot: float, L_F: float) -> float:
     """Lower bound on alpha's rate of change that keeps the safety QP solvable.
@@ -194,5 +189,5 @@ def update_alpha(alpha: float, rho: float, dt: float, floor: float,
     The floor wins whenever the trust-driven rate would sink alpha fast enough
     to break QP feasibility.
     """
-    rate = max(alpha_rate(rho, params.gamma_alpha), floor)
+    rate = max(params.gamma_alpha * rho, floor)
     return min(max(alpha + dt * rate, params.alpha_min), params.alpha_max)

@@ -17,7 +17,7 @@ from trustcbf.dynamics import Box
 from trustcbf.oracles import (lp_vertex_oracle, qp_oracle, random_lp_instance,
                               random_qp_instance, read_trace_csv)
 from trustcbf.sim import AgentSpec, Scenario, metrics, run
-from trustcbf.solvers import ConstraintRow, Infeasible, QPProblem, solve_lp, solve_qp
+from trustcbf.solvers import Infeasible, QPProblem, solve_lp, solve_qp
 from trustcbf.trust import combine_trust, direction_trust, distance_trust, worst_case_motion
 from trustcbf.world import AgentKind, AgentState, MotionEstimate, Model
 
@@ -109,14 +109,14 @@ def test_c05_solvers_match_oracles():
         p = random_qp_instance(rng)
         oracle = qp_oracle(p, resolution=1e-3)
         try:
-            u, _ = solve_qp(p)
+            u = solve_qp(p)
         except Infeasible:
             assert oracle is None
             continue
         assert oracle is not None
         val = float(np.sum((u - np.asarray(p.u_ref)) ** 2))
         worst_gap = max(worst_gap, abs(val - oracle[0]))
-        viol = max((row.b - float(np.dot(row.a, u)) for row in p.rows), default=0.0)
+        viol = max((b - float(np.dot((a0, a1), u)) for a0, a1, b in p.rows), default=0.0)
         viol = max(viol, float(np.max(np.asarray(p.box.lo) - u)),
                    float(np.max(u - np.asarray(p.box.hi))))
         worst_viol = max(worst_viol, viol)
@@ -139,7 +139,7 @@ def test_c05_solvers_match_oracles():
         a = rng.uniform(0.5, 2.0) * np.array([math.cos(ang), math.sin(ang)])
         b = float(a @ u_ref) + rng.uniform(-5.0, 5.0) * float(np.linalg.norm(a))
         expected = u_ref if a @ u_ref >= b else u_ref + ((b - a @ u_ref) / (a @ a)) * a
-        u, _ = solve_qp(QPProblem(u_ref=u_ref, rows=(ConstraintRow(a, b, "r"),), box=big))
+        u = solve_qp(QPProblem(u_ref=u_ref, rows=((*a, b),), box=big))
         worst_proj = max(worst_proj, float(np.linalg.norm(u - expected)))
     print(f"criterion 5: qp gap {worst_gap:.2e} viol {worst_viol:.2e}, "
           f"lp gap {worst_lp:.2e}, projection gap {worst_proj:.2e}")

@@ -113,10 +113,9 @@ def test_cbf_row_coefficients_by_hand():
     M = velocity_map(uni(psi=0.0), lookahead=0.1)
     worst = np.array([0.3, -0.2])
     alpha = 0.8
-    row = cbf_row(ev, M, worst, alpha, tag=(0, 1))
-    assert np.allclose(row.a, np.array(ev.grad_i) @ M)
-    assert row.b == pytest.approx(-alpha * ev.h - float(np.array(ev.grad_j) @ worst))
-    assert row.tag == (0, 1)
+    row = cbf_row(ev, M, worst, alpha)
+    assert np.allclose(row[:2], np.array(ev.grad_i) @ M)
+    assert row[2] == pytest.approx(-alpha * ev.h - float(np.array(ev.grad_j) @ worst))
 
 
 def test_cbf_row_satisfaction_controls_barrier_rate():
@@ -126,8 +125,8 @@ def test_cbf_row_satisfaction_controls_barrier_rate():
     worst = np.array([-0.5, 0.3])
     alpha = 0.7
     row = cbf_row(ev, np.eye(2), worst, alpha)
-    a = np.array(row.a)
-    u = a * (row.b / float(a @ a))  # tight point
+    a = np.array(row[:2])
+    u = a * (row[2] / float(a @ a))  # tight point
     h_dot = float(np.array(ev.grad_i) @ u) + float(np.array(ev.grad_j) @ worst)
     assert h_dot == pytest.approx(-alpha * ev.h)
 
@@ -180,5 +179,5 @@ def test_float_geometry_matches_numpy_formulas():
 
         alpha = float(rng.uniform(0.01, 2.0))
         row = cbf_row(ev, velocity_map(me, lookahead), worst, alpha)
-        assert row.a == pytest.approx(tuple(np.array(ev.grad_i) @ M), **close)
-        assert row.b == pytest.approx(-alpha * ev.h - float(g @ np.array(worst)), **close)
+        assert row[:2] == pytest.approx(tuple(np.array(ev.grad_i) @ M), **close)
+        assert row[2] == pytest.approx(-alpha * ev.h - float(g @ np.array(worst)), **close)

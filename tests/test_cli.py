@@ -557,6 +557,16 @@ def test_oracle_command_self_test():
     assert main(["oracle", "--qp", "25", "--lp", "25", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--qp", "--lp"])
+def test_oracle_command_rejects_a_negative_count(flag, capsys):
+    # a negative count used to check nothing and report 0 failures
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", flag, "-3"])
+    assert exc.value.code == 2
+    assert "must be zero or more" in capsys.readouterr().err
+    assert getattr(parse_args(["oracle", flag, "0"]), flag[2:]) == 0   # zero stays allowed
+
+
 # --- the run path without numpy ----------------------------------------------
 
 # Runs main() in a fresh interpreter in which every numpy import fails.

@@ -17,8 +17,7 @@ from trustcbf.controller import Fallback
 from trustcbf.dynamics import Box, nominal_trajectory
 from trustcbf.sim import (AgentRecord, AgentSpec, Scenario, ValidationError,
                           adversary_policy, metrics, run, uncooperative_policy)
-from trustcbf.solvers import (QP_RETRY_TOL, ConstraintRow, Infeasible, QPProblem,
-                              solve_qp)
+from trustcbf.solvers import QP_RETRY_TOL, Infeasible, QPProblem, solve_qp
 from trustcbf.trust import PairRecord
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
                             WorldSnapshot, wrap_angle)
@@ -237,11 +236,10 @@ def _rows_hold(decision):
     if decision.fallback is not Fallback.NONE:
         return
     x, y = decision.u_safe
-    for row in decision.rows:
-        a0, a1 = row.a
-        scale = 1.0 + abs(a0 * x) + abs(a1 * y) + abs(row.b)
-        slack = a0 * x + a1 * y - row.b
-        assert slack >= -(QP_RETRY_TOL + 8.0 * sys.float_info.epsilon * scale), (row, slack)
+    for a0, a1, b in decision.planes:
+        scale = 1.0 + abs(a0 * x) + abs(a1 * y) + abs(b)
+        slack = a0 * x + a1 * y - b
+        assert slack >= -(QP_RETRY_TOL + 8.0 * sys.float_info.epsilon * scale), (a0, a1, b, slack)
 
 
 def _numpy_metrics(tr, s):
@@ -332,8 +330,7 @@ def _numpy_adversary(state, snapshot, prey, k, box):
     e = np.array([state.px - snapshot.agents[prey].px, state.py - snapshot.agents[prey].py])
     V, gradV = float(e @ e), 2.0 * e
     try:
-        u, _ = solve_qp(QPProblem(u_ref=np.zeros(2), rows=[ConstraintRow(tuple(-gradV), k * V)],
-                                  box=box))
+        u = solve_qp(QPProblem(u_ref=np.zeros(2), rows=[(*(-gradV), k * V)], box=box))
         return np.array(u)
     except Infeasible:
         gn = float(gradV @ gradV)

@@ -8,8 +8,8 @@ import pytest
 from trustcbf.dynamics import Box
 from trustcbf.oracles import (_assemble, lp_vertex_oracle, qp_oracle,
                               random_lp_instance, random_qp_instance)
-from trustcbf.solvers import (FEAS_TOL, QP_RETRY_TOL, ConstraintRow, Infeasible,
-                              QPProblem, solve_lp, solve_qp)
+from trustcbf.solvers import (FEAS_TOL, QP_RETRY_TOL, Infeasible, QPProblem, active_set,
+                              solve_lp, solve_qp)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -19,66 +19,71 @@ def qp(u_ref, rows, box=BOX3):
 
 
 def test_qp_interior_reference_is_returned_unchanged():
-    u, active = solve_qp(qp([0.5, -1.0], []))
+    u = solve_qp(qp([0.5, -1.0], []))
     assert np.allclose(u, [0.5, -1.0])
-    assert active == ()
+    assert active_set(u, [], BOX3) == ()
 
 
 def test_qp_out_of_box_reference_clips_to_box():
-    u, active = solve_qp(qp([5.0, -7.0], []))
+    u = solve_qp(qp([5.0, -7.0], []))
     assert np.allclose(u, [3.0, -3.0])
-    assert set(active) == {"box0hi", "box1lo"}
+    assert set(active_set(u, [], BOX3)) == {"box0hi", "box1lo"}
 
 
 def test_qp_single_row_projection_is_analytic():
     # projection onto a . u >= b is u_ref + max(0, (b - a.u_ref)/||a||^2) a
-    row = ConstraintRow(a=(1.0, 1.0), b=2.0, tag="r")
-    u, active = solve_qp(qp([0.0, 0.0], [row]))
+    row = (1.0, 1.0, 2.0)
+    u = solve_qp(qp([0.0, 0.0], [row]))
     assert np.allclose(u, [1.0, 1.0], atol=1e-12)
-    assert "r" in active
+    assert 0 in active_set(u, [row], BOX3)
+
+
+def test_active_set_lists_rows_then_box_faces():
+    # row 0 has a zero normal and b = 0: vacuous, so never active
+    rows = [(0.0, 0.0, 0.0), (-1.0, 0.0, -3.0), (0.0, 1.0, 1.0), (0.0, 1.0, 0.5)]
+    assert active_set((3.0, 1.0), rows, BOX3) == (1, 2, "box0hi")
+    assert active_set((-3.0, 3.0), [], BOX3) == ("box0lo", "box1hi")
 
 
 def test_qp_inactive_row_changes_nothing():
-    row = ConstraintRow(a=(1.0, 0.0), b=-10.0)
-    u, _ = solve_qp(qp([0.2, 0.3], [row]))
+    row = (1.0, 0.0, -10.0)
+    u = solve_qp(qp([0.2, 0.3], [row]))
     assert np.allclose(u, [0.2, 0.3])
 
 
 def test_qp_infeasible_rows_raise():
-    rows = [ConstraintRow(a=(1.0, 0.0), b=1.0),
-            ConstraintRow(a=(-1.0, 0.0), b=1.0)]  # u_x >= 1 and u_x <= -1
+    rows = [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]  # u_x >= 1 and u_x <= -1
     with pytest.raises(Infeasible):
         solve_qp(qp([0.0, 0.0], rows))
     with pytest.raises(Infeasible):
-        solve_qp(qp([0.0, 0.0], [ConstraintRow(a=(1.0, 0.0), b=4.0)]))
+        solve_qp(qp([0.0, 0.0], [(1.0, 0.0, 4.0)]))
 
 
 def test_qp_degenerate_row_vacuous_or_infeasible():
-    ok = ConstraintRow(a=(0.0, 0.0), b=-1.0)
-    u, _ = solve_qp(qp([0.1, 0.1], [ok]))
+    ok = (0.0, 0.0, -1.0)
+    u = solve_qp(qp([0.1, 0.1], [ok]))
     assert np.allclose(u, [0.1, 0.1])
     with pytest.raises(Infeasible):
-        solve_qp(qp([0.1, 0.1], [ConstraintRow(a=(0.0, 0.0), b=1.0)]))
+        solve_qp(qp([0.1, 0.1], [(0.0, 0.0, 1.0)]))
 
 
 def test_qp_deterministic_across_calls():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p = random_qp_instance(rng)
-        u1, a1 = solve_qp(p)
-        u2, a2 = solve_qp(p)
+        u1 = solve_qp(p)
+        u2 = solve_qp(p)
         assert np.array_equal(u1, u2)
-        assert a1 == a2
 
 
 def test_qp_solution_always_feasible_fuzz():
     rng = np.random.default_rng(4)
     for _ in range(300):
         p = random_qp_instance(rng)
-        u, _ = solve_qp(p)
+        u = solve_qp(p)
         assert p.box.contains(u)
         for row in p.rows:
-            assert float(np.dot(row.a, u)) >= row.b - 1e-9
+            assert float(np.dot(row[:2], u)) >= row[2] - 1e-9
 
 
 def test_qp_matches_grid_oracle_sample():
@@ -87,7 +92,7 @@ def test_qp_matches_grid_oracle_sample():
         p = random_qp_instance(rng)
         ref = qp_oracle(p)
         assert ref is not None
-        u, _ = solve_qp(p)
+        u = solve_qp(p)
         val = float(np.sum((u - np.asarray(p.u_ref)) ** 2))
         assert val <= ref[0] + 1e-3
         assert abs(val - ref[0]) <= 1e-3
@@ -101,15 +106,14 @@ def test_lp_pure_box_is_corner():
 
 def test_lp_single_row_cuts_the_corner():
     # maximize u_x subject to u_x <= 1 (written as -u_x >= -1)
-    rows = [ConstraintRow(a=(-1.0, 0.0), b=-1.0)]
+    rows = [(-1.0, 0.0, -1.0)]
     val, u = solve_lp(np.array([1.0, 0.0]), rows, BOX3)
     assert val == pytest.approx(1.0, abs=1e-12)
     assert u[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lp_infeasible_raises():
-    rows = [ConstraintRow(a=(1.0, 0.0), b=1.0),
-            ConstraintRow(a=(-1.0, 0.0), b=1.0)]
+    rows = [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
     with pytest.raises(Infeasible):
         solve_lp(np.array([1.0, 0.0]), rows, BOX3)
 
@@ -123,31 +127,30 @@ def test_lp_matches_vertex_enumeration_fuzz():
         assert abs(v_simplex - v_vertex) <= 1e-9
         assert box.contains(u)
         for row in rows:
-            assert float(np.dot(row.a, u)) >= row.b - 1e-9
+            assert float(np.dot(row[:2], u)) >= row[2] - 1e-9
 
 
 def test_exact_rows_are_clipped_before_any_relaxation():
     # a nonempty set is solved exactly; relaxing first would move these by 1e-9
-    rows = [ConstraintRow(a=(-1.0, 0.0), b=-1.0), ConstraintRow(a=(0.0, 1.0), b=0.5)]
+    rows = [(-1.0, 0.0, -1.0), (0.0, 1.0, 0.5)]
     val, u = solve_lp(np.array([1.0, -1.0]), rows, BOX3)
     assert val == 0.5 and np.array_equal(u, [1.0, 0.5])
-    u, active = solve_qp(qp([2.0, 0.0], rows))
+    u = solve_qp(qp([2.0, 0.0], rows))
     assert np.array_equal(u, [1.0, 0.5])
-    assert active == (None, None)
+    assert active_set(u, rows, BOX3) == (0, 1)
 
 
 def test_nearly_empty_sets_get_the_documented_verdicts():
     # u_x >= 1 and u_x <= 1 - gap: the LP reports gaps beyond 2 FEAS_TOL as
     # empty, the QP retries at QP_RETRY_TOL on each row
     def rows(gap):
-        return [ConstraintRow(a=(1.0, 0.0), b=1.0, tag="lo"),
-                ConstraintRow(a=(-1.0, 0.0), b=-(1.0 - gap), tag="hi")]
+        return [(1.0, 0.0, 1.0), (-1.0, 0.0, -(1.0 - gap))]
     _, u = solve_lp(np.array([1.0, 0.0]), rows(1e-9), BOX3)
     assert abs(u[0] - 1.0) <= 1e-9
     with pytest.raises(Infeasible):
         solve_lp(np.array([1.0, 0.0]), rows(5e-8), BOX3)
-    u, active = solve_qp(qp([0.0, 0.0], rows(5e-8)))
-    assert abs(u[0] - (1.0 - QP_RETRY_TOL)) <= 1e-12 and "lo" in active
+    u = solve_qp(qp([0.0, 0.0], rows(5e-8)))
+    assert abs(u[0] - (1.0 - QP_RETRY_TOL)) <= 1e-12 and 0 in active_set(u, rows(5e-8), BOX3)
     with pytest.raises(Infeasible):
         solve_qp(qp([0.0, 0.0], rows(5e-7)))
 
@@ -174,16 +177,16 @@ def _unit(theta):
     return np.array([np.cos(theta), np.sin(theta)])
 
 
-def _row(a, b, tag):
-    return ConstraintRow(a=tuple(float(v) for v in a), b=float(b), tag=tag)
+def _row(a, b):
+    return (float(a[0]), float(a[1]), float(b))
 
 
 def _extra_rows(rng, z, count):
     """Ordinary rows that keep the point z strictly feasible."""
     rows = []
-    for k in range(count):
+    for _ in range(count):
         a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
-        rows.append(_row(a, a @ z - rng.uniform(0.1, 1.0), f"x{k}"))
+        rows.append(_row(a, a @ z - rng.uniform(0.1, 1.0)))
     return rows
 
 
@@ -193,7 +196,7 @@ def near_parallel_same_side(rng):
     theta = rng.uniform(0.0, 2.0 * np.pi)
     delta = 10.0 ** rng.uniform(-12.0, -6.0)
     a1, a2 = _unit(theta), _unit(theta + delta) * rng.uniform(0.5, 2.0)
-    rows = [_row(a1, a1 @ z, "p1"), _row(a2, a2 @ z, "p2")] + _extra_rows(rng, z, 2)
+    rows = [_row(a1, a1 @ z), _row(a2, a2 @ z)] + _extra_rows(rng, z, 2)
     return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
 
 
@@ -207,7 +210,7 @@ def near_parallel_strip(rng):
     a1, a2 = _unit(theta), _unit(theta + delta)
     if (a1 - a2) @ (-cross) < 0.0:   # orient the strip toward the box centre
         a1, a2 = a2, a1
-    rows = [_row(a1, a1 @ cross, "s1"), _row(-a2, -a2 @ cross, "s2")]
+    rows = [_row(a1, a1 @ cross), _row(-a2, -a2 @ cross)]
     return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
 
 
@@ -221,7 +224,7 @@ def sliver(rng, empty=False, qp=False):
     else:
         w = 10.0 ** rng.uniform(-10.0, -6.0)
     b = float(a @ z)
-    rows = [_row(a, b, "lo"), _row(-a, -(b + w), "hi")] + _extra_rows(rng, z, 1)
+    rows = [_row(a, b), _row(-a, -(b + w))] + _extra_rows(rng, z, 1)
     return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
 
 
@@ -230,7 +233,7 @@ def through_corner(rng):
     # leaves just the corner, pointing inward most of the box
     corner = np.array([rng.choice([-3.0, 3.0]), rng.choice([-3.0, 3.0])])
     a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
-    rows = [_row(a, a @ corner, "corner")]
+    rows = [_row(a, a @ corner)]
     if rng.uniform() < 0.5:
         z = 0.5 * corner
         rows += _extra_rows(rng, z, 1)
@@ -243,17 +246,17 @@ def zero_normals(rng):
     a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
     b = rng.choice([-1.0, 0.0, FEAS_TOL, 2e-9, 0.5])
     rows = list(rows)
-    rows.insert(int(rng.integers(0, len(rows) + 1)), _row(a, b, "zero"))
+    rows.insert(int(rng.integers(0, len(rows) + 1)), _row(a, b))
     return c, rows, box, rng.uniform(-4.0, 4.0, 2)
 
 
 def reference_on_edge(rng):
     # u_ref placed on one row's line, inside or outside the other constraints
     p = random_qp_instance(rng, max_rows=4)
-    rows = list(p.rows) or [_row((1.0, 0.0), 0.0, "r0")]
+    rows = list(p.rows) or [_row((1.0, 0.0), 0.0)]
     row = rows[int(rng.integers(0, len(rows)))]
-    a = np.array(row.a)
-    foot = a * (row.b / float(a @ a))
+    a = np.array(row[:2])
+    foot = a * (row[2] / float(a @ a))
     u_ref = foot + rng.uniform(-4.0, 4.0) * np.array([-a[1], a[0]])
     return rng.normal(size=2), rows, p.box, u_ref
 
@@ -275,7 +278,7 @@ def enumerated_qp(p, tol=FEAS_TOL):
     line and every crossing of two lines; the nearest feasible candidate wins.
     Returns None when no candidate is feasible."""
     try:
-        A, b, _ = _assemble(p.rows, p.box)
+        A, b = _assemble(p.rows, p.box)
     except Infeasible:
         return None
     r = np.asarray(p.u_ref, dtype=float)
@@ -291,7 +294,7 @@ def enumerated_qp(p, tol=FEAS_TOL):
 
 def _shifted(rows, d):
     """The rows relaxed by d (tightened for d < 0)."""
-    return [ConstraintRow(a=r.a, b=r.b - d, tag=r.tag) for r in rows]
+    return [(a0, a1, b - d) for a0, a1, b in rows]
 
 
 def _lp_value(c, rows, box, tol=FEAS_TOL):
@@ -304,7 +307,7 @@ def _lp_value(c, rows, box, tol=FEAS_TOL):
 def _assert_holds(u, rows, box):
     assert box.contains(u, tol=ROW_TOL)
     for row in rows:
-        assert float(np.dot(row.a, u)) >= row.b - ROW_TOL
+        assert float(np.dot(row[:2], u)) >= row[2] - ROW_TOL
 
 
 # Near-parallel rows and one-point polygons make a value depend on FEAS_TOL:
@@ -344,7 +347,7 @@ def test_qp_degenerate_fuzz_matches_oracles(kind):
         _, rows, box, u_ref = DEGENERATE[kind](rng)
         p = qp(u_ref, rows, box)
         try:
-            u, active = solve_qp(p)
+            u = solve_qp(p)
         except Infeasible:
             assert enumerated_qp(p, tol=QP_RETRY_TOL) is None, kind
             continue
@@ -356,8 +359,8 @@ def test_qp_degenerate_fuzz_matches_oracles(kind):
         assert val >= lower - eps, kind
         assert upper is None or val <= upper + eps, kind
         _assert_holds(u, rows, box)
-        u2, active2 = solve_qp(p)
-        assert np.array_equal(u2, u) and active2 == active
+        u2 = solve_qp(p)
+        assert np.array_equal(u2, u)
         if n % 10 == 0 and kind != "sliver":
             # (the grid oracle cannot see slivers thinner than its grid)
             grid = qp_oracle(p)
@@ -369,7 +372,7 @@ def test_qp_returns_feasible_reference_unchanged():
     for _ in range(200):
         _, rows, box, u_ref = reference_on_edge(rng)
         holds = box.contains(u_ref) and all(
-            float(np.dot(r.a, u_ref)) >= r.b - FEAS_TOL for r in rows)
+            float(np.dot(r[:2], u_ref)) >= r[2] - FEAS_TOL for r in rows)
         if holds:
-            u, _ = solve_qp(qp(u_ref, rows, box))
+            u = solve_qp(qp(u_ref, rows, box))
             assert np.array_equal(u, u_ref)

@@ -7,10 +7,8 @@ import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.dynamics import Box
-from trustcbf.solvers import (FEAS_TOL, ConstraintRow, Infeasible, _box_polygon,
-                              _clip, _half_planes, solve_lp)
-from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate,
-                            alpha_rate_floor, combine_trust, direction_trust,
+from trustcbf.solvers import FEAS_TOL, Infeasible, _box_polygon, _clip, _usable, solve_lp
+from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
 from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
@@ -55,17 +53,12 @@ def test_worst_case_motion_beats_sampling():
         assert val <= sampled + 1e-9
 
 
-def _plane(row):
-    """The (a0, a1, b) half-plane of a constraint row."""
-    return (row.a[0], row.a[1], row.b)
-
-
 def test_max_own_contribution_unconstrained_is_box_corner():
     # two agents only: no third-party rows, so the LP maxes gi . u over the box
     me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
     ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
-    row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8, tag=(0, 1))
-    val = max_own_contribution([_plane(row_01)], BOX3)[0]
+    row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8)
+    val = max_own_contribution([row_01], BOX3)[0]
     # gi = (-4, 0): best contribution is u_x = -3
     assert val == pytest.approx(12.0)
 
@@ -75,10 +68,9 @@ def test_max_own_contribution_respects_other_pairs():
     me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
     M = velocity_map(me)
     ev_02 = eval_barrier(me, integ(2, 1.2, 0.0), d_min=0.5)
-    row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8, tag=(0, 2))
-    row_01 = cbf_row(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5), M, np.zeros(2), 0.8,
-                     tag=(0, 1))
-    val = max_own_contribution([_plane(row_01), _plane(row_02)], BOX3)[0]
+    row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8)
+    row_01 = cbf_row(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5), M, np.zeros(2), 0.8)
+    val = max_own_contribution([row_01, row_02], BOX3)[0]
     # toward 1 the payoff is gi = (4, 0); the (0,2) row demands
     # -2.4 u_x >= -0.8 * 1.19, i.e. u_x <= 0.39666...
     assert val == pytest.approx(4.0 * (0.8 * 1.19 / 2.4), abs=1e-9)
@@ -90,10 +82,10 @@ def _leave_one_out_rows(rng):
     rows through a box corner that hold on the whole box, and vacuous or
     demanding zero-normal rows."""
     rows = []
-    for k in range(int(rng.integers(0, 13))):
+    for _ in range(int(rng.integers(0, 13))):
         kind = rng.choice(["plain", "parallel", "cut", "corner", "zero"],
                           p=[0.45, 0.2, 0.2, 0.05, 0.1])
-        usable = [r for r in rows if math.hypot(*r.a) > 1e-6]
+        usable = [r for r in rows if math.hypot(r[0], r[1]) > 1e-6]
         if kind in ("parallel", "cut") and not usable:
             kind = "plain"
         if kind == "plain":
@@ -101,15 +93,15 @@ def _leave_one_out_rows(rng):
             b = rng.uniform(-8.0, 1.0)
         elif kind == "parallel":
             base = usable[int(rng.integers(0, len(usable)))]
-            a = np.array(base.a) + rng.normal(size=2) * 10.0 ** rng.uniform(-12.0, -6.0)
-            b = base.b + rng.normal() * 10.0 ** rng.uniform(-12.0, -6.0)
+            a = np.array(base[:2]) + rng.normal(size=2) * 10.0 ** rng.uniform(-12.0, -6.0)
+            b = base[2] + rng.normal() * 10.0 ** rng.uniform(-12.0, -6.0)
         elif kind == "cut":
             # faces an earlier row with a gap: empty for gap > 0 (the
             # relaxed retry rescues gaps below 2 FEAS_TOL), a sliver below 0
             base = usable[int(rng.integers(0, len(usable)))]
             gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
-            a = -np.array(base.a)
-            b = -base.b + gap
+            a = -np.array(base[:2])
+            b = -base[2] + gap
         elif kind == "corner":
             # a . u >= a . c for the corner c: exactly tight at c, slack
             # everywhere else in the box
@@ -119,7 +111,7 @@ def _leave_one_out_rows(rng):
         else:
             a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
             b = rng.choice([-1.0, 0.0, FEAS_TOL, 0.5] if rng.uniform() < 0.4 else [-1.0, 0.0])
-        rows.append(ConstraintRow(a=tuple(a), b=b, tag=k))
+        rows.append((*a, b))
     return rows
 
 
@@ -143,27 +135,27 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     box_poly = _box_polygon(BOX3)
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
-        got = max_own_contribution([_plane(row) for row in rows], BOX3)
+        got = max_own_contribution(rows, BOX3)
         assert len(got) == len(rows)
-        usable = [(r.a[0], r.a[1], r.b) for r in rows if math.hypot(*r.a) >= 1e-12]
+        usable = [r for r in rows if math.hypot(r[0], r[1]) >= 1e-12]
         P = {relax: _clip(usable, box_poly, relax) for relax in (0.0, FEAS_TOL)}
         for k, row in enumerate(rows):
             others = rows[:k] + rows[k + 1:]
             try:
-                expected, _ = solve_lp(np.array(row.a), others, BOX3)
+                expected, _ = solve_lp(np.array(row[:2]), others, BOX3)
             except Infeasible:
                 assert got[k] is None, (k, rows)
                 seen["infeasible"] += 1
                 continue
             assert got[k] is not None, (k, rows)
-            planes, _ = _half_planes(others)
+            planes = _usable(others)
             relax = 0.0 if _clip(planes, box_poly, 0.0) else FEAS_TOL
             if not P[relax]:
                 seen["suffix_clip"] += 1
                 assert got[k].hex() == expected.hex(), (k, rows)
             elif relax == 0.0:
                 seen["one_polygon_exact"] += 1
-                c = np.array(row.a)
+                c = np.array(row[:2])
                 eps = 1e-9 * (1.0 + abs(got[k]))
                 assert got[k] <= _lp_value(c, _shifted(others, FEAS_TOL), BOX3) + eps, (k, rows)
                 lower = _lp_value(c, _shifted(others, -FEAS_TOL), BOX3, tol=0.0)
@@ -173,15 +165,15 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 assert abs(got[k] - expected) <= 4.0 * FEAS_TOL * (1.0 + abs(expected)), (k, rows)
         for m in range(1, len(rows)):
             try:
-                planes, _ = _half_planes(rows[:m])
+                planes = _usable(rows[:m])
             except Infeasible:
                 break
             if not _clip(planes, box_poly, 0.0):
                 seen["emptied_prefix"] += m < len(rows) - 1
                 break
-        for row in rows:
-            if math.hypot(*row.a) < 1e-12:
-                seen["demanding_zero" if row.b > FEAS_TOL else "vacuous_zero"] += 1
+        for a0, a1, b in rows:
+            if math.hypot(a0, a1) < 1e-12:
+                seen["demanding_zero" if b > FEAS_TOL else "vacuous_zero"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
 
@@ -246,7 +238,9 @@ def test_combine_trust_range_fuzz():
 
 
 def test_alpha_rate_and_floor_formulas():
-    assert alpha_rate(0.3, gamma_alpha=2.0) == pytest.approx(0.6)
+    # unclamped and unfloored, so the gain alone sets the step
+    assert update_alpha(0.8, 0.3, 0.05, -math.inf,
+                        TrustParams(gamma_alpha=2.0)) == pytest.approx(0.83)
     f = alpha_rate_floor(margin=0.4, alpha=0.8, h=0.5, B=0.2, L_h=2.0,
                          L_hdot=2.0, L_F=1.0)
     assert f == pytest.approx(-(0.4 + 2.0 * 1.0 * 0.04 + 0.8 * 2.0 * 0.2) / 0.5)
