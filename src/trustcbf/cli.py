@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -89,14 +89,28 @@ _AGENT_KEYS = {f.name for f in fields(AgentSpec)}
 _TRUST_KEYS = {f.name for f in fields(TrustParams)}
 
 
-def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _object(v, allowed: set, where: str) -> dict:
+    """The JSON value ``v``, which must be an object with no key outside ``allowed``."""
+    if not isinstance(v, dict):
+        raise ValidationError(f"{where}: expected an object")
+    unknown = set(v) - allowed
     if unknown:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
+    return v
+
+
+def _enum(cls, v, where: str):
+    try:
+        return cls(v)
+    except ValueError:
+        raise ValidationError(f"{where}: expected one of {[m.value for m in cls]}, got {v!r}")
 
 
 def _float(v, where: str) -> float:
-    """The JSON number ``v`` as a float; every other value raises ValidationError."""
+    """The JSON number ``v`` as a float; every other value, and MISSING, raises
+    ValidationError."""
+    if v is MISSING:
+        raise ValidationError(f"{where}: required")
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"{where}: expected a number, got {v!r}")
     try:
@@ -105,40 +119,24 @@ def _float(v, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    if key not in obj:
-        raise ValidationError(f"{where}.{key}: required")
-    return _float(obj[key], f"{where}.{key}")
+def _floats(obj: dict, cls, where: str) -> dict:
+    """``obj``'s values of the float fields of ``cls``; a field without a default is required."""
+    return {f.name: _float(obj.get(f.name, MISSING), f"{where}.{f.name}") for f in fields(cls)
+            if f.type == "float" and (f.name in obj or f.default is MISSING)}
 
 
-def _parse_agent(obj: dict, idx: int) -> AgentSpec:
+def _parse_agent(obj, idx: int) -> AgentSpec:
     where = f"agents[{idx}]"
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
-    _reject_unknown(obj, _AGENT_KEYS, where)
-    try:
-        kind = AgentKind(obj.get("kind"))
-    except ValueError:
-        raise ValidationError(f"{where}.kind: expected one of "
-                              f"{[k.value for k in AgentKind]}, got {obj.get('kind')!r}")
-    try:
-        model = Model(obj.get("model"))
-    except ValueError:
-        raise ValidationError(f"{where}.model: expected one of "
-                              f"{[m.value for m in Model]}, got {obj.get('model')!r}")
+    obj = _object(obj, _AGENT_KEYS, where)
+    options = _floats(obj, AgentSpec, where)
     start = obj.get("start")
-    if not isinstance(start, list) or len(start) not in (2, 3):
+    if not isinstance(start, list):
         raise ValidationError(f"{where}.start: expected [x, y] or [x, y, psi]")
-    start = tuple(_float(v, f"{where}.start") for v in start)
     target = obj.get("target")
-    if target in (None, "unknown"):
-        target = None
-    elif isinstance(target, list) and len(target) == 2:
-        target = tuple(_float(v, f"{where}.target") for v in target)
-    else:
+    if isinstance(target, list):
+        options["target"] = tuple(_float(v, f"{where}.target") for v in target)
+    elif target not in (None, "unknown"):
         raise ValidationError(f"{where}.target: expected [x, y] or \"unknown\"")
-    # Keys the file leaves out take AgentSpec's defaults.
-    options = {key: _number(obj, key, where) for key in ("d_min", "speed", "gain") if key in obj}
     if "box" in obj:
         try:
             lo, hi = obj["box"]
@@ -149,7 +147,10 @@ def _parse_agent(obj: dict, idx: int) -> AgentSpec:
     prey = obj.get("prey")
     if prey is not None and (not isinstance(prey, int) or isinstance(prey, bool)):
         raise ValidationError(f"{where}.prey: expected an agent id")
-    return AgentSpec(kind=kind, model=model, start=start, target=target, prey=prey, **options)
+    return AgentSpec(kind=_enum(AgentKind, obj.get("kind"), f"{where}.kind"),
+                     model=_enum(Model, obj.get("model"), f"{where}.model"),
+                     start=tuple(_float(v, f"{where}.start") for v in start), prey=prey,
+                     **options)
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -162,38 +163,24 @@ def load_scenario(path: Path) -> Scenario:
         obj = json.loads(raw)
     except ValueError as exc:   # JSONDecodeError, or an integer of too many digits
         raise ValidationError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: top level must be an object")
-    _reject_unknown(obj, _TOP_KEYS, str(path))
-    agents_raw = obj.get("agents")
-    if not isinstance(agents_raw, list) or not agents_raw:
+    obj = _object(obj, _TOP_KEYS, str(path))
+    agents = obj.get("agents")
+    if not isinstance(agents, list) or not agents:
         raise ValidationError("agents: expected a nonempty array")
-    agents = [_parse_agent(a, idx) for idx, a in enumerate(agents_raw)]
-
-    trust_obj = obj.get("trust", {})
-    if not isinstance(trust_obj, dict):
-        raise ValidationError("trust: expected an object")
-    _reject_unknown(trust_obj, _TRUST_KEYS, "trust")
-    trust = TrustParams(**{key: _number(trust_obj, key, "trust") for key in trust_obj})
-
-    flags = obj.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ValidationError("flags: expected an object")
-    _reject_unknown(flags, _FLAG_KEYS, "flags")
+    agents = [_parse_agent(a, idx) for idx, a in enumerate(agents)]
+    trust = _object(obj.get("trust", {}), _TRUST_KEYS, "trust")
+    flags = _object(obj.get("flags", {}), _FLAG_KEYS, "flags")
     for key, v in flags.items():
         if not isinstance(v, bool):
             raise ValidationError(f"flags.{key}: expected true or false")
-
     # Keys the file leaves out take Scenario's defaults.
-    options = {key: _number(obj, key, str(path))
-               for key in ("dt", "gamma_nominal", "lookahead") if key in obj}
+    options = _floats(obj, Scenario, str(path))
     if "seed" in obj:
         if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
             raise ValidationError("seed: expected an integer")
         options["seed"] = obj["seed"]
-
-    s = Scenario(agents=agents, duration=_number(obj, "duration", str(path)),
-                 trust=trust, **flags, **options)
+    s = Scenario(agents=agents, trust=TrustParams(**_floats(trust, TrustParams, "trust")),
+                 **flags, **options)
     s.validate()
     return s
 

@@ -14,13 +14,15 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
 from .controller import CLF_K, AgentConfig, ControlDecision, agent_step, clf_qp_reference
 from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
 from .solvers import Infeasible
-from .trust import PairRecord, TrustParams
+from .trust import (BOUNDED, BOUNDED_POSITIVE, MAGNITUDE_BOUND, Interval, PairRecord,
+                    TrustParams, ranged)
 from .world import (AgentKind, AgentState, Model, WorldSnapshot,
                     estimate_positions)
 
@@ -33,14 +35,6 @@ GOAL_TOL = 0.2
 # ring12-0, crossing and headon), about 0.7 GB at this bound.  The largest
 # benchmark input holds 11,664 records.
 MAX_RECORDS = 10**7
-
-# Largest magnitude a scenario may give a start or target coordinate, a box
-# bound, d_min, the look-ahead, the duration or a trust parameter.  Commands
-# stay in their boxes, so positions stay within about 1e12 of the origin, and
-# squared distances, gradient norms and rate terms such as -alpha * h stay far
-# below the float maximum: none overflows to inf, which would turn a barrier's
-# unit normal into (0, 0) or write inf into the trace.
-MAGNITUDE_BOUND = 1e6
 
 # Slack allowed on the discrete barrier-rate inequality
 # (h_new - h_old) / dt >= -alpha_old h_old before a pair-step counts in
@@ -57,44 +51,58 @@ class ValidationError(Exception):
     """A scenario violates the schema or its semantic rules."""
 
 
+# Intervals of the scenario numbers that TrustParams does not use.
+COORDINATE = Interval(-MAGNITUDE_BOUND, MAGNITUDE_BOUND)
+POSITIVE = Interval(0.0, math.inf, lo_open=True)
+FINITE = Interval(-math.inf, math.inf)
+
+
 @dataclass
 class AgentSpec:
     kind: AgentKind
     model: Model
-    start: tuple[float, ...]                      # (x, y) or (x, y, psi)
-    target: Optional[tuple[float, float]] = None  # None marks the target unknown
-    d_min: float = D_MIN_DEFAULT
-    box: Box = DEFAULT_BOX
+    start: tuple[float, ...] = ranged((COORDINATE, COORDINATE, FINITE))  # (x, y) or (x, y, psi)
+    target: Optional[tuple[float, float]] = ranged(COORDINATE, None)    # None: target unknown
+    d_min: float = ranged(BOUNDED_POSITIVE, D_MIN_DEFAULT)
+    box: Box = ranged(COORDINATE, DEFAULT_BOX)    # each bound of the control box
     prey: Optional[int] = None                    # adversarial only
-    speed: float = 1.0                            # uncooperative cruise speed
-    gain: float = CLF_K                           # adversarial chase gain
+    speed: float = ranged(POSITIVE, 1.0)          # uncooperative cruise speed
+    gain: float = ranged(POSITIVE, CLF_K)         # adversarial chase gain
+
+
+def _check_ranges(obj, where: str) -> None:
+    """Check each number of the dataclass ``obj`` against its field's interval."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "range" not in f.metadata or value is None:
+            continue
+        values = value.lo + value.hi if isinstance(value, Box) else value
+        intervals = f.metadata["range"]
+        for v, interval in zip(values if isinstance(values, Sequence) else (values,),
+                               repeat(intervals) if isinstance(intervals, Interval) else intervals):
+            why = interval.violation(v)
+            if why:
+                raise ValidationError(f"{where}{f.name} {why}, got {v}")
 
 
 @dataclass
 class Scenario:
     agents: list[AgentSpec]
-    duration: float
-    dt: float = 0.05
+    duration: float = ranged(BOUNDED)
+    dt: float = ranged(POSITIVE, 0.05)
     trust: TrustParams = field(default_factory=TrustParams)
     fixed_alpha: bool = False
     rate_floor: bool = True
     seed: int = 0
-    gamma_nominal: float = 1.0   # speed of the straight-line reference used by metrics
-    lookahead: float = LOOKAHEAD_DEFAULT
+    gamma_nominal: float = ranged(POSITIVE, 1.0)   # speed of the metrics' straight-line reference
+    lookahead: float = ranged(BOUNDED_POSITIVE, LOOKAHEAD_DEFAULT)
 
     def validate(self) -> None:
-        trust = {f"trust.{f.name}": getattr(self.trust, f.name) for f in fields(self.trust)}
-        numbers = {"dt": self.dt, "duration": self.duration,
-                   "gamma_nominal": self.gamma_nominal, "lookahead": self.lookahead, **trust}
-        for name, v in numbers.items():
-            if not math.isfinite(v):
-                raise ValidationError(f"{name} must be finite, got {v}")
-        if self.dt <= 0.0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.duration < 0.0:
-            raise ValidationError(f"duration must be nonnegative, got {self.duration}")
+        """Check each number against its field's interval, then the other rules."""
         if not self.agents:
             raise ValidationError("scenario needs at least one agent")
+        _check_ranges(self, "")
+        _check_ranges(self.trust, "trust.")
         n = len(self.agents)
         n_intact = sum(a.kind is AgentKind.INTACT for a in self.agents)
         # Float arithmetic, so a step count that overflows gives inf and fails.
@@ -103,58 +111,24 @@ class Scenario:
             raise ValidationError(f"the trace would hold {records:.3g} agent and pair records "
                                   f"(duration {self.duration} / dt {self.dt}), more than "
                                   f"{MAX_RECORDS}")
-        for name, v in (("duration", self.duration), ("lookahead", self.lookahead),
-                        *trust.items()):
-            if abs(v) > MAGNITUDE_BOUND:
-                raise ValidationError(f"{name} must be at most {MAGNITUDE_BOUND:g}, got {v}")
-        if self.trust.alpha0 <= 0.0:
-            raise ValidationError("alpha0 must be positive")
-        if self.trust.alpha_min <= 0.0:
-            raise ValidationError("alpha_min must be positive")
         if not self.trust.alpha_min <= self.trust.alpha0 <= self.trust.alpha_max:
             raise ValidationError("trust rates must satisfy alpha_min <= alpha0 <= alpha_max")
-        for name in ("v_max", "L_F", "L_hdot"):
-            if getattr(self.trust, name) < 0.0:
-                raise ValidationError(f"trust.{name} must be nonnegative")
-        if self.lookahead <= 0.0:
-            raise ValidationError(f"lookahead must be positive, got {self.lookahead}")
-        if self.gamma_nominal <= 0.0:
-            raise ValidationError("gamma_nominal must be positive")
         for idx, a in enumerate(self.agents):
             where = f"agents[{idx}]"
-            if len(a.start) not in (2, 3):
-                raise ValidationError(f"{where}.start must have 2 or 3 components")
-            if len(a.start) == 3 and a.model is not Model.UNICYCLE:
-                raise ValidationError(f"{where}.start has a heading but the model is not a unicycle")
-            if not all(math.isfinite(v) for v in a.start):
-                raise ValidationError(f"{where}.start must be finite")
-            if not all(math.isfinite(v) for v in (a.d_min, a.speed, a.gain, *a.box.lo, *a.box.hi,
-                                                   *(a.target or ()))):
-                raise ValidationError(f"{where}: every number must be finite")
-            if not all(abs(v) <= MAGNITUDE_BOUND for v in (a.d_min, *a.start[:2], *a.box.lo,
-                                                          *a.box.hi, *(a.target or ()))):
-                raise ValidationError(f"{where}: start, target, box and d_min must lie "
-                                      f"within ±{MAGNITUDE_BOUND:g}")
-            if a.d_min <= 0.0:
-                raise ValidationError(f"{where}.d_min must be positive")
-            if a.kind is AgentKind.INTACT and a.target is None:
-                raise ValidationError(f"{where}: intact agents need a known target")
-            if a.kind is AgentKind.ADVERSARIAL:
-                if a.prey is None:
-                    raise ValidationError(f"{where}.prey: required for Adversarial agents")
-                if not (0 <= a.prey < n) or a.prey == idx:
-                    raise ValidationError(f"{where}.prey: must name another agent id, got {a.prey}")
-                if a.model is not Model.SINGLE_INTEGRATOR:
-                    raise ValidationError(f"{where}: adversarial agents use the SingleIntegrator model")
-                if a.gain <= 0.0:
-                    raise ValidationError(f"{where}.gain must be positive")
-            if a.kind is AgentKind.UNCOOPERATIVE:
-                if a.target is None:
-                    raise ValidationError(f"{where}: uncooperative agents need a target to head to")
-                if a.speed <= 0.0:
-                    raise ValidationError(f"{where}.speed must be positive")
-                if a.model is not Model.SINGLE_INTEGRATOR:
-                    raise ValidationError(f"{where}: uncooperative agents use the SingleIntegrator model")
+            _check_ranges(a, f"{where}.")
+            if not 2 <= len(a.start) <= (3 if a.model is Model.UNICYCLE else 2):
+                raise ValidationError(f"{where}.start must be [x, y], or [x, y, psi] on a unicycle")
+            if a.target is not None and len(a.target) != 2:
+                raise ValidationError(f"{where}.target must be [x, y]")
+            if a.kind is not AgentKind.INTACT and a.model is not Model.SINGLE_INTEGRATOR:
+                raise ValidationError(f"{where}: {a.kind.value} agents use the "
+                                      f"SingleIntegrator model")
+            if a.kind is not AgentKind.ADVERSARIAL and a.target is None:
+                raise ValidationError(f"{where}: {a.kind.value} agents need a known target")
+            if a.kind is AgentKind.ADVERSARIAL and (a.prey is None or a.prey == idx
+                                                    or not 0 <= a.prey < n):
+                raise ValidationError(f"{where}.prey: Adversarial agents must name another "
+                                      f"agent id, got {a.prey}")
 
 
 class AgentRecord(NamedTuple):

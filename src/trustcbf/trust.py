@@ -24,7 +24,7 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .dynamics import Box
@@ -38,25 +38,64 @@ H_BOUNDARY_EPS = 1e-6
 THETA_RATIO_CAP = 10.0
 THETA_FLOOR = 1e-3
 
+# The end of every bounded scenario field's interval.  Commands stay in their
+# boxes, so positions stay within about 1e12 of the origin, and squared
+# distances, gradient norms and rate terms such as -alpha * h stay far below
+# the float maximum: none overflows to inf, which would turn a barrier's unit
+# normal into (0, 0) or write inf into the trace.
+MAGNITUDE_BOUND = 1e6
+
 
 class BoundaryReached(Exception):
     """Barrier at or below zero within tolerance: the rate floor is undefined."""
+
+
+class Interval(NamedTuple):
+    """The admissible values of a scenario number: finite, and from lo to hi.
+    A finite end is included, except a lower end of 0 marked open."""
+
+    lo: float
+    hi: float
+    lo_open: bool = False
+
+    def violation(self, v: float) -> Optional[str]:
+        """Why ``v`` lies outside the interval, or None if it lies inside."""
+        if not math.isfinite(v):
+            return "must be finite"
+        if v < self.lo or (self.lo_open and v == self.lo):
+            if self.lo:
+                return f"must be at least {self.lo:g}"
+            return "must be positive" if self.lo_open else "must be nonnegative"
+        if v > self.hi:
+            return f"must be at most {self.hi:g}"
+        return None
+
+
+BOUNDED = Interval(0.0, MAGNITUDE_BOUND)
+BOUNDED_POSITIVE = Interval(0.0, MAGNITUDE_BOUND, lo_open=True)
+
+
+def ranged(interval, default=MISSING):
+    """A dataclass field whose value lies in ``interval``.  A sequence value
+    gives each element the interval, or each element its own when
+    ``interval`` is a tuple of intervals; a None value has no number."""
+    return field(default=default, metadata={"range": interval})
 
 
 @dataclass
 class TrustParams:
     """Knobs of the trust pipeline, shared by every pair of one scenario."""
 
-    rho_bar_d: float = 0.5    # margin score threshold separating trust growth from decay
-    beta: float = 1.0         # margin score slope
-    k_blend: float = 50.0     # sharpness of the blend between the two trust branches
-    gamma_alpha: float = 1.0  # rate gain applied to the trust score
-    alpha0: float = 0.8       # initial per-pair rate
-    alpha_min: float = 0.01   # hard lower bound on alpha
-    alpha_max: float = 1e6    # numerical cap (the rate floor diverges as h -> 0)
-    L_F: float = 1.0          # Lipschitz bound assumed for neighbor motion fields
-    L_hdot: float = 2.0       # Lipschitz bound of the barrier derivative in the neighbor state
-    v_max: float = 3.0        # bootstrap speed bound before any motion is observed
+    rho_bar_d: float = ranged(Interval(0.0, 1.0), 0.5)  # margin score between decay and growth
+    beta: float = ranged(BOUNDED, 1.0)                  # margin score slope
+    k_blend: float = ranged(BOUNDED, 50.0)              # sharpness of the trust-branch blend
+    gamma_alpha: float = ranged(BOUNDED, 1.0)           # rate gain applied to the trust score
+    alpha0: float = ranged(BOUNDED_POSITIVE, 0.8)       # initial per-pair rate
+    alpha_min: float = ranged(BOUNDED_POSITIVE, 0.01)   # hard lower bound on alpha
+    alpha_max: float = ranged(BOUNDED_POSITIVE, 1e6)    # cap (the rate floor diverges as h -> 0)
+    L_F: float = ranged(BOUNDED, 1.0)       # Lipschitz bound assumed for neighbor motion fields
+    L_hdot: float = ranged(BOUNDED, 2.0)    # Lipschitz bound of dh/dt in the neighbor state
+    v_max: float = ranged(BOUNDED, 3.0)     # bootstrap speed bound before any motion is observed
 
 
 class PairRecord(NamedTuple):
@@ -108,7 +147,11 @@ def max_own_contribution(planes: Sequence[tuple], box: Box) -> list[Optional[flo
 
 
 def distance_trust(margin: float, beta: float = 1.0) -> float:
-    """Map the compliance margin to [0, 1]; negative margins earn exactly 0."""
+    """Map the compliance margin to [0, 1]; negative margins earn exactly 0.
+
+    The output stays in [0, 1] only for beta >= 0; a negative beta maps
+    positive margins into [-1, 0].
+    """
     return math.tanh(beta * max(margin, 0.0))
 
 
@@ -159,6 +202,12 @@ def combine_trust(rho_d: float, rho_theta: float, rho_bar_d: float = 0.5,
     fastest).  The hard switch at the threshold is smoothed by a sigmoid of
     sharpness k_blend, which keeps the score continuous at the cost of a small
     non-monotone ripple of order 1/k_blend near the threshold.
+
+    The output lies in [-1, 1] when rho_d, rho_theta and rho_bar_d all lie in
+    [0, 1]: it is x = rho_d - rho_bar_d times a weight in [0, 1].  A
+    rho_bar_d outside [0, 1] lets |x| exceed 1.  A negative k_blend keeps the
+    range but swaps the two weights, so the neighbors that follow their goals
+    are distrusted fastest; the blend needs k_blend >= 0.
     """
     x = rho_d - rho_bar_d
     s = _sigmoid(k_blend * x)

@@ -422,6 +422,45 @@ def test_exit_3_on_trust_field_beyond_the_magnitude_bound(tmp_path, capsys):
         assert f"trust.{name} must be at most" in capsys.readouterr().err
 
 
+# Values the schema rejects because they break the trust scores' documented
+# ranges or invert adaptation, and the message each one gets.
+NEW_REJECTIONS = {
+    "negative_beta": (lambda d: d["trust"].update(beta=-1.0), "trust.beta must be nonnegative"),
+    "negative_k_blend": (lambda d: d["trust"].update(k_blend=-1.0),
+                         "trust.k_blend must be nonnegative"),
+    "negative_gamma_alpha": (lambda d: d["trust"].update(gamma_alpha=-2.0),
+                             "trust.gamma_alpha must be nonnegative"),
+    "rho_bar_d_below_0": (lambda d: d["trust"].update(rho_bar_d=-0.5),
+                          "trust.rho_bar_d must be nonnegative"),
+    "rho_bar_d_above_1": (lambda d: d["trust"].update(rho_bar_d=5.0),
+                          "trust.rho_bar_d must be at most 1"),
+    # agent 1 of crossing is intact and agent 3 adversarial: neither reads speed
+    "zero_speed_on_an_intact_agent": (lambda d: d["agents"][1].update(speed=0.0),
+                                      "agents[1].speed must be positive"),
+    "negative_speed_on_an_adversary": (lambda d: d["agents"][3].update(speed=-1.0),
+                                       "agents[3].speed must be positive"),
+    "zero_gain_on_an_intact_agent": (lambda d: d["agents"][0].update(gain=0.0),
+                                     "agents[0].gain must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEW_REJECTIONS))
+def test_exit_3_on_values_outside_the_trust_score_ranges(tmp_path, capsys, case):
+    mutate, message = NEW_REJECTIONS[case]
+    d = json.loads(CROSSING.read_text())
+    mutate(d)
+    _assert_exit_3(tmp_path, d)
+    assert message in capsys.readouterr().err
+
+
+def test_zero_beta_k_blend_and_gamma_alpha_validate(tmp_path):
+    d = json.loads(CROSSING.read_text())
+    d["trust"].update(beta=0.0, k_blend=0.0, gamma_alpha=0.0, rho_bar_d=0.0)
+    assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 0
+    d["trust"]["rho_bar_d"] = 1.0
+    assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 0
+
+
 def test_exit_3_on_three_dimensional_box(tmp_path):
     d = minimal_dict()
     d["agents"][0]["box"] = [[-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]]

@@ -65,6 +65,14 @@ def test_scenario_validation_rejects_bad_fields():
         Scenario(agents=[spec_intact(), bad], duration=1.0).validate()
 
 
+def test_scenario_validation_rejects_a_target_without_two_coordinates():
+    # run unpacks the target as (x, y), so validate must reject any other length
+    for target in ((1.0,), (1.0, 2.0, 3.0)):
+        bad = AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (0.0, 0.0, 0.0), target)
+        with pytest.raises(ValidationError, match=r"agents\[0\]\.target"):
+            Scenario(agents=[bad], duration=0.1).validate()
+
+
 def test_shipped_scenarios_validate():
     shipped("crossing").validate()
     shipped("crossing", fixed_alpha=True).validate()
