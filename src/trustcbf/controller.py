@@ -7,7 +7,9 @@ constraint as a plain (a0, a1, b) float triple, a half-plane a . u >= b, and
 makes two plain-float passes over the neighbors, one call each:
 ``pair_geometry`` (barriers, worst-case motions, start-of-step planes) and,
 after the contribution LPs over those planes, ``score_pairs`` (trust scores,
-rate updates, and a new offset b where a pair's rate moved).  The reference
+rate updates, and a new offset b where a pair's rate moved).  Both passes
+compute their formulas inline; the per-pair functions of ``barriers``,
+``trust`` and ``dynamics`` are the reference they equal bitwise.  The reference
 command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
 integrators) is then projected onto the intersection of all planes inside
 the control box by ``solvers.solve_qp``.  The decision keeps the final
@@ -25,12 +27,10 @@ from typing import Mapping, Optional, Sequence
 
 from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_value,
                        velocity_map)
-from .dynamics import (DEFAULT_BOX, Box, K_OMEGA, K_S, nominal_direction,
-                       track_reference)
+from .dynamics import DEFAULT_BOX, Box, K_OMEGA, K_S, track_reference
 from .solvers import Infeasible, QPProblem, solve_qp
-from .trust import (BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
-                    combine_trust, direction_trust, distance_trust,
-                    max_own_contribution, update_alpha)
+from .trust import (H_BOUNDARY_EPS, THETA_FLOOR, THETA_RATIO_CAP, PairRecord,
+                    TrustParams, max_own_contribution)
 from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
 
 log = logging.getLogger(__name__)
@@ -153,9 +153,22 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     infeasible, or when the agents coincide (no half-space normal); it keeps
     its rate and last scores.  A pair whose rate did not move keeps its
     geometry-pass half-plane; one whose rate moved gets a new offset b.
+
+    Per scored pair this is ``distance_trust``, ``nominal_direction``,
+    ``direction_trust``, ``combine_trust``, ``alpha_rate_floor`` and
+    ``update_alpha``, computed inline as plain floats in the same order of
+    operations, so every value equals theirs bitwise.  Each builtin ``max(a,
+    b)`` is written ``b if b > a else a`` and each ``min(a, b)`` as ``b if b
+    < a else a``, which return the same float, signed zeros and NaNs included.
     """
     me = snap.agents[i]
     tp = cfg.trust
+    beta, rho_bar_d, k_blend = tp.beta, tp.rho_bar_d, tp.k_blend
+    gamma_alpha, alpha_min, alpha_max = tp.gamma_alpha, tp.alpha_min, tp.alpha_max
+    lip = tp.L_hdot * tp.L_F
+    dt = cfg.dt
+    adapt = not cfg.fixed_alpha
+    rate_floor = cfg.rate_floor
     records: list[PairRecord] = []
     planes: list[tuple] = []
     emergency = False
@@ -178,27 +191,59 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
         ax, ay = -gx, -gy
         b = -alpha * h - contrib
         d = ax * cx + ay * cy - b
-        rho_d = distance_trust(d, tp.beta)
-        target_j = other.target if other.target is not None else (me.px, me.py)
-        n_hat, at_target = nominal_direction(other, target_j)
-        if at_target:
+        rho_d = math.tanh(beta * (0.0 if 0.0 > d else d))
+        # ||a_j||, the estimate center's norm, is also the first term of B
+        cn = math.sqrt(cx * cx + cy * cy)
+        target = other.target
+        tx, ty = (me.px, me.py) if target is None else target
+        ex = tx - other.px
+        ey = ty - other.py
+        dist = math.sqrt(ex * ex + ey * ey)
+        if dist < 1e-9:
             rho_theta = 0.5
         else:
-            rho_theta = direction_trust(n_hat, (cx, cy), (ax / gn, ay / gn))
-        rho = combine_trust(rho_d, rho_theta, tp.rho_bar_d, tp.k_blend)
-        if not cfg.fixed_alpha:
-            if cfg.rate_floor:
-                B = math.sqrt(cx * cx + cy * cy) + r
-                hx, hy = gx / 2.0, gy / 2.0
-                L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
-                try:
-                    floor = alpha_rate_floor(wdot - b, alpha, h, B, L_h, tp.L_hdot, tp.L_F)
-                except BoundaryReached:
-                    emergency = True
-                else:
-                    alpha = update_alpha(alpha, rho, cfg.dt, floor, tp)
+            # n_hat is a unit vector here, so direction_trust's branch for a
+            # zero goal direction cannot be taken
+            nx, ny = ex / dist, ey / dist
+            sx, sy = ax / gn, ay / gn
+            sn = math.sqrt(sx * sx + sy * sy)
+            c = (nx * sx + ny * sy) / (math.sqrt(nx * nx + ny * ny) * sn)
+            c = c if c > -1.0 else -1.0
+            theta_n = math.acos(c if c < 1.0 else 1.0)
+            if cn < 1e-12:
+                theta_a = math.pi / 2.0
             else:
-                alpha = update_alpha(alpha, rho, cfg.dt, -math.inf, tp)
+                c = (cx * sx + cy * sy) / (cn * sn)
+                c = c if c > -1.0 else -1.0
+                theta_a = math.acos(c if c < 1.0 else 1.0)
+                if THETA_FLOOR > theta_a:
+                    theta_a = THETA_FLOOR
+            ratio = theta_n / theta_a
+            rho_theta = math.tanh(2.0 * (THETA_RATIO_CAP if THETA_RATIO_CAP < ratio else ratio))
+        x = rho_d - rho_bar_d
+        t = k_blend * x
+        if t >= 0.0:
+            s = 1.0 / (1.0 + math.exp(-t))
+        else:
+            e = math.exp(t)
+            s = e / (1.0 + e)
+        rho = s * x * rho_theta + (1.0 - s) * x * (1.0 - rho_theta)
+        if adapt:
+            if rate_floor and h <= H_BOUNDARY_EPS:
+                # the rate floor is undefined at the boundary: stop, keep alpha
+                emergency = True
+            else:
+                rate = gamma_alpha * rho
+                if rate_floor:
+                    B = cn + r
+                    hx, hy = gx / 2.0, gy / 2.0
+                    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * dt)
+                    floor = -((wdot - b) + lip * B * B + alpha * L_h * B) / h
+                    if floor > rate:
+                        rate = floor
+                alpha = alpha + dt * rate
+                alpha = alpha_min if alpha_min > alpha else alpha
+                alpha = alpha_max if alpha_max < alpha else alpha
         records.append(PairRecord(h, alpha, rho, rho_d, rho_theta, d))
         planes.append(plane if alpha == prev.alpha
                       else (plane[0], plane[1], -alpha * h - wdot))

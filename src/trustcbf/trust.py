@@ -12,8 +12,9 @@ The signed slack of the neighbor's estimated motion against that half-space
 is the compliance margin; together with how the neighbor's motion direction
 relates to its declared goal, it produces a trust score in [-1, 1] that
 drives alpha up (trusted neighbors, relaxed constraint) or down (distrusted
-neighbors, tightened constraint).  This module holds the formulas the pass
-calls once per pair.
+neighbors, tightened constraint).  This module holds those formulas.  The
+scoring pass computes them inline, as plain floats in the same order of
+operations; the functions here are the reference it equals bitwise.
 
 A lower bound on the alpha rate keeps the safety filter's QP feasible: pushing
 alpha down faster than the system can respond would empty the feasible set.

@@ -14,10 +14,10 @@ from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, 
 from trustcbf.dynamics import K_OMEGA, K_S, Box, nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
-from trustcbf.trust import (BoundaryReached, PairRecord, TrustParams,
-                            alpha_rate_floor, combine_trust, direction_trust,
-                            distance_trust, max_own_contribution, update_alpha,
-                            worst_case_motion)
+from trustcbf.trust import (H_BOUNDARY_EPS, MAGNITUDE_BOUND, THETA_FLOOR, THETA_RATIO_CAP,
+                            BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
+                            combine_trust, direction_trust, distance_trust,
+                            max_own_contribution, update_alpha, worst_case_motion)
 from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
                             WorldSnapshot, bootstrap_estimate, estimate_motion,
                             estimate_positions)
@@ -208,31 +208,41 @@ def test_the_safety_qp_goes_through_solve_qp(monkeypatch):
     assert rows == []
 
 
-def test_rate_floor_receives_the_worst_case_margin(monkeypatch):
-    # a moving neighbor has a ball of radius > 0, so its worst-case-point
-    # margin lies below the center margin; the floor must receive the
-    # worst-case one, since that is the row the QP enforces
+def test_rate_floor_receives_the_worst_case_margin():
+    # a neighbor closing at 5 m/s has a ball of radius > 0, so its
+    # worst-case-point margin lies below the center margin; the floor binds
+    # here and must take the worst-case one, since that is the row the QP
+    # enforces
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 2.0, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    other1 = integ(1, 1.95, 0.02, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    hist = snapshots([me0, other0], [me0, other1])
-    margins = []
-    original = controller.alpha_rate_floor
-
-    def recording(margin, *args):
-        margins.append(margin)
-        return original(margin, *args)
-
-    monkeypatch.setattr(controller, "alpha_rate_floor", recording)
-    trust = fresh_trust(2, 0)
-    dec = agent_step(0, *observe(hist), trust, AgentConfig(box=BOX3))
-    est = estimate_motion(*hist, 1)
-    ev = eval_barrier(me0, other1)
-    center_margin = dec.pairs[0].margin
+    unc = AgentKind.UNCOOPERATIVE
+    snap, estimates = observe(snapshots([me0, integ(1, 1.25, 0.0, (-5.0, 0.0), unc)],
+                                        [me0, integ(1, 1.0, 0.02, (-5.0, 0.0), unc)]))
+    tp = TrustParams(L_F=0.0)  # lets the floor bind at a small alpha
+    cfg = AgentConfig(box=BOX3, trust=tp)
+    alpha = 0.011
+    (rec,) = agent_step(0, snap, estimates, fresh_trust(2, 0, alpha0=alpha), cfg).pairs
+    est = estimates[1]
+    ev = eval_barrier(me0, snap.agents[1])
+    (wx, wy), _ = worst_case_motion(est, ev.grad_j)
+    (contrib,) = max_own_contribution([cbf_row(ev, velocity_map(me0), (wx, wy), alpha)],
+                                      BOX3)
+    b = -alpha * ev.h - contrib
+    ax, ay = ev.grad_j
+    worst_margin = ax * wx + ay * wy - b
     assert est.radius > 0.0
-    worst_margin = center_margin - est.radius * float(np.linalg.norm(np.array(ev.grad_j)))
-    assert margins == [pytest.approx(worst_margin, rel=1e-12)]
-    assert margins[0] < center_margin
+    assert worst_margin < rec.margin
+    cx, cy = est.center
+    B = math.sqrt(cx * cx + cy * cy) + est.radius
+    hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
+    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
+
+    def alpha_after(margin):
+        floor = alpha_rate_floor(margin, alpha, ev.h, B, L_h, tp.L_hdot, tp.L_F)
+        return update_alpha(alpha, rec.rho, cfg.dt, floor, tp)
+
+    assert rec.alpha > update_alpha(alpha, rec.rho, cfg.dt, -math.inf, tp)  # the floor binds
+    assert rec.alpha == alpha_after(worst_margin)
+    assert rec.alpha != alpha_after(rec.margin)
 
 
 def test_agent_step_unicycle_reference_is_waypoint_tracking():
@@ -449,13 +459,15 @@ def _bits(v):
     return v
 
 
-def _scene(start, now, alphas, fixed_alpha=False, rate_floor=True):
+_LAST_SCORES = (0.1, 0.6, 0.4, 0.2)   # rho, rho_d, rho_theta, margin of every previous record
+
+
+def _scene(start, now, alphas, fixed_alpha=False, rate_floor=True,
+           trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0)):
     """(observer id 0, snapshot history, previous records, config).  ``now``
     None makes ``start`` the only snapshot: the bootstrap step."""
-    pairs = tuple(PairRecord(h=math.nan, alpha=a, rho=0.1, rho_d=0.6, rho_theta=0.4,
-                             margin=0.2) for a in alphas)
-    cfg = AgentConfig(box=BOX3, fixed_alpha=fixed_alpha, rate_floor=rate_floor,
-                      trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0))
+    pairs = tuple(PairRecord(math.nan, a, *_LAST_SCORES) for a in alphas)
+    cfg = AgentConfig(box=BOX3, fixed_alpha=fixed_alpha, rate_floor=rate_floor, trust=trust)
     return 0, snapshots(start, now), pairs, cfg
 
 
@@ -477,6 +489,112 @@ def _coincident_scene():
     other = integ(1, 1.0, 1.0, (-5.0, 0.0))
     return _scene([me, other, uni(2, 2.0, 1.5, psi=2.0, target=(0.0, 0.0))],
                   [me, other, uni(2, 1.96, 1.52, psi=2.05, target=(0.0, 0.0))], (0.7, 0.5))
+
+
+# One scene per branch of the scoring pass: observer 0 at the origin and one
+# neighbor, still or moving between the two snapshots.  Derandomized draws
+# differ between a solo run and a full-suite run, so the bitwise test takes
+# these as explicit examples, and test_pinned_scene_reaches_its_branch checks
+# that each still reaches its branch.
+_ME = integ(0, 0.0, 0.0, target=(5.0, 0.0))
+
+
+def _pair_scene(was, now, target, alpha=0.8, **options):
+    unc = AgentKind.UNCOOPERATIVE
+    return _scene([_ME, integ(1, *was, target, unc)], [_ME, integ(1, *now, target, unc)],
+                  (alpha,), **options)
+
+
+def _angle(u, v):
+    return math.acos(float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))))
+
+
+def _scored(rec):
+    return rec[2:] != _LAST_SCORES
+
+
+def _unclamped_trust_update(rec, cfg, alpha):
+    return alpha + cfg.dt * (cfg.trust.gamma_alpha * rec.rho)
+
+
+_CLOSING = ((1.25, 0.0), (1.0, 0.0), (-5.0, 0.0))   # at 5 m/s
+# By branch: the scene, and whether the reference step reaches the branch.
+_PINNED = {
+    "neighbor_at_its_target": (
+        _pair_scene((2.0, 1.1), (2.0, 1.0), (2.0, 1.0)),
+        lambda other, est, rec, cfg, fallback: (
+            (other.px, other.py) == other.target and rec.rho_theta == 0.5)),
+    "unknown_target": (
+        _pair_scene((2.05, 0.5), (2.0, 0.5), None),
+        lambda other, est, rec, cfg, fallback: other.target is None and _scored(rec)),
+    "stationary_estimate_center": (
+        _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0)),
+        lambda other, est, rec, cfg, fallback: est.center == (0.0, 0.0) and _scored(rec)),
+    "ratio_cap": (
+        # moving straight away from the observer, its goal at a right angle
+        _pair_scene((1.95, 0.0), (2.0, 0.0), (2.0, 3.0)),
+        lambda other, est, rec, cfg, fallback: (
+            _angle(est.center, (1.0, 0.0)) < THETA_FLOOR
+            and _angle((0.0, 1.0), (1.0, 0.0)) / THETA_FLOOR > THETA_RATIO_CAP
+            and _scored(rec))),
+    "negative_sigmoid_argument": (
+        _pair_scene(*_CLOSING),
+        lambda other, est, rec, cfg, fallback: (
+            cfg.trust.k_blend * (rec.rho_d - cfg.trust.rho_bar_d) < 0.0)),
+    "zero_margin": (
+        # b = -alpha h - contribution is exactly 0 and the center (0, 0),
+        # so the margin is -0.0
+        _pair_scene((-0.0625, 0.0), (-0.0625, 0.0), (5.0, 0.0), alpha=96 / 63),
+        lambda other, est, rec, cfg, fallback: (
+            rec.margin == 0.0 and math.copysign(1.0, rec.margin) < 0.0)),
+    "boundary_reached_at_positive_h": (
+        _pair_scene((0.5000005, 0.0), (0.5000005, 0.0), (5.0, 0.0)),
+        lambda other, est, rec, cfg, fallback: (
+            0.0 < rec.h <= H_BOUNDARY_EPS and _scored(rec) and rec.alpha == 0.8
+            and fallback is Fallback.EMERGENCY)),
+    "rate_floor_wins": (
+        # L_F = 0 lets the floor bind at a small alpha
+        _pair_scene(*_CLOSING, alpha=0.011,
+                    trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0, L_F=0.0)),
+        lambda other, est, rec, cfg, fallback: rec.alpha > max(
+            _unclamped_trust_update(rec, cfg, 0.011), cfg.trust.alpha_min)),
+    "alpha_min_clamp": (
+        _pair_scene(*_CLOSING, alpha=0.011, rate_floor=False),
+        lambda other, est, rec, cfg, fallback: (
+            _unclamped_trust_update(rec, cfg, 0.011) < cfg.trust.alpha_min
+            and rec.alpha == cfg.trust.alpha_min)),
+    "alpha_max_clamp": (
+        # the floor can only raise the rate above the trust rate
+        _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0), alpha=1.999),
+        lambda other, est, rec, cfg, fallback: (
+            _unclamped_trust_update(rec, cfg, 1.999) > cfg.trust.alpha_max
+            and rec.alpha == cfg.trust.alpha_max)),
+}
+
+
+def _extreme_scene(low, rho_bar_d):
+    """Neighbors of both models scored with beta, k_blend, gamma_alpha and
+    alpha_max all at the low or all at the high end of their intervals.
+    alpha_max's interval is open at 0, so its low end is the least positive
+    float, with alpha_min and the rates equal to it as validation requires.
+    Every neighbor moves away from the observer, so the rows leave room for
+    every contribution LP even at that rate, and every pair is scored."""
+    if low:
+        tiny = math.ulp(0.0)
+        trust = TrustParams(rho_bar_d=rho_bar_d, beta=0.0, k_blend=0.0, gamma_alpha=0.0,
+                            alpha_min=tiny, alpha_max=tiny)
+        alphas = (tiny,) * 3
+    else:
+        big = MAGNITUDE_BOUND
+        trust = TrustParams(rho_bar_d=rho_bar_d, beta=big, k_blend=big, gamma_alpha=big,
+                            alpha_max=big)
+        alphas = (0.01, 1.0, big)
+    unc = AgentKind.UNCOOPERATIVE
+    me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
+    return _scene([me, integ(1, 1.2, 0.1, (-4.0, 0.0), unc), integ(2, -1.1, 1.0, None, unc),
+                   uni(3, 0.6, -1.9, psi=-1.2, target=(0.0, 4.0))],
+                  [me, integ(1, 1.25, 0.1, (-4.0, 0.0), unc), integ(2, -1.13, 1.03, None, unc),
+                   uni(3, 0.61, -1.93, psi=-1.19, target=(0.0, 4.0))], alphas, trust=trust)
 
 
 @st.composite
@@ -506,10 +624,41 @@ def test_squeeze_scene_has_an_infeasible_contribution_lp():
     assert contribs[2] is None and None not in contribs[:2]
 
 
+@pytest.mark.parametrize("low", [True, False])
+@pytest.mark.parametrize("rho_bar_d", [0.0, 1.0])
+def test_extreme_scene_scores_every_pair(low, rho_bar_d):
+    i, hist, pairs, cfg = _extreme_scene(low, rho_bar_d)
+    records = _reference_step(i, *observe(hist), pairs, cfg)[1]
+    assert all(_scored(rec) for rec in records)
+
+
+@pytest.mark.parametrize("branch", list(_PINNED))
+def test_pinned_scene_reaches_its_branch(branch):
+    scene, reaches = _PINNED[branch]
+    i, hist, pairs, cfg = scene
+    snap, estimates = observe(hist)
+    _, (rec,), _, _, _, fallback = _reference_step(i, snap, estimates, pairs, cfg)
+    assert reaches(snap.agents[1], estimates[1], rec, cfg, fallback)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_scenes())
 @example(_squeeze_scene())
 @example(_coincident_scene())
+@example(_PINNED["neighbor_at_its_target"][0])
+@example(_PINNED["unknown_target"][0])
+@example(_PINNED["stationary_estimate_center"][0])
+@example(_PINNED["ratio_cap"][0])
+@example(_PINNED["negative_sigmoid_argument"][0])
+@example(_PINNED["zero_margin"][0])
+@example(_PINNED["boundary_reached_at_positive_h"][0])
+@example(_PINNED["rate_floor_wins"][0])
+@example(_PINNED["alpha_min_clamp"][0])
+@example(_PINNED["alpha_max_clamp"][0])
+@example(_extreme_scene(low=True, rho_bar_d=0.0))
+@example(_extreme_scene(low=True, rho_bar_d=1.0))
+@example(_extreme_scene(low=False, rho_bar_d=0.0))
+@example(_extreme_scene(low=False, rho_bar_d=1.0))
 def test_agent_step_matches_the_per_pair_reference_bitwise(scene):
     i, hist, pairs, cfg = scene
     view = observe(hist)
