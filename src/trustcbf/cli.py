@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .dynamics import Box
 from .sim import (AGENT_FIELDS, PAIR_FIELDS, AgentRecord, AgentSpec, Scenario, Trace,
                   ValidationError, metrics, run)
-from .solvers import solve_lp, solve_qp
+from .solvers import CERT_RELAX, solve_lp, solve_lp_leave_one_out, solve_qp
 from .trust import PairRecord, TrustParams
 from .world import AgentKind, Model
 
@@ -73,7 +73,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
     p_or = sub.add_parser("oracle", help="self-test the solvers against their oracles")
     p_or.add_argument("--qp", type=_nonnegative_int, default=100, help="number of random QP instances")
-    p_or.add_argument("--lp", type=_nonnegative_int, default=100, help="number of random LP instances")
+    p_or.add_argument("--lp", type=_nonnegative_int, default=100,
+                      help="number of random LP instances, and of leave-one-out instances")
     p_or.add_argument("--seed", type=int, default=0)
 
     return parser.parse_args(argv)
@@ -358,7 +359,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print("oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'",
               file=sys.stderr)
         return 2
-    from .oracles import lp_vertex_oracle, qp_oracle, random_lp_instance, random_qp_instance
+    from .oracles import (empty_triple, lp_vertex_oracle, qp_oracle, random_conflict_rows,
+                          random_lp_instance, random_qp_instance)
 
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -393,7 +395,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if gap > 1e-9:
             lp_fail += 1
     print(f"lp: {args.lp} instances, worst value gap {lp_worst:.3e}, {lp_fail} failures")
-    return 0 if failures == 0 and lp_fail == 0 else 1
+    # the leave-one-out LPs' emptiness certificate: a certified triple must
+    # hold no point even relaxed by CERT_RELAX
+    empty = certified = unsound = 0
+    for _ in range(args.lp):
+        rows, box = random_conflict_rows(rng)
+        empty += empty_triple(rows, box) is not None
+        chain = solve_lp_leave_one_out(rows, box).chain
+        if chain is not None and chain.cert is not None:
+            certified += 1
+            unsound += empty_triple([rows[k] for k in chain.cert], box, CERT_RELAX) is None
+    print(f"cert: {args.lp} instances, {empty} empty, {certified} certified, {unsound} unsound")
+    return 0 if failures == 0 and lp_fail == 0 and unsound == 0 else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

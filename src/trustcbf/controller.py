@@ -12,9 +12,11 @@ compute their formulas inline; the per-pair functions of ``barriers``,
 ``trust`` and ``dynamics`` are the reference they equal bitwise.  The reference
 command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
 integrators) is then projected onto the intersection of all planes inside
-the control box by ``solvers.solve_qp``.  The decision keeps the final
-planes.  Any unrecoverable condition (empty constraint set, barrier at zero)
-degrades to an emergency stop for that step rather than raising.
+the control box by ``solvers.solve_qp``, which resumes the contribution LPs'
+exact prefix chain up to the first plane whose rate moved.  The decision
+keeps the final planes.  Any unrecoverable condition (empty constraint set,
+barrier at zero) degrades to an emergency stop for that step rather than
+raising.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_valu
                        velocity_map)
 from .dynamics import DEFAULT_BOX, Box, K_OMEGA, K_S, track_reference
 from .solvers import Infeasible, QPProblem, solve_qp
-from .trust import (H_BOUNDARY_EPS, THETA_FLOOR, THETA_RATIO_CAP, PairRecord,
-                    TrustParams, max_own_contribution)
+from .trust import (H_BOUNDARY_EPS, THETA_FLOOR, PairRecord, TrustParams,
+                    max_own_contribution)
 from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
 
 log = logging.getLogger(__name__)
@@ -218,8 +220,7 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
                 theta_a = math.acos(c if c < 1.0 else 1.0)
                 if THETA_FLOOR > theta_a:
                     theta_a = THETA_FLOOR
-            ratio = theta_n / theta_a
-            rho_theta = math.tanh(2.0 * (THETA_RATIO_CAP if THETA_RATIO_CAP < ratio else ratio))
+            rho_theta = math.tanh(2.0 * (theta_n / theta_a))
         x = rho_d - rho_bar_d
         t = k_blend * x
         if t >= 0.0:
@@ -288,7 +289,7 @@ def agent_step(i: int, snap: WorldSnapshot,
         fallback = Fallback.EMERGENCY
     else:
         try:
-            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box))
+            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box, contribs.chain))
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)

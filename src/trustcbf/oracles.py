@@ -2,9 +2,10 @@
 
 The test suite and ``trustcbf oracle`` check the polygon kernel of
 ``trustcbf.solvers`` against code that shares none of it: a zoomed dense grid
-search for the QP and exhaustive vertex enumeration for the LP, both on the
-rows stacked into one a . u >= b system.  Nothing on the run path imports
-this module, so only the checks need numpy.
+search for the QP, exhaustive vertex enumeration for the LP, and, for the
+solvers' emptiness certificate, exhaustive enumeration of the sets of at most
+three rows, all on the rows stacked into one a . u >= b system.  Nothing on
+the run path imports this module, so only the checks need numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Box
-from .solvers import DEGENERATE_NORM_TOL, FEAS_TOL, Infeasible, QPProblem
+from .solvers import (CERT_RELAX, DEGENERATE_NORM_TOL, FEAS_TOL, QP_RETRY_TOL, Infeasible,
+                      QPProblem)
 
 
 def _assemble(rows: Sequence[tuple], box: Box):
@@ -203,6 +205,74 @@ def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
     if best_u is None:
         raise Infeasible("vertex enumeration found no feasible vertex")
     return best_val, best_u
+
+
+def empty_triple(rows: Sequence[tuple], box: Box, relax: float = 0.0,
+                 tol: float = 0.0) -> Optional[tuple[int, ...]]:
+    """The first set of at most three rows, by size and then by index, whose
+    intersection with the box, every row relaxed by ``relax``, holds no point
+    (``lp_vertex_oracle`` at ``tol``); None when every such set holds one.
+
+    Exhaustive over all singletons, pairs and triples.  By Helly's theorem in
+    the plane, None exactly when box ∩ rows, relaxed, is nonempty.
+    """
+    shifted = [(a0, a1, b - relax) for a0, a1, b in rows]
+    for size in (1, 2, 3):
+        for S in combinations(range(len(rows)), size):
+            try:
+                lp_vertex_oracle((0.0, 0.0), [shifted[k] for k in S], box, tol=tol)
+            except Infeasible:
+                return S
+    return None
+
+
+def random_conflict_rows(rng: np.random.Generator, max_rows: int = 8,
+                         box_half: float = 3.0) -> tuple[list, Box]:
+    """2 to max_rows rows in random order that often leave the box empty, for
+    the emptiness certificate: ordinary rows, a row facing an earlier one
+    (near-parallel, rotated by up to 1e-6 rad), three rows at 120 degrees
+    around a point, and vacuous or demanding zero-normal rows.  A conflict's
+    gap is a few FEAS_TOL, a few QP_RETRY_TOL, near 2 CERT_RELAX (where the
+    certificate's margins decide), or large; two in five gaps are negative,
+    so the rows then leave a sliver."""
+    box = Box((-box_half,) * 2, (box_half,) * 2)
+
+    def gap():
+        scale = rng.choice([FEAS_TOL, QP_RETRY_TOL, 2.0 * CERT_RELAX, 1.0])
+        g = scale * rng.uniform(0.5, 4.0) if scale < 1.0 else 10.0 ** rng.uniform(-4.0, 0.0)
+        return g if rng.uniform() < 0.6 else -g
+
+    rows: list[tuple] = []
+    n = int(rng.integers(2, max_rows + 1))
+    while len(rows) < n:
+        kind = rng.choice(["plain", "facing", "star", "zero"], p=[0.35, 0.35, 0.2, 0.1])
+        usable = [r for r in rows if math.hypot(r[0], r[1]) > 1e-6]
+        if kind == "facing" and not usable or kind == "star" and len(rows) + 3 > n:
+            kind = "plain"
+        if kind == "plain":
+            a = rng.normal(size=2) * rng.uniform(0.1, 3.0)
+            rows.append((float(a[0]), float(a[1]), float(rng.uniform(-8.0, 1.0))))
+        elif kind == "facing":
+            # a . u >= b and -a' . u >= -b + gap, a' a near copy of a
+            a0, a1, b = usable[int(rng.integers(0, len(usable)))]
+            t = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -6.0)
+            c, s = math.cos(t), math.sin(t)
+            k = rng.uniform(0.5, 2.0)
+            rows.append((-k * (c * a0 - s * a1), -k * (s * a0 + c * a1), k * (-b + gap())))
+        elif kind == "star":
+            # sum of the unit normals is 0: empty exactly when the gap is > 0
+            z = rng.uniform(-0.8 * box_half, 0.8 * box_half, 2)
+            theta, g = rng.uniform(0.0, 2.0 * math.pi), gap()
+            for j in range(3):
+                a = np.array((math.cos(theta + 2.0 * math.pi * j / 3.0),
+                              math.sin(theta + 2.0 * math.pi * j / 3.0))) * rng.uniform(0.5, 2.0)
+                rows.append((float(a[0]), float(a[1]),
+                             float(a @ z) + g * float(np.linalg.norm(a))))
+        else:
+            a = float(rng.choice([0.0, 1e-13]))
+            rows.append((a, -a, float(rng.choice([-1.0, 0.0, FEAS_TOL, 0.5]))))
+    order = rng.permutation(len(rows))
+    return [rows[k] for k in order], box
 
 
 def read_trace_csv(path: Path) -> dict[str, np.ndarray]:

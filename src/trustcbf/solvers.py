@@ -34,6 +34,36 @@ at most n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise
 equal to it.  LPs left empty rerun both rules with the planes relaxed by
 FEAS_TOL, as ``solve_lp`` retries.
 
+An empty chain usually leaves all but a few LPs empty, and ``_certify_empty``
+shows which without clipping them.  Say box ∩ planes[:m] is the last nonempty
+polygon and plane p = planes[m] empties it.  The polygon's best vertex v for
+p's normal lies on at most two lines that are not box sides; with p they form
+a triple T, and by LP duality box ∩ T is already empty (Helly's theorem in
+the plane says some such triple exists).  The certificate checks T on its
+own: it clips the box by T minus p, each plane relaxed by CERT_RELAX plus its
+error allowance, and requires the best value of p's normal there to fall
+short of b_p by CERT_RELAX plus p's allowance.  A plane's error allowance is
+CERT_ERR (|b| + ||a||_1 R), R the box radius: every vertex any of these clips
+makes lies in the box to within a few ulps of R, so evaluating a . u - b at it
+errs by a few ulps of |b| + ||a||_1 R per clip, and CERT_ERR leaves room for
+thousands of clips.  Then every float polygon that contains T (the solvers'
+clips relaxed by at most QP_RETRY_TOL <= CERT_RELAX) is empty too, so every
+LP outside T is None, and only the at most three LPs in T run the
+suffix-clip and FEAS_TOL rules above.  A chain with a zero-normal plane, or a
+triple that fails the check, leaves every LP to those rules.  So does a
+chain that empties at one of its first three planes: then at most three LPs
+clip, and a triple could spare none of them, so none is checked.
+
+``QPProblem.chain`` lets the safety QP resume that exact chain.  The control
+step's scoring pass keeps each plane object whose rate did not move, so up to
+the first plane that is not the chain's own object, the QP's exact clip
+sequence is the chain's, bit for bit: the QP clips only the planes from there
+on, starting from the chain's polygon.  If every plane of the chain's
+certified triple is still the chain's own, the relaxed clips are empty too and
+are skipped.  The QP still tests u_ref against every plane (``_holds``) at each
+tolerance, as without a chain.  Rows with a zero normal, or a chain built on
+another box object, take the path without a chain.
+
 This module is plain float code.  The independent oracles that the test
 suite and ``trustcbf oracle`` check it against (a zoomed dense grid search
 for the QP, exhaustive vertex enumeration for the LP) live in
@@ -58,9 +88,52 @@ FEAS_TOL = 1e-9
 QP_RETRY_TOL = 1e-7
 ACTIVE_TOL = 1e-8
 
+# The emptiness certificate's slack beyond the largest relaxation either
+# solver clips with (QP_RETRY_TOL), and each plane's allowance for float error
+# relative to its scale |b| + ||a||_1 R (module docstring).
+CERT_RELAX = 1e-6
+CERT_ERR = 1e-10
+
 
 class Infeasible(Exception):
     """The constraint set is empty inside the control box."""
+
+
+class PrefixChain:
+    """The exact prefix chain of one plane list: ``polys[m]`` is box ∩
+    ``planes[:m]`` clipped exactly, up to the last nonempty one.  ``cert`` is
+    a certified triple (plane indices) whose intersection with the box is
+    empty, or None."""
+
+    __slots__ = ("planes", "polys", "box", "cert")
+
+    def __init__(self, planes: Sequence[tuple], polys: list, box: Box,
+                 cert: Optional[tuple]):
+        self.planes, self.polys, self.box, self.cert = planes, polys, box, cert
+
+    def clip(self, planes: Sequence[tuple]) -> list:
+        """``_clip(planes, box polygon, 0.0)``, bit for bit: the chain's polygon
+        up to the first plane that is not the chain's own object, clipped by
+        the planes from there on."""
+        f = 0
+        for p, q in zip(planes, self.planes):
+            if p is not q:
+                break
+            f += 1
+        return _clip(planes[f:], self.polys[f], 0.0) if f < len(self.polys) else []
+
+    def empties(self, planes: Sequence[tuple]) -> bool:
+        """Whether ``planes`` keep every plane of the certified triple as the
+        chain's own object, so box ∩ planes relaxed by CERT_RELAX is empty."""
+        cert, own = self.cert, self.planes
+        return cert is not None and all(k < len(planes) and planes[k] is own[k] for k in cert)
+
+
+class LeaveOneOut(list):
+    """The leave-one-out LP values, and the exact prefix chain they were
+    found on (``chain``; None when some plane has a zero normal)."""
+
+    __slots__ = ("chain",)
 
 
 @dataclass
@@ -68,6 +141,9 @@ class QPProblem:
     u_ref: Sequence[float]
     rows: Sequence[tuple]     # (a0, a1, b): a . u >= b
     box: Box
+    # The exact prefix chain of a plane list whose leading plane objects the
+    # rows share, for the QP to resume (module docstring).
+    chain: Optional[PrefixChain] = None
 
 
 def _zero_normals(planes: Sequence[tuple]) -> dict[int, bool]:
@@ -162,18 +238,26 @@ def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
     return bx, by
 
 
-def _project(planes: list, box: Box, x: float, y: float) -> tuple[float, float]:
+def _project(planes: list, box: Box, x: float, y: float,
+             chain: Optional[PrefixChain] = None) -> tuple[float, float]:
     """The QP core: the point of box ∩ planes nearest to (x, y).
 
     ``planes`` have usable normals.  (x, y) itself when it satisfies them to
     FEAS_TOL, else the nearest point on the edges of the box clipped by the
     exact planes, then by the planes relaxed by FEAS_TOL and by QP_RETRY_TOL;
-    Infeasible when all three clips leave nothing.
+    Infeasible when all three clips leave nothing.  A ``chain`` over the same
+    box makes the exact clip resume it, and skips the relaxed clips that its
+    certified triple shows empty.
     """
     for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
         if _holds(planes, box, x, y, max(relax, FEAS_TOL)):
             return x, y
-        poly = _clip(planes, _box_polygon(box), relax)
+        if chain is not None and relax == 0.0:
+            poly = chain.clip(planes)
+        elif chain is not None and chain.empties(planes):
+            continue
+        else:
+            poly = _clip(planes, _box_polygon(box), relax)
         if poly:
             return _nearest_on_edges(poly, x, y)
     raise Infeasible("constraint rows admit no command inside the control box")
@@ -183,10 +267,16 @@ def solve_qp(problem: QPProblem) -> tuple[float, float]:
     """Project u_ref onto the feasible set; returns the command (x, y).
 
     Raises Infeasible when no point in the box satisfies every row, even
-    relaxed by QP_RETRY_TOL.
+    relaxed by QP_RETRY_TOL.  ``problem.chain`` changes the work, never the
+    result; rows with a zero normal, or a chain over another box object,
+    ignore it.
     """
     x, y = problem.u_ref
-    return _project(_usable(problem.rows), problem.box, float(x), float(y))
+    rows, box, chain = problem.rows, problem.box, problem.chain
+    planes = _usable(rows)
+    if planes is not rows or (chain is not None and chain.box is not box):
+        chain = None
+    return _project(planes, box, float(x), float(y), chain)
 
 
 def active_set(u: Sequence[float], rows: Sequence[tuple], box: Box) -> tuple:
@@ -219,7 +309,41 @@ def solve_lp(c: Sequence[float], rows: Sequence[tuple],
     return _best_value(c0, c1, poly)
 
 
-def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> list[Optional[float]]:
+def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
+                   box: Box) -> Optional[tuple]:
+    """A triple of plane indices, ending in m, whose intersection with the box
+    is certified empty even relaxed by CERT_RELAX; None when the check fails.
+
+    ``poly`` is box ∩ planes[:m], nonempty, and planes[m] empties it.  The
+    triple is planes[m] and the planes nearest the best vertex of ``poly`` for
+    planes[m]'s normal, as many as that vertex does not lie on box sides; the
+    module docstring gives the check and its float-error argument.
+    """
+    a0, a1, b = planes[m]
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    _, (vx, vy) = _best_value(a0, a1, poly)
+    need = 2 - (vx == lo0 or vx == hi0) - (vy == lo1 or vy == hi1)
+    # squared distances from the vertex to the lines of planes[:m]
+    d2 = []
+    for j in range(m):
+        c0, c1, cb = planes[j]
+        r = c0 * vx + c1 * vy - cb
+        d2.append((r * r / (c0 * c0 + c1 * c1), j))
+    d2.sort()
+    near = sorted(j for _, j in d2[:need])
+    R = max(-lo0, -lo1, hi0, hi1)
+    cuts = []
+    for j in near:
+        c0, c1, cb = planes[j]
+        cuts.append((c0, c1, cb - (CERT_RELAX + CERT_ERR * (abs(cb) + (abs(c0) + abs(c1)) * R))))
+    q = _clip(cuts, _box_polygon(box), 0.0)
+    if q and not _best_value(a0, a1, q)[0] < b - (
+            CERT_RELAX + CERT_ERR * (abs(b) + (abs(a0) + abs(a1)) * R)):
+        return None
+    return (*near, m)
+
+
+def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
     """For every k, the value of ``solve_lp((a0, a1), others, box)`` for plane
     k = (a0, a1, b) over the other planes, or None where that raises Infeasible.
 
@@ -227,16 +351,19 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> list[Optional[f
     When P = box ∩ planes is nonempty, a maximizer over P_-k reaches at least
     b_k, so it lies in P: every LP reads the best vertex of that one polygon.
     When the prefix chain box ∩ planes[:m] empties at some m, every LP that
-    keeps planes[:m] is empty too, and each earlier plane clips its own suffix
-    planes[k+1:] from its prefix, which is ``solve_lp``'s clip sequence.  Like
-    ``solve_lp``, an LP left empty by the exact planes is retried with the
-    planes relaxed by FEAS_TOL.  Zero-normal planes follow ``_zero_normals`` in
-    each LP separately: a vacuous one is skipped, a demanding one leaves every
-    other LP infeasible.
+    keeps planes[:m] is empty too, every LP outside a certified empty triple
+    (``_certify_empty``) is as well, and each other earlier plane clips its
+    own suffix planes[k+1:] from its prefix, which is ``solve_lp``'s clip
+    sequence.  Like ``solve_lp``, an LP left empty by the exact planes is
+    retried with the planes relaxed by FEAS_TOL.  Zero-normal planes follow
+    ``_zero_normals`` in each LP separately: a vacuous one is skipped, a
+    demanding one leaves every other LP infeasible.  The values come with the
+    exact chain (``LeaveOneOut.chain``) when no plane has a zero normal.
     """
     zero = _zero_normals(planes)
     demanding = [k for k, demands in zero.items() if demands]
-    values: list[Optional[float]] = [None] * len(planes)
+    values = LeaveOneOut([None] * len(planes))
+    values.chain = None
     if len(demanding) > 1:
         return values
     kept = [p for k, p in enumerate(planes) if k not in zero] if zero else planes
@@ -263,7 +390,15 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> list[Optional[f
                 break
             poly = out
             chain.append(poly)
-        if len(chain) > len(kept):
+        full = len(chain) > len(kept)
+        if relax == 0.0 and not zero:
+            # a triple can spare an LP only when more than three LPs clip
+            cert = None if full or len(chain) < 4 else _certify_empty(
+                kept, len(chain) - 1, poly, box)
+            values.chain = PrefixChain(planes, chain, box, cert)
+            if cert is not None:
+                open_lps = list(cert)
+        if full:
             for k in open_lps:
                 values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
             break

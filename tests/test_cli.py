@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trustcbf import solvers
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
                           main, parse_args, write_outputs, write_pairs_csv,
                           write_trace_csv)
@@ -594,6 +595,18 @@ def test_exit_5_on_strict_emergency(tmp_path, capsys):
 
 def test_oracle_command_self_test():
     assert main(["oracle", "--qp", "25", "--lp", "25", "--seed", "1"]) == 0
+
+
+def test_oracle_command_checks_the_emptiness_certificate(monkeypatch, capsys):
+    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 0
+    cert = re.search(r"^cert: 40 instances, (\d+) empty, (\d+) certified, 0 unsound$",
+                     capsys.readouterr().out, re.M)
+    assert cert and int(cert[1]) >= int(cert[2]) > 0
+    # a certificate that names the emptying plane alone is unsound wherever
+    # that plane leaves a point in the box
+    monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
+    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
+    assert not capsys.readouterr().out.rstrip().endswith(" 0 unsound")
 
 
 @pytest.mark.parametrize("flag", ["--qp", "--lp"])

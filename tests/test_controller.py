@@ -14,7 +14,7 @@ from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, 
 from trustcbf.dynamics import K_OMEGA, K_S, Box, nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
-from trustcbf.trust import (H_BOUNDARY_EPS, MAGNITUDE_BOUND, THETA_FLOOR, THETA_RATIO_CAP,
+from trustcbf.trust import (H_BOUNDARY_EPS, MAGNITUDE_BOUND, THETA_FLOOR,
                             BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
                             combine_trust, direction_trust, distance_trust,
                             max_own_contribution, update_alpha, worst_case_motion)
@@ -530,13 +530,13 @@ _PINNED = {
     "stationary_estimate_center": (
         _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0)),
         lambda other, est, rec, cfg, fallback: est.center == (0.0, 0.0) and _scored(rec)),
-    "ratio_cap": (
-        # moving straight away from the observer, its goal at a right angle
+    "direction_score_saturates": (
+        # moving straight away from the observer, its goal at a right angle:
+        # theta_a is floored, and tanh of twice the ratio rounds to exactly 1
         _pair_scene((1.95, 0.0), (2.0, 0.0), (2.0, 3.0)),
         lambda other, est, rec, cfg, fallback: (
             _angle(est.center, (1.0, 0.0)) < THETA_FLOOR
-            and _angle((0.0, 1.0), (1.0, 0.0)) / THETA_FLOOR > THETA_RATIO_CAP
-            and _scored(rec))),
+            and rec.rho_theta == 1.0 and _scored(rec))),
     "negative_sigmoid_argument": (
         _pair_scene(*_CLOSING),
         lambda other, est, rec, cfg, fallback: (
@@ -648,7 +648,7 @@ def test_pinned_scene_reaches_its_branch(branch):
 @example(_PINNED["neighbor_at_its_target"][0])
 @example(_PINNED["unknown_target"][0])
 @example(_PINNED["stationary_estimate_center"][0])
-@example(_PINNED["ratio_cap"][0])
+@example(_PINNED["direction_score_saturates"][0])
 @example(_PINNED["negative_sigmoid_argument"][0])
 @example(_PINNED["zero_margin"][0])
 @example(_PINNED["boundary_reached_at_positive_h"][0])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from trustcbf.dynamics import Box
-from trustcbf.oracles import (_assemble, lp_vertex_oracle, qp_oracle,
-                              random_lp_instance, random_qp_instance)
-from trustcbf.solvers import (FEAS_TOL, QP_RETRY_TOL, Infeasible, QPProblem, active_set,
-                              solve_lp, solve_qp)
+from trustcbf.oracles import (_assemble, empty_triple, lp_vertex_oracle, qp_oracle,
+                              random_conflict_rows, random_lp_instance, random_qp_instance)
+from trustcbf.solvers import (CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, PrefixChain,
+                              QPProblem, active_set, solve_lp, solve_lp_leave_one_out,
+                              solve_qp)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -376,3 +377,140 @@ def test_qp_returns_feasible_reference_unchanged():
         if holds:
             u = solve_qp(qp(u_ref, rows, box))
             assert np.array_equal(u, u_ref)
+
+
+# --- the emptiness certificate and the QP's resumed chain -----------------------
+
+
+def _qp_bits(problem):
+    """solve_qp's command as float bits, or "Infeasible"."""
+    try:
+        return tuple(v.hex() for v in solve_qp(problem))
+    except Infeasible:
+        return "Infeasible"
+
+
+def _moved(rows, k, rng):
+    """rows with row k replaced by a new object whose offset moved (tightened
+    or loosened), as the scoring pass replaces a row whose rate moved."""
+    a0, a1, b = rows[k]
+    moved = list(rows)
+    moved[k] = (a0, a1, b + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, 0.0))
+    return moved
+
+
+def _empties(rows, box):
+    # exact feasibility (tol 0): the certificate's margins lie far above the
+    # oracle's own rounding, so an unsound triple would show a point here
+    return _lp_value((0.0, 0.0), rows, box, tol=0.0) is None
+
+
+def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
+    # wherever the certificate declares the LPs outside its triple, or a QP
+    # that keeps the triple, empty, the vertex oracle finds no point once
+    # every plane is relaxed by CERT_RELAX; every LP keeps solve_lp's verdict
+    rng = np.random.default_rng(41)
+    seen = {"certified": 0, "fell_back": 0, "qp_certified": 0}
+    for _ in range(500):
+        rows, box = random_conflict_rows(rng)
+        values = solve_lp_leave_one_out(rows, box)
+        for k, row in enumerate(rows):
+            try:
+                solve_lp(row[:2], rows[:k] + rows[k + 1:], box)
+            except Infeasible:
+                assert values[k] is None, (k, rows)
+            else:
+                assert values[k] is not None, (k, rows)
+        chain = values.chain
+        cert = None if chain is None else chain.cert
+        if cert is None:
+            seen["fell_back"] += _empties(rows, box)
+            continue
+        seen["certified"] += 1
+        assert len(chain.polys) <= len(rows)
+        assert _empties(_shifted(rows, CERT_RELAX), box), rows
+        assert _empties(_shifted([rows[k] for k in cert], CERT_RELAX), box), rows
+        assert all(values[k] is None for k in range(len(rows)) if k not in cert)
+        outside = [k for k in range(len(rows)) if k not in cert]
+        q = _moved(rows, int(rng.choice(outside)), rng) if outside else rows
+        assert chain.empties(q)
+        p = qp(rng.uniform(-4.0, 4.0, 2), q, box)
+        p.chain = chain
+        if _qp_bits(p) == "Infeasible":
+            seen["qp_certified"] += 1
+            assert _empties(_shifted(q, CERT_RELAX), box), q
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_certified_triples_are_empty_by_the_triple_oracle():
+    rng = np.random.default_rng(43)
+    certified = 0
+    for _ in range(300):
+        rows, box = random_conflict_rows(rng)
+        chain = solve_lp_leave_one_out(rows, box).chain
+        if chain is not None and chain.cert is not None:
+            certified += 1
+            assert empty_triple([rows[k] for k in chain.cert], box, CERT_RELAX) is not None
+            # Helly: the exact set is empty, so some triple of it is
+            assert empty_triple(rows, box) is not None
+    assert certified >= 20
+
+
+def test_qp_resuming_the_chain_is_bitwise_equal():
+    # solve_qp with and without the leave-one-out LPs' chain: the same float
+    # bits or both Infeasible, for a first changed plane at index 0, in the
+    # middle and nowhere, against chains that empty before it, at or after it,
+    # or never
+    rng = np.random.default_rng(47)
+    seen = {(where, when): 0 for where, when in [
+        ("first", "after"), ("first", "never"), ("middle", "before"), ("middle", "after"),
+        ("middle", "never"), ("nowhere", "before"), ("nowhere", "never")]}
+    for n in range(900):
+        if n % 3:
+            rows, box = random_conflict_rows(rng)
+        else:
+            _, rows, box = random_lp_instance(rng, max_rows=8)
+        chain = solve_lp_leave_one_out(rows, box).chain
+        if chain is None or len(rows) < 3:
+            continue
+        m = len(chain.polys) - 1           # the plane that emptied it, if any
+        for where, f in (("first", 0), ("middle", len(rows) // 2), ("nowhere", len(rows))):
+            q = _moved(rows, f, rng) if f < len(rows) else rows
+            when = "never" if m == len(rows) else "before" if m < f else "after"
+            if (where, when) in seen:
+                seen[where, when] += 1
+            u_ref = rng.uniform(-4.0, 4.0, 2)
+            plain = qp(u_ref, q, box)
+            resumed = qp(u_ref, q, box)
+            resumed.chain = chain
+            assert _qp_bits(resumed) == _qp_bits(plain), (q, u_ref)
+    assert all(k >= 20 for k in seen.values()), seen
+    # a plane of the certified triple moved so that only the QP_RETRY_TOL
+    # clip holds a point: the relaxed clips must run again
+    rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
+    chain = solve_lp_leave_one_out(rows, BOX3).chain
+    assert 3 in chain.cert
+    q = rows[:3] + [(-1.0, 0.0, -(1.0 - 5e-8))]
+    assert _qp_bits(QPProblem((0.0, 0.0), q, BOX3, chain)) == _qp_bits(qp((0.0, 0.0), q))
+    assert _qp_bits(qp((0.0, 0.0), q)) != "Infeasible"
+
+
+def test_qp_with_zero_normal_rows_ignores_the_chain(monkeypatch):
+    def unused(self, planes):
+        raise AssertionError("the chain was resumed")
+
+    monkeypatch.setattr(PrefixChain, "clip", unused)
+    monkeypatch.setattr(PrefixChain, "empties", unused)
+    # |u_y| <= 2.5, u_x >= 1 and u_x <= -1
+    rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
+    chain = solve_lp_leave_one_out(rows, BOX3).chain
+    assert chain is not None and chain.cert is not None
+    for zero in [(0.0, 0.0, -1.0), (0.0, 1e-13, 0.0)]:
+        p = qp((0.0, 0.0), rows + [zero])
+        assert _qp_bits(QPProblem(p.u_ref, p.rows, p.box, chain)) == _qp_bits(p) == "Infeasible"
+        q = [zero, (0.0, 1.0, 1.0)]
+        assert solve_lp_leave_one_out(q, BOX3).chain is None
+        assert _qp_bits(QPProblem((0.5, 0.0), q, BOX3, chain)) == _qp_bits(qp((0.5, 0.0), q))
+    # a chain over another box is not resumed either
+    other = Box((-2.0, -2.0), (2.0, 2.0))
+    assert _qp_bits(QPProblem((0.0, 0.0), rows, other, chain)) == "Infeasible"

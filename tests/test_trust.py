@@ -129,14 +129,18 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     #  - one_polygon_relaxed: the same on the relaxed P, within 4 FEAS_TOL of
     #    solve_lp (the oracle bracket misses solve_lp itself on some of these
     #    near-parallel cases).
+    # certified counts the lists whose LPs outside a certified empty triple
+    # were declared empty without a clip.
     rng = np.random.default_rng(31)
     seen = {"one_polygon_exact": 0, "one_polygon_relaxed": 0, "suffix_clip": 0,
-            "infeasible": 0, "emptied_prefix": 0, "vacuous_zero": 0, "demanding_zero": 0}
+            "infeasible": 0, "emptied_prefix": 0, "vacuous_zero": 0, "demanding_zero": 0,
+            "certified": 0}
     box_poly = _box_polygon(BOX3)
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
         got = max_own_contribution(rows, BOX3)
         assert len(got) == len(rows)
+        seen["certified"] += got.chain is not None and got.chain.cert is not None
         usable = [r for r in rows if math.hypot(r[0], r[1]) >= 1e-12]
         P = {relax: _clip(usable, box_poly, relax) for relax in (0.0, FEAS_TOL)}
         for k, row in enumerate(rows):
@@ -204,13 +208,14 @@ def test_direction_trust_reference_cases():
     assert direction_trust(np.zeros(2), v, s_hat) == 0.5
 
 
-def test_direction_trust_ratio_cap_keeps_score_below_one():
+def test_direction_trust_saturates_at_exactly_one():
+    # theta_a ~ 0 is floored, so the ratio is pi / THETA_FLOOR; tanh rounds to
+    # exactly 1.0 for every ratio from 9.531 on, and no cap is needed
     s_hat = np.array([1.0, 0.0])
     n_hat = np.array([-1.0, 0.0])          # theta_n = pi
     a_tiny = np.array([1.0, 1e-9])          # theta_a ~ 0, floored
-    val = direction_trust(n_hat, a_tiny, s_hat)
-    assert val == pytest.approx(math.tanh(20.0))
-    assert val <= 1.0  # tanh(20) rounds to 1.0 in float64
+    assert direction_trust(n_hat, a_tiny, s_hat) == 1.0
+    assert math.tanh(2.0 * 9.531) == 1.0 and math.tanh(2.0 * 9.53) < 1.0
 
 
 def test_combine_trust_half_direction_score_is_linear():
