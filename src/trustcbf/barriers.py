@@ -17,10 +17,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .dynamics import ModelMismatch
+from .schema import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT
 from .world import AgentState, Model
-
-D_MIN_DEFAULT = 0.5
-LOOKAHEAD_DEFAULT = 0.1
 
 
 class BarrierEval(NamedTuple):

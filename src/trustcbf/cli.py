@@ -10,24 +10,28 @@ Subcommands
 Exit codes: 0 success, 1 when the oracle self-test finds a failure, 2 usage
 error or ``oracle`` without numpy, 3 scenario validation error, 4 I/O error,
 5 when --strict is set and the run hit any infeasibility fallback.
+
+At import this module loads only ``trustcbf.schema`` and the standard
+library, so loading and validating a scenario imports no simulator code; each
+subcommand imports what it runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import MISSING, fields
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .dynamics import Box
-from .sim import (AGENT_FIELDS, PAIR_FIELDS, AgentRecord, AgentSpec, Scenario, Trace,
-                  ValidationError, metrics, run)
-from .solvers import CERT_RELAX, solve_lp, solve_lp_leave_one_out, solve_qp
-from .trust import PairRecord, TrustParams
-from .world import AgentKind, Model
+from .schema import (AGENT_FIELDS, PAIR_FIELDS, AgentKind, AgentRecord, AgentSpec, Box, Model,
+                     PairRecord, Scenario, TrustParams, ValidationError)
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .sim import Trace
 
 FLOAT_FMT = "{:.17g}"
 
@@ -39,6 +43,8 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 
 def _positive_float(text: str) -> float:
+    import argparse
+
     v = float(text)
     if v <= 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
@@ -46,6 +52,8 @@ def _positive_float(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
+    import argparse
+
     v = int(text)
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be zero or more, got {text}")
@@ -53,6 +61,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="trustcbf",
                                      description="Trust-adaptive safety-filter simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,6 +328,8 @@ def write_outputs(trace: Trace, summary: dict, s: Scenario, out: Path,
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .sim import metrics, run
+
     s = load_scenario(args.scenario)
     for key in ("dt", "duration"):
         if getattr(args, key) is not None:
@@ -361,6 +373,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 2
     from .oracles import (empty_triple, lp_vertex_oracle, qp_oracle, random_conflict_rows,
                           random_lp_instance, random_qp_instance)
+    from .solvers import CERT_RELAX, solve_lp, solve_lp_leave_one_out, solve_qp
 
     rng = np.random.default_rng(args.seed)
     failures = 0

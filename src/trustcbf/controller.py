@@ -27,17 +27,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .barriers import (D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, barrier_point, clf_value,
-                       velocity_map)
-from .dynamics import DEFAULT_BOX, Box, K_OMEGA, K_S, track_reference
+from .barriers import clf_value, lookahead_point, velocity_map
+from .dynamics import K_OMEGA, K_S, track_reference
+from .schema import (CLF_K, D_MIN_DEFAULT, DEFAULT_BOX, LOOKAHEAD_DEFAULT, Box, Model,
+                     PairRecord, TrustParams)
 from .solvers import Infeasible, QPProblem, solve_qp
-from .trust import (H_BOUNDARY_EPS, THETA_FLOOR, PairRecord, TrustParams,
-                    max_own_contribution)
-from .world import Model, MotionEstimate, WorldSnapshot, bootstrap_estimate
+from .trust import H_BOUNDARY_EPS, THETA_FLOOR, max_own_contribution
+from .world import MotionEstimate, WorldSnapshot, bootstrap_estimate
 
 log = logging.getLogger(__name__)
-
-CLF_K = 2.0
 
 
 class Fallback(Enum):
@@ -104,11 +102,15 @@ def pair_geometry(i: int, snap: WorldSnapshot,
     ``worst_case_motion`` against grad_j, then ``cbf_row`` at the pair's
     previous alpha, as plain floats in the same order of operations, so every
     value equals theirs bitwise.  The barrier point and velocity map are the
-    observer's own and are computed once.
+    observer's own and are computed once, by one ``lookahead_point`` call for
+    a unicycle.
     """
     me = snap.agents[i]
-    pix, piy = barrier_point(me, cfg.lookahead)
-    (m00, m01), (m10, m11) = velocity_map(me, cfg.lookahead)
+    if me.model is Model.UNICYCLE:
+        (pix, piy), M = lookahead_point(me, cfg.lookahead)
+    else:
+        (pix, piy), M = (me.px, me.py), velocity_map(me)
+    (m00, m01), (m10, m11) = M
     d_min = cfg.d_min
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")

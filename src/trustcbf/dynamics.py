@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .schema import DEFAULT_BOX, Box
 from .world import AgentState, Model, wrap_angle
 
 K_S = 2.0       # proportional gain on distance to the waypoint
@@ -22,37 +22,6 @@ K_OMEGA = 2.0   # proportional gain on heading error
 
 class ModelMismatch(Exception):
     """An operation received a state whose model it does not support."""
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned bounds of a 2-D control.  Must be nonempty and contain the origin."""
-
-    lo: tuple[float, float]
-    hi: tuple[float, float]
-
-    def __post_init__(self):
-        if len(self.lo) != 2 or len(self.hi) != 2:
-            raise ValueError(f"control box must be 2-D, got lo={self.lo}, hi={self.hi}")
-        for l, h in zip(self.lo, self.hi):
-            if not (l <= 0.0 <= h):
-                raise ValueError(f"control box must contain 0, got [{l}, {h}]")
-            if l >= h:
-                raise ValueError(f"degenerate box interval [{l}, {h}]")
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
-
-    def clip(self, u: Sequence[float]) -> tuple[float, float]:
-        """The 2-D command ``u`` clamped to the box, componentwise."""
-        (lo0, lo1), (hi0, hi1) = self.lo, self.hi
-        return min(max(float(u[0]), lo0), hi0), min(max(float(u[1]), lo1), hi1)
-
-    def contains(self, u: Sequence[float], tol: float = 1e-9) -> bool:
-        (lo0, lo1), (hi0, hi1) = self.lo, self.hi
-        return lo0 - tol <= u[0] <= hi0 + tol and lo1 - tol <= u[1] <= hi1 + tol
-
-
-DEFAULT_BOX = Box((-3.0, -3.0), (3.0, 3.0))
 
 
 def unicycle_derivative(state: AgentState, u: Sequence[float]) -> tuple[float, float, float]:

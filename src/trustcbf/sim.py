@@ -1,4 +1,7 @@
-"""Scenario description, non-intact agent policies, the run loop, and metrics.
+"""Non-intact agent policies, the run loop, its trace, and metrics.
+
+The scenario a run reads and the records its trace holds are defined in
+``trustcbf.schema``; their names stay importable from here.
 
 The update is synchronous: every agent's command for step k is computed from
 the same immutable snapshot of step k, then all states advance together by one
@@ -13,28 +16,19 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from itertools import repeat
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-from .barriers import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT, clf_value
-from .controller import CLF_K, AgentConfig, ControlDecision, agent_step, clf_qp_reference
-from .dynamics import DEFAULT_BOX, Box, euler_step, nominal_trajectory
+from .barriers import clf_value
+from .controller import AgentConfig, ControlDecision, agent_step, clf_qp_reference
+from .dynamics import euler_step, nominal_trajectory
+from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
+                     AgentSpec, Box, PairRecord, Scenario, ValidationError)
 from .solvers import Infeasible
-from .trust import (BOUNDED, BOUNDED_POSITIVE, MAGNITUDE_BOUND, Interval, PairRecord,
-                    TrustParams, ranged)
-from .world import (AgentKind, AgentState, Model, WorldSnapshot,
-                    estimate_positions)
+from .world import AgentState, WorldSnapshot, estimate_positions
 
 log = logging.getLogger(__name__)
 
 GOAL_TOL = 0.2
-
-# Most agent and pair records a run may hold.  The whole trace stays in memory
-# as flat float arrays: a finished run holds 53-66 B per record (tracemalloc on
-# ring12-0, crossing and headon), about 0.7 GB at this bound.  The largest
-# benchmark input holds 11,664 records.
-MAX_RECORDS = 10**7
 
 # Slack allowed on the discrete barrier-rate inequality
 # (h_new - h_old) / dt >= -alpha_old h_old before a pair-step counts in
@@ -45,118 +39,6 @@ MAX_RECORDS = 10**7
 # ring12-0 that is 1,767 of 10,560 checked pair-steps, and 1 of them follows
 # an emergency stop.
 EULER_SLACK_FACTOR = 10.0
-
-
-class ValidationError(Exception):
-    """A scenario violates the schema or its semantic rules."""
-
-
-# Intervals of the scenario numbers that TrustParams does not use.
-COORDINATE = Interval(-MAGNITUDE_BOUND, MAGNITUDE_BOUND)
-POSITIVE = Interval(0.0, math.inf, lo_open=True)
-FINITE = Interval(-math.inf, math.inf)
-
-
-@dataclass
-class AgentSpec:
-    kind: AgentKind
-    model: Model
-    start: tuple[float, ...] = ranged((COORDINATE, COORDINATE, FINITE))  # (x, y) or (x, y, psi)
-    target: Optional[tuple[float, float]] = ranged(COORDINATE, None)    # None: target unknown
-    d_min: float = ranged(BOUNDED_POSITIVE, D_MIN_DEFAULT)
-    box: Box = ranged(COORDINATE, DEFAULT_BOX)    # each bound of the control box
-    prey: Optional[int] = None                    # adversarial only
-    speed: float = ranged(POSITIVE, 1.0)          # uncooperative cruise speed
-    gain: float = ranged(POSITIVE, CLF_K)         # adversarial chase gain
-
-
-def _check_ranges(obj, where: str) -> None:
-    """Check each number of the dataclass ``obj`` against its field's interval."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if "range" not in f.metadata or value is None:
-            continue
-        values = value.lo + value.hi if isinstance(value, Box) else value
-        intervals = f.metadata["range"]
-        for v, interval in zip(values if isinstance(values, Sequence) else (values,),
-                               repeat(intervals) if isinstance(intervals, Interval) else intervals):
-            why = interval.violation(v)
-            if why:
-                raise ValidationError(f"{where}{f.name} {why}, got {v}")
-
-
-@dataclass
-class Scenario:
-    agents: list[AgentSpec]
-    duration: float = ranged(BOUNDED)
-    dt: float = ranged(POSITIVE, 0.05)
-    trust: TrustParams = field(default_factory=TrustParams)
-    fixed_alpha: bool = False
-    rate_floor: bool = True
-    seed: int = 0
-    gamma_nominal: float = ranged(POSITIVE, 1.0)   # speed of the metrics' straight-line reference
-    lookahead: float = ranged(BOUNDED_POSITIVE, LOOKAHEAD_DEFAULT)
-
-    def validate(self) -> None:
-        """Check each number against its field's interval, then the other rules."""
-        if not self.agents:
-            raise ValidationError("scenario needs at least one agent")
-        _check_ranges(self, "")
-        _check_ranges(self.trust, "trust.")
-        n = len(self.agents)
-        n_intact = sum(a.kind is AgentKind.INTACT for a in self.agents)
-        # Float arithmetic, so a step count that overflows gives inf and fails.
-        records = (self.duration / self.dt + 1.0) * (n + n_intact * (n - 1))
-        if not records <= MAX_RECORDS:
-            raise ValidationError(f"the trace would hold {records:.3g} agent and pair records "
-                                  f"(duration {self.duration} / dt {self.dt}), more than "
-                                  f"{MAX_RECORDS}")
-        if not self.trust.alpha_min <= self.trust.alpha0 <= self.trust.alpha_max:
-            raise ValidationError("trust rates must satisfy alpha_min <= alpha0 <= alpha_max")
-        for idx, a in enumerate(self.agents):
-            where = f"agents[{idx}]"
-            _check_ranges(a, f"{where}.")
-            if not 2 <= len(a.start) <= (3 if a.model is Model.UNICYCLE else 2):
-                raise ValidationError(f"{where}.start must be [x, y], or [x, y, psi] on a unicycle")
-            if a.target is not None and len(a.target) != 2:
-                raise ValidationError(f"{where}.target must be [x, y]")
-            if a.kind is not AgentKind.INTACT and a.model is not Model.SINGLE_INTEGRATOR:
-                raise ValidationError(f"{where}: {a.kind.value} agents use the "
-                                      f"SingleIntegrator model")
-            if a.kind is not AgentKind.ADVERSARIAL and a.target is None:
-                raise ValidationError(f"{where}: {a.kind.value} agents need a known target")
-            if a.kind is AgentKind.ADVERSARIAL and (a.prey is None or a.prey == idx
-                                                    or not 0 <= a.prey < n):
-                raise ValidationError(f"{where}.prey: Adversarial agents must name another "
-                                      f"agent id, got {a.prey}")
-
-
-class AgentRecord(NamedTuple):
-    """One agent at one step: its state, reference and applied commands, and
-    the fallback code.  The fields are the trace.csv columns after t and
-    agent_id."""
-
-    px: float
-    py: float
-    psi: float
-    u1_ref: float
-    u2_ref: float
-    u1: float
-    u2: float
-    fallback: int
-
-    @property
-    def u_ref(self) -> tuple[float, float]:
-        return self.u1_ref, self.u2_ref
-
-    @property
-    def u(self) -> tuple[float, float]:
-        return self.u1, self.u2
-
-
-# Doubles per record in Trace.agent_data and Trace.pair_data.
-AGENT_FIELDS = len(AgentRecord._fields)
-PAIR_FIELDS = len(PairRecord._fields)
 
 
 class Steps(Sequence):

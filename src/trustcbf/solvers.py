@@ -60,9 +60,10 @@ the first plane that is not the chain's own object, the QP's exact clip
 sequence is the chain's, bit for bit: the QP clips only the planes from there
 on, starting from the chain's polygon.  If every plane of the chain's
 certified triple is still the chain's own, the relaxed clips are empty too and
-are skipped.  The QP still tests u_ref against every plane (``_holds``) at each
-tolerance, as without a chain.  Rows with a zero normal, or a chain built on
-another box object, take the path without a chain.
+are skipped.  The QP still tests u_ref against every plane (``_holds``), as
+without a chain: once at FEAS_TOL, the tolerance of both the exact and the
+FEAS_TOL clip, and once at QP_RETRY_TOL.  Rows with a zero normal, or a chain
+built on another box object, take the path without a chain.
 
 This module is plain float code.  The independent oracles that the test
 suite and ``trustcbf oracle`` check it against (a zoomed dense grid search
@@ -250,7 +251,8 @@ def _project(planes: list, box: Box, x: float, y: float,
     certified triple shows empty.
     """
     for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
-        if _holds(planes, box, x, y, max(relax, FEAS_TOL)):
+        # The test at FEAS_TOL, made before the exact clip, already failed.
+        if relax != FEAS_TOL and _holds(planes, box, x, y, max(relax, FEAS_TOL)):
             return x, y
         if chain is not None and relax == 0.0:
             poly = chain.clip(planes)

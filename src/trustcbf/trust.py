@@ -20,15 +20,18 @@ A lower bound on the alpha rate keeps the safety filter's QP feasible: pushing
 alpha down faster than the system can respond would empty the feasible set.
 That bound blows up as the barrier approaches zero, so alpha is also capped
 numerically.
+
+The pipeline's settings (``TrustParams``) and a pair's record (``PairRecord``)
+are data formats and live in ``trustcbf.schema``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
-from .dynamics import Box
+# MAGNITUDE_BOUND and PairRecord are unused here: callers import them from this module.
+from .schema import MAGNITUDE_BOUND, Box, PairRecord, TrustParams
 from .solvers import LeaveOneOut, solve_lp_leave_one_out
 from .world import MotionEstimate
 
@@ -38,76 +41,9 @@ H_BOUNDARY_EPS = 1e-6
 # near zero deflection.
 THETA_FLOOR = 1e-3
 
-# The end of every bounded scenario field's interval.  Commands stay in their
-# boxes, so positions stay within about 1e12 of the origin, and squared
-# distances, gradient norms and rate terms such as -alpha * h stay far below
-# the float maximum: none overflows to inf, which would turn a barrier's unit
-# normal into (0, 0) or write inf into the trace.
-MAGNITUDE_BOUND = 1e6
-
 
 class BoundaryReached(Exception):
     """Barrier at or below zero within tolerance: the rate floor is undefined."""
-
-
-class Interval(NamedTuple):
-    """The admissible values of a scenario number: finite, and from lo to hi.
-    A finite end is included, except a lower end of 0 marked open."""
-
-    lo: float
-    hi: float
-    lo_open: bool = False
-
-    def violation(self, v: float) -> Optional[str]:
-        """Why ``v`` lies outside the interval, or None if it lies inside."""
-        if not math.isfinite(v):
-            return "must be finite"
-        if v < self.lo or (self.lo_open and v == self.lo):
-            if self.lo:
-                return f"must be at least {self.lo:g}"
-            return "must be positive" if self.lo_open else "must be nonnegative"
-        if v > self.hi:
-            return f"must be at most {self.hi:g}"
-        return None
-
-
-BOUNDED = Interval(0.0, MAGNITUDE_BOUND)
-BOUNDED_POSITIVE = Interval(0.0, MAGNITUDE_BOUND, lo_open=True)
-
-
-def ranged(interval, default=MISSING):
-    """A dataclass field whose value lies in ``interval``.  A sequence value
-    gives each element the interval, or each element its own when
-    ``interval`` is a tuple of intervals; a None value has no number."""
-    return field(default=default, metadata={"range": interval})
-
-
-@dataclass
-class TrustParams:
-    """Knobs of the trust pipeline, shared by every pair of one scenario."""
-
-    rho_bar_d: float = ranged(Interval(0.0, 1.0), 0.5)  # margin score between decay and growth
-    beta: float = ranged(BOUNDED, 1.0)                  # margin score slope
-    k_blend: float = ranged(BOUNDED, 50.0)              # sharpness of the trust-branch blend
-    gamma_alpha: float = ranged(BOUNDED, 1.0)           # rate gain applied to the trust score
-    alpha0: float = ranged(BOUNDED_POSITIVE, 0.8)       # initial per-pair rate
-    alpha_min: float = ranged(BOUNDED_POSITIVE, 0.01)   # hard lower bound on alpha
-    alpha_max: float = ranged(BOUNDED_POSITIVE, 1e6)    # cap (the rate floor diverges as h -> 0)
-    L_F: float = ranged(BOUNDED, 1.0)       # Lipschitz bound assumed for neighbor motion fields
-    L_hdot: float = ranged(BOUNDED, 2.0)    # Lipschitz bound of dh/dt in the neighbor state
-    v_max: float = ranged(BOUNDED, 3.0)     # bootstrap speed bound before any motion is observed
-
-
-class PairRecord(NamedTuple):
-    """One ordered pair's state after a step: the barrier value on that step's
-    snapshot, the rate parameter, and the last scores the pair received."""
-
-    h: float
-    alpha: float
-    rho: float = 0.0
-    rho_d: float = 0.0
-    rho_theta: float = 0.5
-    margin: float = 0.0
 
 
 def worst_case_motion(est: MotionEstimate, grad_j) -> tuple[tuple[float, float], float]:

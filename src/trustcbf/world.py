@@ -12,24 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional
+
+from .schema import AgentKind, Model
 
 TWO_PI = 2.0 * math.pi
 
 # Estimate ball radius as a fraction of the finite-difference derivative norm.
 ESTIMATE_RADIUS_FACTOR = 0.1
-
-
-class AgentKind(Enum):
-    INTACT = "Intact"
-    UNCOOPERATIVE = "Uncooperative"
-    ADVERSARIAL = "Adversarial"
-
-
-class Model(Enum):
-    UNICYCLE = "Unicycle"
-    SINGLE_INTEGRATOR = "SingleIntegrator"
 
 
 def wrap_angle(a: float) -> float:

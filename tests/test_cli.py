@@ -671,3 +671,27 @@ def test_module_entry_point_runs_without_warnings():
                 "scenarios/crossing.json")
     assert r.returncode == 0
     assert r.stderr == ""
+
+
+# --- import boundary ---------------------------------------------------------
+
+# Prints the trustcbf modules loaded after a bare package import, then after
+# loading a scenario, one JSON list per line.
+LOADED_MODULES = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "trustcbf" or m.startswith("trustcbf."))
+import trustcbf
+print(json.dumps(loaded()))
+from trustcbf import cli
+cli.load_scenario("scenarios/crossing.json")
+print(json.dumps(loaded()))
+"""
+
+
+def test_loading_a_scenario_imports_only_the_schema():
+    r = _python("-W", "error", "-c", LOADED_MODULES)
+    assert r.returncode == 0, r.stderr
+    bare, loaded = map(json.loads, r.stdout.splitlines())
+    assert bare == ["trustcbf"]
+    assert loaded == ["trustcbf", "trustcbf.cli", "trustcbf.schema"]
