@@ -1,19 +1,19 @@
 """Independent numpy oracles for the solvers, random instances, and a CSV reader.
 
 The test suite and ``trustcbf oracle`` check the polygon kernel of
-``trustcbf.solvers`` against code that shares none of it: a zoomed dense grid
-search for the QP, exhaustive vertex enumeration for the LP, and, for the
-solvers' emptiness certificate, exhaustive enumeration of the sets of at most
-three rows, all on the rows stacked into one a . u >= b system.  Nothing on
+``trustcbf.solvers`` against code that shares none of it: exhaustive
+enumeration of the 2-D KKT candidates for the QP, of the vertices for the LP,
+and, for the solvers' emptiness certificate, of the sets of at most three
+rows, all on the rows stacked into one a . u >= b system.  Nothing on
 the run path imports this module, so only the checks need numpy.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -47,107 +47,55 @@ def _assemble(rows: Sequence[tuple], box: Box):
     return np.array(A_list), np.array(b_list)
 
 
-def qp_oracle(problem: QPProblem, resolution: float = 1e-3,
-              refine_factor: float = 100.0) -> Optional[tuple[float, np.ndarray]]:
-    """Dense-grid reference optimum, zoomed locally until the certification step.
+def _crossings(A: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
+    """Every point where two of the lines a . u = b cross, in index order.
 
-    ``resolution`` is the coarsest step at which a feasible point must be
-    found; the search then keeps zooming until the grid step drops below
-    resolution / refine_factor, so the returned objective is accurate to a few
-    parts in 1e-4 for unit-scale boxes.  Returns None when no feasible grid
-    point exists at any refinement (used by tests to cross-check Infeasible).
+    A pair is skipped when its solve fails, its point is not finite, or the
+    point misses the two lines by more than 1e-9 (1 + |b|).
     """
-    box = problem.box
-    r = np.asarray(problem.u_ref, dtype=float)
+    for S in combinations(range(len(b)), 2):
+        As = A[list(S)]
+        bs = b[list(S)]
+        try:
+            u = np.linalg.solve(As, bs)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(u)):
+            continue
+        if float(np.linalg.norm(As @ u - bs)) > 1e-9 * (1.0 + float(np.linalg.norm(bs))):
+            continue
+        yield u
+
+
+def qp_oracle(problem: QPProblem, tol: float = FEAS_TOL) -> Optional[tuple[float, np.ndarray]]:
+    """Exact projection of u_ref onto the box-extended polygon (test oracle).
+
+    By the KKT conditions in the plane, the nearest point is u_ref itself, the
+    foot of u_ref on one constraint line, or a crossing of two lines.  Returns
+    (squared distance, point) of the nearest candidate that holds every
+    constraint to ``tol``, or None when no candidate does.
+    """
     try:
-        A, b = _assemble(problem.rows, box)
+        A, b = _assemble(problem.rows, problem.box)
     except Infeasible:
         return None
-    lo = np.array(box.lo)
-    hi = np.array(box.hi)
-
-    def grid_best(axes):
-        grids = np.meshgrid(*axes, indexing="ij")
-        P = np.stack([g.ravel() for g in grids], axis=1)
-        mask = np.all(P @ A.T - b >= -1e-12, axis=1)
-        if not mask.any():
-            return None
-        Pf = P[mask]
-        d2 = np.einsum("ij,ij->i", Pf - r, Pf - r)
-        i = int(np.argmin(d2))
-        return float(d2[i]), Pf[i].copy()
-
-    # Global coarse pass over the whole box, densifying until a feasible
-    # point shows up (or the set is declared empty at the densest grid).
-    pts = 41
-    found = grid_best([np.linspace(lo[k], hi[k], pts) for k in range(2)])
-    while found is None:
-        if pts >= 800:
-            return None
-        pts = pts * 2 + 1
-        found = grid_best([np.linspace(lo[k], hi[k], pts) for k in range(2)])
-    best_val, best_u = found
-    step = float(np.max((hi - lo) / (pts - 1)))
-
-    # Local refinement, pattern-search style.  The grid argmin can sit far
-    # from the true optimum along a constraint boundary (the objective is
-    # nearly flat along it), so recentre at fixed spacing while the best
-    # point keeps moving and only halve the spacing once the centre wins.
-    target_step = resolution / refine_factor
-    offsets = np.arange(-20.0, 21.0)
-    while step > target_step:
-        for _ in range(200):
-            axes = [np.clip(best_u[k] + offsets * step, lo[k], hi[k])
-                    for k in range(2)]
-            found = grid_best(axes)
-            if found is not None and found[0] < best_val - 1e-12 * max(1.0, best_val):
-                best_val, best_u = found
-            else:
-                break
-        step *= 0.5
-
-    # 1-D sweeps along every constraint boundary.  A boundary tilted by less
-    # than one cell per window height hides its optimum from an axis-aligned
-    # grid at any spacing, while along the line itself the objective is
-    # strictly convex, so a zoomed 1-D scan pins the minimiser reliably.
-    centre = 0.5 * (lo + hi)
-    half_span = 0.5 * float(np.linalg.norm(hi - lo))
-    for i in range(A.shape[0]):
-        a = A[i]
-        nrm2 = float(a @ a)
-        if nrm2 < DEGENERATE_NORM_TOL:
-            continue
-        p0 = a * (b[i] / nrm2)
-        tang = np.array([-a[1], a[0]]) / float(np.sqrt(nrm2))
-        span = half_span + float(np.linalg.norm(centre - p0))
-        s_lo, s_hi = -span, span
-        best_here = None
-        while True:
-            s = np.linspace(s_lo, s_hi, 2001)
-            P = p0[None, :] + s[:, None] * tang[None, :]
-            mask = np.all(P @ A.T - b >= -1e-12, axis=1)
-            if not mask.any():
-                break
-            Pf = P[mask]
-            sf = s[mask]
-            d2 = np.einsum("ij,ij->i", Pf - r, Pf - r)
-            j = int(np.argmin(d2))
-            best_here = (float(d2[j]), Pf[j].copy())
-            cell = (s_hi - s_lo) / 2000.0
-            if cell <= 1e-6:
-                break
-            s_lo, s_hi = sf[j] - 2.0 * cell, sf[j] + 2.0 * cell
-        if best_here is not None and best_here[0] < best_val:
-            best_val, best_u = best_here
-    return best_val, best_u
+    r = np.asarray(problem.u_ref, dtype=float)
+    feet = (r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b))
+    best = None
+    for u in chain([r], feet, _crossings(A, b)):
+        if np.all(A @ u - b >= -tol):
+            val = float((u - r) @ (u - r))
+            if best is None or val < best[0]:
+                best = (val, u)
+    return best
 
 
 def random_qp_instance(rng: np.random.Generator, max_rows: int = 4,
                        box_half: float = 3.0) -> QPProblem:
     """Random projection problem whose feasible set contains a ball of radius >= 0.25.
 
-    The margin ball keeps the grid oracle honest (a coarse grid always finds
-    feasible points) while still letting rows and box faces go active.
+    The margin ball makes every instance feasible, so each one compares a
+    value, while rows and box faces can still go active.
     """
     box = Box((-box_half,) * 2, (box_half,) * 2)
     z = rng.uniform(-0.8 * box_half, 0.8 * box_half, 2)
@@ -186,17 +134,7 @@ def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
     A, b = _assemble(rows, box)
     best_val = -math.inf
     best_u: Optional[np.ndarray] = None
-    for S in combinations(range(len(b)), 2):
-        As = A[list(S)]
-        bs = b[list(S)]
-        try:
-            u = np.linalg.solve(As, bs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(u)):
-            continue
-        if float(np.linalg.norm(As @ u - bs)) > 1e-9 * (1.0 + float(np.linalg.norm(bs))):
-            continue
+    for u in _crossings(A, b):
         if np.all(A @ u - b >= -tol):
             val = float(c @ u)
             if val > best_val:

@@ -66,8 +66,8 @@ FEAS_TOL clip, and once at QP_RETRY_TOL.  Rows with a zero normal, or a chain
 built on another box object, take the path without a chain.
 
 This module is plain float code.  The independent oracles that the test
-suite and ``trustcbf oracle`` check it against (a zoomed dense grid search
-for the QP, exhaustive vertex enumeration for the LP) live in
+suite and ``trustcbf oracle`` check it against (exhaustive enumeration of
+the 2-D KKT candidates for the QP and of the vertices for the LP) live in
 ``trustcbf.oracles``, the one module that needs numpy.
 """
 

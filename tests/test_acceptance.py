@@ -99,15 +99,15 @@ def test_c04_trust_combination_properties():
 
 
 def test_c05_solvers_match_oracles():
-    """500 random QPs match a grid-refinement oracle to 1e-3 with constraint
-    violation <= 1e-6; 500 random LPs match vertex enumeration to 1e-9; 1000
-    single-constraint QPs match the analytic projection to 1e-10."""
+    """500 random QPs match the exact enumeration oracle to 1e-9 (1 + value)
+    with constraint violation <= 1e-6; 500 random LPs match vertex enumeration
+    to 1e-9; 1000 single-constraint QPs match the analytic projection to 1e-10."""
     rng = np.random.default_rng(7)
     worst_gap = 0.0
     worst_viol = 0.0
     for _ in range(500):
         p = random_qp_instance(rng)
-        oracle = qp_oracle(p, resolution=1e-3)
+        oracle = qp_oracle(p)
         try:
             u = solve_qp(p)
         except Infeasible:
@@ -115,12 +115,12 @@ def test_c05_solvers_match_oracles():
             continue
         assert oracle is not None
         val = float(np.sum((u - np.asarray(p.u_ref)) ** 2))
-        worst_gap = max(worst_gap, abs(val - oracle[0]))
+        worst_gap = max(worst_gap, abs(val - oracle[0]) / (1.0 + oracle[0]))
         viol = max((b - float(np.dot((a0, a1), u)) for a0, a1, b in p.rows), default=0.0)
         viol = max(viol, float(np.max(np.asarray(p.box.lo) - u)),
                    float(np.max(u - np.asarray(p.box.hi))))
         worst_viol = max(worst_viol, viol)
-    assert worst_gap <= 1e-3
+    assert worst_gap <= 1e-9
     assert worst_viol <= 1e-6
 
     worst_lp = 0.0
@@ -141,7 +141,7 @@ def test_c05_solvers_match_oracles():
         expected = u_ref if a @ u_ref >= b else u_ref + ((b - a @ u_ref) / (a @ a)) * a
         u = solve_qp(QPProblem(u_ref=u_ref, rows=((*a, b),), box=big))
         worst_proj = max(worst_proj, float(np.linalg.norm(u - expected)))
-    print(f"criterion 5: qp gap {worst_gap:.2e} viol {worst_viol:.2e}, "
+    print(f"criterion 5: qp relative gap {worst_gap:.2e} viol {worst_viol:.2e}, "
           f"lp gap {worst_lp:.2e}, projection gap {worst_proj:.2e}")
     assert worst_proj <= 1e-10
 

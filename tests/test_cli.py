@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustcbf import solvers
+from trustcbf import oracles, solvers
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
                           main, parse_args, write_outputs, write_pairs_csv,
                           write_trace_csv)
@@ -599,14 +599,33 @@ def test_oracle_command_self_test():
 
 def test_oracle_command_checks_the_emptiness_certificate(monkeypatch, capsys):
     assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 0
-    cert = re.search(r"^cert: 40 instances, (\d+) empty, (\d+) certified, 0 unsound$",
+    cert = re.search(r"^cert: 40 instances, (\d+) empty, (\d+) certified, 0 unsound, 0 failures$",
                      capsys.readouterr().out, re.M)
     assert cert and int(cert[1]) >= int(cert[2]) > 0
     # a certificate that names the emptying plane alone is unsound wherever
     # that plane leaves a point in the box
     monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
     assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
-    assert not capsys.readouterr().out.rstrip().endswith(" 0 unsound")
+    assert re.search(r"^cert: .* [1-9]\d* unsound, 0 failures$", capsys.readouterr().out, re.M)
+
+
+def test_oracle_command_fails_when_the_solver_and_the_oracle_disagree(monkeypatch, capsys):
+    # every random QP is feasible, so an oracle that calls it empty disagrees
+    monkeypatch.setattr(oracles, "qp_oracle", lambda *args, **kwargs: None)
+    assert main(["oracle", "--qp", "5", "--lp", "0"]) == 1
+    assert re.search(r"^qp: 5 instances, .* 5 failures$", capsys.readouterr().out, re.M)
+
+
+def test_oracle_command_counts_a_raising_solver_as_a_failure(monkeypatch, capsys):
+    def raising(*args):
+        raise solvers.Infeasible("broken")
+
+    monkeypatch.setattr(solvers, "solve_lp", raising)
+    assert main(["oracle", "--qp", "0", "--lp", "3"]) == 1
+    assert re.search(r"^lp: 3 instances, .* 3 failures$", capsys.readouterr().out, re.M)
+    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", raising)
+    assert main(["oracle", "--qp", "0", "--lp", "3"]) == 1
+    assert re.search(r"^cert: 3 instances, .* 3 failures$", capsys.readouterr().out, re.M)
 
 
 @pytest.mark.parametrize("flag", ["--qp", "--lp"])
