@@ -4,8 +4,9 @@ Subcommands
     run        simulate a scenario file and write trace.csv, pairs.csv,
                summary.json, and four SVG charts into --out
     validate   parse and check a scenario file, writing nothing
-    oracle     run the QP and LP solvers against their independent oracles
-               (``trustcbf.oracles``, which needs numpy from the ``test`` extra)
+    oracle     run ``trustcbf.oracles.self_test``: the QP and LP solvers and
+               the emptiness certificate against their independent oracles
+               (needs numpy from the ``test`` extra)
 
 Exit codes: 0 success, 1 when the oracle self-test finds a failure, 2 usage
 error or ``oracle`` without numpy, 3 scenario validation error, 4 I/O error,
@@ -85,7 +86,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_or.add_argument("--qp", type=_nonnegative_int, default=100, help="number of random QP instances")
     p_or.add_argument("--lp", type=_nonnegative_int, default=100,
                       help="number of random LP instances, and of leave-one-out instances")
-    p_or.add_argument("--seed", type=int, default=0)
+    p_or.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return parser.parse_args(argv)
 
@@ -371,70 +372,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print("oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'",
               file=sys.stderr)
         return 2
-    from .oracles import (empty_triple, lp_vertex_oracle, qp_oracle, random_conflict_rows,
-                          random_lp_instance, random_qp_instance)
-    from .solvers import CERT_RELAX, Infeasible, solve_lp, solve_lp_leave_one_out, solve_qp
+    from .oracles import self_test
 
-    # A solver exception is a failure of the instance, so every instance runs
-    # and each line reports the count.
-    rng = np.random.default_rng(args.seed)
-    failures = 0
-    worst_gap = worst_viol = 0.0
-    for _ in range(args.qp):
-        p = random_qp_instance(rng)
-        oracle = qp_oracle(p)
-        try:
-            u = solve_qp(p)
-        except Infeasible:
-            failures += oracle is not None
-            continue
-        except Exception:
-            failures += 1
-            continue
-        if oracle is None:
-            failures += 1
-            continue
-        val = float(np.sum((u - np.asarray(p.u_ref)) ** 2))
-        gap = abs(val - oracle[0]) / (1.0 + oracle[0])
-        viol = max(float(np.max(np.asarray(p.box.lo) - u)), float(np.max(u - np.asarray(p.box.hi))),
-                   *(b - float(np.dot((a0, a1), u)) for a0, a1, b in p.rows))
-        worst_gap = max(worst_gap, gap)
-        worst_viol = max(worst_viol, viol)
-        failures += gap > 1e-9 or viol > 1e-6
-    print(f"qp: {args.qp} instances, worst relative gap {worst_gap:.3e}, "
-          f"worst violation {worst_viol:.3e}, {failures} failures")
-    lp_fail = 0
-    lp_worst = 0.0
-    for _ in range(args.lp):
-        c, rows, box = random_lp_instance(rng)
-        try:
-            v_solver, _ = solve_lp(c, rows, box)
-        except Exception:
-            lp_fail += 1
-            continue
-        v_oracle, _ = lp_vertex_oracle(c, rows, box)
-        gap = abs(v_solver - v_oracle)
-        lp_worst = max(lp_worst, gap)
-        if gap > 1e-9:
-            lp_fail += 1
-    print(f"lp: {args.lp} instances, worst value gap {lp_worst:.3e}, {lp_fail} failures")
-    # the leave-one-out LPs' emptiness certificate: a certified triple must
-    # hold no point even relaxed by CERT_RELAX
-    empty = certified = unsound = cert_fail = 0
-    for _ in range(args.lp):
-        rows, box = random_conflict_rows(rng)
-        empty += empty_triple(rows, box) is not None
-        try:
-            chain = solve_lp_leave_one_out(rows, box).chain
-        except Exception:
-            cert_fail += 1
-            continue
-        if chain is not None and chain.cert is not None:
-            certified += 1
-            unsound += empty_triple([rows[k] for k in chain.cert], box, CERT_RELAX) is None
-    print(f"cert: {args.lp} instances, {empty} empty, {certified} certified, {unsound} unsound, "
-          f"{cert_fail} failures")
-    return 0 if failures + lp_fail + unsound + cert_fail == 0 else 1
+    lines, failures = self_test(np.random.default_rng(args.seed), args.qp, args.lp)
+    print("\n".join(lines))
+    return 1 if failures else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

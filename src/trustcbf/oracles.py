@@ -1,11 +1,13 @@
-"""Independent numpy oracles for the solvers, random instances, and a CSV reader.
+"""Independent numpy oracles for the solvers, random instances, the solver
+self-test, and a CSV reader.
 
 The test suite and ``trustcbf oracle`` check the polygon kernel of
 ``trustcbf.solvers`` against code that shares none of it: exhaustive
 enumeration of the 2-D KKT candidates for the QP, of the vertices for the LP,
 and, for the solvers' emptiness certificate, of the sets of at most three
-rows, all on the rows stacked into one a . u >= b system.  Nothing on
-the run path imports this module, so only the checks need numpy.
+rows, all on the rows stacked into one a . u >= b system.  ``self_test`` is
+the one check on random instances.  Nothing on the run path imports this
+module, so only the checks need numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import solvers
 from .dynamics import Box
 from .solvers import (CERT_RELAX, DEGENERATE_NORM_TOL, FEAS_TOL, QP_RETRY_TOL, Infeasible,
                       QPProblem)
@@ -211,6 +214,85 @@ def random_conflict_rows(rng: np.random.Generator, max_rows: int = 8,
             rows.append((a, -a, float(rng.choice([-1.0, 0.0, FEAS_TOL, 0.5]))))
     order = rng.permutation(len(rows))
     return [rows[k] for k in order], box
+
+
+def _violation(u: Sequence[float], rows: Sequence[tuple], box: Box) -> float:
+    """How far u falls outside the box or the worst row (<= 0 when it holds all)."""
+    return max(box.lo[0] - u[0], box.lo[1] - u[1], u[0] - box.hi[0], u[1] - box.hi[1],
+               *(b - a0 * u[0] - a1 * u[1] for a0, a1, b in rows))
+
+
+def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str], int]:
+    """Hold the solvers to the oracles on random instances: the report's
+    ``qp:``, ``lp:`` and ``cert:`` lines and the total count of failures.
+
+    - ``n_qp`` QPs (``random_qp_instance``, always feasible): ``solve_qp``
+      answers, twice with the same bits, within 1e-9 (1 + value) of
+      ``qp_oracle``, and outside no row or box face by more than 1e-9.
+    - ``n_lp`` LPs (``random_lp_instance``): ``solve_lp``'s value is within
+      1e-9 of ``lp_vertex_oracle``'s, and its vertex holds the box and every
+      row to 1e-9.
+    - ``n_lp`` conflicting row lists (``random_conflict_rows``): wherever the
+      leave-one-out LPs certify emptiness, vertex enumeration finds the whole
+      list empty exactly, and ``empty_triple`` finds the certified triple
+      empty with every row relaxed by ``CERT_RELAX``; an unsound certificate
+      counts as a failure.
+
+    A solver that raises fails that instance.  The solvers are looked up on
+    ``trustcbf.solvers`` at each call, so a patched solver is the one tested.
+    The instances are drawn from ``rng`` in that order.
+    """
+    qp_fail = qp_gap = qp_viol = 0
+    for _ in range(n_qp):
+        p = random_qp_instance(rng)
+        oracle = qp_oracle(p)
+        try:
+            u = solvers.solve_qp(p)
+            same = list(map(float.hex, u)) == list(map(float.hex, solvers.solve_qp(p)))
+        except Exception:
+            u = None
+        if u is None or oracle is None:
+            qp_fail += 1
+            continue
+        value = (u[0] - p.u_ref[0]) ** 2 + (u[1] - p.u_ref[1]) ** 2
+        gap = abs(value - oracle[0]) / (1.0 + oracle[0])
+        viol = _violation(u, p.rows, p.box)
+        qp_gap, qp_viol = max(qp_gap, gap), max(qp_viol, viol)
+        qp_fail += not (same and gap <= 1e-9 and viol <= 1e-9)
+    lp_fail = lp_gap = lp_viol = 0
+    for _ in range(n_lp):
+        c, rows, box = random_lp_instance(rng)
+        try:
+            value, u = solvers.solve_lp(c, rows, box)
+        except Exception:
+            lp_fail += 1
+            continue
+        gap = abs(value - lp_vertex_oracle(c, rows, box)[0])
+        viol = _violation(u, rows, box)
+        lp_gap, lp_viol = max(lp_gap, gap), max(lp_viol, viol)
+        lp_fail += not (gap <= 1e-9 and viol <= 1e-9)
+    cert_fail = certified = unsound = 0
+    for _ in range(n_lp):
+        rows, box = random_conflict_rows(rng)
+        try:
+            chain = solvers.solve_lp_leave_one_out(rows, box).chain
+        except Exception:
+            cert_fail += 1
+            continue
+        if chain is not None and chain.cert is not None:
+            certified += 1
+            try:   # a vertex that holds every row exactly: the list is not empty
+                lp_vertex_oracle((0.0, 0.0), rows, box, tol=0.0)
+                unsound += 1
+            except Infeasible:
+                unsound += empty_triple([rows[k] for k in chain.cert], box, CERT_RELAX) is None
+    lines = [f"qp: {n_qp} instances, worst relative gap {qp_gap:.3e}, "
+             f"worst violation {qp_viol:.3e}, {qp_fail} failures",
+             f"lp: {n_lp} instances, worst value gap {lp_gap:.3e}, "
+             f"worst vertex violation {lp_viol:.3e}, {lp_fail} failures",
+             f"cert: {n_lp} instances, {certified} certified, {unsound} unsound, "
+             f"{cert_fail} failures"]
+    return lines, qp_fail + lp_fail + cert_fail + unsound
 
 
 def read_trace_csv(path: Path) -> dict[str, np.ndarray]:

@@ -1,6 +1,7 @@
 """Argument parsing, scenario files, CSV/SVG outputs, and CLI exit codes."""
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from trustcbf.oracles import read_trace_csv
 from trustcbf.sim import AgentSpec, Scenario, ValidationError, run
 from trustcbf.world import AgentKind, Model
 
-from conftest import shipped
+from conftest import ring12_dict, shipped
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -599,9 +600,9 @@ def test_oracle_command_self_test():
 
 def test_oracle_command_checks_the_emptiness_certificate(monkeypatch, capsys):
     assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 0
-    cert = re.search(r"^cert: 40 instances, (\d+) empty, (\d+) certified, 0 unsound, 0 failures$",
+    cert = re.search(r"^cert: 40 instances, (\d+) certified, 0 unsound, 0 failures$",
                      capsys.readouterr().out, re.M)
-    assert cert and int(cert[1]) >= int(cert[2]) > 0
+    assert cert and int(cert[1]) > 0
     # a certificate that names the emptying plane alone is unsound wherever
     # that plane leaves a point in the box
     monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
@@ -628,9 +629,39 @@ def test_oracle_command_counts_a_raising_solver_as_a_failure(monkeypatch, capsys
     assert re.search(r"^cert: 3 instances, .* 3 failures$", capsys.readouterr().out, re.M)
 
 
-@pytest.mark.parametrize("flag", ["--qp", "--lp"])
+def test_oracle_command_checks_the_lp_vertex(monkeypatch, capsys):
+    # the right value at a vertex slid 1e-6 along the objective's level line,
+    # out of the polygon: only the vertex check sees it
+    solve_lp = solvers.solve_lp
+
+    def slid(c, rows, box):
+        value, (x, y) = solve_lp(c, rows, box)
+        n = math.hypot(c[0], c[1])
+        return value, (x - 1e-6 * c[1] / n, y + 1e-6 * c[0] / n)
+
+    monkeypatch.setattr(solvers, "solve_lp", slid)
+    assert main(["oracle", "--qp", "0", "--lp", "10"]) == 1
+    assert re.search(r"^lp: 10 instances, .* [1-9]\d* failures$", capsys.readouterr().out, re.M)
+
+
+def test_oracle_command_checks_that_the_qp_repeats_its_bits(monkeypatch, capsys):
+    # one ulp on every second call: each instance's second answer differs
+    solve_qp = solvers.solve_qp
+    calls = itertools.count()
+
+    def drifting(problem):
+        x, y = solve_qp(problem)
+        return (math.nextafter(x, math.inf), y) if next(calls) % 2 else (x, y)
+
+    monkeypatch.setattr(solvers, "solve_qp", drifting)
+    assert main(["oracle", "--qp", "10", "--lp", "0"]) == 1
+    assert re.search(r"^qp: 10 instances, .* 10 failures$", capsys.readouterr().out, re.M)
+
+
+@pytest.mark.parametrize("flag", ["--qp", "--lp", "--seed"])
 def test_oracle_command_rejects_a_negative_count(flag, capsys):
-    # a negative count used to check nothing and report 0 failures
+    # a negative count used to check nothing and report 0 failures; a negative
+    # seed ended in numpy's traceback
     with pytest.raises(SystemExit) as exc:
         main(["oracle", flag, "-3"])
     assert exc.value.code == 2
@@ -654,17 +685,6 @@ def _python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     return subprocess.run([sys.executable, *args], env=env, cwd=REPO, capture_output=True,
                           text=True, timeout=120)
-
-
-def ring12_dict():
-    """12 intact unicycles on an antipodal ring of radius 6 m."""
-    agents = []
-    for k in range(12):
-        th = 2.0 * math.pi * k / 12 + 0.01 * k
-        x, y = 6.0 * math.cos(th), 6.0 * math.sin(th)
-        agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
-                       "target": [-x, -y]})
-    return {"agents": agents, "duration": 4.0, "gamma_nominal": 3.0}
 
 
 def test_run_validate_and_oracle_without_numpy(tmp_path):
