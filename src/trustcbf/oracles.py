@@ -20,26 +20,18 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import solvers
-from .dynamics import Box
-from .solvers import (CERT_RELAX, DEGENERATE_NORM_TOL, FEAS_TOL, QP_RETRY_TOL, Infeasible,
-                      QPProblem)
+from .schema import Box
+from .solvers import CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, QPProblem
 
 
 def _assemble(rows: Sequence[tuple], box: Box):
     """Stack user rows (a0, a1, b) and box faces into one a.u >= b system (A, b).
 
-    Degenerate user rows are dropped when vacuous; a degenerate row with b > 0
-    is an immediate infeasibility.
+    Every row is kept as it is: like any other, a row with a zero normal holds
+    at u exactly when a . u - b >= -tol, that is when b <= tol.
     """
-    A_list, b_list = [], []
-    for k, (a0, a1, b) in enumerate(rows):
-        a = np.array((a0, a1))
-        if float(np.linalg.norm(a)) < DEGENERATE_NORM_TOL:
-            if b <= FEAS_TOL:
-                continue
-            raise Infeasible(f"row {k} has a zero normal but demands b={b} > 0")
-        A_list.append(a)
-        b_list.append(b)
+    A_list = [np.array((a0, a1)) for a0, a1, _ in rows]
+    b_list = [b for _, _, b in rows]
     for k in range(2):
         e = np.zeros(2)
         e[k] = 1.0
@@ -74,16 +66,14 @@ def qp_oracle(problem: QPProblem, tol: float = FEAS_TOL) -> Optional[tuple[float
     """Exact projection of u_ref onto the box-extended polygon (test oracle).
 
     By the KKT conditions in the plane, the nearest point is u_ref itself, the
-    foot of u_ref on one constraint line, or a crossing of two lines.  Returns
-    (squared distance, point) of the nearest candidate that holds every
-    constraint to ``tol``, or None when no candidate does.
+    foot of u_ref on one constraint line, or a crossing of two lines (a row
+    with a zero normal has no line, and no foot).  Returns (squared distance,
+    point) of the nearest candidate that holds every constraint to ``tol``, or
+    None when no candidate does.
     """
-    try:
-        A, b = _assemble(problem.rows, problem.box)
-    except Infeasible:
-        return None
+    A, b = _assemble(problem.rows, problem.box)
     r = np.asarray(problem.u_ref, dtype=float)
-    feet = (r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b))
+    feet = (r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b) if a @ a)
     best = None
     for u in chain([r], feet, _crossings(A, b)):
         if np.all(A @ u - b >= -tol):
@@ -275,17 +265,17 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
     for _ in range(n_lp):
         rows, box = random_conflict_rows(rng)
         try:
-            chain = solvers.solve_lp_leave_one_out(rows, box).chain
+            cert = solvers.solve_lp_leave_one_out(rows, box).chain.cert
         except Exception:
             cert_fail += 1
             continue
-        if chain is not None and chain.cert is not None:
+        if cert is not None:
             certified += 1
             try:   # a vertex that holds every row exactly: the list is not empty
                 lp_vertex_oracle((0.0, 0.0), rows, box, tol=0.0)
                 unsound += 1
             except Infeasible:
-                unsound += empty_triple([rows[k] for k in chain.cert], box, CERT_RELAX) is None
+                unsound += empty_triple([rows[k] for k in cert], box, CERT_RELAX) is None
     lines = [f"qp: {n_qp} instances, worst relative gap {qp_gap:.3e}, "
              f"worst violation {qp_viol:.3e}, {qp_fail} failures",
              f"lp: {n_lp} instances, worst value gap {lp_gap:.3e}, "

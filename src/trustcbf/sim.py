@@ -22,7 +22,7 @@ from .barriers import clf_value
 from .controller import AgentConfig, ControlDecision, agent_step, clf_qp_reference
 from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
-                     AgentSpec, Box, PairRecord, Scenario, ValidationError)
+                     AgentSpec, Box, PairRecord, Scenario)
 from .solvers import Infeasible
 from .world import AgentState, WorldSnapshot, estimate_positions
 

@@ -14,8 +14,10 @@ kernel builds it by clipping the box with one half-plane after another
 The box is clipped with the exact rows first.  Only when that leaves nothing
 are the rows relaxed by FEAS_TOL (and, for the QP, then by QP_RETRY_TOL)
 before Infeasible is raised, so a nearly empty set keeps its verdict while a
-nonempty one is never perturbed.  A row whose normal is (nearly) zero is
-vacuous or unsatisfiable by one rule, ``_zero_normals``.
+nonempty one is never perturbed.  Every row is decided by the one rule of
+the clip: it holds at u when a . u - b >= -relax.  A row whose normal is zero
+needs no rule of its own: it keeps every vertex exactly when b <= relax, and
+empties the polygon otherwise.
 
 A constraint row is the float triple (a0, a1, b), meaning a . u >= b, in
 every entry.  ``solve_qp`` returns the QP's command only; ``active_set``
@@ -49,10 +51,12 @@ errs by a few ulps of |b| + ||a||_1 R per clip, and CERT_ERR leaves room for
 thousands of clips.  Then every float polygon that contains T (the solvers'
 clips relaxed by at most QP_RETRY_TOL <= CERT_RELAX) is empty too, so every
 LP outside T is None, and only the at most three LPs in T run the
-suffix-clip and FEAS_TOL rules above.  A chain with a zero-normal plane, or a
-triple that fails the check, leaves every LP to those rules.  So does a
-chain that empties at one of its first three planes: then at most three LPs
-clip, and a triple could spare none of them, so none is checked.
+suffix-clip and FEAS_TOL rules above.  A plane with a zero normal has no
+line to be near, so it joins T as p, or only when too few other planes
+precede p; the check decides such a T like any other.  A triple that fails
+the check leaves every LP to those rules.  So does a chain that empties at
+one of its first three planes: then at most three LPs clip, and a triple
+could spare none of them, so none is checked.
 
 ``QPProblem.chain`` lets the safety QP resume that exact chain.  The control
 step's scoring pass keeps each plane object whose rate did not move, so up to
@@ -62,8 +66,8 @@ on, starting from the chain's polygon.  If every plane of the chain's
 certified triple is still the chain's own, the relaxed clips are empty too and
 are skipped.  The QP still tests u_ref against every plane (``_holds``), as
 without a chain: once at FEAS_TOL, the tolerance of both the exact and the
-FEAS_TOL clip, and once at QP_RETRY_TOL.  Rows with a zero normal, or a chain
-built on another box object, take the path without a chain.
+FEAS_TOL clip, and once at QP_RETRY_TOL.  A chain built on another box
+object is not resumed.
 
 This module is plain float code.  The independent oracles that the test
 suite and ``trustcbf oracle`` check it against (exhaustive enumeration of
@@ -77,11 +81,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .dynamics import Box
-
-# A row normal below this norm carries no direction: the row is vacuous when
-# its offset asks for nothing (b <= FEAS_TOL) and unsatisfiable otherwise.
-DEGENERATE_NORM_TOL = 1e-12
+from .schema import Box
 
 # Feasibility tolerance, the QP's last relaxation before it reports an empty
 # set, and the residual at or below which a constraint is reported active.
@@ -132,7 +132,7 @@ class PrefixChain:
 
 class LeaveOneOut(list):
     """The leave-one-out LP values, and the exact prefix chain they were
-    found on (``chain``; None when some plane has a zero normal)."""
+    found on (``chain``)."""
 
     __slots__ = ("chain",)
 
@@ -145,26 +145,6 @@ class QPProblem:
     # The exact prefix chain of a plane list whose leading plane objects the
     # rows share, for the QP to resume (module docstring).
     chain: Optional[PrefixChain] = None
-
-
-def _zero_normals(planes: Sequence[tuple]) -> dict[int, bool]:
-    """Index -> whether it demands anything, for each half-plane a . u >= b
-    whose normal is shorter than DEGENERATE_NORM_TOL.  Such a plane carries no
-    direction: it is vacuous when b <= FEAS_TOL and unsatisfiable otherwise."""
-    return {k: b > FEAS_TOL for k, (a0, a1, b) in enumerate(planes)
-            if math.sqrt(a0 * a0 + a1 * a1) < DEGENERATE_NORM_TOL}
-
-
-def _usable(rows: Sequence[tuple]) -> Sequence[tuple]:
-    """The rows with a usable normal; raises Infeasible on a zero-normal row
-    that demands anything (``_zero_normals``)."""
-    zero = _zero_normals(rows)
-    if not zero:
-        return rows
-    for k, demands in zero.items():
-        if demands:
-            raise Infeasible(f"row {k} has a zero normal but demands b={rows[k][2]} > 0")
-    return [p for k, p in enumerate(rows) if k not in zero]
 
 
 def _box_polygon(box: Box) -> list:
@@ -209,7 +189,7 @@ def _best_value(c0: float, c1: float, poly: list) -> tuple[float, tuple]:
     return best, u
 
 
-def _holds(planes: list, box: Box, x: float, y: float, tol: float) -> bool:
+def _holds(planes: Sequence[tuple], box: Box, x: float, y: float, tol: float) -> bool:
     """Whether (x, y) satisfies the box and every half-plane to ``tol``."""
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
     if not (lo0 - tol <= x <= hi0 + tol and lo1 - tol <= y <= hi1 + tol):
@@ -239,12 +219,11 @@ def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
     return bx, by
 
 
-def _project(planes: list, box: Box, x: float, y: float,
+def _project(planes: Sequence[tuple], box: Box, x: float, y: float,
              chain: Optional[PrefixChain] = None) -> tuple[float, float]:
     """The QP core: the point of box ∩ planes nearest to (x, y).
 
-    ``planes`` have usable normals.  (x, y) itself when it satisfies them to
-    FEAS_TOL, else the nearest point on the edges of the box clipped by the
+    (x, y) itself when it satisfies the planes to FEAS_TOL, else the nearest point on the edges of the box clipped by the
     exact planes, then by the planes relaxed by FEAS_TOL and by QP_RETRY_TOL;
     Infeasible when all three clips leave nothing.  A ``chain`` over the same
     box makes the exact clip resume it, and skips the relaxed clips that its
@@ -270,27 +249,23 @@ def solve_qp(problem: QPProblem) -> tuple[float, float]:
 
     Raises Infeasible when no point in the box satisfies every row, even
     relaxed by QP_RETRY_TOL.  ``problem.chain`` changes the work, never the
-    result; rows with a zero normal, or a chain over another box object,
-    ignore it.
+    result; a chain over another box object is ignored.
     """
     x, y = problem.u_ref
-    rows, box, chain = problem.rows, problem.box, problem.chain
-    planes = _usable(rows)
-    if planes is not rows or (chain is not None and chain.box is not box):
+    box, chain = problem.box, problem.chain
+    if chain is not None and chain.box is not box:
         chain = None
-    return _project(planes, box, float(x), float(y), chain)
+    return _project(problem.rows, box, float(x), float(y), chain)
 
 
 def active_set(u: Sequence[float], rows: Sequence[tuple], box: Box) -> tuple:
     """The indices of the rows, then the names of the box faces (``box{k}lo``
-    and ``box{k}hi``), whose residual at u is at most ACTIVE_TOL.  Zero-normal
-    rows are never active."""
+    and ``box{k}hi``), whose residual at u is at most ACTIVE_TOL."""
     x, y = u
-    zero = _zero_normals(rows)
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
     faces = (("box0lo", x - lo0), ("box0hi", hi0 - x), ("box1lo", y - lo1), ("box1hi", hi1 - y))
     return (*(k for k, (a0, a1, b) in enumerate(rows)
-              if k not in zero and a0 * x + a1 * y - b <= ACTIVE_TOL),
+              if a0 * x + a1 * y - b <= ACTIVE_TOL),
             *(name for name, r in faces if r <= ACTIVE_TOL))
 
 
@@ -304,8 +279,7 @@ def solve_lp(c: Sequence[float], rows: Sequence[tuple],
     FEAS_TOL.
     """
     c0, c1 = (float(v) for v in c)
-    planes = _usable(rows)
-    poly = _clip(planes, _box_polygon(box), 0.0) or _clip(planes, _box_polygon(box), FEAS_TOL)
+    poly = _clip(rows, _box_polygon(box), 0.0) or _clip(rows, _box_polygon(box), FEAS_TOL)
     if not poly:
         raise Infeasible("constraint rows admit no command inside the control box")
     return _best_value(c0, c1, poly)
@@ -325,12 +299,13 @@ def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
     _, (vx, vy) = _best_value(a0, a1, poly)
     need = 2 - (vx == lo0 or vx == hi0) - (vy == lo1 or vy == hi1)
-    # squared distances from the vertex to the lines of planes[:m]
+    # squared distances from the vertex to the lines of planes[:m]; a plane
+    # with a zero normal has no line and ranks last
     d2 = []
     for j in range(m):
         c0, c1, cb = planes[j]
-        r = c0 * vx + c1 * vy - cb
-        d2.append((r * r / (c0 * c0 + c1 * c1), j))
+        r, n2 = c0 * vx + c1 * vy - cb, c0 * c0 + c1 * c1
+        d2.append((r * r / n2 if n2 else math.inf, j))
     d2.sort()
     near = sorted(j for _, j in d2[:need])
     R = max(-lo0, -lo1, hi0, hi1)
@@ -357,23 +332,15 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
     (``_certify_empty``) is as well, and each other earlier plane clips its
     own suffix planes[k+1:] from its prefix, which is ``solve_lp``'s clip
     sequence.  Like ``solve_lp``, an LP left empty by the exact planes is
-    retried with the planes relaxed by FEAS_TOL.  Zero-normal planes follow
-    ``_zero_normals`` in each LP separately: a vacuous one is skipped, a
-    demanding one leaves every other LP infeasible.  The values come with the
-    exact chain (``LeaveOneOut.chain``) when no plane has a zero normal.
+    retried with the planes relaxed by FEAS_TOL.  The values come with the
+    exact chain (``LeaveOneOut.chain``).
     """
-    zero = _zero_normals(planes)
-    demanding = [k for k, demands in zero.items() if demands]
     values = LeaveOneOut([None] * len(planes))
-    values.chain = None
-    if len(demanding) > 1:
-        return values
-    kept = [p for k, p in enumerate(planes) if k not in zero] if zero else planes
-    open_lps = demanding or list(range(len(planes)))
+    open_lps = list(range(len(planes)))
     for relax in (0.0, FEAS_TOL):
-        chain = [_box_polygon(box)]     # chain[m] = box ∩ kept[:m]
+        chain = [_box_polygon(box)]     # chain[m] = box ∩ planes[:m]
         poly = chain[0]
-        for a0, a1, b in kept:
+        for a0, a1, b in planes:
             # _clip of one plane, inline
             b -= relax
             out = []
@@ -392,11 +359,11 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
                 break
             poly = out
             chain.append(poly)
-        full = len(chain) > len(kept)
-        if relax == 0.0 and not zero:
+        full = len(chain) > len(planes)
+        if relax == 0.0:
             # a triple can spare an LP only when more than three LPs clip
             cert = None if full or len(chain) < 4 else _certify_empty(
-                kept, len(chain) - 1, poly, box)
+                planes, len(chain) - 1, poly, box)
             values.chain = PrefixChain(planes, chain, box, cert)
             if cert is not None:
                 open_lps = list(cert)
@@ -404,14 +371,11 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
             for k in open_lps:
                 values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
             break
-        # box ∩ kept[:len(chain)] is empty: only the LP of a plane among
+        # box ∩ planes[:len(chain)] is empty: only the LP of a plane among
         # those can be nonempty.
         for k in open_lps:
-            # planes[:k] are kept[:start] and planes[k+1:] are kept[end:]
-            start = k - sum(j < k for j in zero)
-            end = start + (k not in zero)
-            if start < end and start < len(chain):
-                poly = _clip(kept[end:], chain[start], relax)
+            if k < len(chain):
+                poly = _clip(planes[k + 1:], chain[k], relax)
                 if poly:
                     values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
         open_lps = [k for k in open_lps if values[k] is None]

@@ -30,8 +30,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# MAGNITUDE_BOUND and PairRecord are unused here: callers import them from this module.
-from .schema import MAGNITUDE_BOUND, Box, PairRecord, TrustParams
+from .schema import Box, TrustParams
 from .solvers import LeaveOneOut, solve_lp_leave_one_out
 from .world import MotionEstimate
 

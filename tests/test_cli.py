@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustcbf import oracles, solvers
+from trustcbf import controller, oracles, solvers
 from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
                           main, parse_args, write_outputs, write_pairs_csv,
                           write_trace_csv)
 from trustcbf.oracles import read_trace_csv
-from trustcbf.sim import AgentSpec, Scenario, ValidationError, run
+from trustcbf.schema import ValidationError
+from trustcbf.sim import AgentSpec, Scenario, run
 from trustcbf.world import AgentKind, Model
 
 from conftest import ring12_dict, shipped
@@ -338,6 +339,47 @@ def test_run_command_overrides_and_no_svg(tmp_path):
     assert summary["config"]["duration"] == 0.2 and summary["config"]["dt"] == 0.1
     # unreachable goal in 0.2 s: the reach time serializes as JSON Infinity
     assert summary["metrics"]["agents"]["0"]["goal_reach_time"] == float("inf")
+
+
+# Whole runs whose every contribution LP and safety QP carries a row with a
+# zero normal: two intact integrators that start on the same point (their
+# barrier gradient is 0), and a unicycle whose 1e-13 m look-ahead point is
+# where its adversary starts.  Each row demands b > 0, so every intact
+# agent-step stops.
+ZERO_ROW_RUNS = {
+    "coincident_integrators": ({
+        "agents": [{"kind": "Intact", "model": "SingleIntegrator", "start": [0.0, 0.0],
+                    "target": [1.0, 0.0]},
+                   {"kind": "Intact", "model": "SingleIntegrator", "start": [0.0, 0.0],
+                    "target": [-1.0, 0.0]}],
+        "duration": 2.0}, 82),
+    "adversary_on_the_lookahead_point": ({
+        "agents": [{"kind": "Intact", "model": "Unicycle", "start": [0.0, 0.0, 0.0],
+                    "target": [1.0, 0.0]},
+                   {"kind": "Adversarial", "model": "SingleIntegrator", "start": [1e-13, 0.0],
+                    "target": "unknown", "prey": 0}],
+        "duration": 2.0, "lookahead": 1e-13}, 41),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ROW_RUNS))
+def test_run_command_with_zero_normal_rows(tmp_path, monkeypatch, name):
+    d, agent_steps = ZERO_ROW_RUNS[name]
+    lps = []
+    contribution = controller.max_own_contribution
+
+    def spy(planes, box):
+        lps.append(any(math.hypot(a0, a1) < 1e-12 for a0, a1, _ in planes))
+        return contribution(planes, box)
+
+    monkeypatch.setattr(controller, "max_own_contribution", spy)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(write_json(tmp_path, d)), "--out", str(out),
+                 "--no-svg"]) == 0
+    assert lps == [True] * agent_steps
+    m = json.loads((out / "summary.json").read_text())["metrics"]
+    assert m["emergency_events"] == agent_steps
+    assert m["min_h"] == -0.25
 
 
 def test_run_command_fixed_alpha_freezes_rate_columns(tmp_path):

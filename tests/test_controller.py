@@ -11,11 +11,11 @@ from trustcbf import controller, sim
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, agent_step,
                                  clf_qp_reference, pair_geometry, score_pairs)
-from trustcbf.dynamics import K_OMEGA, K_S, Box, nominal_direction, track_reference
+from trustcbf.dynamics import K_OMEGA, K_S, nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
+from trustcbf.schema import MAGNITUDE_BOUND, Box, PairRecord, TrustParams
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
-from trustcbf.trust import (H_BOUNDARY_EPS, MAGNITUDE_BOUND, THETA_FLOOR,
-                            BoundaryReached, PairRecord, TrustParams, alpha_rate_floor,
+from trustcbf.trust import (H_BOUNDARY_EPS, THETA_FLOOR, BoundaryReached, alpha_rate_floor,
                             combine_trust, direction_trust, distance_trust,
                             max_own_contribution, update_alpha, worst_case_motion)
 from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,

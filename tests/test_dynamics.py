@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from trustcbf.dynamics import (DEFAULT_BOX, Box, ModelMismatch, euler_step,
+from trustcbf.dynamics import (DEFAULT_BOX, ModelMismatch, euler_step,
                                integrator_derivative, nominal_direction,
                                nominal_trajectory, track_reference,
                                unicycle_derivative)
+from trustcbf.schema import Box
 from trustcbf.world import AgentKind, AgentState, Model, wrap_angle
 
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
 from trustcbf.controller import Fallback
-from trustcbf.dynamics import Box, nominal_trajectory
-from trustcbf.sim import (AgentRecord, AgentSpec, Scenario, ValidationError,
+from trustcbf.dynamics import nominal_trajectory
+from trustcbf.schema import Box, PairRecord, ValidationError
+from trustcbf.sim import (AgentRecord, AgentSpec, Scenario,
                           adversary_policy, metrics, run, uncooperative_policy)
 from trustcbf.solvers import QP_RETRY_TOL, Infeasible, QPProblem, solve_qp
-from trustcbf.trust import PairRecord
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
                             WorldSnapshot, wrap_angle)
 

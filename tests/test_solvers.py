@@ -8,9 +8,9 @@ forms, near-degenerate geometry, the emptiness certificate and the chain.
 import numpy as np
 import pytest
 
-from trustcbf.dynamics import Box
 from trustcbf.oracles import (lp_vertex_oracle, qp_oracle, random_conflict_rows, random_lp_instance,
                               random_qp_instance)
+from trustcbf.schema import Box
 from trustcbf.solvers import (CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, PrefixChain,
                               QPProblem, active_set, solve_lp, solve_lp_leave_one_out,
                               solve_qp)
@@ -43,9 +43,10 @@ def test_qp_single_row_projection_is_analytic():
 
 
 def test_active_set_lists_rows_then_box_faces():
-    # row 0 has a zero normal and b = 0: vacuous, so never active
+    # row 0 has a zero normal and b = 0: its residual is 0 everywhere, so it is
+    # active like any other row with residual 0
     rows = [(0.0, 0.0, 0.0), (-1.0, 0.0, -3.0), (0.0, 1.0, 1.0), (0.0, 1.0, 0.5)]
-    assert active_set((3.0, 1.0), rows, BOX3) == (1, 2, "box0hi")
+    assert active_set((3.0, 1.0), rows, BOX3) == (0, 1, 2, "box0hi")
     assert active_set((-3.0, 3.0), [], BOX3) == ("box0lo", "box1hi")
 
 
@@ -213,10 +214,12 @@ def through_corner(rng):
 
 
 def zero_normals(rng):
-    # zero and sub-DEGENERATE_NORM_TOL normals, vacuous (b <= FEAS_TOL) or fatal
+    # zero and 1e-13 normals (a . u stays below 1e-12 in the box), vacuous or
+    # fatal with b outside the band: b <= FEAS_TOL / 2 holds once relaxed by
+    # FEAS_TOL, b >= 2e-7 is empty even relaxed by QP_RETRY_TOL
     c, rows, box = random_lp_instance(rng, max_rows=3)
     a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
-    b = rng.choice([-1.0, 0.0, FEAS_TOL, 2e-9, 0.5])
+    b = rng.choice([-1.0, 0.0, FEAS_TOL / 2.0, 2e-7, 0.5])
     rows = list(rows)
     rows.insert(int(rng.integers(0, len(rows) + 1)), _row(a, b))
     return c, rows, box, rng.uniform(-4.0, 4.0, 2)
@@ -371,7 +374,7 @@ def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
             else:
                 assert values[k] is not None, (k, rows)
         chain = values.chain
-        cert = None if chain is None else chain.cert
+        cert = chain.cert
         if cert is None:
             seen["fell_back"] += _empties(rows, box)
             continue
@@ -406,7 +409,7 @@ def test_qp_resuming_the_chain_is_bitwise_equal():
         else:
             _, rows, box = random_lp_instance(rng, max_rows=8)
         chain = solve_lp_leave_one_out(rows, box).chain
-        if chain is None or len(rows) < 3:
+        if len(rows) < 3:
             continue
         m = len(chain.polys) - 1           # the plane that emptied it, if any
         for where, f in (("first", 0), ("middle", len(rows) // 2), ("nowhere", len(rows))):
@@ -430,22 +433,32 @@ def test_qp_resuming_the_chain_is_bitwise_equal():
     assert _qp_bits(qp((0.0, 0.0), q)) != "Infeasible"
 
 
-def test_qp_with_zero_normal_rows_ignores_the_chain(monkeypatch):
-    def unused(self, planes):
-        raise AssertionError("the chain was resumed")
+def test_qp_resumes_a_chain_built_over_zero_normal_rows(monkeypatch):
+    # a row with a zero normal is clipped like any other: the leave-one-out LPs
+    # return their chain over it, certify an empty triple that ends in it, and
+    # the QP resumes that chain with the same bits as without it
+    resumed = []
+    clip = PrefixChain.clip
 
-    monkeypatch.setattr(PrefixChain, "clip", unused)
-    monkeypatch.setattr(PrefixChain, "empties", unused)
+    def spy(self, planes):
+        resumed.append(self)
+        return clip(self, planes)
+
+    monkeypatch.setattr(PrefixChain, "clip", spy)
     # |u_y| <= 2.5, u_x >= 1 and u_x <= -1
     rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
+    for zero in [(0.0, 0.0, -1.0), (0.0, 1e-13, 0.0), (0.0, 0.0, FEAS_TOL), (0.0, 0.0, 0.5)]:
+        for q in (rows + [zero], [zero] + rows, rows[:3] + [zero], [zero, (0.0, 1.0, 1.0)]):
+            chain = solve_lp_leave_one_out(q, BOX3).chain
+            for u_ref in [(0.5, 0.0), (-2.9, -2.9)]:
+                resumed.clear()
+                bits = _qp_bits(QPProblem(u_ref, q, BOX3, chain))
+                assert resumed == [chain], (q, u_ref)
+                assert bits == _qp_bits(qp(u_ref, q)), (q, u_ref)
+    assert solve_lp_leave_one_out(rows[:3] + [(0.0, 0.0, 0.5)], BOX3).chain.cert[-1] == 3
+    # a chain over another box is not resumed
     chain = solve_lp_leave_one_out(rows, BOX3).chain
-    assert chain is not None and chain.cert is not None
-    for zero in [(0.0, 0.0, -1.0), (0.0, 1e-13, 0.0)]:
-        p = qp((0.0, 0.0), rows + [zero])
-        assert _qp_bits(QPProblem(p.u_ref, p.rows, p.box, chain)) == _qp_bits(p) == "Infeasible"
-        q = [zero, (0.0, 1.0, 1.0)]
-        assert solve_lp_leave_one_out(q, BOX3).chain is None
-        assert _qp_bits(QPProblem((0.5, 0.0), q, BOX3, chain)) == _qp_bits(qp((0.5, 0.0), q))
-    # a chain over another box is not resumed either
     other = Box((-2.0, -2.0), (2.0, 2.0))
+    resumed.clear()
     assert _qp_bits(QPProblem((0.0, 0.0), rows, other, chain)) == "Infeasible"
+    assert resumed == []

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
-from trustcbf.dynamics import Box
-from trustcbf.solvers import FEAS_TOL, Infeasible, _box_polygon, _clip, _usable, solve_lp
+from trustcbf.schema import Box
+from trustcbf.solvers import FEAS_TOL, Infeasible, _box_polygon, _clip, solve_lp
 from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
@@ -140,9 +140,8 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
         rows = _leave_one_out_rows(rng)
         got = max_own_contribution(rows, BOX3)
         assert len(got) == len(rows)
-        seen["certified"] += got.chain is not None and got.chain.cert is not None
-        usable = [r for r in rows if math.hypot(r[0], r[1]) >= 1e-12]
-        P = {relax: _clip(usable, box_poly, relax) for relax in (0.0, FEAS_TOL)}
+        seen["certified"] += got.chain.cert is not None
+        P = {relax: _clip(rows, box_poly, relax) for relax in (0.0, FEAS_TOL)}
         for k, row in enumerate(rows):
             others = rows[:k] + rows[k + 1:]
             try:
@@ -152,8 +151,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 seen["infeasible"] += 1
                 continue
             assert got[k] is not None, (k, rows)
-            planes = _usable(others)
-            relax = 0.0 if _clip(planes, box_poly, 0.0) else FEAS_TOL
+            relax = 0.0 if _clip(others, box_poly, 0.0) else FEAS_TOL
             if not P[relax]:
                 seen["suffix_clip"] += 1
                 assert got[k].hex() == expected.hex(), (k, rows)
@@ -168,11 +166,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 seen["one_polygon_relaxed"] += 1
                 assert abs(got[k] - expected) <= 4.0 * FEAS_TOL * (1.0 + abs(expected)), (k, rows)
         for m in range(1, len(rows)):
-            try:
-                planes = _usable(rows[:m])
-            except Infeasible:
-                break
-            if not _clip(planes, box_poly, 0.0):
+            if not _clip(rows[:m], box_poly, 0.0):
                 seen["emptied_prefix"] += m < len(rows) - 1
                 break
         for a0, a1, b in rows:
