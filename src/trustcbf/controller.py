@@ -270,7 +270,7 @@ def agent_step(i: int, snap: WorldSnapshot,
     me = snap.agents[i]
     entries, start_planes = pair_geometry(i, snap, estimates, pairs, cfg)
     # Each pair's contribution LP runs over the other pairs' start planes.
-    contribs = max_own_contribution(start_planes, cfg.box)
+    contribs, chain = max_own_contribution(start_planes, cfg.box)
     records, planes, emergency = score_pairs(i, snap, entries, contribs, cfg)
 
     if me.model is Model.UNICYCLE:
@@ -291,7 +291,7 @@ def agent_step(i: int, snap: WorldSnapshot,
         fallback = Fallback.EMERGENCY
     else:
         try:
-            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box, contribs.chain))
+            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box, chain))
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)

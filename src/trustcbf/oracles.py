@@ -42,8 +42,9 @@ def _assemble(rows: Sequence[tuple], box: Box):
     return np.array(A_list), np.array(b_list)
 
 
-def _crossings(A: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
-    """Every point where two of the lines a . u = b cross, in index order.
+def _crossings(A: np.ndarray, b: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
+    """Every point where two of the lines a . u = b cross, with the indices of
+    the two lines, in index order.
 
     A pair is skipped when its solve fails, its point is not finite, or the
     point misses the two lines by more than 1e-9 (1 + |b|).
@@ -59,7 +60,7 @@ def _crossings(A: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
             continue
         if float(np.linalg.norm(As @ u - bs)) > 1e-9 * (1.0 + float(np.linalg.norm(bs))):
             continue
-        yield u
+        yield S, u
 
 
 def qp_oracle(problem: QPProblem, tol: float = FEAS_TOL) -> Optional[tuple[float, np.ndarray]]:
@@ -75,7 +76,7 @@ def qp_oracle(problem: QPProblem, tol: float = FEAS_TOL) -> Optional[tuple[float
     r = np.asarray(problem.u_ref, dtype=float)
     feet = (r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b) if a @ a)
     best = None
-    for u in chain([r], feet, _crossings(A, b)):
+    for u in chain([r], feet, (u for _, u in _crossings(A, b))):
         if np.all(A @ u - b >= -tol):
             val = float((u - r) @ (u - r))
             if best is None or val < best[0]:
@@ -127,7 +128,7 @@ def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
     A, b = _assemble(rows, box)
     best_val = -math.inf
     best_u: Optional[np.ndarray] = None
-    for u in _crossings(A, b):
+    for _, u in _crossings(A, b):
         if np.all(A @ u - b >= -tol):
             val = float(c @ u)
             if val > best_val:
@@ -212,6 +213,15 @@ def _violation(u: Sequence[float], rows: Sequence[tuple], box: Box) -> float:
                *(b - a0 * u[0] - a1 * u[1] for a0, a1, b in rows))
 
 
+def _lp_empty(c: Sequence[float], rows: Sequence[tuple], box: Box) -> bool:
+    """Whether ``solve_lp`` raises Infeasible on the LP."""
+    try:
+        solvers.solve_lp(c, rows, box)
+    except Infeasible:
+        return True
+    return False
+
+
 def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str], int]:
     """Hold the solvers to the oracles on random instances: the report's
     ``qp:``, ``lp:`` and ``cert:`` lines and the total count of failures.
@@ -222,11 +232,14 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
     - ``n_lp`` LPs (``random_lp_instance``): ``solve_lp``'s value is within
       1e-9 of ``lp_vertex_oracle``'s, and its vertex holds the box and every
       row to 1e-9.
-    - ``n_lp`` conflicting row lists (``random_conflict_rows``): wherever the
-      leave-one-out LPs certify emptiness, vertex enumeration finds the whole
-      list empty exactly, and ``empty_triple`` finds the certified triple
-      empty with every row relaxed by ``CERT_RELAX``; an unsound certificate
-      counts as a failure.
+    - ``n_lp`` conflicting row lists (``random_conflict_rows``), through the
+      leave-one-out LPs the run calls: each value is None exactly where
+      ``solve_lp`` over the other rows raises Infeasible, and every LP
+      outside a certified triple is None, or the list fails.  Wherever the
+      LPs certify emptiness, vertex enumeration finds the whole list empty
+      exactly, and ``empty_triple`` finds the certified triple empty with
+      every row relaxed by ``CERT_RELAX``; an unsound certificate counts as a
+      failure.
 
     A solver that raises fails that instance.  The solvers are looked up on
     ``trustcbf.solvers`` at each call, so a patched solver is the one tested.
@@ -265,10 +278,15 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
     for _ in range(n_lp):
         rows, box = random_conflict_rows(rng)
         try:
-            cert = solvers.solve_lp_leave_one_out(rows, box).chain.cert
+            values, chain = solvers.solve_lp_leave_one_out(rows, box)
+            empty = [_lp_empty(rows[k][:2], rows[:k] + rows[k + 1:], box)
+                     for k in range(len(rows))]
         except Exception:
             cert_fail += 1
             continue
+        cert = chain.cert
+        cert_fail += [v is None for v in values] != empty or cert is not None and any(
+            values[k] is not None for k in range(len(rows)) if k not in cert)
         if cert is not None:
             certified += 1
             try:   # a vertex that holds every row exactly: the list is not empty

@@ -25,16 +25,16 @@ names the rows and box faces that hold with equality at a command, off the
 run path.
 
 ``solve_lp_leave_one_out`` solves, for every plane of one list, the LP whose
-objective is that plane's normal over all the other planes.  It clips the
-prefix chain box ∩ planes[:m] one plane at a time (n single-plane clips when
-nothing empties).  If the whole set P = box ∩ planes is nonempty, every LP's
-maximizer lies in P, so all n values are best vertices of that one polygon:
-equal to separate ``solve_lp`` calls in exact arithmetic, which would clip
-n(n-1) times, and close to them in floats.  Only when the chain empties at
-plane m do the m earlier planes clip their own suffixes from their prefixes,
-at most n(n-1)/2 clips, each ``solve_lp``'s own clip sequence and bitwise
-equal to it.  LPs left empty rerun both rules with the planes relaxed by
-FEAS_TOL, as ``solve_lp`` retries.
+objective is that plane's normal over all the other planes.  It builds the
+prefix chain box ∩ planes[:m] with ``_chain``, the loop every clip runs (n
+single-plane clips when nothing empties).  If the whole set P = box ∩ planes
+is nonempty, every LP's maximizer lies in P, so all n values are best
+vertices of that one polygon: equal to separate ``solve_lp`` calls in exact
+arithmetic, which would clip n(n-1) times, and close to them in floats.  Only
+when the chain empties at plane m do the m earlier planes clip their own
+suffixes from their prefixes, at most n(n-1)/2 clips, each ``solve_lp``'s own
+clip sequence and bitwise equal to it.  LPs left empty rerun both rules with
+the planes relaxed by FEAS_TOL, as ``solve_lp`` retries.
 
 An empty chain usually leaves all but a few LPs empty, and ``_certify_empty``
 shows which without clipping them.  Say box ∩ planes[:m] is the last nonempty
@@ -48,26 +48,27 @@ short of b_p by CERT_RELAX plus p's allowance.  A plane's error allowance is
 CERT_ERR (|b| + ||a||_1 R), R the box radius: every vertex any of these clips
 makes lies in the box to within a few ulps of R, so evaluating a . u - b at it
 errs by a few ulps of |b| + ||a||_1 R per clip, and CERT_ERR leaves room for
-thousands of clips.  Then every float polygon that contains T (the solvers'
-clips relaxed by at most QP_RETRY_TOL <= CERT_RELAX) is empty too, so every
-LP outside T is None, and only the at most three LPs in T run the
-suffix-clip and FEAS_TOL rules above.  A plane with a zero normal has no
-line to be near, so it joins T as p, or only when too few other planes
-precede p; the check decides such a T like any other.  A triple that fails
-the check leaves every LP to those rules.  So does a chain that empties at
-one of its first three planes: then at most three LPs clip, and a triple
-could spare none of them, so none is checked.
+thousands of clips.  Then every float polygon that contains T (a clip relaxed
+by at most CERT_RELAX) is empty too, so every LP outside T is None, and only
+the at most three LPs in T run the suffix-clip and FEAS_TOL rules above.  A
+plane with a zero normal has no line to be near, so it joins T as p, or only
+when too few other planes precede p; the check decides such a T like any
+other.  A triple that fails the check leaves every LP to those rules.  So
+does a chain that empties at one of its first three planes: then at most
+three LPs clip, and a triple could spare none of them, so none is checked.
+The certificate spares only LPs, whose clips relax by at most FEAS_TOL;
+CERT_RELAX stays above QP_RETRY_TOL, the largest relaxation either solver
+clips with, until the tolerance ladder is retired (ROADMAP item 9).
 
 ``QPProblem.chain`` lets the safety QP resume that exact chain.  The control
 step's scoring pass keeps each plane object whose rate did not move, so up to
 the first plane that is not the chain's own object, the QP's exact clip
 sequence is the chain's, bit for bit: the QP clips only the planes from there
-on, starting from the chain's polygon.  If every plane of the chain's
-certified triple is still the chain's own, the relaxed clips are empty too and
-are skipped.  The QP still tests u_ref against every plane (``_holds``), as
-without a chain: once at FEAS_TOL, the tolerance of both the exact and the
-FEAS_TOL clip, and once at QP_RETRY_TOL.  A chain built on another box
-object is not resumed.
+on, starting from the chain's polygon.  Everything else runs as without a
+chain: the QP tests u_ref against every plane (``_holds``), once at FEAS_TOL,
+the tolerance of both the exact and the FEAS_TOL clip, and once at
+QP_RETRY_TOL, and the relaxed clips start from the box.  A chain built on
+another box object is not resumed.
 
 This module is plain float code.  The independent oracles that the test
 suite and ``trustcbf oracle`` check it against (exhaustive enumeration of
@@ -102,9 +103,9 @@ class Infeasible(Exception):
 
 class PrefixChain:
     """The exact prefix chain of one plane list: ``polys[m]`` is box ∩
-    ``planes[:m]`` clipped exactly, up to the last nonempty one.  ``cert`` is
-    a certified triple (plane indices) whose intersection with the box is
-    empty, or None."""
+    ``planes[:m]`` clipped exactly, up to the last nonempty one (``_chain``).
+    ``cert`` is a certified triple (plane indices) whose intersection with the
+    box is empty, or None; it spares leave-one-out LPs, never a QP clip."""
 
     __slots__ = ("planes", "polys", "box", "cert")
 
@@ -123,19 +124,6 @@ class PrefixChain:
             f += 1
         return _clip(planes[f:], self.polys[f], 0.0) if f < len(self.polys) else []
 
-    def empties(self, planes: Sequence[tuple]) -> bool:
-        """Whether ``planes`` keep every plane of the certified triple as the
-        chain's own object, so box ∩ planes relaxed by CERT_RELAX is empty."""
-        cert, own = self.cert, self.planes
-        return cert is not None and all(k < len(planes) and planes[k] is own[k] for k in cert)
-
-
-class LeaveOneOut(list):
-    """The leave-one-out LP values, and the exact prefix chain they were
-    found on (``chain``)."""
-
-    __slots__ = ("chain",)
-
 
 @dataclass
 class QPProblem:
@@ -153,15 +141,16 @@ def _box_polygon(box: Box) -> list:
     return [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
 
 
-def _clip(planes: Sequence, poly: list, relax: float) -> list:
-    """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty.
+def _chain(planes: Sequence, poly: list, relax: float) -> list:
+    """[poly, poly ∩ planes[:1], poly ∩ planes[:2], ...] with every plane
+    a . u >= b relaxed to a . u >= b - relax, up to the last nonempty polygon;
+    each polygon's vertices counter-clockwise.
 
-    One Sutherland-Hodgman pass per plane: a plane that keeps every vertex
-    returns the same vertices in the same order.
+    The one Sutherland-Hodgman loop: one pass per plane, and a plane that
+    keeps every vertex returns the same vertices in the same order.
     """
+    chain = [poly]
     for a0, a1, b in planes:
-        if not poly:
-            break
         b -= relax
         out = []
         px, py = poly[-1]
@@ -175,8 +164,17 @@ def _clip(planes: Sequence, poly: list, relax: float) -> list:
             if dq >= 0.0:
                 out.append(q)
             px, py, dp = qx, qy, dq
+        if not out:
+            break
         poly = out
-    return poly
+        chain.append(poly)
+    return chain
+
+
+def _clip(planes: Sequence, poly: list, relax: float) -> list:
+    """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty."""
+    chain = _chain(planes, poly, relax)
+    return chain[-1] if len(chain) > len(planes) else []
 
 
 def _best_value(c0: float, c1: float, poly: list) -> tuple[float, tuple]:
@@ -223,11 +221,11 @@ def _project(planes: Sequence[tuple], box: Box, x: float, y: float,
              chain: Optional[PrefixChain] = None) -> tuple[float, float]:
     """The QP core: the point of box ∩ planes nearest to (x, y).
 
-    (x, y) itself when it satisfies the planes to FEAS_TOL, else the nearest point on the edges of the box clipped by the
-    exact planes, then by the planes relaxed by FEAS_TOL and by QP_RETRY_TOL;
-    Infeasible when all three clips leave nothing.  A ``chain`` over the same
-    box makes the exact clip resume it, and skips the relaxed clips that its
-    certified triple shows empty.
+    (x, y) itself when it satisfies the planes to FEAS_TOL, else the nearest
+    point on the edges of the box clipped by the exact planes, then by the
+    planes relaxed by FEAS_TOL and by QP_RETRY_TOL; Infeasible when all three
+    clips leave nothing.  A ``chain`` over the same box makes the exact clip
+    resume it.
     """
     for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
         # The test at FEAS_TOL, made before the exact clip, already failed.
@@ -235,8 +233,6 @@ def _project(planes: Sequence[tuple], box: Box, x: float, y: float,
             return x, y
         if chain is not None and relax == 0.0:
             poly = chain.clip(planes)
-        elif chain is not None and chain.empties(planes):
-            continue
         else:
             poly = _clip(planes, _box_polygon(box), relax)
         if poly:
@@ -248,8 +244,9 @@ def solve_qp(problem: QPProblem) -> tuple[float, float]:
     """Project u_ref onto the feasible set; returns the command (x, y).
 
     Raises Infeasible when no point in the box satisfies every row, even
-    relaxed by QP_RETRY_TOL.  ``problem.chain`` changes the work, never the
-    result; a chain over another box object is ignored.
+    relaxed by QP_RETRY_TOL.  ``problem.chain``, the leave-one-out LPs'
+    prefix chain, lets the exact clip resume it; it changes the work, never
+    the result, and a chain over another box object is ignored.
     """
     x, y = problem.u_ref
     box, chain = problem.box, problem.chain
@@ -320,9 +317,12 @@ def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
     return (*near, m)
 
 
-def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
+def solve_lp_leave_one_out(planes: Sequence[tuple],
+                           box: Box) -> tuple[list, PrefixChain]:
     """For every k, the value of ``solve_lp((a0, a1), others, box)`` for plane
-    k = (a0, a1, b) over the other planes, or None where that raises Infeasible.
+    k = (a0, a1, b) over the other planes, or None where that raises
+    Infeasible; returned with the exact prefix chain of ``planes`` that they
+    were found on, as ``(values, chain)``.
 
     LP k maximizes plane k's own normal over P_-k = box ∩ (every plane but k).
     When P = box ∩ planes is nonempty, a maximizer over P_-k reaches at least
@@ -332,53 +332,33 @@ def solve_lp_leave_one_out(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
     (``_certify_empty``) is as well, and each other earlier plane clips its
     own suffix planes[k+1:] from its prefix, which is ``solve_lp``'s clip
     sequence.  Like ``solve_lp``, an LP left empty by the exact planes is
-    retried with the planes relaxed by FEAS_TOL.  The values come with the
-    exact chain (``LeaveOneOut.chain``).
+    retried with the planes relaxed by FEAS_TOL.
     """
-    values = LeaveOneOut([None] * len(planes))
+    values = [None] * len(planes)
     open_lps = list(range(len(planes)))
     for relax in (0.0, FEAS_TOL):
-        chain = [_box_polygon(box)]     # chain[m] = box ∩ planes[:m]
-        poly = chain[0]
-        for a0, a1, b in planes:
-            # _clip of one plane, inline
-            b -= relax
-            out = []
-            px, py = poly[-1]
-            dp = a0 * px + a1 * py - b
-            for q in poly:
-                qx, qy = q
-                dq = a0 * qx + a1 * qy - b
-                if (dp >= 0.0) != (dq >= 0.0):
-                    t = dp / (dp - dq)
-                    out.append((px + t * (qx - px), py + t * (qy - py)))
-                if dq >= 0.0:
-                    out.append(q)
-                px, py, dp = qx, qy, dq
-            if not out:
-                break
-            poly = out
-            chain.append(poly)
-        full = len(chain) > len(planes)
+        polys = _chain(planes, _box_polygon(box), relax)    # polys[m] = box ∩ planes[:m]
+        poly = polys[-1]
+        full = len(polys) > len(planes)
         if relax == 0.0:
             # a triple can spare an LP only when more than three LPs clip
-            cert = None if full or len(chain) < 4 else _certify_empty(
-                planes, len(chain) - 1, poly, box)
-            values.chain = PrefixChain(planes, chain, box, cert)
+            cert = None if full or len(polys) < 4 else _certify_empty(
+                planes, len(polys) - 1, poly, box)
+            chain = PrefixChain(planes, polys, box, cert)
             if cert is not None:
                 open_lps = list(cert)
         if full:
             for k in open_lps:
                 values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
             break
-        # box ∩ planes[:len(chain)] is empty: only the LP of a plane among
+        # box ∩ planes[:len(polys)] is empty: only the LP of a plane among
         # those can be nonempty.
         for k in open_lps:
-            if k < len(chain):
-                poly = _clip(planes[k + 1:], chain[k], relax)
+            if k < len(polys):
+                poly = _clip(planes[k + 1:], polys[k], relax)
                 if poly:
                     values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
         open_lps = [k for k in open_lps if values[k] is None]
         if not open_lps:
             break
-    return values
+    return values, chain

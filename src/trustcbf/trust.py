@@ -31,7 +31,7 @@ import math
 from typing import Sequence
 
 from .schema import Box, TrustParams
-from .solvers import LeaveOneOut, solve_lp_leave_one_out
+from .solvers import PrefixChain, solve_lp_leave_one_out
 from .world import MotionEstimate
 
 H_BOUNDARY_EPS = 1e-6
@@ -61,7 +61,8 @@ def worst_case_motion(est: MotionEstimate, grad_j) -> tuple[tuple[float, float],
     return (cx - k * gx, cy - k * gy), gx * cx + gy * cy - est.radius * gn
 
 
-def max_own_contribution(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
+def max_own_contribution(planes: Sequence[tuple],
+                         box: Box) -> tuple[list, PrefixChain]:
     """Best barrier-derivative contribution observer i can make toward each pair
     (i, k) while respecting its constraints toward every other neighbor.
 
@@ -75,10 +76,10 @@ def max_own_contribution(planes: Sequence[tuple], box: Box) -> LeaveOneOut:
     all LPs of one observer are leave-one-out LPs over one plane list: when
     box ∩ planes is nonempty, a maximizer of plane k's normal over the other
     planes already satisfies plane k, and every LP reads that one polygon
-    (``solvers.solve_lp_leave_one_out``).  Entry k is None where the other
-    planes alone admit no command.  The values carry the exact prefix chain
-    of ``planes`` (``chain``), which the safety QP over the step's final
-    planes resumes.
+    (``solvers.solve_lp_leave_one_out``).  Returns ``(values, chain)``:
+    entry k of ``values`` is None where the other planes alone admit no
+    command, and ``chain`` is the exact prefix chain of ``planes``, which the
+    safety QP over the step's final planes resumes.
     """
     return solve_lp_leave_one_out(planes, box)
 

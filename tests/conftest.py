@@ -4,7 +4,8 @@ The shipped scenario files are the only definition of the shipped scenarios;
 ``shipped`` loads one, with any field replaced.  ``ring12_dict`` is the
 scenario JSON of a 12-agent antipodal ring.  The two benchmark scenarios
 are expensive enough that the acceptance tests run each of them exactly once
-per session.
+per session.  ``shifted``, ``lp_value`` and ``lp_values_leave_one_out`` read
+LP values from the vertex oracle, for the solver tests' brackets.
 """
 
 import dataclasses
@@ -12,10 +13,13 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trustcbf.cli import load_scenario
+from trustcbf.oracles import _assemble, _crossings, lp_vertex_oracle
 from trustcbf.sim import Scenario, metrics, run
+from trustcbf.solvers import FEAS_TOL, Infeasible
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -34,6 +38,42 @@ def ring12_dict():
         agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
                        "target": [-x, -y]})
     return {"agents": agents, "duration": 4.0, "gamma_nominal": 3.0}
+
+
+def shifted(rows, d):
+    """The rows relaxed by d (tightened for d < 0)."""
+    return [(a0, a1, b - d) for a0, a1, b in rows]
+
+
+def lp_value(c, rows, box, tol=FEAS_TOL):
+    """``lp_vertex_oracle``'s value, or None where it finds no vertex."""
+    try:
+        return lp_vertex_oracle(c, rows, box, tol=tol)[0]
+    except Infeasible:
+        return None
+
+
+def lp_values_leave_one_out(rows, box, tol=FEAS_TOL):
+    """For every k, ``lp_value(rows[k][:2], rows[:k] + rows[k + 1:], box, tol)``.
+
+    One enumeration of the crossings of every two lines (the rows' and the box
+    faces') serves every k, with ``lp_vertex_oracle``'s arithmetic: LP k reads
+    the crossings of two lines other than row k's that hold every constraint
+    but row k to ``tol``.
+    """
+    A, b = _assemble(rows, box)
+    normals = [np.asarray(row[:2], dtype=float) for row in rows]
+    best = [None] * len(rows)
+    for S, u in _crossings(A, b):
+        off = np.flatnonzero(~(A @ u - b >= -tol))
+        if len(off) > 1 or len(off) == 1 and off[0] >= len(rows):
+            continue
+        for k in off if len(off) else range(len(rows)):
+            if k not in S:
+                val = float(normals[k] @ u)
+                if best[k] is None or val > best[k]:
+                    best[k] = val
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -646,10 +646,34 @@ def test_oracle_command_checks_the_emptiness_certificate(monkeypatch, capsys):
                      capsys.readouterr().out, re.M)
     assert cert and int(cert[1]) > 0
     # a certificate that names the emptying plane alone is unsound wherever
-    # that plane leaves a point in the box
+    # that plane leaves a point in the box; the LPs it declares empty
+    # without a clip then include some that solve_lp finds a value for
     monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
     assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
-    assert re.search(r"^cert: .* [1-9]\d* unsound, 0 failures$", capsys.readouterr().out, re.M)
+    assert re.search(r"^cert: .* [1-9]\d* unsound, [1-9]\d* failures$",
+                     capsys.readouterr().out, re.M)
+
+
+@pytest.mark.parametrize("flip", ["value_for_empty", "none_for_value"])
+def test_oracle_command_checks_the_leave_one_out_verdicts(monkeypatch, capsys, flip):
+    # on lists without a certificate, one leave-one-out LP gets the wrong
+    # verdict: a value where solve_lp finds the LP empty, or None where it
+    # finds a value
+    leave_one_out = solvers.solve_lp_leave_one_out
+
+    def flipped(planes, box):
+        values, chain = leave_one_out(planes, box)
+        if chain.cert is None:
+            for k, v in enumerate(values):
+                if (v is None) == (flip == "value_for_empty"):
+                    values[k] = 0.0 if v is None else None
+                    break
+        return values, chain
+
+    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", flipped)
+    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
+    assert re.search(r"^cert: 40 instances, \d+ certified, 0 unsound, [1-9]\d* failures$",
+                     capsys.readouterr().out, re.M)
 
 
 def test_oracle_command_fails_when_the_solver_and_the_oracle_disagree(monkeypatch, capsys):

@@ -224,8 +224,8 @@ def test_rate_floor_receives_the_worst_case_margin():
     est = estimates[1]
     ev = eval_barrier(me0, snap.agents[1])
     (wx, wy), _ = worst_case_motion(est, ev.grad_j)
-    (contrib,) = max_own_contribution([cbf_row(ev, velocity_map(me0), (wx, wy), alpha)],
-                                      BOX3)
+    (contrib,), _ = max_own_contribution([cbf_row(ev, velocity_map(me0), (wx, wy), alpha)],
+                                         BOX3)
     b = -alpha * ev.h - contrib
     ax, ay = ev.grad_j
     worst_margin = ax * wx + ay * wy - b
@@ -393,7 +393,7 @@ def _reference_step(i, snap, estimates, pairs, cfg):
         a_j, _ = worst_case_motion(est, ev.grad_j)
         obs.append((other, prev, ev, est, bootstrapped, a_j,
                     cbf_row(ev, M, a_j, prev.alpha)))
-    contribs = max_own_contribution([o[-1] for o in obs], cfg.box)
+    contribs, _ = max_own_contribution([o[-1] for o in obs], cfg.box)
     rows, records = [], []
     stop = False
     for (other, prev, ev, est, bootstrapped, a_j, row), contrib in zip(obs, contribs):

@@ -8,12 +8,14 @@ forms, near-degenerate geometry, the emptiness certificate and the chain.
 import numpy as np
 import pytest
 
-from trustcbf.oracles import (lp_vertex_oracle, qp_oracle, random_conflict_rows, random_lp_instance,
+from trustcbf.oracles import (qp_oracle, random_conflict_rows, random_lp_instance,
                               random_qp_instance)
 from trustcbf.schema import Box
 from trustcbf.solvers import (CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, PrefixChain,
                               QPProblem, active_set, solve_lp, solve_lp_leave_one_out,
                               solve_qp)
+
+from conftest import lp_value, shifted
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -248,18 +250,6 @@ DEGENERATE = {
 }
 
 
-def _shifted(rows, d):
-    """The rows relaxed by d (tightened for d < 0)."""
-    return [(a0, a1, b - d) for a0, a1, b in rows]
-
-
-def _lp_value(c, rows, box, tol=FEAS_TOL):
-    try:
-        return lp_vertex_oracle(c, rows, box, tol=tol)[0]
-    except Infeasible:
-        return None
-
-
 def _assert_holds(u, rows, box):
     assert box.contains(u, tol=ROW_TOL)
     for row in rows:
@@ -278,7 +268,7 @@ def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
     rng = np.random.default_rng(sorted(DEGENERATE).index(kind))
     for _ in range(300):
         c, rows, box, _ = DEGENERATE[kind](rng)
-        expected = _lp_value(c, rows, box)
+        expected = lp_value(c, rows, box)
         try:
             val, u = solve_lp(c, rows, box)
         except Infeasible:
@@ -286,8 +276,8 @@ def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
             continue
         assert expected is not None, kind
         eps = 1e-9 * (1.0 + abs(expected))
-        assert val <= _lp_value(c, _shifted(rows, FEAS_TOL), box) + eps, kind
-        lower = _lp_value(c, _shifted(rows, -FEAS_TOL), box, tol=0.0)
+        assert val <= lp_value(c, shifted(rows, FEAS_TOL), box) + eps, kind
+        lower = lp_value(c, shifted(rows, -FEAS_TOL), box, tol=0.0)
         assert lower is None or val >= lower - eps, kind
         assert abs(val - float(np.dot(c, u))) <= eps
         _assert_holds(u, rows, box)
@@ -308,10 +298,10 @@ def test_qp_degenerate_fuzz_matches_oracles(kind):
             assert qp_oracle(p, tol=QP_RETRY_TOL) is None, kind
             continue
         val = float(np.sum((u - np.asarray(u_ref)) ** 2))
-        relaxed = qp_oracle(qp(u_ref, _shifted(rows, FEAS_TOL), box))
+        relaxed = qp_oracle(qp(u_ref, shifted(rows, FEAS_TOL), box))
         relax = FEAS_TOL if relaxed is not None else QP_RETRY_TOL
-        lower, _ = qp_oracle(qp(u_ref, _shifted(rows, relax), box))
-        upper = qp_oracle(qp(u_ref, _shifted(rows, -FEAS_TOL), box), tol=0.0)
+        lower, _ = qp_oracle(qp(u_ref, shifted(rows, relax), box))
+        upper = qp_oracle(qp(u_ref, shifted(rows, -FEAS_TOL), box), tol=0.0)
         eps = 1e-9 * (1.0 + val)
         assert val >= lower - eps, kind
         assert upper is None or val <= upper[0] + eps, kind
@@ -351,46 +341,38 @@ def _moved(rows, k, rng):
     return moved
 
 
-def _empties(rows, box):
+def _is_empty(rows, box):
     # exact feasibility (tol 0): the certificate's margins lie far above the
     # oracle's own rounding, so an unsound triple would show a point here
-    return _lp_value((0.0, 0.0), rows, box, tol=0.0) is None
+    return lp_value((0.0, 0.0), rows, box, tol=0.0) is None
 
 
 def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
-    # wherever the certificate declares the LPs outside its triple, or a QP
-    # that keeps the triple, empty, the vertex oracle finds no point once
-    # every plane is relaxed by CERT_RELAX; every LP keeps solve_lp's verdict
+    # wherever the certificate declares the LPs outside its triple empty, or
+    # a QP that keeps the triple is empty, the vertex oracle finds no point
+    # once every plane is relaxed by CERT_RELAX (that every LP keeps
+    # solve_lp's verdict is checked by oracles.self_test)
     rng = np.random.default_rng(41)
     seen = {"certified": 0, "fell_back": 0, "qp_certified": 0}
     for _ in range(500):
         rows, box = random_conflict_rows(rng)
-        values = solve_lp_leave_one_out(rows, box)
-        for k, row in enumerate(rows):
-            try:
-                solve_lp(row[:2], rows[:k] + rows[k + 1:], box)
-            except Infeasible:
-                assert values[k] is None, (k, rows)
-            else:
-                assert values[k] is not None, (k, rows)
-        chain = values.chain
+        values, chain = solve_lp_leave_one_out(rows, box)
         cert = chain.cert
         if cert is None:
-            seen["fell_back"] += _empties(rows, box)
+            seen["fell_back"] += _is_empty(rows, box)
             continue
         seen["certified"] += 1
         assert len(chain.polys) <= len(rows)
-        assert _empties(_shifted(rows, CERT_RELAX), box), rows
-        assert _empties(_shifted([rows[k] for k in cert], CERT_RELAX), box), rows
+        assert _is_empty(shifted(rows, CERT_RELAX), box), rows
+        assert _is_empty(shifted([rows[k] for k in cert], CERT_RELAX), box), rows
         assert all(values[k] is None for k in range(len(rows)) if k not in cert)
         outside = [k for k in range(len(rows)) if k not in cert]
         q = _moved(rows, int(rng.choice(outside)), rng) if outside else rows
-        assert chain.empties(q)
         p = qp(rng.uniform(-4.0, 4.0, 2), q, box)
         p.chain = chain
         if _qp_bits(p) == "Infeasible":
             seen["qp_certified"] += 1
-            assert _empties(_shifted(q, CERT_RELAX), box), q
+            assert _is_empty(shifted(q, CERT_RELAX), box), q
     assert all(n >= 20 for n in seen.values()), seen
 
 
@@ -408,7 +390,7 @@ def test_qp_resuming_the_chain_is_bitwise_equal():
             rows, box = random_conflict_rows(rng)
         else:
             _, rows, box = random_lp_instance(rng, max_rows=8)
-        chain = solve_lp_leave_one_out(rows, box).chain
+        chain = solve_lp_leave_one_out(rows, box)[1]
         if len(rows) < 3:
             continue
         m = len(chain.polys) - 1           # the plane that emptied it, if any
@@ -426,7 +408,7 @@ def test_qp_resuming_the_chain_is_bitwise_equal():
     # a plane of the certified triple moved so that only the QP_RETRY_TOL
     # clip holds a point: the relaxed clips must run again
     rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
-    chain = solve_lp_leave_one_out(rows, BOX3).chain
+    chain = solve_lp_leave_one_out(rows, BOX3)[1]
     assert 3 in chain.cert
     q = rows[:3] + [(-1.0, 0.0, -(1.0 - 5e-8))]
     assert _qp_bits(QPProblem((0.0, 0.0), q, BOX3, chain)) == _qp_bits(qp((0.0, 0.0), q))
@@ -449,15 +431,15 @@ def test_qp_resumes_a_chain_built_over_zero_normal_rows(monkeypatch):
     rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
     for zero in [(0.0, 0.0, -1.0), (0.0, 1e-13, 0.0), (0.0, 0.0, FEAS_TOL), (0.0, 0.0, 0.5)]:
         for q in (rows + [zero], [zero] + rows, rows[:3] + [zero], [zero, (0.0, 1.0, 1.0)]):
-            chain = solve_lp_leave_one_out(q, BOX3).chain
+            chain = solve_lp_leave_one_out(q, BOX3)[1]
             for u_ref in [(0.5, 0.0), (-2.9, -2.9)]:
                 resumed.clear()
                 bits = _qp_bits(QPProblem(u_ref, q, BOX3, chain))
                 assert resumed == [chain], (q, u_ref)
                 assert bits == _qp_bits(qp(u_ref, q)), (q, u_ref)
-    assert solve_lp_leave_one_out(rows[:3] + [(0.0, 0.0, 0.5)], BOX3).chain.cert[-1] == 3
+    assert solve_lp_leave_one_out(rows[:3] + [(0.0, 0.0, 0.5)], BOX3)[1].cert[-1] == 3
     # a chain over another box is not resumed
-    chain = solve_lp_leave_one_out(rows, BOX3).chain
+    chain = solve_lp_leave_one_out(rows, BOX3)[1]
     other = Box((-2.0, -2.0), (2.0, 2.0))
     resumed.clear()
     assert _qp_bits(QPProblem((0.0, 0.0), rows, other, chain)) == "Infeasible"

@@ -13,7 +13,7 @@ from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, comb
                             worst_case_motion)
 from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
 
-from test_solvers import _lp_value, _shifted
+from conftest import lp_values_leave_one_out, shifted
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -58,7 +58,7 @@ def test_max_own_contribution_unconstrained_is_box_corner():
     me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
     ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
     row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8)
-    val = max_own_contribution([row_01], BOX3)[0]
+    (val,), _ = max_own_contribution([row_01], BOX3)
     # gi = (-4, 0): best contribution is u_x = -3
     assert val == pytest.approx(12.0)
 
@@ -70,7 +70,7 @@ def test_max_own_contribution_respects_other_pairs():
     ev_02 = eval_barrier(me, integ(2, 1.2, 0.0), d_min=0.5)
     row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8)
     row_01 = cbf_row(eval_barrier(me, integ(1, -2.0, 0.0), d_min=0.5), M, np.zeros(2), 0.8)
-    val = max_own_contribution([row_01, row_02], BOX3)[0]
+    (val, _), _ = max_own_contribution([row_01, row_02], BOX3)
     # toward 1 the payoff is gi = (4, 0); the (0,2) row demands
     # -2.4 u_x >= -0.8 * 1.19, i.e. u_x <= 0.39666...
     assert val == pytest.approx(4.0 * (0.8 * 1.19 / 2.4), abs=1e-9)
@@ -125,7 +125,9 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     #  - one_polygon_exact: P is nonempty, and entry k is the best vertex of P.
     #    That equals solve_lp only in exact arithmetic (sliver polygons differ
     #    by a few 1e-8), so the value must lie in the independent vertex-oracle
-    #    bracket of tests/test_solvers.py;
+    #    bracket: the oracle's values on the other rows relaxed by FEAS_TOL
+    #    and tightened by it (``lp_values_leave_one_out`` reads both for every
+    #    LP of the list at once);
     #  - one_polygon_relaxed: the same on the relaxed P, within 4 FEAS_TOL of
     #    solve_lp (the oracle bracket misses solve_lp itself on some of these
     #    near-parallel cases).
@@ -138,10 +140,11 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     box_poly = _box_polygon(BOX3)
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
-        got = max_own_contribution(rows, BOX3)
+        got, chain = max_own_contribution(rows, BOX3)
         assert len(got) == len(rows)
-        seen["certified"] += got.chain.cert is not None
+        seen["certified"] += chain.cert is not None
         P = {relax: _clip(rows, box_poly, relax) for relax in (0.0, FEAS_TOL)}
+        upper = lower = None
         for k, row in enumerate(rows):
             others = rows[:k] + rows[k + 1:]
             try:
@@ -157,11 +160,12 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 assert got[k].hex() == expected.hex(), (k, rows)
             elif relax == 0.0:
                 seen["one_polygon_exact"] += 1
-                c = np.array(row[:2])
+                if upper is None:
+                    upper = lp_values_leave_one_out(shifted(rows, FEAS_TOL), BOX3)
+                    lower = lp_values_leave_one_out(shifted(rows, -FEAS_TOL), BOX3, tol=0.0)
                 eps = 1e-9 * (1.0 + abs(got[k]))
-                assert got[k] <= _lp_value(c, _shifted(others, FEAS_TOL), BOX3) + eps, (k, rows)
-                lower = _lp_value(c, _shifted(others, -FEAS_TOL), BOX3, tol=0.0)
-                assert lower is None or got[k] >= lower - eps, (k, rows)
+                assert got[k] <= upper[k] + eps, (k, rows)
+                assert lower[k] is None or got[k] >= lower[k] - eps, (k, rows)
             else:
                 seen["one_polygon_relaxed"] += 1
                 assert abs(got[k] - expected) <= 4.0 * FEAS_TOL * (1.0 + abs(expected)), (k, rows)
