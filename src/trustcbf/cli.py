@@ -234,9 +234,8 @@ def write_pairs_csv(trace: Trace, path: Path) -> None:
                  [f",{i},{j}{line}" for i, j in trace.pair_keys])
 
 
-def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: str,
-                    width: int = 800, height: int = 600) -> None:
-    """Hand-emitted SVG polyline chart.
+def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: str) -> None:
+    """Hand-emitted 800 x 600 SVG polyline chart.
 
     ``series`` is a list of (label, xs, ys).  The axis range is exactly the
     data range (no padding), recorded on the root element as data-x-min/max
@@ -249,6 +248,7 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
     y_max = max((max(ys) for _, _, ys in series if len(ys)), default=0.0)
     x_span = x_max - x_min or 1.0
     y_span = y_max - y_min or 1.0
+    width, height = 800, 600
     ml, mr, mt, mb = 70, 150, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
 

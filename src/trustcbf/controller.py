@@ -11,24 +11,26 @@ rate updates, and a new offset b where a pair's rate moved).  Both passes
 compute their formulas inline; the per-pair functions of ``barriers``,
 ``trust`` and ``dynamics`` are the reference they equal bitwise.  The reference
 command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
-integrators) is then projected onto the intersection of all planes inside
-the control box by ``solvers.solve_qp``, which resumes the contribution LPs'
-exact prefix chain up to the first plane whose rate moved.  The decision
-keeps the final planes.  Any unrecoverable condition (empty constraint set,
-barrier at zero) degrades to an emergency stop for that step rather than
-raising.
+integrators that saturates in the box when its descent rate is out of reach)
+is then projected onto the intersection of all planes inside the control box
+by ``solvers.solve_qp``, which resumes the contribution LPs' exact prefix
+chain up to the first plane whose rate moved.  The decision keeps the final
+planes.  The two unrecoverable conditions, an empty safety QP (the only
+Infeasible a step turns into a stop) and a barrier at zero, degrade to an
+emergency stop for that step rather than raising.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .barriers import clf_value, lookahead_point, velocity_map
-from .dynamics import K_OMEGA, K_S, track_reference
+from .dynamics import track_reference
 from .schema import (CLF_K, D_MIN_DEFAULT, DEFAULT_BOX, LOOKAHEAD_DEFAULT, Box, Model,
                      PairRecord, TrustParams)
 from .solvers import Infeasible, QPProblem, solve_qp
@@ -76,13 +78,24 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
 
     The goal is ``target``, by default the agent's own.  For integrators
     only.  At the goal the constraint is vacuous and the command is zero.
-    Raises Infeasible when the box is too small to achieve the required
-    descent rate (callers decide how to degrade).
+    When the box cannot deliver the descent rate (a far goal), the goal
+    condition gives way: the command saturates in the box along the descent
+    direction -gradV, so the agent heads for its goal as fast as the box lets
+    it.  It never raises Infeasible.
     """
     if state.model is not Model.SINGLE_INTEGRATOR:
         raise ValueError("clf_qp_reference applies to single integrators")
     V, (gx, gy) = clf_value(state, target)
-    return solve_qp(QPProblem(u_ref=(0.0, 0.0), rows=[(-gx, -gy, k * V)], box=box))
+    try:
+        return solve_qp(QPProblem(u_ref=(0.0, 0.0), rows=[(-gx, -gy, k * V)], box=box))
+    except Infeasible:
+        gn = gx * gx + gy * gy
+        if gn < 1e-18:
+            return 0.0, 0.0
+        # k * V may overflow; the largest finite scale still saturates the
+        # command along the descent direction, where inf * 0.0 would be NaN.
+        scale = max(-(k * V / gn), -sys.float_info.max)
+        return box.clip((scale * gx, scale * gy))
 
 
 def pair_geometry(i: int, snap: WorldSnapshot,
@@ -274,16 +287,9 @@ def agent_step(i: int, snap: WorldSnapshot,
     records, planes, emergency = score_pairs(i, snap, entries, contribs, cfg)
 
     if me.model is Model.UNICYCLE:
-        if me.target is None:
-            u_ref = (0.0, 0.0)
-        else:
-            u_ref = track_reference(me, me.target, K_S, K_OMEGA, cfg.box)
+        u_ref = track_reference(me, me.target, cfg.box)
     else:
-        try:
-            u_ref = clf_qp_reference(me, CLF_K, cfg.box)
-        except Infeasible:
-            log.debug("t=%.3f agent %d: goal descent infeasible in box; stopping", snap.time, i)
-            u_ref = (0.0, 0.0)
+        u_ref = clf_qp_reference(me, CLF_K, cfg.box)
 
     fallback = Fallback.NONE
     if emergency:

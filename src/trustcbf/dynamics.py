@@ -114,9 +114,9 @@ def nominal_trajectory(state0: AgentState, gain: float, horizon: float,
 
 
 def track_reference(state: AgentState, waypoint: tuple[float, float],
-                    k_s: float = K_S, k_omega: float = K_OMEGA,
                     box: Box = DEFAULT_BOX) -> tuple[float, float]:
-    """Proportional waypoint tracking for unicycles: v on distance, omega on bearing error.
+    """Proportional waypoint tracking for unicycles: v = K_S times the distance,
+    omega = K_OMEGA times the bearing error.
 
     With zero position error both commands are zero (the bearing is undefined
     there, so no turn is commanded).  The result is clamped to the box.
@@ -128,6 +128,6 @@ def track_reference(state: AgentState, waypoint: tuple[float, float],
     dist = math.hypot(ex, ey)
     if dist < 1e-12:
         return 0.0, 0.0
-    v = k_s * dist
-    omega = k_omega * wrap_angle(math.atan2(ey, ex) - state.psi)
+    v = K_S * dist
+    omega = K_OMEGA * wrap_angle(math.atan2(ey, ex) - state.psi)
     return box.clip((v, omega))

@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 from array import array
 from collections.abc import Sequence
 from typing import Callable, Optional
 
-from .barriers import clf_value
 from .controller import AgentConfig, ControlDecision, agent_step, clf_qp_reference
 from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
                      AgentSpec, Box, PairRecord, Scenario)
-from .solvers import Infeasible
 from .world import AgentState, WorldSnapshot, estimate_positions
 
 log = logging.getLogger(__name__)
@@ -116,44 +113,31 @@ def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
                      k: float = CLF_K, box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Chase the prey's current position with an exponentially stabilizing descent.
 
-    When the box cannot deliver the required descent rate (prey far away or
-    fleeing at full speed), the command saturates along the pursuit direction
-    instead of stopping.
+    This is ``clf_qp_reference`` with the prey's position as the goal, so when
+    the box cannot deliver the required descent rate (prey far away or fleeing
+    at full speed), the command saturates along the pursuit direction instead
+    of stopping.
     """
     prey_pos = (snapshot.agents[prey].px, snapshot.agents[prey].py)
-    try:
-        return clf_qp_reference(state, k, box, target=prey_pos)
-    except Infeasible:
-        V, (gx, gy) = clf_value(state, prey_pos)
-        gn = gx * gx + gy * gy
-        if gn < 1e-18:
-            return 0.0, 0.0
-        # k * V may overflow; the largest finite scale still saturates the
-        # command along the pursuit direction, where inf * 0.0 would be NaN.
-        scale = max(-(k * V / gn), -sys.float_info.max)
-        return box.clip((scale * gx, scale * gy))
+    return clf_qp_reference(state, k, box, target=prey_pos)
 
 
-def uncooperative_policy(state: AgentState, speed: float = 1.0,
-                         dt: Optional[float] = None,
+def uncooperative_policy(state: AgentState, speed: float, dt: float,
                          box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Constant-velocity motion toward the agent's own target; zero at the target.
 
     Depends on nothing but the agent's own state, so other agents cannot
-    perturb it.  With ``dt`` given, the last step onto the target is shortened
+    perturb it.  The last step of length ``dt`` onto the target is shortened
     to land exactly instead of overshooting.  The command is clipped to
     ``box``, so a speed the box cannot deliver saturates there, and the
-    recorded command is the one applied.
+    recorded command is the one applied.  The target must be known, as
+    ``Scenario.validate`` requires of every uncooperative agent.
     """
-    if state.target is None:
-        return 0.0, 0.0
     ex, ey = state.target[0] - state.px, state.target[1] - state.py
     dist = math.sqrt(ex * ex + ey * ey)
     if dist < 1e-12:
         return 0.0, 0.0
-    v = speed
-    if dt is not None and dist < speed * dt:
-        v = dist / dt
+    v = dist / dt if dist < speed * dt else speed
     scale = v / dist
     return box.clip((scale * ex, scale * ey))
 

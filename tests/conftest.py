@@ -2,13 +2,14 @@
 
 The shipped scenario files are the only definition of the shipped scenarios;
 ``shipped`` loads one, with any field replaced.  ``ring12_dict`` is the
-scenario JSON of a 12-agent antipodal ring.  The two benchmark scenarios
-are expensive enough that the acceptance tests run each of them exactly once
-per session.  ``shifted``, ``lp_value`` and ``lp_values_leave_one_out`` read
+scenario JSON of a 12-agent antipodal ring.  The shipped scenarios and that
+ring are expensive enough that the tests run each of them exactly once per
+session.  ``shifted``, ``lp_value`` and ``lp_values_leave_one_out`` read
 LP values from the vertex oracle, for the solver tests' brackets.
 """
 
 import dataclasses
+import json
 import math
 import time
 from pathlib import Path
@@ -101,3 +102,12 @@ def stress_runs():
         s = shipped("headon_stress", rate_floor=flag)
         out[flag] = (s, run(s))
     return out
+
+
+@pytest.fixture(scope="session")
+def ring12_run(tmp_path_factory):
+    """The ``ring12_dict()`` run, loaded from its JSON: (scenario, trace)."""
+    path = tmp_path_factory.mktemp("ring12") / "ring12.json"
+    path.write_text(json.dumps(ring12_dict()))
+    s = load_scenario(path)
+    return s, run(s)

@@ -11,7 +11,7 @@ from trustcbf import controller, sim
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, agent_step,
                                  clf_qp_reference, pair_geometry, score_pairs)
-from trustcbf.dynamics import K_OMEGA, K_S, nominal_direction, track_reference
+from trustcbf.dynamics import nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
 from trustcbf.schema import MAGNITUDE_BOUND, Box, PairRecord, TrustParams
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
@@ -67,11 +67,16 @@ def test_clf_reference_minimum_norm_solution():
     assert np.allclose(u, [-1.0, 0.0], atol=1e-12)
 
 
-def test_clf_reference_zero_at_goal_and_infeasible_when_far():
+def test_clf_reference_zero_at_goal_and_saturated_when_far():
     u = clf_qp_reference(integ(0, 1.0, 1.0, target=(1.0, 1.0)), box=BOX3)
     assert np.allclose(u, 0.0)
-    with pytest.raises(Infeasible):
-        clf_qp_reference(integ(0, 10.0, 0.0, target=(0.0, 0.0)), k=2.0, box=BOX3)
+    # the descent rate k V = 200 needs speed 10 > 3: the command saturates
+    # toward the goal instead of giving up
+    assert clf_qp_reference(integ(0, 10.0, 0.0, target=(0.0, 0.0)), k=2.0, box=BOX3) \
+        == (-3.0, 0.0)
+    # on a diagonal the box clips each axis: (-3, -3), still toward the goal
+    assert clf_qp_reference(integ(0, 10.0, 10.0, target=(0.0, 0.0)), k=2.0, box=BOX3) \
+        == (-3.0, -3.0)
     with pytest.raises(ValueError):
         clf_qp_reference(uni(0, 0.0, 0.0), box=BOX3)
 
@@ -433,13 +438,9 @@ def _reference_step(i, snap, estimates, pairs, cfg):
         rows.append(row if alpha == prev.alpha
                     else cbf_row(ev, M, a_j, alpha))
     if me.model is Model.UNICYCLE:
-        u_ref = (0.0, 0.0) if me.target is None else track_reference(
-            me, me.target, K_S, K_OMEGA, cfg.box)
+        u_ref = track_reference(me, me.target, cfg.box)
     else:
-        try:
-            u_ref = clf_qp_reference(me, CLF_K, cfg.box)
-        except Infeasible:
-            u_ref = (0.0, 0.0)
+        u_ref = clf_qp_reference(me, CLF_K, cfg.box)
     u_safe, fallback = (0.0, 0.0), Fallback.EMERGENCY
     if not stop:
         try:

@@ -83,7 +83,7 @@ def test_uncooperative_policy_cruises_and_lands():
     a = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
                    model=Model.SINGLE_INTEGRATOR, px=0.0, py=0.0,
                    target=(3.0, 4.0))
-    u = uncooperative_policy(a, speed=2.0)
+    u = uncooperative_policy(a, speed=2.0, dt=0.05)
     assert np.allclose(u, [1.2, 1.6])  # speed 2 toward (3, 4)
     near = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
                       model=Model.SINGLE_INTEGRATOR, px=2.98, py=4.0,
@@ -93,7 +93,7 @@ def test_uncooperative_policy_cruises_and_lands():
     at = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
                     model=Model.SINGLE_INTEGRATOR, px=3.0, py=4.0,
                     target=(3.0, 4.0))
-    assert np.allclose(uncooperative_policy(at), 0.0)
+    assert np.allclose(uncooperative_policy(at, speed=1.0, dt=0.05), 0.0)
 
 
 def test_adversary_policy_chases_prey():
@@ -156,6 +156,22 @@ def test_run_intact_agent_progresses_and_stays_safe():
     # barrier forces a stop short of the goal straight line or a detour; the
     # agent still ends closer to the goal than it started
     assert m["agents"][0]["final_goal_distance"] < 5.0
+
+
+def test_far_intact_integrator_reaches_its_goal():
+    # 10 m out, the goal descent asks for CLF_K V / ||grad V|| = 10 m/s and the
+    # default box gives 3: the reference saturates toward the goal, as the
+    # adversaries' does, instead of standing still
+    s = Scenario(agents=[
+        AgentSpec(AgentKind.INTACT, Model.SINGLE_INTEGRATOR, (0.0, 0.0), (10.0, 0.0)),
+        spec_static(0.0, 30.0),
+    ], duration=6.0, dt=0.05)
+    tr = run(s)
+    assert tr.agents[0][0].u_ref == (3.0, 0.0)
+    a = metrics(tr, s)["agents"][0]
+    # 7 m at 3 m/s, then exponential descent from 3 m to GOAL_TOL: about 5 s
+    assert a["goal_reach_time"] == pytest.approx(5.0)
+    assert a["final_goal_distance"] < sim.GOAL_TOL
 
 
 def test_metrics_trivial_goal_already_reached():
@@ -329,7 +345,7 @@ def _numpy_uncooperative(state, speed, dt):
     dist = float(np.linalg.norm(e))
     if dist < 1e-12:
         return np.zeros(2)
-    v = speed if dt is None or dist >= speed * dt else dist / dt
+    v = speed if dist >= speed * dt else dist / dt
     return (v / dist) * e
 
 
@@ -361,7 +377,7 @@ def test_policies_match_numpy_formulas():
             tx, ty = x + 0.01, y - 0.02   # inside the last step
         a = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE, model=Model.SINGLE_INTEGRATOR,
                        px=x, py=y, target=(tx, ty))
-        speed, dt = float(rng.uniform(0.1, 2.0)), (None, 0.05)[k % 2]
+        speed, dt = float(rng.uniform(0.1, 2.0)), (0.01, 0.05)[k % 2]
         got = uncooperative_policy(a, speed, dt)
         ref = _numpy_uncooperative(a, speed, dt)
         assert type(got) is tuple and all(type(v) is float for v in got)
