@@ -1,10 +1,10 @@
 """Control-affine agent models and goal-directed reference motion.
 
 Two drift-free models are supported: a unicycle with control (v, omega) and a
-single integrator with control (vx, vy).  Integration is explicit Euler; the
-heading is re-wrapped to (-pi, pi] after every step.  Controls live in a box,
-which is a deliberate departure from unbounded-input theory: it keeps the
-worst-case linear programs bounded.
+single integrator with control (vx, vy).  ``euler_step`` integrates both
+with explicit Euler; the ``AgentState`` it returns wraps the heading to
+(-pi, pi].  Controls live in a box, which is a deliberate departure from
+unbounded-input theory: it keeps the worst-case linear programs bounded.
 """
 
 from __future__ import annotations
@@ -24,22 +24,13 @@ class ModelMismatch(Exception):
     """An operation received a state whose model it does not support."""
 
 
-def unicycle_derivative(state: AgentState, u: Sequence[float]) -> tuple[float, float, float]:
-    """(px_dot, py_dot, psi_dot) = (v cos psi, v sin psi, omega)."""
-    if state.model is not Model.UNICYCLE:
-        raise ModelMismatch(f"agent {state.id} is not a unicycle")
-    v, omega = float(u[0]), float(u[1])
-    return v * math.cos(state.psi), v * math.sin(state.psi), omega
-
-
-def integrator_derivative(state: AgentState, u: Sequence[float]) -> tuple[float, float]:
-    if state.model is not Model.SINGLE_INTEGRATOR:
-        raise ModelMismatch(f"agent {state.id} is not a single integrator")
-    return float(u[0]), float(u[1])
-
-
 def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFAULT_BOX) -> AgentState:
-    """One explicit Euler step.  Out-of-box commands are clamped with a warning."""
+    """One explicit Euler step of either model.
+
+    A unicycle moves (v cos psi, v sin psi, omega) dt, an integrator
+    (vx, vy) dt.  Out-of-box commands are clamped with a warning.  The new
+    heading is handed over unwrapped: ``AgentState`` wraps it.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = float(u[0]), float(u[1])
@@ -47,19 +38,13 @@ def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFA
         warnings.warn(f"agent {state.id}: command {list(u)} clamped to control box", stacklevel=2)
         u = box.clip(u)
     if state.model is Model.UNICYCLE:
-        dx, dy, dpsi = unicycle_derivative(state, u)
-        return AgentState(
-            id=state.id, kind=state.kind, model=state.model,
-            px=state.px + dt * dx, py=state.py + dt * dy,
-            psi=wrap_angle(state.psi + dt * dpsi),
-            target=state.target,
-        )
-    dx, dy = integrator_derivative(state, u)
-    return AgentState(
-        id=state.id, kind=state.kind, model=state.model,
-        px=state.px + dt * dx, py=state.py + dt * dy, psi=0.0,
-        target=state.target,
-    )
+        v, omega = u
+        dx, dy, psi = v * math.cos(state.psi), v * math.sin(state.psi), state.psi + dt * omega
+    else:
+        dx, dy, psi = u[0], u[1], 0.0
+    return AgentState(id=state.id, kind=state.kind, model=state.model,
+                      px=state.px + dt * dx, py=state.py + dt * dy, psi=psi,
+                      target=state.target)
 
 
 def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] = None,

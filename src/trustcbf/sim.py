@@ -5,8 +5,9 @@ The scenario a run reads and the records its trace holds are defined in
 
 The update is synchronous: every agent's command for step k is computed from
 the same immutable snapshot of step k, then all states advance together by one
-Euler step.  With no randomness anywhere in the loop, two runs of the same
-scenario produce bitwise identical traces.
+Euler step.  One pass over the agents decides and records each of them; only
+the commands outlive it.  With no randomness anywhere in the loop, two runs of
+the same scenario produce bitwise identical traces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from array import array
 from collections.abc import Sequence
 from typing import Callable, Optional
 
-from .controller import AgentConfig, ControlDecision, agent_step, clf_qp_reference
+from .controller import AgentConfig, agent_step, clf_qp_reference
 from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
                      AgentSpec, Box, PairRecord, Scenario)
@@ -155,7 +156,12 @@ def run(s: Scenario) -> Trace:
 
     Commands and pair statistics are recorded at every time 0, dt, ..., up to
     floor(duration/dt)*dt inclusive; the final record's commands are computed
-    but not applied.
+    but not applied.  Each step walks the agents once in id order: an intact
+    agent's command comes from ``agent_step``, whose pair records it writes
+    and checks against the previous ones for ``euler_slack_events``; any
+    other agent's comes from its policy, and is its reference too.  Every
+    agent writes its trace row in the same pass, and the Euler steps read
+    only the commands.
     """
     s.validate()
     t = 0.0
@@ -183,40 +189,36 @@ def run(s: Scenario) -> Trace:
     for k in range(steps + 1):
         snap = WorldSnapshot(time=t, agents=agents)
         estimates = estimate_positions(prev, snap, watched)
-        decisions: list[ControlDecision] = []   # index == agent id
-        for a in snap.agents:
-            spec = s.agents[a.id]
+        trace.times.append(t)
+        commands = []   # index == agent id
+        for a, spec in zip(agents, s.agents):
             if a.kind is AgentKind.INTACT:
-                decisions.append(agent_step(a.id, snap, estimates, pairs[a.id], cfgs[a.id]))
-                continue
-            if a.kind is AgentKind.ADVERSARIAL:
-                u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
+                d = agent_step(a.id, snap, estimates, pairs[a.id], cfgs[a.id])
+                u_ref, u, fallback = d.u_ref, d.u_safe, d.fallback.value
+                trace.pair_data.fromlist([v for rec in d.pairs for v in rec])
+                if k > 0:
+                    # Pair-steps that broke the barrier-rate inequality by
+                    # more than the Euler slack.
+                    for old, rec in zip(pairs[a.id], d.pairs):
+                        slack = (rec.h - old.h) / s.dt + old.alpha * old.h
+                        if slack < -EULER_SLACK_FACTOR * s.dt:
+                            trace.euler_slack_events += 1
+                pairs[a.id] = d.pairs
             else:
-                u = uncooperative_policy(a, spec.speed, s.dt, spec.box)
-            decisions.append(ControlDecision(u_ref=u, u_safe=u))
-
-        trace.times.append(snap.time)
-        # Each record's values in AgentRecord and PairRecord field order.
-        trace.agent_data.fromlist([v for a, d in zip(snap.agents, decisions)
-                                   for v in (a.px, a.py, a.psi, *d.u_ref, *d.u_safe,
-                                             d.fallback.value)])
-        trace.pair_data.fromlist([v for i in intact for rec in decisions[i].pairs for v in rec])
-        for i in intact:
-            new = decisions[i].pairs
-            if k > 0:
-                # Pair-steps that broke the barrier-rate inequality by more
-                # than the Euler slack.
-                for old, rec in zip(pairs[i], new):
-                    slack = (rec.h - old.h) / s.dt + old.alpha * old.h
-                    if slack < -EULER_SLACK_FACTOR * s.dt:
-                        trace.euler_slack_events += 1
-            pairs[i] = new
+                if a.kind is AgentKind.ADVERSARIAL:
+                    u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
+                else:
+                    u = uncooperative_policy(a, spec.speed, s.dt, spec.box)
+                u_ref, fallback = u, 0
+            # The agent's record in AgentRecord field order.
+            trace.agent_data.fromlist([a.px, a.py, a.psi, *u_ref, *u, fallback])
+            commands.append(u)
 
         if k == steps:
             break
         prev = snap
-        agents = tuple(euler_step(a, d.u_safe, s.dt, spec.box)
-                       for a, d, spec in zip(agents, decisions, s.agents))
+        agents = tuple(euler_step(a, u, s.dt, spec.box)
+                       for a, u, spec in zip(agents, commands, s.agents))
         t += s.dt
 
         # Check the estimate balls the observers used against each watched
@@ -245,8 +247,9 @@ def _distance(p: tuple[float, float], q: tuple[float, float]) -> float:
 
 
 def _fallbacks(trace: Trace) -> int:
-    """Emergency fallbacks over every agent-step of the trace."""
-    return int(sum(trace.agent_column("fallback")))
+    """Agent-steps of the trace that fell back, whatever the fallback's code."""
+    column = trace.agent_column("fallback")
+    return len(column) - column.count(0.0)
 
 
 def metrics(trace: Trace, s: Scenario) -> dict:

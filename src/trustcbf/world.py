@@ -41,9 +41,11 @@ def is_float_pair(v) -> bool:
 class AgentState:
     """Immutable per-agent record.
 
-    ``psi`` is meaningful for unicycles only and is normalized to (-pi, pi] on
-    construction.  ``target`` is the agent's declared goal position; ``None``
-    marks it unknown to observers.
+    ``psi`` is meaningful for unicycles only.  Construction wraps it to
+    (-pi, pi]; this is the one place a heading is wrapped, so
+    ``dynamics.euler_step`` hands over psi + dt omega as it is.  ``target`` is
+    the agent's declared goal position; ``None`` marks it unknown to
+    observers.
     """
 
     id: int

@@ -31,13 +31,16 @@ with l = omega = 0 for an integrator observer; float rounding of the slack,
 about 1e-12 here, falls well inside QP_RETRY_TOL.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
+from trustcbf.cli import load_scenario
 from trustcbf.solvers import QP_RETRY_TOL
 from trustcbf.world import AgentState, Model, WorldSnapshot, estimate_motion
 
@@ -91,14 +94,28 @@ def pair_steps(s, trace) -> list[PairStep]:
     return out
 
 
-@pytest.fixture(params=["crossing", "headon", "ring12"])
-def finished_run(request):
-    """(scenario, trace) of one input, from the session's runs."""
+def _benchmark_workloads():
+    """``perfbench/workloads.py``, the module that writes the benchmark's inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["crossing", "headon", "ring12",
+                        "ring12-0", "ring12-1", "ring12-2", "ring12-3"])
+def finished_run(request, tmp_path):
+    """(scenario, trace) of one input: the session's runs, or a run of one of
+    the benchmark's four ring12 inputs from the scenario file it writes."""
     if request.param == "crossing":
         return request.getfixturevalue("crossing_adaptive")[:2]
     if request.param == "headon":
         return request.getfixturevalue("stress_runs")[True]
-    return request.getfixturevalue("ring12_run")
+    if request.param == "ring12":
+        return request.getfixturevalue("ring12_run")
+    s = load_scenario(_benchmark_workloads().scenario_file(request.param, tmp_path))
+    return s, sim.run(s)
 
 
 def test_every_barrier_rate_violation_has_a_broken_assumption(finished_run):

@@ -6,10 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from trustcbf.dynamics import (DEFAULT_BOX, ModelMismatch, euler_step,
-                               integrator_derivative, nominal_direction,
-                               nominal_trajectory, track_reference,
-                               unicycle_derivative)
+from trustcbf.dynamics import (DEFAULT_BOX, ModelMismatch, euler_step, nominal_direction,
+                               nominal_trajectory, track_reference)
 from trustcbf.schema import Box
 from trustcbf.world import AgentKind, AgentState, Model, wrap_angle
 
@@ -42,18 +40,12 @@ def test_box_clip_and_contains():
         Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
 
 
-def test_unicycle_derivative_axis_headings():
-    assert np.allclose(unicycle_derivative(uni(psi=0.0), [2.0, 0.5]),
-                       [2.0, 0.0, 0.5])
-    d = unicycle_derivative(uni(psi=math.pi / 2.0), [2.0, -1.0])
-    assert np.allclose(d, [0.0, 2.0, -1.0], atol=1e-15)
-
-
-def test_derivative_model_mismatch():
-    with pytest.raises(ModelMismatch):
-        unicycle_derivative(integ(), [1.0, 0.0])
-    with pytest.raises(ModelMismatch):
-        integrator_derivative(uni(), [1.0, 0.0])
+def test_euler_step_unicycle_axis_headings():
+    # (v cos psi, v sin psi, omega) dt at psi = 0 and psi = pi/2
+    s = euler_step(uni(psi=0.0), [2.0, 0.5], 0.1)
+    assert np.allclose((s.px, s.py, s.psi), [0.2, 0.0, 0.05], atol=1e-15)
+    s = euler_step(uni(psi=math.pi / 2.0), [2.0, -1.0], 0.1)
+    assert np.allclose((s.px, s.py, s.psi), [0.0, 0.2, math.pi / 2.0 - 0.1], atol=1e-15)
 
 
 def test_euler_step_exact_arithmetic():

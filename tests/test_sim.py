@@ -2,14 +2,13 @@
 
 import dataclasses
 import math
+import random
 import struct
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
@@ -199,6 +198,18 @@ def test_metrics_cover_intact_agents_only():
     assert math.isfinite(m["min_h"])
 
 
+def test_emergency_events_count_agent_steps_not_fallback_codes():
+    # one agent over four steps whose fallback codes are 0, 1, 2, 0: two
+    # agent-steps fell back, whatever their codes add up to
+    tr = sim.Trace(1, [])
+    for k, code in enumerate((0, 1, 2, 0)):
+        tr.times.append(0.05 * k)
+        tr.agent_data.fromlist([0.0] * (len(AgentRecord._fields) - 1) + [code])
+    assert [step[0].fallback for step in tr.agents] == [0, 1, 2, 0]
+    s = Scenario(agents=[spec_static(0.0, 0.0)], duration=0.15)
+    assert metrics(tr, s)["emergency_events"] == 2
+
+
 def test_crossing_scenario_shape():
     s = shipped("crossing")
     kinds = [a.kind for a in s.agents]
@@ -217,36 +228,40 @@ def test_headon_stress_scenario_shape():
     assert s.trust.gamma_alpha >= 100.0  # aggressive by construction
 
 
-COORD = st.floats(-4.0, 4.0)
+def small_scenarios(seed, count):
+    """``count`` scenarios drawn from ``random.Random(seed)``: 2-8 agents of
+    mixed kinds and models (agent 0 intact) on a 1-2 s horizon, each value
+    uniform on its interval."""
+    rng = random.Random(seed)
 
+    def coord():
+        return rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
 
-@st.composite
-def small_scenarios(draw, agents=st.integers(2, 8)):
-    """``agents`` agents of mixed kinds and models (at least one intact) on a 1-2 s horizon."""
-    n = draw(agents)
-    kinds = draw(st.lists(st.sampled_from(list(AgentKind)), min_size=n, max_size=n))
-    kinds[0] = AgentKind.INTACT
-    agents = []
-    for idx, kind in enumerate(kinds):
-        half = draw(st.floats(0.5, 3.0))
-        box = Box((-half, -half), (half, half))
-        start = (draw(COORD), draw(COORD))
-        target = (draw(COORD), draw(COORD))
-        if kind is AgentKind.INTACT:
-            model = draw(st.sampled_from(list(Model)))
-            if model is Model.UNICYCLE:
-                start += (draw(st.floats(-math.pi, math.pi)),)
-            agents.append(AgentSpec(kind, model, start, target, d_min=draw(st.floats(0.2, 0.8)),
-                                    box=box))
-        elif kind is AgentKind.ADVERSARIAL:
-            prey = draw(st.sampled_from([k for k in range(n) if k != idx]))
-            agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
-                                    prey=prey, gain=draw(st.floats(0.1, 2.0))))
-        else:
-            agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
-                                    speed=draw(st.floats(0.1, half))))
-    return Scenario(agents=agents, duration=draw(st.sampled_from([1.0, 1.5, 2.0])),
-                    fixed_alpha=draw(st.booleans()), rate_floor=draw(st.booleans()))
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 8)
+        kinds = [AgentKind.INTACT] + [rng.choice(list(AgentKind)) for _ in range(n - 1)]
+        agents = []
+        for idx, kind in enumerate(kinds):
+            half = rng.uniform(0.5, 3.0)
+            box = Box((-half, -half), (half, half))
+            start, target = coord(), coord()
+            if kind is AgentKind.INTACT:
+                model = rng.choice(list(Model))
+                if model is Model.UNICYCLE:
+                    start += (rng.uniform(-math.pi, math.pi),)
+                agents.append(AgentSpec(kind, model, start, target,
+                                        d_min=rng.uniform(0.2, 0.8), box=box))
+            elif kind is AgentKind.ADVERSARIAL:
+                prey = rng.choice([k for k in range(n) if k != idx])
+                agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
+                                        prey=prey, gain=rng.uniform(0.1, 2.0)))
+            else:
+                agents.append(AgentSpec(kind, Model.SINGLE_INTEGRATOR, start, target, box=box,
+                                        speed=rng.uniform(0.1, half)))
+        out.append(Scenario(agents=agents, duration=rng.choice([1.0, 1.5, 2.0]),
+                            fixed_alpha=rng.random() < 0.5, rate_floor=rng.random() < 0.5))
+    return out
 
 
 def _trace_array(tr):
@@ -325,17 +340,10 @@ def _check_run_properties(s):
 
 
 def test_run_properties_on_random_scenarios():
-    # 60 examples of 2-8 agents, then 20 of 7-8: hypothesis favours small
-    # draws, so the larger scenarios get a pass of their own
-    sizes = []
-    for agents, examples in ((st.integers(2, 8), 60), (st.integers(7, 8), 20)):
-        @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
-        @given(small_scenarios(agents))
-        def check(s):
-            sizes.append(len(s.agents))
-            _check_run_properties(s)
-
-        check()
+    scenarios = small_scenarios(0, 80)
+    for s in scenarios:
+        _check_run_properties(s)
+    sizes = [len(s.agents) for s in scenarios]
     assert sum(n >= 7 for n in sizes) >= 10, sizes
 
 
@@ -551,13 +559,8 @@ def _trace_holds_the_decisions(s):
 
 def test_trace_holds_the_controllers_records_bitwise():
     _trace_holds_the_decisions(shipped("crossing", duration=2.0))
-
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
-    @given(small_scenarios())
-    def check(s):
+    for s in small_scenarios(1, 8):
         _trace_holds_the_decisions(s)
-
-    check()
 
 
 def test_trace_steps_index_slice_and_compare_like_lists_and_dicts():
