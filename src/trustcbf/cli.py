@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import MISSING, fields
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -241,9 +240,16 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
     data range (no padding), recorded on the root element as data-x-min/max
     and data-y-min/max so downstream checks can read the plotted extents.  A
     chart without points (a scenario with no observed pairs) spans [0, 0].
+
+    Series may share their x list (every pair series plots against
+    trace.times).  Each distinct x list is read once: for the x extents, and
+    for its points template, its screen x strings each followed by a %-format
+    for the screen y, so one ``%`` over a series' screen y values formats
+    its polyline.
     """
-    x_min = min((min(xs) for _, xs, _ in series if len(xs)), default=0.0)
-    x_max = max((max(xs) for _, xs, _ in series if len(xs)), default=0.0)
+    xlists = list({id(xs): xs for _, xs, _ in series}.values())
+    x_min = min((min(xs) for xs in xlists if len(xs)), default=0.0)
+    x_max = max((max(xs) for xs in xlists if len(xs)), default=0.0)
     y_min = min((min(ys) for _, _, ys in series if len(ys)), default=0.0)
     y_max = max((max(ys) for _, _, ys in series if len(ys)), default=0.0)
     x_span = x_max - x_min or 1.0
@@ -268,17 +274,12 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
         f'<text x="{ml}" y="{mt + ph + 16}" text-anchor="middle" font-size="10">{x_min:.4g}</text>',
         f'<text x="{ml + pw}" y="{mt + ph + 16}" text-anchor="middle" font-size="10">{x_max:.4g}</text>',
     ]
-    last_xs = sx = None
+    # Screen coordinates: x maps onto [ml, ml + pw], y onto [mt + ph, mt].
+    templates = {id(xs): " ".join(["%.2f,%%.2f" % (ml + (x - x_min) / x_span * pw) for x in xs])
+                 for xs in xlists}
     for idx, (label, xs, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        # Screen coordinates: x maps onto [ml, ml + pw], y onto [mt + ph, mt].
-        # Series that share their x list (every pair series plots against
-        # trace.times) share its formatted screen x strings.
-        if xs is not last_xs:
-            sx = ["%.2f" % (ml + (x - x_min) / x_span * pw) for x in xs]
-            last_xs = xs
-        sy = [mt + ph - (y - y_min) / y_span * ph for y in ys]
-        pts = " ".join(("%s,%.2f",) * len(sy)) % tuple(chain.from_iterable(zip(sx, sy)))
+        pts = templates[id(xs)] % tuple([mt + ph - (y - y_min) / y_span * ph for y in ys])
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = mt + 14 + 16 * idx
         parts.append(f'<line x1="{ml + pw + 8}" y1="{ly - 4}" x2="{ml + pw + 28}" y2="{ly - 4}" '

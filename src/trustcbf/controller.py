@@ -35,7 +35,7 @@ from .schema import (CLF_K, D_MIN_DEFAULT, DEFAULT_BOX, LOOKAHEAD_DEFAULT, Box, 
                      PairRecord, TrustParams)
 from .solvers import Infeasible, QPProblem, solve_qp
 from .trust import H_BOUNDARY_EPS, THETA_FLOOR, max_own_contribution
-from .world import MotionEstimate, WorldSnapshot, bootstrap_estimate
+from .world import MotionEstimate, WorldSnapshot
 
 log = logging.getLogger(__name__)
 
@@ -98,8 +98,7 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
         return box.clip((scale * gx, scale * gy))
 
 
-def pair_geometry(i: int, snap: WorldSnapshot,
-                  estimates: Mapping[int, Optional[MotionEstimate]],
+def pair_geometry(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstimate],
                   pairs: Sequence[PairRecord], cfg: AgentConfig
                   ) -> tuple[list[tuple], list[tuple]]:
     """Geometry pass of observer i: one entry and one start-of-step half-plane
@@ -109,9 +108,9 @@ def pair_geometry(i: int, snap: WorldSnapshot,
     ``(other, prev, h, gx, gy, gn, cx, cy, r, bootstrapped, wdot, plane)``:
     the neighbor's state and the pair's previous record, the barrier h, its
     gradient (gx, gy) = grad_i = -grad_j and gn = ||grad_j||, the estimate
-    ball's center (cx, cy) and radius r (``bootstrapped`` marks the bootstrap
-    ball), wdot = grad_j . w at the ball's worst-case point w, and the row's
-    half-plane (a0, a1, b).  Per neighbor this is ``eval_barrier``, then
+    ball's center (cx, cy) and radius r (``bootstrapped`` is the estimate's
+    ``bootstrap`` flag, which marks the speed-bound prior), wdot = grad_j . w
+    at the ball's worst-case point w, and the row's half-plane (a0, a1, b).  Per neighbor this is ``eval_barrier``, then
     ``worst_case_motion`` against grad_j, then ``cbf_row`` at the pair's
     previous alpha, as plain floats in the same order of operations, so every
     value equals theirs bitwise.  The barrier point and velocity map are the
@@ -128,15 +127,11 @@ def pair_geometry(i: int, snap: WorldSnapshot,
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
     dd = d_min * d_min
-    boot = bootstrap_estimate(v_max=cfg.trust.v_max)
     entries: list[tuple] = []
     planes: list[tuple] = []
     for other, prev in zip([a for a in snap.agents if a.id != i], pairs, strict=True):
         est = estimates[other.id]
-        bootstrapped = est is None
-        if bootstrapped:
-            est = boot
-        (cx, cy), r = est.center, est.radius
+        (cx, cy), r, bootstrapped = est.center, est.radius, est.bootstrap
         dx = pix - other.px
         dy = piy - other.py
         gx, gy = 2.0 * dx, 2.0 * dy
@@ -266,15 +261,14 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     return records, planes, emergency
 
 
-def agent_step(i: int, snap: WorldSnapshot,
-               estimates: Mapping[int, Optional[MotionEstimate]],
+def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstimate],
                pairs: Sequence[PairRecord], cfg: AgentConfig) -> ControlDecision:
     """One full control step for intact agent i on the snapshot ``snap``.
 
-    ``estimates`` maps every neighbor id to its motion estimate, or to None
-    before its motion can be estimated (the bootstrap ball then stands in for
-    it); ``world.estimate_positions`` builds it once per step for all
-    observers.  ``pairs`` holds the previous step's record of each pair in
+    ``estimates`` maps every neighbor id to its motion estimate; before a
+    neighbor's motion can be observed that is the speed-bound prior, flagged
+    ``bootstrap``.  ``world.estimate_positions`` builds it once per step for
+    all observers.  ``pairs`` holds the previous step's record of each pair in
     neighbor-id order, and the decision's ``pairs`` holds the new ones, each
     with its barrier value on this snapshot.  Nothing is mutated.  All
     per-pair computations read rates as of the start of the step, so their

@@ -22,7 +22,7 @@ from .controller import AgentConfig, agent_step, clf_qp_reference
 from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
                      AgentSpec, Box, PairRecord, Scenario)
-from .world import AgentState, WorldSnapshot, estimate_positions
+from .world import AgentState, WorldSnapshot, estimate_misses, estimate_positions
 
 log = logging.getLogger(__name__)
 
@@ -188,7 +188,7 @@ def run(s: Scenario) -> Trace:
 
     for k in range(steps + 1):
         snap = WorldSnapshot(time=t, agents=agents)
-        estimates = estimate_positions(prev, snap, watched)
+        estimates = estimate_positions(prev, snap, watched, s.trust.v_max)
         trace.times.append(t)
         commands = []   # index == agent id
         for a, spec in zip(agents, s.agents):
@@ -223,14 +223,7 @@ def run(s: Scenario) -> Trace:
 
         # Check the estimate balls the observers used against each watched
         # agent's real next motion; misses are counted, never enforced.
-        for j, est in estimates.items():
-            if est is None:
-                continue
-            a1, a2 = snap.agents[j], agents[j]
-            dx = (a2.px - a1.px) / s.dt - est.center[0]
-            dy = (a2.py - a1.py) / s.dt - est.center[1]
-            if math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9:
-                trace.estimate_violations += 1
+        trace.estimate_violations += estimate_misses(estimates, snap.agents, agents, s.dt)
 
     stops = _fallbacks(trace)
     if stops:

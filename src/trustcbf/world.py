@@ -4,15 +4,17 @@ Agents only ever see each other through immutable snapshots of the world.  A
 neighbor's future motion is unknown, so observers bound its position rate
 with a ball: the center is the finite-difference position rate between the
 previous snapshot and the current one, and the radius is ten percent of the
-full state derivative's norm.  Before two observations exist, a conservative
-bootstrap ball (zero center, the speed bound v_max as radius) is used instead.
+full state derivative's norm.  Before two observations exist, every watched
+agent gets the bootstrap ball instead (zero center, the speed bound v_max as
+radius), flagged as a prior.  This module also judges the estimates: a miss
+is a next motion that leaves the ball.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .schema import AgentKind, Model
 
@@ -87,10 +89,12 @@ class WorldSnapshot:
 @dataclass(slots=True)
 class MotionEstimate:
     """Ball bound on a neighbor's position rate: center F_hat (a float pair),
-    radius b_F."""
+    radius b_F.  ``bootstrap`` marks the speed-bound prior, which is not an
+    observation."""
 
     center: tuple[float, float]
     radius: float
+    bootstrap: bool = False
 
 
 def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> MotionEstimate:
@@ -117,19 +121,40 @@ def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> Motio
 
 
 def bootstrap_estimate(v_max: float) -> MotionEstimate:
-    """Pre-observation fallback for a position: zero center, radius the speed bound v_max."""
-    return MotionEstimate(center=(0.0, 0.0), radius=float(v_max))
+    """Pre-observation prior for a position: zero center, radius the speed
+    bound v_max, flagged ``bootstrap``."""
+    return MotionEstimate(center=(0.0, 0.0), radius=float(v_max), bootstrap=True)
 
 
 def estimate_positions(prev: Optional[WorldSnapshot], snap: WorldSnapshot,
-                       ids: Iterable[int]) -> dict[int, Optional[MotionEstimate]]:
+                       ids: Iterable[int], v_max: float) -> dict[int, MotionEstimate]:
     """Each listed agent's motion estimate from the previous snapshot to ``snap``,
     keyed by agent id.
 
     An estimate depends only on the agent it describes, so one call per step
-    serves every observer.  Without a previous snapshot (the first step) every
-    agent maps to None; observers then fall back to ``bootstrap_estimate``.
+    serves every observer, and every listed agent has one.  Without a
+    previous snapshot (the first step) each maps to the one flagged
+    ``bootstrap_estimate(v_max)``.
     """
     if prev is None:
-        return dict.fromkeys(ids)
+        return dict.fromkeys(ids, bootstrap_estimate(v_max))
     return {j: estimate_motion(prev, snap, j) for j in ids}
+
+
+def estimate_misses(estimates: Mapping[int, MotionEstimate], before: Sequence[AgentState],
+                    after: Sequence[AgentState], dt: float) -> int:
+    """How many of the estimates the agents' motion over one step of ``dt``
+    left: the rate (after - before) / dt lies farther than radius + 1e-9 from
+    the ball's center.  ``before`` and ``after`` are indexed by agent id.  The
+    bootstrap prior is not an estimate and is never judged.
+    """
+    misses = 0
+    for j, est in estimates.items():
+        if est.bootstrap:
+            continue
+        a1, a2 = before[j], after[j]
+        dx = (a2.px - a1.px) / dt - est.center[0]
+        dy = (a2.py - a1.py) / dt - est.center[1]
+        if math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9:
+            misses += 1
+    return misses

@@ -2,15 +2,18 @@
 
 The shipped scenario files are the only definition of the shipped scenarios;
 ``shipped`` loads one, with any field replaced.  ``ring12_dict`` is the
-scenario JSON of a 12-agent antipodal ring.  The shipped scenarios and that
-ring are expensive enough that the tests run each of them exactly once per
-session.  ``shifted``, ``lp_value`` and ``lp_values_leave_one_out`` read
-LP values from the vertex oracle, for the solver tests' brackets.
+scenario JSON of a 12-agent antipodal ring, and ``fixed_arc_ring(n)`` that of
+an n-agent ring whose neighbors start a fixed arc apart.  The shipped
+scenarios and the 12-agent ring are expensive enough that the tests run each
+of them exactly once per session.  ``shifted``, ``lp_value`` and
+``lp_values_leave_one_out`` read LP values from the vertex oracle, for the
+solver tests' brackets.
 """
 
 import dataclasses
 import json
 import math
+import random
 import time
 from pathlib import Path
 
@@ -39,6 +42,27 @@ def ring12_dict():
         agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
                        "target": [-x, -y]})
     return {"agents": agents, "duration": 4.0, "gamma_nominal": 3.0}
+
+
+def fixed_arc_ring(n):
+    """n intact unicycles on an antipodal ring of radius 0.5 n m, for n / 3 s.
+
+    Neighbors start about pi m apart along the ring whatever n is, and each
+    is bound for the opposite point.  The start angles carry the benchmark's
+    ring12 variant-0 jitter, uniform in +-0.02 rad from ``random.Random(0)``,
+    and every other setting is ring12's, so n = 12 gives ring12-0.
+    """
+    rng = random.Random(0)
+    agents = []
+    for k in range(n):
+        th = 2.0 * math.pi * k / n + rng.uniform(-0.02, 0.02)
+        x, y = 0.5 * n * math.cos(th), 0.5 * n * math.sin(th)
+        agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
+                       "target": [-x, -y], "d_min": 0.5, "box": [[-3.0, -3.0], [3.0, 3.0]]})
+    return {"agents": agents, "duration": n / 3, "dt": 0.05,
+            "trust": {"rho_bar_d": 0.5, "alpha_min": 0.01, "alpha_max": 2.0,
+                      "gamma_alpha": 2.0},
+            "gamma_nominal": 3.0, "lookahead": 0.1}
 
 
 def shifted(rows, d):

@@ -10,8 +10,8 @@ fallback), the pair's discrete barrier-rate inequality
 holds, where h_k and alpha_k are the pair's records at step k (alpha_k is the
 rate the step-k QP row enforced).  ``pair_steps`` recomputes, from a finished
 run's trace and scenario alone, each pair-step's slack, j's estimate miss (by
-``world.estimate_motion`` on snapshots rebuilt from the trace, and the run's
-own ``radius + 1e-9`` test), both agents' fallbacks, and whether k = 0, the
+``world.estimate_motion`` on snapshots rebuilt from the trace, and
+``world.estimate_misses``' ``radius + 1e-9`` test), both agents' fallbacks, and whether k = 0, the
 bootstrap step, whose ball is the speed-bound prior rather than an estimate.
 
 The bound eps.  With g = ||grad h|| = 2 ||p_i - p_j|| at step k (p_i the
@@ -32,6 +32,7 @@ about 1e-12 here, falls well inside QP_RETRY_TOL.
 """
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -43,6 +44,8 @@ from trustcbf.barriers import eval_barrier
 from trustcbf.cli import load_scenario
 from trustcbf.solvers import QP_RETRY_TOL
 from trustcbf.world import AgentState, Model, WorldSnapshot, estimate_motion
+
+from conftest import fixed_arc_ring
 
 
 class PairStep(NamedTuple):
@@ -103,18 +106,29 @@ def _benchmark_workloads():
     return module
 
 
+def test_fixed_arc_ring_of_12_is_the_benchmark_ring12_0():
+    assert fixed_arc_ring(12) == _benchmark_workloads().ring12_scenario(0)
+
+
 @pytest.fixture(params=["crossing", "headon", "ring12",
-                        "ring12-0", "ring12-1", "ring12-2", "ring12-3"])
+                        "ring12-0", "ring12-1", "ring12-2", "ring12-3",
+                        "fixed-arc-16", "fixed-arc-24"])
 def finished_run(request, tmp_path):
-    """(scenario, trace) of one input: the session's runs, or a run of one of
-    the benchmark's four ring12 inputs from the scenario file it writes."""
+    """(scenario, trace) of one input: the session's runs, a run of one of
+    the benchmark's four ring12 inputs from the scenario file it writes, or
+    a run of the fixed-arc ring of 16 or 24 agents."""
     if request.param == "crossing":
         return request.getfixturevalue("crossing_adaptive")[:2]
     if request.param == "headon":
         return request.getfixturevalue("stress_runs")[True]
     if request.param == "ring12":
         return request.getfixturevalue("ring12_run")
-    s = load_scenario(_benchmark_workloads().scenario_file(request.param, tmp_path))
+    if request.param.startswith("fixed-arc-"):
+        path = tmp_path / f"{request.param}.json"
+        path.write_text(json.dumps(fixed_arc_ring(int(request.param.rsplit("-", 1)[1]))))
+    else:
+        path = _benchmark_workloads().scenario_file(request.param, tmp_path)
+    s = load_scenario(path)
     return s, sim.run(s)
 
 

@@ -19,8 +19,7 @@ from trustcbf.trust import (H_BOUNDARY_EPS, THETA_FLOOR, BoundaryReached, alpha_
                             combine_trust, direction_trust, distance_trust,
                             max_own_contribution, update_alpha, worst_case_motion)
 from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
-                            WorldSnapshot, bootstrap_estimate, estimate_motion,
-                            estimate_positions)
+                            WorldSnapshot, estimate_motion, estimate_positions)
 
 from conftest import shipped
 from test_sim import _ring6
@@ -48,9 +47,10 @@ def snapshots(states0, states1=None, dt=0.05):
 
 def observe(hist):
     """agent_step's view of a history: its latest snapshot and every agent's
-    motion estimate, as the run loop builds them."""
+    motion estimate, as the run loop builds them, with the default speed bound."""
     prev = hist[-2] if len(hist) > 1 else None
-    return hist[-1], estimate_positions(prev, hist[-1], range(len(hist[-1].agents)))
+    return hist[-1], estimate_positions(prev, hist[-1], range(len(hist[-1].agents)),
+                                        TrustParams().v_max)
 
 
 def fresh_trust(n, me, alpha0=0.8):
@@ -96,7 +96,7 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
     other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
-    # single snapshot: no motion estimate exists yet
+    # single snapshot: the neighbor has only the flagged speed-bound prior
     dec = agent_step(0, *observe(snapshots([me0, other0])), trust, AgentConfig(box=BOX3))
     assert len(dec.planes) == 1
     (rec,) = dec.pairs
@@ -391,9 +391,7 @@ def _reference_step(i, snap, estimates, pairs, cfg):
     obs = []
     for other, prev in zip([a for a in snap.agents if a.id != i], pairs):
         est = estimates[other.id]
-        bootstrapped = est is None
-        if bootstrapped:
-            est = bootstrap_estimate(tp.v_max)
+        bootstrapped = est.bootstrap
         ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
         a_j, _ = worst_case_motion(est, ev.grad_j)
         obs.append((other, prev, ev, est, bootstrapped, a_j,

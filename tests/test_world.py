@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState,
-                            Model, WorldSnapshot, bootstrap_estimate,
-                            estimate_motion, estimate_positions, wrap_angle)
+from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
+                            MotionEstimate, WorldSnapshot, bootstrap_estimate,
+                            estimate_misses, estimate_motion, estimate_positions,
+                            wrap_angle)
 
 
 def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE,
@@ -92,7 +93,7 @@ def test_estimate_motion_requires_two_ordered_snapshots():
         with pytest.raises(ValueError):
             estimate_motion(older, newer, 0)
         with pytest.raises(ValueError):
-            estimate_positions(older, newer, [0])
+            estimate_positions(older, newer, [0], 3.0)
 
 
 def test_bootstrap_estimate_is_conservative_ball():
@@ -100,6 +101,7 @@ def test_bootstrap_estimate_is_conservative_ball():
     assert np.allclose(est.center, 0.0)
     assert len(est.center) == 2
     assert est.radius == 2.5
+    assert est.bootstrap
 
 
 def test_estimate_positions_once_for_the_listed_agents():
@@ -108,13 +110,40 @@ def test_estimate_positions_once_for_the_listed_agents():
     b = [make_agent(0, 0.1, 0.0, psi=0.3), make_agent(1, 1.0, 0.05, model=Model.SINGLE_INTEGRATOR),
          make_agent(2, 2.0, 1.0, model=Model.SINGLE_INTEGRATOR)]
     s0, s1 = WorldSnapshot(0.0, tuple(a)), WorldSnapshot(0.05, tuple(b))
-    # no previous snapshot: no estimate yet
-    assert estimate_positions(None, s0, [0, 2]) == {0: None, 2: None}
-    est = estimate_positions(s0, s1, [0, 2])
+    # no previous snapshot: every listed agent gets the flagged speed-bound prior
+    first = estimate_positions(None, s0, [0, 2], 2.5)
+    assert sorted(first) == [0, 2]
+    for j in (0, 2):
+        assert first[j] == MotionEstimate(center=(0.0, 0.0), radius=2.5, bootstrap=True)
+    est = estimate_positions(s0, s1, [0, 2], 2.5)
     assert sorted(est) == [0, 2]
     for j in (0, 2):
-        ref = estimate_motion(s0, s1, j)
-        assert (est[j].center, est[j].radius) == (ref.center, ref.radius)
+        assert est[j] == estimate_motion(s0, s1, j)
+        assert not est[j].bootstrap
+
+
+def test_estimate_misses_boundary_is_radius_plus_1e_9():
+    # a rate exactly radius + 1e-9 from the center is inside the ball; one
+    # ulp beyond it is a miss
+    dt = 0.5
+    est = {0: MotionEstimate(center=(0.0, 0.0), radius=0.3)}
+    edge = 0.3 + 1e-9
+    before = [make_agent(0, 0.0, 0.0)]
+    for rate, misses in ((edge, 0), (math.nextafter(edge, math.inf), 1)):
+        for after in ([make_agent(0, rate * dt, 0.0)], [make_agent(0, 0.0, -rate * dt)]):
+            assert estimate_misses(est, before, after, dt) == misses
+
+
+def test_estimate_misses_counts_every_estimate_but_the_prior():
+    # agent 1 leaves its ball, agent 2 stays inside; agent 0 keeps only the
+    # prior, which is never judged however far the agent moves
+    s0 = WorldSnapshot(0.0, tuple(make_agent(i, float(i), 0.0) for i in range(3)))
+    est = estimate_positions(None, s0, range(3), 1.0)
+    est[1] = MotionEstimate(center=(1.0, 0.0), radius=0.1)
+    est[2] = MotionEstimate(center=(0.0, 1.0), radius=0.1)
+    after = (make_agent(0, 50.0, 0.0), make_agent(1, 1.0, 0.0), make_agent(2, 2.0, 0.1))
+    assert estimate_misses(est, s0.agents, after, 0.1) == 1
+    assert estimate_misses({0: est[0], 2: est[2]}, s0.agents, after, 0.1) == 0
 
 
 def test_estimate_motion_fuzz_matches_difference_quotient():
