@@ -1,8 +1,11 @@
 """Per-agent control step: reference command, trust updates, and the safety QP.
 
-For each neighbor the observer takes the worst-case motion inside the
-neighbor's motion-estimate ball, scores trust, adapts the pair's rate
-parameter, and builds one barrier constraint.  The step carries each
+The step reads the run's ``Scenario``: the observer's own ``AgentSpec`` gives
+its control box and safety distance, and the scenario the settings every agent
+shares (look-ahead distance, time step, trust settings, ``fixed_alpha`` and
+``rate_floor``).  For each neighbor the observer takes the worst-case motion
+inside the neighbor's motion-estimate ball, scores trust, adapts the pair's
+rate parameter, and builds one barrier constraint.  The step carries each
 constraint as a plain (a0, a1, b) float triple, a half-plane a . u >= b, and
 makes two plain-float passes over the neighbors, one call each:
 ``pair_geometry`` (barriers, worst-case motions, start-of-step planes) and,
@@ -25,14 +28,13 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
 from .barriers import clf_value, lookahead_point, velocity_map
 from .dynamics import track_reference
-from .schema import (CLF_K, D_MIN_DEFAULT, DEFAULT_BOX, LOOKAHEAD_DEFAULT, Box, Model,
-                     PairRecord, TrustParams)
+from .schema import CLF_K, DEFAULT_BOX, Box, Model, PairRecord, Scenario
 from .solvers import Infeasible, QPProblem, solve_min_norm, solve_qp
 from .trust import H_BOUNDARY_EPS, THETA_FLOOR, max_own_contribution
 from .world import MotionEstimate, WorldSnapshot
@@ -43,19 +45,6 @@ log = logging.getLogger(__name__)
 class Fallback(Enum):
     NONE = 0
     EMERGENCY = 1
-
-
-@dataclass
-class AgentConfig:
-    """Everything one intact agent's controller needs besides the world itself."""
-
-    box: Box = DEFAULT_BOX
-    d_min: float = D_MIN_DEFAULT
-    lookahead: float = LOOKAHEAD_DEFAULT
-    dt: float = 0.05
-    trust: TrustParams = field(default_factory=TrustParams)
-    fixed_alpha: bool = False
-    rate_floor: bool = True
 
 
 @dataclass
@@ -102,7 +91,7 @@ def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
 
 
 def pair_geometry(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstimate],
-                  pairs: Sequence[PairRecord], cfg: AgentConfig
+                  pairs: Sequence[PairRecord], s: Scenario
                   ) -> tuple[list[tuple], list[tuple]]:
     """Geometry pass of observer i: one entry and one start-of-step half-plane
     per neighbor, in neighbor-id order.
@@ -117,16 +106,17 @@ def pair_geometry(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEst
     ``worst_case_motion`` against grad_j, then ``cbf_row`` at the pair's
     previous alpha, as plain floats in the same order of operations, so every
     value equals theirs bitwise.  The barrier point and velocity map are the
-    observer's own and are computed once, by one ``lookahead_point`` call for
-    a unicycle.
+    observer's own and are computed once, by one ``lookahead_point`` call at
+    ``s.lookahead`` for a unicycle; the safety distance is the observer's own,
+    ``s.agents[i].d_min``.
     """
     me = snap.agents[i]
     if me.model is Model.UNICYCLE:
-        (pix, piy), M = lookahead_point(me, cfg.lookahead)
+        (pix, piy), M = lookahead_point(me, s.lookahead)
     else:
         (pix, piy), M = (me.px, me.py), velocity_map(me)
     (m00, m01), (m10, m11) = M
-    d_min = cfg.d_min
+    d_min = s.agents[i].d_min
     if d_min <= 0.0:
         raise ValueError("d_min must be positive")
     dd = d_min * d_min
@@ -154,7 +144,7 @@ def pair_geometry(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEst
 
 
 def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
-                contribs: Sequence[Optional[float]], cfg: AgentConfig
+                contribs: Sequence[Optional[float]], s: Scenario
                 ) -> tuple[list[PairRecord], list[tuple], bool]:
     """Scoring pass of observer i: each pair's new record and half-plane, and whether
     some pair reached the barrier boundary (an emergency stop).
@@ -167,7 +157,8 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     A pair is not scored on the bootstrap ball, when its contribution LP is
     infeasible, or when the agents coincide (no half-space normal); it keeps
     its rate and last scores.  A pair whose rate did not move keeps its
-    geometry-pass half-plane; one whose rate moved gets a new offset b.
+    geometry-pass half-plane; one whose rate moved gets a new offset b.  The
+    trust settings, time step and rate flags are the scenario's ``s``.
 
     Per scored pair this is ``distance_trust``, ``nominal_direction``,
     ``direction_trust``, ``combine_trust``, ``alpha_rate_floor`` and
@@ -177,13 +168,13 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     < a else a``, which return the same float, signed zeros and NaNs included.
     """
     me = snap.agents[i]
-    tp = cfg.trust
+    tp = s.trust
     beta, rho_bar_d, k_blend = tp.beta, tp.rho_bar_d, tp.k_blend
     gamma_alpha, alpha_min, alpha_max = tp.gamma_alpha, tp.alpha_min, tp.alpha_max
     lip = tp.L_hdot * tp.L_F
-    dt = cfg.dt
-    adapt = not cfg.fixed_alpha
-    rate_floor = cfg.rate_floor
+    dt = s.dt
+    adapt = not s.fixed_alpha
+    rate_floor = s.rate_floor
     records: list[PairRecord] = []
     planes: list[tuple] = []
     emergency = False
@@ -265,7 +256,7 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
 
 
 def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstimate],
-               pairs: Sequence[PairRecord], cfg: AgentConfig) -> ControlDecision:
+               pairs: Sequence[PairRecord], s: Scenario) -> ControlDecision:
     """One full control step for intact agent i on the snapshot ``snap``.
 
     ``estimates`` maps every neighbor id to its motion estimate; before a
@@ -273,20 +264,23 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
     ``bootstrap``.  ``world.estimate_positions`` builds it once per step for
     all observers.  ``pairs`` holds the previous step's record of each pair in
     neighbor-id order, and the decision's ``pairs`` holds the new ones, each
-    with its barrier value on this snapshot.  Nothing is mutated.  All
+    with its barrier value on this snapshot.  ``s`` is the run's scenario:
+    ``s.agents[i]`` gives the observer's control box and safety distance, and
+    ``s`` the shared settings.  Nothing is mutated.  All
     per-pair computations read rates as of the start of the step, so their
     order cannot matter.
     """
     me = snap.agents[i]
-    entries, start_planes = pair_geometry(i, snap, estimates, pairs, cfg)
+    box = s.agents[i].box
+    entries, start_planes = pair_geometry(i, snap, estimates, pairs, s)
     # Each pair's contribution LP runs over the other pairs' start planes.
-    contribs, chain = max_own_contribution(start_planes, cfg.box)
-    records, planes, emergency = score_pairs(i, snap, entries, contribs, cfg)
+    contribs, chain = max_own_contribution(start_planes, box)
+    records, planes, emergency = score_pairs(i, snap, entries, contribs, s)
 
     if me.model is Model.UNICYCLE:
-        u_ref = track_reference(me, me.target, cfg.box)
+        u_ref = track_reference(me, me.target, box)
     else:
-        u_ref = clf_qp_reference(me, CLF_K, cfg.box)
+        u_ref = clf_qp_reference(me, CLF_K, box)
 
     fallback = Fallback.NONE
     if emergency:
@@ -294,7 +288,7 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
         fallback = Fallback.EMERGENCY
     else:
         try:
-            u_safe = solve_qp(QPProblem(u_ref, planes, cfg.box, chain))
+            u_safe = solve_qp(QPProblem(u_ref, planes, box, chain))
         except Infeasible:
             log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)

@@ -7,7 +7,9 @@ The update is synchronous: every agent's command for step k is computed from
 the same immutable snapshot of step k, then all states advance together by one
 Euler step.  One pass over the agents decides and records each of them; only
 the commands outlive it.  With no randomness anywhere in the loop, two runs of
-the same scenario produce bitwise identical traces.
+the same scenario produce bitwise identical traces.  The loop counts only the
+motion-estimate misses, which the records do not show; ``metrics`` computes
+every other count from the trace.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from array import array
 from collections.abc import Sequence
 from typing import Callable, Optional
 
-from .controller import AgentConfig, agent_step, clf_qp_reference
+from .controller import agent_step, clf_qp_reference
 from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
                      AgentSpec, Box, PairRecord, Scenario)
@@ -29,13 +31,13 @@ log = logging.getLogger(__name__)
 GOAL_TOL = 0.2
 
 # Slack allowed on the discrete barrier-rate inequality
-# (h_new - h_old) / dt >= -alpha_old h_old before a pair-step counts in
-# euler_slack_events: 5 * dt * (curvature bound 2), which covers the Euler
-# error.  A counted pair-step is a real barrier-rate violation, not an
-# integration artifact: for instance the neighbor moved outside the estimate
-# ball, or it enforces a different barrier (its own look-ahead point).  On
-# ring12-0 that is 1,767 of 10,560 checked pair-steps, and 1 of them follows
-# an emergency stop.
+# (h_new - h_old) / dt >= -alpha_old h_old before a pair-step counts in the
+# euler_slack_events of metrics, which reads h and alpha from the trace:
+# 5 * dt * (curvature bound 2), which covers the Euler error.  A counted
+# pair-step is a real barrier-rate violation, not an integration artifact:
+# for instance the neighbor moved outside the estimate ball, or it enforces a
+# different barrier (its own look-ahead point).  On ring12-0 that is 1,767 of
+# 10,560 checked pair-steps, and 1 of them follows an emergency stop.
 EULER_SLACK_FACTOR = 10.0
 
 
@@ -63,6 +65,9 @@ class Trace:
     PairRecord fields in order, and step k holds one record per key of
     ``pair_keys``, in that order.  ``agents[k]`` reads step k back as a list
     of AgentRecord, ``pairs[k]`` as a dict of PairRecord keyed by (i, j).
+    ``estimate_violations`` counts the motion-estimate misses, which the
+    records do not show; every other count is computed from the records by
+    ``metrics``.
     """
 
     def __init__(self, n_agents: int, pair_keys: Sequence[tuple[int, int]]):
@@ -72,7 +77,6 @@ class Trace:
         self.n_agents = n_agents
         self.pair_keys = tuple(pair_keys)
         self.estimate_violations = 0
-        self.euler_slack_events = 0
 
     @property
     def agents(self) -> Steps:
@@ -158,11 +162,10 @@ def run(s: Scenario) -> Trace:
     Commands and pair statistics are recorded at every time 0, dt, ..., up to
     floor(duration/dt)*dt inclusive; the final record's commands are computed
     but not applied.  Each step walks the agents once in id order: an intact
-    agent's command comes from ``agent_step``, whose pair records it writes
-    and checks against the previous ones for ``euler_slack_events``; any
-    other agent's comes from its policy, and is its reference too.  Every
-    agent writes its trace row in the same pass, and the Euler steps read
-    only the commands.
+    agent's command comes from ``agent_step``, which reads ``s`` itself and
+    whose pair records the trace keeps; any other agent's comes from its
+    policy, and is its reference too.  Every agent writes its trace row in
+    the same pass, and the Euler steps read only the commands.
     """
     s.validate()
     t = 0.0
@@ -173,11 +176,6 @@ def run(s: Scenario) -> Trace:
     # never reads the start records' h.
     start = PairRecord(h=math.nan, alpha=s.trust.alpha0)
     pairs = {i: (start,) * (n - 1) for i in intact}
-    cfgs = {i: AgentConfig(
-        box=s.agents[i].box, d_min=s.agents[i].d_min, lookahead=s.lookahead,
-        dt=s.dt, trust=s.trust, fixed_alpha=s.fixed_alpha,
-        rate_floor=s.rate_floor,
-    ) for i in intact}
 
     steps = int(math.floor(s.duration / s.dt + 1e-9))
     # Each intact agent's keys in neighbor-id order, like its decision's pairs.
@@ -194,16 +192,9 @@ def run(s: Scenario) -> Trace:
         commands = []   # index == agent id
         for a, spec in zip(agents, s.agents):
             if a.kind is AgentKind.INTACT:
-                d = agent_step(a.id, snap, estimates, pairs[a.id], cfgs[a.id])
+                d = agent_step(a.id, snap, estimates, pairs[a.id], s)
                 u_ref, u, fallback = d.u_ref, d.u_safe, d.fallback.value
                 trace.pair_data.fromlist([v for rec in d.pairs for v in rec])
-                if k > 0:
-                    # Pair-steps that broke the barrier-rate inequality by
-                    # more than the Euler slack.
-                    for old, rec in zip(pairs[a.id], d.pairs):
-                        slack = (rec.h - old.h) / s.dt + old.alpha * old.h
-                        if slack < -EULER_SLACK_FACTOR * s.dt:
-                            trace.euler_slack_events += 1
                 pairs[a.id] = d.pairs
             else:
                 if a.kind is AgentKind.ADVERSARIAL:
@@ -247,15 +238,26 @@ def _fallbacks(trace: Trace) -> int:
 
 
 def metrics(trace: Trace, s: Scenario) -> dict:
-    """Per-intact-agent summary: worst barrier, goal distance, path deviation, reach time."""
+    """Summary of a run: the event counts, and per intact agent the worst
+    barrier, goal distance, path deviation and reach time.
+
+    ``euler_slack_events`` counts, from the trace's h and alpha columns, the
+    pair-steps k >= 1 that broke the barrier-rate inequality by more than the
+    Euler slack: (h_k - h_{k-1}) / dt + alpha_{k-1} h_{k-1} below
+    -EULER_SLACK_FACTOR * dt.
+    """
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     out: dict = {"agents": {}, "min_h": math.inf,
                  "emergency_events": _fallbacks(trace),
                  "estimate_violations": trace.estimate_violations,
-                 "euler_slack_events": trace.euler_slack_events}
+                 "euler_slack_events": 0}
     min_hs = dict.fromkeys(intact, math.inf)
+    dt, bound = s.dt, -EULER_SLACK_FACTOR * s.dt
     for slot, (i, _) in enumerate(trace.pair_keys):
-        min_hs[i] = min(min_hs[i], min(trace.pair_column("h", slot)))
+        h, alpha = trace.pair_column("h", slot), trace.pair_column("alpha", slot)
+        min_hs[i] = min(min_hs[i], min(h))
+        out["euler_slack_events"] += sum((h1 - h0) / dt + a0 * h0 < bound
+                                         for h0, h1, a0 in zip(h, h[1:], alpha))
     for i in intact:
         spec = s.agents[i]
         min_h = min_hs[i]

@@ -139,7 +139,7 @@ def test_every_barrier_rate_violation_has_a_broken_assumption(finished_run):
     s, trace = finished_run
     steps = pair_steps(s, trace)
     violations = [p for p in steps if p.slack < -sim.EULER_SLACK_FACTOR * s.dt]
-    assert len(violations) == trace.euler_slack_events
+    assert len(violations) == sim.metrics(trace, s)["euler_slack_events"]
     assert all(p.attributed for p in violations)
     clean = [p for p in steps if not p.attributed]
     assert clean

@@ -1,5 +1,6 @@
 """Per-agent control step: references, trust bookkeeping, and the safety QP."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 from trustcbf import controller, sim
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
-from trustcbf.controller import (CLF_K, AgentConfig, ControlDecision, Fallback, agent_step,
+from trustcbf.controller import (CLF_K, ControlDecision, Fallback, agent_step,
                                  clf_qp_reference, pair_geometry, score_pairs)
 from trustcbf.dynamics import nominal_direction, track_reference
 from trustcbf.oracles import lp_vertex_oracle
-from trustcbf.schema import MAGNITUDE_BOUND, Box, PairRecord, TrustParams
+from trustcbf.schema import MAGNITUDE_BOUND, AgentSpec, Box, PairRecord, Scenario, TrustParams
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
 from trustcbf.trust import (H_BOUNDARY_EPS, THETA_FLOOR, BoundaryReached, alpha_rate_floor,
                             combine_trust, direction_trust, distance_trust,
@@ -53,6 +54,14 @@ def observe(hist):
                                         TrustParams().v_max)
 
 
+def scenario(n, **settings):
+    """The run's scenario as agent_step reads it, for n agents: every agent's
+    spec has the control box BOX3 and the default safety distance, and
+    ``settings`` are the scenario's own (dt, trust, fixed_alpha, ...)."""
+    return Scenario([AgentSpec(AgentKind.INTACT, Model.SINGLE_INTEGRATOR, (0.0, 0.0), box=BOX3)
+                     for _ in range(n)], duration=0.0, **settings)
+
+
 def fresh_trust(n, me, alpha0=0.8):
     """The start records of observer me's pairs, in neighbor-id order."""
     return (PairRecord(h=float("nan"), alpha=alpha0),) * (n - 1)
@@ -86,10 +95,35 @@ def test_agent_step_far_neighbor_keeps_reference():
     other0 = integ(1, 50.0, 0.0, target=(50.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     hist = snapshots([me0, other0], [me0, other0])
     trust = fresh_trust(2, 0)
-    dec = agent_step(0, *observe(hist), trust, AgentConfig(box=BOX3))
+    dec = agent_step(0, *observe(hist), trust, scenario(2))
     assert dec.fallback is Fallback.NONE
     assert len(dec.planes) == 1
     assert np.allclose(dec.u_safe, dec.u_ref)
+
+
+def test_agent_step_reads_the_observers_own_spec():
+    # observer 2 has a box and a safety distance of its own: its commands
+    # stay in its box, its barriers use its d_min, and the other agents'
+    # specs do not reach its decision
+    unc = AgentKind.UNCOOPERATIVE
+    start = [integ(0, 1.6, 0.4), integ(1, -1.2, 1.0, (3.0, 0.0), unc),
+             integ(2, 0.0, 0.0, target=(5.0, 0.0))]
+    moved = [integ(0, 1.59, 0.4), integ(1, -1.19, 0.99, (3.0, 0.0), unc), start[2]]
+    view = observe(snapshots(start, moved))
+    s = scenario(3)
+    own = Box((-0.5, -0.5), (0.5, 0.5))
+    s.agents[2] = dataclasses.replace(s.agents[2], box=own, d_min=0.7)
+    dec = agent_step(2, *view, fresh_trust(3, 2), s)
+    assert dec.fallback is Fallback.NONE
+    assert dec.u_ref == (0.5, 0.0)     # the goal descent saturates in the own box
+    assert own.contains(dec.u_safe, tol=0.0)
+    assert [rec.h for rec in dec.pairs] == [eval_barrier(moved[2], other, 0.7).h
+                                            for other in moved[:2]]
+    s.agents[0] = dataclasses.replace(s.agents[0], box=Box((-1.0, -2.0), (2.0, 1.0)),
+                                      d_min=1.3)
+    s.agents[1] = dataclasses.replace(s.agents[1], box=own, d_min=0.2)
+    other = agent_step(2, *view, fresh_trust(3, 2), s)
+    assert _bits(dataclasses.astuple(other)) == _bits(dataclasses.astuple(dec))
 
 
 def test_agent_step_bootstrap_defers_trust_but_constrains():
@@ -97,7 +131,7 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
     other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
     # single snapshot: the neighbor has only the flagged speed-bound prior
-    dec = agent_step(0, *observe(snapshots([me0, other0])), trust, AgentConfig(box=BOX3))
+    dec = agent_step(0, *observe(snapshots([me0, other0])), trust, scenario(2))
     assert len(dec.planes) == 1
     (rec,) = dec.pairs
     assert rec.alpha == 0.8
@@ -106,7 +140,7 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
     # the bootstrap row is built against the conservative speed-bound ball
     row_b = dec.planes[0][2]
     dec2 = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), dec.pairs,
-                      AgentConfig(box=BOX3))
+                      scenario(2))
     assert dec2.planes[0][2] < row_b      # a real (stationary) estimate relaxes it
     assert dec2.pairs[0].margin > 0.0  # and the pair now has an observation
 
@@ -118,13 +152,13 @@ def test_agent_step_is_a_function_of_its_arguments():
     me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
     start = [integ(1, 1.8, 0.3, (-4.0, 0.0), unc), integ(2, -1.5, 1.2, (3.0, -2.0), unc)]
     moved = [integ(1, 1.75, 0.3, (-4.0, 0.0), unc), integ(2, -1.46, 1.18, (3.0, -2.0), unc)]
-    cfg = AgentConfig(box=BOX3)
-    first = agent_step(0, *observe(snapshots([me, *start])), fresh_trust(3, 0), cfg)
+    s = scenario(3)
+    first = agent_step(0, *observe(snapshots([me, *start])), fresh_trust(3, 0), s)
     pairs = first.pairs
     kept = tuple(tuple(rec) for rec in pairs)
     view = observe(snapshots([me, *start], [me, *moved]))
-    dec1 = agent_step(0, *view, pairs, cfg)
-    dec2 = agent_step(0, *view, pairs, cfg)
+    dec1 = agent_step(0, *view, pairs, s)
+    dec2 = agent_step(0, *view, pairs, s)
     assert dec1 == dec2
     assert tuple(tuple(rec) for rec in pairs) == kept
     # the rates did move, so the new records differ from the old ones
@@ -135,8 +169,8 @@ def test_agent_step_trusts_stationary_neighbor_and_raises_alpha():
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
     other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
-    cfg = AgentConfig(box=BOX3, trust=TrustParams(gamma_alpha=1.0))
-    dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust, cfg)
+    s = scenario(2, trust=TrustParams(gamma_alpha=1.0))
+    dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust, s)
     (ts,) = dec.pairs
     assert ts.rho_d > 0.9           # huge slack against a stationary neighbor
     assert ts.rho_theta == 0.5      # it sits at its own declared target
@@ -148,10 +182,10 @@ def test_agent_step_fixed_alpha_never_adapts():
     me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
     other0 = integ(1, 1.5, 0.0, target=(1.5, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
-    cfg = AgentConfig(box=BOX3, fixed_alpha=True)
+    s = scenario(2, fixed_alpha=True)
     hist = snapshots([me0, other0], [me0, other0])
     for _ in range(5):
-        dec = agent_step(0, *observe(hist), trust, cfg)
+        dec = agent_step(0, *observe(hist), trust, s)
         trust = dec.pairs
     assert trust[0].alpha == 0.8
     assert trust[0].rho != 0.0  # scores are still observed, just not applied
@@ -165,7 +199,7 @@ def test_agent_step_boundary_forces_emergency_stop():
     other0 = integ(1, 0.5, 0.0, target=(0.5, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
-                     AgentConfig(box=BOX3, rate_floor=True))
+                     scenario(2, rate_floor=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert np.allclose(dec.u_safe, 0.0)
 
@@ -179,7 +213,7 @@ def test_agent_step_infeasible_rows_give_emergency_stop():
     west1 = integ(2, -0.70, 0.0, target=(5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(3, 0, alpha0=1e-4)
     dec = agent_step(0, *observe(snapshots([me0, east0, west0], [me0, east1, west1])),
-                     trust, AgentConfig(box=BOX3, fixed_alpha=True))
+                     trust, scenario(3, fixed_alpha=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert np.allclose(dec.u_safe, 0.0)
     assert len(dec.planes) == 2
@@ -201,14 +235,14 @@ def test_the_safety_qp_goes_through_solve_qp(monkeypatch):
     far = [integ(1, 3.0, 1.0, kind=AgentKind.UNCOOPERATIVE),
            integ(2, -2.0, -2.0, kind=AgentKind.UNCOOPERATIVE)]
     dec = agent_step(0, *observe(snapshots([me, *far], [me, *far])), fresh_trust(3, 0),
-                     AgentConfig(box=BOX3))
+                     scenario(3))
     assert dec.fallback is Fallback.NONE
     assert rows == [2]
     # a neighbor on the barrier boundary: BoundaryReached stops without a QP
     rows.clear()
     on_boundary = integ(1, 0.6, 0.0, kind=AgentKind.UNCOOPERATIVE)
     dec = agent_step(0, *observe(snapshots([me, on_boundary], [me, on_boundary])),
-                     fresh_trust(2, 0), AgentConfig(box=BOX3))
+                     fresh_trust(2, 0), scenario(2))
     assert dec.fallback is Fallback.EMERGENCY
     assert rows == []
 
@@ -223,9 +257,9 @@ def test_rate_floor_receives_the_worst_case_margin():
     snap, estimates = observe(snapshots([me0, integ(1, 1.25, 0.0, (-5.0, 0.0), unc)],
                                         [me0, integ(1, 1.0, 0.02, (-5.0, 0.0), unc)]))
     tp = TrustParams(L_F=0.0)  # lets the floor bind at a small alpha
-    cfg = AgentConfig(box=BOX3, trust=tp)
+    s = scenario(2, trust=tp)
     alpha = 0.011
-    (rec,) = agent_step(0, snap, estimates, fresh_trust(2, 0, alpha0=alpha), cfg).pairs
+    (rec,) = agent_step(0, snap, estimates, fresh_trust(2, 0, alpha0=alpha), s).pairs
     est = estimates[1]
     ev = eval_barrier(me0, snap.agents[1])
     (wx, wy), _ = worst_case_motion(est, ev.grad_j)
@@ -239,13 +273,13 @@ def test_rate_floor_receives_the_worst_case_margin():
     cx, cy = est.center
     B = math.sqrt(cx * cx + cy * cy) + est.radius
     hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
-    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
+    L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * s.dt)
 
     def alpha_after(margin):
         floor = alpha_rate_floor(margin, alpha, ev.h, B, L_h, tp.L_hdot, tp.L_F)
-        return update_alpha(alpha, rec.rho, cfg.dt, floor, tp)
+        return update_alpha(alpha, rec.rho, s.dt, floor, tp)
 
-    assert rec.alpha > update_alpha(alpha, rec.rho, cfg.dt, -math.inf, tp)  # the floor binds
+    assert rec.alpha > update_alpha(alpha, rec.rho, s.dt, -math.inf, tp)  # the floor binds
     assert rec.alpha == alpha_after(worst_margin)
     assert rec.alpha != alpha_after(rec.margin)
 
@@ -255,7 +289,7 @@ def test_agent_step_unicycle_reference_is_waypoint_tracking():
     other0 = integ(1, 30.0, 0.0, target=(30.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     trust = fresh_trust(2, 0)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
-                     AgentConfig(box=BOX3))
+                     scenario(2))
     assert np.allclose(dec.u_ref, [0.8, 0.0])  # k_s * dist, zero bearing error
     assert np.allclose(dec.u_safe, dec.u_ref)
 
@@ -273,14 +307,14 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
              integ(3, 0.66, -2.59, (0.0, 4.0), unc), integ(4, 3.49, -3.27, (-2.0, 3.0), unc)]
     hist = snapshots([me, *start], [me, *moved])
     trust = fresh_trust(5, 0)
-    cfg = AgentConfig(box=BOX3)
-    dec = agent_step(0, *observe(hist), trust, cfg)
+    s = scenario(5)
+    dec = agent_step(0, *observe(hist), trust, s)
 
-    M = velocity_map(me, cfg.lookahead)
+    M = velocity_map(me, s.lookahead)
     evs, motion, rows = {}, {}, {}
     for other in moved:
         j = other.id
-        evs[j] = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        evs[j] = eval_barrier(me, other, s.agents[0].d_min, s.lookahead)
         motion[j] = estimate_motion(*hist, j)
         a_j, _ = worst_case_motion(motion[j], np.array(evs[j].grad_j))
         rows[j] = cbf_row(evs[j], M, a_j, 0.8)
@@ -302,7 +336,7 @@ def test_agent_step_coincident_agents_skip_the_trust_update():
     other0 = integ(1, 1.0, 1.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
     prev = (PairRecord(h=0.3, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3, margin=0.4),)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), prev,
-                     AgentConfig(box=BOX3))
+                     scenario(2))
     assert dec.pairs == (PairRecord(h=-0.25, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3,
                                     margin=0.4),)
 
@@ -316,29 +350,29 @@ def test_agent_step_without_rate_floor_alpha_falls_at_the_trust_rate():
                              [me0, integ(1, 1.0, 0.0, (-5.0, 0.0), unc)]))
     # L_F = 0 lets the floor bind at a small alpha (checked below)
     params = TrustParams(gamma_alpha=2.0, alpha_min=0.01, L_F=0.0)
-    cfg = AgentConfig(box=BOX3, trust=params, rate_floor=False)
-    (rec,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.8), cfg).pairs
+    s = scenario(2, trust=params, rate_floor=False)
+    (rec,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.8), s).pairs
     assert rec.rho < 0.0
-    assert rec.alpha == 0.8 + cfg.dt * (params.gamma_alpha * rec.rho)
-    (low,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011), cfg).pairs
+    assert rec.alpha == 0.8 + s.dt * (params.gamma_alpha * rec.rho)
+    (low,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011), s).pairs
     assert low.rho < 0.0
-    assert 0.011 + cfg.dt * (params.gamma_alpha * low.rho) < params.alpha_min
+    assert 0.011 + s.dt * (params.gamma_alpha * low.rho) < params.alpha_min
     assert low.alpha == params.alpha_min
     # the same step with the floor on: the floor binds and raises alpha
     (floored,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011),
-                            AgentConfig(box=BOX3, trust=params)).pairs
+                            scenario(2, trust=params)).pairs
     assert floored.rho == low.rho
     assert floored.alpha > 0.011
 
 
 def _one_pair(me, other, center, alpha=0.8):
-    """The snapshot, geometry-pass entries and config of the single pair
+    """The snapshot, geometry-pass entries and scenario of the single pair
     (me, other), with the given estimate-ball center and radius 0."""
     snap = WorldSnapshot(0.0, (me, other))
-    cfg = AgentConfig(box=BOX3)
+    s = scenario(2)
     entries, _ = pair_geometry(0, snap, {1: MotionEstimate(center, 0.0)},
-                               (PairRecord(h=math.nan, alpha=alpha),), cfg)
-    return snap, entries, cfg
+                               (PairRecord(h=math.nan, alpha=alpha),), s)
+    return snap, entries, s
 
 
 def test_score_pairs_halfspace_fields_and_degenerate_case():
@@ -349,16 +383,16 @@ def test_score_pairs_halfspace_fields_and_degenerate_case():
     other = integ(1, 2.0, 0.0, target=(2.0, 3.0), kind=AgentKind.UNCOOPERATIVE)
     ev = eval_barrier(me, other)
     center = (0.3, -0.7)
-    snap, entries, cfg = _one_pair(me, other, center)
-    (rec,), _, _ = score_pairs(0, snap, entries, [1.5], cfg)
+    snap, entries, s = _one_pair(me, other, center)
+    (rec,), _, _ = score_pairs(0, snap, entries, [1.5], s)
     A = np.array(ev.grad_j)
     assert np.allclose(A, [4.0, 0.0])
     b = -0.8 * ev.h - 1.5
     assert rec.margin == pytest.approx(float(A @ np.array(center)) - b)
     assert rec.rho_theta == pytest.approx(direction_trust((0.0, 1.0), center, (1.0, 0.0)))
     # coincident agents have no normal: the pair is not scored
-    snap, entries, cfg = _one_pair(me, integ(1, 0.0, 0.0, target=(2.0, 3.0)), center)
-    (rec0,), _, _ = score_pairs(0, snap, entries, [0.0], cfg)
+    snap, entries, s = _one_pair(me, integ(1, 0.0, 0.0, target=(2.0, 3.0)), center)
+    (rec0,), _, _ = score_pairs(0, snap, entries, [0.0], s)
     assert rec0 == PairRecord(h=-0.25, alpha=0.8)
 
 
@@ -371,32 +405,32 @@ def test_score_pairs_margin_is_signed_slack():
     on_boundary = A * ((-0.8 * ev.h) / float(A @ A))
     for center, expected in ((on_boundary, pytest.approx(0.0, abs=1e-12)),
                              (on_boundary + A / norm, pytest.approx(norm))):
-        snap, entries, cfg = _one_pair(me, other, (float(center[0]), float(center[1])))
-        (rec,), _, _ = score_pairs(0, snap, entries, [0.0], cfg)
+        snap, entries, s = _one_pair(me, other, (float(center[0]), float(center[1])))
+        (rec,), _, _ = score_pairs(0, snap, entries, [0.0], s)
         assert rec.margin == expected
 
 
 # --- agent_step against the per-pair reference formulas ----------------------
 
-def _reference_step(i, snap, estimates, pairs, cfg):
+def _reference_step(i, snap, estimates, pairs, s):
     """Rows, records, contribution LP values, reference and safe commands and
     fallback of agent_step, built per pair from eval_barrier, worst_case_motion,
     cbf_row and the trust formulas: the half-space grad_j . v >= -alpha h -
     contribution, the compliance margin as the slack against it, and the rate
     floor on the worst-case point's slack.  The safe command is the public
     ``solve_qp`` over the rows, and a stop on BoundaryReached or Infeasible."""
-    me = snap.agents[i]
-    tp = cfg.trust
-    M = velocity_map(me, cfg.lookahead)
+    me, spec = snap.agents[i], s.agents[i]
+    tp = s.trust
+    M = velocity_map(me, s.lookahead)
     obs = []
     for other, prev in zip([a for a in snap.agents if a.id != i], pairs):
         est = estimates[other.id]
         bootstrapped = est.bootstrap
-        ev = eval_barrier(me, other, cfg.d_min, cfg.lookahead)
+        ev = eval_barrier(me, other, spec.d_min, s.lookahead)
         a_j, _ = worst_case_motion(est, ev.grad_j)
         obs.append((other, prev, ev, est, bootstrapped, a_j,
                     cbf_row(ev, M, a_j, prev.alpha)))
-    contribs, _ = max_own_contribution([o[-1] for o in obs], cfg.box)
+    contribs, _ = max_own_contribution([o[-1] for o in obs], spec.box)
     rows, records = [], []
     stop = False
     for (other, prev, ev, est, bootstrapped, a_j, row), contrib in zip(obs, contribs):
@@ -416,13 +450,13 @@ def _reference_step(i, snap, estimates, pairs, cfg):
         rho_theta = 0.5 if at_target else direction_trust(n_hat, est.center, s_hat)
         rho = combine_trust(rho_d, rho_theta, tp.rho_bar_d, tp.k_blend)
         alpha = prev.alpha
-        if not cfg.fixed_alpha:
+        if not s.fixed_alpha:
             floor = -math.inf
-            if cfg.rate_floor:
+            if s.rate_floor:
                 cx, cy = est.center
                 B = math.sqrt(cx * cx + cy * cy) + est.radius
                 hx, hy = ev.grad_i[0] / 2.0, ev.grad_i[1] / 2.0
-                L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * cfg.dt)
+                L_h = 2.0 * (math.sqrt(hx * hx + hy * hy) + B * s.dt)
                 worst_margin = ax * a_j[0] + ay * a_j[1] - b
                 try:
                     floor = alpha_rate_floor(worst_margin, alpha, ev.h, B, L_h,
@@ -431,18 +465,18 @@ def _reference_step(i, snap, estimates, pairs, cfg):
                     floor = None
                     stop = True
             if floor is not None:
-                alpha = update_alpha(alpha, rho, cfg.dt, floor, tp)
+                alpha = update_alpha(alpha, rho, s.dt, floor, tp)
         records.append(PairRecord(ev.h, alpha, rho, rho_d, rho_theta, d))
         rows.append(row if alpha == prev.alpha
                     else cbf_row(ev, M, a_j, alpha))
     if me.model is Model.UNICYCLE:
-        u_ref = track_reference(me, me.target, cfg.box)
+        u_ref = track_reference(me, me.target, spec.box)
     else:
-        u_ref = clf_qp_reference(me, CLF_K, cfg.box)
+        u_ref = clf_qp_reference(me, CLF_K, spec.box)
     u_safe, fallback = (0.0, 0.0), Fallback.EMERGENCY
     if not stop:
         try:
-            u_safe = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=cfg.box))
+            u_safe = solve_qp(QPProblem(u_ref=u_ref, rows=rows, box=spec.box))
             fallback = Fallback.NONE
         except Infeasible:
             pass
@@ -453,7 +487,7 @@ def _bits(v):
     """v with every float replaced by its hex form, so == compares bitwise."""
     if isinstance(v, float):
         return v.hex()
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return tuple(_bits(x) for x in v)
     return v
 
@@ -463,11 +497,11 @@ _LAST_SCORES = (0.1, 0.6, 0.4, 0.2)   # rho, rho_d, rho_theta, margin of every p
 
 def _scene(start, now, alphas, fixed_alpha=False, rate_floor=True,
            trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0)):
-    """(observer id 0, snapshot history, previous records, config).  ``now``
+    """(observer id 0, snapshot history, previous records, scenario).  ``now``
     None makes ``start`` the only snapshot: the bootstrap step."""
     pairs = tuple(PairRecord(math.nan, a, *_LAST_SCORES) for a in alphas)
-    cfg = AgentConfig(box=BOX3, fixed_alpha=fixed_alpha, rate_floor=rate_floor, trust=trust)
-    return 0, snapshots(start, now), pairs, cfg
+    s = scenario(len(start), fixed_alpha=fixed_alpha, rate_floor=rate_floor, trust=trust)
+    return 0, snapshots(start, now), pairs, s
 
 
 def _squeeze_scene():
@@ -512,8 +546,8 @@ def _scored(rec):
     return rec[2:] != _LAST_SCORES
 
 
-def _unclamped_trust_update(rec, cfg, alpha):
-    return alpha + cfg.dt * (cfg.trust.gamma_alpha * rec.rho)
+def _unclamped_trust_update(rec, s, alpha):
+    return alpha + s.dt * (s.trust.gamma_alpha * rec.rho)
 
 
 _CLOSING = ((1.25, 0.0), (1.0, 0.0), (-5.0, 0.0))   # at 5 m/s
@@ -521,53 +555,53 @@ _CLOSING = ((1.25, 0.0), (1.0, 0.0), (-5.0, 0.0))   # at 5 m/s
 _PINNED = {
     "neighbor_at_its_target": (
         _pair_scene((2.0, 1.1), (2.0, 1.0), (2.0, 1.0)),
-        lambda other, est, rec, cfg, fallback: (
+        lambda other, est, rec, s, fallback: (
             (other.px, other.py) == other.target and rec.rho_theta == 0.5)),
     "unknown_target": (
         _pair_scene((2.05, 0.5), (2.0, 0.5), None),
-        lambda other, est, rec, cfg, fallback: other.target is None and _scored(rec)),
+        lambda other, est, rec, s, fallback: other.target is None and _scored(rec)),
     "stationary_estimate_center": (
         _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0)),
-        lambda other, est, rec, cfg, fallback: est.center == (0.0, 0.0) and _scored(rec)),
+        lambda other, est, rec, s, fallback: est.center == (0.0, 0.0) and _scored(rec)),
     "direction_score_saturates": (
         # moving straight away from the observer, its goal at a right angle:
         # theta_a is floored, and tanh of twice the ratio rounds to exactly 1
         _pair_scene((1.95, 0.0), (2.0, 0.0), (2.0, 3.0)),
-        lambda other, est, rec, cfg, fallback: (
+        lambda other, est, rec, s, fallback: (
             _angle(est.center, (1.0, 0.0)) < THETA_FLOOR
             and rec.rho_theta == 1.0 and _scored(rec))),
     "negative_sigmoid_argument": (
         _pair_scene(*_CLOSING),
-        lambda other, est, rec, cfg, fallback: (
-            cfg.trust.k_blend * (rec.rho_d - cfg.trust.rho_bar_d) < 0.0)),
+        lambda other, est, rec, s, fallback: (
+            s.trust.k_blend * (rec.rho_d - s.trust.rho_bar_d) < 0.0)),
     "zero_margin": (
         # b = -alpha h - contribution is exactly 0 and the center (0, 0),
         # so the margin is -0.0
         _pair_scene((-0.0625, 0.0), (-0.0625, 0.0), (5.0, 0.0), alpha=96 / 63),
-        lambda other, est, rec, cfg, fallback: (
+        lambda other, est, rec, s, fallback: (
             rec.margin == 0.0 and math.copysign(1.0, rec.margin) < 0.0)),
     "boundary_reached_at_positive_h": (
         _pair_scene((0.5000005, 0.0), (0.5000005, 0.0), (5.0, 0.0)),
-        lambda other, est, rec, cfg, fallback: (
+        lambda other, est, rec, s, fallback: (
             0.0 < rec.h <= H_BOUNDARY_EPS and _scored(rec) and rec.alpha == 0.8
             and fallback is Fallback.EMERGENCY)),
     "rate_floor_wins": (
         # L_F = 0 lets the floor bind at a small alpha
         _pair_scene(*_CLOSING, alpha=0.011,
                     trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0, L_F=0.0)),
-        lambda other, est, rec, cfg, fallback: rec.alpha > max(
-            _unclamped_trust_update(rec, cfg, 0.011), cfg.trust.alpha_min)),
+        lambda other, est, rec, s, fallback: rec.alpha > max(
+            _unclamped_trust_update(rec, s, 0.011), s.trust.alpha_min)),
     "alpha_min_clamp": (
         _pair_scene(*_CLOSING, alpha=0.011, rate_floor=False),
-        lambda other, est, rec, cfg, fallback: (
-            _unclamped_trust_update(rec, cfg, 0.011) < cfg.trust.alpha_min
-            and rec.alpha == cfg.trust.alpha_min)),
+        lambda other, est, rec, s, fallback: (
+            _unclamped_trust_update(rec, s, 0.011) < s.trust.alpha_min
+            and rec.alpha == s.trust.alpha_min)),
     "alpha_max_clamp": (
         # the floor can only raise the rate above the trust rate
         _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0), alpha=1.999),
-        lambda other, est, rec, cfg, fallback: (
-            _unclamped_trust_update(rec, cfg, 1.999) > cfg.trust.alpha_max
-            and rec.alpha == cfg.trust.alpha_max)),
+        lambda other, est, rec, s, fallback: (
+            _unclamped_trust_update(rec, s, 1.999) > s.trust.alpha_max
+            and rec.alpha == s.trust.alpha_max)),
 }
 
 
@@ -618,26 +652,26 @@ def _scenes(draw):
 
 
 def test_squeeze_scene_has_an_infeasible_contribution_lp():
-    i, hist, pairs, cfg = _squeeze_scene()
-    contribs = _reference_step(i, *observe(hist), pairs, cfg)[2]
+    i, hist, pairs, s = _squeeze_scene()
+    contribs = _reference_step(i, *observe(hist), pairs, s)[2]
     assert contribs[2] is None and None not in contribs[:2]
 
 
 @pytest.mark.parametrize("low", [True, False])
 @pytest.mark.parametrize("rho_bar_d", [0.0, 1.0])
 def test_extreme_scene_scores_every_pair(low, rho_bar_d):
-    i, hist, pairs, cfg = _extreme_scene(low, rho_bar_d)
-    records = _reference_step(i, *observe(hist), pairs, cfg)[1]
+    i, hist, pairs, s = _extreme_scene(low, rho_bar_d)
+    records = _reference_step(i, *observe(hist), pairs, s)[1]
     assert all(_scored(rec) for rec in records)
 
 
 @pytest.mark.parametrize("branch", list(_PINNED))
 def test_pinned_scene_reaches_its_branch(branch):
     scene, reaches = _PINNED[branch]
-    i, hist, pairs, cfg = scene
+    i, hist, pairs, s = scene
     snap, estimates = observe(hist)
-    _, (rec,), _, _, _, fallback = _reference_step(i, snap, estimates, pairs, cfg)
-    assert reaches(snap.agents[1], estimates[1], rec, cfg, fallback)
+    _, (rec,), _, _, _, fallback = _reference_step(i, snap, estimates, pairs, s)
+    assert reaches(snap.agents[1], estimates[1], rec, s, fallback)
 
 
 @settings(max_examples=300, deadline=None)
@@ -659,10 +693,10 @@ def test_pinned_scene_reaches_its_branch(branch):
 @example(_extreme_scene(low=False, rho_bar_d=0.0))
 @example(_extreme_scene(low=False, rho_bar_d=1.0))
 def test_agent_step_matches_the_per_pair_reference_bitwise(scene):
-    i, hist, pairs, cfg = scene
+    i, hist, pairs, s = scene
     view = observe(hist)
-    dec = agent_step(i, *view, pairs, cfg)
-    rows, records, _, u_ref, u_safe, fallback = _reference_step(i, *view, pairs, cfg)
+    dec = agent_step(i, *view, pairs, s)
+    rows, records, _, u_ref, u_safe, fallback = _reference_step(i, *view, pairs, s)
     assert _bits(tuple(dec.planes)) == _bits(tuple(rows))
     assert _bits(dec.pairs) == _bits(tuple(records))
     assert _bits(dec.u_ref) == _bits(u_ref)
@@ -670,9 +704,9 @@ def test_agent_step_matches_the_per_pair_reference_bitwise(scene):
     assert dec.fallback is fallback
 
 
-def _reference_decision(i, snap, estimates, pairs, cfg):
+def _reference_decision(i, snap, estimates, pairs, s):
     """agent_step's decision from the per-pair reference, as the run loop reads it."""
-    _, records, _, u_ref, u_safe, fallback = _reference_step(i, snap, estimates, pairs, cfg)
+    _, records, _, u_ref, u_safe, fallback = _reference_step(i, snap, estimates, pairs, s)
     return ControlDecision(u_ref=u_ref, u_safe=u_safe, fallback=fallback, pairs=tuple(records))
 
 

@@ -455,10 +455,31 @@ def _euler_slack_misses(s, tr):
 def test_euler_slack_events_count_the_pairs_records():
     ring = _ring6()
     tr = run(ring)
-    assert tr.euler_slack_events == _euler_slack_misses(ring, tr) > 0
+    assert metrics(tr, ring)["euler_slack_events"] == _euler_slack_misses(ring, tr) > 0
     crossing = shipped("crossing", duration=5.0)
     tr = run(crossing)
-    assert tr.euler_slack_events == _euler_slack_misses(crossing, tr)
+    assert metrics(tr, crossing)["euler_slack_events"] == _euler_slack_misses(crossing, tr)
+
+
+def test_euler_slack_events_count_strictly_below_the_bound_from_step_1():
+    # one pair over four steps of dt = 1/16, where every slack is exact:
+    # step 1's slack equals the bound, step 2's lies one ulp below it and
+    # step 3's far above it.  Comparing step 0 with step 3 or with itself
+    # would fall far below the bound, and reading the new record's rate
+    # would lift steps 1 and 2 above it.
+    dt = 0.0625
+    s = Scenario(agents=[spec_intact(), spec_static(3.0, 0.0)], duration=3 * dt, dt=dt)
+    records = [(-2.0, 8.3125), (-1.0, 0.625 + 2.0 ** -53), (-1.0, 0.5), (3.0, 0.5)]
+    tr = sim.Trace(2, [(0, 1)])
+    for k, (h, alpha) in enumerate(records):
+        tr.times.append(dt * k)
+        tr.agent_data.fromlist([0.0] * (2 * len(AgentRecord._fields)))
+        tr.pair_data.fromlist(list(PairRecord(h, alpha)))
+    bound = -sim.EULER_SLACK_FACTOR * dt
+    slack = [(h1 - h0) / dt + a0 * h0 for (h0, a0), (h1, _) in zip(records, records[1:])]
+    assert slack[0] == bound
+    assert slack[1] == math.nextafter(bound, -math.inf)
+    assert metrics(tr, s)["euler_slack_events"] == 1
 
 
 def test_uncooperative_command_is_the_applied_one():
