@@ -228,11 +228,11 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
         x = rho_d - rho_bar_d
         t = k_blend * x
         if t >= 0.0:
-            s = 1.0 / (1.0 + math.exp(-t))
+            sig = 1.0 / (1.0 + math.exp(-t))
         else:
             e = math.exp(t)
-            s = e / (1.0 + e)
-        rho = s * x * rho_theta + (1.0 - s) * x * (1.0 - rho_theta)
+            sig = e / (1.0 + e)
+        rho = sig * x * rho_theta + (1.0 - sig) * x * (1.0 - rho_theta)
         if adapt:
             if rate_floor and h <= H_BOUNDARY_EPS:
                 # the rate floor is undefined at the boundary: stop, keep alpha

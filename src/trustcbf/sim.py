@@ -7,9 +7,8 @@ The update is synchronous: every agent's command for step k is computed from
 the same immutable snapshot of step k, then all states advance together by one
 Euler step.  One pass over the agents decides and records each of them; only
 the commands outlive it.  With no randomness anywhere in the loop, two runs of
-the same scenario produce bitwise identical traces.  The loop counts only the
-motion-estimate misses, which the records do not show; ``metrics`` computes
-every other count from the trace.
+the same scenario produce bitwise identical traces.  The loop only decides,
+records and steps; ``metrics`` computes every count from the trace.
 """
 
 from __future__ import annotations
@@ -65,9 +64,7 @@ class Trace:
     PairRecord fields in order, and step k holds one record per key of
     ``pair_keys``, in that order.  ``agents[k]`` reads step k back as a list
     of AgentRecord, ``pairs[k]`` as a dict of PairRecord keyed by (i, j).
-    ``estimate_violations`` counts the motion-estimate misses, which the
-    records do not show; every other count is computed from the records by
-    ``metrics``.
+    ``metrics`` computes every count from the records.
     """
 
     def __init__(self, n_agents: int, pair_keys: Sequence[tuple[int, int]]):
@@ -76,7 +73,6 @@ class Trace:
         self.pair_data = array("d")
         self.n_agents = n_agents
         self.pair_keys = tuple(pair_keys)
-        self.estimate_violations = 0
 
     @property
     def agents(self) -> Steps:
@@ -165,7 +161,8 @@ def run(s: Scenario) -> Trace:
     agent's command comes from ``agent_step``, which reads ``s`` itself and
     whose pair records the trace keeps; any other agent's comes from its
     policy, and is its reference too.  Every agent writes its trace row in
-    the same pass, and the Euler steps read only the commands.
+    the same pass, and the Euler steps read only the commands.  The loop
+    judges no estimate and counts nothing: ``metrics`` does, from the trace.
     """
     s.validate()
     t = 0.0
@@ -181,9 +178,9 @@ def run(s: Scenario) -> Trace:
     # Each intact agent's keys in neighbor-id order, like its decision's pairs.
     trace = Trace(n, [(i, j) for i in intact for j in range(n) if j != i])
     prev: Optional[WorldSnapshot] = None
-    # Agents some intact observer watches; each one's motion estimate is
-    # built once per step and shared by every observer.
-    watched = [j for j in range(n) if any(i != j for i in intact)]
+    # Each watched agent's motion estimate is built once per step and shared
+    # by every observer.
+    watched = _watched(intact, n)
 
     for k in range(steps + 1):
         snap = WorldSnapshot(time=t, agents=agents)
@@ -213,17 +210,16 @@ def run(s: Scenario) -> Trace:
                        for a, u, spec in zip(agents, commands, s.agents))
         t += s.dt
 
-        # Check the estimate balls the observers used against each watched
-        # agent's real next motion; misses are counted, never enforced.
-        trace.estimate_violations += estimate_misses(estimates, snap.agents, agents, s.dt)
-
     stops = _fallbacks(trace)
     if stops:
         log.warning("%d emergency stops in %d intact agent-steps", stops,
                     len(intact) * len(trace.agents))
-    if trace.estimate_violations:
-        log.info("motion-estimate bound exceeded on %d agent-steps", trace.estimate_violations)
     return trace
+
+
+def _watched(intact: Sequence[int], n: int) -> list[int]:
+    """The ids, of n agents, that some agent of ``intact`` watches, in order."""
+    return [j for j in range(n) if any(i != j for i in intact)]
 
 
 def _distance(p: tuple[float, float], q: tuple[float, float]) -> float:
@@ -244,12 +240,17 @@ def metrics(trace: Trace, s: Scenario) -> dict:
     ``euler_slack_events`` counts, from the trace's h and alpha columns, the
     pair-steps k >= 1 that broke the barrier-rate inequality by more than the
     Euler slack: (h_k - h_{k-1}) / dt + alpha_{k-1} h_{k-1} below
-    -EULER_SLACK_FACTOR * dt.
+    -EULER_SLACK_FACTOR * dt.  ``estimate_violations`` counts, from the
+    trace's px, py and psi columns, the steps at which a watched agent's
+    next motion left the estimate ball its observers used
+    (``world.estimate_misses``).
     """
     intact = [i for i, spec in enumerate(s.agents) if spec.kind is AgentKind.INTACT]
     out: dict = {"agents": {}, "min_h": math.inf,
                  "emergency_events": _fallbacks(trace),
-                 "estimate_violations": trace.estimate_violations,
+                 "estimate_violations": sum(len(estimate_misses(
+                     trace.times, *(trace.agent_column(c, j) for c in ("px", "py", "psi")),
+                     s.agents[j].model, s.dt)) for j in _watched(intact, len(s.agents))),
                  "euler_slack_events": 0}
     min_hs = dict.fromkeys(intact, math.inf)
     dt, bound = s.dt, -EULER_SLACK_FACTOR * s.dt

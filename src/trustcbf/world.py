@@ -6,8 +6,9 @@ with a ball: the center is the finite-difference position rate between the
 previous snapshot and the current one, and the radius is ten percent of the
 full state derivative's norm.  Before two observations exist, every watched
 agent gets the bootstrap ball instead (zero center, the speed bound v_max as
-radius), flagged as a prior.  This module also judges the estimates: a miss
-is a next motion that leaves the ball.
+radius), flagged as a prior.  This module also judges the estimates from a
+recorded path: a miss is a next motion that leaves the ball the two samples
+before it give.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .schema import AgentKind, Model
 
@@ -97,13 +98,24 @@ class MotionEstimate:
     bootstrap: bool = False
 
 
-def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> MotionEstimate:
-    """Finite-difference estimate of agent j's position rate between two snapshots.
+def motion_ball(dx: float, dy: float, dpsi: float, h: float,
+                unicycle: bool) -> tuple[tuple[float, float], float]:
+    """Center and radius ((cx, cy), r) of the ball estimated from one
+    sample's change (dx, dy, dpsi) over h seconds.
 
-    The center is (position(t) - position(t-dt)) / dt.  The radius is
-    ESTIMATE_RADIUS_FACTOR times the norm of the full state's difference
-    quotient: for a unicycle that includes the heading rate, differenced
-    modulo 2*pi, so the ball stays a conservative bound on the position rate.
+    The center is (dx, dy) / h.  The radius is ESTIMATE_RADIUS_FACTOR times
+    the norm of the full state's difference quotient: for a unicycle that
+    includes the heading rate, differenced modulo 2*pi, so the ball stays a
+    conservative bound on the position rate.
+    """
+    vx, vy = dx / h, dy / h
+    w = wrap_angle(dpsi) / h if unicycle else 0.0
+    return (vx, vy), ESTIMATE_RADIUS_FACTOR * math.sqrt(vx * vx + vy * vy + w * w)
+
+
+def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> MotionEstimate:
+    """Finite-difference estimate of agent j's position rate between two
+    snapshots: the ``motion_ball`` of its change over their time difference.
 
     Raises ValueError unless ``newer`` is later than ``older``.
     """
@@ -111,13 +123,8 @@ def estimate_motion(older: WorldSnapshot, newer: WorldSnapshot, j: int) -> Motio
     if dt <= 0.0:
         raise ValueError(f"snapshots out of order (dt={dt})")
     a0, a1 = older.agents[j], newer.agents[j]
-    vx = (a1.px - a0.px) / dt
-    vy = (a1.py - a0.py) / dt
-    sq = vx * vx + vy * vy
-    if a1.model is Model.UNICYCLE:
-        w = wrap_angle(a1.psi - a0.psi) / dt
-        sq += w * w
-    return MotionEstimate(center=(vx, vy), radius=ESTIMATE_RADIUS_FACTOR * math.sqrt(sq))
+    return MotionEstimate(*motion_ball(a1.px - a0.px, a1.py - a0.py, a1.psi - a0.psi, dt,
+                                       a1.model is Model.UNICYCLE))
 
 
 def bootstrap_estimate(v_max: float) -> MotionEstimate:
@@ -141,20 +148,23 @@ def estimate_positions(prev: Optional[WorldSnapshot], snap: WorldSnapshot,
     return {j: estimate_motion(prev, snap, j) for j in ids}
 
 
-def estimate_misses(estimates: Mapping[int, MotionEstimate], before: Sequence[AgentState],
-                    after: Sequence[AgentState], dt: float) -> int:
-    """How many of the estimates the agents' motion over one step of ``dt``
-    left: the rate (after - before) / dt lies farther than radius + 1e-9 from
-    the ball's center.  ``before`` and ``after`` are indexed by agent id.  The
-    bootstrap prior is not an estimate and is never judged.
+def estimate_misses(times: Sequence[float], px: Sequence[float], py: Sequence[float],
+                    psi: Sequence[float], model: Model, dt: float) -> list[int]:
+    """The steps k at which one agent's recorded path left its estimate ball.
+
+    The path is the agent's position and heading at each of the K ``times``.
+    Step k, for k in 1 ... K-2, is a miss when the rate (p_{k+1} - p_k) / dt
+    lies farther than radius + 1e-9 from the center of the ``motion_ball``
+    of the change from k-1 to k.  Step 0 had only the bootstrap prior, which
+    is not an estimate, and the last record has no next motion, so neither is
+    judged.
     """
-    misses = 0
-    for j, est in estimates.items():
-        if est.bootstrap:
-            continue
-        a1, a2 = before[j], after[j]
-        dx = (a2.px - a1.px) / dt - est.center[0]
-        dy = (a2.py - a1.py) / dt - est.center[1]
-        if math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9:
-            misses += 1
+    misses = []
+    for k in range(1, len(times) - 1):
+        (cx, cy), r = motion_ball(px[k] - px[k - 1], py[k] - py[k - 1], psi[k] - psi[k - 1],
+                                  times[k] - times[k - 1], model is Model.UNICYCLE)
+        ex = (px[k + 1] - px[k]) / dt - cx
+        ey = (py[k + 1] - py[k]) / dt - cy
+        if math.sqrt(ex * ex + ey * ey) > r + 1e-9:
+            misses.append(k)
     return misses

@@ -9,10 +9,10 @@ fallback), the pair's discrete barrier-rate inequality
 
 holds, where h_k and alpha_k are the pair's records at step k (alpha_k is the
 rate the step-k QP row enforced).  ``pair_steps`` recomputes, from a finished
-run's trace and scenario alone, each pair-step's slack, j's estimate miss (by
-``world.estimate_motion`` on snapshots rebuilt from the trace, and
-``world.estimate_misses``' ``radius + 1e-9`` test), both agents' fallbacks, and whether k = 0, the
-bootstrap step, whose ball is the speed-bound prior rather than an estimate.
+run's trace and scenario alone, each pair-step's slack, j's estimate miss
+(``world.estimate_misses`` on j's recorded path, the rule ``metrics`` counts
+by), both agents' fallbacks, and whether k = 0, the bootstrap step, whose
+ball is the speed-bound prior rather than an estimate.
 
 The bound eps.  With g = ||grad h|| = 2 ||p_i - p_j|| at step k (p_i the
 observer's barrier point: its look-ahead point for a unicycle), h_{k+1} - h_k
@@ -43,7 +43,7 @@ from trustcbf import sim
 from trustcbf.barriers import eval_barrier
 from trustcbf.cli import load_scenario
 from trustcbf.solvers import QP_RETRY_TOL
-from trustcbf.world import AgentState, Model, WorldSnapshot, estimate_motion
+from trustcbf.world import AgentState, Model, estimate_misses
 
 from conftest import fixed_arc_ring
 
@@ -71,28 +71,23 @@ class PairStep(NamedTuple):
 def pair_steps(s, trace) -> list[PairStep]:
     """Every pair-step of the run of ``s``, recomputed from its trace."""
     dt = s.dt
-    snaps = [WorldSnapshot(t, tuple(AgentState(id=j, kind=spec.kind, model=spec.model,
-                                               px=r.px, py=r.py, psi=r.psi)
-                                    for j, (spec, r) in enumerate(zip(s.agents, recs))))
-             for t, recs in zip(trace.times, trace.agents)]
+    misses = [set(estimate_misses(trace.times, *(trace.agent_column(c, j)
+                                                 for c in ("px", "py", "psi")),
+                                  spec.model, dt))
+              for j, spec in enumerate(s.agents)]
     out = []
-    for k, (snap, nxt) in enumerate(zip(snaps, snaps[1:])):
-        miss = [False] * len(s.agents)
-        if k > 0:
-            for j, (a0, a1) in enumerate(zip(snap.agents, nxt.agents)):
-                est = estimate_motion(snaps[k - 1], snap, j)
-                dx = (a1.px - a0.px) / dt - est.center[0]
-                dy = (a1.py - a0.py) / dt - est.center[1]
-                miss[j] = math.sqrt(dx * dx + dy * dy) > est.radius + 1e-9
+    for k in range(len(trace.times) - 1):
         recs, new = trace.agents[k], trace.pairs[k + 1]
+        states = [AgentState(id=j, kind=spec.kind, model=spec.model, px=r.px, py=r.py, psi=r.psi)
+                  for j, (spec, r) in enumerate(zip(s.agents, recs))]
         for (i, j), old in trace.pairs[k].items():
             slack = (new[(i, j)].h - old.h) / dt + old.alpha * old.h
-            me = snap.agents[i]
-            g = math.hypot(*eval_barrier(me, snap.agents[j], s.agents[i].d_min,
+            me = states[i]
+            g = math.hypot(*eval_barrier(me, states[j], s.agents[i].d_min,
                                          s.lookahead).grad_i)
             l, w = (s.lookahead, recs[i].u2) if me.model is Model.UNICYCLE else (0.0, 0.0)
             eps = QP_RETRY_TOL + g * (1e-9 + l * w * w * dt / 2.0)
-            out.append(PairStep(i, j, k, slack, eps, miss[j],
+            out.append(PairStep(i, j, k, slack, eps, k in misses[j],
                                 bool(recs[i].fallback or recs[j].fallback), k == 0))
     return out
 

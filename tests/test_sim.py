@@ -522,15 +522,34 @@ def _estimate_misses(s, tr):
     return misses
 
 
-def test_estimate_violations_count_misses_of_the_observers_balls():
+def test_estimate_violations_count_misses_of_the_observers_balls(ring12_run):
     # crossing: unicycle balls include the heading rate; headon: the lone
-    # intact agent is watched by nobody, so its motion is never checked.
+    # intact agent is watched by nobody, so its motion is never checked;
+    # ring12: most estimates miss.
     crossing = shipped("crossing", duration=5.0)
     tr = run(crossing)
-    assert tr.estimate_violations == _estimate_misses(crossing, tr) > 0
+    assert metrics(tr, crossing)["estimate_violations"] == _estimate_misses(crossing, tr) > 0
     headon = shipped("headon_stress", duration=2.0)
     tr = run(headon)
-    assert tr.estimate_violations == _estimate_misses(headon, tr)
+    assert metrics(tr, headon)["estimate_violations"] == _estimate_misses(headon, tr)
+    ring, tr = ring12_run
+    assert metrics(tr, ring)["estimate_violations"] == _estimate_misses(ring, tr) > 0
+
+
+def test_estimate_violations_count_a_miss_in_the_trace():
+    # agent 1 moves at 1 m/s over step 0, then at 2 m/s over steps 1 and 2:
+    # step 1 leaves the ball of radius 0.1 m/s around 1 m/s, step 2 stays in
+    # the one around 2 m/s, so the trace holds one miss.  Agent 0, the lone
+    # intact agent, is watched by nobody, so its jumps count none.
+    dt = 0.1
+    s = Scenario(agents=[spec_intact(), spec_static(3.0, 0.0)], duration=3 * dt, dt=dt)
+    tr = sim.Trace(2, [(0, 1)])
+    for k, (x0, x1) in enumerate(((0.0, 3.0), (5.0, 3.1), (0.0, 3.3), (5.0, 3.5))):
+        tr.times.append(dt * k)
+        for x in (x0, x1):
+            tr.agent_data.fromlist(list(AgentRecord(x, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)))
+        tr.pair_data.fromlist(list(PairRecord(1.0, 1.0)))
+    assert metrics(tr, s)["estimate_violations"] == 1
 
 
 def _run_capturing_decisions(s):

@@ -155,27 +155,41 @@ def test_estimate_positions_once_for_the_listed_agents():
 
 
 def test_estimate_misses_boundary_is_radius_plus_1e_9():
-    # a rate exactly radius + 1e-9 from the center is inside the ball; one
-    # ulp beyond it is a miss
+    # the unicycle turns 1.5 rad in place over the first step of 0.5 s, so
+    # the ball at step 1 has center 0 and radius 0.1 * 3.0; a next rate
+    # exactly radius + 1e-9 from the center is inside the ball, one ulp
+    # beyond it is a miss
     dt = 0.5
-    est = {0: MotionEstimate(center=(0.0, 0.0), radius=0.3)}
-    edge = 0.3 + 1e-9
-    before = [make_agent(0, 0.0, 0.0)]
-    for rate, misses in ((edge, 0), (math.nextafter(edge, math.inf), 1)):
-        for after in ([make_agent(0, rate * dt, 0.0)], [make_agent(0, 0.0, -rate * dt)]):
-            assert estimate_misses(est, before, after, dt) == misses
+    times, psi = [0.0, dt, 2 * dt], [0.0, 1.5, 1.5]
+    edge = ESTIMATE_RADIUS_FACTOR * 3.0 + 1e-9
+    for rate, misses in ((edge, []), (math.nextafter(edge, math.inf), [1])):
+        for px, py in (([0.0, 0.0, rate * dt], [0.0] * 3), ([0.0] * 3, [0.0, 0.0, -rate * dt])):
+            assert estimate_misses(times, px, py, psi, Model.UNICYCLE, dt) == misses
 
 
 def test_estimate_misses_counts_every_estimate_but_the_prior():
-    # agent 1 leaves its ball, agent 2 stays inside; agent 0 keeps only the
-    # prior, which is never judged however far the agent moves
-    s0 = WorldSnapshot(0.0, tuple(make_agent(i, float(i), 0.0) for i in range(3)))
-    est = estimate_positions(None, s0, range(3), 1.0)
-    est[1] = MotionEstimate(center=(1.0, 0.0), radius=0.1)
-    est[2] = MotionEstimate(center=(0.0, 1.0), radius=0.1)
-    after = (make_agent(0, 50.0, 0.0), make_agent(1, 1.0, 0.0), make_agent(2, 2.0, 0.1))
-    assert estimate_misses(est, s0.agents, after, 0.1) == 1
-    assert estimate_misses({0: est[0], 2: est[2]}, s0.agents, after, 0.1) == 0
+    # step 0 had only the prior, which is never judged however far the
+    # agent moves: a 50 m jump over it is no miss, and neither is the next
+    # step, which keeps that rate.  A path that leaves its ball at every
+    # step is judged at steps 1 ... K-2 only: the last record has no next
+    # motion.  A path that stays inside its ball has no miss.
+    dt = 0.1
+    times = [dt * k for k in range(5)]
+    zero = [0.0] * 5
+    integrator = Model.SINGLE_INTEGRATOR
+    assert estimate_misses(times[:2], [0.0, 50.0], zero[:2], zero[:2], integrator, dt) == []
+    assert estimate_misses(times[:3], [0.0, 50.0, 100.0], zero[:3], zero[:3],
+                           integrator, dt) == []
+    # the rate doubles at every step: 1, 2, 4, 8 m/s, each far outside the
+    # previous step's ball of radius 0.1 * rate
+    accelerating = [0.0, 0.1, 0.3, 0.7, 1.5]
+    assert estimate_misses(times, accelerating, zero, zero, integrator, dt) == [1, 2, 3]
+    assert estimate_misses(times, zero, accelerating, zero, integrator, dt) == [1, 2, 3]
+    assert estimate_misses(times[:4], accelerating[:4], zero[:4], zero[:4],
+                           integrator, dt) == [1, 2]
+    # 1 m/s along y, then 1.05 m/s: 0.05 from the center of a ball of radius 0.1
+    steady = [0.0, 0.1, 0.205]
+    assert estimate_misses(times[:3], zero[:3], steady, zero[:3], integrator, dt) == []
 
 
 def test_estimate_motion_fuzz_matches_difference_quotient():
