@@ -14,7 +14,7 @@ barrier constraint controllable in both axes.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .dynamics import ModelMismatch
 from .schema import D_MIN_DEFAULT, LOOKAHEAD_DEFAULT
@@ -86,13 +86,9 @@ def eval_barrier(x_i: AgentState, x_j: AgentState, d_min: float = D_MIN_DEFAULT,
     return BarrierEval(dx * dx + dy * dy - d_min * d_min, (gx, gy), (-gx, -gy))
 
 
-def clf_value(state: AgentState, target: Optional[tuple[float, float]] = None
+def clf_value(state: AgentState, target: tuple[float, float]
               ) -> tuple[float, tuple[float, float]]:
-    """Quadratic goal function V = ||p - p_ref||^2 and its position gradient."""
-    if target is None:
-        target = state.target
-    if target is None:
-        raise ValueError(f"agent {state.id} has no known target")
+    """Quadratic goal function V = ||p - target||^2 and its position gradient."""
     ex, ey = state.px - target[0], state.py - target[1]
     return ex * ex + ey * ey, (2.0 * ex, 2.0 * ey)
 

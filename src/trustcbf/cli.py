@@ -33,8 +33,6 @@ if TYPE_CHECKING:
 
     from .sim import Trace
 
-FLOAT_FMT = "{:.17g}"
-
 TRACE_HEADER = ",".join(("t", "agent_id", *AgentRecord._fields))
 PAIRS_HEADER = ",".join(("t", "i", "j", *PairRecord._fields))
 
@@ -198,10 +196,6 @@ def load_scenario(path: Path) -> Scenario:
 
 # --- outputs ---------------------------------------------------------------
 
-def _f(x: float) -> str:
-    return FLOAT_FMT.format(float(x))
-
-
 def _write_steps(path: Path, header: str, times: list[float], data, per_record: int,
                  lines: list[str]) -> None:
     """Write ``header`` and then, step by step, the records of that step.
@@ -220,7 +214,7 @@ def _write_steps(path: Path, header: str, times: list[float], data, per_record: 
             f.write((b"%.17g" % t).join(parts) % tuple(data[width * k:width * (k + 1)]))
 
 
-# "%.17g" gives the same bytes as FLOAT_FMT; "%d" prints the fallback code.
+# Every output float is written "%.17g", which round-trips; "%d" prints the fallback code.
 def write_trace_csv(trace: Trace, path: Path) -> None:
     line = "".join(",%d" if name == "fallback" else ",%.17g" for name in AgentRecord._fields)
     _write_steps(path, TRACE_HEADER, trace.times, trace.agent_data, AGENT_FIELDS,
@@ -260,8 +254,8 @@ def _svg_line_chart(path: Path, title: str, series: list, xlabel: str, ylabel: s
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}" '
-        f'data-x-min="{_f(x_min)}" data-x-max="{_f(x_max)}" '
-        f'data-y-min="{_f(y_min)}" data-y-max="{_f(y_max)}">',
+        'data-x-min="%.17g" data-x-max="%.17g" data-y-min="%.17g" data-y-max="%.17g">'
+        % (x_min, x_max, y_min, y_max),
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',

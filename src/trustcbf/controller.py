@@ -1,13 +1,14 @@
 """Per-agent control step: reference command, trust updates, and the safety QP.
 
 The step reads the run's ``Scenario``: the observer's own ``AgentSpec`` gives
-its control box and safety distance, and the scenario the settings every agent
-shares (look-ahead distance, time step, trust settings, ``fixed_alpha`` and
-``rate_floor``).  For each neighbor the observer takes the worst-case motion
-inside the neighbor's motion-estimate ball, scores trust, adapts the pair's
-rate parameter, and builds one barrier constraint.  The step carries each
-constraint as a plain (a0, a1, b) float triple, a half-plane a . u >= b, and
-makes two plain-float passes over the neighbors, one call each:
+its control box, safety distance and goal, each neighbor's spec its declared
+goal, and the scenario the settings every agent shares (look-ahead distance,
+time step, trust settings, ``fixed_alpha`` and ``rate_floor``).  For each
+neighbor the observer takes the worst-case motion inside the neighbor's
+motion-estimate ball, scores trust, adapts the pair's rate parameter, and
+builds one barrier constraint.  The step carries each constraint as a plain
+(a0, a1, b) float triple, a half-plane a . u >= b, and makes two plain-float
+passes over the neighbors, one call each:
 ``pair_geometry`` (barriers, worst-case motions, start-of-step planes) and,
 after the contribution LPs over those planes, ``score_pairs`` (trust scores,
 rate updates, and a new offset b where a pair's rate moved).  Both passes
@@ -59,21 +60,20 @@ class ControlDecision:
     planes: Sequence[tuple] = ()
 
 
-def clf_qp_reference(state, k: float = CLF_K, box: Box = DEFAULT_BOX,
-                     target: Optional[tuple[float, float]] = None) -> tuple[float, float]:
+def clf_qp_reference(state, target: tuple[float, float], k: float = CLF_K,
+                     box: Box = DEFAULT_BOX) -> tuple[float, float]:
     """Minimum-norm command decreasing the goal function exponentially.
 
         min ||u||^2   s.t.   gradV . u <= -k V
 
-    The goal is ``target``, by default the agent's own.  For integrators
-    only.  The one-row QP has a closed form, ``solvers.solve_min_norm``: the
-    foot (k / 2) (target - p) when the box holds it, else that foot clamped
-    along the constraint line to the box.  At the goal the constraint is
-    vacuous and the command is zero.  When the box cannot deliver the
-    descent rate (a far goal), the goal condition gives way: the command
-    saturates in the box along the descent direction -gradV, so the agent
-    heads for its goal as fast as the box lets it.  It never raises
-    Infeasible.
+    with V the squared distance to ``target``.  For integrators only.  The
+    one-row QP has a closed form, ``solvers.solve_min_norm``: the foot
+    (k / 2) (target - p) when the box holds it, else that foot clamped along
+    the constraint line to the box.  At the goal the constraint is vacuous
+    and the command is zero.  When the box cannot deliver the descent rate (a
+    far goal), the goal condition gives way: the command saturates in the box
+    along the descent direction -gradV, so the agent heads for its goal as
+    fast as the box lets it.  It never raises Infeasible.
     """
     if state.model is not Model.SINGLE_INTEGRATOR:
         raise ValueError("clf_qp_reference applies to single integrators")
@@ -154,6 +154,8 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     judged at the estimate center: its slack is the recorded margin, which
     scores the distance trust, while the floor on alpha's rate guards the row
     the QP enforces and so takes the slack of the ball's worst-case point.
+    The direction score reads neighbor j's declared goal from its spec,
+    ``s.agents[j].target``; an unknown goal counts as the observer's position.
     A pair is not scored on the bootstrap ball, when its contribution LP is
     infeasible, or when the agents coincide (no half-space normal); it keeps
     its rate and last scores.  A pair whose rate did not move keeps its
@@ -200,7 +202,7 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
         rho_d = math.tanh(beta * (0.0 if 0.0 > d else d))
         # ||a_j||, the estimate center's norm, is also the first term of B
         cn = math.sqrt(cx * cx + cy * cy)
-        target = other.target
+        target = s.agents[other.id].target
         tx, ty = (me.px, me.py) if target is None else target
         ex = tx - other.px
         ey = ty - other.py
@@ -265,22 +267,22 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
     all observers.  ``pairs`` holds the previous step's record of each pair in
     neighbor-id order, and the decision's ``pairs`` holds the new ones, each
     with its barrier value on this snapshot.  ``s`` is the run's scenario:
-    ``s.agents[i]`` gives the observer's control box and safety distance, and
-    ``s`` the shared settings.  Nothing is mutated.  All
-    per-pair computations read rates as of the start of the step, so their
-    order cannot matter.
+    ``s.agents[i]`` gives the observer's control box, safety distance and goal,
+    each neighbor's spec its declared goal, and ``s`` the shared settings.
+    Nothing is mutated.  All per-pair computations read rates as of the start
+    of the step, so their order cannot matter.
     """
     me = snap.agents[i]
-    box = s.agents[i].box
+    box, target = s.agents[i].box, s.agents[i].target
     entries, start_planes = pair_geometry(i, snap, estimates, pairs, s)
     # Each pair's contribution LP runs over the other pairs' start planes.
     contribs, chain = max_own_contribution(start_planes, box)
     records, planes, emergency = score_pairs(i, snap, entries, contribs, s)
 
     if me.model is Model.UNICYCLE:
-        u_ref = track_reference(me, me.target, box)
+        u_ref = track_reference(me, target, box)
     else:
-        u_ref = clf_qp_reference(me, CLF_K, box)
+        u_ref = clf_qp_reference(me, target, CLF_K, box)
 
     fallback = Fallback.NONE
     if emergency:

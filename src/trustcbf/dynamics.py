@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .schema import DEFAULT_BOX, Box
 from .world import AgentState, Model, wrap_angle
@@ -29,9 +29,9 @@ def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFA
 
     A unicycle moves (v cos psi, v sin psi, omega) dt, an integrator
     (vx, vy) dt.  Out-of-box commands are clamped with a warning.  The new
-    state is built positionally from floats and the old state's target pair,
-    so ``AgentState`` only checks it; the new heading is handed over
-    unwrapped, and ``AgentState`` wraps it only when it left (-pi, pi].
+    state is built positionally from floats, so ``AgentState`` only checks
+    it; the new heading is handed over unwrapped, and ``AgentState`` wraps it
+    only when it left (-pi, pi].
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -44,21 +44,16 @@ def euler_step(state: AgentState, u: Sequence[float], dt: float, box: Box = DEFA
         dx, dy, psi = v * math.cos(state.psi), v * math.sin(state.psi), state.psi + dt * omega
     else:
         dx, dy, psi = u[0], u[1], 0.0
-    return AgentState(state.id, state.kind, state.model, state.px + dt * dx,
-                      state.py + dt * dy, psi, state.target)
+    return AgentState(state.id, state.model, state.px + dt * dx, state.py + dt * dy, psi)
 
 
-def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] = None,
+def nominal_direction(state: AgentState, target: tuple[float, float],
                       tol: float = 1e-9) -> tuple[tuple[float, float], bool]:
-    """Unit vector from the agent's position toward ``target`` (default: its own).
+    """Unit vector from the agent's position toward ``target``.
 
     Returns (direction, at_target).  At the target the direction is the zero
     vector and the flag is set; callers must branch on it.
     """
-    if target is None:
-        target = state.target
-    if target is None:
-        raise ValueError(f"agent {state.id} has no known target")
     ex = target[0] - state.px
     ey = target[1] - state.py
     dist = math.sqrt(ex * ex + ey * ey)
@@ -67,9 +62,10 @@ def nominal_direction(state: AgentState, target: Optional[tuple[float, float]] =
     return (ex / dist, ey / dist), False
 
 
-def nominal_trajectory(state0: AgentState, gain: float, horizon: float,
-                       dt: float) -> list[tuple[float, float]]:
-    """Constant-speed straight-line motion toward the target, held after arrival.
+def nominal_trajectory(state0: AgentState, target: tuple[float, float], gain: float,
+                       horizon: float, dt: float) -> list[tuple[float, float]]:
+    """Constant-speed straight-line motion from ``state0`` toward ``target``,
+    held after arrival.
 
     Returns floor(horizon/dt)+1 positions (x, y): one at every record time,
     starting at the initial position.  Speed is ``gain`` until the remaining
@@ -80,10 +76,8 @@ def nominal_trajectory(state0: AgentState, gain: float, horizon: float,
         raise ValueError("dt must be positive")
     if gain <= 0.0:
         raise ValueError("speed gain must be positive")
-    if state0.target is None:
-        raise ValueError(f"agent {state0.id} has no known target")
     steps = int(math.floor(horizon / dt + 1e-9))
-    tx, ty = float(state0.target[0]), float(state0.target[1])
+    tx, ty = float(target[0]), float(target[1])
     x, y = state0.px, state0.py
     out = [(x, y)]
     step_len = gain * dt

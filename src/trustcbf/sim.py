@@ -121,21 +121,22 @@ def adversary_policy(state: AgentState, snapshot: WorldSnapshot, prey: int,
     stopping.
     """
     prey_pos = (snapshot.agents[prey].px, snapshot.agents[prey].py)
-    return clf_qp_reference(state, k, box, target=prey_pos)
+    return clf_qp_reference(state, prey_pos, k, box)
 
 
-def uncooperative_policy(state: AgentState, speed: float, dt: float,
-                         box: Box = DEFAULT_BOX) -> tuple[float, float]:
-    """Constant-velocity motion toward the agent's own target; zero at the target.
+def uncooperative_policy(state: AgentState, target: tuple[float, float], speed: float,
+                         dt: float, box: Box = DEFAULT_BOX) -> tuple[float, float]:
+    """Constant-velocity motion toward ``target``, the agent's own declared
+    goal; zero at the target.
 
-    Depends on nothing but the agent's own state, so other agents cannot
-    perturb it.  The last step of length ``dt`` onto the target is shortened
-    to land exactly instead of overshooting.  The command is clipped to
-    ``box``, so a speed the box cannot deliver saturates there, and the
-    recorded command is the one applied.  The target must be known, as
-    ``Scenario.validate`` requires of every uncooperative agent.
+    Depends on nothing but the agent's own state and spec, so other agents
+    cannot perturb it.  The last step of length ``dt`` onto the target is
+    shortened to land exactly instead of overshooting.  The command is
+    clipped to ``box``, so a speed the box cannot deliver saturates there,
+    and the recorded command is the one applied.  ``Scenario.validate``
+    requires every uncooperative agent to declare its goal.
     """
-    ex, ey = state.target[0] - state.px, state.target[1] - state.py
+    ex, ey = target[0] - state.px, target[1] - state.py
     dist = math.sqrt(ex * ex + ey * ey)
     if dist < 1e-12:
         return 0.0, 0.0
@@ -146,10 +147,8 @@ def uncooperative_policy(state: AgentState, speed: float, dt: float,
 
 def _start_state(idx: int, spec: AgentSpec) -> AgentState:
     """Agent ``idx`` at t = 0; a start without a heading faces along +x."""
-    return AgentState(id=idx, kind=spec.kind, model=spec.model,
-                      px=spec.start[0], py=spec.start[1],
-                      psi=spec.start[2] if len(spec.start) == 3 else 0.0,
-                      target=spec.target)
+    return AgentState(id=idx, model=spec.model, px=spec.start[0], py=spec.start[1],
+                      psi=spec.start[2] if len(spec.start) == 3 else 0.0)
 
 
 def run(s: Scenario) -> Trace:
@@ -188,16 +187,16 @@ def run(s: Scenario) -> Trace:
         trace.times.append(t)
         commands = []   # index == agent id
         for a, spec in zip(agents, s.agents):
-            if a.kind is AgentKind.INTACT:
+            if spec.kind is AgentKind.INTACT:
                 d = agent_step(a.id, snap, estimates, pairs[a.id], s)
                 u_ref, u, fallback = d.u_ref, d.u_safe, d.fallback.value
                 trace.pair_data.fromlist([v for rec in d.pairs for v in rec])
                 pairs[a.id] = d.pairs
             else:
-                if a.kind is AgentKind.ADVERSARIAL:
+                if spec.kind is AgentKind.ADVERSARIAL:
                     u = adversary_policy(a, snap, spec.prey, spec.gain, spec.box)
                 else:
-                    u = uncooperative_policy(a, spec.speed, s.dt, spec.box)
+                    u = uncooperative_policy(a, spec.target, spec.speed, s.dt, spec.box)
                 u_ref, fallback = u, 0
             # The agent's record in AgentRecord field order.
             trace.agent_data.fromlist([a.px, a.py, a.psi, *u_ref, *u, fallback])
@@ -267,7 +266,8 @@ def metrics(trace: Trace, s: Scenario) -> dict:
         pos = list(zip(trace.agent_column("px", i), trace.agent_column("py", i)))
         goal_dist = [_distance(p, spec.target) for p in pos]
         reach_time = next((t for t, d in zip(trace.times, goal_dist) if d < GOAL_TOL), math.inf)
-        ref = nominal_trajectory(_start_state(i, spec), s.gamma_nominal, s.duration, s.dt)
+        ref = nominal_trajectory(_start_state(i, spec), spec.target, s.gamma_nominal,
+                                 s.duration, s.dt)
         out["agents"][i] = {
             "min_h": min_h,
             "final_goal_distance": goal_dist[-1],

@@ -1,14 +1,15 @@
-"""Agent state records, observation snapshots, and the bounded-difference motion estimator.
+"""Agent poses, observation snapshots, and the bounded-difference motion estimator.
 
-Agents only ever see each other through immutable snapshots of the world.  A
-neighbor's future motion is unknown, so observers bound its position rate
-with a ball: the center is the finite-difference position rate between the
-previous snapshot and the current one, and the radius is ten percent of the
-full state derivative's norm.  Before two observations exist, every watched
-agent gets the bootstrap ball instead (zero center, the speed bound v_max as
-radius), flagged as a prior.  This module also judges the estimates from a
-recorded path: a miss is a next motion that leaves the ball the two samples
-before it give.
+An ``AgentState`` is one agent's pose; what the agent is and where it is
+bound are its ``AgentSpec``.  Agents only ever see each other through
+immutable snapshots of the world.  A neighbor's future motion is unknown, so
+observers bound its position rate with a ball: the center is the
+finite-difference position rate between the previous snapshot and the
+current one, and the radius is ten percent of the full state derivative's
+norm.  Before two observations exist, every watched agent gets the bootstrap
+ball instead (zero center, the speed bound v_max as radius), flagged as a
+prior.  This module also judges the estimates from a recorded path: a miss is
+a next motion that leaves the ball the two samples before it give.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Optional, Sequence
 
-from .schema import AgentKind, Model
+from .schema import AgentKind, Model  # AgentKind is re-exported: callers import it from here
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,45 +39,37 @@ def wrap_angle(a: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class AgentState:
-    """Immutable per-agent record.
+    """Immutable pose of one agent: exactly what ``dynamics.euler_step`` reads
+    and writes.
 
-    ``psi`` is meaningful for unicycles only.  Construction wraps it to
-    (-pi, pi]; this is the one place a heading is wrapped, so
-    ``dynamics.euler_step`` hands over psi + dt omega as it is.  ``target`` is
-    the agent's declared goal position; ``None`` marks it unknown to
-    observers.  Every number must be finite, and is stored as a float and
-    the target as a float pair.  Values that already are (a float psi inside
-    (-pi, pi], where wrapping is the identity bit for bit, and a tuple of two
-    floats) are kept as they are, so an Euler step's state costs one
-    finiteness test and a few type checks.
+    The agent's fixed description (its kind, declared goal, box and safety
+    distance) is its ``AgentSpec`` in the run's ``Scenario``.  ``psi`` is
+    meaningful for unicycles only.  Construction wraps it to (-pi, pi]; this
+    is the one place a heading is wrapped, so ``dynamics.euler_step`` hands
+    over psi + dt omega as it is.  Every number must be finite, and is stored
+    as a float.  Values that already are (a float psi inside (-pi, pi], where
+    wrapping is the identity bit for bit) are kept as they are, so an Euler
+    step's state costs one finiteness test and a few type checks.
     """
 
     id: int
-    kind: AgentKind
     model: Model
     px: float
     py: float
     psi: float = 0.0
-    target: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        px, py, psi, target = self.px, self.py, self.psi, self.target
-        tx, ty = (0.0, 0.0) if target is None else target
-        if not (isfinite(px) and isfinite(py) and isfinite(psi)
-                and isfinite(tx) and isfinite(ty)):
+        px, py, psi = self.px, self.py, self.psi
+        if not (isfinite(px) and isfinite(py) and isfinite(psi)):
             for name, v in (("px", px), ("py", py), ("psi", psi)):
                 if not isfinite(v):
                     raise ValueError(f"agent {self.id}: non-finite {name}")
-            raise ValueError(f"agent {self.id}: non-finite target")
         if type(px) is not float:
             object.__setattr__(self, "px", float(px))
         if type(py) is not float:
             object.__setattr__(self, "py", float(py))
         if type(psi) is not float or not -math.pi < psi <= math.pi:
             object.__setattr__(self, "psi", wrap_angle(psi))
-        if target is not None and not (
-                type(target) is tuple and type(tx) is float and type(ty) is float):
-            object.__setattr__(self, "target", (float(tx), float(ty)))
 
 
 @dataclass(frozen=True)

@@ -203,9 +203,8 @@ def test_c09_gradients_match_finite_differences():
     eps = 1e-6
     worst = 0.0
 
-    def agent(model, p, psi, target=None):
-        return AgentState(id=0, kind=AgentKind.INTACT, model=model,
-                          px=p[0], py=p[1], psi=psi, target=target)
+    def agent(model, p, psi):
+        return AgentState(id=0, model=model, px=p[0], py=p[1], psi=psi)
 
     for _ in range(1000):
         mi = Model.UNICYCLE if rng.random() < 0.5 else Model.SINGLE_INTEGRATOR
@@ -231,14 +230,13 @@ def test_c09_gradients_match_finite_differences():
 
         target = tuple(pi + rng.uniform(0.3, 4.0) * np.array(
             [math.cos(rng.uniform(0, 2 * math.pi)), math.sin(rng.uniform(0, 2 * math.pi))]))
-        st = agent(Model.SINGLE_INTEGRATOR, pi, 0.0, target)
-        _, grad = clf_value(st)
+        _, grad = clf_value(agent(Model.SINGLE_INTEGRATOR, pi, 0.0), target)
         vscale = max(float(np.linalg.norm(grad)), 1.0)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = eps
-            v_p, _ = clf_value(agent(Model.SINGLE_INTEGRATOR, pi + step, 0.0, target))
-            v_m, _ = clf_value(agent(Model.SINGLE_INTEGRATOR, pi - step, 0.0, target))
+            v_p, _ = clf_value(agent(Model.SINGLE_INTEGRATOR, pi + step, 0.0), target)
+            v_m, _ = clf_value(agent(Model.SINGLE_INTEGRATOR, pi - step, 0.0), target)
             worst = max(worst, abs((v_p - v_m) / (2 * eps) - grad[axis]) / vscale)
     print(f"criterion 9: worst relative gradient error {worst:.2e} <= 1e-6")
     assert worst <= 1e-6

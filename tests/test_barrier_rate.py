@@ -78,7 +78,7 @@ def pair_steps(s, trace) -> list[PairStep]:
     out = []
     for k in range(len(trace.times) - 1):
         recs, new = trace.agents[k], trace.pairs[k + 1]
-        states = [AgentState(id=j, kind=spec.kind, model=spec.model, px=r.px, py=r.py, psi=r.psi)
+        states = [AgentState(id=j, model=spec.model, px=r.px, py=r.py, psi=r.psi)
                   for j, (spec, r) in enumerate(zip(s.agents, recs))]
         for (i, j), old in trace.pairs[k].items():
             slack = (new[(i, j)].h - old.h) / dt + old.alpha * old.h

@@ -9,18 +9,15 @@ from trustcbf.barriers import (cbf_row, clf_value, eval_barrier,
                                lookahead_point, velocity_map)
 from trustcbf.dynamics import ModelMismatch
 from trustcbf.trust import worst_case_motion
-from trustcbf.world import (AgentKind, AgentState, Model, WorldSnapshot,
-                            estimate_motion)
+from trustcbf.world import AgentState, Model, WorldSnapshot, estimate_motion
 
 
-def uni(i=0, x=0.0, y=0.0, psi=0.0, target=None):
-    return AgentState(id=i, kind=AgentKind.INTACT, model=Model.UNICYCLE,
-                      px=x, py=y, psi=psi, target=target)
+def uni(i=0, x=0.0, y=0.0, psi=0.0):
+    return AgentState(id=i, model=Model.UNICYCLE, px=x, py=y, psi=psi)
 
 
-def integ(i=0, x=0.0, y=0.0, target=None, kind=AgentKind.UNCOOPERATIVE):
-    return AgentState(id=i, kind=kind, model=Model.SINGLE_INTEGRATOR,
-                      px=x, py=y, target=target)
+def integ(i=0, x=0.0, y=0.0):
+    return AgentState(id=i, model=Model.SINGLE_INTEGRATOR, px=x, py=y)
 
 
 def test_lookahead_point_geometry():
@@ -78,11 +75,9 @@ def test_eval_barrier_validates_d_min():
 
 
 def test_clf_value_exact():
-    V, g = clf_value(integ(x=1.0, y=2.0), target=(4.0, 6.0))
+    V, g = clf_value(integ(x=1.0, y=2.0), (4.0, 6.0))
     assert V == pytest.approx(25.0)
     assert np.allclose(g, [-6.0, -8.0])
-    with pytest.raises(ValueError):
-        clf_value(integ())
 
 
 def test_barrier_gradient_matches_central_differences():
@@ -143,8 +138,8 @@ def test_float_geometry_matches_numpy_formulas():
         dt = float(rng.uniform(0.01, 0.2))
         pose0 = rng.uniform(-5.0, 5.0, (2, 3))
         pose1 = pose0 + rng.normal(scale=0.2, size=(2, 3))
-        old, new = (tuple(AgentState(id=k, kind=AgentKind.INTACT, model=models[k],
-                                     px=pose[k, 0], py=pose[k, 1], psi=pose[k, 2])
+        old, new = (tuple(AgentState(id=k, model=models[k], px=pose[k, 0], py=pose[k, 1],
+                                     psi=pose[k, 2])
                           for k in range(2)) for pose in (pose0, pose1))
         me, other = new
 

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from trustcbf import controller, oracles, solvers
-from trustcbf.cli import (FLOAT_FMT, PAIRS_HEADER, TRACE_HEADER, load_scenario,
-                          main, parse_args, write_outputs, write_pairs_csv,
-                          write_trace_csv)
+from trustcbf.cli import (PAIRS_HEADER, TRACE_HEADER, load_scenario, main, parse_args,
+                          write_outputs, write_pairs_csv, write_trace_csv)
 from trustcbf.oracles import read_trace_csv
 from trustcbf.schema import ValidationError
 from trustcbf.sim import AgentSpec, Scenario, run
@@ -206,7 +205,7 @@ def test_writers_match_per_field_formatting(tmp_path):
     write_outputs(trace, {}, s, tmp_path)
 
     def f(x):
-        return FLOAT_FMT.format(x)
+        return "%.17g" % x
 
     lines = [TRACE_HEADER]
     for t, step in zip(trace.times, trace.agents):
@@ -284,7 +283,7 @@ def test_run_command_end_to_end(tmp_path, capsys):
     # the barrier chart's plotted minimum equals the reported minimum exactly
     svg = (out / "barriers.svg").read_text()
     y_min = re.search(r'data-y-min="([^"]+)"', svg).group(1)
-    assert y_min == FLOAT_FMT.format(summary["metrics"]["min_h"])
+    assert y_min == "%.17g" % summary["metrics"]["min_h"]
     assert 'viewBox="0 0 800 600"' in svg and "<polyline" in svg
     assert "run complete" in capsys.readouterr().out
 
@@ -302,7 +301,7 @@ def _run_without_pairs(tmp_path, agents):
     for name in OUTPUT_NAMES:
         assert (out / name).exists(), name
     assert (out / "pairs.csv").read_text() == PAIRS_HEADER + "\n"
-    zero = FLOAT_FMT.format(0.0)
+    zero = "%.17g" % 0.0
     for name in ("alphas.svg", "trust.svg", "barriers.svg"):
         svg = (out / name).read_text()
         assert "<polyline" not in svg

@@ -28,14 +28,12 @@ from test_sim import _ring6
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
 
-def integ(i, x, y, target=None, kind=AgentKind.INTACT):
-    return AgentState(id=i, kind=kind, model=Model.SINGLE_INTEGRATOR,
-                      px=x, py=y, target=target)
+def integ(i, x, y):
+    return AgentState(id=i, model=Model.SINGLE_INTEGRATOR, px=x, py=y)
 
 
-def uni(i, x, y, psi=0.0, target=None):
-    return AgentState(id=i, kind=AgentKind.INTACT, model=Model.UNICYCLE,
-                      px=x, py=y, psi=psi, target=target)
+def uni(i, x, y, psi=0.0):
+    return AgentState(id=i, model=Model.UNICYCLE, px=x, py=y, psi=psi)
 
 
 def snapshots(states0, states1=None, dt=0.05):
@@ -54,12 +52,13 @@ def observe(hist):
                                         TrustParams().v_max)
 
 
-def scenario(n, **settings):
-    """The run's scenario as agent_step reads it, for n agents: every agent's
-    spec has the control box BOX3 and the default safety distance, and
-    ``settings`` are the scenario's own (dt, trust, fixed_alpha, ...)."""
-    return Scenario([AgentSpec(AgentKind.INTACT, Model.SINGLE_INTEGRATOR, (0.0, 0.0), box=BOX3)
-                     for _ in range(n)], duration=0.0, **settings)
+def scenario(*targets, **settings):
+    """The run's scenario as agent_step reads it, with one agent per entry of
+    ``targets``, its declared goal (None: unknown): every agent's spec has the
+    control box BOX3 and the default safety distance, and ``settings`` are the
+    scenario's own (dt, trust, fixed_alpha, ...)."""
+    return Scenario([AgentSpec(AgentKind.INTACT, Model.SINGLE_INTEGRATOR, (0.0, 0.0), target,
+                               box=BOX3) for target in targets], duration=0.0, **settings)
 
 
 def fresh_trust(n, me, alpha0=0.8):
@@ -69,33 +68,30 @@ def fresh_trust(n, me, alpha0=0.8):
 
 def test_clf_reference_minimum_norm_solution():
     # V = 1, gradV = (2, 0): constraint u_x <= -1, so min-norm is (-1, 0)
-    u = clf_qp_reference(integ(0, 1.0, 0.0, target=(0.0, 0.0)), k=2.0, box=BOX3)
+    u = clf_qp_reference(integ(0, 1.0, 0.0), (0.0, 0.0), k=2.0, box=BOX3)
     assert np.allclose(u, [-1.0, 0.0], atol=1e-12)
     # descent speed scales as k d / 2
-    u = clf_qp_reference(integ(0, 2.0, 0.0, target=(0.0, 0.0)), k=1.0, box=BOX3)
+    u = clf_qp_reference(integ(0, 2.0, 0.0), (0.0, 0.0), k=1.0, box=BOX3)
     assert np.allclose(u, [-1.0, 0.0], atol=1e-12)
 
 
 def test_clf_reference_zero_at_goal_and_saturated_when_far():
-    u = clf_qp_reference(integ(0, 1.0, 1.0, target=(1.0, 1.0)), box=BOX3)
+    u = clf_qp_reference(integ(0, 1.0, 1.0), (1.0, 1.0), box=BOX3)
     assert np.allclose(u, 0.0)
     # the descent rate k V = 200 needs speed 10 > 3: the command saturates
     # toward the goal instead of giving up
-    assert clf_qp_reference(integ(0, 10.0, 0.0, target=(0.0, 0.0)), k=2.0, box=BOX3) \
-        == (-3.0, 0.0)
+    assert clf_qp_reference(integ(0, 10.0, 0.0), (0.0, 0.0), k=2.0, box=BOX3) == (-3.0, 0.0)
     # on a diagonal the box clips each axis: (-3, -3), still toward the goal
-    assert clf_qp_reference(integ(0, 10.0, 10.0, target=(0.0, 0.0)), k=2.0, box=BOX3) \
-        == (-3.0, -3.0)
+    assert clf_qp_reference(integ(0, 10.0, 10.0), (0.0, 0.0), k=2.0, box=BOX3) == (-3.0, -3.0)
     with pytest.raises(ValueError):
-        clf_qp_reference(uni(0, 0.0, 0.0), box=BOX3)
+        clf_qp_reference(uni(0, 0.0, 0.0), (0.0, 0.0), box=BOX3)
 
 
 def test_agent_step_far_neighbor_keeps_reference():
-    me0 = integ(0, 0.0, 0.0, target=(1.0, 0.0))
-    other0 = integ(1, 50.0, 0.0, target=(50.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 0.0, 0.0), integ(1, 50.0, 0.0)
     hist = snapshots([me0, other0], [me0, other0])
     trust = fresh_trust(2, 0)
-    dec = agent_step(0, *observe(hist), trust, scenario(2))
+    dec = agent_step(0, *observe(hist), trust, scenario((1.0, 0.0), (50.0, 0.0)))
     assert dec.fallback is Fallback.NONE
     assert len(dec.planes) == 1
     assert np.allclose(dec.u_safe, dec.u_ref)
@@ -104,13 +100,11 @@ def test_agent_step_far_neighbor_keeps_reference():
 def test_agent_step_reads_the_observers_own_spec():
     # observer 2 has a box and a safety distance of its own: its commands
     # stay in its box, its barriers use its d_min, and the other agents'
-    # specs do not reach its decision
-    unc = AgentKind.UNCOOPERATIVE
-    start = [integ(0, 1.6, 0.4), integ(1, -1.2, 1.0, (3.0, 0.0), unc),
-             integ(2, 0.0, 0.0, target=(5.0, 0.0))]
-    moved = [integ(0, 1.59, 0.4), integ(1, -1.19, 0.99, (3.0, 0.0), unc), start[2]]
+    # boxes and safety distances do not reach its decision
+    start = [integ(0, 1.6, 0.4), integ(1, -1.2, 1.0), integ(2, 0.0, 0.0)]
+    moved = [integ(0, 1.59, 0.4), integ(1, -1.19, 0.99), start[2]]
     view = observe(snapshots(start, moved))
-    s = scenario(3)
+    s = scenario(None, (3.0, 0.0), (5.0, 0.0))
     own = Box((-0.5, -0.5), (0.5, 0.5))
     s.agents[2] = dataclasses.replace(s.agents[2], box=own, d_min=0.7)
     dec = agent_step(2, *view, fresh_trust(3, 2), s)
@@ -126,12 +120,28 @@ def test_agent_step_reads_the_observers_own_spec():
     assert _bits(dataclasses.astuple(other)) == _bits(dataclasses.astuple(dec))
 
 
+def test_a_neighbors_declared_goal_comes_from_its_spec():
+    # the same snapshots, estimates and pair records with neighbor 1's goal
+    # moved in the scenario: its direction score follows the spec, and the
+    # other pair's record stays bit for bit
+    me = uni(0, 0.0, 0.0, psi=0.3)
+    start = [me, integ(1, 1.8, 0.3), integ(2, -1.5, 1.2)]
+    moved = [me, integ(1, 1.75, 0.3), integ(2, -1.46, 1.18)]
+    view = observe(snapshots(start, moved))
+    s = scenario((5.0, 0.0), (-4.0, 0.0), (3.0, -2.0))
+    dec = agent_step(0, *view, fresh_trust(3, 0), s)
+    s.agents[1] = dataclasses.replace(s.agents[1], target=(1.75, 4.0))
+    other = agent_step(0, *view, fresh_trust(3, 0), s)
+    assert other.pairs[0].rho_theta != dec.pairs[0].rho_theta
+    assert _bits(other.pairs[1]) == _bits(dec.pairs[1])
+
+
 def test_agent_step_bootstrap_defers_trust_but_constrains():
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 0.0, 0.0), integ(1, 3.0, 0.0)
+    s = scenario((5.0, 0.0), (3.0, 0.0))
     trust = fresh_trust(2, 0)
     # single snapshot: the neighbor has only the flagged speed-bound prior
-    dec = agent_step(0, *observe(snapshots([me0, other0])), trust, scenario(2))
+    dec = agent_step(0, *observe(snapshots([me0, other0])), trust, s)
     assert len(dec.planes) == 1
     (rec,) = dec.pairs
     assert rec.alpha == 0.8
@@ -139,8 +149,7 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
     assert rec.h == eval_barrier(me0, other0).h   # the new h, the old scores
     # the bootstrap row is built against the conservative speed-bound ball
     row_b = dec.planes[0][2]
-    dec2 = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), dec.pairs,
-                      scenario(2))
+    dec2 = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), dec.pairs, s)
     assert dec2.planes[0][2] < row_b      # a real (stationary) estimate relaxes it
     assert dec2.pairs[0].margin > 0.0  # and the pair now has an observation
 
@@ -148,11 +157,10 @@ def test_agent_step_bootstrap_defers_trust_but_constrains():
 def test_agent_step_is_a_function_of_its_arguments():
     # the step reads the previous records and returns new ones: the same
     # arguments give equal decisions and the records passed in are untouched
-    unc = AgentKind.UNCOOPERATIVE
-    me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
-    start = [integ(1, 1.8, 0.3, (-4.0, 0.0), unc), integ(2, -1.5, 1.2, (3.0, -2.0), unc)]
-    moved = [integ(1, 1.75, 0.3, (-4.0, 0.0), unc), integ(2, -1.46, 1.18, (3.0, -2.0), unc)]
-    s = scenario(3)
+    me = uni(0, 0.0, 0.0, psi=0.3)
+    start = [integ(1, 1.8, 0.3), integ(2, -1.5, 1.2)]
+    moved = [integ(1, 1.75, 0.3), integ(2, -1.46, 1.18)]
+    s = scenario((5.0, 0.0), (-4.0, 0.0), (3.0, -2.0))
     first = agent_step(0, *observe(snapshots([me, *start])), fresh_trust(3, 0), s)
     pairs = first.pairs
     kept = tuple(tuple(rec) for rec in pairs)
@@ -166,10 +174,9 @@ def test_agent_step_is_a_function_of_its_arguments():
 
 
 def test_agent_step_trusts_stationary_neighbor_and_raises_alpha():
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 3.0, 0.0, target=(3.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 0.0, 0.0), integ(1, 3.0, 0.0)
     trust = fresh_trust(2, 0)
-    s = scenario(2, trust=TrustParams(gamma_alpha=1.0))
+    s = scenario((5.0, 0.0), (3.0, 0.0), trust=TrustParams(gamma_alpha=1.0))
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust, s)
     (ts,) = dec.pairs
     assert ts.rho_d > 0.9           # huge slack against a stationary neighbor
@@ -179,10 +186,9 @@ def test_agent_step_trusts_stationary_neighbor_and_raises_alpha():
 
 
 def test_agent_step_fixed_alpha_never_adapts():
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 1.5, 0.0, target=(1.5, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 0.0, 0.0), integ(1, 1.5, 0.0)
     trust = fresh_trust(2, 0)
-    s = scenario(2, fixed_alpha=True)
+    s = scenario((5.0, 0.0), (1.5, 0.0), fixed_alpha=True)
     hist = snapshots([me0, other0], [me0, other0])
     for _ in range(5):
         dec = agent_step(0, *observe(hist), trust, s)
@@ -195,25 +201,22 @@ def test_agent_step_fixed_alpha_never_adapts():
 
 def test_agent_step_boundary_forces_emergency_stop():
     # neighbor exactly on the safety boundary: the rate floor is undefined
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    other0 = integ(1, 0.5, 0.0, target=(0.5, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 0.0, 0.0), integ(1, 0.5, 0.0)
     trust = fresh_trust(2, 0)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
-                     scenario(2, rate_floor=True))
+                     scenario((5.0, 0.0), (0.5, 0.0), rate_floor=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert np.allclose(dec.u_safe, 0.0)
 
 
 def test_agent_step_infeasible_rows_give_emergency_stop():
     # two neighbors squeezing from both sides with slammed-down rates
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    east0 = integ(1, 0.75, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    west0 = integ(2, -0.75, 0.0, target=(5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    east1 = integ(1, 0.70, 0.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
-    west1 = integ(2, -0.70, 0.0, target=(5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0 = integ(0, 0.0, 0.0)
+    east0, west0 = integ(1, 0.75, 0.0), integ(2, -0.75, 0.0)
+    east1, west1 = integ(1, 0.70, 0.0), integ(2, -0.70, 0.0)
     trust = fresh_trust(3, 0, alpha0=1e-4)
     dec = agent_step(0, *observe(snapshots([me0, east0, west0], [me0, east1, west1])),
-                     trust, scenario(3, fixed_alpha=True))
+                     trust, scenario((5.0, 0.0), (-5.0, 0.0), (5.0, 0.0), fixed_alpha=True))
     assert dec.fallback is Fallback.EMERGENCY
     assert np.allclose(dec.u_safe, 0.0)
     assert len(dec.planes) == 2
@@ -231,18 +234,17 @@ def test_the_safety_qp_goes_through_solve_qp(monkeypatch):
         return original(problem)
 
     monkeypatch.setattr(controller, "solve_qp", counting)
-    me = uni(0, 0.0, 0.0, psi=0.0, target=(5.0, 0.0))
-    far = [integ(1, 3.0, 1.0, kind=AgentKind.UNCOOPERATIVE),
-           integ(2, -2.0, -2.0, kind=AgentKind.UNCOOPERATIVE)]
+    me = uni(0, 0.0, 0.0, psi=0.0)
+    far = [integ(1, 3.0, 1.0), integ(2, -2.0, -2.0)]
     dec = agent_step(0, *observe(snapshots([me, *far], [me, *far])), fresh_trust(3, 0),
-                     scenario(3))
+                     scenario((5.0, 0.0), None, None))
     assert dec.fallback is Fallback.NONE
     assert rows == [2]
     # a neighbor on the barrier boundary: BoundaryReached stops without a QP
     rows.clear()
-    on_boundary = integ(1, 0.6, 0.0, kind=AgentKind.UNCOOPERATIVE)
+    on_boundary = integ(1, 0.6, 0.0)
     dec = agent_step(0, *observe(snapshots([me, on_boundary], [me, on_boundary])),
-                     fresh_trust(2, 0), scenario(2))
+                     fresh_trust(2, 0), scenario((5.0, 0.0), None))
     assert dec.fallback is Fallback.EMERGENCY
     assert rows == []
 
@@ -252,12 +254,11 @@ def test_rate_floor_receives_the_worst_case_margin():
     # worst-case-point margin lies below the center margin; the floor binds
     # here and must take the worst-case one, since that is the row the QP
     # enforces
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    unc = AgentKind.UNCOOPERATIVE
-    snap, estimates = observe(snapshots([me0, integ(1, 1.25, 0.0, (-5.0, 0.0), unc)],
-                                        [me0, integ(1, 1.0, 0.02, (-5.0, 0.0), unc)]))
+    me0 = integ(0, 0.0, 0.0)
+    snap, estimates = observe(snapshots([me0, integ(1, 1.25, 0.0)],
+                                        [me0, integ(1, 1.0, 0.02)]))
     tp = TrustParams(L_F=0.0)  # lets the floor bind at a small alpha
-    s = scenario(2, trust=tp)
+    s = scenario((5.0, 0.0), (-5.0, 0.0), trust=tp)
     alpha = 0.011
     (rec,) = agent_step(0, snap, estimates, fresh_trust(2, 0, alpha0=alpha), s).pairs
     est = estimates[1]
@@ -285,11 +286,10 @@ def test_rate_floor_receives_the_worst_case_margin():
 
 
 def test_agent_step_unicycle_reference_is_waypoint_tracking():
-    me0 = uni(0, 0.0, 0.0, psi=0.0, target=(0.4, 0.0))
-    other0 = integ(1, 30.0, 0.0, target=(30.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = uni(0, 0.0, 0.0, psi=0.0), integ(1, 30.0, 0.0)
     trust = fresh_trust(2, 0)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), trust,
-                     scenario(2))
+                     scenario((0.4, 0.0), (30.0, 0.0)))
     assert np.allclose(dec.u_ref, [0.8, 0.0])  # k_s * dist, zero bearing error
     assert np.allclose(dec.u_safe, dec.u_ref)
 
@@ -299,15 +299,14 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
     #   margin = grad_j . a_hat + alpha h + contribution,
     # which must equal the vertex oracle over the start-of-step rows toward
     # the other three neighbors
-    unc = AgentKind.UNCOOPERATIVE
-    me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
-    start = [integ(1, 2.86, 0.44, (-4.0, 0.0), unc), integ(2, -2.2, 1.98, (3.0, -2.0), unc),
-             integ(3, 0.66, -2.64, (0.0, 4.0), unc), integ(4, 3.52, -3.3, (-2.0, 3.0), unc)]
-    moved = [integ(1, 2.81, 0.44, (-4.0, 0.0), unc), integ(2, -2.16, 1.96, (3.0, -2.0), unc),
-             integ(3, 0.66, -2.59, (0.0, 4.0), unc), integ(4, 3.49, -3.27, (-2.0, 3.0), unc)]
+    me = uni(0, 0.0, 0.0, psi=0.3)
+    start = [integ(1, 2.86, 0.44), integ(2, -2.2, 1.98), integ(3, 0.66, -2.64),
+             integ(4, 3.52, -3.3)]
+    moved = [integ(1, 2.81, 0.44), integ(2, -2.16, 1.96), integ(3, 0.66, -2.59),
+             integ(4, 3.49, -3.27)]
     hist = snapshots([me, *start], [me, *moved])
     trust = fresh_trust(5, 0)
-    s = scenario(5)
+    s = scenario((5.0, 0.0), (-4.0, 0.0), (3.0, -2.0), (0.0, 4.0), (-2.0, 3.0))
     dec = agent_step(0, *observe(hist), trust, s)
 
     M = velocity_map(me, s.lookahead)
@@ -332,11 +331,10 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
 def test_agent_step_coincident_agents_skip_the_trust_update():
     # a neighbor on the observer's barrier point leaves no half-space normal:
     # the pair keeps its rate and last scores and gets the new h
-    me0 = integ(0, 1.0, 1.0, target=(5.0, 0.0))
-    other0 = integ(1, 1.0, 1.0, target=(-5.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me0, other0 = integ(0, 1.0, 1.0), integ(1, 1.0, 1.0)
     prev = (PairRecord(h=0.3, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3, margin=0.4),)
     dec = agent_step(0, *observe(snapshots([me0, other0], [me0, other0])), prev,
-                     scenario(2))
+                     scenario((5.0, 0.0), (-5.0, 0.0)))
     assert dec.pairs == (PairRecord(h=-0.25, alpha=0.7, rho=0.1, rho_d=0.2, rho_theta=0.3,
                                     margin=0.4),)
 
@@ -344,13 +342,12 @@ def test_agent_step_coincident_agents_skip_the_trust_update():
 def test_agent_step_without_rate_floor_alpha_falls_at_the_trust_rate():
     # a neighbor closing at 5 m/s earns negative trust; with the floor off,
     # alpha moves at gamma_alpha * rho and stops at alpha_min
-    me0 = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    unc = AgentKind.UNCOOPERATIVE
-    view = observe(snapshots([me0, integ(1, 1.25, 0.0, (-5.0, 0.0), unc)],
-                             [me0, integ(1, 1.0, 0.0, (-5.0, 0.0), unc)]))
+    me0 = integ(0, 0.0, 0.0)
+    view = observe(snapshots([me0, integ(1, 1.25, 0.0)], [me0, integ(1, 1.0, 0.0)]))
+    goals = (5.0, 0.0), (-5.0, 0.0)
     # L_F = 0 lets the floor bind at a small alpha (checked below)
     params = TrustParams(gamma_alpha=2.0, alpha_min=0.01, L_F=0.0)
-    s = scenario(2, trust=params, rate_floor=False)
+    s = scenario(*goals, trust=params, rate_floor=False)
     (rec,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.8), s).pairs
     assert rec.rho < 0.0
     assert rec.alpha == 0.8 + s.dt * (params.gamma_alpha * rec.rho)
@@ -360,16 +357,17 @@ def test_agent_step_without_rate_floor_alpha_falls_at_the_trust_rate():
     assert low.alpha == params.alpha_min
     # the same step with the floor on: the floor binds and raises alpha
     (floored,) = agent_step(0, *view, fresh_trust(2, 0, alpha0=0.011),
-                            scenario(2, trust=params)).pairs
+                            scenario(*goals, trust=params)).pairs
     assert floored.rho == low.rho
     assert floored.alpha > 0.011
 
 
-def _one_pair(me, other, center, alpha=0.8):
+def _one_pair(me, other, target, center, alpha=0.8):
     """The snapshot, geometry-pass entries and scenario of the single pair
-    (me, other), with the given estimate-ball center and radius 0."""
+    (me, other), with the neighbor's declared goal ``target`` and the given
+    estimate-ball center and radius 0."""
     snap = WorldSnapshot(0.0, (me, other))
-    s = scenario(2)
+    s = scenario(None, target)
     entries, _ = pair_geometry(0, snap, {1: MotionEstimate(center, 0.0)},
                                (PairRecord(h=math.nan, alpha=alpha),), s)
     return snap, entries, s
@@ -379,11 +377,10 @@ def test_score_pairs_halfspace_fields_and_degenerate_case():
     # the allowed neighbor motions are A . v >= b with A = grad_j and
     # b = -alpha h - contribution: the margin is the center's slack against
     # it, and the direction score reads the unit normal A / ||A||
-    me = integ(0, 0.0, 0.0)
-    other = integ(1, 2.0, 0.0, target=(2.0, 3.0), kind=AgentKind.UNCOOPERATIVE)
+    me, other = integ(0, 0.0, 0.0), integ(1, 2.0, 0.0)
     ev = eval_barrier(me, other)
     center = (0.3, -0.7)
-    snap, entries, s = _one_pair(me, other, center)
+    snap, entries, s = _one_pair(me, other, (2.0, 3.0), center)
     (rec,), _, _ = score_pairs(0, snap, entries, [1.5], s)
     A = np.array(ev.grad_j)
     assert np.allclose(A, [4.0, 0.0])
@@ -391,21 +388,21 @@ def test_score_pairs_halfspace_fields_and_degenerate_case():
     assert rec.margin == pytest.approx(float(A @ np.array(center)) - b)
     assert rec.rho_theta == pytest.approx(direction_trust((0.0, 1.0), center, (1.0, 0.0)))
     # coincident agents have no normal: the pair is not scored
-    snap, entries, s = _one_pair(me, integ(1, 0.0, 0.0, target=(2.0, 3.0)), center)
+    snap, entries, s = _one_pair(me, integ(1, 0.0, 0.0), (2.0, 3.0), center)
     (rec0,), _, _ = score_pairs(0, snap, entries, [0.0], s)
     assert rec0 == PairRecord(h=-0.25, alpha=0.8)
 
 
 def test_score_pairs_margin_is_signed_slack():
-    me = integ(0, 0.0, 0.0)
-    other = integ(1, 2.0, 0.0, target=(2.0, 0.0), kind=AgentKind.UNCOOPERATIVE)
+    me, other = integ(0, 0.0, 0.0), integ(1, 2.0, 0.0)
     ev = eval_barrier(me, other)
     A = np.array(ev.grad_j)
     norm = float(np.linalg.norm(A))
     on_boundary = A * ((-0.8 * ev.h) / float(A @ A))
     for center, expected in ((on_boundary, pytest.approx(0.0, abs=1e-12)),
                              (on_boundary + A / norm, pytest.approx(norm))):
-        snap, entries, s = _one_pair(me, other, (float(center[0]), float(center[1])))
+        snap, entries, s = _one_pair(me, other, (2.0, 0.0),
+                                     (float(center[0]), float(center[1])))
         (rec,), _, _ = score_pairs(0, snap, entries, [0.0], s)
         assert rec.margin == expected
 
@@ -445,8 +442,9 @@ def _reference_step(i, snap, estimates, pairs, s):
         s_hat = (ax / norm, ay / norm)
         d = ax * est.center[0] + ay * est.center[1] - b
         rho_d = distance_trust(d, tp.beta)
-        target_j = other.target if other.target is not None else (me.px, me.py)
-        n_hat, at_target = nominal_direction(other, target_j)
+        target_j = s.agents[other.id].target
+        n_hat, at_target = nominal_direction(other, (me.px, me.py) if target_j is None
+                                             else target_j)
         rho_theta = 0.5 if at_target else direction_trust(n_hat, est.center, s_hat)
         rho = combine_trust(rho_d, rho_theta, tp.rho_bar_d, tp.k_blend)
         alpha = prev.alpha
@@ -470,9 +468,9 @@ def _reference_step(i, snap, estimates, pairs, s):
         rows.append(row if alpha == prev.alpha
                     else cbf_row(ev, M, a_j, alpha))
     if me.model is Model.UNICYCLE:
-        u_ref = track_reference(me, me.target, spec.box)
+        u_ref = track_reference(me, spec.target, spec.box)
     else:
-        u_ref = clf_qp_reference(me, CLF_K, spec.box)
+        u_ref = clf_qp_reference(me, spec.target, CLF_K, spec.box)
     u_safe, fallback = (0.0, 0.0), Fallback.EMERGENCY
     if not stop:
         try:
@@ -495,33 +493,31 @@ def _bits(v):
 _LAST_SCORES = (0.1, 0.6, 0.4, 0.2)   # rho, rho_d, rho_theta, margin of every previous record
 
 
-def _scene(start, now, alphas, fixed_alpha=False, rate_floor=True,
+def _scene(start, now, targets, alphas, fixed_alpha=False, rate_floor=True,
            trust=TrustParams(alpha_max=2.0, gamma_alpha=2.0)):
-    """(observer id 0, snapshot history, previous records, scenario).  ``now``
-    None makes ``start`` the only snapshot: the bootstrap step."""
+    """(observer id 0, snapshot history, previous records, scenario), with
+    each agent's declared goal in ``targets``.  ``now`` None makes ``start``
+    the only snapshot: the bootstrap step."""
     pairs = tuple(PairRecord(math.nan, a, *_LAST_SCORES) for a in alphas)
-    s = scenario(len(start), fixed_alpha=fixed_alpha, rate_floor=rate_floor, trust=trust)
+    s = scenario(*targets, fixed_alpha=fixed_alpha, rate_floor=rate_floor, trust=trust)
     return 0, snapshots(start, now), pairs, s
 
 
 def _squeeze_scene():
     # two neighbors close in from both sides at a tiny rate: their rows
     # conflict, so the contribution LP of the third, far pair is infeasible
-    unc = AgentKind.UNCOOPERATIVE
-    me = integ(0, 0.0, 0.0, target=(5.0, 0.0))
-    far = integ(3, 0.0, 2.5, (0.0, 5.0), unc)
-    return _scene([me, integ(1, 0.75, 0.0, (-5.0, 0.0), unc),
-                   integ(2, -0.75, 0.0, (5.0, 0.0), unc), far],
-                  [me, integ(1, 0.70, 0.0, (-5.0, 0.0), unc),
-                   integ(2, -0.70, 0.0, (5.0, 0.0), unc), far], (1e-4, 1e-4, 1e-4))
+    me, far = integ(0, 0.0, 0.0), integ(3, 0.0, 2.5)
+    return _scene([me, integ(1, 0.75, 0.0), integ(2, -0.75, 0.0), far],
+                  [me, integ(1, 0.70, 0.0), integ(2, -0.70, 0.0), far],
+                  ((5.0, 0.0), (-5.0, 0.0), (5.0, 0.0), (0.0, 5.0)), (1e-4, 1e-4, 1e-4))
 
 
 def _coincident_scene():
     # a neighbor on the observer's position: no half-space normal
-    me = integ(0, 1.0, 1.0, target=(5.0, 0.0))
-    other = integ(1, 1.0, 1.0, (-5.0, 0.0))
-    return _scene([me, other, uni(2, 2.0, 1.5, psi=2.0, target=(0.0, 0.0))],
-                  [me, other, uni(2, 1.96, 1.52, psi=2.05, target=(0.0, 0.0))], (0.7, 0.5))
+    me, other = integ(0, 1.0, 1.0), integ(1, 1.0, 1.0)
+    return _scene([me, other, uni(2, 2.0, 1.5, psi=2.0)],
+                  [me, other, uni(2, 1.96, 1.52, psi=2.05)],
+                  ((5.0, 0.0), (-5.0, 0.0), (0.0, 0.0)), (0.7, 0.5))
 
 
 # One scene per branch of the scoring pass: observer 0 at the origin and one
@@ -529,12 +525,11 @@ def _coincident_scene():
 # differ between a solo run and a full-suite run, so the bitwise test takes
 # these as explicit examples, and test_pinned_scene_reaches_its_branch checks
 # that each still reaches its branch.
-_ME = integ(0, 0.0, 0.0, target=(5.0, 0.0))
+_ME = integ(0, 0.0, 0.0)
 
 
 def _pair_scene(was, now, target, alpha=0.8, **options):
-    unc = AgentKind.UNCOOPERATIVE
-    return _scene([_ME, integ(1, *was, target, unc)], [_ME, integ(1, *now, target, unc)],
+    return _scene([_ME, integ(1, *was)], [_ME, integ(1, *now)], ((5.0, 0.0), target),
                   (alpha,), **options)
 
 
@@ -556,10 +551,10 @@ _PINNED = {
     "neighbor_at_its_target": (
         _pair_scene((2.0, 1.1), (2.0, 1.0), (2.0, 1.0)),
         lambda other, est, rec, s, fallback: (
-            (other.px, other.py) == other.target and rec.rho_theta == 0.5)),
+            (other.px, other.py) == s.agents[1].target and rec.rho_theta == 0.5)),
     "unknown_target": (
         _pair_scene((2.05, 0.5), (2.0, 0.5), None),
-        lambda other, est, rec, s, fallback: other.target is None and _scored(rec)),
+        lambda other, est, rec, s, fallback: s.agents[1].target is None and _scored(rec)),
     "stationary_estimate_center": (
         _pair_scene((2.0, 0.0), (2.0, 0.0), (2.0, 3.0)),
         lambda other, est, rec, s, fallback: est.center == (0.0, 0.0) and _scored(rec)),
@@ -622,12 +617,11 @@ def _extreme_scene(low, rho_bar_d):
         trust = TrustParams(rho_bar_d=rho_bar_d, beta=big, k_blend=big, gamma_alpha=big,
                             alpha_max=big)
         alphas = (0.01, 1.0, big)
-    unc = AgentKind.UNCOOPERATIVE
-    me = uni(0, 0.0, 0.0, psi=0.3, target=(5.0, 0.0))
-    return _scene([me, integ(1, 1.2, 0.1, (-4.0, 0.0), unc), integ(2, -1.1, 1.0, None, unc),
-                   uni(3, 0.6, -1.9, psi=-1.2, target=(0.0, 4.0))],
-                  [me, integ(1, 1.25, 0.1, (-4.0, 0.0), unc), integ(2, -1.13, 1.03, None, unc),
-                   uni(3, 0.61, -1.93, psi=-1.19, target=(0.0, 4.0))], alphas, trust=trust)
+    me = uni(0, 0.0, 0.0, psi=0.3)
+    return _scene([me, integ(1, 1.2, 0.1), integ(2, -1.1, 1.0), uni(3, 0.6, -1.9, psi=-1.2)],
+                  [me, integ(1, 1.25, 0.1), integ(2, -1.13, 1.03),
+                   uni(3, 0.61, -1.93, psi=-1.19)],
+                  ((5.0, 0.0), (-4.0, 0.0), None, (0.0, 4.0)), alphas, trust=trust)
 
 
 @st.composite
@@ -636,19 +630,19 @@ def _scenes(draw):
     or two snapshots, drawn previous rates, and each flag on or off."""
     coord = st.floats(-2.0, 2.0)
     step = st.floats(-0.2, 0.2)
-    start, now = [], []
+    start, now, targets = [], [], []
     for k in range(draw(st.integers(2, 5))):
         model = draw(st.sampled_from([Model.UNICYCLE, Model.SINGLE_INTEGRATOR]))
-        kind = AgentKind.INTACT if k == 0 else draw(st.sampled_from(list(AgentKind)))
-        target = draw(st.tuples(coord, coord) if k == 0 else st.none() | st.tuples(coord, coord))
+        targets.append(draw(st.tuples(coord, coord) if k == 0
+                            else st.none() | st.tuples(coord, coord)))
         x, y, psi = draw(coord), draw(coord), draw(st.floats(-3.0, 3.0))
         dx, dy, dpsi = draw(step), draw(step), draw(step)
-        start.append(AgentState(k, kind, model, x - dx, y - dy, psi - dpsi, target))
-        now.append(AgentState(k, kind, model, x, y, psi, target))
+        start.append(AgentState(k, model, x - dx, y - dy, psi - dpsi))
+        now.append(AgentState(k, model, x, y, psi))
     alphas = draw(st.lists(st.floats(0.01, 2.0), min_size=len(now) - 1, max_size=len(now) - 1))
     if draw(st.booleans()):
         start, now = now, None
-    return _scene(start, now, alphas, draw(st.booleans()), draw(st.booleans()))
+    return _scene(start, now, targets, alphas, draw(st.booleans()), draw(st.booleans()))
 
 
 def test_squeeze_scene_has_an_infeasible_contribution_lp():

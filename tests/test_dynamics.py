@@ -9,17 +9,15 @@ import pytest
 from trustcbf.dynamics import (DEFAULT_BOX, ModelMismatch, euler_step, nominal_direction,
                                nominal_trajectory, track_reference)
 from trustcbf.schema import Box
-from trustcbf.world import AgentKind, AgentState, Model, wrap_angle
+from trustcbf.world import AgentState, Model, wrap_angle
 
 
-def uni(x=0.0, y=0.0, psi=0.0, target=None):
-    return AgentState(id=0, kind=AgentKind.INTACT, model=Model.UNICYCLE,
-                      px=x, py=y, psi=psi, target=target)
+def uni(x=0.0, y=0.0, psi=0.0):
+    return AgentState(id=0, model=Model.UNICYCLE, px=x, py=y, psi=psi)
 
 
-def integ(x=0.0, y=0.0, target=None):
-    return AgentState(id=0, kind=AgentKind.INTACT, model=Model.SINGLE_INTEGRATOR,
-                      px=x, py=y, target=target)
+def integ(x=0.0, y=0.0):
+    return AgentState(id=0, model=Model.SINGLE_INTEGRATOR, px=x, py=y)
 
 
 def test_box_must_contain_origin():
@@ -81,13 +79,10 @@ def test_nominal_direction_unit_vector_and_target_flag():
     d, at = nominal_direction(integ(x=4.0, y=5.0), (4.0, 5.0))
     assert at
     assert np.allclose(d, 0.0)
-    with pytest.raises(ValueError):
-        nominal_direction(integ())
 
 
 def test_nominal_trajectory_constant_speed_then_snap():
-    start = integ(x=0.0, y=0.0, target=(1.0, 0.0))
-    ref = np.array(nominal_trajectory(start, gain=2.0, horizon=1.0, dt=0.1))
+    ref = np.array(nominal_trajectory(integ(), (1.0, 0.0), gain=2.0, horizon=1.0, dt=0.1))
     assert ref.shape == (11, 2)
     # 0.2 per step for 5 steps, then parked on the target
     assert np.allclose(ref[:, 1], 0.0)
@@ -95,10 +90,10 @@ def test_nominal_trajectory_constant_speed_then_snap():
     assert np.allclose(ref[6:, 0], 1.0)
 
 
-def _numpy_nominal_trajectory(state0, gain, horizon, dt):
+def _numpy_nominal_trajectory(state0, target, gain, horizon, dt):
     """The numpy formula nominal_trajectory replaced."""
     steps = int(math.floor(horizon / dt + 1e-9))
-    target = np.array(state0.target, dtype=float)
+    target = np.array(target, dtype=float)
     pos = np.array([state0.px, state0.py])
     out = np.empty((steps + 1, 2))
     out[0] = pos
@@ -123,10 +118,10 @@ def test_nominal_trajectory_matches_numpy_formula():
     plain = 0
     for _ in range(300):
         sx, sy, tx, ty = rng.uniform(-5.0, 5.0, 4)
-        start = integ(x=float(sx), y=float(sy), target=(float(tx), float(ty)))
+        start, target = integ(x=float(sx), y=float(sy)), (float(tx), float(ty))
         gain = float(rng.uniform(0.5, 3.0))
-        got = np.array(nominal_trajectory(start, gain, horizon=2.0, dt=0.05))
-        ref = _numpy_nominal_trajectory(start, gain, horizon=2.0, dt=0.05)
+        got = np.array(nominal_trajectory(start, target, gain, horizon=2.0, dt=0.05))
+        ref = _numpy_nominal_trajectory(start, target, gain, horizon=2.0, dt=0.05)
         e = np.array([tx, ty]) - ref[:-1]
         if all(float(v @ v) == v[0] * v[0] + v[1] * v[1] for v in e):
             plain += 1
@@ -139,13 +134,10 @@ def test_nominal_trajectory_matches_numpy_formula():
 
 
 def test_nominal_trajectory_argument_checks():
-    start = integ(target=(1.0, 0.0))
     with pytest.raises(ValueError):
-        nominal_trajectory(start, gain=0.0, horizon=1.0, dt=0.1)
+        nominal_trajectory(integ(), (1.0, 0.0), gain=0.0, horizon=1.0, dt=0.1)
     with pytest.raises(ValueError):
-        nominal_trajectory(start, gain=1.0, horizon=1.0, dt=0.0)
-    with pytest.raises(ValueError):
-        nominal_trajectory(integ(), gain=1.0, horizon=1.0, dt=0.1)
+        nominal_trajectory(integ(), (1.0, 0.0), gain=1.0, horizon=1.0, dt=0.0)
 
 
 def test_track_reference_proportional_law():

@@ -45,10 +45,14 @@ def test_scenario_validation_rejects_bad_fields():
         Scenario(agents=[], duration=1.0).validate()
     with pytest.raises(ValidationError):
         Scenario(agents=[spec_intact()], duration=-1.0).validate()
-    # intact agents must declare a goal
+    # intact agents must declare a goal, with finite coordinates
     bad = AgentSpec(AgentKind.INTACT, Model.UNICYCLE, (0.0, 0.0, 0.0), None)
     with pytest.raises(ValidationError):
         Scenario(agents=[bad], duration=1.0).validate()
+    for v in (math.nan, math.inf, -math.inf):
+        for target in ((v, 4.0), (3.0, v)):
+            with pytest.raises(ValidationError, match=r"^agents\[0\]\.target must be finite"):
+                Scenario(agents=[spec_intact(target=target)], duration=1.0).validate()
     # adversaries need a prey id that names another agent
     adv = AgentSpec(AgentKind.ADVERSARIAL, Model.SINGLE_INTEGRATOR, (1.0, 0.0))
     with pytest.raises(ValidationError):
@@ -78,35 +82,27 @@ def test_shipped_scenarios_validate():
     shipped("headon_stress", rate_floor=False).validate()
 
 
+def integ(i, x, y):
+    return AgentState(id=i, model=Model.SINGLE_INTEGRATOR, px=x, py=y)
+
+
 def test_uncooperative_policy_cruises_and_lands():
-    a = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
-                   model=Model.SINGLE_INTEGRATOR, px=0.0, py=0.0,
-                   target=(3.0, 4.0))
-    u = uncooperative_policy(a, speed=2.0, dt=0.05)
+    goal = (3.0, 4.0)
+    u = uncooperative_policy(integ(0, 0.0, 0.0), goal, speed=2.0, dt=0.05)
     assert np.allclose(u, [1.2, 1.6])  # speed 2 toward (3, 4)
-    near = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
-                      model=Model.SINGLE_INTEGRATOR, px=2.98, py=4.0,
-                      target=(3.0, 4.0))
-    u = uncooperative_policy(near, speed=1.0, dt=0.05)
+    u = uncooperative_policy(integ(0, 2.98, 4.0), goal, speed=1.0, dt=0.05)
     assert np.allclose(u, [0.4, 0.0])  # shortened to land exactly
-    at = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE,
-                    model=Model.SINGLE_INTEGRATOR, px=3.0, py=4.0,
-                    target=(3.0, 4.0))
-    assert np.allclose(uncooperative_policy(at, speed=1.0, dt=0.05), 0.0)
+    assert np.allclose(uncooperative_policy(integ(0, 3.0, 4.0), goal, speed=1.0, dt=0.05), 0.0)
 
 
 def test_adversary_policy_chases_prey():
-    adv = AgentState(id=1, kind=AgentKind.ADVERSARIAL,
-                     model=Model.SINGLE_INTEGRATOR, px=1.0, py=0.0)
-    prey = AgentState(id=0, kind=AgentKind.INTACT,
-                      model=Model.SINGLE_INTEGRATOR, px=0.0, py=0.0,
-                      target=(0.0, 0.0))
+    adv = integ(1, 1.0, 0.0)
+    prey = integ(0, 0.0, 0.0)
     snap = WorldSnapshot(0.0, (prey, adv))
     u = adversary_policy(adv, snap, prey=0, k=2.0)
     assert np.allclose(u, [-1.0, 0.0], atol=1e-12)  # speed k d / 2 toward prey
     # far prey: the exact descent is infeasible, saturate along pursuit
-    far = AgentState(id=1, kind=AgentKind.ADVERSARIAL,
-                     model=Model.SINGLE_INTEGRATOR, px=100.0, py=0.0)
+    far = integ(1, 100.0, 0.0)
     snap = WorldSnapshot(0.0, (prey, far))
     u = adversary_policy(far, snap, prey=0, k=2.0)
     assert u[0] == -3.0 and abs(u[1]) < 1e-12
@@ -295,10 +291,9 @@ def _numpy_metrics(tr, s):
         pos = positions(tr, i)
         goal_dist = np.linalg.norm(pos - np.array(spec.target), axis=1)
         reached = np.nonzero(goal_dist < sim.GOAL_TOL)[0]
-        start = AgentState(id=i, kind=spec.kind, model=spec.model, px=spec.start[0],
-                           py=spec.start[1], psi=spec.start[2] if len(spec.start) == 3 else 0.0,
-                           target=spec.target)
-        ref = np.array(nominal_trajectory(start, s.gamma_nominal, s.duration, s.dt))
+        start = AgentState(id=i, model=spec.model, px=spec.start[0], py=spec.start[1],
+                           psi=spec.start[2] if len(spec.start) == 3 else 0.0)
+        ref = np.array(nominal_trajectory(start, spec.target, s.gamma_nominal, s.duration, s.dt))
         out[i] = {
             "min_h": min((step[key].h for step in tr.pairs for key in step if key[0] == i),
                          default=math.inf),
@@ -347,9 +342,9 @@ def test_run_properties_on_random_scenarios():
     assert sum(n >= 7 for n in sizes) >= 10, sizes
 
 
-def _numpy_uncooperative(state, speed, dt):
+def _numpy_uncooperative(state, target, speed, dt):
     """The numpy formula uncooperative_policy replaced."""
-    e = np.array([state.target[0] - state.px, state.target[1] - state.py])
+    e = np.array([target[0] - state.px, target[1] - state.py])
     dist = float(np.linalg.norm(e))
     if dist < 1e-12:
         return np.zeros(2)
@@ -383,11 +378,10 @@ def test_policies_match_numpy_formulas():
             tx, ty = x, y              # at the target
         if k % 10 == 1:
             tx, ty = x + 0.01, y - 0.02   # inside the last step
-        a = AgentState(id=0, kind=AgentKind.UNCOOPERATIVE, model=Model.SINGLE_INTEGRATOR,
-                       px=x, py=y, target=(tx, ty))
+        a = integ(0, x, y)
         speed, dt = float(rng.uniform(0.1, 2.0)), (0.01, 0.05)[k % 2]
-        got = uncooperative_policy(a, speed, dt)
-        ref = _numpy_uncooperative(a, speed, dt)
+        got = uncooperative_policy(a, (tx, ty), speed, dt)
+        ref = _numpy_uncooperative(a, (tx, ty), speed, dt)
         assert type(got) is tuple and all(type(v) is float for v in got)
         e = np.array([tx - x, ty - y])
         # np.linalg.norm squares through BLAS dot, which may fuse a multiply-add;
@@ -398,10 +392,8 @@ def test_policies_match_numpy_formulas():
         else:
             assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
 
-        prey = AgentState(id=1, kind=AgentKind.INTACT, model=Model.UNICYCLE,
-                          px=tx, py=ty, psi=0.0, target=(0.0, 0.0))
-        adv = AgentState(id=0, kind=AgentKind.ADVERSARIAL, model=Model.SINGLE_INTEGRATOR,
-                         px=x, py=y)
+        prey = AgentState(id=1, model=Model.UNICYCLE, px=tx, py=ty, psi=0.0)
+        adv = integ(0, x, y)
         snap = WorldSnapshot(0.0, (adv, prey))
         half = float(rng.uniform(0.1, 3.0))
         box = Box((-half, -half), (half, half))
@@ -417,8 +409,8 @@ def _pair_h_matches_eval_barrier(s):
     tr = run(s)
     n_intact = sum(spec.kind is AgentKind.INTACT for spec in s.agents)
     for step, pairs in zip(tr.agents, tr.pairs):
-        states = [AgentState(id=i, kind=spec.kind, model=spec.model, px=r.px, py=r.py,
-                             psi=r.psi) for i, (spec, r) in enumerate(zip(s.agents, step))]
+        states = [AgentState(id=i, model=spec.model, px=r.px, py=r.py, psi=r.psi)
+                  for i, (spec, r) in enumerate(zip(s.agents, step))]
         assert len(pairs) == n_intact * (len(s.agents) - 1)
         for (i, j), p in pairs.items():
             h = eval_barrier(states[i], states[j], s.agents[i].d_min, s.lookahead).h

@@ -17,7 +17,7 @@ from trustcbf.schema import Box
 from trustcbf.solvers import (CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, PrefixChain,
                               QPProblem, active_set, solve_lp, solve_lp_leave_one_out,
                               solve_min_norm, solve_qp)
-from trustcbf.world import AgentKind, AgentState, Model
+from trustcbf.world import AgentState, Model
 
 from conftest import lp_value, shifted
 
@@ -461,9 +461,8 @@ def test_goal_descent_clamps_the_foot_along_the_line_to_the_box():
     # crosses the box from (0.532, 0.12) to (0.628, -0.12); the point of that
     # segment nearest the origin is its end on the face y = 0.12, where
     # x = (2.32 - 1.6 * 0.12) / 4 = 0.532.
-    me = AgentState(3, AgentKind.ADVERSARIAL, Model.SINGLE_INTEGRATOR, 0.0, 0.0,
-                    target=(2.0, 0.8))
-    u = clf_qp_reference(me, 0.5, ADVERSARY_BOX)
+    me = AgentState(3, Model.SINGLE_INTEGRATOR, 0.0, 0.0)
+    u = clf_qp_reference(me, (2.0, 0.8), 0.5, ADVERSARY_BOX)
     assert u[1] == 0.12
     assert u[0] == pytest.approx(0.532, abs=1e-12)
     row = (4.0, 1.6, 0.5 * (2.0 * 2.0 + 0.8 * 0.8))

@@ -11,16 +11,15 @@ from trustcbf.solvers import FEAS_TOL, Infeasible, _box_polygon, _clip, solve_lp
 from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
-from trustcbf.world import AgentKind, AgentState, Model, MotionEstimate
+from trustcbf.world import AgentState, Model, MotionEstimate
 
 from conftest import lp_values_leave_one_out, shifted
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
 
-def integ(i, x, y, target=None, kind=AgentKind.UNCOOPERATIVE):
-    return AgentState(id=i, kind=kind, model=Model.SINGLE_INTEGRATOR,
-                      px=x, py=y, target=target)
+def integ(i, x, y):
+    return AgentState(id=i, model=Model.SINGLE_INTEGRATOR, px=x, py=y)
 
 
 def test_worst_case_motion_closed_form():
@@ -55,7 +54,7 @@ def test_worst_case_motion_beats_sampling():
 
 def test_max_own_contribution_unconstrained_is_box_corner():
     # two agents only: no third-party rows, so the LP maxes gi . u over the box
-    me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
+    me = integ(0, 0.0, 0.0)
     ev = eval_barrier(me, integ(1, 2.0, 0.0), d_min=0.5)
     row_01 = cbf_row(ev, velocity_map(me), (0.0, 0.0), 0.8)
     (val,), _ = max_own_contribution([row_01], BOX3)
@@ -65,7 +64,7 @@ def test_max_own_contribution_unconstrained_is_box_corner():
 
 def test_max_own_contribution_respects_other_pairs():
     # a third agent east of the observer caps how hard it may push east
-    me = integ(0, 0.0, 0.0, kind=AgentKind.INTACT)
+    me = integ(0, 0.0, 0.0)
     M = velocity_map(me)
     ev_02 = eval_barrier(me, integ(2, 1.2, 0.0), d_min=0.5)
     row_02 = cbf_row(ev_02, M, np.zeros(2), 0.8)

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
+from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentState, Model,
                             MotionEstimate, WorldSnapshot, bootstrap_estimate,
                             estimate_misses, estimate_motion, estimate_positions,
                             wrap_angle)
 
 
-def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE,
-               kind=AgentKind.INTACT, target=None):
-    return AgentState(id=i, kind=kind, model=model, px=x, py=y, psi=psi, target=target)
+def make_agent(i=0, x=0.0, y=0.0, psi=0.0, model=Model.UNICYCLE):
+    return AgentState(id=i, model=model, px=x, py=y, psi=psi)
 
 
 def test_wrap_angle_reference_points():
@@ -42,22 +41,22 @@ def test_agent_state_normalizes_heading():
 
 
 def test_agent_state_rejects_non_finite():
-    # every number field and each target coordinate, with nan, inf and -inf;
-    # the message names the field
+    # every number field, with nan, inf and -inf; the message names the field
     for bad in (math.nan, math.inf, -math.inf):
-        for name, changes in (("px", {"x": bad}), ("py", {"y": bad}), ("psi", {"psi": bad}),
-                              ("target", {"target": (bad, 4.0)}),
-                              ("target", {"target": (3.0, bad)})):
+        for name, changes in (("px", {"x": bad}), ("py", {"y": bad}), ("psi", {"psi": bad})):
             with pytest.raises(ValueError, match=rf"^agent 0: non-finite {name}$"):
-                make_agent(**{"target": (3.0, 4.0), **changes})
+                make_agent(**changes)
 
 
 def test_agent_state_is_frozen():
-    a = make_agent(x=1.0, target=(3.0, 4.0))
-    for name in ("px", "psi", "target"):
+    # a state holds what an Euler step reads and writes; kind and goal are
+    # the agent's spec
+    assert [f.name for f in dataclasses.fields(AgentState)] == ["id", "model", "px", "py", "psi"]
+    a = make_agent(x=1.0)
+    for name in ("px", "psi"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(a, name, 0.0)
-    assert a.px == 1.0 and a.psi == 0.0 and a.target == (3.0, 4.0)
+    assert a.px == 1.0 and a.psi == 0.0
 
 
 @pytest.mark.parametrize("psi", [math.pi, -0.0, 0.0, 1e-300, 2.5,
@@ -80,16 +79,14 @@ def test_agent_state_heading_becomes_a_float(psi):
 
 
 def test_agent_state_stores_plain_floats():
-    # ints, numpy scalars and lists are converted; float values and float
-    # pairs are kept as they are
-    a = make_agent(x=1, y=np.float64(2.0), psi=np.float32(0.5), target=[3, 4.0])
-    for v in (a.px, a.py, a.psi, *a.target):
+    # ints and numpy scalars are converted; float values are kept as they are
+    a = make_agent(x=1, y=np.float64(2.0), psi=np.float32(0.5))
+    for v in (a.px, a.py, a.psi):
         assert type(v) is float
     assert (a.px, a.py, a.psi) == (1.0, 2.0, float(np.float32(0.5)))
-    assert a.target == (3.0, 4.0) and type(a.target) is tuple
-    target = (3.0, 4.0)
-    b = make_agent(x=1.0, y=2.0, psi=7.0, target=target)
-    assert b.target is target
+    x = 1.5
+    b = make_agent(x=x, y=2.0, psi=7.0)
+    assert b.px is x
     assert b.psi == wrap_angle(7.0)
 
 
