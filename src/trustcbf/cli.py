@@ -324,7 +324,7 @@ def write_outputs(trace: Trace, summary: dict, s: Scenario, out: Path,
 # --- subcommands -----------------------------------------------------------
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .sim import metrics, run
+    from .sim import run, summary
 
     s = load_scenario(args.scenario)
     for key in ("dt", "duration"):
@@ -332,17 +332,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             setattr(s, key, getattr(args, key))
     s.fixed_alpha = s.fixed_alpha or args.fixed_alpha
     trace = run(s)
-    summary = {
-        "config": {
-            "scenario": str(args.scenario),
-            "dt": s.dt, "duration": s.duration, "seed": s.seed,
-            "fixed_alpha": s.fixed_alpha, "rho_bar_d": s.trust.rho_bar_d,
-            "alpha0": s.trust.alpha0,
-        },
-        "metrics": metrics(trace, s),
-    }
-    written = write_outputs(trace, summary, s, args.out, emit_svg=not args.no_svg)
-    m = summary["metrics"]
+    report = summary(trace, s, str(args.scenario))
+    written = write_outputs(trace, report, s, args.out, emit_svg=not args.no_svg)
+    m = report["metrics"]
     print(f"run complete: {len(trace.times)} records, min_h={m['min_h']:.6g}, "
           f"emergency_events={m['emergency_events']}")
     for p in written:

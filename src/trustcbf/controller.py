@@ -21,12 +21,12 @@ by ``solvers.solve_qp``, which resumes the contribution LPs' exact prefix
 chain up to the first plane whose rate moved.  The decision keeps the final
 planes.  The two unrecoverable conditions, an empty safety QP (the only
 Infeasible a step turns into a stop) and a barrier at zero, degrade to an
-emergency stop for that step rather than raising.
+emergency stop for that step rather than raising.  The step neither counts
+nor logs: its decision and pair records are its whole report.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -39,8 +39,6 @@ from .schema import CLF_K, DEFAULT_BOX, Box, Model, PairRecord, Scenario
 from .solvers import Infeasible, QPProblem, solve_min_norm, solve_qp
 from .trust import H_BOUNDARY_EPS, THETA_FLOOR, max_own_contribution
 from .world import MotionEstimate, WorldSnapshot
-
-log = logging.getLogger(__name__)
 
 
 class Fallback(Enum):
@@ -158,7 +156,8 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
     ``s.agents[j].target``; an unknown goal counts as the observer's position.
     A pair is not scored on the bootstrap ball, when its contribution LP is
     infeasible, or when the agents coincide (no half-space normal); it keeps
-    its rate and last scores.  A pair whose rate did not move keeps its
+    its rate and last scores, so its record shows the skip as scores
+    unchanged from the step before.  A pair whose rate did not move keeps its
     geometry-pass half-plane; one whose rate moved gets a new offset b.  The
     trust settings, time step and rate flags are the scenario's ``s``.
 
@@ -188,10 +187,6 @@ def score_pairs(i: int, snap: WorldSnapshot, entries: Sequence[tuple],
             # conservative but the scores wait for a real estimate.  An
             # infeasible contribution LP means the other pairs' rows already
             # conflict, and the main QP will surface it.
-            if not bootstrapped:
-                log.debug("t=%.3f agent %d: trust update toward %d skipped (%s)",
-                          snap.time, i, other.id, "contribution LP infeasible"
-                          if contrib is None else "agents coincide")
             records.append(PairRecord(h, alpha, prev.rho, prev.rho_d, prev.rho_theta,
                                       prev.margin))
             planes.append(plane)
@@ -270,7 +265,9 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
     ``s.agents[i]`` gives the observer's control box, safety distance and goal,
     each neighbor's spec its declared goal, and ``s`` the shared settings.
     Nothing is mutated.  All per-pair computations read rates as of the start
-    of the step, so their order cannot matter.
+    of the step, so their order cannot matter.  An emergency stop shows only
+    as the decision's ``fallback``; with ``s.rate_floor`` on, a pair record
+    whose h is at the boundary tells a barrier at zero from an empty safety QP.
     """
     me = snap.agents[i]
     box, target = s.agents[i].box, s.agents[i].target
@@ -292,7 +289,6 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
         try:
             u_safe = solve_qp(QPProblem(u_ref, planes, box, chain))
         except Infeasible:
-            log.debug("t=%.3f agent %d: safety QP infeasible; emergency stop", snap.time, i)
             u_safe = (0.0, 0.0)
             fallback = Fallback.EMERGENCY
 

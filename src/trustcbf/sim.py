@@ -8,12 +8,12 @@ the same immutable snapshot of step k, then all states advance together by one
 Euler step.  One pass over the agents decides and records each of them; only
 the commands outlive it.  With no randomness anywhere in the loop, two runs of
 the same scenario produce bitwise identical traces.  The loop only decides,
-records and steps; ``metrics`` computes every count from the trace.
+records and steps; it neither counts nor reports.  ``metrics`` computes every
+count from the trace, and ``summary`` wraps them in summary.json's object.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from array import array
 from collections.abc import Sequence
@@ -24,8 +24,6 @@ from .dynamics import euler_step, nominal_trajectory
 from .schema import (AGENT_FIELDS, CLF_K, DEFAULT_BOX, PAIR_FIELDS, AgentKind, AgentRecord,
                      AgentSpec, Box, PairRecord, Scenario)
 from .world import AgentState, WorldSnapshot, estimate_misses, estimate_positions
-
-log = logging.getLogger(__name__)
 
 GOAL_TOL = 0.2
 
@@ -161,7 +159,9 @@ def run(s: Scenario) -> Trace:
     whose pair records the trace keeps; any other agent's comes from its
     policy, and is its reference too.  Every agent writes its trace row in
     the same pass, and the Euler steps read only the commands.  The loop
-    judges no estimate and counts nothing: ``metrics`` does, from the trace.
+    judges no estimate, counts nothing and logs nothing: ``metrics`` counts
+    from the trace, and a stop's or a skipped trust update's cause stays
+    readable in the trace (fallback code, pair h and unchanged scores).
     """
     s.validate()
     t = 0.0
@@ -208,11 +208,6 @@ def run(s: Scenario) -> Trace:
         agents = tuple(euler_step(a, u, s.dt, spec.box)
                        for a, u, spec in zip(agents, commands, s.agents))
         t += s.dt
-
-    stops = _fallbacks(trace)
-    if stops:
-        log.warning("%d emergency stops in %d intact agent-steps", stops,
-                    len(intact) * len(trace.agents))
     return trace
 
 
@@ -275,3 +270,14 @@ def metrics(trace: Trace, s: Scenario) -> dict:
             "goal_reach_time": reach_time,
         }
     return out
+
+
+def summary(trace: Trace, s: Scenario, scenario: str) -> dict:
+    """summary.json's object: the run's settings, with ``scenario`` the path
+    the run was given, and its ``metrics``."""
+    return {
+        "config": {"scenario": scenario, "dt": s.dt, "duration": s.duration, "seed": s.seed,
+                   "fixed_alpha": s.fixed_alpha, "rho_bar_d": s.trust.rho_bar_d,
+                   "alpha0": s.trust.alpha0},
+        "metrics": metrics(trace, s),
+    }

@@ -1,6 +1,8 @@
 """Scenario validation, non-intact policies, the run loop, and metrics."""
 
 import dataclasses
+import json
+import logging
 import math
 import random
 import struct
@@ -12,6 +14,7 @@ import pytest
 
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
+from trustcbf.cli import load_scenario
 from trustcbf.controller import Fallback
 from trustcbf.dynamics import nominal_trajectory
 from trustcbf.schema import Box, PairRecord, ValidationError
@@ -21,7 +24,7 @@ from trustcbf.solvers import QP_RETRY_TOL, Infeasible, QPProblem, solve_qp
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
                             WorldSnapshot, wrap_angle)
 
-from conftest import shipped
+from conftest import ring12_dict, shipped
 
 
 def spec_intact(x=0.0, y=0.0, psi=0.0, target=(5.0, 0.0)):
@@ -204,6 +207,28 @@ def test_emergency_events_count_agent_steps_not_fallback_codes():
     assert [step[0].fallback for step in tr.agents] == [0, 1, 2, 0]
     s = Scenario(agents=[spec_static(0.0, 0.0)], duration=0.15)
     assert metrics(tr, s)["emergency_events"] == 2
+
+
+def test_a_run_emits_no_log_record(caplog, tmp_path):
+    # stops and skipped trust updates show in the outputs, not in the log
+    caplog.set_level(logging.DEBUG, logger="trustcbf")
+    path = tmp_path / "ring12.json"
+    path.write_text(json.dumps(ring12_dict()))
+    for s in (shipped("crossing"), shipped("headon_stress"), load_scenario(path)):
+        trace = run(s)
+        assert metrics(trace, s)["emergency_events"] > 0
+    assert caplog.records == []
+
+
+def test_summary_echoes_the_settings_around_the_metrics():
+    s = two_agent_scenario()
+    trace = run(s)
+    summary = sim.summary(trace, s, "scenarios/two.json")
+    assert list(summary) == ["config", "metrics"]
+    assert list(summary["config"].items()) == [
+        ("scenario", "scenarios/two.json"), ("dt", 0.05), ("duration", 0.5), ("seed", s.seed),
+        ("fixed_alpha", False), ("rho_bar_d", s.trust.rho_bar_d), ("alpha0", s.trust.alpha0)]
+    assert summary["metrics"] == metrics(trace, s)
 
 
 def test_crossing_scenario_shape():

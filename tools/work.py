@@ -3,20 +3,22 @@
     python3 tools/work.py SCENARIO.json [SCENARIO.json ...]
 
 For each scenario file this does what ``trustcbf run`` does after loading it:
-``sim.run``, ``sim.metrics`` and ``cli.write_outputs`` (CSV, summary and SVG
-charts, into a temporary directory).  One untraced warm-up run comes first,
-so that lazy imports and caches are settled; then one run is counted with
-``sys.settrace`` and ``frame.f_trace_opcodes``, one event per executed
-opcode.  The count does not drift with the machine's load, so it can back a
-wall-time claim; it never replaces one, since a call into C (``math.acos``,
-``array.fromlist``) counts as one opcode however long it takes.
+``sim.run``, ``sim.summary`` and ``cli.write_outputs`` (CSV, summary and SVG
+charts, into a temporary directory); a run logs nothing, so only the counts
+are printed.  One untraced warm-up run comes first, so that lazy imports and
+caches are settled; then one run is counted with ``sys.settrace`` and
+``frame.f_trace_opcodes``, one event per executed opcode.  The count does
+not drift with the machine's load, so it can back a wall-time claim; it never
+replaces one, since a call into C (``math.acos``, ``array.fromlist``) counts
+as one opcode however long it takes.
 
 Each frame's opcodes are charged to one layer.  A frame that the loop calls
-(the loop is ``sim.run``, ``controller.agent_step`` and every helper they
-call that is not a layer of its own) starts the layer its function names in
-``LAYERS``, or stays in the loop; every other frame joins its caller's layer.
-So the adversary's goal descent counts as a policy, not as a reference
-command, and the Euler step's ``AgentState`` as ``euler_step``.
+(the loop is ``sim.run``, ``sim.summary``, ``controller.agent_step`` and
+every helper they call that is not a layer of its own) starts the layer its
+function names in ``LAYERS``, or stays in the loop; every other frame joins
+its caller's layer.  So the adversary's goal descent counts as a policy, not
+as a reference command, and the Euler step's ``AgentState`` as
+``euler_step``.
 
 Standard library only; it imports trustcbf from the ``src`` directory next to
 this one.
@@ -24,7 +26,6 @@ this one.
 
 from __future__ import annotations
 
-import logging
 import sys
 import tempfile
 from pathlib import Path
@@ -85,18 +86,12 @@ def count(s) -> dict[str, int]:
     previous = sys.gettrace()
     with tempfile.TemporaryDirectory() as tmp:
         # The warm-up run, then the counted one, each as ``trustcbf run`` does
-        # it, with its summary's keys.  Only frames called from here are traced.
+        # it.  Only frames called from here are traced.
         for out, tracer in ((Path(tmp) / "warm-up", previous), (Path(tmp) / "counted", on_call)):
             sys.settrace(tracer)
             try:
                 trace = sim.run(s)
-                summary = {
-                    "config": {"scenario": "", "dt": s.dt, "duration": s.duration,
-                               "seed": s.seed, "fixed_alpha": s.fixed_alpha,
-                               "rho_bar_d": s.trust.rho_bar_d, "alpha0": s.trust.alpha0},
-                    "metrics": sim.metrics(trace, s),
-                }
-                cli.write_outputs(trace, summary, s, out)
+                cli.write_outputs(trace, sim.summary(trace, s, ""), s, out)
             finally:
                 sys.settrace(previous)
     return {name: c.opcodes for name, c in counters.items()}
@@ -106,7 +101,6 @@ def main(argv: list[str]) -> int:
     if not argv or argv[0].startswith("-"):
         print("usage: python3 tools/work.py SCENARIO.json [SCENARIO.json ...]", file=sys.stderr)
         return 2
-    logging.getLogger("trustcbf").addHandler(logging.NullHandler())
     for path in argv:
         layers = count(cli.load_scenario(Path(path)))
         total = sum(layers.values())
