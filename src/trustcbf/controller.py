@@ -266,8 +266,9 @@ def agent_step(i: int, snap: WorldSnapshot, estimates: Mapping[int, MotionEstima
     each neighbor's spec its declared goal, and ``s`` the shared settings.
     Nothing is mutated.  All per-pair computations read rates as of the start
     of the step, so their order cannot matter.  An emergency stop shows only
-    as the decision's ``fallback``; with ``s.rate_floor`` on, a pair record
-    whose h is at the boundary tells a barrier at zero from an empty safety QP.
+    as the decision's ``fallback``.  It is a barrier at zero when
+    ``s.rate_floor`` is on, alpha adapts and some pair scored on this step
+    has h at the boundary; otherwise it is an empty safety QP.
     """
     me = snap.agents[i]
     box, target = s.agents[i].box, s.agents[i].target

@@ -48,3 +48,10 @@ def test_a_run_that_is_not_correct_or_failed_makes_the_exit_status_1():
     assert ab.exit_status([good, ab.parse_result(_stdout(correct=False))]) == 1
     assert ab.exit_status([good, ab.parse_result(_stdout(failed=1))]) == 1
     assert ab.exit_status([good, ab.parse_result("Traceback ...\n")]) == 1
+
+
+def test_seconds_default_to_the_benchmark_run_seconds():
+    spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    args = ab.parse_args(["HEAD", "HEAD"], spec)
+    assert args.seconds == spec["run_seconds"]
+    assert args.workload == [w["name"] for w in spec["workloads"]]

@@ -1,18 +1,19 @@
 """Paired A/B comparison of two revisions on the benchmark's workloads.
 
-    python3 tools/ab.py PARENT CHANGE [--workload W ...] [--pairs N]
-        [--seconds S] [--seed K]
+    python3 tools/ab.py PARENT CHANGE [--workload W ...] [--pairs N] [--seconds S]
 
 Both revisions are checked out with ``git worktree add --detach`` under
 ``.bench_build/``, and the worktrees are removed on every way out, errors and
 interrupts included.  For each workload (by default every workload of
 BENCHMARK.json) this runs N pairs of
 
-    perfbench/run.py --workload W --seed K --seconds S --trace 0
+    perfbench/run.py --workload W --seconds S --trace 0
 
 one run per side, each side in its own checkout, with the parent first in odd
-pairs and the change first in even ones.  Each run is one process group with
-a timeout; on a timeout or an interrupt the whole group is killed.
+pairs and the change first in even ones.  S defaults to BENCHMARK.json's
+``run_seconds``, and every run takes run.py's default seed.  Each run is one
+process group with a timeout; on a timeout or an interrupt the whole group is
+killed.
 
 It prints every run's end-to-end metrics.  Then, for each end-to-end metric
 of BENCHMARK.json, each side's median and quartiles, the pairs the change
@@ -42,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 300.0     # on top of --seconds, for the set-up probes and whole cycles
 WORK_TIMEOUT_S = 900.0
-# Prints the scenario files of workload argv[1], the ring12 ones written into argv[2].
+# Prints the scenario files of workload argv[1] at seed 0, run.py's default; the
+# ring12 ones are written into argv[2].
 INPUTS = ("import sys; from pathlib import Path; sys.path.insert(0, 'perfbench'); "
           "import workloads as w; print(*(w.scenario_file(k, Path(sys.argv[2])) "
           "for k in w.input_keys(sys.argv[1], 0)), sep='\\n')")
@@ -147,7 +149,7 @@ class Worktrees:
 
 
 def bench_run(path: Path, args, workload: str) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seconds", str(args.seconds), "--trace", "0"]
     code, out, err = _call(cmd, path, RUN_TIMEOUT_S + args.seconds)
     result = parse_result(out)
@@ -178,7 +180,7 @@ def work_totals(path: Path, workload: str) -> dict[str, int]:
 
 def compare(paths: dict[str, Path], args, workload: str, metrics: list[dict]) -> list[dict]:
     """Runs, prints and compares one workload; returns every run's result."""
-    print(f"== {workload}: {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}")
+    print(f"== {workload}: {args.pairs} pairs of {args.seconds:g} s")
     names = [m["name"] for m in metrics]
     results = {side: [] for side in SIDES}
     for pair in range(1, args.pairs + 1):
@@ -212,15 +214,15 @@ def compare(paths: dict[str, Path], args, workload: str, metrics: list[dict]) ->
     return results["parent"] + results["change"]
 
 
-def parse_args(argv: list[str], workloads: list[str]) -> argparse.Namespace:
+def parse_args(argv: list[str], spec: dict) -> argparse.Namespace:
+    workloads = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(prog="tools/ab.py", description=__doc__.splitlines()[0])
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--workload", action="append", choices=workloads,
                    help="a BENCHMARK.json workload; repeat for more (default: all)")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     args = p.parse_args(argv)
     if args.pairs < 1 or not args.seconds > 0.0:
         p.error("--pairs must be at least 1 and --seconds positive")
@@ -234,7 +236,7 @@ def _terminate(signum, frame):
 
 def main(argv: list[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
+    args = parse_args(argv, spec)
     try:
         revs = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
                 for side, rev in zip(SIDES, (args.parent, args.change))}
