@@ -2,7 +2,8 @@
 
 Subcommands
     run        simulate a scenario file and write trace.csv, pairs.csv,
-               summary.json, and four SVG charts into --out
+               summary.json, and four SVG charts into --out; the file is
+               the run's only input, so run runs what validate accepts
     validate   parse and check a scenario file, writing nothing
     oracle     run ``trustcbf.oracles.self_test``: the QP and LP solvers and
                the emptiness certificate against their independent oracles
@@ -40,15 +41,6 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#17becf", "#bcbd22"]
 
 
-def _positive_float(text: str) -> float:
-    import argparse
-
-    v = float(text)
-    if v <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return v
-
-
 def _nonnegative_int(text: str) -> int:
     import argparse
 
@@ -68,10 +60,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     p_run = sub.add_parser("run", help="simulate a scenario and write outputs")
     p_run.add_argument("--scenario", required=True, type=Path)
     p_run.add_argument("--out", required=True, type=Path)
-    p_run.add_argument("--dt", type=_positive_float, default=None)
-    p_run.add_argument("--duration", type=_positive_float, default=None)
-    p_run.add_argument("--fixed-alpha", action="store_true",
-                       help="freeze every pair rate at alpha0 (baseline mode)")
     p_run.add_argument("--no-svg", action="store_true", help="skip chart generation")
     p_run.add_argument("--strict", action="store_true",
                        help="exit 5 if any step needed an emergency fallback")
@@ -327,10 +315,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .sim import run, summary
 
     s = load_scenario(args.scenario)
-    for key in ("dt", "duration"):
-        if getattr(args, key) is not None:
-            setattr(s, key, getattr(args, key))
-    s.fixed_alpha = s.fixed_alpha or args.fixed_alpha
     trace = run(s)
     report = summary(trace, s, str(args.scenario))
     written = write_outputs(trace, report, s, args.out, emit_svg=not args.no_svg)

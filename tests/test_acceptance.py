@@ -4,6 +4,7 @@ Each test prints the measured quantities next to the thresholds it enforces,
 so a verbose run doubles as a numbers report.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -245,11 +246,14 @@ def test_c09_gradients_match_finite_differences():
 def test_c10_runs_reproduce_bitwise(tmp_path):
     """Identical scenario and seed give byte-identical trace files; CSV floats
     survive the round trip; frozen-rate runs keep every alpha column constant."""
+    d = json.loads(CROSSING_JSON.read_text())
+    d["duration"] = 2.0
+    scn = tmp_path / "crossing.json"
+    scn.write_text(json.dumps(d))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = main(["run", "--scenario", str(CROSSING_JSON), "--out", str(out),
-                   "--duration", "2.0", "--no-svg"])
+        rc = main(["run", "--scenario", str(scn), "--out", str(out), "--no-svg"])
         assert rc == 0
         outs.append(out)
     trace_bytes = (outs[0] / "trace.csv").read_bytes()
@@ -273,9 +277,10 @@ def test_c10_runs_reproduce_bitwise(tmp_path):
                 worst_rt = max(worst_rt, abs(cols[name][row] - ref))
     assert worst_rt <= 1e-12
 
+    d["flags"]["fixed_alpha"] = True
+    scn.write_text(json.dumps(d))
     out = tmp_path / "fixed"
-    rc = main(["run", "--scenario", str(CROSSING_JSON), "--out", str(out),
-               "--duration", "2.0", "--fixed-alpha", "--no-svg"])
+    rc = main(["run", "--scenario", str(scn), "--out", str(out), "--no-svg"])
     assert rc == 0
     pcols = read_trace_csv(out / "pairs.csv")
     pairs = {(int(i), int(j)) for i, j in zip(pcols["i"], pcols["j"])}

@@ -88,6 +88,10 @@ def test_nominal_trajectory_constant_speed_then_snap():
     assert np.allclose(ref[:, 1], 0.0)
     assert np.allclose(ref[:6, 0], [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
     assert np.allclose(ref[6:, 0], 1.0)
+    # One step length from the target, give or take 1e-15, the step snaps
+    # onto the target exactly; a step of that length stops about 1e-15 short.
+    target = (1.0 + 1e-15, 0.0)
+    assert nominal_trajectory(integ(), target, gain=20.0, horizon=0.05, dt=0.05)[1] == target
 
 
 def _numpy_nominal_trajectory(state0, target, gain, horizon, dt):

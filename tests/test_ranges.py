@@ -3,8 +3,10 @@ contract at the ends of each interval.
 
 Every number a scenario file gives lies in an interval that its dataclass
 field declares.  At a closed end, and one float inside it, a run must finish
-with exit 0 or 5 and write only finite CSV values; one float outside, the
-scenario must exit 3 with a message that names the field.
+with exit 0 or 5 and write only finite CSV values.  One float outside, any
+value below an open lower end, NaN, either infinity and an integer too large
+for a float must each make the scenario exit 3 with a message that names the
+field.  This table is the one test of each field's range.
 """
 
 import json
@@ -125,14 +127,19 @@ def base():
     }
 
 
-# Which agent each agent field is set on: the kind that reads it.
-AGENT = {"speed": 2, "gain": 1}
+# Every agent kind accepts every agent field, so each is set on every agent;
+# psi, the third start element, only on the unicycle, agent 0.
+AGENTS = (0, 1, 2)
 ALPHAS = ("alpha0", "alpha_min", "alpha_max")
+# Outside every interval: NaN, both infinities, and an integer that JSON
+# holds but a float cannot.
+NOT_A_NUMBER = (math.nan, INF, -INF, 10 ** 400)
 
 
-def _scenario(path, element, value, inside):
+def _scenario(path, agent, element, value, inside):
     """The base scenario with element ``element`` (None for a scalar) of the
-    number at ``path`` set to ``value``, and the path its message names."""
+    number at ``path`` set to ``value``, on agent ``agent`` for an agent
+    field, and the path its message names."""
     d = base()
     section, _, name = path.rpartition(".")
     if section == "trust":
@@ -142,28 +149,46 @@ def _scenario(path, element, value, inside):
         return d, path
     if not section:
         d[name] = value
-        if name == "duration":
+        if name == "duration" and inside:
             d["dt"] = max(value, 0.05)   # at most two steps, even at 1e6
         return d, path
-    idx = AGENT.get(name, 0)
-    agent = d["agents"][idx]
+    spec = d["agents"][agent]
     if name == "box":
         # Each bound keeps the box around 0: lo moves to the lower end, hi to the upper.
         box = [[-3.0, -3.0], [3.0, 3.0]]
         box[element // 2][element % 2] = value
-        agent["box"] = box
+        spec["box"] = box
     elif element is None:
-        agent[name] = value
+        spec[name] = value
     else:
-        agent[name][element] = value
-    return d, f"agents[{idx}].{name}"
+        spec.setdefault(name, [1.0, 1.0])[element] = value   # the adversary has no target
+    return d, f"agents[{agent}].{name}"
+
+
+def _values(lo, hi, lo_open, name):
+    """(value, inside) for every closed end and one float inside it, one
+    float outside every end, a value below an open lower end, and
+    NOT_A_NUMBER."""
+    for end, is_open, inward, outward in ((lo, lo_open or lo == -INF, hi, -INF),
+                                          (hi, hi == INF, lo, INF)):
+        if name == "box" and end == 0.0:
+            continue   # the box must contain 0; its other end is the declared one
+        if not is_open:
+            yield end, True
+            yield math.nextafter(end, inward), True
+        yield end if is_open else math.nextafter(end, outward), False
+    if lo_open:
+        yield math.nextafter(lo, -INF), False
+    for value in NOT_A_NUMBER:
+        yield value, False
 
 
 def _cases():
-    """(path, element, value, inside) for every closed end, one float inside
-    it, and one float outside every end."""
+    """(path, agent, element, value, inside) for each of ``_values`` at every
+    element of every number, on every agent that accepts it (agent None off
+    the agents)."""
     for path, interval in RANGES.items():
-        name = path.rpartition(".")[2]
+        section, _, name = path.rpartition(".")
         if isinstance(interval[0], tuple):
             per_element = list(enumerate(interval))
         elif name == "target":
@@ -176,14 +201,13 @@ def _cases():
         else:
             per_element = [(None, interval)]
         for element, (lo, hi, lo_open) in per_element:
-            for end, is_open, inward, outward in ((lo, lo_open or lo == -INF, hi, -INF),
-                                                  (hi, hi == INF, lo, INF)):
-                if name == "box" and end == 0.0:
-                    continue   # the box must contain 0; its other end is the declared one
-                if not is_open:
-                    yield path, element, end, True
-                    yield path, element, math.nextafter(end, inward), True
-                yield path, element, end if is_open else math.nextafter(end, outward), False
+            if section != "agents[i]":
+                agents = (None,)
+            else:
+                agents = AGENTS[:1] if name == "start" and element == 2 else AGENTS
+            for agent in agents:
+                for value, inside in _values(lo, hi, lo_open, name):
+                    yield path, agent, element, value, inside
 
 
 def _run(tmp_path, d):
@@ -196,11 +220,11 @@ def _run(tmp_path, d):
 def test_every_field_runs_at_its_ends_and_fails_just_outside(tmp_path, capsys):
     cases = list(_cases())
     assert {path for path, *_ in cases} == set(RANGES)
-    for path, element, value, inside in cases:
-        d, named = _scenario(path, element, value, inside)
+    for path, agent, element, value, inside in cases:
+        d, named = _scenario(path, agent, element, value, inside)
         code, out = _run(tmp_path, d)
         err = capsys.readouterr().err
-        case = (path, element, value)
+        case = (path, agent, element, value)
         if inside:
             assert code in (0, 5), (case, err)
             for name in ("trace.csv", "pairs.csv"):
@@ -208,4 +232,4 @@ def test_every_field_runs_at_its_ends_and_fails_just_outside(tmp_path, capsys):
                 assert all(np.all(np.isfinite(v)) for v in cols.values()), (case, name)
         else:
             assert code == 3, case
-            assert f"{named} must be" in err, (case, err)
+            assert re.search(rf"\b{re.escape(named)}(:| must be)", err), (case, err)

@@ -27,3 +27,8 @@ def test_opcode_counts_repeat_and_the_layers_sum_to_the_total(monkeypatch):
     total = work.count(s)
     assert list(total) == [work.LOOP]
     assert sum(layers.values()) == total[work.LOOP]
+
+
+def test_a_rejected_scenario_exits_3(tmp_path, capsys):
+    assert _work().main([str(tmp_path / "missing.json")]) == 3
+    assert capsys.readouterr().err.startswith("scenario error: cannot read scenario file")

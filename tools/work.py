@@ -2,6 +2,9 @@
 
     python3 tools/work.py SCENARIO.json [SCENARIO.json ...]
 
+A scenario that ``trustcbf validate`` rejects ends the command as it ends
+``trustcbf``: ``scenario error: …`` on stderr and exit status 3.
+
 For each scenario file this does what ``trustcbf run`` does after loading it:
 ``sim.run``, ``sim.summary`` and ``cli.write_outputs`` (CSV, summary and SVG
 charts, into a temporary directory); a run logs nothing, so only the counts
@@ -35,6 +38,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from trustcbf import cli, controller, dynamics, sim, solvers, trust, world  # noqa: E402
+from trustcbf.schema import ValidationError  # noqa: E402
 
 LOOP = "loop"
 # Each layer and the functions that start it when the loop calls them, in
@@ -102,7 +106,12 @@ def main(argv: list[str]) -> int:
         print("usage: python3 tools/work.py SCENARIO.json [SCENARIO.json ...]", file=sys.stderr)
         return 2
     for path in argv:
-        layers = count(cli.load_scenario(Path(path)))
+        try:
+            s = cli.load_scenario(Path(path))
+        except ValidationError as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return 3
+        layers = count(s)
         total = sum(layers.values())
         print(f"{path}: {total:,} opcodes")
         for name, n in layers.items():
