@@ -420,9 +420,6 @@ def _assert_exit_3(tmp_path, d):
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--no-svg"]) == 3
 
 
-CROSSING = REPO / "scenarios" / "crossing.json"
-
-
 def test_exit_3_on_nan_dt(tmp_path):
     d = minimal_dict()
     d["dt"] = math.nan   # json writes the NaN literal, which json.loads accepts
@@ -520,6 +517,7 @@ def test_exit_3_on_three_dimensional_box(tmp_path):
 
 
 HEADON = REPO / "scenarios" / "headon_stress.json"
+CROSSING = REPO / "scenarios" / "crossing.json"
 
 
 def test_exit_3_on_step_count_overflow(tmp_path, capsys):
