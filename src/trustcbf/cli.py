@@ -21,6 +21,7 @@ subcommand imports what it runs.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -104,28 +105,33 @@ def _enum(cls, v, where: str):
 
 
 def _float(v, where: str) -> float:
-    """The JSON number ``v`` as a float; every other value, and MISSING, raises
-    ValidationError."""
+    """The JSON number ``v`` as a finite float; every other value (NaN and the
+    infinities, which Python's JSON reader accepts, among them) and MISSING
+    raise ValidationError."""
     if v is MISSING:
         raise ValidationError(f"{where}: required")
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"{where}: expected a number, got {v!r}")
     try:
-        return float(v)
+        v = float(v)
     except OverflowError:
         raise ValidationError(f"{where}: integer too large for a float")
+    if not math.isfinite(v):
+        raise ValidationError(f"{where} must be finite, got {v}")
+    return v
 
 
-def _floats(obj: dict, cls, where: str) -> dict:
-    """``obj``'s values of the float fields of ``cls``; a field without a default is required."""
-    return {f.name: _float(obj.get(f.name, MISSING), f"{where}.{f.name}") for f in fields(cls)
+def _floats(obj: dict, cls, prefix: str) -> dict:
+    """``obj``'s values of the float fields of ``cls``, each named ``prefix``
+    and the field's name; a field without a default is required."""
+    return {f.name: _float(obj.get(f.name, MISSING), prefix + f.name) for f in fields(cls)
             if f.type == "float" and (f.name in obj or f.default is MISSING)}
 
 
 def _parse_agent(obj, idx: int) -> AgentSpec:
     where = f"agents[{idx}]"
     obj = _object(obj, _AGENT_KEYS, where)
-    options = _floats(obj, AgentSpec, where)
+    options = _floats(obj, AgentSpec, f"{where}.")
     start = obj.get("start")
     if not isinstance(start, list):
         raise ValidationError(f"{where}.start: expected [x, y] or [x, y, psi]")
@@ -171,12 +177,12 @@ def load_scenario(path: Path) -> Scenario:
         if not isinstance(v, bool):
             raise ValidationError(f"flags.{key}: expected true or false")
     # Keys the file leaves out take Scenario's defaults.
-    options = _floats(obj, Scenario, str(path))
+    options = _floats(obj, Scenario, "")
     if "seed" in obj:
         if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
             raise ValidationError("seed: expected an integer")
         options["seed"] = obj["seed"]
-    s = Scenario(agents=agents, trust=TrustParams(**_floats(trust, TrustParams, "trust")),
+    s = Scenario(agents=agents, trust=TrustParams(**_floats(trust, TrustParams, "trust.")),
                  **flags, **options)
     s.validate()
     return s

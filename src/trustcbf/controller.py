@@ -17,7 +17,7 @@ compute their formulas inline; the per-pair functions of ``barriers``,
 command (waypoint tracking for unicycles, a minimum-norm goal-descent QP for
 integrators, solved in closed form, that saturates in the box when its
 descent rate is out of reach) is then projected onto the intersection of all planes inside the control box
-by ``solvers.solve_qp``, which resumes the contribution LPs' exact prefix
+by ``solvers.solve_qp``, which resumes the contribution LPs' float prefix
 chain up to the first plane whose rate moved.  The decision keeps the final
 planes.  The two unrecoverable conditions, an empty safety QP (the only
 Infeasible a step turns into a stop) and a barrier at zero, degrade to an

@@ -3,16 +3,19 @@ self-test, and a CSV reader.
 
 The test suite and ``trustcbf oracle`` check the polygon kernel of
 ``trustcbf.solvers`` against code that shares none of it: exhaustive
-enumeration of the 2-D KKT candidates for the QP, of the vertices for the LP,
-and, for the solvers' emptiness certificate, of the sets of at most three
-rows, all on the rows stacked into one a . u >= b system.  ``self_test`` is
-the one check on random instances.  Nothing on the run path imports this
-module, so only the checks need numpy.
+enumeration of the 2-D KKT candidates for the QP and of the vertices for the
+LP, in floats on the rows stacked into one a . u >= b system, and of the
+vertices in exact integer arithmetic (``exact_points``), which judges the
+solvers' contract: Infeasible only on an exactly empty set, and every answer
+within the documented rounding bound delta of every row (``loosened``).
+``self_test`` is the one check on random instances.  Nothing on the run path
+imports this module, so only the checks need numpy.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import solvers
 from .schema import Box
-from .solvers import CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, QPProblem
+from .solvers import FEAS_TOL, Infeasible, QPProblem
 
 
 def _assemble(rows: Sequence[tuple], box: Box):
@@ -153,39 +156,100 @@ def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
     return best_val, best_u
 
 
-def empty_triple(rows: Sequence[tuple], box: Box, relax: float = 0.0,
-                 tol: float = 0.0) -> Optional[tuple[int, ...]]:
-    """The first set of at most three rows, by size and then by index, whose
-    intersection with the box, every row relaxed by ``relax``, holds no point
-    (``lp_vertex_oracle`` at ``tol``); None when every such set holds one.
+def _faces(box: Box) -> list:
+    """The box faces as rows: u_k >= lo_k and -u_k >= -hi_k."""
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    return [(1.0, 0.0, lo0), (-1.0, 0.0, -hi0), (0.0, 1.0, lo1), (0.0, -1.0, -hi1)]
 
-    Exhaustive over all singletons, pairs and triples.  By Helly's theorem in
-    the plane, None exactly when box ∩ rows, relaxed, is nonempty.
+
+def loosened(rows: Sequence[tuple], box: Box, n: int) -> list:
+    """The rows, then the box faces, each (a0, a1, b) lowered exactly to
+    (a0, a1, b - delta), in Fractions: delta = 8 (n + 2) 2^-53 (|b| + ||a||_1 R),
+    R = max |box bound|, the rounding bound that the solvers' docstring
+    proves for n rows."""
+    R = Fraction(max(-box.lo[0], -box.lo[1], box.hi[0], box.hi[1]))
+    K = Fraction(8 * n + 16, 2 ** 53)
+    exact = [tuple(map(Fraction, row)) for row in [*rows, *_faces(box)]]
+    return [(a0, a1, b - K * (abs(b) + (abs(a0) + abs(a1)) * R)) for a0, a1, b in exact]
+
+
+def holds_within_delta(u: Sequence[float], rows: Sequence[tuple], box: Box, n: int) -> bool:
+    """Whether the point u holds every row and box face to within its delta
+    for n rows (``loosened``), in exact arithmetic."""
+    x, y = Fraction(u[0]), Fraction(u[1])
+    return all(a0 * x + a1 * y >= b for a0, a1, b in loosened(rows, box, n))
+
+
+def _exact_crossings(rows: Sequence[tuple], box: Box,
+                     n: Optional[int]) -> Iterator[tuple[int, int, int, list]]:
+    """For every two lines (row lines and box sides) that cross, the point
+    (X / D, Y / D) where they do, as (X, Y, D) with D > 0, and the indices of
+    the rows and faces it violates (face k counts as len(rows) + k); with
+    every row and face lowered by its delta for n rows when n is given.
+
+    Exact: each constraint is scaled to integers, the same half-plane, and
+    every test is an integer one.
     """
-    shifted = [(a0, a1, b - relax) for a0, a1, b in rows]
-    for size in (1, 2, 3):
-        for S in combinations(range(len(rows)), size):
-            try:
-                lp_vertex_oracle((0.0, 0.0), [shifted[k] for k in S], box, tol=tol)
-            except Infeasible:
-                return S
-    return None
+    lines = []
+    for row in loosened(rows, box, n) if n is not None else [*rows, *_faces(box)]:
+        f = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in f))
+        lines.append(tuple(int(v * scale) for v in f))   # exact: each v * scale is whole
+    for (a0, a1, b), (c0, c1, d) in combinations(lines, 2):
+        det = a0 * c1 - a1 * c0
+        if det == 0:
+            continue
+        X, Y = b * c1 - a1 * d, a0 * d - b * c0
+        if det < 0:
+            X, Y, det = -X, -Y, -det
+        yield X, Y, det, [k for k, (e0, e1, f) in enumerate(lines) if e0 * X + e1 * Y < f * det]
+
+
+def exact_points(rows: Sequence[tuple], box: Box) -> list[tuple[Fraction, Fraction]]:
+    """Every crossing of two lines, row lines and box sides, that holds the
+    box and every row exactly, as Fractions.
+
+    Empty exactly when box ∩ rows is: a nonempty set has a vertex, where two
+    of its lines with independent normals cross (a row with a zero normal has
+    no line, but every point is tested against it).
+    """
+    return [(Fraction(X, D), Fraction(Y, D))
+            for X, Y, D, off in _exact_crossings(rows, box, None) if not off]
+
+
+def exact_leave_one_out(rows: Sequence[tuple], box: Box,
+                        n: Optional[int] = None) -> list[bool]:
+    """For every k, whether box ∩ (every row but k) is exactly nonempty (each
+    constraint lowered by its delta for n rows when n is given).
+
+    A nonempty one has a vertex, a crossing of two lines other than row k's
+    that violates nothing but row k; conversely any crossing that violates
+    row k alone is a point of it.  One enumeration serves every k.
+    """
+    nonempty = [False] * len(rows)
+    for _, _, _, off in _exact_crossings(rows, box, n):
+        if not off:
+            return [True] * len(rows)
+        if len(off) == 1 and off[0] < len(rows):
+            nonempty[off[0]] = True
+    return nonempty
 
 
 def random_conflict_rows(rng: np.random.Generator, max_rows: int = 8,
                          box_half: float = 3.0) -> tuple[list, Box]:
     """2 to max_rows rows in random order that often leave the box empty, for
-    the emptiness certificate: ordinary rows, a row facing an earlier one
-    (near-parallel, rotated by up to 1e-6 rad), three rows at 120 degrees
-    around a point, and vacuous or demanding zero-normal rows.  A conflict's
-    gap is a few FEAS_TOL, a few QP_RETRY_TOL, near 2 CERT_RELAX (where the
-    certificate's margins decide), or large; two in five gaps are negative,
-    so the rows then leave a sliver."""
+    the emptiness certificate and the leave-one-out LPs: ordinary rows, a row
+    facing an earlier one (near-parallel, rotated by up to 1e-6 rad), three
+    rows at 120 degrees around a point, and vacuous, corner-grazing or
+    demanding zero-normal rows.  A conflict's gap is 1 to 1e4 ulps of the
+    row's scale |b| + ||a||_1 box_half, where the solvers' rounding bound
+    delta lies, or large; two in five gaps are negative, so the rows then
+    leave a sliver."""
     box = Box((-box_half,) * 2, (box_half,) * 2)
 
-    def gap():
-        scale = rng.choice([FEAS_TOL, QP_RETRY_TOL, 2.0 * CERT_RELAX, 1.0])
-        g = scale * rng.uniform(0.5, 4.0) if scale < 1.0 else 10.0 ** rng.uniform(-4.0, 0.0)
+    def gap(scale):
+        g = (scale * 2.0 ** -52 * 10.0 ** rng.uniform(0.0, 4.0) if rng.uniform() < 0.75
+             else 10.0 ** rng.uniform(-4.0, 0.0))
         return g if rng.uniform() < 0.6 else -g
 
     rows: list[tuple] = []
@@ -204,19 +268,21 @@ def random_conflict_rows(rng: np.random.Generator, max_rows: int = 8,
             t = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -6.0)
             c, s = math.cos(t), math.sin(t)
             k = rng.uniform(0.5, 2.0)
-            rows.append((-k * (c * a0 - s * a1), -k * (s * a0 + c * a1), k * (-b + gap())))
+            g = gap(abs(b) + (abs(a0) + abs(a1)) * box_half)
+            rows.append((-k * (c * a0 - s * a1), -k * (s * a0 + c * a1), k * (-b + g)))
         elif kind == "star":
             # sum of the unit normals is 0: empty exactly when the gap is > 0
             z = rng.uniform(-0.8 * box_half, 0.8 * box_half, 2)
-            theta, g = rng.uniform(0.0, 2.0 * math.pi), gap()
+            theta, g = rng.uniform(0.0, 2.0 * math.pi), gap(float(np.abs(z).sum()) + box_half)
             for j in range(3):
                 a = np.array((math.cos(theta + 2.0 * math.pi * j / 3.0),
                               math.sin(theta + 2.0 * math.pi * j / 3.0))) * rng.uniform(0.5, 2.0)
                 rows.append((float(a[0]), float(a[1]),
                              float(a @ z) + g * float(np.linalg.norm(a))))
         else:
+            # 6e-13 grazes the box corner that the normal 1e-13 (1, -1) reaches
             a = float(rng.choice([0.0, 1e-13]))
-            rows.append((a, -a, float(rng.choice([-1.0, 0.0, FEAS_TOL, 0.5]))))
+            rows.append((a, -a, float(rng.choice([-1.0, 0.0, 6e-13, 0.5]))))
     order = rng.permutation(len(rows))
     return [rows[k] for k in order], box
 
@@ -227,15 +293,6 @@ def _violation(u: Sequence[float], rows: Sequence[tuple], box: Box) -> float:
                *(b - a0 * u[0] - a1 * u[1] for a0, a1, b in rows))
 
 
-def _lp_empty(c: Sequence[float], rows: Sequence[tuple], box: Box) -> bool:
-    """Whether ``solve_lp`` raises Infeasible on the LP."""
-    try:
-        solvers.solve_lp(c, rows, box)
-    except Infeasible:
-        return True
-    return False
-
-
 def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str], int]:
     """Hold the solvers to the oracles on random instances: the report's
     ``qp:``, ``lp:``, ``cert:`` and ``goal:`` lines and the total count of
@@ -243,23 +300,25 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
 
     - ``n_qp`` QPs (``random_qp_instance``, always feasible): ``solve_qp``
       answers, twice with the same bits, within 1e-9 (1 + value) of
-      ``qp_oracle``, and outside no row or box face by more than 1e-9.
+      ``qp_oracle``, outside no row or box face by more than 1e-9, and,
+      unless it answers u_ref, within delta of every one (``holds_within_delta``).
     - ``n_lp`` LPs (``random_lp_instance``): ``solve_lp``'s value is within
       1e-9 of ``lp_vertex_oracle``'s, and its vertex holds the box and every
-      row to 1e-9.
+      row to 1e-9 and to within delta.
     - ``n_lp`` conflicting row lists (``random_conflict_rows``), through the
-      leave-one-out LPs the run calls: each value is None exactly where
-      ``solve_lp`` over the other rows raises Infeasible, and every LP
-      outside a certified triple is None, or the list fails.  Wherever the
-      LPs certify emptiness, vertex enumeration finds the whole list empty
-      exactly, and ``empty_triple`` finds the certified triple empty with
-      every row relaxed by ``CERT_RELAX``; an unsound certificate counts as a
-      failure.
+      leave-one-out LPs the run calls: a value is None only where the other
+      rows leave the box exactly empty, and given only where they hold a
+      point once every row and face is lowered by its delta
+      (``exact_leave_one_out``); every LP outside a certified triple is None;
+      or the list fails.  A certified triple in which ``exact_points`` finds
+      a point is an unsound certificate, which counts as a failure.
     - ``n_qp`` goal descents (``random_goal_instance``): ``solve_min_norm``
-      raises Infeasible exactly where ``qp_oracle`` finds no point, and
-      elsewhere answers within 1e-9 (1 + value) of it, outside the row or a
-      box face by no more than 1e-9.  The line reports how many answers the
-      box clamped (the foot left the box) and how many instances were empty.
+      raises Infeasible only where ``exact_points`` finds no point, answers
+      only where ``qp_oracle`` finds one, and then within 1e-9 (1 + value) of
+      it, outside the row or a box face by no more than 1e-9, and, unless it
+      answers the origin, within delta of each.  The line reports how many
+      answers the box clamped (the foot left the box) and how many instances
+      were empty.
 
     A solver that raises fails that instance.  The solvers are looked up on
     ``trustcbf.solvers`` at each call, so a patched solver is the one tested.
@@ -281,7 +340,8 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
         gap = abs(value - oracle[0]) / (1.0 + oracle[0])
         viol = _violation(u, p.rows, p.box)
         qp_gap, qp_viol = max(qp_gap, gap), max(qp_viol, viol)
-        qp_fail += not (same and gap <= 1e-9 and viol <= 1e-9)
+        qp_fail += not (same and gap <= 1e-9 and viol <= 1e-9 and (
+            value == 0.0 or holds_within_delta(u, p.rows, p.box, len(p.rows))))
     lp_fail = lp_gap = lp_viol = 0
     for _ in range(n_lp):
         c, rows, box = random_lp_instance(rng)
@@ -293,27 +353,24 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
         gap = abs(value - lp_vertex_oracle(c, rows, box)[0])
         viol = _violation(u, rows, box)
         lp_gap, lp_viol = max(lp_gap, gap), max(lp_viol, viol)
-        lp_fail += not (gap <= 1e-9 and viol <= 1e-9)
+        lp_fail += not (gap <= 1e-9 and viol <= 1e-9
+                        and holds_within_delta(u, rows, box, len(rows)))
     cert_fail = certified = unsound = 0
     for _ in range(n_lp):
         rows, box = random_conflict_rows(rng)
         try:
             values, chain = solvers.solve_lp_leave_one_out(rows, box)
-            empty = [_lp_empty(rows[k][:2], rows[:k] + rows[k + 1:], box)
-                     for k in range(len(rows))]
         except Exception:
             cert_fail += 1
             continue
+        exact = exact_leave_one_out(rows, box)
+        loose = exact_leave_one_out(rows, box, len(rows))
         cert = chain.cert
-        cert_fail += [v is None for v in values] != empty or cert is not None and any(
-            values[k] is not None for k in range(len(rows)) if k not in cert)
+        cert_fail += any(exact[k] if v is None else not loose[k] for k, v in enumerate(values)) or (
+            cert is not None and any(v is not None for k, v in enumerate(values) if k not in cert))
         if cert is not None:
             certified += 1
-            try:   # a vertex that holds every row exactly: the list is not empty
-                lp_vertex_oracle((0.0, 0.0), rows, box, tol=0.0)
-                unsound += 1
-            except Infeasible:
-                unsound += empty_triple([rows[k] for k in cert], box, CERT_RELAX) is None
+            unsound += bool(exact_points([rows[k] for k in cert], box))
     goal_fail = goal_gap = goal_viol = clamped = empty = 0
     for _ in range(n_qp):
         p = random_goal_instance(rng)
@@ -322,7 +379,7 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
             u = solvers.solve_min_norm(p.rows[0], p.box)
         except Infeasible:
             empty += 1
-            goal_fail += oracle is not None
+            goal_fail += bool(exact_points(p.rows, p.box))
             continue
         except Exception:
             goal_fail += 1
@@ -336,7 +393,8 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
         gap = abs(u[0] * u[0] + u[1] * u[1] - oracle[0]) / (1.0 + oracle[0])
         viol = _violation(u, p.rows, box)
         goal_gap, goal_viol = max(goal_gap, gap), max(goal_viol, viol)
-        goal_fail += not (gap <= 1e-9 and viol <= 1e-9)
+        goal_fail += not (gap <= 1e-9 and viol <= 1e-9 and (
+            u == (0.0, 0.0) or holds_within_delta(u, p.rows, box, 1)))
     lines = [f"qp: {n_qp} instances, worst relative gap {qp_gap:.3e}, "
              f"worst violation {qp_viol:.3e}, {qp_fail} failures",
              f"lp: {n_lp} instances, worst value gap {lp_gap:.3e}, "

@@ -1,82 +1,79 @@
-"""Exact solvers for the 2-D safety problems, built on one convex-polygon kernel.
+"""Exact-verdict solvers for the 2-D safety problems, built on one convex-polygon kernel.
 
-Every control in this package is 2-D (unicycle (v, omega), integrator
-(vx, vy)) and every constraint is a half-plane a . u >= b inside an
-axis-aligned control box, so each feasible set is a convex polygon.  The
-kernel builds it by clipping the box with one half-plane after another
-(Sutherland-Hodgman) in plain float arithmetic.  On that polygon:
+Every control here is 2-D and every constraint is a row, the float triple
+(a0, a1, b) meaning the half-plane a . u >= b, inside an axis-aligned control
+box whose bounds lie within R of 0.  So each feasible set is a convex polygon,
+which ``_chain`` builds by clipping the box with one half-plane after another
+(Sutherland-Hodgman), in floats or, on ``Fraction`` copies, exactly:
 
     QP   min ||u - u_ref||^2  s.t. rows, box:   u_ref itself when it satisfies
          the box and every row to FEAS_TOL, else the nearest point on the
          polygon's edges
     LP   max c . u  s.t. rows, box:             the best polygon vertex
 
-The box is clipped with the exact rows first.  Only when that leaves nothing
-are the rows relaxed by FEAS_TOL (and, for the QP, then by QP_RETRY_TOL)
-before Infeasible is raised, so a nearly empty set keeps its verdict while a
-nonempty one is never perturbed.  Every row is decided by the one rule of
-the clip: it holds at u when a . u - b >= -relax.  A row whose normal is zero
-needs no rule of its own: it keeps every vertex exactly when b <= relax, and
-empties the polygon otherwise.
+Contract, for n rows, u = 2^-53 and delta(a, b) = 8 (n + 2) u (|b| + ||a||_1 R),
+barring float underflow and overflow:
+(a) Infeasible means that box ∩ rows is exactly empty;
+(b) so an exactly nonempty set always gets an answer;
+(c) every answer but u_ref holds every row and box face (the row u_k >= lo_k
+    or -u_k >= -hi_k) exactly to within its delta.
+An exactly empty set can still get an answer, when the float clip keeps a
+point by rounding: two-sided exactness would need an error filter on every
+sign test of every clip, so more work on every control step.
 
-A constraint row is the float triple (a0, a1, b), meaning a . u >= b, in
-every entry.  ``solve_qp`` returns the QP's command only; ``active_set``
-names the rows and box faces that hold with equality at a command, off the
-run path.  ``solve_min_norm`` is the QP of one row with u_ref = 0, the goal
-descent, in closed form: the polygon of one row is the box cut by one line,
-and the nearest point to the origin lies on that line, so no clip is built.
-It decides emptiness and each relaxation by the clip's own corner test.
+Each solver clips in floats first.  Only a clip that leaves nothing is redone
+with every row loosened to b - delta (``_settle``): if that leaves nothing too,
+the set is exactly empty; else the box is clipped again in ``Fraction``
+arithmetic, whose vertices, rounded to floats, give the answer.  No benchmark
+input reaches that clip, so ``fractions`` is imported there only.
+
+Proof of delta, for n clips or fewer.  Let r(v) = a . v - b' exactly, for a
+row whose clip uses the offset b', and s = ||a||_1 R' + |b'|, where R' = 1.01 R
+bounds every vertex coordinate.  A sign test fl(a0 x + a1 y - b') errs by at
+most 3.01 u s.  A crossing p + t (q - p), with the float t in [0, 1], has
+|r| <= 6 u s before its coordinates round, by at most 6 u R' (by 0 where
+q - p is 0).  So each vertex lies within 6 u R' of a segment between two of
+the polygon before, which keeps R' ((1 + 6u)^n < 1.01 for n < 10^13) and gives
+(c) for the float clip, the QP's edge point adding 6 u R'; an exact vertex
+rounds by u R.  Now loosen: b' = fl(b - delta), delta computed in floats, so
+b - b' >= 0.99 delta - u |b| > 6 u s + 6 n u R' ||a||_1.  Let z be a point of
+box ∩ rows, moved a hair into the box's interior.  Every polygon edge lies on
+a box side (a crossing on one stays on it exactly) or joins two vertices with
+|r| <= 6 u s + 6 n u R' ||a||_1 for the row that made it, so no edge meets z,
+which winds once around the box.  A clip cuts each run of dropped vertices
+(r < 3.01 u s) off along the segment between its two crossings; the loop cut
+off has r <= 6 u s at every point, so z lies outside its hull, and rounding
+the crossings moves no edge across z.  So z winds once around every polygon,
+and none is empty: a loosened clip that leaves nothing proves the set exactly
+empty.  ``solve_min_norm``'s closed form keeps the clip's verdict; the tests
+hold its answer to (c).
 
 ``solve_lp_leave_one_out`` solves, for every plane of one list, the LP whose
-objective is that plane's normal over all the other planes.  It builds the
-prefix chain box ∩ planes[:m] with ``_chain``, the loop every clip runs (n
-single-plane clips when nothing empties).  If the whole set P = box ∩ planes
-is nonempty, every LP's maximizer lies in P, so all n values are best
-vertices of that one polygon: equal to separate ``solve_lp`` calls in exact
-arithmetic, which would clip n(n-1) times, and close to them in floats.  Only
-when the chain empties at plane m do the m earlier planes clip their own
-suffixes from their prefixes, at most n(n-1)/2 clips, each ``solve_lp``'s own
-clip sequence and bitwise equal to it.  LPs left empty rerun both rules with
-the planes relaxed by FEAS_TOL, as ``solve_lp`` retries.
+objective is that plane's normal over all the other planes.  If the prefix
+chain (``_chain``) keeps the whole set P = box ∩ planes, every LP's maximizer
+lies in P, so each value is a best vertex of that one polygon (equal to a
+``solve_lp`` call in exact arithmetic, close to it in floats).  When the chain
+empties at plane m, each earlier plane's LP clips its own suffix from the
+prefix, ``solve_lp``'s clip sequence, and an LP left empty is settled as
+``solve_lp`` settles it, the loosened clips sharing one loosened prefix chain.
+Most LPs are empty then, and ``_certify_empty`` names them without a clip: the
+best vertex of box ∩ planes[:m] for p = planes[m]'s normal lies on at most two
+lines that are not box sides, which with p form a triple T.  If p's float best
+value over the loosened clip of the box by T minus p falls short of p's
+loosened offset, box ∩ T is exactly empty, and so is every LP outside T: z
+above would lie in that clip's hull, where a_p . z <= best + 2.01 u s < b_p.
+A zero normal has no line, so it joins T only as p or to fill it; a chain that
+empties at one of its first three planes leaves at most three LPs to clip, so
+it gets no certificate.
 
-An empty chain usually leaves all but a few LPs empty, and ``_certify_empty``
-shows which without clipping them.  Say box ∩ planes[:m] is the last nonempty
-polygon and plane p = planes[m] empties it.  The polygon's best vertex v for
-p's normal lies on at most two lines that are not box sides; with p they form
-a triple T, and by LP duality box ∩ T is already empty (Helly's theorem in
-the plane says some such triple exists).  The certificate checks T on its
-own: it clips the box by T minus p, each plane relaxed by CERT_RELAX plus its
-error allowance, and requires the best value of p's normal there to fall
-short of b_p by CERT_RELAX plus p's allowance.  A plane's error allowance is
-CERT_ERR (|b| + ||a||_1 R), R the box radius: every vertex any of these clips
-makes lies in the box to within a few ulps of R, so evaluating a . u - b at it
-errs by a few ulps of |b| + ||a||_1 R per clip, and CERT_ERR leaves room for
-thousands of clips.  Then every float polygon that contains T (a clip relaxed
-by at most CERT_RELAX) is empty too, so every LP outside T is None, and only
-the at most three LPs in T run the suffix-clip and FEAS_TOL rules above.  A
-plane with a zero normal has no line to be near, so it joins T as p, or only
-when too few other planes precede p; the check decides such a T like any
-other.  A triple that fails the check leaves every LP to those rules.  So
-does a chain that empties at one of its first three planes: then at most
-three LPs clip, and a triple could spare none of them, so none is checked.
-The certificate spares only LPs, whose clips relax by at most FEAS_TOL;
-CERT_RELAX stays above QP_RETRY_TOL, the largest relaxation either solver
-clips with, until the tolerance ladder is retired (ROADMAP item 9).
+``QPProblem.chain`` lets the safety QP resume that chain.  The control step's
+scoring pass keeps each plane object whose rate did not move, so up to the
+first plane that is not the chain's own object, the QP's float clip sequence
+is the chain's, bit for bit, and the QP clips only the planes from there on.
+A chain built on another box object is not resumed.
 
-``QPProblem.chain`` lets the safety QP resume that exact chain.  The control
-step's scoring pass keeps each plane object whose rate did not move, so up to
-the first plane that is not the chain's own object, the QP's exact clip
-sequence is the chain's, bit for bit: the QP clips only the planes from there
-on, starting from the chain's polygon.  Everything else runs as without a
-chain: the QP tests u_ref against every plane (``_holds``), once at FEAS_TOL,
-the tolerance of both the exact and the FEAS_TOL clip, and once at
-QP_RETRY_TOL, and the relaxed clips start from the box.  A chain built on
-another box object is not resumed.
-
-This module is plain float code.  The independent oracles that the test
-suite and ``trustcbf oracle`` check it against (exhaustive enumeration of
-the 2-D KKT candidates for the QP and of the vertices for the LP) live in
-``trustcbf.oracles``, the one module that needs numpy.
+The independent oracles that the tests and ``trustcbf oracle`` check this
+plain float code against live in ``trustcbf.oracles``.
 """
 
 from __future__ import annotations
@@ -87,28 +84,21 @@ from typing import Optional, Sequence
 
 from .schema import Box
 
-# Feasibility tolerance, the QP's last relaxation before it reports an empty
-# set, and the residual at or below which a constraint is reported active.
+# The tolerance to which u_ref, holding every row, is the QP's answer, and the
+# residual at or below which a constraint is reported active.
 FEAS_TOL = 1e-9
-QP_RETRY_TOL = 1e-7
 ACTIVE_TOL = 1e-8
-
-# The emptiness certificate's slack beyond the largest relaxation either
-# solver clips with (QP_RETRY_TOL), and each plane's allowance for float error
-# relative to its scale |b| + ||a||_1 R (module docstring).
-CERT_RELAX = 1e-6
-CERT_ERR = 1e-10
 
 
 class Infeasible(Exception):
-    """The constraint set is empty inside the control box."""
+    """The constraint set is exactly empty inside the control box."""
 
 
 class PrefixChain:
-    """The exact prefix chain of one plane list: ``polys[m]`` is box ∩
-    ``planes[:m]`` clipped exactly, up to the last nonempty one (``_chain``).
+    """The float prefix chain of one plane list: ``polys[m]`` is box ∩
+    ``planes[:m]`` clipped in floats, up to the last nonempty one (``_chain``).
     ``cert`` is a certified triple (plane indices) whose intersection with the
-    box is empty, or None; it spares leave-one-out LPs, never a QP clip."""
+    box is exactly empty, or None; it spares leave-one-out LPs, never a QP clip."""
 
     __slots__ = ("planes", "polys", "box", "cert")
 
@@ -117,15 +107,15 @@ class PrefixChain:
         self.planes, self.polys, self.box, self.cert = planes, polys, box, cert
 
     def clip(self, planes: Sequence[tuple]) -> list:
-        """``_clip(planes, box polygon, 0.0)``, bit for bit: the chain's polygon
-        up to the first plane that is not the chain's own object, clipped by
-        the planes from there on."""
+        """``_clip(planes, box polygon)``, bit for bit: the chain's polygon up
+        to the first plane that is not the chain's own object, clipped by the
+        planes from there on."""
         f = 0
         for p, q in zip(planes, self.planes):
             if p is not q:
                 break
             f += 1
-        return _clip(planes[f:], self.polys[f], 0.0) if f < len(self.polys) else []
+        return _clip(planes[f:], self.polys[f]) if f < len(self.polys) else []
 
 
 @dataclass
@@ -133,7 +123,7 @@ class QPProblem:
     u_ref: Sequence[float]
     rows: Sequence[tuple]     # (a0, a1, b): a . u >= b
     box: Box
-    # The exact prefix chain of a plane list whose leading plane objects the
+    # The float prefix chain of a plane list whose leading plane objects the
     # rows share, for the QP to resume (module docstring).
     chain: Optional[PrefixChain] = None
 
@@ -144,17 +134,17 @@ def _box_polygon(box: Box) -> list:
     return [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
 
 
-def _chain(planes: Sequence, poly: list, relax: float) -> list:
-    """[poly, poly ∩ planes[:1], poly ∩ planes[:2], ...] with every plane
-    a . u >= b relaxed to a . u >= b - relax, up to the last nonempty polygon;
-    each polygon's vertices counter-clockwise.
+def _chain(planes: Sequence, poly: list) -> list:
+    """[poly, poly ∩ planes[:1], poly ∩ planes[:2], ...], each plane the
+    half-plane a . u >= b, up to the last nonempty polygon; each polygon's
+    vertices counter-clockwise.
 
     The one Sutherland-Hodgman loop: one pass per plane, and a plane that
-    keeps every vertex returns the same vertices in the same order.
+    keeps every vertex returns the same vertices in the same order.  It runs
+    on floats and, unchanged, on Fractions.
     """
     chain = [poly]
     for a0, a1, b in planes:
-        b -= relax
         out = []
         px, py = poly[-1]
         dp = a0 * px + a1 * py - b
@@ -174,10 +164,34 @@ def _chain(planes: Sequence, poly: list, relax: float) -> list:
     return chain
 
 
-def _clip(planes: Sequence, poly: list, relax: float) -> list:
-    """Vertices of poly ∩ {a . u >= b - relax}, counter-clockwise; [] when empty."""
-    chain = _chain(planes, poly, relax)
+def _clip(planes: Sequence, poly: list) -> list:
+    """Vertices of poly ∩ {a . u >= b}, counter-clockwise; [] when empty."""
+    chain = _chain(planes, poly)
     return chain[-1] if len(chain) > len(planes) else []
+
+
+def _loosen(planes: Sequence[tuple], box: Box) -> list:
+    """Every plane (a0, a1, b) as (a0, a1, b - delta), delta the rounding
+    bound of len(planes) clips in this box (module docstring)."""
+    (lo0, lo1), (hi0, hi1) = box.lo, box.hi
+    R, K = max(-lo0, -lo1, hi0, hi1), (8 * len(planes) + 16) * 2.0 ** -53
+    return [(a0, a1, b - K * (abs(b) + (abs(a0) + abs(a1)) * R)) for a0, a1, b in planes]
+
+
+def _exact(planes: Sequence[tuple], box: Box) -> list:
+    """``_clip`` of the box by the planes in exact rational arithmetic, its
+    vertices rounded to floats; [] when box ∩ planes is exactly empty."""
+    from fractions import Fraction
+    poly = _clip([tuple(map(Fraction, p)) for p in planes],
+                 [tuple(map(Fraction, v)) for v in _box_polygon(box)])
+    return [(float(x), float(y)) for x, y in poly]
+
+
+def _settle(planes: Sequence[tuple], box: Box) -> list:
+    """box ∩ planes, for planes whose float clip of the box left nothing:
+    [] when the clip of the loosened planes leaves nothing too, which proves
+    the set exactly empty, else ``_exact``."""
+    return _exact(planes, box) if _clip(_loosen(planes, box), _box_polygon(box)) else []
 
 
 def _best_value(c0: float, c1: float, poly: list) -> tuple[float, tuple]:
@@ -220,42 +234,29 @@ def _nearest_on_edges(poly: list, x: float, y: float) -> tuple[float, float]:
     return bx, by
 
 
-def _project(planes: Sequence[tuple], box: Box, x: float, y: float,
-             chain: Optional[PrefixChain] = None) -> tuple[float, float]:
-    """The QP core: the point of box ∩ planes nearest to (x, y).
-
-    (x, y) itself when it satisfies the planes to FEAS_TOL, else the nearest
-    point on the edges of the box clipped by the exact planes, then by the
-    planes relaxed by FEAS_TOL and by QP_RETRY_TOL; Infeasible when all three
-    clips leave nothing.  A ``chain`` over the same box makes the exact clip
-    resume it.
-    """
-    for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
-        # The test at FEAS_TOL, made before the exact clip, already failed.
-        if relax != FEAS_TOL and _holds(planes, box, x, y, max(relax, FEAS_TOL)):
-            return x, y
-        if chain is not None and relax == 0.0:
-            poly = chain.clip(planes)
-        else:
-            poly = _clip(planes, _box_polygon(box), relax)
-        if poly:
-            return _nearest_on_edges(poly, x, y)
-    raise Infeasible("constraint rows admit no command inside the control box")
-
-
 def solve_qp(problem: QPProblem) -> tuple[float, float]:
-    """Project u_ref onto the feasible set; returns the command (x, y).
+    """Project u_ref onto box ∩ rows; returns the command (x, y).
 
-    Raises Infeasible when no point in the box satisfies every row, even
-    relaxed by QP_RETRY_TOL.  ``problem.chain``, the leave-one-out LPs'
-    prefix chain, lets the exact clip resume it; it changes the work, never
-    the result, and a chain over another box object is ignored.
+    u_ref itself when it satisfies the box and every row to FEAS_TOL, else
+    the nearest point on the edges of the float clip, or of ``_settle``'s
+    polygon when that clip leaves nothing.  Raises Infeasible when the set is
+    exactly empty.  ``problem.chain``, the leave-one-out LPs' prefix chain,
+    lets the float clip resume it; it changes the work, never the result, and
+    a chain over another box object is ignored.
     """
     x, y = problem.u_ref
-    box, chain = problem.box, problem.chain
-    if chain is not None and chain.box is not box:
-        chain = None
-    return _project(problem.rows, box, float(x), float(y), chain)
+    x, y = float(x), float(y)
+    rows, box, chain = problem.rows, problem.box, problem.chain
+    if _holds(rows, box, x, y, FEAS_TOL):
+        return x, y
+    if chain is not None and chain.box is box:
+        poly = chain.clip(rows)
+    else:
+        poly = _clip(rows, _box_polygon(box))
+    poly = poly or _settle(rows, box)
+    if not poly:
+        raise Infeasible("constraint rows admit no command inside the control box")
+    return _nearest_on_edges(poly, x, y)
 
 
 def solve_min_norm(row: tuple, box: Box) -> tuple[float, float]:
@@ -263,25 +264,21 @@ def solve_min_norm(row: tuple, box: Box) -> tuple[float, float]:
     rounding: the shortest command u in the box with a . u >= b.
 
     The origin when b <= FEAS_TOL (the box contains it).  Otherwise the
-    answer lies on the line a . u = b - r, for the first relaxation r of 0,
-    FEAS_TOL and QP_RETRY_TOL whose line the box reaches, by the clip's own
-    test (a corner with a . c - (b - r) >= 0), so the verdict is
-    ``solve_qp``'s bit for bit: the foot (b - r) / ||a||^2 a of the origin on
-    that line, clamped along the line to the box (``_nearest_on_line``).  At
-    QP_RETRY_TOL the origin itself holds when b <= QP_RETRY_TOL.  Raises
-    Infeasible when no line qualifies.
+    answer lies on the line a . u = b when the box reaches it, which the
+    clip's own test decides (a corner c with a . c - b >= 0 in floats, else
+    ``_settle``), so the verdict is ``solve_qp``'s bit for bit: the foot
+    b / ||a||^2 a of the origin on that line, clamped along the line to the
+    box (``_nearest_on_line``).  Raises Infeasible when the box misses the
+    line exactly.
     """
     a0, a1, b = row
     if b <= FEAS_TOL:
         return 0.0, 0.0
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
-    for relax in (0.0, FEAS_TOL, QP_RETRY_TOL):
-        c = b - relax
-        if c <= 0.0:
-            return 0.0, 0.0
-        if (a0 * lo0 + a1 * lo1 - c >= 0.0 or a0 * hi0 + a1 * lo1 - c >= 0.0
-                or a0 * hi0 + a1 * hi1 - c >= 0.0 or a0 * lo0 + a1 * hi1 - c >= 0.0):
-            return _nearest_on_line(a0, a1, c, box)
+    if (a0 * lo0 + a1 * lo1 - b >= 0.0 or a0 * hi0 + a1 * lo1 - b >= 0.0
+            or a0 * hi0 + a1 * hi1 - b >= 0.0 or a0 * lo0 + a1 * hi1 - b >= 0.0
+            or _settle([row], box)):
+        return _nearest_on_line(a0, a1, b, box)
     raise Infeasible("constraint rows admit no command inside the control box")
 
 
@@ -339,11 +336,10 @@ def solve_lp(c: Sequence[float], rows: Sequence[tuple],
 
     Returns (optimal value, maximizing vertex (x, y); the first of equal
     vertices in counter-clockwise order from the box's lower-left corner).
-    Raises Infeasible when the rows admit no point in the box, even relaxed by
-    FEAS_TOL.
+    Raises Infeasible when the set is exactly empty.
     """
     c0, c1 = (float(v) for v in c)
-    poly = _clip(rows, _box_polygon(box), 0.0) or _clip(rows, _box_polygon(box), FEAS_TOL)
+    poly = _clip(rows, _box_polygon(box)) or _settle(rows, box)
     if not poly:
         raise Infeasible("constraint rows admit no command inside the control box")
     return _best_value(c0, c1, poly)
@@ -352,12 +348,12 @@ def solve_lp(c: Sequence[float], rows: Sequence[tuple],
 def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
                    box: Box) -> Optional[tuple]:
     """A triple of plane indices, ending in m, whose intersection with the box
-    is certified empty even relaxed by CERT_RELAX; None when the check fails.
+    is proved exactly empty; None when the check fails.
 
     ``poly`` is box ∩ planes[:m], nonempty, and planes[m] empties it.  The
     triple is planes[m] and the planes nearest the best vertex of ``poly`` for
     planes[m]'s normal, as many as that vertex does not lie on box sides; the
-    module docstring gives the check and its float-error argument.
+    module docstring gives the check.
     """
     a0, a1, b = planes[m]
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
@@ -372,14 +368,9 @@ def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
         d2.append((r * r / n2 if n2 else math.inf, j))
     d2.sort()
     near = sorted(j for _, j in d2[:need])
-    R = max(-lo0, -lo1, hi0, hi1)
-    cuts = []
-    for j in near:
-        c0, c1, cb = planes[j]
-        cuts.append((c0, c1, cb - (CERT_RELAX + CERT_ERR * (abs(cb) + (abs(c0) + abs(c1)) * R))))
-    q = _clip(cuts, _box_polygon(box), 0.0)
-    if q and not _best_value(a0, a1, q)[0] < b - (
-            CERT_RELAX + CERT_ERR * (abs(b) + (abs(a0) + abs(a1)) * R)):
+    cuts = _loosen([planes[j] for j in near] + [planes[m]], box)
+    q = _clip(cuts[:-1], _box_polygon(box))
+    if q and not _best_value(a0, a1, q)[0] < cuts[-1][2]:
         return None
     return (*near, m)
 
@@ -387,9 +378,9 @@ def _certify_empty(planes: Sequence[tuple], m: int, poly: list,
 def solve_lp_leave_one_out(planes: Sequence[tuple],
                            box: Box) -> tuple[list, PrefixChain]:
     """For every k, the value of ``solve_lp((a0, a1), others, box)`` for plane
-    k = (a0, a1, b) over the other planes, or None where that raises
-    Infeasible; returned with the exact prefix chain of ``planes`` that they
-    were found on, as ``(values, chain)``.
+    k = (a0, a1, b) over the other planes, or None where the other planes
+    leave the box exactly empty; returned with the float prefix chain of
+    ``planes`` that they were found on, as ``(values, chain)``.
 
     LP k maximizes plane k's own normal over P_-k = box ∩ (every plane but k).
     When P = box ∩ planes is nonempty, a maximizer over P_-k reaches at least
@@ -397,35 +388,31 @@ def solve_lp_leave_one_out(planes: Sequence[tuple],
     When the prefix chain box ∩ planes[:m] empties at some m, every LP that
     keeps planes[:m] is empty too, every LP outside a certified empty triple
     (``_certify_empty``) is as well, and each other earlier plane clips its
-    own suffix planes[k+1:] from its prefix, which is ``solve_lp``'s clip
-    sequence.  Like ``solve_lp``, an LP left empty by the exact planes is
-    retried with the planes relaxed by FEAS_TOL.
+    own suffix planes[k + 1:] from its prefix, which is ``solve_lp``'s clip
+    sequence; an LP left empty is settled as ``solve_lp`` settles it.
     """
     values = [None] * len(planes)
-    open_lps = list(range(len(planes)))
-    for relax in (0.0, FEAS_TOL):
-        polys = _chain(planes, _box_polygon(box), relax)    # polys[m] = box ∩ planes[:m]
-        poly = polys[-1]
-        full = len(polys) > len(planes)
-        if relax == 0.0:
-            # a triple can spare an LP only when more than three LPs clip
-            cert = None if full or len(polys) < 4 else _certify_empty(
-                planes, len(polys) - 1, poly, box)
-            chain = PrefixChain(planes, polys, box, cert)
-            if cert is not None:
-                open_lps = list(cert)
-        if full:
-            for k in open_lps:
+    polys = _chain(planes, _box_polygon(box))    # polys[m] = box ∩ planes[:m]
+    poly = polys[-1]
+    if len(polys) > len(planes):
+        for k, (a0, a1, _) in enumerate(planes):
+            values[k] = _best_value(a0, a1, poly)[0]
+        return values, PrefixChain(planes, polys, box, None)
+    # a triple can spare an LP only when more than three LPs clip
+    cert = None if len(polys) < 4 else _certify_empty(planes, len(polys) - 1, poly, box)
+    open_lps = cert or range(len(planes))
+    for k in open_lps:
+        if k < len(polys):   # a later LP keeps the float-emptied prefix
+            poly = _clip(planes[k + 1:], polys[k])
+            if poly:
                 values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
-            break
-        # box ∩ planes[:len(polys)] is empty: only the LP of a plane among
-        # those can be nonempty.
-        for k in open_lps:
-            if k < len(polys):
-                poly = _clip(planes[k + 1:], polys[k], relax)
+    left = [k for k in open_lps if values[k] is None]
+    if left:
+        loose = _loosen(planes, box)
+        loose_polys = _chain(loose, _box_polygon(box))
+        for k in left:
+            if k < len(loose_polys) and _clip(loose[k + 1:], loose_polys[k]):
+                poly = _exact(planes[:k] + planes[k + 1:], box)
                 if poly:
                     values[k] = _best_value(planes[k][0], planes[k][1], poly)[0]
-        open_lps = [k for k in open_lps if values[k] is None]
-        if not open_lps:
-            break
-    return values, chain
+    return values, PrefixChain(planes, polys, box, cert)

@@ -78,7 +78,7 @@ def max_own_contribution(planes: Sequence[tuple],
     planes already satisfies plane k, and every LP reads that one polygon
     (``solvers.solve_lp_leave_one_out``).  Returns ``(values, chain)``:
     entry k of ``values`` is None where the other planes alone admit no
-    command, and ``chain`` is the exact prefix chain of ``planes``, which the
+    command, and ``chain`` is the float prefix chain of ``planes``, which the
     safety QP over the step's final planes resumes.
     """
     return solve_lp_leave_one_out(planes, box)

@@ -5,12 +5,14 @@ The shipped scenario files are the only definition of the shipped scenarios;
 scenario JSON of a 12-agent antipodal ring, and ``fixed_arc_ring(n)`` that of
 an n-agent ring whose neighbors start a fixed arc apart.  The shipped
 scenarios and the 12-agent ring are expensive enough that the tests run each
-of them exactly once per session.  ``shifted``, ``lp_value`` and
+of them exactly once per session.  ``benchmark_workloads`` loads the module
+that writes the benchmark's inputs.  ``shifted``, ``lp_value`` and
 ``lp_values_leave_one_out`` read LP values from the vertex oracle, for the
 solver tests' brackets.
 """
 
 import dataclasses
+import importlib.util
 import json
 import math
 import random
@@ -63,6 +65,15 @@ def fixed_arc_ring(n):
             "trust": {"rho_bar_d": 0.5, "alpha_min": 0.01, "alpha_max": 2.0,
                       "gamma_alpha": 2.0},
             "gamma_nominal": 3.0, "lookahead": 0.1}
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, the module that writes the benchmark's inputs."""
+    path = SCENARIOS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def shifted(rows, d):

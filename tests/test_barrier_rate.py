@@ -23,15 +23,16 @@ points' displacements.  j's displacement is dt v_j with v_j in its ball up to
 the look-ahead point moves along a chord of its heading circle instead of
 the tangent M u, off by at most l (omega dt)^2 / 2, which costs at most
 g l omega^2 dt / 2 of slack.  The QP row grad_i h . M u >= -alpha h -
-grad_j h . w holds to the solvers' largest relaxation, QP_RETRY_TOL.  So
+grad_j h . w holds to FEAS_TOL: the QP returns u_ref only when u_ref holds
+every row to FEAS_TOL, and any other command holds every row to within the
+solvers' rounding bound, far below it.  So
 
-    eps = QP_RETRY_TOL + g (1e-9 + l omega^2 dt / 2)
+    eps = FEAS_TOL + g (1e-9 + l omega^2 dt / 2)
 
 with l = omega = 0 for an integrator observer; float rounding of the slack,
-about 1e-12 here, falls well inside QP_RETRY_TOL.
+about 1e-12 here, falls well inside FEAS_TOL.
 """
 
-import importlib.util
 import json
 import math
 from pathlib import Path
@@ -42,10 +43,10 @@ import pytest
 from trustcbf import sim
 from trustcbf.barriers import eval_barrier
 from trustcbf.cli import load_scenario
-from trustcbf.solvers import QP_RETRY_TOL
+from trustcbf.solvers import FEAS_TOL
 from trustcbf.world import AgentState, Model, estimate_misses
 
-from conftest import fixed_arc_ring
+from conftest import benchmark_workloads, fixed_arc_ring
 
 
 class PairStep(NamedTuple):
@@ -86,23 +87,14 @@ def pair_steps(s, trace) -> list[PairStep]:
             g = math.hypot(*eval_barrier(me, states[j], s.agents[i].d_min,
                                          s.lookahead).grad_i)
             l, w = (s.lookahead, recs[i].u2) if me.model is Model.UNICYCLE else (0.0, 0.0)
-            eps = QP_RETRY_TOL + g * (1e-9 + l * w * w * dt / 2.0)
+            eps = FEAS_TOL + g * (1e-9 + l * w * w * dt / 2.0)
             out.append(PairStep(i, j, k, slack, eps, k in misses[j],
                                 bool(recs[i].fallback or recs[j].fallback), k == 0))
     return out
 
 
-def _benchmark_workloads():
-    """``perfbench/workloads.py``, the module that writes the benchmark's inputs."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_fixed_arc_ring_of_12_is_the_benchmark_ring12_0():
-    assert fixed_arc_ring(12) == _benchmark_workloads().ring12_scenario(0)
+    assert fixed_arc_ring(12) == benchmark_workloads().ring12_scenario(0)
 
 
 @pytest.fixture(params=["crossing", "headon", "ring12",
@@ -122,7 +114,7 @@ def finished_run(request, tmp_path):
         path = tmp_path / f"{request.param}.json"
         path.write_text(json.dumps(fixed_arc_ring(int(request.param.rsplit("-", 1)[1]))))
     else:
-        path = _benchmark_workloads().scenario_file(request.param, tmp_path)
+        path = benchmark_workloads().scenario_file(request.param, tmp_path)
     s = load_scenario(path)
     return s, sim.run(s)
 

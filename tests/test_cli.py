@@ -22,7 +22,7 @@ from trustcbf.schema import ValidationError
 from trustcbf.sim import AgentSpec, Scenario, run
 from trustcbf.world import AgentKind, Model
 
-from conftest import ring12_dict, shipped
+from conftest import benchmark_workloads, ring12_dict, shipped
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -745,10 +745,11 @@ def test_oracle_command_rejects_a_negative_count(flag, capsys):
 
 # --- the run path without numpy ----------------------------------------------
 
-# Runs main() in a fresh interpreter in which every numpy import fails.
+# Runs main() in a fresh interpreter in which every numpy and fractions
+# import fails.
 WITHOUT_NUMPY = """
 import sys
-sys.modules["numpy"] = None
+sys.modules["numpy"] = sys.modules["fractions"] = None
 from trustcbf.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -762,8 +763,11 @@ def _python(*args):
 
 
 def test_run_validate_and_oracle_without_numpy(tmp_path):
-    scenarios = [REPO / "scenarios" / "crossing.json", REPO / "scenarios" / "headon_stress.json",
-                 write_json(tmp_path, ring12_dict(), "ring12.json")]
+    # the six benchmark inputs run without numpy, and without the solvers'
+    # exact Fraction clip, which none of them reaches
+    workloads = benchmark_workloads()
+    scenarios = [workloads.scenario_file(key, tmp_path) for key in workloads.all_keys()]
+    assert len(scenarios) == 6
     for k, scn in enumerate(scenarios):
         out = tmp_path / f"out{k}"
         r = _python("-c", WITHOUT_NUMPY, "run", "--scenario", str(scn), "--out", str(out))

@@ -20,7 +20,7 @@ from trustcbf.dynamics import nominal_trajectory
 from trustcbf.schema import Box, PairRecord, ValidationError
 from trustcbf.sim import (AgentRecord, AgentSpec, Scenario,
                           adversary_policy, metrics, run, uncooperative_policy)
-from trustcbf.solvers import QP_RETRY_TOL, Infeasible, QPProblem, solve_qp
+from trustcbf.solvers import FEAS_TOL, Infeasible, QPProblem, solve_qp
 from trustcbf.world import (ESTIMATE_RADIUS_FACTOR, AgentKind, AgentState, Model,
                             WorldSnapshot, wrap_angle)
 
@@ -292,14 +292,14 @@ def _trace_array(tr):
 
 def _rows_hold(decision):
     """Every row of a decision without a fallback holds at its safe command to
-    QP_RETRY_TOL (the solver's last relaxation) plus rounding."""
+    FEAS_TOL (the tolerance to which the QP accepts u_ref) plus rounding."""
     if decision.fallback is not Fallback.NONE:
         return
     x, y = decision.u_safe
     for a0, a1, b in decision.planes:
         scale = 1.0 + abs(a0 * x) + abs(a1 * y) + abs(b)
         slack = a0 * x + a1 * y - b
-        assert slack >= -(QP_RETRY_TOL + 8.0 * sys.float_info.epsilon * scale), (a0, a1, b, slack)
+        assert slack >= -(FEAS_TOL + 8.0 * sys.float_info.epsilon * scale), (a0, a1, b, slack)
 
 
 def _numpy_metrics(tr, s):

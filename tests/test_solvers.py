@@ -3,20 +3,24 @@
 The plain random instances are checked once, by ``oracles.self_test`` (run by
 acceptance criterion 5 and ``trustcbf oracle``); these tests cover closed
 forms, near-degenerate geometry, the emptiness certificate and the chain.
+The verdicts are judged by the exact oracle, against the solvers' contract:
+Infeasible only where ``exact_points`` finds the set exactly empty, and every
+answer but u_ref within the rounding bound delta of every row and box face
+(``holds_within_delta``).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from trustcbf.controller import clf_qp_reference
-from trustcbf.oracles import (qp_oracle, random_conflict_rows, random_lp_instance,
-                              random_qp_instance)
+from trustcbf.oracles import (exact_points, holds_within_delta, qp_oracle,
+                              random_conflict_rows, random_lp_instance, random_qp_instance)
 from trustcbf.schema import Box
-from trustcbf.solvers import (CERT_RELAX, FEAS_TOL, QP_RETRY_TOL, Infeasible, PrefixChain,
-                              QPProblem, active_set, solve_lp, solve_lp_leave_one_out,
-                              solve_min_norm, solve_qp)
+from trustcbf.solvers import (FEAS_TOL, Infeasible, PrefixChain, QPProblem, active_set,
+                              solve_lp, solve_lp_leave_one_out, solve_min_norm, solve_qp)
 from trustcbf.world import AgentState, Model
 
 from conftest import lp_value, shifted
@@ -119,7 +123,7 @@ def test_lp_infeasible_raises():
 
 
 def test_exact_rows_are_clipped_before_any_relaxation():
-    # a nonempty set is solved exactly; relaxing first would move these by 1e-9
+    # a nonempty set is solved by the float clip of the rows as given
     rows = [(-1.0, 0.0, -1.0), (0.0, 1.0, 0.5)]
     val, u = solve_lp(np.array([1.0, -1.0]), rows, BOX3)
     assert val == 0.5 and np.array_equal(u, [1.0, 0.5])
@@ -129,27 +133,42 @@ def test_exact_rows_are_clipped_before_any_relaxation():
 
 
 def test_nearly_empty_sets_get_the_documented_verdicts():
-    # u_x >= 1 and u_x <= 1 - gap: the LP reports gaps beyond 2 FEAS_TOL as
-    # empty, the QP retries at QP_RETRY_TOL on each row
+    # u_x >= 1 and u_x <= 1 - gap.  At gap 0 the set is the segment u_x = 1,
+    # and both solvers find it.  Any gap > 0 leaves it exactly empty: at one
+    # ulp a solver may still answer, within delta of both rows, but at 1e-9 no
+    # point lies within delta of both, so both raise.  The QP still returns a
+    # u_ref that holds both rows to FEAS_TOL.
     def rows(gap):
         return [(1.0, 0.0, 1.0), (-1.0, 0.0, -(1.0 - gap))]
-    _, u = solve_lp(np.array([1.0, 0.0]), rows(1e-9), BOX3)
-    assert abs(u[0] - 1.0) <= 1e-9
+    assert solve_lp(np.array([1.0, 0.0]), rows(0.0), BOX3)[1][0] == 1.0
+    assert solve_qp(qp([0.0, 0.0], rows(0.0)))[0] == 1.0
+    for gap in (2.0 ** -52, 1e-9):
+        for solve in (lambda r: solve_lp(np.array([1.0, 0.0]), r, BOX3)[1],
+                      lambda r: solve_qp(qp([0.0, 0.0], r))):
+            try:
+                u = solve(rows(gap))
+            except Infeasible:
+                continue
+            assert gap < 1e-9 and holds_within_delta(u, rows(gap), BOX3, 2), gap
     with pytest.raises(Infeasible):
-        solve_lp(np.array([1.0, 0.0]), rows(5e-8), BOX3)
-    u = solve_qp(qp([0.0, 0.0], rows(5e-8)))
-    assert abs(u[0] - (1.0 - QP_RETRY_TOL)) <= 1e-12 and 0 in active_set(u, rows(5e-8), BOX3)
+        solve_lp(np.array([1.0, 0.0]), rows(1e-9), BOX3)
     with pytest.raises(Infeasible):
-        solve_qp(qp([0.0, 0.0], rows(5e-7)))
+        solve_qp(qp([0.0, 0.0], rows(1e-9)))
+    assert not exact_points(rows(2.0 ** -52), BOX3)
+    u_ref = (1.0 - 5e-10, 0.0)
+    assert solve_qp(qp(u_ref, rows(1e-9))) == u_ref
 
 
 # --- near-degenerate 2-D instances -------------------------------------------
 #
-# Each generator returns (c, rows, box, u_ref).  Empty instances keep their gap
-# outside the relaxation band (FEAS_TOL for the LP, 1e-7 for the QP on each of
-# two rows), where the verdict is set by the tolerance rather than the geometry.
+# Each generator returns (c, rows, box, u_ref).  Gaps and widths at rounding
+# scale run from 1 to 1e4 ulps of the row's scale |b| + ||a||_1 R, so that
+# they straddle the solvers' rounding bound delta.
 
-ROW_TOL = 1e-9 + 1e-12   # FEAS_TOL plus rounding of the relaxed polygon's edges
+
+def _ulps(rng, a, b, R=3.0):
+    """1 to 1e4 ulps of the row's scale |b| + ||a||_1 R."""
+    return (abs(b) + (abs(a[0]) + abs(a[1])) * R) * 2.0 ** -52 * 10.0 ** rng.uniform(0.0, 4.0)
 
 
 def _unit(theta):
@@ -193,16 +212,17 @@ def near_parallel_strip(rng):
     return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
 
 
-def sliver(rng, empty=False, qp=False):
-    # b <= a . u <= b + w: an exactly parallel slab of width 1e-10 .. 1e-6, or
-    # with a negative w an empty one
+def sliver(rng, empty=False, wide=False):
+    # b <= a . u <= b + w: an exactly parallel slab of width 0 or 1 to 1e4
+    # ulps, or with a negative w an empty one, 1 to 1e4 ulps or (wide) 1e-9
+    # to 1e-5 across
     z = rng.uniform(-2.5, 2.5, 2)
     a = _unit(rng.uniform(0.0, 2.0 * np.pi)) * rng.uniform(0.5, 2.0)
-    if empty:
-        w = -(10.0 ** rng.uniform(-6.0, -5.0) if qp else 10.0 ** rng.uniform(-8.0, -6.0))
-    else:
-        w = 10.0 ** rng.uniform(-10.0, -6.0)
     b = float(a @ z)
+    if empty:
+        w = -(10.0 ** rng.uniform(-9.0, -5.0) if wide else _ulps(rng, a, b))
+    else:
+        w = _ulps(rng, a, b) * (rng.uniform() < 0.9)
     rows = [_row(a, b), _row(-a, -(b + w))] + _extra_rows(rng, z, 1)
     return rng.normal(size=2), rows, BOX3, rng.uniform(-4.0, 4.0, 2)
 
@@ -220,12 +240,11 @@ def through_corner(rng):
 
 
 def zero_normals(rng):
-    # zero and 1e-13 normals (a . u stays below 1e-12 in the box), vacuous or
-    # fatal with b outside the band: b <= FEAS_TOL / 2 holds once relaxed by
-    # FEAS_TOL, b >= 2e-7 is empty even relaxed by QP_RETRY_TOL
+    # zero and 1e-13 normals (a . u stays within 6e-13 in the box), vacuous,
+    # grazing the corner that 1e-13 (1, -1) reaches (6e-13) or fatal
     c, rows, box = random_lp_instance(rng, max_rows=3)
     a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
-    b = rng.choice([-1.0, 0.0, FEAS_TOL / 2.0, 2e-7, 0.5])
+    b = rng.choice([-1.0, 0.0, 6e-13, 1e-9, 0.5])
     rows = list(rows)
     rows.insert(int(rng.integers(0, len(rows) + 1)), _row(a, b))
     return c, rows, box, rng.uniform(-4.0, 4.0, 2)
@@ -246,52 +265,47 @@ DEGENERATE = {
     "near_parallel_same_side": near_parallel_same_side,
     "near_parallel_strip": near_parallel_strip,
     "sliver": sliver,
+    # The empty slivers' names date from when the LP and the QP relaxed rows
+    # by different tolerances; both fuzz tests now run both.  _lp's gaps are
+    # at rounding scale, _qp's from 1e-9 to 1e-5.
     "sliver_empty_lp": lambda rng: sliver(rng, empty=True),
-    "sliver_empty_qp": lambda rng: sliver(rng, empty=True, qp=True),
+    "sliver_empty_qp": lambda rng: sliver(rng, empty=True, wide=True),
     "through_corner": through_corner,
     "zero_normals": zero_normals,
     "reference_on_edge": reference_on_edge,
 }
 
 
-def _assert_holds(u, rows, box):
-    assert box.contains(u, tol=ROW_TOL)
-    for row in rows:
-        assert float(np.dot(row[:2], u)) >= row[2] - ROW_TOL
-
-
 # Near-parallel rows and one-point polygons make a value depend on FEAS_TOL:
-# the oracles accept points within it, while the kernel clips exactly.  So each
-# value must lie between the oracle's values on the rows tightened by FEAS_TOL
-# (feasibility checked exactly: a subset of the kernel's polygon) and relaxed
-# by the tolerance the kernel used (checked to FEAS_TOL: a superset).  For
-# well-posed instances that bracket is a few 1e-9 wide.
+# the float oracles accept points within it, while the kernel clips exactly.
+# So each value must lie between the oracle's values on the rows tightened by
+# FEAS_TOL (feasibility checked exactly: a subset of the kernel's polygon) and
+# relaxed by it (checked to FEAS_TOL: a superset).  For well-posed instances
+# that bracket is a few 1e-9 wide.
 
 @pytest.mark.parametrize("kind", sorted(DEGENERATE))
 def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
     rng = np.random.default_rng(sorted(DEGENERATE).index(kind))
     for _ in range(300):
         c, rows, box, _ = DEGENERATE[kind](rng)
-        expected = lp_value(c, rows, box)
         try:
             val, u = solve_lp(c, rows, box)
         except Infeasible:
-            assert expected is None, kind
+            assert not exact_points(rows, box), (kind, rows)
             continue
-        assert expected is not None, kind
-        eps = 1e-9 * (1.0 + abs(expected))
-        assert val <= lp_value(c, shifted(rows, FEAS_TOL), box) + eps, kind
+        assert holds_within_delta(u, rows, box, len(rows)), (kind, rows)
+        upper = lp_value(c, shifted(rows, FEAS_TOL), box)
+        eps = 1e-9 * (1.0 + abs(upper))
+        assert val <= upper + eps, kind
         lower = lp_value(c, shifted(rows, -FEAS_TOL), box, tol=0.0)
         assert lower is None or val >= lower - eps, kind
         assert abs(val - float(np.dot(c, u))) <= eps
-        _assert_holds(u, rows, box)
         val2, u2 = solve_lp(c, rows, box)
         assert val2 == val and np.array_equal(u2, u)
 
 
-@pytest.mark.parametrize("kind", sorted(set(DEGENERATE) - {"sliver_empty_lp"}))
+@pytest.mark.parametrize("kind", sorted(DEGENERATE))
 def test_qp_degenerate_fuzz_matches_oracles(kind):
-    # sliver_empty_lp's gaps lie inside the QP's 1e-7 retry band
     rng = np.random.default_rng(100 + sorted(DEGENERATE).index(kind))
     for _ in range(300):
         _, rows, box, u_ref = DEGENERATE[kind](rng)
@@ -299,19 +313,72 @@ def test_qp_degenerate_fuzz_matches_oracles(kind):
         try:
             u = solve_qp(p)
         except Infeasible:
-            assert qp_oracle(p, tol=QP_RETRY_TOL) is None, kind
+            assert not exact_points(rows, box), (kind, rows)
             continue
+        if np.array_equal(u, u_ref):
+            # the answer rule, not the contract: u_ref holds every row to FEAS_TOL
+            assert box.contains(u_ref, tol=FEAS_TOL) and all(
+                float(np.dot(r[:2], u_ref)) - r[2] >= -FEAS_TOL for r in rows), kind
+        else:
+            assert holds_within_delta(u, rows, box, len(rows)), (kind, rows, u_ref)
         val = float(np.sum((u - np.asarray(u_ref)) ** 2))
-        relaxed = qp_oracle(qp(u_ref, shifted(rows, FEAS_TOL), box))
-        relax = FEAS_TOL if relaxed is not None else QP_RETRY_TOL
-        lower, _ = qp_oracle(qp(u_ref, shifted(rows, relax), box))
+        lower, _ = qp_oracle(qp(u_ref, shifted(rows, FEAS_TOL), box))
         upper = qp_oracle(qp(u_ref, shifted(rows, -FEAS_TOL), box), tol=0.0)
         eps = 1e-9 * (1.0 + val)
         assert val >= lower - eps, kind
         assert upper is None or val <= upper[0] + eps, kind
-        _assert_holds(u, rows, box)
         u2 = solve_qp(p)
         assert np.array_equal(u2, u)
+
+
+def _down(v):
+    """The largest float at or below the Fraction v."""
+    f = float(v)
+    return f if Fraction(f) <= v else math.nextafter(f, -math.inf)
+
+
+def _through(rng, z, normals, box):
+    """Rows a . u >= b, one per normal, that the point z holds exactly, each
+    with its b lowered by 0 or 1 to 1e4 ulps of the row's scale."""
+    R = max(-box.lo[0], -box.lo[1], box.hi[0], box.hi[1])
+    rows = []
+    for a0, a1 in normals:
+        a0, a1 = float(a0), float(a1)
+        exact = Fraction(a0) * Fraction(float(z[0])) + Fraction(a1) * Fraction(float(z[1]))
+        g = _ulps(rng, (a0, a1), float(exact), R) * (rng.uniform() < 0.7)
+        rows.append((a0, a1, _down(exact - Fraction(g))))
+    return rows
+
+
+def test_exactly_nonempty_slivers_and_fans_never_raise():
+    # the attack on contract (a): slivers (a row and a facing near copy, the
+    # normal turned by 0 or up to 1e-6 rad) and fans (3 to 8 rows all around
+    # one point) that a point z, in the box or at a corner of it, holds
+    # exactly, at widths from 0 to 1e4 ulps; every solver answers, within
+    # delta, and every leave-one-out LP gets a value
+    rng = np.random.default_rng(53)
+    for n in range(600):
+        half = float(rng.choice([0.12, 1.0, 3.0]))
+        box = Box((-half, -half * rng.uniform(0.2, 1.0)), (half * rng.uniform(0.2, 1.0), half))
+        z = rng.uniform(box.lo, box.hi)
+        if n % 3 == 0:
+            z = np.array([rng.choice([box.lo[0], box.hi[0]]), rng.choice([box.lo[1], box.hi[1]])])
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        if n % 2:
+            turn = rng.choice([0.0, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-12.0, -6.0)])
+            normals = [scale * _unit(theta), -scale * _unit(theta + turn)]
+        else:
+            m = int(rng.integers(3, 9))
+            normals = [scale * _unit(theta + 2.0 * np.pi * j / m + rng.uniform(-0.3, 0.3))
+                       for j in range(m)]
+        rows = _through(rng, z, normals, box)
+        assert exact_points(rows, box)
+        _, u = solve_lp(rng.normal(size=2), rows, box)
+        assert holds_within_delta(u, rows, box, len(rows)), rows
+        u = solve_qp(qp(rng.uniform(-4.0, 4.0, 2), rows, box))
+        assert holds_within_delta(u, rows, box, len(rows)), rows
+        assert None not in solve_lp_leave_one_out(rows, box)[0], rows
 
 
 def test_qp_returns_feasible_reference_unchanged():
@@ -345,17 +412,11 @@ def _moved(rows, k, rng):
     return moved
 
 
-def _is_empty(rows, box):
-    # exact feasibility (tol 0): the certificate's margins lie far above the
-    # oracle's own rounding, so an unsound triple would show a point here
-    return lp_value((0.0, 0.0), rows, box, tol=0.0) is None
-
-
 def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
-    # wherever the certificate declares the LPs outside its triple empty, or
-    # a QP that keeps the triple is empty, the vertex oracle finds no point
-    # once every plane is relaxed by CERT_RELAX (that every LP keeps
-    # solve_lp's verdict is checked by oracles.self_test)
+    # wherever the certificate declares the LPs outside its triple empty, the
+    # exact oracle finds the triple exactly empty, and a QP that keeps the
+    # triple and raises Infeasible is exactly empty too (that every LP keeps
+    # the contract is checked by oracles.self_test)
     rng = np.random.default_rng(41)
     seen = {"certified": 0, "fell_back": 0, "qp_certified": 0}
     for _ in range(500):
@@ -363,12 +424,11 @@ def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
         values, chain = solve_lp_leave_one_out(rows, box)
         cert = chain.cert
         if cert is None:
-            seen["fell_back"] += _is_empty(rows, box)
+            seen["fell_back"] += not exact_points(rows, box)
             continue
         seen["certified"] += 1
         assert len(chain.polys) <= len(rows)
-        assert _is_empty(shifted(rows, CERT_RELAX), box), rows
-        assert _is_empty(shifted([rows[k] for k in cert], CERT_RELAX), box), rows
+        assert not exact_points([rows[k] for k in cert], box), rows
         assert all(values[k] is None for k in range(len(rows)) if k not in cert)
         outside = [k for k in range(len(rows)) if k not in cert]
         q = _moved(rows, int(rng.choice(outside)), rng) if outside else rows
@@ -376,7 +436,7 @@ def test_emptiness_certificate_is_sound_against_the_vertex_oracle():
         p.chain = chain
         if _qp_bits(p) == "Infeasible":
             seen["qp_certified"] += 1
-            assert _is_empty(shifted(q, CERT_RELAX), box), q
+            assert not exact_points(q, box), q
     assert all(n >= 20 for n in seen.values()), seen
 
 
@@ -409,14 +469,16 @@ def test_qp_resuming_the_chain_is_bitwise_equal():
             resumed.chain = chain
             assert _qp_bits(resumed) == _qp_bits(plain), (q, u_ref)
     assert all(k >= 20 for k in seen.values()), seen
-    # a plane of the certified triple moved so that only the QP_RETRY_TOL
-    # clip holds a point: the relaxed clips must run again
+    # a plane of the certified triple moved so that the set is exactly the
+    # point (1, 2.5), which the float clip loses: the exact clip must run,
+    # from the box, and find it
     rows = [(0.0, 1.0, -2.5), (0.0, -1.0, -2.5), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)]
     chain = solve_lp_leave_one_out(rows, BOX3)[1]
     assert 3 in chain.cert
-    q = rows[:3] + [(-1.0, 0.0, -(1.0 - 5e-8))]
-    assert _qp_bits(QPProblem((0.0, 0.0), q, BOX3, chain)) == _qp_bits(qp((0.0, 0.0), q))
-    assert _qp_bits(qp((0.0, 0.0), q)) != "Infeasible"
+    q = rows[:3] + [(-0.49, 0.55, 0.8850000000000001)]
+    assert chain.clip(q) == [] and exact_points(q, BOX3) == [(1, 2.5)] * 3
+    assert solve_qp(QPProblem((0.0, 0.0), q, BOX3, chain)) == (1.0, 2.5)
+    assert solve_qp(qp((0.0, 0.0), q)) == (1.0, 2.5)
 
 
 def test_qp_resumes_a_chain_built_over_zero_normal_rows(monkeypatch):
@@ -475,7 +537,7 @@ def test_goal_descent_clamps_the_foot_along_the_line_to_the_box():
 def _goal_descent_instance(rng):
     """A random box around the origin and a row a . u >= b: b below FEAS_TOL,
     or in reach of the box, or beyond it, or grazing the corner that reaches
-    furthest at 2 FEAS_TOL or 2 QP_RETRY_TOL on either side."""
+    furthest by 1 to 1e4 ulps (kind 2) or 1e-9 to 1e-6 (kind 3) on either side."""
     lo = -rng.uniform(0.0, 3.0, 2) * (rng.uniform(size=2) < 0.9)
     box = Box((float(lo[0]), float(lo[1])), tuple(float(h) for h in rng.uniform(0.05, 3.0, 2)))
     theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -490,7 +552,9 @@ def _goal_descent_instance(rng):
     elif kind == 1:
         b = reach * rng.uniform(0.0, 3.0)
     else:
-        b = reach + rng.choice([-2.0, 2.0]) * (FEAS_TOL if kind == 2 else QP_RETRY_TOL)
+        off = (abs(reach) * 2.0 ** -52 * 10.0 ** rng.uniform(0.0, 4.0) if kind == 2
+               else 10.0 ** rng.uniform(-9.0, -6.0))
+        b = reach + rng.choice([-1.0, 1.0]) * off
     return (float(a[0]), float(a[1]), float(b)), box
 
 

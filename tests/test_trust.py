@@ -7,7 +7,8 @@ import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.schema import Box
-from trustcbf.solvers import FEAS_TOL, Infeasible, _box_polygon, _clip, solve_lp
+from trustcbf.oracles import exact_leave_one_out
+from trustcbf.solvers import FEAS_TOL, _box_polygon, _clip, solve_lp
 from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
@@ -77,8 +78,9 @@ def test_max_own_contribution_respects_other_pairs():
 
 def _leave_one_out_rows(rng):
     """0-12 rows: ordinary ones, near-parallel copies, rows that empty the
-    polygon built so far (with gaps inside and outside the FEAS_TOL band),
-    rows through a box corner that hold on the whole box, and vacuous or
+    polygon built so far (with gaps from 1 to 1e4 ulps of the row's scale,
+    where the solvers' rounding bound lies, or larger), rows through a box
+    corner that hold on the whole box, and vacuous, corner-grazing or
     demanding zero-normal rows."""
     rows = []
     for _ in range(int(rng.integers(0, 13))):
@@ -95,10 +97,13 @@ def _leave_one_out_rows(rng):
             a = np.array(base[:2]) + rng.normal(size=2) * 10.0 ** rng.uniform(-12.0, -6.0)
             b = base[2] + rng.normal() * 10.0 ** rng.uniform(-12.0, -6.0)
         elif kind == "cut":
-            # faces an earlier row with a gap: empty for gap > 0 (the
-            # relaxed retry rescues gaps below 2 FEAS_TOL), a sliver below 0
+            # faces an earlier row with a gap: empty for gap > 0, a sliver
+            # below 0
             base = usable[int(rng.integers(0, len(usable)))]
-            gap = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-10.0, 0.0)
+            scale = abs(base[2]) + (abs(base[0]) + abs(base[1])) * 3.0
+            gap = rng.choice([-1.0, 1.0]) * (
+                scale * 2.0 ** -52 * 10.0 ** rng.uniform(0.0, 4.0) if rng.uniform() < 0.5
+                else 10.0 ** rng.uniform(-10.0, 0.0))
             a = -np.array(base[:2])
             b = -base[2] + gap
         elif kind == "corner":
@@ -109,72 +114,68 @@ def _leave_one_out_rows(rng):
             b = float(a[0]) * (3.0 * sx) + float(a[1]) * (3.0 * sy)
         else:
             a = rng.choice([0.0, 1e-13]) * np.array([1.0, -1.0])
-            b = rng.choice([-1.0, 0.0, FEAS_TOL, 0.5] if rng.uniform() < 0.4 else [-1.0, 0.0])
+            # 6e-13 grazes the box corner that the normal 1e-13 (1, -1) reaches
+            b = rng.choice([-1.0, 0.0, 6e-13, 0.5] if rng.uniform() < 0.4 else [-1.0, 0.0])
         rows.append((*a, b))
     return rows
 
 
 def test_max_own_contribution_matches_leave_one_out_solve_lp():
     # entry k solves solve_lp(a_k, rows[:k] + rows[k+1:], box), the LP it
-    # replaces: None exactly where that raises Infeasible.  Where the other
-    # rows are empty at the exact tolerance, both retry with the rows relaxed
-    # by FEAS_TOL, and the tolerance that decides LP k is the same for both.
-    #  - suffix_clip: P = box ∩ rows is empty at that tolerance, so LP k runs
-    #    solve_lp's own clip sequence and must match it bitwise;
-    #  - one_polygon_exact: P is nonempty, and entry k is the best vertex of P.
-    #    That equals solve_lp only in exact arithmetic (sliver polygons differ
-    #    by a few 1e-8), so the value must lie in the independent vertex-oracle
-    #    bracket: the oracle's values on the other rows relaxed by FEAS_TOL
-    #    and tightened by it (``lp_values_leave_one_out`` reads both for every
-    #    LP of the list at once);
-    #  - one_polygon_relaxed: the same on the relaxed P, within 4 FEAS_TOL of
-    #    solve_lp (the oracle bracket misses solve_lp itself on some of these
-    #    near-parallel cases).
+    # replaces, under the solvers' contract: None only where the other rows
+    # leave the box exactly empty, and a value only where they hold a point
+    # once every row and box face is lowered by its rounding bound delta
+    # (both judged by the exact oracle).
+    #  - suffix_clip: the float clip of P = box ∩ rows is empty, so LP k runs
+    #    solve_lp's own clip sequence and settles an empty clip as solve_lp
+    #    does, and must match it bitwise;
+    #  - one_polygon: P's float clip is nonempty, and entry k is its best
+    #    vertex.  That equals solve_lp only in exact arithmetic (sliver
+    #    polygons differ by a few 1e-8), so the value must lie in the
+    #    independent vertex-oracle bracket: the oracle's values on the other
+    #    rows relaxed by FEAS_TOL and tightened by it
+    #    (``lp_values_leave_one_out`` reads both for every LP of the list at
+    #    once).
     # certified counts the lists whose LPs outside a certified empty triple
     # were declared empty without a clip.
     rng = np.random.default_rng(31)
-    seen = {"one_polygon_exact": 0, "one_polygon_relaxed": 0, "suffix_clip": 0,
-            "infeasible": 0, "emptied_prefix": 0, "vacuous_zero": 0, "demanding_zero": 0,
-            "certified": 0}
+    seen = {"one_polygon": 0, "suffix_clip": 0, "empty": 0, "emptied_prefix": 0,
+            "vacuous_zero": 0, "demanding_zero": 0, "certified": 0}
     box_poly = _box_polygon(BOX3)
     for _ in range(1500):
         rows = _leave_one_out_rows(rng)
         got, chain = max_own_contribution(rows, BOX3)
         assert len(got) == len(rows)
         seen["certified"] += chain.cert is not None
-        P = {relax: _clip(rows, box_poly, relax) for relax in (0.0, FEAS_TOL)}
+        exact = exact_leave_one_out(rows, BOX3)
+        loose = exact_leave_one_out(rows, BOX3, len(rows))
+        full = bool(_clip(rows, box_poly))
         upper = lower = None
         for k, row in enumerate(rows):
-            others = rows[:k] + rows[k + 1:]
-            try:
-                expected, _ = solve_lp(np.array(row[:2]), others, BOX3)
-            except Infeasible:
-                assert got[k] is None, (k, rows)
-                seen["infeasible"] += 1
+            if got[k] is None:
+                assert not exact[k], (k, rows)
+                seen["empty"] += 1
                 continue
-            assert got[k] is not None, (k, rows)
-            relax = 0.0 if _clip(others, box_poly, 0.0) else FEAS_TOL
-            if not P[relax]:
+            assert loose[k], (k, rows)
+            if not full:
                 seen["suffix_clip"] += 1
+                expected, _ = solve_lp(np.array(row[:2]), rows[:k] + rows[k + 1:], BOX3)
                 assert got[k].hex() == expected.hex(), (k, rows)
-            elif relax == 0.0:
-                seen["one_polygon_exact"] += 1
-                if upper is None:
-                    upper = lp_values_leave_one_out(shifted(rows, FEAS_TOL), BOX3)
-                    lower = lp_values_leave_one_out(shifted(rows, -FEAS_TOL), BOX3, tol=0.0)
-                eps = 1e-9 * (1.0 + abs(got[k]))
-                assert got[k] <= upper[k] + eps, (k, rows)
-                assert lower[k] is None or got[k] >= lower[k] - eps, (k, rows)
-            else:
-                seen["one_polygon_relaxed"] += 1
-                assert abs(got[k] - expected) <= 4.0 * FEAS_TOL * (1.0 + abs(expected)), (k, rows)
+                continue
+            seen["one_polygon"] += 1
+            if upper is None:
+                upper = lp_values_leave_one_out(shifted(rows, FEAS_TOL), BOX3)
+                lower = lp_values_leave_one_out(shifted(rows, -FEAS_TOL), BOX3, tol=0.0)
+            eps = 1e-9 * (1.0 + abs(got[k]))
+            assert got[k] <= upper[k] + eps, (k, rows)
+            assert lower[k] is None or got[k] >= lower[k] - eps, (k, rows)
         for m in range(1, len(rows)):
-            if not _clip(rows[:m], box_poly, 0.0):
+            if not _clip(rows[:m], box_poly):
                 seen["emptied_prefix"] += m < len(rows) - 1
                 break
         for a0, a1, b in rows:
             if math.hypot(a0, a1) < 1e-12:
-                seen["demanding_zero" if b > FEAS_TOL else "vacuous_zero"] += 1
+                seen["demanding_zero" if b > 0.0 else "vacuous_zero"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
 

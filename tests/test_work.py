@@ -1,5 +1,6 @@
 """The opcode counter, tools/work.py."""
 
+import gc
 import importlib.util
 from pathlib import Path
 
@@ -27,6 +28,26 @@ def test_opcode_counts_repeat_and_the_layers_sum_to_the_total(monkeypatch):
     total = work.count(s)
     assert list(total) == [work.LOOP]
     assert sum(layers.values()) == total[work.LOOP]
+
+
+def test_a_collection_during_the_run_is_not_counted():
+    # a gc callback written in Python (hypothesis installs one) runs on every
+    # collection; with collections frequent, the count still does not see it
+    work = _work()
+    s = shipped("crossing", duration=1.0)
+    layers = work.count(s)
+
+    def callback(phase, info):
+        return phase == "start"
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(50, 10, 10)
+    gc.callbacks.append(callback)
+    try:
+        assert work.count(s) == layers
+    finally:
+        gc.callbacks.remove(callback)
+        gc.set_threshold(*threshold)
 
 
 def test_a_rejected_scenario_exits_3(tmp_path, capsys):

@@ -10,10 +10,14 @@ For each scenario file this does what ``trustcbf run`` does after loading it:
 charts, into a temporary directory); a run logs nothing, so only the counts
 are printed.  One untraced warm-up run comes first, so that lazy imports and
 caches are settled; then one run is counted with ``sys.settrace`` and
-``frame.f_trace_opcodes``, one event per executed opcode.  The count does
-not drift with the machine's load, so it can back a wall-time claim; it never
-replaces one, since a call into C (``math.acos``, ``array.fromlist``) counts
-as one opcode however long it takes.
+``frame.f_trace_opcodes``, one event per executed opcode.  The cyclic
+garbage collector runs before each run and is held off during it: a
+collection inside the counted run would charge the opcodes of Python gc
+callbacks (hypothesis installs one) and of finalizers of earlier objects to
+whichever layer allocated last.  The count does not drift with the
+machine's load, so it can back a wall-time claim; it never replaces one,
+since a call into C (``math.acos``, ``array.fromlist``) counts as one opcode
+however long it takes.
 
 Each frame's opcodes are charged to one layer.  A frame that the loop calls
 (the loop is ``sim.run``, ``sim.summary``, ``controller.agent_step`` and
@@ -29,6 +33,7 @@ this one.
 
 from __future__ import annotations
 
+import gc
 import sys
 import tempfile
 from pathlib import Path
@@ -88,16 +93,21 @@ def count(s) -> dict[str, int]:
         return caller
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
     with tempfile.TemporaryDirectory() as tmp:
         # The warm-up run, then the counted one, each as ``trustcbf run`` does
         # it.  Only frames called from here are traced.
         for out, tracer in ((Path(tmp) / "warm-up", previous), (Path(tmp) / "counted", on_call)):
+            gc.collect()
+            gc.disable()
             sys.settrace(tracer)
             try:
                 trace = sim.run(s)
                 cli.write_outputs(trace, sim.summary(trace, s, ""), s, out)
             finally:
                 sys.settrace(previous)
+                if collecting:
+                    gc.enable()
     return {name: c.opcodes for name, c in counters.items()}
 
 
