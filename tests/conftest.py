@@ -3,9 +3,10 @@
 The shipped scenario files are the only definition of the shipped scenarios;
 ``shipped`` loads one, with any field replaced.  ``ring12_dict`` is the
 scenario JSON of a 12-agent antipodal ring, and ``fixed_arc_ring(n)`` that of
-an n-agent ring whose neighbors start a fixed arc apart.  The shipped
-scenarios and the 12-agent ring are expensive enough that the tests run each
-of them exactly once per session.  ``benchmark_workloads`` loads the module
+an n-agent ring whose neighbors start a fixed arc apart, the work record's
+sweep in ``tools/work.py``.  The shipped scenarios and the 12-agent ring are
+expensive enough that the tests run each of them exactly once per session.
+``tool`` loads a module of ``tools/``, and ``benchmark_workloads`` the module
 that writes the benchmark's inputs.  ``shifted``, ``lp_value`` and
 ``lp_values_leave_one_out`` read LP values from the vertex oracle, for the
 solver tests' brackets.
@@ -15,7 +16,6 @@ import dataclasses
 import importlib.util
 import json
 import math
-import random
 import time
 from pathlib import Path
 
@@ -46,34 +46,24 @@ def ring12_dict():
     return {"agents": agents, "duration": 4.0, "gamma_nominal": 3.0}
 
 
-def fixed_arc_ring(n):
-    """n intact unicycles on an antipodal ring of radius 0.5 n m, for n / 3 s.
+def _module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    Neighbors start about pi m apart along the ring whatever n is, and each
-    is bound for the opposite point.  The start angles carry the benchmark's
-    ring12 variant-0 jitter, uniform in +-0.02 rad from ``random.Random(0)``,
-    and every other setting is ring12's, so n = 12 gives ring12-0.
-    """
-    rng = random.Random(0)
-    agents = []
-    for k in range(n):
-        th = 2.0 * math.pi * k / n + rng.uniform(-0.02, 0.02)
-        x, y = 0.5 * n * math.cos(th), 0.5 * n * math.sin(th)
-        agents.append({"kind": "Intact", "model": "Unicycle", "start": [x, y, th + math.pi],
-                       "target": [-x, -y], "d_min": 0.5, "box": [[-3.0, -3.0], [3.0, 3.0]]})
-    return {"agents": agents, "duration": n / 3, "dt": 0.05,
-            "trust": {"rho_bar_d": 0.5, "alpha_min": 0.01, "alpha_max": 2.0,
-                      "gamma_alpha": 2.0},
-            "gamma_nominal": 3.0, "lookahead": 0.1}
+
+def tool(name: str):
+    """``tools/<name>.py``, loaded as a module."""
+    return _module(name, SCENARIOS.parent / "tools" / f"{name}.py")
 
 
 def benchmark_workloads():
     """``perfbench/workloads.py``, the module that writes the benchmark's inputs."""
-    path = SCENARIOS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _module("perfbench_workloads", SCENARIOS.parent / "perfbench" / "workloads.py")
+
+
+fixed_arc_ring = tool("work").fixed_arc_ring
 
 
 def shifted(rows, d):

@@ -1,21 +1,13 @@
 """The statistics and exit status of the A/B command, tools/ab.py; no run is started."""
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from conftest import tool
 
-def _ab():
-    path = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
-    spec = importlib.util.spec_from_file_location("ab", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ab = _ab()
+ab = tool("ab")
 
 
 @pytest.mark.parametrize("won, n, p", [(9, 10, 0.021484375), (1, 10, 0.021484375),

@@ -170,8 +170,14 @@ def work_totals(path: Path, workload: str) -> dict[str, int]:
     if code != 0:
         return {}
     _, out, _ = _call([sys.executable, "tools/work.py", *out.split()], path, WORK_TIMEOUT_S)
+    return parse_work_totals(out)
+
+
+def parse_work_totals(text: str) -> dict[str, int]:
+    """Opcode total of each scenario in the stdout of ``tools/work.py
+    SCENARIO.json ...``, by file stem."""
     totals = {}
-    for line in out.splitlines():
+    for line in text.splitlines():
         if line.endswith(" opcodes"):
             name, count = line.rsplit(": ", 1)
             totals[Path(name).stem] = int(count.split()[0].replace(",", ""))
