@@ -1,21 +1,17 @@
-"""Command line front end: run scenarios, validate them, and self-test the solvers.
+"""Command line front end: run and validate scenarios.
 
 Subcommands
     run        simulate a scenario file and write trace.csv, pairs.csv,
                summary.json, and four SVG charts into --out; the file is
                the run's only input, so run runs what validate accepts
     validate   parse and check a scenario file, writing nothing
-    oracle     run ``trustcbf.oracles.self_test``: the QP and LP solvers and
-               the emptiness certificate against their independent oracles
-               (needs numpy from the ``test`` extra)
 
-Exit codes: 0 success, 1 when the oracle self-test finds a failure, 2 usage
-error or ``oracle`` without numpy, 3 scenario validation error, 4 I/O error,
-5 when --strict is set and the run hit any infeasibility fallback.
+Exit codes: 0 success, 2 usage error, 3 scenario validation error, 4 I/O
+error, 5 when --strict is set and the run hit any infeasibility fallback.
 
 At import this module loads only ``trustcbf.schema`` and the standard
-library, so loading and validating a scenario imports no simulator code; each
-subcommand imports what it runs.
+library, so loading and validating a scenario imports no simulator code;
+``run`` imports the simulator.
 """
 
 from __future__ import annotations
@@ -42,15 +38,6 @@ _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#17becf", "#bcbd22"]
 
 
-def _nonnegative_int(text: str) -> int:
-    import argparse
-
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be zero or more, got {text}")
-    return v
-
-
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     import argparse
 
@@ -67,12 +54,6 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
     p_val = sub.add_parser("validate", help="check a scenario file without running it")
     p_val.add_argument("--scenario", required=True, type=Path)
-
-    p_or = sub.add_parser("oracle", help="self-test the solvers against their oracles")
-    p_or.add_argument("--qp", type=_nonnegative_int, default=100, help="number of random QP instances")
-    p_or.add_argument("--lp", type=_nonnegative_int, default=100,
-                      help="number of random LP instances, and of leave-one-out instances")
-    p_or.add_argument("--seed", type=_nonnegative_int, default=0)
 
     return parser.parse_args(argv)
 
@@ -342,28 +323,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        import numpy as np
-    except ImportError:
-        print("oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'",
-              file=sys.stderr)
-        return 2
-    from .oracles import self_test
-
-    lines, failures = self_test(np.random.default_rng(args.seed), args.qp, args.lp)
-    print("\n".join(lines))
-    return 1 if failures else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_oracle(args)
+        return _cmd_validate(args)
     except ValidationError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3

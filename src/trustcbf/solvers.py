@@ -72,8 +72,8 @@ first plane that is not the chain's own object, the QP's float clip sequence
 is the chain's, bit for bit, and the QP clips only the planes from there on.
 A chain built on another box object is not resumed.
 
-The independent oracles that the tests and ``trustcbf oracle`` check this
-plain float code against live in ``trustcbf.oracles``.
+The independent oracles that the tests check this plain float code against
+live in the test suite, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

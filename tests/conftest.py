@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 from trustcbf.cli import load_scenario
-from trustcbf.oracles import _assemble, _crossings, lp_vertex_oracle
 from trustcbf.sim import Scenario, metrics, run
 from trustcbf.solvers import FEAS_TOL, Infeasible
+
+from oracles import _assemble, _crossings, lp_vertex_oracle
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 

@@ -1,15 +1,15 @@
 """Independent numpy oracles for the solvers, random instances, the solver
 self-test, and a CSV reader.
 
-The test suite and ``trustcbf oracle`` check the polygon kernel of
-``trustcbf.solvers`` against code that shares none of it: exhaustive
-enumeration of the 2-D KKT candidates for the QP and of the vertices for the
-LP, in floats on the rows stacked into one a . u >= b system, and of the
-vertices in exact integer arithmetic (``exact_points``), which judges the
-solvers' contract: Infeasible only on an exactly empty set, and every answer
-within the documented rounding bound delta of every row (``loosened``).
-``self_test`` is the one check on random instances.  Nothing on the run path
-imports this module, so only the checks need numpy.
+The tests check the polygon kernel of ``trustcbf.solvers`` against code that
+shares none of it: exhaustive enumeration of the 2-D KKT candidates for the
+QP and of the vertices for the LP, in floats on the rows stacked into one
+a . u >= b system, and of the vertices in exact integer arithmetic
+(``exact_points``), which judges the solvers' contract: Infeasible only on an
+exactly empty set, and every answer within the documented rounding bound
+delta of every row (``loosened``).  ``self_test`` is the one check on random
+instances.  This module lives with the tests, outside the package, so the
+package never imports numpy.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import solvers
-from .schema import Box
-from .solvers import FEAS_TOL, Infeasible, QPProblem
+from trustcbf import solvers
+from trustcbf.schema import Box
+from trustcbf.solvers import FEAS_TOL, Infeasible, QPProblem
 
 
 def _assemble(rows: Sequence[tuple], box: Box):

@@ -14,12 +14,13 @@ import pytest
 
 from trustcbf.barriers import clf_value, eval_barrier
 from trustcbf.cli import load_scenario, main, write_trace_csv
-from trustcbf.oracles import read_trace_csv, self_test
 from trustcbf.schema import Box
 from trustcbf.sim import AgentSpec, Scenario, metrics, run
 from trustcbf.solvers import QPProblem, solve_qp
 from trustcbf.trust import combine_trust, direction_trust, distance_trust, worst_case_motion
 from trustcbf.world import AgentKind, AgentState, MotionEstimate, Model
+
+from oracles import read_trace_csv, self_test
 
 REPO = Path(__file__).resolve().parents[1]
 CROSSING_JSON = REPO / "scenarios" / "crossing.json"

@@ -1,7 +1,6 @@
 """Argument parsing, scenario files, CSV/SVG outputs, and CLI exit codes."""
 
 import gc
-import itertools
 import json
 import math
 import os
@@ -14,15 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trustcbf import controller, oracles, solvers
+from trustcbf import controller
 from trustcbf.cli import (PAIRS_HEADER, TRACE_HEADER, load_scenario, main, parse_args,
                           write_charts, write_outputs, write_pairs_csv, write_trace_csv)
-from trustcbf.oracles import read_trace_csv
 from trustcbf.schema import ValidationError
 from trustcbf.sim import AgentSpec, Scenario, run
 from trustcbf.world import AgentKind, Model
 
 from conftest import benchmark_workloads, ring12_dict, shipped
+from oracles import read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -64,6 +63,7 @@ def test_parse_args_usage_errors_exit_2():
         ["run", "--scenario", "a.json"],                      # missing --out
         ["run", "--scenario", "a.json", "--out", "o", "--dt", "0.1"],   # dt is in the file
         ["frobnicate"],
+        ["oracle"],                                           # the solver self-test is c05
     ):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
@@ -73,8 +73,6 @@ def test_parse_args_usage_errors_exit_2():
 def test_parse_args_other_subcommands():
     args = parse_args(["validate", "--scenario", "x.json"])
     assert args.command == "validate" and args.scenario == Path("x.json")
-    args = parse_args(["oracle", "--qp", "7", "--lp", "9", "--seed", "3"])
-    assert (args.command, args.qp, args.lp, args.seed) == ("oracle", 7, 9, 3)
 
 
 def test_load_scenario_minimal_defaults(tmp_path):
@@ -124,6 +122,39 @@ def test_load_scenario_rejects_semantic_defects(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_scenario(bad)
+
+
+# Outside input that the loader rejects, and the message after "scenario
+# error: " for each.
+LOADER_REJECTIONS = {
+    "agent_not_an_object": (lambda d: d.update(agents=[5]), "agents[0]: expected an object"),
+    "no_duration": (lambda d: d.pop("duration"), "duration: required"),
+    "dt_a_string": (lambda d: d.update(dt="0.05"), "dt: expected a number, got '0.05'"),
+    "dt_a_boolean": (lambda d: d.update(dt=True), "dt: expected a number, got True"),
+    "start_a_number": (lambda d: d["agents"][0].update(start=3),
+                       "agents[0].start: expected [x, y] or [x, y, psi]"),
+    "target_a_word": (lambda d: d["agents"][0].update(target="north"),
+                      'agents[0].target: expected [x, y] or "unknown"'),
+    "prey_a_boolean": (lambda d: d["agents"][1].update(prey=True),
+                       "agents[1].prey: expected an agent id"),
+    "no_agents": (lambda d: d.update(agents=[]), "agents: expected a nonempty array"),
+    "seed_a_fraction": (lambda d: d.update(seed=1.5), "seed: expected an integer"),
+    "degenerate_box": (lambda d: d["agents"][0].update(box=[[0, -1], [0, 1]]),
+                       "agents[0].box: expected [[lo...], [hi...]] containing 0 "
+                       "(degenerate box interval [0.0, 0.0])"),
+    "unicycle_adversary": (lambda d: d["agents"][1].update(kind="Adversarial", model="Unicycle",
+                                                           start=[3.0, 0.0, 0.0], prey=0),
+                           "agents[1]: Adversarial agents use the SingleIntegrator model"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REJECTIONS))
+def test_validate_exits_3_on_malformed_input(tmp_path, capsys, case):
+    mutate, message = LOADER_REJECTIONS[case]
+    d = minimal_dict()
+    mutate(d)
+    assert main(["validate", "--scenario", str(write_json(tmp_path, d))]) == 3
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 def test_load_scenario_unknown_target_and_trust_overrides(tmp_path):
@@ -625,124 +656,6 @@ def test_exit_5_on_strict_emergency(tmp_path, capsys):
     assert main(["run", "--scenario", str(scn), "--out", str(out), "--no-svg"]) == 0
 
 
-def test_oracle_command_self_test():
-    assert main(["oracle", "--qp", "25", "--lp", "25", "--seed", "1"]) == 0
-
-
-def test_oracle_command_checks_the_goal_descent(monkeypatch, capsys):
-    assert main(["oracle", "--qp", "40", "--lp", "0", "--seed", "2"]) == 0
-    goal = re.search(r"^goal: 40 instances, (\d+) clamped, (\d+) empty, .* 0 failures$",
-                     capsys.readouterr().out, re.M)
-    assert goal and int(goal[1]) > 0 and int(goal[2]) > 0
-
-    # the foot clipped to the box componentwise leaves the line wherever the
-    # foot leaves the box
-    def clipped(row, box):
-        a0, a1, b = row
-        s = b / (a0 * a0 + a1 * a1)
-        return box.clip((s * a0, s * a1))
-
-    monkeypatch.setattr(solvers, "solve_min_norm", clipped)
-    assert main(["oracle", "--qp", "40", "--lp", "0", "--seed", "2"]) == 1
-    assert re.search(r"^goal: 40 instances, .* [1-9]\d* failures$",
-                     capsys.readouterr().out, re.M)
-
-
-def test_oracle_command_checks_the_emptiness_certificate(monkeypatch, capsys):
-    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 0
-    cert = re.search(r"^cert: 40 instances, (\d+) certified, 0 unsound, 0 failures$",
-                     capsys.readouterr().out, re.M)
-    assert cert and int(cert[1]) > 0
-    # a certificate that names the emptying plane alone is unsound wherever
-    # that plane leaves a point in the box; the LPs it declares empty
-    # without a clip then include some that solve_lp finds a value for
-    monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
-    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
-    assert re.search(r"^cert: .* [1-9]\d* unsound, [1-9]\d* failures$",
-                     capsys.readouterr().out, re.M)
-
-
-@pytest.mark.parametrize("flip", ["value_for_empty", "none_for_value"])
-def test_oracle_command_checks_the_leave_one_out_verdicts(monkeypatch, capsys, flip):
-    # on lists without a certificate, one leave-one-out LP gets the wrong
-    # verdict: a value where solve_lp finds the LP empty, or None where it
-    # finds a value
-    leave_one_out = solvers.solve_lp_leave_one_out
-
-    def flipped(planes, box):
-        values, chain = leave_one_out(planes, box)
-        if chain.cert is None:
-            for k, v in enumerate(values):
-                if (v is None) == (flip == "value_for_empty"):
-                    values[k] = 0.0 if v is None else None
-                    break
-        return values, chain
-
-    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", flipped)
-    assert main(["oracle", "--qp", "0", "--lp", "40", "--seed", "2"]) == 1
-    assert re.search(r"^cert: 40 instances, \d+ certified, 0 unsound, [1-9]\d* failures$",
-                     capsys.readouterr().out, re.M)
-
-
-def test_oracle_command_fails_when_the_solver_and_the_oracle_disagree(monkeypatch, capsys):
-    # every random QP is feasible, so an oracle that calls it empty disagrees
-    monkeypatch.setattr(oracles, "qp_oracle", lambda *args, **kwargs: None)
-    assert main(["oracle", "--qp", "5", "--lp", "0"]) == 1
-    assert re.search(r"^qp: 5 instances, .* 5 failures$", capsys.readouterr().out, re.M)
-
-
-def test_oracle_command_counts_a_raising_solver_as_a_failure(monkeypatch, capsys):
-    def raising(*args):
-        raise solvers.Infeasible("broken")
-
-    monkeypatch.setattr(solvers, "solve_lp", raising)
-    assert main(["oracle", "--qp", "0", "--lp", "3"]) == 1
-    assert re.search(r"^lp: 3 instances, .* 3 failures$", capsys.readouterr().out, re.M)
-    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", raising)
-    assert main(["oracle", "--qp", "0", "--lp", "3"]) == 1
-    assert re.search(r"^cert: 3 instances, .* 3 failures$", capsys.readouterr().out, re.M)
-
-
-def test_oracle_command_checks_the_lp_vertex(monkeypatch, capsys):
-    # the right value at a vertex slid 1e-6 along the objective's level line,
-    # out of the polygon: only the vertex check sees it
-    solve_lp = solvers.solve_lp
-
-    def slid(c, rows, box):
-        value, (x, y) = solve_lp(c, rows, box)
-        n = math.hypot(c[0], c[1])
-        return value, (x - 1e-6 * c[1] / n, y + 1e-6 * c[0] / n)
-
-    monkeypatch.setattr(solvers, "solve_lp", slid)
-    assert main(["oracle", "--qp", "0", "--lp", "10"]) == 1
-    assert re.search(r"^lp: 10 instances, .* [1-9]\d* failures$", capsys.readouterr().out, re.M)
-
-
-def test_oracle_command_checks_that_the_qp_repeats_its_bits(monkeypatch, capsys):
-    # one ulp on every second call: each instance's second answer differs
-    solve_qp = solvers.solve_qp
-    calls = itertools.count()
-
-    def drifting(problem):
-        x, y = solve_qp(problem)
-        return (math.nextafter(x, math.inf), y) if next(calls) % 2 else (x, y)
-
-    monkeypatch.setattr(solvers, "solve_qp", drifting)
-    assert main(["oracle", "--qp", "10", "--lp", "0"]) == 1
-    assert re.search(r"^qp: 10 instances, .* 10 failures$", capsys.readouterr().out, re.M)
-
-
-@pytest.mark.parametrize("flag", ["--qp", "--lp", "--seed"])
-def test_oracle_command_rejects_a_negative_count(flag, capsys):
-    # a negative count used to check nothing and report 0 failures; a negative
-    # seed ended in numpy's traceback
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", flag, "-3"])
-    assert exc.value.code == 2
-    assert "must be zero or more" in capsys.readouterr().err
-    assert getattr(parse_args(["oracle", flag, "0"]), flag[2:]) == 0   # zero stays allowed
-
-
 # --- the run path without numpy ----------------------------------------------
 
 # Runs main() in a fresh interpreter in which every numpy and fractions
@@ -762,7 +675,7 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-def test_run_validate_and_oracle_without_numpy(tmp_path):
+def test_run_and_validate_without_numpy(tmp_path):
     # the six benchmark inputs run without numpy, and without the solvers'
     # exact Fraction clip, which none of them reaches
     workloads = benchmark_workloads()
@@ -777,10 +690,6 @@ def test_run_validate_and_oracle_without_numpy(tmp_path):
             "trajectories.svg", "trust.svg"]
     r = _python("-c", WITHOUT_NUMPY, "validate", "--scenario", str(scenarios[0]))
     assert r.returncode == 0, r.stderr
-    r = _python("-c", WITHOUT_NUMPY, "oracle", "--qp", "1", "--lp", "1")
-    assert r.returncode == 2
-    assert r.stderr.splitlines() == [
-        "oracle needs numpy: install the test extra, e.g. pip install -e '.[test]'"]
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -13,7 +13,6 @@ from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.controller import (CLF_K, ControlDecision, Fallback, agent_step,
                                  clf_qp_reference, pair_geometry, score_pairs)
 from trustcbf.dynamics import nominal_direction, track_reference
-from trustcbf.oracles import lp_vertex_oracle
 from trustcbf.schema import MAGNITUDE_BOUND, AgentSpec, Box, PairRecord, Scenario, TrustParams
 from trustcbf.solvers import Infeasible, QPProblem, solve_qp
 from trustcbf.trust import (H_BOUNDARY_EPS, THETA_FLOOR, BoundaryReached, alpha_rate_floor,
@@ -23,6 +22,7 @@ from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
                             WorldSnapshot, estimate_motion, estimate_positions)
 
 from conftest import shipped
+from oracles import lp_vertex_oracle
 from test_sim import _ring6
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))

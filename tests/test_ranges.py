@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from trustcbf.cli import main
-from trustcbf.oracles import read_trace_csv
 from trustcbf.sim import AgentSpec, Scenario
 from trustcbf.trust import TrustParams
+
+from oracles import read_trace_csv
 
 REPO = Path(__file__).resolve().parents[1]
 

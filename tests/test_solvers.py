@@ -1,29 +1,34 @@
 """The polygon-kernel QP and LP against their independent oracles.
 
 The plain random instances are checked once, by ``oracles.self_test`` (run by
-acceptance criterion 5 and ``trustcbf oracle``); these tests cover closed
-forms, near-degenerate geometry, the emptiness certificate and the chain.
+acceptance criterion 5); these tests cover closed forms, near-degenerate
+geometry, the emptiness certificate and the chain, and show that the
+self-test counts each fault patched into the solvers or an oracle.
 The verdicts are judged by the exact oracle, against the solvers' contract:
 Infeasible only where ``exact_points`` finds the set exactly empty, and every
 answer but u_ref within the rounding bound delta of every row and box face
 (``holds_within_delta``).
 """
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from trustcbf import solvers
 from trustcbf.controller import clf_qp_reference
-from trustcbf.oracles import (exact_points, holds_within_delta, qp_oracle,
-                              random_conflict_rows, random_lp_instance, random_qp_instance)
 from trustcbf.schema import Box
 from trustcbf.solvers import (FEAS_TOL, Infeasible, PrefixChain, QPProblem, active_set,
                               solve_lp, solve_lp_leave_one_out, solve_min_norm, solve_qp)
 from trustcbf.world import AgentState, Model
 
+import oracles
 from conftest import lp_value, shifted
+from oracles import (exact_points, holds_within_delta, qp_oracle, random_conflict_rows,
+                     random_lp_instance, random_qp_instance, self_test)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -585,3 +590,121 @@ def test_goal_descent_closed_form_matches_the_polygon_kernel():
         else:
             seen["inside"] += 1
     assert min(seen.values()) >= 300, seen
+
+
+# --- faults that oracles.self_test catches ------------------------------------
+# Each test patches one fault into the solvers (self_test looks them up on
+# trustcbf.solvers at each call) or into an oracle, and expects its report
+# line to count failures.
+
+
+def _self_test(seed, n_qp, n_lp):
+    """self_test's report, one line per check, and its failure count."""
+    lines, failures = self_test(np.random.default_rng(seed), n_qp, n_lp)
+    return "\n".join(lines), failures
+
+
+def test_self_test_checks_the_goal_descent(monkeypatch):
+    report, failures = _self_test(2, 40, 0)
+    goal = re.search(r"^goal: 40 instances, (\d+) clamped, (\d+) empty, .* 0 failures$",
+                     report, re.M)
+    assert failures == 0 and goal and int(goal[1]) > 0 and int(goal[2]) > 0
+
+    # the foot clipped to the box componentwise leaves the line wherever the
+    # foot leaves the box
+    def clipped(row, box):
+        a0, a1, b = row
+        s = b / (a0 * a0 + a1 * a1)
+        return box.clip((s * a0, s * a1))
+
+    monkeypatch.setattr(solvers, "solve_min_norm", clipped)
+    report, failures = _self_test(2, 40, 0)
+    assert failures > 0
+    assert re.search(r"^goal: 40 instances, .* [1-9]\d* failures$", report, re.M)
+
+
+def test_self_test_checks_the_emptiness_certificate(monkeypatch):
+    report, failures = _self_test(2, 0, 40)
+    cert = re.search(r"^cert: 40 instances, (\d+) certified, 0 unsound, 0 failures$",
+                     report, re.M)
+    assert failures == 0 and cert and int(cert[1]) > 0
+    # a certificate that names the emptying plane alone is unsound wherever
+    # that plane leaves a point in the box; the LPs it declares empty
+    # without a clip then include some that solve_lp finds a value for
+    monkeypatch.setattr(solvers, "_certify_empty", lambda planes, m, poly, box: (m,))
+    report, failures = _self_test(2, 0, 40)
+    assert failures > 0
+    assert re.search(r"^cert: .* [1-9]\d* unsound, [1-9]\d* failures$", report, re.M)
+
+
+@pytest.mark.parametrize("flip", ["value_for_empty", "none_for_value"])
+def test_self_test_checks_the_leave_one_out_verdicts(monkeypatch, flip):
+    # on lists without a certificate, one leave-one-out LP gets the wrong
+    # verdict: a value where solve_lp finds the LP empty, or None where it
+    # finds a value
+    leave_one_out = solvers.solve_lp_leave_one_out
+
+    def flipped(planes, box):
+        values, chain = leave_one_out(planes, box)
+        if chain.cert is None:
+            for k, v in enumerate(values):
+                if (v is None) == (flip == "value_for_empty"):
+                    values[k] = 0.0 if v is None else None
+                    break
+        return values, chain
+
+    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", flipped)
+    report, failures = _self_test(2, 0, 40)
+    assert failures > 0
+    assert re.search(r"^cert: 40 instances, \d+ certified, 0 unsound, [1-9]\d* failures$",
+                     report, re.M)
+
+
+def test_self_test_fails_when_the_solver_and_the_oracle_disagree(monkeypatch):
+    # every random QP is feasible, so an oracle that calls it empty disagrees
+    monkeypatch.setattr(oracles, "qp_oracle", lambda *args, **kwargs: None)
+    report, failures = _self_test(0, 5, 0)
+    assert failures > 0
+    assert re.search(r"^qp: 5 instances, .* 5 failures$", report, re.M)
+
+
+def test_self_test_counts_a_raising_solver_as_a_failure(monkeypatch):
+    def raising(*args):
+        raise Infeasible("broken")
+
+    monkeypatch.setattr(solvers, "solve_lp", raising)
+    report, failures = _self_test(0, 0, 3)
+    assert failures > 0
+    assert re.search(r"^lp: 3 instances, .* 3 failures$", report, re.M)
+    monkeypatch.setattr(solvers, "solve_lp_leave_one_out", raising)
+    report, failures = _self_test(0, 0, 3)
+    assert failures > 0
+    assert re.search(r"^cert: 3 instances, .* 3 failures$", report, re.M)
+
+
+def test_self_test_checks_the_lp_vertex(monkeypatch):
+    # the right value at a vertex slid 1e-6 along the objective's level line,
+    # out of the polygon: only the vertex check sees it
+    def slid(c, rows, box):
+        value, (x, y) = solve_lp(c, rows, box)
+        n = math.hypot(c[0], c[1])
+        return value, (x - 1e-6 * c[1] / n, y + 1e-6 * c[0] / n)
+
+    monkeypatch.setattr(solvers, "solve_lp", slid)
+    report, failures = _self_test(0, 0, 10)
+    assert failures > 0
+    assert re.search(r"^lp: 10 instances, .* [1-9]\d* failures$", report, re.M)
+
+
+def test_self_test_checks_that_the_qp_repeats_its_bits(monkeypatch):
+    # one ulp on every second call: each instance's second answer differs
+    calls = itertools.count()
+
+    def drifting(problem):
+        x, y = solve_qp(problem)
+        return (math.nextafter(x, math.inf), y) if next(calls) % 2 else (x, y)
+
+    monkeypatch.setattr(solvers, "solve_qp", drifting)
+    report, failures = _self_test(0, 10, 0)
+    assert failures > 0
+    assert re.search(r"^qp: 10 instances, .* 10 failures$", report, re.M)

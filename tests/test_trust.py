@@ -7,7 +7,6 @@ import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.schema import Box
-from trustcbf.oracles import exact_leave_one_out
 from trustcbf.solvers import FEAS_TOL, _box_polygon, _clip, solve_lp
 from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
@@ -15,6 +14,7 @@ from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, comb
 from trustcbf.world import AgentState, Model, MotionEstimate
 
 from conftest import lp_values_leave_one_out, shifted
+from oracles import exact_leave_one_out
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
