@@ -7,9 +7,8 @@ an n-agent ring whose neighbors start a fixed arc apart, the work record's
 sweep in ``tools/work.py``.  The shipped scenarios and the 12-agent ring are
 expensive enough that the tests run each of them exactly once per session.
 ``tool`` loads a module of ``tools/``, and ``benchmark_workloads`` the module
-that writes the benchmark's inputs.  ``shifted``, ``lp_value`` and
-``lp_values_leave_one_out`` read LP values from the vertex oracle, for the
-solver tests' brackets.
+that writes the benchmark's inputs.  The solvers' oracles live in
+``oracles.py``.
 """
 
 import dataclasses
@@ -19,14 +18,10 @@ import math
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from trustcbf.cli import load_scenario
 from trustcbf.sim import Scenario, metrics, run
-from trustcbf.solvers import FEAS_TOL, Infeasible
-
-from oracles import _assemble, _crossings, lp_vertex_oracle
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -65,42 +60,6 @@ def benchmark_workloads():
 
 
 fixed_arc_ring = tool("work").fixed_arc_ring
-
-
-def shifted(rows, d):
-    """The rows relaxed by d (tightened for d < 0)."""
-    return [(a0, a1, b - d) for a0, a1, b in rows]
-
-
-def lp_value(c, rows, box, tol=FEAS_TOL):
-    """``lp_vertex_oracle``'s value, or None where it finds no vertex."""
-    try:
-        return lp_vertex_oracle(c, rows, box, tol=tol)[0]
-    except Infeasible:
-        return None
-
-
-def lp_values_leave_one_out(rows, box, tol=FEAS_TOL):
-    """For every k, ``lp_value(rows[k][:2], rows[:k] + rows[k + 1:], box, tol)``.
-
-    One enumeration of the crossings of every two lines (the rows' and the box
-    faces') serves every k, with ``lp_vertex_oracle``'s arithmetic: LP k reads
-    the crossings of two lines other than row k's that hold every constraint
-    but row k to ``tol``.
-    """
-    A, b = _assemble(rows, box)
-    normals = [np.asarray(row[:2], dtype=float) for row in rows]
-    best = [None] * len(rows)
-    for S, u in _crossings(A, b):
-        off = np.flatnonzero(~(A @ u - b >= -tol))
-        if len(off) > 1 or len(off) == 1 and off[0] >= len(rows):
-            continue
-        for k in off if len(off) else range(len(rows)):
-            if k not in S:
-                val = float(normals[k] @ u)
-                if best[k] is None or val > best[k]:
-                    best[k] = val
-    return best
 
 
 @pytest.fixture(scope="session")

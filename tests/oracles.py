@@ -1,22 +1,29 @@
-"""Independent numpy oracles for the solvers, random instances, the solver
-self-test, and a CSV reader.
+"""Exact oracles for the solvers, random instances, the solver self-test,
+and a CSV reader.
 
 The tests check the polygon kernel of ``trustcbf.solvers`` against code that
-shares none of it: exhaustive enumeration of the 2-D KKT candidates for the
-QP and of the vertices for the LP, in floats on the rows stacked into one
-a . u >= b system, and of the vertices in exact integer arithmetic
-(``exact_points``), which judges the solvers' contract: Infeasible only on an
-exactly empty set, and every answer within the documented rounding bound
-delta of every row (``loosened``).  ``self_test`` is the one check on random
-instances.  This module lives with the tests, outside the package, so the
-package never imports numpy.
+shares none of it: exhaustive enumeration, in integer arithmetic, of the
+vertices (``exact_points``, ``exact_lp``) and of the 2-D KKT candidates of
+the QP (``exact_qp``), each on the rows as given or moved by the rounding
+bound delta that the solvers' docstring proves for n rows (``_lines``).
+They judge the solvers' contract: Infeasible only on an exactly empty set,
+and every answer but u_ref within delta of every row (``holds_within_delta``).
+And they bracket every value.  The float polygon lies inside box ∩ rows
+loosened by delta, by contract (c); and the docstring's winding argument,
+run with the unmoved offsets b' = b, shows that a point of box ∩ rows
+tightened by delta is never cut off by an edge, so that set lies inside the
+float polygon.  So no LP value beats ``exact_lp`` over the loosened rows or
+falls short of it over the tightened ones, and a QP value lies between
+``exact_qp`` over the two (``outside``).  ``self_test`` is the one check on
+random instances.  This module lives with the tests, outside the package,
+so the package never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -24,67 +31,11 @@ import numpy as np
 
 from trustcbf import solvers
 from trustcbf.schema import Box
-from trustcbf.solvers import FEAS_TOL, Infeasible, QPProblem
+from trustcbf.solvers import Infeasible, QPProblem
 
-
-def _assemble(rows: Sequence[tuple], box: Box):
-    """Stack user rows (a0, a1, b) and box faces into one a.u >= b system (A, b).
-
-    Every row is kept as it is: like any other, a row with a zero normal holds
-    at u exactly when a . u - b >= -tol, that is when b <= tol.
-    """
-    A_list = [np.array((a0, a1)) for a0, a1, _ in rows]
-    b_list = [b for _, _, b in rows]
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = 1.0
-        A_list.append(e.copy())
-        b_list.append(box.lo[k])
-        A_list.append(-e)
-        b_list.append(-box.hi[k])
-    return np.array(A_list), np.array(b_list)
-
-
-def _crossings(A: np.ndarray, b: np.ndarray) -> Iterator[tuple[tuple, np.ndarray]]:
-    """Every point where two of the lines a . u = b cross, with the indices of
-    the two lines, in index order.
-
-    A pair is skipped when its solve fails, its point is not finite, or the
-    point misses the two lines by more than 1e-9 (1 + |b|).
-    """
-    for S in combinations(range(len(b)), 2):
-        As = A[list(S)]
-        bs = b[list(S)]
-        try:
-            u = np.linalg.solve(As, bs)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(u)):
-            continue
-        if float(np.linalg.norm(As @ u - bs)) > 1e-9 * (1.0 + float(np.linalg.norm(bs))):
-            continue
-        yield S, u
-
-
-def qp_oracle(problem: QPProblem, tol: float = FEAS_TOL) -> Optional[tuple[float, np.ndarray]]:
-    """Exact projection of u_ref onto the box-extended polygon (test oracle).
-
-    By the KKT conditions in the plane, the nearest point is u_ref itself, the
-    foot of u_ref on one constraint line, or a crossing of two lines (a row
-    with a zero normal has no line, and no foot).  Returns (squared distance,
-    point) of the nearest candidate that holds every constraint to ``tol``, or
-    None when no candidate does.
-    """
-    A, b = _assemble(problem.rows, problem.box)
-    r = np.asarray(problem.u_ref, dtype=float)
-    feet = (r + ((bi - a @ r) / (a @ a)) * a for a, bi in zip(A, b) if a @ a)
-    best = None
-    for u in chain([r], feet, (u for _, u in _crossings(A, b))):
-        if np.all(A @ u - b >= -tol):
-            val = float((u - r) @ (u - r))
-            if best is None or val < best[0]:
-                best = (val, u)
-    return best
+# How far, relative to 1 + |value|, a solver's value may fall outside its
+# delta bracket: the rounding of the value itself from its float point.
+EPS = 1e-12
 
 
 def random_qp_instance(rng: np.random.Generator, max_rows: int = 4,
@@ -133,68 +84,50 @@ def random_lp_instance(rng: np.random.Generator, max_rows: int = 4,
     return c, p.rows, p.box
 
 
-def lp_vertex_oracle(c: np.ndarray, rows: Sequence[tuple], box: Box,
-                     tol: float = FEAS_TOL) -> tuple[float, np.ndarray]:
-    """Exhaustive vertex enumeration over the box-extended polygon (test oracle).
-
-    Solves every pair of tight constraints, filters feasible intersection
-    points, and returns the best.  Exact for bounded feasible sets, which the
-    box guarantees.
-    """
-    c = np.asarray(c, dtype=float)
-    A, b = _assemble(rows, box)
-    best_val = -math.inf
-    best_u: Optional[np.ndarray] = None
-    for _, u in _crossings(A, b):
-        if np.all(A @ u - b >= -tol):
-            val = float(c @ u)
-            if val > best_val:
-                best_val = val
-                best_u = u
-    if best_u is None:
-        raise Infeasible("vertex enumeration found no feasible vertex")
-    return best_val, best_u
-
-
 def _faces(box: Box) -> list:
     """The box faces as rows: u_k >= lo_k and -u_k >= -hi_k."""
     (lo0, lo1), (hi0, hi1) = box.lo, box.hi
     return [(1.0, 0.0, lo0), (-1.0, 0.0, -hi0), (0.0, 1.0, lo1), (0.0, -1.0, -hi1)]
 
 
-def loosened(rows: Sequence[tuple], box: Box, n: int) -> list:
-    """The rows, then the box faces, each (a0, a1, b) lowered exactly to
-    (a0, a1, b - delta), in Fractions: delta = 8 (n + 2) 2^-53 (|b| + ||a||_1 R),
+def _whole(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers n_k and d > 0 with values[k] = n_k / d exactly."""
+    f = [Fraction(v) for v in values]
+    d = math.lcm(*(v.denominator for v in f))
+    return [v.numerator * (d // v.denominator) for v in f], d
+
+
+def _lines(rows: Sequence[tuple], box: Box, n: Optional[int] = None, sign: int = 1) -> list:
+    """The rows, then the box faces, each as integers (e0, e1, f) for the same
+    half-plane e . u >= f.  When n is given, each (a0, a1, b) is first moved
+    exactly to (a0, a1, b - sign delta), delta = 8 (n + 2) 2^-53 (|b| + ||a||_1 R),
     R = max |box bound|, the rounding bound that the solvers' docstring
-    proves for n rows."""
-    R = Fraction(max(-box.lo[0], -box.lo[1], box.hi[0], box.hi[1]))
-    K = Fraction(8 * n + 16, 2 ** 53)
-    exact = [tuple(map(Fraction, row)) for row in [*rows, *_faces(box)]]
-    return [(a0, a1, b - K * (abs(b) + (abs(a0) + abs(a1)) * R)) for a0, a1, b in exact]
+    proves for n rows: sign = 1 loosens every constraint, -1 tightens it."""
+    R = max(-box.lo[0], -box.lo[1], box.hi[0], box.hi[1])
+    lines = []
+    for row in [*rows, *_faces(box)]:
+        if n is None:
+            lines.append(tuple(_whole(row)[0]))
+            continue
+        # the moved row times d^2 2^53, with a0 = e0 / d, ..., R = r / d
+        (e0, e1, f, r), d = _whole((*row, R))
+        m = d << 53
+        lines.append((e0 * m, e1 * m,
+                      f * m - sign * (8 * n + 16) * (abs(f) * d + (abs(e0) + abs(e1)) * r)))
+    return lines
 
 
 def holds_within_delta(u: Sequence[float], rows: Sequence[tuple], box: Box, n: int) -> bool:
     """Whether the point u holds every row and box face to within its delta
-    for n rows (``loosened``), in exact arithmetic."""
-    x, y = Fraction(u[0]), Fraction(u[1])
-    return all(a0 * x + a1 * y >= b for a0, a1, b in loosened(rows, box, n))
+    for n rows (``_lines``), in exact arithmetic."""
+    (x, y), d = _whole(u)
+    return all(e0 * x + e1 * y >= f * d for e0, e1, f in _lines(rows, box, n))
 
 
-def _exact_crossings(rows: Sequence[tuple], box: Box,
-                     n: Optional[int]) -> Iterator[tuple[int, int, int, list]]:
-    """For every two lines (row lines and box sides) that cross, the point
+def _exact_crossings(lines: list) -> Iterator[tuple[int, int, int, list]]:
+    """For every two of the integer ``lines`` that cross, the point
     (X / D, Y / D) where they do, as (X, Y, D) with D > 0, and the indices of
-    the rows and faces it violates (face k counts as len(rows) + k); with
-    every row and face lowered by its delta for n rows when n is given.
-
-    Exact: each constraint is scaled to integers, the same half-plane, and
-    every test is an integer one.
-    """
-    lines = []
-    for row in loosened(rows, box, n) if n is not None else [*rows, *_faces(box)]:
-        f = [Fraction(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in f))
-        lines.append(tuple(int(v * scale) for v in f))   # exact: each v * scale is whole
+    the lines it violates.  Every test is an integer one."""
     for (a0, a1, b), (c0, c1, d) in combinations(lines, 2):
         det = a0 * c1 - a1 * c0
         if det == 0:
@@ -205,29 +138,82 @@ def _exact_crossings(rows: Sequence[tuple], box: Box,
         yield X, Y, det, [k for k, (e0, e1, f) in enumerate(lines) if e0 * X + e1 * Y < f * det]
 
 
-def exact_points(rows: Sequence[tuple], box: Box) -> list[tuple[Fraction, Fraction]]:
+def exact_points(rows: Sequence[tuple], box: Box, n: Optional[int] = None,
+                 sign: int = 1) -> list[tuple[Fraction, Fraction]]:
     """Every crossing of two lines, row lines and box sides, that holds the
-    box and every row exactly, as Fractions.
+    box and every row exactly, as Fractions; with every row and face moved by
+    sign times its delta for n rows when n is given (``_lines``).
 
     Empty exactly when box ∩ rows is: a nonempty set has a vertex, where two
     of its lines with independent normals cross (a row with a zero normal has
     no line, but every point is tested against it).
     """
     return [(Fraction(X, D), Fraction(Y, D))
-            for X, Y, D, off in _exact_crossings(rows, box, None) if not off]
+            for X, Y, D, off in _exact_crossings(_lines(rows, box, n, sign)) if not off]
+
+
+def exact_lp(c: Sequence[float], rows: Sequence[tuple], box: Box, n: Optional[int] = None,
+             sign: int = 1) -> Optional[Fraction]:
+    """The largest c . u over box ∩ rows, exactly, or None where the set is
+    empty; every row and face moved as in ``exact_points``.  A nonempty
+    polygon attains it at a vertex, one of ``exact_points``."""
+    c0, c1 = Fraction(c[0]), Fraction(c[1])
+    return max((c0 * x + c1 * y for x, y in exact_points(rows, box, n, sign)), default=None)
+
+
+def exact_qp(problem: QPProblem, n: Optional[int] = None,
+             sign: int = 1) -> Optional[tuple[Fraction, tuple[Fraction, Fraction]]]:
+    """The least ||u - u_ref||^2 over box ∩ rows and a point attaining it,
+    exactly, or None where the set is empty; every row and face moved as in
+    ``exact_points``.
+
+    By the KKT conditions in the plane, the nearest point is u_ref itself,
+    the foot of u_ref on one constraint line, or a crossing of two lines (a
+    row with a zero normal has no line, and no foot): the nearest of these
+    that holds every constraint.  Each candidate is a point (X / D, Y / D) of
+    integers, D > 0.
+    """
+    lines = _lines(problem.rows, problem.box, n, sign)
+    (rx, ry), rd = _whole(problem.u_ref)
+    points = [(rx, ry, rd)]
+    for e0, e1, f in lines:
+        if e0 or e1:
+            # u_ref + t e, t = (f - e . u_ref) / ||e||^2
+            norm, t = e0 * e0 + e1 * e1, f * rd - e0 * rx - e1 * ry
+            points.append((rx * norm + t * e0, ry * norm + t * e1, rd * norm))
+    points = [(X, Y, D) for X, Y, D in points
+              if all(e0 * X + e1 * Y >= f * D for e0, e1, f in lines)]
+    points += [(X, Y, D) for X, Y, D, off in _exact_crossings(lines) if not off]
+    if not points:
+        return None
+
+    def distance(X, Y, D):
+        return Fraction((X * rd - rx * D) ** 2 + (Y * rd - ry * D) ** 2, (D * rd) ** 2)
+
+    X, Y, D = min(points, key=lambda p: distance(*p))
+    return distance(X, Y, D), (Fraction(X, D), Fraction(Y, D))
+
+
+def outside(value: float, lower: Optional[Fraction], upper: Optional[Fraction]) -> float:
+    """How far the float value lies below lower or above upper, exactly,
+    relative to 1 + |value|; 0 inside the bracket, and a bound that is None
+    bounds nothing."""
+    v = Fraction(value)
+    miss = max(0, v - upper if upper is not None else 0, lower - v if lower is not None else 0)
+    return float(miss) / (1.0 + abs(value))
 
 
 def exact_leave_one_out(rows: Sequence[tuple], box: Box,
                         n: Optional[int] = None) -> list[bool]:
     """For every k, whether box ∩ (every row but k) is exactly nonempty (each
-    constraint lowered by its delta for n rows when n is given).
+    constraint loosened by its delta for n rows when n is given).
 
     A nonempty one has a vertex, a crossing of two lines other than row k's
     that violates nothing but row k; conversely any crossing that violates
     row k alone is a point of it.  One enumeration serves every k.
     """
     nonempty = [False] * len(rows)
-    for _, _, _, off in _exact_crossings(rows, box, n):
+    for _, _, _, off in _exact_crossings(_lines(rows, box, n)):
         if not off:
             return [True] * len(rows)
         if len(off) == 1 and off[0] < len(rows):
@@ -299,12 +285,13 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
     failures.
 
     - ``n_qp`` QPs (``random_qp_instance``, always feasible): ``solve_qp``
-      answers, twice with the same bits, within 1e-9 (1 + value) of
-      ``qp_oracle``, outside no row or box face by more than 1e-9, and,
-      unless it answers u_ref, within delta of every one (``holds_within_delta``).
-    - ``n_lp`` LPs (``random_lp_instance``): ``solve_lp``'s value is within
-      1e-9 of ``lp_vertex_oracle``'s, and its vertex holds the box and every
-      row to 1e-9 and to within delta.
+      answers, twice with the same bits, inside the delta bracket to
+      ``EPS`` (``exact_qp`` on the rows loosened and tightened by delta),
+      outside no row or box face by more than 1e-9, and, unless it answers
+      u_ref, within delta of every one (``holds_within_delta``).
+    - ``n_lp`` LPs (``random_lp_instance``): ``solve_lp``'s value lies inside
+      the delta bracket to ``EPS`` (``exact_lp``), and its vertex holds the
+      box and every row to 1e-9 and to within delta.
     - ``n_lp`` conflicting row lists (``random_conflict_rows``), through the
       leave-one-out LPs the run calls: a value is None only where the other
       rows leave the box exactly empty, and given only where they hold a
@@ -314,33 +301,36 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
       a point is an unsound certificate, which counts as a failure.
     - ``n_qp`` goal descents (``random_goal_instance``): ``solve_min_norm``
       raises Infeasible only where ``exact_points`` finds no point, answers
-      only where ``qp_oracle`` finds one, and then within 1e-9 (1 + value) of
-      it, outside the row or a box face by no more than 1e-9, and, unless it
-      answers the origin, within delta of each.  The line reports how many
-      answers the box clamped (the foot left the box) and how many instances
-      were empty.
+      only where ``exact_qp`` finds one in the loosened set, and then inside
+      the delta bracket to ``EPS``, outside the row or a box face by no more
+      than 1e-9, and, unless it answers the origin, within delta of each.
+      The line reports how many answers the box clamped (the foot left the
+      box) and how many instances were empty.
 
-    A solver that raises fails that instance.  The solvers are looked up on
-    ``trustcbf.solvers`` at each call, so a patched solver is the one tested.
-    The instances are drawn from ``rng`` in that order.
+    A bracket gap is ``outside``'s: how far a value lies outside its bracket,
+    relative to 1 + |value|.  The answer u_ref (the origin for a goal
+    descent) follows the QP's rule, not the contract, so its value 0 has no
+    lower bound.  A solver that raises fails that instance.  The solvers are
+    looked up on ``trustcbf.solvers`` at each call, so a patched solver is
+    the one tested.  The instances are drawn from ``rng`` in that order.
     """
     qp_fail = qp_gap = qp_viol = 0
     for _ in range(n_qp):
         p = random_qp_instance(rng)
-        oracle = qp_oracle(p)
+        lower, upper = exact_qp(p, len(p.rows)), exact_qp(p, len(p.rows), -1)
         try:
             u = solvers.solve_qp(p)
             same = list(map(float.hex, u)) == list(map(float.hex, solvers.solve_qp(p)))
         except Exception:
             u = None
-        if u is None or oracle is None:
+        if u is None or lower is None:
             qp_fail += 1
             continue
         value = (u[0] - p.u_ref[0]) ** 2 + (u[1] - p.u_ref[1]) ** 2
-        gap = abs(value - oracle[0]) / (1.0 + oracle[0])
+        gap = outside(value, None if value == 0.0 else lower[0], upper[0] if upper else None)
         viol = _violation(u, p.rows, p.box)
         qp_gap, qp_viol = max(qp_gap, gap), max(qp_viol, viol)
-        qp_fail += not (same and gap <= 1e-9 and viol <= 1e-9 and (
+        qp_fail += not (same and gap <= EPS and viol <= 1e-9 and (
             value == 0.0 or holds_within_delta(u, p.rows, p.box, len(p.rows))))
     lp_fail = lp_gap = lp_viol = 0
     for _ in range(n_lp):
@@ -350,10 +340,11 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
         except Exception:
             lp_fail += 1
             continue
-        gap = abs(value - lp_vertex_oracle(c, rows, box)[0])
+        gap = outside(value, exact_lp(c, rows, box, len(rows), -1),
+                      exact_lp(c, rows, box, len(rows)))
         viol = _violation(u, rows, box)
         lp_gap, lp_viol = max(lp_gap, gap), max(lp_viol, viol)
-        lp_fail += not (gap <= 1e-9 and viol <= 1e-9
+        lp_fail += not (gap <= EPS and viol <= 1e-9
                         and holds_within_delta(u, rows, box, len(rows)))
     cert_fail = certified = unsound = 0
     for _ in range(n_lp):
@@ -374,7 +365,6 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
     goal_fail = goal_gap = goal_viol = clamped = empty = 0
     for _ in range(n_qp):
         p = random_goal_instance(rng)
-        oracle = qp_oracle(p)
         try:
             u = solvers.solve_min_norm(p.rows[0], p.box)
         except Infeasible:
@@ -384,24 +374,27 @@ def self_test(rng: np.random.Generator, n_qp: int, n_lp: int) -> tuple[list[str]
         except Exception:
             goal_fail += 1
             continue
-        if oracle is None:
+        lower, upper = exact_qp(p, 1), exact_qp(p, 1, -1)
+        if lower is None:
             goal_fail += 1
             continue
         (a0, a1, b), box = p.rows[0], p.box
         s = b / (a0 * a0 + a1 * a1)
         clamped += _violation((s * a0, s * a1), [], box) > 0.0
-        gap = abs(u[0] * u[0] + u[1] * u[1] - oracle[0]) / (1.0 + oracle[0])
+        origin = u == (0.0, 0.0)
+        gap = outside(u[0] * u[0] + u[1] * u[1], None if origin else lower[0],
+                      upper[0] if upper else None)
         viol = _violation(u, p.rows, box)
         goal_gap, goal_viol = max(goal_gap, gap), max(goal_viol, viol)
-        goal_fail += not (gap <= 1e-9 and viol <= 1e-9 and (
-            u == (0.0, 0.0) or holds_within_delta(u, p.rows, box, 1)))
-    lines = [f"qp: {n_qp} instances, worst relative gap {qp_gap:.3e}, "
+        goal_fail += not (gap <= EPS and viol <= 1e-9 and (
+            origin or holds_within_delta(u, p.rows, box, 1)))
+    lines = [f"qp: {n_qp} instances, worst bracket gap {qp_gap:.3e}, "
              f"worst violation {qp_viol:.3e}, {qp_fail} failures",
-             f"lp: {n_lp} instances, worst value gap {lp_gap:.3e}, "
+             f"lp: {n_lp} instances, worst bracket gap {lp_gap:.3e}, "
              f"worst vertex violation {lp_viol:.3e}, {lp_fail} failures",
              f"cert: {n_lp} instances, {certified} certified, {unsound} unsound, "
              f"{cert_fail} failures",
-             f"goal: {n_qp} instances, {clamped} clamped, {empty} empty, worst relative gap "
+             f"goal: {n_qp} instances, {clamped} clamped, {empty} empty, worst bracket gap "
              f"{goal_gap:.3e}, worst violation {goal_viol:.3e}, {goal_fail} failures"]
     return lines, qp_fail + lp_fail + cert_fail + unsound + goal_fail
 

@@ -80,29 +80,6 @@ def test_clf_value_exact():
     assert np.allclose(g, [-6.0, -8.0])
 
 
-def test_barrier_gradient_matches_central_differences():
-    # perturbing either agent's position must reproduce grad_i / grad_j
-    rng = np.random.default_rng(10)
-    eps = 1e-6
-    for _ in range(100):
-        xi, yi, xj, yj = rng.uniform(-4, 4, 4)
-        if (xi - xj) ** 2 + (yi - yj) ** 2 < 0.1:
-            continue
-        a = integ(x=xi, y=yi)
-        b = integ(i=1, x=xj, y=yj)
-        ev = eval_barrier(a, b)
-        for k, grad in ((0, np.array(ev.grad_i)), (1, np.array(ev.grad_j))):
-            for axis in range(2):
-                def h_of(d, k=k, axis=axis):
-                    dx = [0.0, 0.0]
-                    dx[axis] = d
-                    aa = integ(x=xi + dx[0] * (k == 0), y=yi + dx[1] * (k == 0))
-                    bb = integ(i=1, x=xj + dx[0] * (k == 1), y=yj + dx[1] * (k == 1))
-                    return eval_barrier(aa, bb).h
-                fd = (h_of(eps) - h_of(-eps)) / (2.0 * eps)
-                assert fd == pytest.approx(grad[axis], rel=1e-6, abs=1e-8)
-
-
 def test_cbf_row_coefficients_by_hand():
     ev = eval_barrier(uni(psi=0.0), integ(i=1, x=2.0, y=1.0), lookahead=0.1)
     M = velocity_map(uni(psi=0.0), lookahead=0.1)

@@ -22,7 +22,7 @@ from trustcbf.world import (AgentKind, AgentState, Model, MotionEstimate,
                             WorldSnapshot, estimate_motion, estimate_positions)
 
 from conftest import shipped
-from oracles import lp_vertex_oracle
+from oracles import EPS, exact_lp, outside
 from test_sim import _ring6
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
@@ -297,8 +297,8 @@ def test_agent_step_unicycle_reference_is_waypoint_tracking():
 def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
     # each pair's compliance margin carries its contribution LP,
     #   margin = grad_j . a_hat + alpha h + contribution,
-    # which must equal the vertex oracle over the start-of-step rows toward
-    # the other three neighbors
+    # which must equal the LP over the start-of-step rows toward the other
+    # three neighbors
     me = uni(0, 0.0, 0.0, psi=0.3)
     start = [integ(1, 2.86, 0.44), integ(2, -2.2, 1.98), integ(3, 0.66, -2.64),
              integ(4, 3.52, -3.3)]
@@ -317,14 +317,19 @@ def test_agent_step_contributions_match_leave_one_out_vertex_oracle():
         motion[j] = estimate_motion(*hist, j)
         a_j, _ = worst_case_motion(motion[j], np.array(evs[j].grad_j))
         rows[j] = cbf_row(evs[j], M, a_j, 0.8)
+    # the delta bracket of the LP (test_trust): whether it reads the float
+    # polygon of all four rows or clips the other three, that polygon holds
+    # box ∩ all four rows tightened by delta and lies in box ∩ the other
+    # three loosened by it
     binding = 0
     for j in rows:
         c = np.array(evs[j].grad_i) @ M
-        expected, _ = lp_vertex_oracle(c, [rows[k] for k in rows if k != j], BOX3)
+        others = [rows[k] for k in rows if k != j]
+        lower, upper = exact_lp(c, list(rows.values()), BOX3, 4, -1), exact_lp(c, others, BOX3, 4)
         center_term = float(np.array(evs[j].grad_j) @ motion[j].center)
         got = dec.pairs[j - 1].margin - center_term - 0.8 * evs[j].h
-        assert got == pytest.approx(expected, abs=1e-9)
-        binding += expected < lp_vertex_oracle(c, [], BOX3)[0] - 1e-6
+        assert outside(got, lower, upper) <= EPS
+        binding += upper < exact_lp(c, [], BOX3) - 1e-6
     assert binding == 4   # the other pairs' rows really cut the box
 
 

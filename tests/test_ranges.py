@@ -5,9 +5,10 @@ Every number a scenario file gives lies in an interval that its dataclass
 field declares.  At a closed end, and one float inside it, a run must finish
 with exit 0 or 5 and write only finite CSV values.  One float outside, any
 value below an open lower end, NaN, either infinity and an integer too large
-for a float must each make the scenario exit 3 with a message that names the
-field.  The table is generated from the declared intervals, so it reaches
-every element of every field on every agent kind.
+for a float must each make ``validate`` and ``run`` exit 3 with one message
+line, which names the field, says why and gives the value.  The table is
+generated from the declared intervals, so it reaches every element of every
+field on every agent kind.
 """
 
 import json
@@ -188,9 +189,9 @@ def _values(lo, hi, lo_open, name):
 
 
 def _cases():
-    """(path, agent, element, value, inside) for each of ``_values`` at every
-    element of every number, on every agent that accepts it (agent None off
-    the agents)."""
+    """(path, agent, element, value, inside, interval) for each of
+    ``_values`` at every element of every number, on every agent that accepts
+    it (agent None off the agents)."""
     for path, interval in RANGES.items():
         section, _, name = path.rpartition(".")
         if isinstance(interval[0], tuple):
@@ -211,7 +212,16 @@ def _cases():
                 agents = AGENTS[:1] if name == "start" and element == 2 else AGENTS
             for agent in agents:
                 for value, inside in _values(lo, hi, lo_open, name):
-                    yield path, agent, element, value, inside
+                    yield path, agent, element, value, inside, (lo, hi, lo_open)
+
+
+def _reason(value, lo, hi, lo_open):
+    """Why the finite ``value``, outside the interval, is rejected."""
+    if value > hi:
+        return f"must be at most {hi:g}"
+    if lo:
+        return f"must be at least {lo:g}"
+    return "must be positive" if lo_open else "must be nonnegative"
 
 
 def _run(tmp_path, d):
@@ -224,7 +234,7 @@ def _run(tmp_path, d):
 def test_every_field_runs_at_its_ends_and_fails_just_outside(tmp_path, capsys):
     cases = list(_cases())
     assert {path for path, *_ in cases} == set(RANGES)
-    for path, agent, element, value, inside in cases:
+    for path, agent, element, value, inside, interval in cases:
         d, named = _scenario(path, agent, element, value, inside)
         code, out = _run(tmp_path, d)
         err = capsys.readouterr().err
@@ -235,11 +245,14 @@ def test_every_field_runs_at_its_ends_and_fails_just_outside(tmp_path, capsys):
                 cols = read_trace_csv(out / name)
                 assert all(np.all(np.isfinite(v)) for v in cols.values()), (case, name)
         else:
-            assert code == 3, case
             # A finite value fails its range check; a value that is not a
             # number has one message of its own.
             if value in NOT_A_NUMBER:   # NaN is found by identity
-                why = ": integer too large for a float" if isinstance(value, int) else " must be finite"
-                assert f"scenario error: {named}{why}" in err, (case, err)
+                why = (": integer too large for a float" if isinstance(value, int)
+                       else f" must be finite, got {value}")
             else:
-                assert f"{named} must be" in err, (case, err)
+                why = f" {_reason(value, *interval)}, got {value}"
+            line = f"scenario error: {named}{why}\n"
+            assert (code, err) == (3, line), case
+            assert main(["validate", "--scenario", str(tmp_path / "scn.json")]) == 3, case
+            assert capsys.readouterr().err == line, case

@@ -4,10 +4,12 @@ The plain random instances are checked once, by ``oracles.self_test`` (run by
 acceptance criterion 5); these tests cover closed forms, near-degenerate
 geometry, the emptiness certificate and the chain, and show that the
 self-test counts each fault patched into the solvers or an oracle.
-The verdicts are judged by the exact oracle, against the solvers' contract:
+The verdicts are judged by the exact oracles, against the solvers' contract:
 Infeasible only where ``exact_points`` finds the set exactly empty, and every
 answer but u_ref within the rounding bound delta of every row and box face
-(``holds_within_delta``).
+(``holds_within_delta``).  Every value lies in its delta bracket: between the
+exact optima (``exact_lp``, ``exact_qp``) over the rows tightened and
+loosened by delta, to ``oracles.EPS``.
 """
 
 import itertools
@@ -26,9 +28,8 @@ from trustcbf.solvers import (FEAS_TOL, Infeasible, PrefixChain, QPProblem, acti
 from trustcbf.world import AgentState, Model
 
 import oracles
-from conftest import lp_value, shifted
-from oracles import (exact_points, holds_within_delta, qp_oracle, random_conflict_rows,
-                     random_lp_instance, random_qp_instance, self_test)
+from oracles import (EPS, exact_lp, exact_points, exact_qp, holds_within_delta, outside,
+                     random_conflict_rows, random_lp_instance, random_qp_instance, self_test)
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -87,24 +88,27 @@ def test_qp_degenerate_row_vacuous_or_infeasible():
         solve_qp(qp([0.1, 0.1], [(0.0, 0.0, 1.0)]))
 
 
-def test_qp_oracle_closed_forms():
-    # the exact oracle is what the solver is held to, so it is checked by hand
+def test_exact_oracles_closed_forms():
+    # the exact oracles are what the solvers are held to, so they are checked
+    # by hand
     u_ref = np.array([0.5, -1.0])
-    val, u = qp_oracle(qp(u_ref, [(1.0, 0.0, -2.0)]))
-    assert val == 0.0 and np.array_equal(u, u_ref)
+    assert exact_qp(qp(u_ref, [(1.0, 0.0, -2.0)])) == (0, (0.5, -1.0))
     # projection onto u_x + 2 u_y >= 3 moves u_ref by (3 - (-1.5)) / 5 along (1, 2)
-    val, u = qp_oracle(qp(u_ref, [(1.0, 2.0, 3.0)]))
-    assert np.allclose(u, [1.4, 0.8], atol=1e-12)
-    assert val == pytest.approx(4.05, abs=1e-12)
-    val, u = qp_oracle(qp([5.0, -7.0], []))
-    assert np.array_equal(u, [3.0, -3.0]) and val == 20.0
+    val, u = exact_qp(qp(u_ref, [(1.0, 2.0, 3.0)]))
+    assert u == (Fraction(7, 5), Fraction(4, 5)) and val == Fraction(81, 20)
+    assert exact_qp(qp([5.0, -7.0], [])) == (20, (3, -3))
+    assert exact_lp((1.0, -2.0), [], BOX3) == 9
+    # u_x <= 1 moved by its delta for one row, 8 * 3 * 2^-53 * (1 + 1 * 3)
+    row = [(-1.0, 0.0, -1.0)]
+    for sign in (1, -1):
+        assert exact_lp((1.0, 0.0), row, BOX3, 1, sign) == 1 + sign * Fraction(96, 2 ** 53)
 
 
-def test_qp_oracle_empty_sets_and_zero_normals():
-    assert qp_oracle(qp([0.0, 0.0], [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])) is None
-    assert qp_oracle(qp([0.1, 0.1], [(0.0, 0.0, 1.0)])) is None
-    val, u = qp_oracle(qp([0.1, 0.1], [(0.0, 0.0, -1.0)]))
-    assert val == 0.0 and np.array_equal(u, [0.1, 0.1])
+def test_exact_oracles_empty_sets_and_zero_normals():
+    assert exact_qp(qp([0.0, 0.0], [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)])) is None
+    assert exact_lp((1.0, 0.0), [(1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)], BOX3) is None
+    assert exact_qp(qp([0.1, 0.1], [(0.0, 0.0, 1.0)])) is None
+    assert exact_qp(qp([0.1, 0.1], [(0.0, 0.0, -1.0)])) == (0, (0.1, 0.1))
 
 
 def test_lp_pure_box_is_corner():
@@ -281,12 +285,14 @@ DEGENERATE = {
 }
 
 
-# Near-parallel rows and one-point polygons make a value depend on FEAS_TOL:
-# the float oracles accept points within it, while the kernel clips exactly.
-# So each value must lie between the oracle's values on the rows tightened by
-# FEAS_TOL (feasibility checked exactly: a subset of the kernel's polygon) and
-# relaxed by it (checked to FEAS_TOL: a superset).  For well-posed instances
-# that bracket is a few 1e-9 wide.
+# Near-parallel rows and one-point polygons move a float clip's vertices by
+# up to delta, so each value is held to the delta bracket that the solvers'
+# docstring proves, in exact arithmetic: the float polygon lies inside box ∩
+# rows loosened by delta (contract (c)), and the same winding argument with
+# b' = b puts box ∩ rows tightened by delta inside it.  So no LP value beats
+# the exact optimum over the loosened set or falls short of the one over the
+# tightened set (where that is nonempty), and a QP value lies between the
+# exact distances to the two.  EPS covers the rounding of the value itself.
 
 @pytest.mark.parametrize("kind", sorted(DEGENERATE))
 def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
@@ -299,12 +305,9 @@ def test_lp_degenerate_fuzz_matches_vertex_oracle(kind):
             assert not exact_points(rows, box), (kind, rows)
             continue
         assert holds_within_delta(u, rows, box, len(rows)), (kind, rows)
-        upper = lp_value(c, shifted(rows, FEAS_TOL), box)
-        eps = 1e-9 * (1.0 + abs(upper))
-        assert val <= upper + eps, kind
-        lower = lp_value(c, shifted(rows, -FEAS_TOL), box, tol=0.0)
-        assert lower is None or val >= lower - eps, kind
-        assert abs(val - float(np.dot(c, u))) <= eps
+        n = len(rows)
+        assert outside(val, exact_lp(c, rows, box, n, -1), exact_lp(c, rows, box, n)) <= EPS, kind
+        assert abs(val - float(np.dot(c, u))) <= EPS * (1.0 + abs(val))
         val2, u2 = solve_lp(c, rows, box)
         assert val2 == val and np.array_equal(u2, u)
 
@@ -320,18 +323,18 @@ def test_qp_degenerate_fuzz_matches_oracles(kind):
         except Infeasible:
             assert not exact_points(rows, box), (kind, rows)
             continue
+        upper = exact_qp(p, len(rows), -1)
         if np.array_equal(u, u_ref):
-            # the answer rule, not the contract: u_ref holds every row to FEAS_TOL
+            # the answer rule, not the contract: u_ref holds every row to
+            # FEAS_TOL, and its value 0 has no lower bound
             assert box.contains(u_ref, tol=FEAS_TOL) and all(
                 float(np.dot(r[:2], u_ref)) - r[2] >= -FEAS_TOL for r in rows), kind
+            lower = None
         else:
             assert holds_within_delta(u, rows, box, len(rows)), (kind, rows, u_ref)
+            lower = exact_qp(p, len(rows))[0]
         val = float(np.sum((u - np.asarray(u_ref)) ** 2))
-        lower, _ = qp_oracle(qp(u_ref, shifted(rows, FEAS_TOL), box))
-        upper = qp_oracle(qp(u_ref, shifted(rows, -FEAS_TOL), box), tol=0.0)
-        eps = 1e-9 * (1.0 + val)
-        assert val >= lower - eps, kind
-        assert upper is None or val <= upper[0] + eps, kind
+        assert outside(val, lower, upper[0] if upper else None) <= EPS, kind
         u2 = solve_qp(p)
         assert np.array_equal(u2, u)
 
@@ -534,9 +537,9 @@ def test_goal_descent_clamps_the_foot_along_the_line_to_the_box():
     assert u[0] == pytest.approx(0.532, abs=1e-12)
     row = (4.0, 1.6, 0.5 * (2.0 * 2.0 + 0.8 * 0.8))
     assert solve_min_norm(row, ADVERSARY_BOX) == u
-    val, v = qp_oracle(QPProblem((0.0, 0.0), [row], ADVERSARY_BOX))
-    assert np.allclose(v, u, atol=1e-12, rtol=0.0)
-    assert val == pytest.approx(0.532 ** 2 + 0.12 ** 2, abs=1e-12)
+    val, v = exact_qp(QPProblem((0.0, 0.0), [row], ADVERSARY_BOX))
+    assert np.allclose(np.array(v, dtype=float), u, atol=1e-12, rtol=0.0)
+    assert float(val) == pytest.approx(0.532 ** 2 + 0.12 ** 2, abs=1e-12)
 
 
 def _goal_descent_instance(rng):
@@ -662,7 +665,7 @@ def test_self_test_checks_the_leave_one_out_verdicts(monkeypatch, flip):
 
 def test_self_test_fails_when_the_solver_and_the_oracle_disagree(monkeypatch):
     # every random QP is feasible, so an oracle that calls it empty disagrees
-    monkeypatch.setattr(oracles, "qp_oracle", lambda *args, **kwargs: None)
+    monkeypatch.setattr(oracles, "exact_qp", lambda *args, **kwargs: None)
     report, failures = _self_test(0, 5, 0)
     assert failures > 0
     assert re.search(r"^qp: 5 instances, .* 5 failures$", report, re.M)

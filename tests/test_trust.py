@@ -1,20 +1,20 @@
 """Trust pipeline: worst-case motion, contribution LPs, scores, rate updates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from trustcbf.barriers import cbf_row, eval_barrier, velocity_map
 from trustcbf.schema import Box
-from trustcbf.solvers import FEAS_TOL, _box_polygon, _clip, solve_lp
+from trustcbf.solvers import _box_polygon, _clip, solve_lp
 from trustcbf.trust import (BoundaryReached, TrustParams, alpha_rate_floor, combine_trust, direction_trust,
                             distance_trust, max_own_contribution, update_alpha,
                             worst_case_motion)
 from trustcbf.world import AgentState, Model, MotionEstimate
 
-from conftest import lp_values_leave_one_out, shifted
-from oracles import exact_leave_one_out
+from oracles import EPS, exact_leave_one_out, exact_points, outside
 
 BOX3 = Box((-3.0, -3.0), (3.0, 3.0))
 
@@ -37,20 +37,6 @@ def test_worst_case_motion_zero_gradient_returns_center():
     v, val = worst_case_motion(est, np.zeros(2))
     assert np.allclose(v, est.center)
     assert val == 0.0
-
-
-def test_worst_case_motion_beats_sampling():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        est = MotionEstimate(center=rng.normal(size=2),
-                             radius=float(rng.uniform(0.0, 2.0)))
-        g = rng.normal(size=2)
-        _, val = worst_case_motion(est, g)
-        ang = rng.uniform(0.0, 2.0 * math.pi, 2000)
-        rad = est.radius * np.sqrt(rng.uniform(0.0, 1.0, 2000))
-        pts = est.center + np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-        sampled = float(np.min(pts @ g))
-        assert val <= sampled + 1e-9
 
 
 def test_max_own_contribution_unconstrained_is_box_corner():
@@ -131,11 +117,10 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
     #    does, and must match it bitwise;
     #  - one_polygon: P's float clip is nonempty, and entry k is its best
     #    vertex.  That equals solve_lp only in exact arithmetic (sliver
-    #    polygons differ by a few 1e-8), so the value must lie in the
-    #    independent vertex-oracle bracket: the oracle's values on the other
-    #    rows relaxed by FEAS_TOL and tightened by it
-    #    (``lp_values_leave_one_out`` reads both for every LP of the list at
-    #    once).
+    #    polygons differ by a few 1e-8), so the value must lie in the delta
+    #    bracket of that clip (test_solvers): between the exact best of row
+    #    k's normal over P tightened by delta and over P loosened by it (one
+    #    enumeration of each serves every LP of the list).
     # certified counts the lists whose LPs outside a certified empty triple
     # were declared empty without a clip.
     rng = np.random.default_rng(31)
@@ -150,7 +135,7 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
         exact = exact_leave_one_out(rows, BOX3)
         loose = exact_leave_one_out(rows, BOX3, len(rows))
         full = bool(_clip(rows, box_poly))
-        upper = lower = None
+        points = None
         for k, row in enumerate(rows):
             if got[k] is None:
                 assert not exact[k], (k, rows)
@@ -163,12 +148,11 @@ def test_max_own_contribution_matches_leave_one_out_solve_lp():
                 assert got[k].hex() == expected.hex(), (k, rows)
                 continue
             seen["one_polygon"] += 1
-            if upper is None:
-                upper = lp_values_leave_one_out(shifted(rows, FEAS_TOL), BOX3)
-                lower = lp_values_leave_one_out(shifted(rows, -FEAS_TOL), BOX3, tol=0.0)
-            eps = 1e-9 * (1.0 + abs(got[k]))
-            assert got[k] <= upper[k] + eps, (k, rows)
-            assert lower[k] is None or got[k] >= lower[k] - eps, (k, rows)
+            if points is None:
+                points = [exact_points(rows, BOX3, len(rows), sign) for sign in (-1, 1)]
+            a0, a1 = Fraction(row[0]), Fraction(row[1])
+            lower, upper = (max((a0 * x + a1 * y for x, y in p), default=None) for p in points)
+            assert outside(got[k], lower, upper) <= EPS, (k, rows)
         for m in range(1, len(rows)):
             if not _clip(rows[:m], box_poly):
                 seen["emptied_prefix"] += m < len(rows) - 1
